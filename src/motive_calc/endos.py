@@ -5,8 +5,7 @@ x -> g.(zero-section point in the fiber of x).  A collapse map depends
 only on where it sends the zero section, so collapse elements are
 normalized to inversion part +1 at construction; with that normalization
 `mu(-1) o mu(0) = mu(0)` holds on the nose, which the projector
-orthogonality certificates require.  Tensor endomorphisms are pairs with
-a swap flag (swap applied first), and affine endomorphisms x -> n x + b
+orthogonality certificates require.  Affine endomorphisms x -> n x + b
 model the open part, where multiplication by any integer n makes sense.
 """
 
@@ -50,10 +49,6 @@ def surf_end(n: int, b1: int, b2: int, s: int = 1, collapse: bool = False) -> Su
     return SurfEnd(n, b1 % n, b2 % n, s, collapse)
 
 
-def from_gelem(g: GElem, collapse: bool = False) -> SurfEnd:
-    return surf_end(g.level, g.b1, g.b2, g.s, collapse)
-
-
 def surf_identity(n: int) -> SurfEnd:
     return surf_end(n, 0, 0, 1, False)
 
@@ -91,68 +86,6 @@ def enumerate_surf(n: int) -> list[SurfEnd]:
     return out
 
 
-class TensorEnd(NamedTuple):
-    """Pair endomorphism (a (x) b) . swap^e; the swap acts first."""
-
-    level: int
-    left: SurfEnd
-    right: SurfEnd
-    swap: bool
-
-    def is_automorphism(self) -> bool:
-        return self.left.is_automorphism() and self.right.is_automorphism()
-
-    def inv(self) -> "TensorEnd":
-        if not self.is_automorphism():
-            raise ValueError("not invertible")
-        if not self.swap:
-            return TensorEnd(self.level, self.left.inv(), self.right.inv(), False)
-        # ((a (x) b) s)^-1 = (b^-1 (x) a^-1) s
-        return TensorEnd(self.level, self.right.inv(), self.left.inv(), True)
-
-    def label(self) -> str:
-        tail = ".s" if self.swap else ""
-        return f"[{self.left.label()}(x){self.right.label()}]{tail}"
-
-
-def tensor_end(n: int, left: SurfEnd, right: SurfEnd, swap: bool = False) -> TensorEnd:
-    if left.level != n or right.level != n:
-        raise LevelMismatchError("factor level mismatch")
-    return TensorEnd(n, left, right, swap)
-
-
-def tensor_identity(n: int) -> TensorEnd:
-    return TensorEnd(n, surf_identity(n), surf_identity(n), False)
-
-
-def sigma_end(n: int) -> TensorEnd:
-    return TensorEnd(n, surf_identity(n), surf_identity(n), True)
-
-
-def mu_tilde(n: int, collapse_left: bool, collapse_right: bool) -> TensorEnd:
-    """mu(0,1), mu(1,0), mu(0,0): collapse the flagged fiber factors."""
-    left = mu0(n) if collapse_left else surf_identity(n)
-    right = mu0(n) if collapse_right else surf_identity(n)
-    return TensorEnd(n, left, right, False)
-
-
-def chi_tilde(n: int, g1: GElem, g2: GElem) -> TensorEnd:
-    return TensorEnd(n, from_gelem(g1), from_gelem(g2), False)
-
-
-def tensor_compose(f: TensorEnd, h: TensorEnd) -> TensorEnd:
-    """f after h, in swap normal form."""
-    if f.level != h.level:
-        raise LevelMismatchError("endomorphisms of different levels")
-    x, y = (h.right, h.left) if f.swap else (h.left, h.right)
-    return TensorEnd(
-        f.level,
-        surf_compose(f.left, x),
-        surf_compose(f.right, y),
-        f.swap != h.swap,
-    )
-
-
 class AffEnd(NamedTuple):
     """Affine endomorphism x -> n x + b of the open part; b is N-torsion."""
 
@@ -179,93 +112,9 @@ def aff_end(level: int, n: int, b1: int = 0, b2: int = 0) -> AffEnd:
     return AffEnd(level, n, b1 % level, b2 % level)
 
 
-def aff_identity(level: int) -> AffEnd:
-    return AffEnd(level, 1, 0, 0)
-
-
 def aff_compose(f: AffEnd, h: AffEnd) -> AffEnd:
     """(n,b) o (n',b') = (n n', n b' + b); torsion reduced mod the level."""
     if f.level != h.level:
         raise LevelMismatchError("affine endomorphisms of different levels")
     m = f.level
     return AffEnd(m, f.n * h.n, (f.n * h.b1 + f.b1) % m, (f.n * h.b2 + f.b2) % m)
-
-
-# -- two-object composition system ------------------------------------------
-#
-# Objects: the total space and the base.  Generators: the projection phi,
-# the zero section alpha, and the fiberwise endomorphisms.  Normal forms:
-# every arrow total->base is phi (phi o f = phi for fiberwise f), every
-# arrow base->base is the identity (phi o f o alpha = id), an arrow
-# base->total is "f o alpha" stored by f, and total->total arrows are the
-# monoid itself (alpha o phi = total collapse).
-
-_BASE = "base"
-_TOTAL = "total"
-
-
-class Arrow(NamedTuple):
-    src: str
-    dst: str
-    payload: object  # TensorEnd for arrows into the total space, None otherwise
-
-
-def arrow_phi(n: int) -> Arrow:
-    return Arrow(_TOTAL, _BASE, None)
-
-
-def arrow_alpha(n: int) -> Arrow:
-    return Arrow(_BASE, _TOTAL, tensor_identity(n))
-
-
-def arrow_endo(f: TensorEnd) -> Arrow:
-    return Arrow(_TOTAL, _TOTAL, f)
-
-
-def arrow_id_base() -> Arrow:
-    return Arrow(_BASE, _BASE, None)
-
-
-def arrow_compose(after: Arrow, before: Arrow, n: int) -> Arrow:
-    if before.dst != after.src:
-        raise ValueError("arrows not composable")
-    src, dst = before.src, after.dst
-    if dst == _BASE:
-        # phi absorbs every fiberwise endomorphism; base->base is id
-        return Arrow(src, _BASE, None)
-    if after.src == _BASE:
-        # (f o alpha) o (x -> base): precompose with phi or id
-        if src == _BASE:
-            return after
-        # f o alpha o phi = f o total collapse
-        collapse = mu_tilde(n, True, True)
-        return Arrow(_TOTAL, _TOTAL, tensor_compose(after.payload, collapse))
-    # after: total->total endo
-    if src == _BASE:
-        return Arrow(_BASE, _TOTAL, tensor_compose(after.payload, before.payload))
-    return Arrow(_TOTAL, _TOTAL, tensor_compose(after.payload, before.payload))
-
-
-def _chain(n: int, arrows: list[Arrow]) -> Arrow:
-    acc = arrows[-1]
-    for a in reversed(arrows[:-1]):
-        acc = arrow_compose(a, acc, n)
-    return acc
-
-
-def verify_structure_identities(n: int) -> list[dict]:
-    """Check the section/projection identities in the two-object system."""
-    _check_level(n)
-    phi = arrow_phi(n)
-    alpha = arrow_alpha(n)
-    m00 = arrow_endo(mu_tilde(n, True, True))
-    checks = [
-        ("section_property", "phi o alpha = id_base", _chain(n, [phi, alpha]), arrow_id_base()),
-        ("retract_to_base", "phi o mu00 o alpha = id_base", _chain(n, [phi, m00, alpha]), arrow_id_base()),
-        ("collapse_roundtrip", "mu00 o alpha o phi o mu00 = mu00", _chain(n, [m00, alpha, phi, m00]), m00),
-    ]
-    out = []
-    for name, law, got, want in checks:
-        lhs, _, rhs = law.rpartition(" = ")
-        out.append({"name": name, "lhs": lhs, "rhs": rhs, "status": "pass" if got == want else "fail"})
-    return out

@@ -38,10 +38,6 @@ def fmt_rational(q: RationalLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 @dataclass(frozen=True)
 class LinearCoeff:
     """Value of the form `const + da_part * d_a` with d_a a free symbol.
@@ -74,13 +70,17 @@ class LinearCoeff:
     def __neg__(self) -> "LinearCoeff":
         return LinearCoeff(-self.const, -self.da_part)
 
-    def __mul__(self, other: "LinearCoeff") -> "LinearCoeff":
+    def __mul__(self, other: "LinearCoeff | RationalLike") -> "LinearCoeff":
+        if not isinstance(other, LinearCoeff):
+            return self.scale(other)
         if self.da_part and other.da_part:
             raise DegreeError("product would have a d_a^2 term")
         return LinearCoeff(
             self.const * other.const,
             self.const * other.da_part + self.da_part * other.const,
         )
+
+    __rmul__ = __mul__
 
     def scale(self, k: RationalLike) -> "LinearCoeff":
         k = Fraction(k)
@@ -93,10 +93,6 @@ class LinearCoeff:
         if not self.const:
             return da
         return f"{fmt_rational(self.const)} + {da}"
-
-
-ZERO_COEFF = LinearCoeff()
-ONE_COEFF = LinearCoeff.of(1)
 
 
 class RatMatrix:
@@ -198,35 +194,3 @@ def mat_inverse(m: RatMatrix) -> RatMatrix:
                 factor = a[i][c]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
     return RatMatrix([row[n:] for row in a])
-
-
-def mat_kernel(m: RatMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, exact (reduced row echelon back-solve)."""
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        a[r] = [x / pivot for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for row_i, piv_c in enumerate(pivots):
-            vec[piv_c] = -a[row_i][f]
-        basis.append(vec)
-    return basis

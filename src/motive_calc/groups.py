@@ -15,10 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .levels import _check_level
-
-
-class LevelMismatchError(ValueError):
-    """Two elements from different levels were combined."""
+from .sums import Certificate, LevelMismatchError, LinComb, linear_map, product
 
 
 class GElem(NamedTuple):
@@ -55,10 +52,6 @@ def tau(n: int, b1: int, b2: int) -> GElem:
 def mu_inv(n: int) -> GElem:
     """Fiberwise inversion."""
     return GElem(n, 0, 0, -1)
-
-
-def g_mul(x: GElem, y: GElem) -> GElem:
-    return x.mul(y)
 
 
 def enumerate_g(n: int) -> list[GElem]:
@@ -104,88 +97,38 @@ def sigma_swap(n: int) -> G2Elem:
     return G2Elem(n, g_identity(n), g_identity(n), True)
 
 
-def enumerate_g2(n: int) -> list[G2Elem]:
-    g = enumerate_g(n)
-    return [G2Elem(n, a, b, swap) for swap in (False, True) for a in g for b in g]
-
-
-def epsilon2(x: G2Elem) -> int:
-    """Product character on the pair; +1 on the swap by convention."""
-    return epsilon(x.g1) * epsilon(x.g2)
-
-
 GroupElem = Union[GElem, G2Elem]
 
 
-class GroupRingElement:
-    """Finite formal rational combination of group elements."""
+def _group_product(g: GroupElem, h: GroupElem, _level) -> tuple:
+    return ((g.mul(h), 1),)
 
-    __slots__ = ("terms",)
+
+class GroupRingElement(LinComb):
+    """Finite formal rational combination of group elements.
+
+    Its level is None: each group element carries its own.
+    """
+
+    __slots__ = ()
+    label = staticmethod(lambda g: g.label())
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict = {}
-        if terms:
-            for g, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[g] = c
+        super().__init__(None, terms)
 
     @staticmethod
     def of(g: GroupElem, coeff=1) -> "GroupRingElement":
-        return GroupRingElement({g: Fraction(coeff)})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            acc = out.get(g, Fraction(0)) + c
-            if acc:
-                out[g] = acc
-            else:
-                out.pop(g, None)
-        return GroupRingElement(out)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "GroupRingElement":
-        k = Fraction(k)
-        if not k:
-            return GroupRingElement()
-        return GroupRingElement({g: c * k for g, c in self.terms.items()})
+        return GroupRingElement({g: coeff})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out: dict = {}
-        for g, cg in self.terms.items():
-            for h, ch in other.terms.items():
-                k = g.mul(h)
-                acc = out.get(k, Fraction(0)) + cg * ch
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-        return GroupRingElement(out)
+        return product(self, other, _group_product)
 
     def involute(self) -> "GroupRingElement":
         """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""
-        return GroupRingElement({g.inv(): c for g, c in self.terms.items()})
-
-    def support_size(self) -> int:
-        return len(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash(frozenset(self.terms.items()))
+        return linear_map(self, lambda g: g.inv())
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"{c}*{g.label()}" for g, c in sorted(self.terms.items())]
-        return " + ".join(parts)
+        return self.render()
 
 
 def epsilon_projector(n: int) -> GroupRingElement:
@@ -233,16 +176,8 @@ def symmetrizers(n: int) -> tuple[GroupRingElement, GroupRingElement]:
 
 def group_certificate(n: int) -> list[dict]:
     """Idempotency, commutation and orthogonality of the named idempotents."""
-    entries: list[dict] = []
-
-    def check(name: str, law: str, got: GroupRingElement, want: GroupRingElement) -> None:
-        ok = got == want
-        lhs, _, rhs = law.rpartition(" = ")
-        e = {"name": name, "lhs": lhs, "rhs": rhs, "status": "pass" if ok else "fail"}
-        if not ok:
-            e["got"] = repr(got)
-        entries.append(e)
-
+    cert = Certificate()
+    check = cert.equal
     eps = epsilon_projector(n)
     lam, theta = lambda_theta(n)
     check("eps:idempotent", "eps . eps = eps", eps * eps, eps)
@@ -263,4 +198,4 @@ def group_certificate(n: int) -> list[dict]:
     eps2 = epsilon2_projector(n)
     check("a2_eps2:commute", "A2 . eps2 = eps2 . A2", a2 * eps2, eps2 * a2)
     check("s2_eps2:commute", "S2 . eps2 = eps2 . S2", s2 * eps2, eps2 * s2)
-    return entries
+    return cert.entries

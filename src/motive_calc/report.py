@@ -24,8 +24,7 @@ from .motives import (
     surface_multiplicity,
 )
 from .surface import neron_lattice, surface_certificate
-from .threefold import cusp_incidence, estimate_n, threefold_certificate
-from .endos import verify_structure_identities
+from .threefold import cusp_incidence, estimate_n, threefold_certificate, verify_structure_identities
 
 # Facts the engine records but does not re-derive: their proofs use exact
 # sequences of cycle groups, beyond the formal calculus checked here.

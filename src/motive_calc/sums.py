@@ -1,0 +1,169 @@
+"""Formal sums with exact coefficients, their products, and the certificate recorder.
+
+Every correspondence, divisor class and group-ring element is a `LinComb`:
+a level and a dict from atoms to nonzero coefficients.  A subclass only
+says how its atoms sort and print.  Products are the bilinear extension
+of a rule on atom pairs (`bilinear`), images under a map of atoms are
+`linear_map`, and both feed the one accumulation loop, `collect`, which
+drops every atom whose coefficient cancels to zero.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Iterable
+
+from .exact import fmt_rational
+
+
+class LevelMismatchError(ValueError):
+    """Two elements from different levels were combined."""
+
+
+def collect(pairs: Iterable[tuple], out: dict | None = None) -> dict:
+    """Add (atom, coeff) pairs, each coeff nonzero, into out; cancelled atoms drop out."""
+    if out is None:
+        out = {}
+    get = out.get
+    for atom, c in pairs:
+        old = get(atom)
+        if old is None:
+            out[atom] = c
+            continue
+        c = old + c
+        if c:
+            out[atom] = c
+        else:
+            del out[atom]
+    return out
+
+
+def bilinear(xs: Iterable[tuple], ys: Iterable[tuple], rule: Callable, level: int):
+    """The (atom, coeff) terms of every product of a term of xs with a term of ys.
+
+    `rule(a, b, level)` gives the product of two atoms as (atom, k) pairs
+    with k nonzero, or None for zero.  ys is iterated once per term of xs.
+    """
+    for a, ca in xs:
+        for b, cb in ys:
+            produced = rule(a, b, level)
+            if produced:
+                c = ca * cb
+                for atom, k in produced:
+                    # most rule coefficients are 1; a multiply costs as much as the rest
+                    yield atom, (c if k == 1 else c * k)
+
+
+class LinComb:
+    """Finite combination of atoms with nonzero exact coefficients, at one level.
+
+    Each subclass sets `label`, which prints one atom, and may override
+    `sort_key` (the print order of atoms; natural order when None), `fmt`
+    (prints one coefficient) and `cast` (normalizes an input coefficient).
+    """
+
+    __slots__ = ("level", "terms")
+    sort_key = None
+    fmt = staticmethod(fmt_rational)
+    cast = Fraction
+
+    def __init__(self, level, terms: dict | None = None):
+        self.level = level
+        self.terms: dict = {}
+        if terms:
+            cast = self.cast
+            for atom, c in terms.items():
+                c = cast(c)
+                if c:
+                    self.terms[atom] = c
+
+    @classmethod
+    def _make(cls, level, terms: dict):
+        """Wrap a dict whose coefficients are already cast and nonzero."""
+        obj = cls.__new__(cls)
+        obj.level = level
+        obj.terms = terms
+        return obj
+
+    @classmethod
+    def of(cls, level, atom, coeff=1):
+        return cls(level, {atom: coeff})
+
+    @classmethod
+    def zero(cls, level):
+        return cls(level)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def check_level(self, other: "LinComb") -> None:
+        if self.level != other.level:
+            raise LevelMismatchError("operands of different levels")
+
+    def __add__(self, other):
+        self.check_level(other)
+        return self._make(self.level, collect(other.terms.items(), dict(self.terms)))
+
+    def __sub__(self, other):
+        self.check_level(other)
+        return self._make(self.level, collect(((a, -c) for a, c in other.terms.items()), dict(self.terms)))
+
+    def scale(self, k):
+        k = Fraction(k)
+        if not k:
+            return self._make(self.level, {})
+        return self._make(self.level, {a: c * k for a, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.level == other.level and self.terms == other.terms
+
+    def __hash__(self):  # pragma: no cover
+        return hash((self.level, frozenset(self.terms.items())))
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        fmt, label, terms = self.fmt, self.label, self.terms
+        return " + ".join(f"{fmt(terms[a])}*{label(a)}" for a in sorted(terms, key=self.sort_key))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self.render()}>"
+
+
+def product(x: LinComb, y: LinComb, rule: Callable, cls: type | None = None) -> LinComb:
+    """Bilinear extension of `rule` to x and y, as a sum of type cls (default: x's)."""
+    x.check_level(y)
+    terms = collect(bilinear(x.terms.items(), y.terms.items(), rule, x.level))
+    return (cls or type(x))._make(x.level, terms)
+
+
+def linear_map(x: LinComb, f: Callable, cls: type | None = None) -> LinComb:
+    """Image of x under the atom map f; atoms that f sends to None drop out."""
+
+    def images():
+        for a, c in x.terms.items():
+            b = f(a)
+            if b is not None:
+                yield b, c
+
+    return (cls or type(x))._make(x.level, collect(images()))
+
+
+class Certificate:
+    """Records checked laws as report entries, in the order they are checked."""
+
+    def __init__(self) -> None:
+        self.entries: list[dict] = []
+
+    def record(self, name: str, law: str, ok: bool, detail: str = "") -> None:
+        """Add the entry of `law`, written "lhs = rhs"; a failed one keeps detail as "got"."""
+        lhs, _, rhs = law.rpartition(" = ")
+        entry = {"name": name, "lhs": lhs, "rhs": rhs, "status": "pass" if ok else "fail"}
+        if not ok and detail:
+            entry["got"] = detail
+        self.entries.append(entry)
+
+    def equal(self, name: str, law: str, got: LinComb, want: LinComb) -> None:
+        """Record whether the two sides of `law` are equal as sums."""
+        ok = got == want
+        self.record(name, law, ok, "" if ok else f"got {got.render()}, want {want.render()}")

@@ -18,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from itertools import chain
 
 from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
-from .exact import LinearCoeff, RatMatrix, fmt_rational, mat_inverse, mat_rank
-from .groups import LevelMismatchError, epsilon_projector
+from .exact import LinearCoeff, RatMatrix, mat_inverse, mat_rank
+from .groups import epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
+from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
 
 Atom = tuple
-Coeff = Union[int, Fraction]
 
 
 class UnsupportedCompositionError(ValueError):
@@ -128,72 +128,12 @@ def neron_lattice(n: int) -> NeronLattice:
 
 # -- formal sums ---------------------------------------------------------------
 
-class SurfCorr:
+class SurfCorr(LinComb):
     """Formal exact-rational combination of surface atoms."""
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms: dict | None = None):
-        self.level = level
-        self.terms: dict = {}
-        if terms:
-            for atom, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[atom] = c
-
-    @staticmethod
-    def of(level: int, atom: Atom, coeff: Coeff = 1) -> "SurfCorr":
-        return SurfCorr(level, {atom: Fraction(coeff)})
-
-    @staticmethod
-    def zero(level: int) -> "SurfCorr":
-        return SurfCorr(level)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SurfCorr") -> "SurfCorr":
-        self._check(other)
-        out = dict(self.terms)
-        for atom, c in other.terms.items():
-            acc = out.get(atom, Fraction(0)) + c
-            if acc:
-                out[atom] = acc
-            else:
-                out.pop(atom, None)
-        return SurfCorr(self.level, out)
-
-    def __sub__(self, other: "SurfCorr") -> "SurfCorr":
-        return self + other.scale(-1)
-
-    def scale(self, k: Coeff) -> "SurfCorr":
-        k = Fraction(k)
-        if not k:
-            return SurfCorr(self.level)
-        return SurfCorr(self.level, {a: c * k for a, c in self.terms.items()})
-
-    def _check(self, other: "SurfCorr") -> None:
-        if self.level != other.level:
-            raise LevelMismatchError("correspondences of different levels")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SurfCorr) and self.level == other.level and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for atom in sorted(self.terms, key=atom_sort_key):
-            c = self.terms[atom]
-            parts.append(f"{fmt_rational(c)}*{atom_label(atom)}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SurfCorr<{self.render()}>"
+    __slots__ = ()
+    sort_key = staticmethod(atom_sort_key)
+    label = staticmethod(atom_label)
 
 
 # -- transposition -------------------------------------------------------------
@@ -211,7 +151,7 @@ def transpose_atom(atom: Atom) -> Atom:
 
 
 def transpose(x: SurfCorr) -> SurfCorr:
-    return SurfCorr(x.level, {transpose_atom(a): c for a, c in x.terms.items()})
+    return linear_map(x, transpose_atom)
 
 
 # -- composition rule table -----------------------------------------------------
@@ -236,7 +176,7 @@ def transpose(x: SurfCorr) -> SurfCorr:
 #          full fiber class, and every such pairing is a zero row sum.
 
 
-def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, Coeff]] | None:
+def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | None:
     """after=x composed with before=y; None means zero."""
     kx = x[0]
     ky = y[0]
@@ -317,37 +257,15 @@ def _split_by_cusp(terms: dict) -> tuple[list, dict]:
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
-    after._check(before)
+    after.check_level(before)
     level = after.level
-    out: dict = {}
-
-    def accumulate(ax, cx, ay, cy) -> None:
-        produced = compose_atom_pair(ax, ay, level)
-        if not produced:
-            return
-        c = cx * cy
-        for atom, k in produced:
-            acc = out.get(atom, Fraction(0)) + c * k
-            if acc:
-                out[atom] = acc
-            else:
-                out.pop(atom, None)
-
     x_other, x_cusp = _split_by_cusp(after.terms)
     y_other, y_cusp = _split_by_cusp(before.terms)
-    for ax, cx in x_other:
-        for ay, cy in y_other:
-            accumulate(ax, cx, ay, cy)
-        for bucket in y_cusp.values():
-            for ay, cy in bucket:
-                accumulate(ax, cx, ay, cy)
-    for cusp, bucket_x in x_cusp.items():
-        for ax, cx in bucket_x:
-            for ay, cy in y_other:
-                accumulate(ax, cx, ay, cy)
-            for ay, cy in y_cusp.get(cusp, ()):
-                accumulate(ax, cx, ay, cy)
-    return SurfCorr(level, out)
+    y_all = list(before.terms.items())
+    pairs = [bilinear(x_other, y_all, compose_atom_pair, level)]
+    pairs += [bilinear(bucket, y_other + y_cusp.get(cusp, []), compose_atom_pair, level)
+              for cusp, bucket in x_cusp.items()]
+    return SurfCorr._make(level, collect(chain.from_iterable(pairs)))
 
 
 # -- named projectors -----------------------------------------------------------
@@ -407,19 +325,6 @@ def build_pi_inf(n: int) -> SurfCorr:
     return delta(n) - build_pi_f(n)
 
 
-def lambda_corr(n: int) -> SurfCorr:
-    half = Fraction(1, 2)
-    return SurfCorr(
-        n,
-        {graph(surf_identity(n)): half, graph(surf_end(n, 0, 0, -1, False)): -half},
-    )
-
-
-def theta_corr(n: int) -> SurfCorr:
-    terms = {graph(surf_end(n, b1, b2, 1, False)): Fraction(1, n * n) for b1 in range(n) for b2 in range(n)}
-    return SurfCorr(n, terms)
-
-
 # -- divisor classes and the action table ---------------------------------------
 
 DivKey = tuple
@@ -452,86 +357,42 @@ def div_label(key: DivKey) -> str:
     return f"[theta({key[1]};{key[2]})]"
 
 
-class DivClass:
+def _linear_coeff(c) -> LinearCoeff:
+    return c if isinstance(c, LinearCoeff) else LinearCoeff.of(c)
+
+
+class DivClass(LinComb):
     """Formal combination of divisor basis classes with linear-in-d_a coefficients."""
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms: dict | None = None):
-        self.level = level
-        self.terms: dict = {}
-        if terms:
-            for key, c in terms.items():
-                if not isinstance(c, LinearCoeff):
-                    c = LinearCoeff.of(c)
-                if c:
-                    self.terms[key] = c
-
-    @staticmethod
-    def of(level: int, key: DivKey, coeff=1) -> "DivClass":
-        return DivClass(level, {key: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DivClass") -> "DivClass":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, LinearCoeff()) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return DivClass(self.level, out)
-
-    def __sub__(self, other: "DivClass") -> "DivClass":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "DivClass":
-        k = Fraction(k)
-        return DivClass(self.level, {key: c.scale(k) for key, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DivClass) and self.level == other.level and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=div_sort_key):
-            parts.append(f"({self.terms[key]})*{div_label(key)}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"DivClass<{self.render()}>"
+    __slots__ = ()
+    sort_key = staticmethod(div_sort_key)
+    label = staticmethod(div_label)
+    fmt = staticmethod(lambda c: f"({c})")
+    cast = staticmethod(_linear_coeff)
 
 
 def full_cusp_fiber(n: int, c: int) -> DivClass:
     return DivClass(n, {theta_key(c, m): 1 for m in range(n)})
 
 
-def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, LinearCoeff]]:
+def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, int | LinearCoeff]]:
     """One atom acting on one divisor basis class."""
     kind = atom[0]
-    one = LinearCoeff.of(1)
     if kind == "G":
         f: SurfEnd = atom[1]
         if f.collapse:
             if key[0] == "S":
-                return [(sec_key(f.b1, f.b2), one)]
+                return [(sec_key(f.b1, f.b2), 1)]
             return []  # fibers and components push forward to points
         if key[0] == "F":
-            return [(GENERIC_FIBER, one)]
+            return [(GENERIC_FIBER, 1)]
         if key[0] == "S":
-            return [(sec_key((f.b1 + f.s * key[1]) % level, (f.b2 + f.s * key[2]) % level), one)]
-        return [(theta_key(key[1], (f.b1 + f.s * key[2]) % level), one)]
+            return [(sec_key((f.b1 + f.s * key[1]) % level, (f.b2 + f.s * key[2]) % level), 1)]
+        return [(theta_key(key[1], (f.b1 + f.s * key[2]) % level), 1)]
     if kind == "T":
         cend: SurfEnd = atom[1]
         if key[0] == "F":
-            return [(GENERIC_FIBER, one)]
+            return [(GENERIC_FIBER, 1)]
         if key[0] == "S":
             if (key[1], key[2]) == (cend.b1, cend.b2):
                 # section against itself: d_a times the fiber class
@@ -539,7 +400,7 @@ def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, L
             return []
         c, m = key[1], key[2]
         if m == cend.b1:
-            return [(theta_key(c, k), one) for k in range(level)]
+            return [(theta_key(c, k), 1) for k in range(level)]
         return []
     if kind == "V":
         # z -> d_a (z . fiber) fiber; only sections meet the fiber
@@ -554,30 +415,18 @@ def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, L
         if key[1] == m:
             # a section meets the cusp fiber once, on the component named
             # by its first coordinate
-            return [(theta_key(c, n_idx), one)]
+            return [(theta_key(c, n_idx), 1)]
         return []
     if key[1] != c:
         return []
     pairing = an_entry(level, key[2], m)
     if not pairing:
         return []
-    return [(theta_key(c, n_idx), LinearCoeff.of(pairing))]
+    return [(theta_key(c, n_idx), pairing)]
 
 
 def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:
-    if x.level != z.level:
-        raise LevelMismatchError("correspondence and divisor of different levels")
-    out: dict = {}
-    for atom, ca in x.terms.items():
-        for key, cz in z.terms.items():
-            for new_key, rule_coeff in act_atom_on_key(atom, key, x.level):
-                contrib = (cz * rule_coeff).scale(ca)
-                acc = out.get(new_key, LinearCoeff()) + contrib
-                if acc:
-                    out[new_key] = acc
-                else:
-                    out.pop(new_key, None)
-    return DivClass(x.level, out)
+    return product(x, z, act_atom_on_key, DivClass)
 
 
 # -- restriction to the open part ------------------------------------------------
@@ -613,56 +462,12 @@ def open_atom_label(atom: OpenAtom) -> str:
     return f"Graph({a.label()})" if species == "g" else f"tGraph({a.label()})"
 
 
-class OpenCorr:
+class OpenCorr(LinComb):
     """Formal combination of open-part graphs and transposed graphs."""
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms: dict | None = None):
-        self.level = level
-        self.terms: dict = {}
-        if terms:
-            for atom, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[atom] = c
-
-    def __add__(self, other: "OpenCorr") -> "OpenCorr":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            acc = out.get(a, Fraction(0)) + c
-            if acc:
-                out[a] = acc
-            else:
-                out.pop(a, None)
-        return OpenCorr(self.level, out)
-
-    def scale(self, k) -> "OpenCorr":
-        k = Fraction(k)
-        return OpenCorr(self.level, {a: c * k for a, c in self.terms.items()})
-
-    def __sub__(self, other: "OpenCorr") -> "OpenCorr":
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpenCorr) and self.level == other.level and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{fmt_rational(self.terms[a])}*{open_atom_label(a)}"
-            for a in sorted(self.terms, key=open_atom_sort_key)
-        )
-
-    def __repr__(self) -> str:
-        return f"OpenCorr<{self.render()}>"
+    __slots__ = ()
+    sort_key = staticmethod(open_atom_sort_key)
+    label = staticmethod(open_atom_label)
 
 
 def compose_open_atoms(x: OpenAtom, y: OpenAtom) -> OpenAtom:
@@ -685,47 +490,30 @@ def compose_open_atoms(x: OpenAtom, y: OpenAtom) -> OpenAtom:
     raise UnsupportedCompositionError("tgraph o graph with no invertible side")
 
 
+def _open_pair(x: OpenAtom, y: OpenAtom, _level: int) -> tuple:
+    return ((compose_open_atoms(x, y), 1),)
+
+
 def compose_open(after: OpenCorr, before: OpenCorr) -> OpenCorr:
-    out: dict = {}
-    for ax, cx in after.terms.items():
-        for ay, cy in before.terms.items():
-            atom = compose_open_atoms(ax, ay)
-            acc = out.get(atom, Fraction(0)) + cx * cy
-            if acc:
-                out[atom] = acc
-            else:
-                out.pop(atom, None)
-    return OpenCorr(after.level, out)
+    return product(after, before, _open_pair)
+
+
+def restrict_atom(atom: Atom) -> OpenAtom | None:
+    """The open-part atom of a graph or transposed graph; None over the cusps."""
+    kind = atom[0]
+    if kind == "G":
+        return open_graph(aff_of(atom[1]))
+    if kind == "T":
+        return open_tgraph(aff_of(atom[1]))
+    return None  # V and cusp products are supported over the cusps
 
 
 def restrict_to_open(x: SurfCorr) -> OpenCorr:
     """Kill everything supported over the cusps; keep graphs as affine graphs."""
-    out: dict = {}
-    for atom, c in x.terms.items():
-        kind = atom[0]
-        if kind in ("V", "C"):
-            continue
-        if kind == "G":
-            key = open_graph(aff_of(atom[1]))
-        else:
-            key = open_tgraph(aff_of(atom[1]))
-        acc = out.get(key, Fraction(0)) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return OpenCorr(x.level, out)
+    return linear_map(x, restrict_atom, OpenCorr)
 
 
 # -- certificate -----------------------------------------------------------------
-
-def _entry(name: str, law: str, ok: bool, detail: str = "") -> dict:
-    lhs, _, rhs = law.rpartition(" = ")
-    e = {"name": name, "lhs": lhs, "rhs": rhs, "status": "pass" if ok else "fail"}
-    if not ok and detail:
-        e["got"] = detail
-    return e
-
 
 def surface_certificate(n: int) -> list[dict]:
     """Every composition/orthogonality/action identity for the surface projectors."""
@@ -736,17 +524,8 @@ def surface_certificate(n: int) -> list[dict]:
     named += [(f"piC({c})", build_pi_cusp(n, c)) for c in range(c_count)]
     pi_inf = build_pi_inf(n)
 
-    entries: list[dict] = []
-
-    def check_corr(name: str, law: str, got: SurfCorr, want: SurfCorr) -> None:
-        ok = got == want
-        detail = "" if ok else f"got {got.render()}, want {want.render()}"
-        entries.append(_entry(name, law, ok, detail))
-
-    def check_div(name: str, law: str, got: DivClass, want: DivClass) -> None:
-        ok = got == want
-        detail = "" if ok else f"got {got.render()}, want {want.render()}"
-        entries.append(_entry(name, law, ok, detail))
+    cert = Certificate()
+    check = cert.equal
 
     # Kronecker pattern over the full projector list
     for (name_a, pa) in named:
@@ -754,26 +533,26 @@ def surface_certificate(n: int) -> list[dict]:
             product = compose(pa, pb)
             want = pa if name_a == name_b else SurfCorr.zero(n)
             law = f"{name_a} . {name_b} = {name_a if name_a == name_b else '0'}"
-            check_corr(f"kronecker:{name_a}.{name_b}", law, product, want)
+            check(f"kronecker:{name_a}.{name_b}", law, product, want)
 
     # transpose symmetry
-    check_corr("transpose:pi0", "t(pi0) = pi2", transpose(bars["pi0"]), bars["pi2"])
-    check_corr("transpose:pi1", "t(pi1) = pi1", transpose(bars["pi1"]), bars["pi1"])
+    check("transpose:pi0", "t(pi0) = pi2", transpose(bars["pi0"]), bars["pi2"])
+    check("transpose:pi1", "t(pi1) = pi1", transpose(bars["pi1"]), bars["pi1"])
     for c in range(c_count):
         pc = build_pi_cusp(n, c)
-        check_corr(f"transpose:piC({c})", f"t(piC({c})) = piC({c})", transpose(pc), pc)
+        check(f"transpose:piC({c})", f"t(piC({c})) = piC({c})", transpose(pc), pc)
 
     # residual projector
-    check_corr("residual:idempotent", "piInf . piInf = piInf", compose(pi_inf, pi_inf), pi_inf)
-    check_corr("residual:transpose", "t(piInf) = piInf", transpose(pi_inf), pi_inf)
+    check("residual:idempotent", "piInf . piInf = piInf", compose(pi_inf, pi_inf), pi_inf)
+    check("residual:transpose", "t(piInf) = piInf", transpose(pi_inf), pi_inf)
     for name_a, pa in named[:3]:
-        check_corr(
+        check(
             f"residual:piInf.{name_a}",
             f"piInf . {name_a} = 0",
             compose(pi_inf, pa),
             SurfCorr.zero(n),
         )
-        check_corr(
+        check(
             f"residual:{name_a}.piInf",
             f"{name_a} . piInf = 0",
             compose(pa, pi_inf),
@@ -781,13 +560,13 @@ def surface_certificate(n: int) -> list[dict]:
         )
     for c in range(c_count):
         pc = build_pi_cusp(n, c)
-        check_corr(
+        check(
             f"residual:piInf.piC({c})",
             f"piInf . piC({c}) = piC({c})",
             compose(pi_inf, pc),
             pc,
         )
-        check_corr(
+        check(
             f"residual:piC({c}).piInf",
             f"piC({c}) . piInf = piC({c})",
             compose(pc, pi_inf),
@@ -802,19 +581,19 @@ def surface_certificate(n: int) -> list[dict]:
         ("pi2", SurfCorr.of(n, ("G", m0)), bars["pi2"]),
     ):
         diff = p - p_prime
-        check_corr(
+        check(
             f"witness:{tag}:nilpotent",
             "(p - p')^2 = 0",
             compose(diff, diff),
             SurfCorr.zero(n),
         )
-        check_corr(
+        check(
             f"witness:{tag}:p.p'.p",
             "p . p' . p = p",
             compose(compose(p, p_prime), p),
             p,
         )
-        check_corr(
+        check(
             f"witness:{tag}:p'.p.p'",
             "p' . p . p' = p'",
             compose(compose(p_prime, p), p_prime),
@@ -823,16 +602,16 @@ def surface_certificate(n: int) -> list[dict]:
 
     # divisor action rows
     fiber = DivClass.of(n, GENERIC_FIBER)
-    check_div("action:pi0:fiber", "pi0[fiber] = [fiber]", act_on_divisor(bars["pi0"], fiber), fiber)
+    check("action:pi0:fiber", "pi0[fiber] = [fiber]", act_on_divisor(bars["pi0"], fiber), fiber)
     for name_a, pa in named[1:3]:
-        check_div(
+        check(
             f"action:{name_a}:fiber",
             f"{name_a}[fiber] = 0",
             act_on_divisor(pa, fiber),
             DivClass(n),
         )
     theta00 = DivClass.of(n, theta_key(0, 0))
-    check_div(
+    check(
         "action:pi0:theta(0;0)",
         "pi0[theta(0;0)] = full fiber over cusp 0",
         act_on_divisor(bars["pi0"], theta00),
@@ -843,7 +622,7 @@ def surface_certificate(n: int) -> list[dict]:
             if name_a == "pi0" and m == 0:
                 continue
             z = DivClass.of(n, theta_key(0, m))
-            check_div(
+            check(
                 f"action:{name_a}:theta(0;{m})",
                 f"{name_a}[theta(0;{m})] = 0",
                 act_on_divisor(pa, z),
@@ -852,15 +631,15 @@ def surface_certificate(n: int) -> list[dict]:
     pc0 = build_pi_cusp(n, 0)
     for m in range(1, n):
         z = DivClass.of(n, theta_key(0, m))
-        check_div(
+        check(
             f"action:piC(0):theta(0;{m})",
             f"piC(0)[theta(0;{m})] = theta(0;{m})",
             act_on_divisor(pc0, z),
             z,
         )
     # averaging row for the translation part
-    theta_avg = act_on_divisor(theta_corr(n), theta00)
-    check_div(
+    theta_avg = act_on_divisor(group_ring_to_corr(lambda_theta(n)[1]), theta00)
+    check(
         "action:theta_avg",
         "translation average of theta(0;0) = (1/N) full fiber",
         theta_avg,
@@ -871,11 +650,11 @@ def surface_certificate(n: int) -> list[dict]:
         z = DivClass.of(n, theta_key(0, m))
         lhs = z - act_on_divisor(build_pi_f(n), z)
         rhs = act_on_divisor(pc0, z)
-        check_div(
+        check(
             f"residual_action:theta(0;{m})",
             "(Delta - piF)[theta] = piC[theta]",
             lhs,
             rhs,
         )
 
-    return entries
+    return cert.entries

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
 
-from .endos import SurfEnd
-from .groups import LevelMismatchError
+from .endos import SurfEnd, aff_end, mu0, surf_identity
 from .levels import _check_level, level_invariants
+from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
 from .surface import (
     VERT,
     Atom,
@@ -35,13 +37,15 @@ from .surface import (
     compose_atom_pair,
     compose_open_atoms,
     delta,
+    graph,
     open_atom_label,
     open_atom_sort_key,
+    open_graph,
+    restrict_atom,
     restrict_to_open,
     transpose,
     transpose_atom,
 )
-from .exact import fmt_rational
 
 TAtom = tuple  # (left_surface_atom, right_surface_atom, swap: bool)
 
@@ -66,79 +70,15 @@ def t_atom_label(atom: TAtom) -> str:
     return f"[{atom_label(left)}(x){atom_label(right)}]{tail}"
 
 
-def support_label(atom: TAtom) -> int | None:
-    """1 or 2 when a vertical factor sits in that slot; bookkeeping only."""
-    left, right, _ = atom
-    if left[0] == "V":
-        return 1
-    if right[0] == "V":
-        return 2
-    return None
-
-
-class TCorr:
+class TCorr(LinComb):
     """Formal exact-rational combination of tensor atoms."""
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms: dict | None = None):
-        self.level = level
-        self.terms: dict = {}
-        if terms:
-            for atom, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[atom] = c
-
-    @staticmethod
-    def zero(level: int) -> "TCorr":
-        return TCorr(level)
-
-    @staticmethod
-    def of(level: int, atom: TAtom, coeff=1) -> "TCorr":
-        return TCorr(level, {atom: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TCorr") -> "TCorr":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            acc = out.get(a, Fraction(0)) + c
-            if acc:
-                out[a] = acc
-            else:
-                out.pop(a, None)
-        return TCorr(self.level, out)
-
-    def __sub__(self, other: "TCorr") -> "TCorr":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "TCorr":
-        k = Fraction(k)
-        if not k:
-            return TCorr(self.level)
-        return TCorr(self.level, {a: c * k for a, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TCorr) and self.level == other.level and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{fmt_rational(self.terms[a])}*{t_atom_label(a)}"
-            for a in sorted(self.terms, key=t_atom_sort_key)
-        )
-
-    def __repr__(self) -> str:
-        return f"TCorr<{self.render()}>"
+    __slots__ = ()
+    sort_key = staticmethod(t_atom_sort_key)
+    label = staticmethod(t_atom_label)
 
 
-def compose_t_atom_pair(x: TAtom, y: TAtom, level: int) -> tuple[TAtom, Fraction] | None:
+def compose_t_atom_pair(x: TAtom, y: TAtom, level: int) -> tuple[tuple[TAtom, int]] | None:
     """Factorwise composition; the swap of x decides which factor of y it meets."""
     lx, rx, ex = x
     ly, ry, ey = y
@@ -154,34 +94,32 @@ def compose_t_atom_pair(x: TAtom, y: TAtom, level: int) -> tuple[TAtom, Fraction
     atom = t_atom(la, ra, ex != ey)
     if atom is None:
         return None
-    return atom, Fraction(lc) * Fraction(rc)
+    return ((atom, lc * rc),)
 
 
 def t_compose(after: TCorr, before: TCorr) -> TCorr:
-    if after.level != before.level:
-        raise LevelMismatchError("correspondences of different levels")
-    out: dict = {}
-    for ax, cx in after.terms.items():
-        for ay, cy in before.terms.items():
-            produced = compose_t_atom_pair(ax, ay, after.level)
-            if produced is None:
-                continue
-            atom, k = produced
-            acc = out.get(atom, Fraction(0)) + cx * cy * k
-            if acc:
-                out[atom] = acc
-            else:
-                out.pop(atom, None)
-    return TCorr(after.level, out)
+    return product(after, before, compose_t_atom_pair)
+
+
+def t_transpose_atom(atom: TAtom) -> TAtom:
+    left, right, swap = atom
+    tl, tr = transpose_atom(left), transpose_atom(right)
+    return (tr, tl, True) if swap else (tl, tr, False)
 
 
 def t_transpose(x: TCorr) -> TCorr:
-    out: dict = {}
-    for (left, right, swap), c in x.terms.items():
-        tl, tr = transpose_atom(left), transpose_atom(right)
-        atom = (tr, tl, True) if swap else (tl, tr, False)
-        out[atom] = out.get(atom, Fraction(0)) + c
-    return TCorr(x.level, out)
+    return linear_map(x, t_transpose_atom)
+
+
+def _tensor_rule(swap: bool):
+    """Product rule of a pure tensor: one left and one right factor atom."""
+
+    def rule(left: tuple, right: tuple, _level: int) -> tuple | None:
+        if left[0] == "V" and right[0] == "V":
+            return None  # two vertical factors vanish
+        return (((left, right, swap), 1),)
+
+    return rule
 
 
 # -- factored representation -----------------------------------------------------
@@ -195,6 +133,9 @@ class TensorExpr:
 
     @staticmethod
     def pure(a: SurfCorr, b: SurfCorr, swap: bool = False, coeff=1) -> "TensorExpr":
+        for factor in (a, b):
+            if any(atom[0] == "C" for atom in factor.terms):
+                raise ValueError("cusp products are not tensor factors")
         return TensorExpr(a.level, [(Fraction(coeff), a, b, swap)])
 
     def __add__(self, other: "TensorExpr") -> "TensorExpr":
@@ -231,20 +172,12 @@ class TensorExpr:
         return TensorExpr(self.level, parts)
 
     def expand(self) -> TCorr:
-        out: dict = {}
-        for c, a, b, e in self.parts:
-            for la, ca in a.terms.items():
-                la_is_v = la[0] == "V"
-                for rb, cb in b.terms.items():
-                    if la_is_v and rb[0] == "V":
-                        continue  # two vertical factors vanish
-                    atom = (la, rb, e)
-                    acc = out.get(atom, Fraction(0)) + c * ca * cb
-                    if acc:
-                        out[atom] = acc
-                    else:
-                        out.pop(atom, None)
-        return TCorr(self.level, out)
+        level = self.level
+        pairs = [
+            bilinear([(la, c * ca) for la, ca in a.terms.items()], b.terms.items(), _tensor_rule(e), level)
+            for c, a, b, e in self.parts
+        ]
+        return TCorr._make(level, collect(chain.from_iterable(pairs)))
 
 
 def t_delta_expr(n: int) -> TensorExpr:
@@ -288,19 +221,6 @@ def split_sym_alt_exprs(n: int) -> tuple[TensorExpr, TensorExpr]:
     return a2.compose(p11), s2.compose(p11)
 
 
-def build_pi_tildes(n: int) -> dict[str, TCorr]:
-    """All named threefold projectors, expanded to atom sums."""
-    _check_level(n)
-    out: dict[str, TCorr] = {}
-    for j in (1, 2):
-        for i in range(3):
-            out[f"pi{i}^({j})"] = factor_projector_expr(n, i, j).expand()
-    for i1 in range(3):
-        for i2 in range(3):
-            out[f"pi({i1},{i2})"] = pair_projector_expr(n, i1, i2).expand()
-    return out
-
-
 def split_sym_alt(n: int) -> tuple[TCorr, TCorr]:
     alt, sym = split_sym_alt_exprs(n)
     return alt.expand(), sym.expand()
@@ -337,63 +257,12 @@ def t_div_label(key: TDivKey) -> str:
     return f"[Theta({key[1]};{key[2]}+1/2,{key[3]}+1/2)]"
 
 
-class ThreefoldDivClass:
+class ThreefoldDivClass(LinComb):
     """Rational combination of fiber and cusp-component classes."""
 
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms: dict | None = None):
-        self.level = level
-        self.terms: dict = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = c
-
-    @staticmethod
-    def of(level: int, key: TDivKey, coeff=1) -> "ThreefoldDivClass":
-        return ThreefoldDivClass(level, {key: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ThreefoldDivClass") -> "ThreefoldDivClass":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, Fraction(0)) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return ThreefoldDivClass(self.level, out)
-
-    def __sub__(self, other: "ThreefoldDivClass") -> "ThreefoldDivClass":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "ThreefoldDivClass":
-        return ThreefoldDivClass(self.level, {key: c * Fraction(k) for key, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ThreefoldDivClass)
-            and self.level == other.level
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{fmt_rational(self.terms[k])}*{t_div_label(k)}"
-            for k in sorted(self.terms, key=t_div_sort_key)
-        )
-
-    def __repr__(self) -> str:
-        return f"ThreefoldDivClass<{self.render()}>"
+    __slots__ = ()
+    sort_key = staticmethod(t_div_sort_key)
+    label = staticmethod(t_div_label)
 
 
 def model_full_fiber(n: int, c: int) -> ThreefoldDivClass:
@@ -449,11 +318,11 @@ def _half_slot(satom: Atom, idx: int, level: int) -> list[int]:
     return []
 
 
-def act_t_atom_on_key(atom: TAtom, key: TDivKey, level: int) -> list[TDivKey]:
+def act_t_atom_on_key(atom: TAtom, key: TDivKey, level: int) -> list[tuple[TDivKey, int]]:
     left, right, swap = atom
     if key[0] == "F3":
         if _fiber_slot(left) and _fiber_slot(right):
-            return [FIBER3]
+            return [(FIBER3, 1)]
         return []
     if key[0] == "I":
         c, m, n_idx = key[1], key[2], key[3]
@@ -463,7 +332,7 @@ def act_t_atom_on_key(atom: TAtom, key: TDivKey, level: int) -> list[TDivKey]:
         if not ms:
             return []
         ns = _theta_slot(right, c, n_idx, level)
-        return [theta_int(c, a, b) for a in ms for b in ns]
+        return [(theta_int(c, a, b), 1) for a in ms for b in ns]
     c, p, q = key[1], key[2], key[3]
     if swap:
         p, q = q, p
@@ -471,22 +340,11 @@ def act_t_atom_on_key(atom: TAtom, key: TDivKey, level: int) -> list[TDivKey]:
     if not ps:
         return []
     qs = _half_slot(right, q, level)
-    return [theta_half(c, a, b) for a in ps for b in qs]
+    return [(theta_half(c, a, b), 1) for a in ps for b in qs]
 
 
 def act_on_threefold_divisor(x: TCorr, z: ThreefoldDivClass) -> ThreefoldDivClass:
-    if x.level != z.level:
-        raise LevelMismatchError("correspondence and divisor of different levels")
-    out: dict = {}
-    for atom, ca in x.terms.items():
-        for key, cz in z.terms.items():
-            for new_key in act_t_atom_on_key(atom, key, x.level):
-                acc = out.get(new_key, Fraction(0)) + ca * cz
-                if acc:
-                    out[new_key] = acc
-                else:
-                    out.pop(new_key, None)
-    return ThreefoldDivClass(x.level, out)
+    return product(x, z, act_t_atom_on_key, ThreefoldDivClass)
 
 
 # -- restriction to the open part --------------------------------------------------
@@ -503,101 +361,108 @@ def open_t_sort_key(atom: OpenTAtom) -> tuple:
     return (int(atom[2]), open_atom_sort_key(atom[0]), open_atom_sort_key(atom[1]))
 
 
-class OpenTCorr:
+class OpenTCorr(LinComb):
     """Open-part tensor correspondence: pairs of affine graphs with a swap."""
 
-    __slots__ = ("level", "terms")
+    __slots__ = ()
+    sort_key = staticmethod(open_t_sort_key)
+    label = staticmethod(open_t_label)
 
-    def __init__(self, level: int, terms: dict | None = None):
-        self.level = level
-        self.terms: dict = {}
-        if terms:
-            for atom, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[atom] = c
 
-    def __add__(self, other: "OpenTCorr") -> "OpenTCorr":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            acc = out.get(a, Fraction(0)) + c
-            if acc:
-                out[a] = acc
-            else:
-                out.pop(a, None)
-        return OpenTCorr(self.level, out)
-
-    def scale(self, k) -> "OpenTCorr":
-        return OpenTCorr(self.level, {a: c * Fraction(k) for a, c in self.terms.items()})
-
-    def __sub__(self, other: "OpenTCorr") -> "OpenTCorr":
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpenTCorr) and self.level == other.level and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{fmt_rational(self.terms[a])}*{open_t_label(a)}"
-            for a in sorted(self.terms, key=open_t_sort_key)
-        )
-
-    def __repr__(self) -> str:
-        return f"OpenTCorr<{self.render()}>"
+def _restrict_t_atom(atom: TAtom) -> OpenTAtom | None:
+    left, right, swap = atom
+    lo, ro = restrict_atom(left), restrict_atom(right)
+    if lo is None or ro is None:
+        return None
+    return (lo, ro, swap)
 
 
 def restrict_to_open_t(x: TCorr) -> OpenTCorr:
     """Drop vertical-labeled atoms; send tensor factors to affine graphs."""
-    from .surface import aff_of, open_graph, open_tgraph
-
-    out: dict = {}
-    for (left, right, swap), c in x.terms.items():
-        if left[0] == "V" or right[0] == "V":
-            continue
-        lo = open_graph(aff_of(left[1])) if left[0] == "G" else open_tgraph(aff_of(left[1]))
-        ro = open_graph(aff_of(right[1])) if right[0] == "G" else open_tgraph(aff_of(right[1]))
-        atom = (lo, ro, swap)
-        acc = out.get(atom, Fraction(0)) + c
-        if acc:
-            out[atom] = acc
-        else:
-            out.pop(atom, None)
-    return OpenTCorr(x.level, out)
+    return linear_map(x, _restrict_t_atom, OpenTCorr)
 
 
 def tensor_open(a: OpenCorr, b: OpenCorr, swap: bool = False) -> OpenTCorr:
-    out: dict = {}
-    for la, ca in a.terms.items():
-        for rb, cb in b.terms.items():
-            atom = (la, rb, swap)
-            acc = out.get(atom, Fraction(0)) + ca * cb
-            if acc:
-                out[atom] = acc
-            else:
-                out.pop(atom, None)
-    return OpenTCorr(a.level, out)
+    return product(a, b, _tensor_rule(swap), OpenTCorr)
+
+
+def _open_t_pair(x: OpenTAtom, y: OpenTAtom, _level: int) -> tuple:
+    lx, rx, ex = x
+    ly, ry, ey = y
+    fy, gy = (ry, ly) if ex else (ly, ry)
+    return (((compose_open_atoms(lx, fy), compose_open_atoms(rx, gy), ex != ey), 1),)
 
 
 def compose_open_t(after: OpenTCorr, before: OpenTCorr) -> OpenTCorr:
-    out: dict = {}
-    for (lx, rx, ex), cx in after.terms.items():
-        for (ly, ry, ey), cy in before.terms.items():
-            fy, gy = (ry, ly) if ex else (ly, ry)
-            atom = (compose_open_atoms(lx, fy), compose_open_atoms(rx, gy), ex != ey)
-            acc = out.get(atom, Fraction(0)) + cx * cy
-            if acc:
-                out[atom] = acc
-            else:
-                out.pop(atom, None)
-    return OpenTCorr(after.level, out)
+    return product(after, before, _open_t_pair)
+
+
+# -- two-object composition system ------------------------------------------
+#
+# Objects: the total space and the base.  Generators: the projection phi,
+# the zero section alpha, and the fiberwise endomorphisms.  Normal forms:
+# every arrow total->base is phi (phi o f = phi for fiberwise f), every
+# arrow base->base is the identity (phi o f o alpha = id), an arrow
+# base->total is "f o alpha" stored by f, and total->total arrows are the
+# monoid itself (alpha o phi = total collapse).  A fiberwise endomorphism
+# (a (x) b).swap^e is the tensor atom (Graph(a), Graph(b), e), held as a
+# one-term TCorr, so arrows compose through the threefold rule table.
+
+_BASE = "base"
+_TOTAL = "total"
+
+
+class Arrow(NamedTuple):
+    src: str
+    dst: str
+    payload: TCorr | None  # the endomorphism of an arrow into the total space
+
+
+def total_collapse(n: int) -> TCorr:
+    """mu(0,0): both fiber factors collapsed onto the zero section."""
+    return TCorr.of(n, t_atom(graph(mu0(n)), graph(mu0(n))))
+
+
+def arrow_compose(after: Arrow, before: Arrow, n: int) -> Arrow:
+    if before.dst != after.src:
+        raise ValueError("arrows not composable")
+    src, dst = before.src, after.dst
+    if dst == _BASE:
+        # phi absorbs every fiberwise endomorphism; base->base is id
+        return Arrow(src, _BASE, None)
+    if after.src == _BASE:
+        # (f o alpha) o (x -> base): precompose with phi or id
+        if src == _BASE:
+            return after
+        # f o alpha o phi = f o total collapse
+        return Arrow(_TOTAL, _TOTAL, t_compose(after.payload, total_collapse(n)))
+    # after: total->total endo
+    return Arrow(src, _TOTAL, t_compose(after.payload, before.payload))
+
+
+def _chain(n: int, arrows: list[Arrow]) -> Arrow:
+    acc = arrows[-1]
+    for a in reversed(arrows[:-1]):
+        acc = arrow_compose(a, acc, n)
+    return acc
+
+
+def verify_structure_identities(n: int) -> list[dict]:
+    """Check the section/projection identities in the two-object system."""
+    _check_level(n)
+    ident = graph(surf_identity(n))
+    phi = Arrow(_TOTAL, _BASE, None)
+    alpha = Arrow(_BASE, _TOTAL, TCorr.of(n, t_atom(ident, ident)))
+    id_base = Arrow(_BASE, _BASE, None)
+    m00 = Arrow(_TOTAL, _TOTAL, total_collapse(n))
+    cert = Certificate()
+    for name, law, got, want in (
+        ("section_property", "phi o alpha = id_base", _chain(n, [phi, alpha]), id_base),
+        ("retract_to_base", "phi o mu00 o alpha = id_base", _chain(n, [phi, m00, alpha]), id_base),
+        ("collapse_roundtrip", "mu00 o alpha o phi o mu00 = mu00", _chain(n, [m00, alpha, phi, m00]), m00),
+    ):
+        cert.record(name, law, got == want)
+    return cert.entries
 
 
 # -- cusp-fiber incidence model and Euler number -----------------------------------
@@ -724,23 +589,11 @@ def estimate_n(n: int) -> dict:
 
 # -- certificate --------------------------------------------------------------------
 
-def _entry(name: str, law: str, ok: bool, detail: str = "") -> dict:
-    lhs, _, rhs = law.rpartition(" = ")
-    e = {"name": name, "lhs": lhs, "rhs": rhs, "status": "pass" if ok else "fail"}
-    if not ok and detail:
-        e["got"] = detail
-    return e
-
-
 def threefold_certificate(n: int) -> list[dict]:
     """Idempotency, orthogonality, transpose, restriction and action checks."""
     _check_level(n)
-    entries: list[dict] = []
-
-    def check(name: str, law: str, got, want) -> None:
-        ok = got == want
-        detail = "" if ok else f"got {got.render()}, want {want.render()}"
-        entries.append(_entry(name, law, ok, detail))
+    cert = Certificate()
+    check = cert.equal
 
     exprs: dict[str, TensorExpr] = {}
     for i1 in range(3):
@@ -872,9 +725,6 @@ def threefold_certificate(n: int) -> list[dict]:
             OpenTCorr(n),
         )
     # parity grading of the restricted projectors under both inversions
-    from .surface import open_graph
-    from .endos import aff_end
-
     inversion = OpenTCorr(n, {(open_graph(aff_end(n, -1)), open_graph(aff_end(n, -1)), False): Fraction(1)})
     for i in range(5):
         graded = OpenTCorr(n)
@@ -928,31 +778,25 @@ def threefold_certificate(n: int) -> list[dict]:
                 break
         if bad:
             break
-    entries.append(
-        _entry(
-            "action:components_annihilated",
-            "pi(i1,i2)[every non-identity component over cusp 0] = 0",
-            not bad,
-            bad,
-        )
+    cert.record(
+        "action:components_annihilated",
+        "pi(i1,i2)[every non-identity component over cusp 0] = 0",
+        not bad,
+        bad,
     )
     # residual acts as the identity wherever the finite part acts as zero
-    ok_resid = True
+    delta_exp = t_delta_expr(n).expand()
     detail = ""
     for key in sample_components:
         z = ThreefoldDivClass.of(n, key)
-        if act_on_threefold_divisor(pif_exp, z).is_zero():
-            got = z - act_on_threefold_divisor(pif_exp, z)
-            if got != z:
-                ok_resid = False
-                detail = f"failed at {t_div_label(key)}"
-                break
-    entries.append(
-        _entry(
-            "action:residual_identity",
-            "(Delta - piF)[every component piF kills] = [component]",
-            ok_resid,
-            detail,
-        )
+        killed = act_on_threefold_divisor(pif_exp, z)
+        if killed.is_zero() and act_on_threefold_divisor(delta_exp, z) - killed != z:
+            detail = f"failed at {t_div_label(key)}"
+            break
+    cert.record(
+        "action:residual_identity",
+        "(Delta - piF)[every component piF kills] = [component]",
+        not detail,
+        detail,
     )
-    return entries
+    return cert.entries

@@ -6,23 +6,29 @@ import pytest
 from motive_calc.endos import (
     aff_compose,
     aff_end,
-    aff_identity,
-    chi_tilde,
     enumerate_surf,
     mu0,
     mu_minus1,
-    mu_tilde,
-    sigma_end,
     surf_compose,
     surf_end,
     surf_identity,
     tau_end,
-    tensor_compose,
-    tensor_end,
-    tensor_identity,
-    verify_structure_identities,
 )
-from motive_calc.groups import GElem, LevelMismatchError
+from motive_calc.groups import LevelMismatchError
+from motive_calc.surface import graph
+from motive_calc.threefold import compose_t_atom_pair, t_atom, verify_structure_identities
+
+
+def endo(a, b, swap=False):
+    """The fiberwise endomorphism (a (x) b).swap^e as a tensor atom of two graphs."""
+    return t_atom(graph(a), graph(b), swap)
+
+
+def tc(f, h):
+    """f after h by the threefold rule table: always one graph atom, coefficient 1."""
+    (atom, k), = compose_t_atom_pair(f, h, f[0][1].level)
+    assert k == 1
+    return atom
 
 
 def test_collapse_absorbs_right():
@@ -85,45 +91,43 @@ def test_level_mismatch():
 
 def test_tensor_products_of_partial_collapses():
     n = 4
-    m01 = mu_tilde(n, True, False)
-    m10 = mu_tilde(n, False, True)
-    m00 = mu_tilde(n, True, True)
-    assert tensor_compose(m01, m10) == m00
-    assert tensor_compose(m10, m01) == m00
+    m01 = endo(mu0(n), surf_identity(n))
+    m10 = endo(surf_identity(n), mu0(n))
+    m00 = endo(mu0(n), mu0(n))
+    assert tc(m01, m10) == m00
+    assert tc(m10, m01) == m00
 
 
 def test_sigma_involution_and_conjugation():
     n = 4
-    s = sigma_end(n)
-    assert tensor_compose(s, s) == tensor_identity(n)
-    g1 = GElem(n, 1, 2, 1)
-    g2 = GElem(n, 3, 0, -1)
-    conj = tensor_compose(tensor_compose(s, chi_tilde(n, g1, g2)), s)
-    assert conj == chi_tilde(n, g2, g1)
+    s = endo(surf_identity(n), surf_identity(n), True)
+    assert tc(s, s) == endo(surf_identity(n), surf_identity(n))
+    g1 = surf_end(n, 1, 2, 1)
+    g2 = surf_end(n, 3, 0, -1)
+    conj = tc(tc(s, endo(g1, g2)), s)
+    assert conj == endo(g2, g1)
 
 
 def test_swap_conjugation_is_automorphism():
     n = 3
-    s = sigma_end(n)
+    s = endo(surf_identity(n), surf_identity(n), True)
     elems = enumerate_surf(n)
     rng = random.Random(3)
     for _ in range(300):
-        a = tensor_end(n, rng.choice(elems), rng.choice(elems), rng.random() < 0.5)
-        b = tensor_end(n, rng.choice(elems), rng.choice(elems), rng.random() < 0.5)
-        conj_a = tensor_compose(tensor_compose(s, a), s)
-        conj_b = tensor_compose(tensor_compose(s, b), s)
-        assert tensor_compose(conj_a, conj_b) == tensor_compose(
-            tensor_compose(s, tensor_compose(a, b)), s
-        )
-        assert tensor_compose(tensor_compose(s, conj_a), s) == a
+        a = endo(rng.choice(elems), rng.choice(elems), rng.random() < 0.5)
+        b = endo(rng.choice(elems), rng.choice(elems), rng.random() < 0.5)
+        conj_a = tc(tc(s, a), s)
+        conj_b = tc(tc(s, b), s)
+        assert tc(conj_a, conj_b) == tc(tc(s, tc(a, b)), s)
+        assert tc(tc(s, conj_a), s) == a
 
 
 def test_tensor_associativity_submodel_exhaustive():
     n = 3
     factors = [surf_identity(n), mu0(n), surf_end(n, 1, 0, 1, True)]
-    elems = [tensor_end(n, a, b, sw) for a in factors for b in factors for sw in (False, True)]
+    elems = [endo(a, b, sw) for a in factors for b in factors for sw in (False, True)]
     for a, b, c in product(elems, repeat=3):
-        assert tensor_compose(tensor_compose(a, b), c) == tensor_compose(a, tensor_compose(b, c))
+        assert tc(tc(a, b), c) == tc(a, tc(b, c))
 
 
 def test_tensor_associativity_sampled():
@@ -132,24 +136,24 @@ def test_tensor_associativity_sampled():
     rng = random.Random(11)
     for _ in range(4000):
         xs = [
-            tensor_end(n, rng.choice(elems), rng.choice(elems), rng.random() < 0.5)
+            endo(rng.choice(elems), rng.choice(elems), rng.random() < 0.5)
             for _ in range(3)
         ]
         a, b, c = xs
-        assert tensor_compose(tensor_compose(a, b), c) == tensor_compose(a, tensor_compose(b, c))
+        assert tc(tc(a, b), c) == tc(a, tc(b, c))
 
 
 def test_aff_composition():
     n = 5
     assert aff_compose(aff_end(n, n), aff_end(n, 1, 2, 3)) == aff_end(n, n)  # mu(N) kills torsion
-    assert aff_compose(aff_end(n, -1), aff_end(n, -1)) == aff_identity(n)
+    assert aff_compose(aff_end(n, -1), aff_end(n, -1)) == aff_end(n, 1)
     assert aff_compose(aff_end(n, 1, 1, 2), aff_end(n, 1, 3, 4)) == aff_end(n, 1, 4, 1)
 
 
 def test_aff_inverse():
     n = 7
     f = aff_end(n, -1, 2, 5)
-    assert aff_compose(f, f.inv()) == aff_identity(n)
+    assert aff_compose(f, f.inv()) == aff_end(n, 1)
     with pytest.raises(ValueError):
         aff_end(n, 2).inv()
 
@@ -159,3 +163,11 @@ def test_structure_identities(n):
     entries = verify_structure_identities(n)
     assert len(entries) == 3
     assert all(e["status"] == "pass" for e in entries)
+
+
+def test_structure_identities_use_the_rule_table(monkeypatch):
+    import motive_calc.threefold as threefold
+
+    monkeypatch.setattr(threefold, "compose_atom_pair", lambda x, y, level: None)
+    statuses = {e["name"]: e["status"] for e in verify_structure_identities(3)}
+    assert statuses["collapse_roundtrip"] == "fail"

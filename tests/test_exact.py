@@ -12,10 +12,10 @@ from motive_calc.exact import (
     SingularMatrixError,
     fmt_rational,
     mat_inverse,
-    mat_kernel,
     mat_rank,
-    parse_rational,
 )
+from motive_calc.dsl import NamedAtom, Scale, parse_expr
+from motive_calc.surface import neron_lattice
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
@@ -111,19 +111,18 @@ def test_field_axioms(a, b, c):
 
 
 def test_kernel_of_ngon():
-    basis = mat_kernel(ngon_matrix(5))
-    assert len(basis) == 1
-    vec = basis[0]
-    scale = vec[0]
-    assert scale != 0
-    assert all(x == scale for x in vec)
+    # the N-gon lattice has corank one, and the all-ones vector spans the kernel
+    lat = neron_lattice(5)
+    assert lat.full_matrix == ngon_matrix(5)
+    assert lat.rank == 4
+    assert lat.full_matrix * RatMatrix([[1]] * 5) == RatMatrix.zero(5, 1)
 
 
 def test_fmt_parse_rational():
     assert fmt_rational(Fraction(3, 1)) == "3"
     assert fmt_rational(Fraction(-1, 2)) == "-1/2"
-    assert parse_rational("-1/2") == Fraction(-1, 2)
-    assert parse_rational("7") == Fraction(7)
+    assert parse_expr("1/2 * pi0") == Scale(Fraction(1, 2), NamedAtom("pi0"))
+    assert parse_expr("7 * pi0").coeff == Fraction(7)
 
 
 def test_linear_coeff_arithmetic():

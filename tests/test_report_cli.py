@@ -83,6 +83,13 @@ def test_cli_eval_threefold(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("factor", ["CP(0,1,1)", "piC(0)"])
+def test_cli_eval_rejects_cusp_products_as_tensor_factors(factor, capsys):
+    assert main(["eval", "--level", "3", "--threefold", f"T({factor},Delta)"]) == 2
+    assert main(["eval", "--level", "3", "--threefold", f"T(Delta,{factor})"]) == 2
+    assert "cusp products are not tensor factors" in capsys.readouterr().err
+
+
 def test_cli_eval_parse_error(capsys):
     assert main(["eval", "--level", "4", "piC(0) . "]) == 2
 

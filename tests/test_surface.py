@@ -5,7 +5,7 @@ import pytest
 
 from motive_calc.endos import enumerate_surf, mu0, surf_end
 from motive_calc.exact import LinearCoeff, RatMatrix
-from motive_calc.groups import LevelMismatchError
+from motive_calc.groups import LevelMismatchError, lambda_theta
 from motive_calc.levels import cusp_count
 from motive_calc.surface import (
     DivClass,
@@ -27,13 +27,12 @@ from motive_calc.surface import (
     delta,
     full_cusp_fiber,
     graph,
-    lambda_corr,
+    group_ring_to_corr,
     neron_lattice,
     open_tgraph,
     restrict_to_open,
     sec_key,
     surface_certificate,
-    theta_corr,
     theta_key,
     tgraph,
     transpose,
@@ -216,9 +215,10 @@ def test_action_rows():
     th = DivClass.of(n, theta_key(0, 1))
     assert act_on_divisor(bars["pi1"], th).is_zero()
     assert act_on_divisor(bars["pi0"], DivClass.of(n, theta_key(0, 0))) == full_cusp_fiber(n, 0)
-    got = act_on_divisor(theta_corr(n), th)
+    lam_corr, theta_corr = (group_ring_to_corr(e) for e in lambda_theta(n))
+    got = act_on_divisor(theta_corr, th)
     assert got == full_cusp_fiber(n, 0).scale(Fraction(1, n))
-    lam = act_on_divisor(lambda_corr(n), th)
+    lam = act_on_divisor(lam_corr, th)
     want = DivClass(n, {theta_key(0, 1): Fraction(1, 2), theta_key(0, 2): Fraction(-1, 2)})
     assert lam == want
 
@@ -318,7 +318,7 @@ def test_mu_n_absorption_on_open_part():
     n = 3
     from motive_calc.endos import aff_end
 
-    theta_open = restrict_to_open(theta_corr(n))
+    theta_open = restrict_to_open(group_ring_to_corr(lambda_theta(n)[1]))
     mu_n = OpenCorr(n, {open_tgraph(aff_end(n, n)): Fraction(1)})
     # averaging over torsion translations absorbs into multiplication by N
     assert compose_open(theta_open, mu_n) == mu_n

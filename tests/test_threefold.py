@@ -12,7 +12,6 @@ from motive_calc.threefold import (
     ThreefoldDivClass,
     act_on_threefold_divisor,
     b_term_expr,
-    build_pi_tildes,
     cusp_incidence,
     estimate_n,
     euler_fiber,
@@ -22,7 +21,6 @@ from motive_calc.threefold import (
     restrict_to_open_t,
     sigma_expr,
     split_sym_alt,
-    support_label,
     t_atom,
     t_compose,
     t_delta_expr,
@@ -37,6 +35,10 @@ def t_delta(n):
     return t_delta_expr(n).expand()
 
 
+def pair_projectors(n):
+    return {f"pi({i1},{i2})": pair_projector_expr(n, i1, i2).expand() for i1 in range(3) for i2 in range(3)}
+
+
 def test_b_terms_orthogonal_and_nilpotent():
     n = 3
     b1 = b_term_expr(n, 1).expand()
@@ -44,8 +46,9 @@ def test_b_terms_orthogonal_and_nilpotent():
     assert t_compose(b1, b2).is_zero()
     assert t_compose(b2, b1).is_zero()
     assert t_compose(b1, b1).is_zero()
-    assert support_label(next(iter(b1.terms))) == 1
-    assert support_label(next(iter(b2.terms))) == 2
+    # b(j) is supported on the vertical class in fiber slot j
+    assert all(atom[0] == VERT for atom in b1.terms)
+    assert all(atom[1] == VERT for atom in b2.terms)
 
 
 def test_partial_collapse_relations():
@@ -117,7 +120,7 @@ def test_split_sym_alt(n=3):
 
 
 def test_transpose_pairs(n=3):
-    tildes = build_pi_tildes(n)
+    tildes = pair_projectors(n)
     assert t_transpose(tildes["pi(0,2)"]) == tildes["pi(2,0)"]
     assert t_transpose(tildes["pi(1,1)"]) == tildes["pi(1,1)"]
     assert t_transpose(tildes["pi(0,0)"]) == tildes["pi(2,2)"]
@@ -125,7 +128,7 @@ def test_transpose_pairs(n=3):
 
 def test_restriction_factorizes(n=3):
     bars = build_pi_bars(n)
-    tildes = build_pi_tildes(n)
+    tildes = pair_projectors(n)
     for i1 in range(3):
         for i2 in range(3):
             lhs = restrict_to_open_t(tildes[f"pi({i1},{i2})"])
@@ -136,7 +139,7 @@ def test_restriction_factorizes(n=3):
 
 
 def test_action_rows(n=3):
-    tildes = build_pi_tildes(n)
+    tildes = pair_projectors(n)
     f3 = ThreefoldDivClass.of(n, FIBER3)
     assert act_on_threefold_divisor(tildes["pi(0,0)"], f3) == f3
     assert act_on_threefold_divisor(tildes["pi(1,2)"], f3).is_zero()
@@ -259,3 +262,14 @@ def test_estimate_n_consistent(n):
 def test_estimate_n_level_three_value():
     # lattice route: 4 + cusps * (2 N^2 - 1) = 4 + 4 * 17
     assert estimate_n(3)["n_lattice"] == 72
+
+
+def test_residual_identity_fails_when_the_action_is_lost(monkeypatch):
+    import motive_calc.threefold as threefold
+
+    def no_action(x, z):
+        return ThreefoldDivClass(z.level)
+
+    monkeypatch.setattr(threefold, "act_on_threefold_divisor", no_action)
+    entries = {e["name"]: e for e in threefold.threefold_certificate(3)}
+    assert entries["action:residual_identity"]["status"] == "fail"
