@@ -9,7 +9,6 @@ parse error, ...).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .dsl import ParseError, UnknownAtomError, EvalError, evaluate
@@ -22,7 +21,7 @@ from .motives import (
     realize_betti,
     surface_multiplicity,
 )
-from .report import render_json, render_text, report_passed, run_report
+from .report import CERTIFICATE_SECTIONS, render_json, render_text, report_passed, run_report
 from .surface import neron_lattice
 
 
@@ -38,7 +37,7 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
     if args.format == "text" and text_renderer is not None:
         _write(args, text_renderer(payload))
     else:
-        _write(args, json.dumps(payload, indent=2) + "\n")
+        _write(args, render_json(payload))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -145,22 +144,14 @@ def _run_full(args) -> tuple[dict, int]:
 
 def _cmd_report(args) -> int:
     payload, status = _run_full(args)
-    if args.format == "text":
-        _write(args, render_text(payload))
-    else:
-        _write(args, render_json(payload))
+    _emit(args, payload, render_text)
     return status
 
 
 def _cmd_verify(args) -> int:
     payload, status = _run_full(args)
     lines = []
-    for key in (
-        "group_certificate",
-        "structure_certificate",
-        "surface_certificate",
-        "threefold_certificate",
-    ):
+    for key in CERTIFICATE_SECTIONS:
         for e in payload.get(key, ()):
             lines.append(f"{e['status']:<5} {key.split('_')[0]}:{e['name']}")
     for which, entries in payload.get("divisor_checklist", {}).items():

@@ -178,6 +178,8 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.next()
                 den_tok = self.expect("int")
+                if not den_tok[1]:
+                    raise ParseError("zero denominator", den_tok[2])
                 coeff = Fraction(num, den_tok[1])
             else:
                 coeff = Fraction(num)

@@ -5,7 +5,7 @@ the fibered surface is N*c (one Neron N-gon per cusp, smooth fibers are
 elliptic).  Genus and cusp-form dimensions are the classical formulas for
 the principal congruence level: N >= 3 means no elliptic points and only
 regular cusps, so a single dimension formula covers every weight k >= 3;
-that assumption is asserted, not branched on.
+that assumption is checked, not branched on.
 """
 
 from __future__ import annotations
@@ -17,6 +17,16 @@ from math import comb
 
 class LevelTooSmallError(ValueError):
     """Levels below 3 have no fine moduli interpretation here."""
+
+
+class InvariantError(RuntimeError):
+    """A closed-form identity failed: a fault of the engine, not of its input."""
+
+
+def ensure(ok: bool, message: str) -> None:
+    """Raise InvariantError unless ok; unlike assert, this also runs under python -O."""
+    if not ok:
+        raise InvariantError(message)
 
 
 def _check_level(n: int) -> None:
@@ -44,7 +54,7 @@ def cusp_count(n: int) -> int:
     value = Fraction(n * n, 2)
     for p in _prime_divisors(n):
         value *= Fraction(p * p - 1, p * p)
-    assert value.denominator == 1, f"cusp count not integral for N={n}"
+    ensure(value.denominator == 1, f"cusp count not integral for N={n}")
     return value.numerator
 
 
@@ -72,9 +82,9 @@ def _cusp_form_dim(k: int, genus: int, cusps: int) -> int:
     # (k-1)(g-1) + (k-2)c/2, valid for k >= 3: no elliptic points and all
     # cusps regular at level >= 3.
     value = Fraction((k - 1) * (genus - 1)) + Fraction((k - 2) * cusps, 2)
-    assert value.denominator == 1, "cusp-form dimension not integral"
+    ensure(value.denominator == 1, "cusp-form dimension not integral")
     dim = value.numerator
-    assert dim >= 0, "negative cusp-form dimension"
+    ensure(dim >= 0, "negative cusp-form dimension")
     return dim
 
 
@@ -84,9 +94,9 @@ def level_invariants(n: int) -> LevelInvariants:
     c = cusp_count(n)
     mu = n * c
     g_frac = 1 + Fraction(mu * (n - 6), 12 * n)
-    assert g_frac.denominator == 1, f"genus not integral for N={n}"
+    ensure(g_frac.denominator == 1, f"genus not integral for N={n}")
     g = g_frac.numerator
-    assert g >= 0
+    ensure(g >= 0, f"negative genus for N={n}")
     return LevelInvariants(
         level=n,
         cusp_count=c,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .levels import LevelInvariants, level_invariants
+from .levels import LevelInvariants, ensure, level_invariants
 
 
 class SymbolicMultiplicityError(ValueError):
@@ -273,7 +273,8 @@ def realize_betti(motive: Motive, n: int, which: str = "surface") -> BettiTable:
     table = BettiTable(n, which, tuple(b))
     if which == "surface":
         # alternating sum must be the Euler index, level by level
-        assert table.euler().numeric() == n * inv.cusp_count
+        euler, index = table.euler().numeric(), n * inv.cusp_count
+        ensure(euler == index, f"Betti Euler number {euler} differs from the Euler index {index}")
     return table
 
 
@@ -354,8 +355,9 @@ def filtration_table(n: int, which: str = "surface") -> FiltrationTable:
     for i, piece in enumerate(ck):
         for key in piece.multiplicities:
             for j in basis_chow_degrees(key):
-                assert j <= i <= 2 * j, (
-                    f"constituent {basis_label(key)} of weight piece {i} has Chow degree {j}"
+                ensure(
+                    j <= i <= 2 * j,
+                    f"constituent {basis_label(key)} of weight piece {i} has Chow degree {j}",
                 )
     tables = []
     for j in range(dim + 1):

@@ -26,6 +26,14 @@ from .motives import (
 from .surface import neron_lattice, surface_certificate
 from .threefold import cusp_incidence, estimate_n, threefold_certificate, verify_structure_identities
 
+# The certificate sections of a report, in the order they are printed.
+CERTIFICATE_SECTIONS = (
+    "group_certificate",
+    "structure_certificate",
+    "surface_certificate",
+    "threefold_certificate",
+)
+
 # Facts the engine records but does not re-derive: their proofs use exact
 # sequences of cycle groups, beyond the formal calculus checked here.
 RECORDED_FACTS = [
@@ -49,9 +57,6 @@ def certificate_summary(entries: Iterable[dict]) -> dict:
 def run_report(n: int, include_threefold: bool = True) -> dict:
     """Run every certificate and table for one level."""
     inv = level_invariants(n)
-    group_cert = group_certificate(n)
-    structure_cert = verify_structure_identities(n)
-    surf_cert = surface_certificate(n)
     payload: dict = {
         "tool_version": __version__,
         "level": n,
@@ -60,9 +65,9 @@ def run_report(n: int, include_threefold: bool = True) -> dict:
             f"m(2,{q},{r})": local_multiplicity(q, r) for q in range(5) for r in range(3)
         },
         "lattice": neron_lattice(n).to_json(),
-        "group_certificate": group_cert,
-        "structure_certificate": structure_cert,
-        "surface_certificate": surf_cert,
+        "group_certificate": group_certificate(n),
+        "structure_certificate": verify_structure_identities(n),
+        "surface_certificate": surface_certificate(n),
     }
     surf_motive = decompose_surface(n)
     betti_surface = realize_betti(surf_motive, n, "surface")
@@ -80,8 +85,7 @@ def run_report(n: int, include_threefold: bool = True) -> dict:
     payload["divisor_checklist"] = {"surface": codim_one_checklist(n, "surface")}
     payload["recorded_facts"] = list(RECORDED_FACTS)
     if include_threefold:
-        t_cert = threefold_certificate(n)
-        payload["threefold_certificate"] = t_cert
+        payload["threefold_certificate"] = threefold_certificate(n)
         t_motive = decompose_threefold(n)
         betti_t = realize_betti(t_motive, n, "threefold")
         payload["decompositions"]["threefold"] = {
@@ -97,25 +101,15 @@ def run_report(n: int, include_threefold: bool = True) -> dict:
             "betti_threefold_with_estimate": betti_t.substitute(est["n_lattice"]),
             "incidence": cusp_incidence(n).to_json(),
         }
-    payload["summary"] = {
-        "group_certificate": certificate_summary(group_cert),
-        "structure_certificate": certificate_summary(structure_cert),
-        "surface_certificate": certificate_summary(surf_cert),
-    }
-    if include_threefold:
-        payload["summary"]["threefold_certificate"] = certificate_summary(t_cert)
+    sections = [key for key in CERTIFICATE_SECTIONS if key in payload]
+    payload["summary"] = {key: certificate_summary(payload[key]) for key in sections}
     payload["summary"]["all_passed"] = report_passed(payload)
     return payload
 
 
 def non_experimental_certificates(payload: dict) -> list[dict]:
     entries: list[dict] = []
-    for key in (
-        "group_certificate",
-        "structure_certificate",
-        "surface_certificate",
-        "threefold_certificate",
-    ):
+    for key in CERTIFICATE_SECTIONS:
         entries.extend(payload.get(key, ()))
     for checklist in payload.get("divisor_checklist", {}).values():
         entries.extend(checklist)
@@ -137,12 +131,7 @@ def render_text(payload: dict) -> str:
     lines.append(
         "invariants: cusps={cusp_count} euler={euler_index} genus={genus} s3={s3} s4={s4}".format(**inv)
     )
-    for key in (
-        "group_certificate",
-        "structure_certificate",
-        "surface_certificate",
-        "threefold_certificate",
-    ):
+    for key in CERTIFICATE_SECTIONS:
         if key not in payload:
             continue
         summary = certificate_summary(payload[key])

@@ -33,10 +33,6 @@ class UnsupportedCompositionError(ValueError):
     """A composition outside the closed rule table was requested."""
 
 
-class UnsupportedActionError(ValueError):
-    """A divisor pairing outside the action table was requested."""
-
-
 # -- atoms -------------------------------------------------------------------
 
 def graph(f: SurfEnd) -> Atom:
@@ -375,54 +371,65 @@ def full_cusp_fiber(n: int, c: int) -> DivClass:
     return DivClass(n, {theta_key(c, m): 1 for m in range(n)})
 
 
-def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, int | LinearCoeff]]:
-    """One atom acting on one divisor basis class."""
+def component_slot(atom: Atom, m: int, level: int) -> tuple | range:
+    """Indices of the components a graph, tGraph or V sends cusp component m to.
+
+    Automorphisms act on the index; a collapse pushes components to points and
+    its transpose pulls component b1 back to the whole fiber; V meets none.
+    """
     kind = atom[0]
     if kind == "G":
         f: SurfEnd = atom[1]
-        if f.collapse:
-            if key[0] == "S":
-                return [(sec_key(f.b1, f.b2), 1)]
-            return []  # fibers and components push forward to points
+        return () if f.collapse else ((f.b1 + f.s * m) % level,)
+    if kind == "T":
+        return range(level) if m == atom[1].b1 else ()
+    return ()
+
+
+def keeps_fiber(atom: Atom) -> bool:
+    """Whether a graph, tGraph or V sends the fiber class to itself rather than to 0."""
+    kind = atom[0]
+    return kind == "T" or (kind == "G" and not atom[1].collapse)
+
+
+def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, int | LinearCoeff]]:
+    """One atom acting on one divisor basis class."""
+    kind = atom[0]
+    if kind == "C":
+        # cusp product: z -> (z . theta_c(m)) theta_c(n)
+        c, m, n_idx = atom[1], atom[2], atom[3]
         if key[0] == "F":
-            return [(GENERIC_FIBER, 1)]
+            return []  # fiber class meets every cusp component in degree zero
         if key[0] == "S":
-            return [(sec_key((f.b1 + f.s * key[1]) % level, (f.b2 + f.s * key[2]) % level), 1)]
-        return [(theta_key(key[1], (f.b1 + f.s * key[2]) % level), 1)]
+            if key[1] == m:
+                # a section meets the cusp fiber once, on the component named
+                # by its first coordinate
+                return [(theta_key(c, n_idx), 1)]
+            return []
+        if key[1] != c:
+            return []
+        pairing = an_entry(level, key[2], m)
+        if not pairing:
+            return []
+        return [(theta_key(c, n_idx), pairing)]
+    if key[0] == "F":
+        return [(GENERIC_FIBER, 1)] if keeps_fiber(atom) else []
+    if key[0] == "Th":
+        return [(theta_key(key[1], k), 1) for k in component_slot(atom, key[2], level)]
+    # key is a section class
+    if kind == "G":
+        f: SurfEnd = atom[1]
+        if f.collapse:
+            return [(sec_key(f.b1, f.b2), 1)]
+        return [(sec_key((f.b1 + f.s * key[1]) % level, (f.b2 + f.s * key[2]) % level), 1)]
     if kind == "T":
         cend: SurfEnd = atom[1]
-        if key[0] == "F":
-            return [(GENERIC_FIBER, 1)]
-        if key[0] == "S":
-            if (key[1], key[2]) == (cend.b1, cend.b2):
-                # section against itself: d_a times the fiber class
-                return [(GENERIC_FIBER, LinearCoeff.d_a())]
-            return []
-        c, m = key[1], key[2]
-        if m == cend.b1:
-            return [(theta_key(c, k), 1) for k in range(level)]
-        return []
-    if kind == "V":
-        # z -> d_a (z . fiber) fiber; only sections meet the fiber
-        if key[0] == "S":
+        if (key[1], key[2]) == (cend.b1, cend.b2):
+            # section against itself: d_a times the fiber class
             return [(GENERIC_FIBER, LinearCoeff.d_a())]
         return []
-    # cusp product: z -> (z . theta_c(m)) theta_c(n)
-    c, m, n_idx = atom[1], atom[2], atom[3]
-    if key[0] == "F":
-        return []  # fiber class meets every cusp component in degree zero
-    if key[0] == "S":
-        if key[1] == m:
-            # a section meets the cusp fiber once, on the component named
-            # by its first coordinate
-            return [(theta_key(c, n_idx), 1)]
-        return []
-    if key[1] != c:
-        return []
-    pairing = an_entry(level, key[2], m)
-    if not pairing:
-        return []
-    return [(theta_key(c, n_idx), pairing)]
+    # V: z -> d_a (z . fiber) fiber; only sections meet the fiber
+    return [(GENERIC_FIBER, LinearCoeff.d_a())]
 
 
 def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:

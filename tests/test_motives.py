@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from motive_calc.levels import level_invariants
@@ -143,3 +148,25 @@ def test_count_rendering():
     assert str(Count(4, 1)) == "n + 4"
     assert str(Count(-2, 3)) == "3n - 2"
     assert Count(1, 2).substitute(5) == 11
+
+
+def test_betti_euler_check_runs_under_python_O():
+    # with a wrong basis dimension the Euler identity fails; the check must
+    # raise even when the interpreter strips asserts
+    script = """
+import sys
+from motive_calc import motives
+from motive_calc.levels import InvariantError
+motives.basis_dim = lambda key, inv: 7
+try:
+    table = motives.realize_betti(motives.decompose_surface(3), 3, "surface")
+except InvariantError as exc:
+    print("raised", sys.flags.optimize, exc)
+else:
+    print("returned", sys.flags.optimize, table.numeric())
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised 1 Betti Euler number"), out.stdout

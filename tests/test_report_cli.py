@@ -94,6 +94,11 @@ def test_cli_eval_parse_error(capsys):
     assert main(["eval", "--level", "4", "piC(0) . "]) == 2
 
 
+def test_cli_eval_rejects_a_zero_denominator(capsys):
+    assert main(["eval", "--level", "3", "1/0 * pi0"]) == 2
+    assert "zero denominator (at position 2)" in capsys.readouterr().err
+
+
 def test_cli_level_too_small(capsys):
     assert main(["report", "--level", "2"]) == 2
     err = capsys.readouterr().err

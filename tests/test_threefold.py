@@ -4,18 +4,26 @@ from itertools import product
 import pytest
 
 from motive_calc.endos import enumerate_surf, mu0, surf_end, surf_identity
-from motive_calc.surface import VERT, build_pi_bars, restrict_to_open
+from motive_calc.surface import (
+    GENERIC_FIBER,
+    VERT,
+    act_atom_on_key,
+    build_pi_bars,
+    delta,
+    restrict_to_open,
+    theta_key,
+)
 from motive_calc.threefold import (
     FIBER3,
     OpenTCorr,
     TCorr,
+    TensorExpr,
     ThreefoldDivClass,
     act_on_threefold_divisor,
     b_term_expr,
     cusp_incidence,
     estimate_n,
     euler_fiber,
-    factor_projector_expr,
     model_full_fiber,
     pair_projector_expr,
     restrict_to_open_t,
@@ -79,7 +87,8 @@ def test_two_vertical_factors_vanish():
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_factor_projectors_orthogonal_for_fixed_slot(j, n=3):
-    exprs = [factor_projector_expr(n, i, j) for i in range(3)]
+    bars = [build_pi_bars(n)[f"pi{i}"] for i in range(3)]
+    exprs = [TensorExpr.pure(bar, delta(n)) if j == 1 else TensorExpr.pure(delta(n), bar) for bar in bars]
     for a in range(3):
         for b in range(3):
             got = exprs[a].compose(exprs[b]).expand()
@@ -88,11 +97,23 @@ def test_factor_projectors_orthogonal_for_fixed_slot(j, n=3):
 
 
 def test_slots_commute(n=3):
+    bars = build_pi_bars(n)
     for i1 in range(3):
         for i2 in range(3):
-            one = factor_projector_expr(n, i1, 1)
-            two = factor_projector_expr(n, i2, 2)
+            one = TensorExpr.pure(bars[f"pi{i1}"], delta(n))
+            two = TensorExpr.pure(delta(n), bars[f"pi{i2}"])
             assert one.compose(two).expand() == two.compose(one).expand()
+
+
+def test_pair_projector_is_the_product_of_its_slot_projectors(n=3):
+    # pi(i1,i2) is built as one pure tensor; the product of pi_i1 on slot 1
+    # with pi_i2 on slot 2 is the reference
+    bars = build_pi_bars(n)
+    for i1 in range(3):
+        for i2 in range(3):
+            one = TensorExpr.pure(bars[f"pi{i1}"], delta(n))
+            two = TensorExpr.pure(delta(n), bars[f"pi{i2}"])
+            assert pair_projector_expr(n, i1, i2).expand() == one.compose(two).expand()
 
 
 def test_pair_projectors_kronecker_small(n=3):
@@ -190,6 +211,31 @@ def test_action_coherence_sampled(n=3):
         rhs = act_on_threefold_divisor(x, act_on_threefold_divisor(y, z))
         assert lhs == rhs
         checked += 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_threefold_action_is_the_tensor_of_the_surface_actions(n):
+    ends = enumerate_surf(n)
+    satoms = [("G", e) for e in ends] + [("T", e) for e in ends if e.collapse] + [VERT]
+    # surface action of each factor on each component index of cusp 1, and on the fiber
+    slot = {
+        (a, m): [(key[2], k) for key, k in act_atom_on_key(a, theta_key(1, m), n)]
+        for a in satoms
+        for m in range(n)
+    }
+    keeps = {a: act_atom_on_key(a, GENERIC_FIBER, n) == [(GENERIC_FIBER, 1)] for a in satoms}
+    f3 = ThreefoldDivClass.of(n, FIBER3)
+    for left, right in product(satoms, repeat=2):
+        for swap in (False, True):
+            atom = t_atom(left, right, swap)
+            if atom is None:
+                continue
+            x = TCorr.of(n, atom)
+            assert act_on_threefold_divisor(x, f3) == (f3 if keeps[left] and keeps[right] else ThreefoldDivClass(n))
+            for m, k in product(range(n), repeat=2):
+                a, b = (k, m) if swap else (m, k)
+                want = {theta_int(1, i, j): ci * cj for i, ci in slot[left, a] for j, cj in slot[right, b]}
+                assert act_on_threefold_divisor(x, ThreefoldDivClass.of(n, theta_int(1, m, k))).terms == want
 
 
 def test_t_compose_associativity_submodel(n=3):
