@@ -1,9 +1,14 @@
 """Command-line entry points.
 
 Subcommands: invariants, lattice, decompose, filtration, eval, report,
-verify.  Exit status 0 means every non-experimental check passed, 1 means
-some check failed, 2 means the invocation itself was bad (unknown level,
-parse error, ...).
+verify.  Exit status:
+
+    0  every non-experimental check passed;
+    1  some check failed;
+    2  the invocation itself was bad (unknown level, level above
+       --max-level, parse error, ...);
+    3  an internal fault: an invariant of the engine broke, or it was asked
+       for a composition outside its rule table.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import argparse
 import sys
 
 from .dsl import ParseError, UnknownAtomError, EvalError, evaluate
-from .levels import LevelTooSmallError, level_invariants
+from .levels import InvariantError, LevelTooSmallError, level_invariants
 from .motives import (
     chow_kunneth_table,
     decompose_surface,
@@ -22,7 +27,7 @@ from .motives import (
     surface_multiplicity,
 )
 from .report import CERTIFICATE_SECTIONS, render_json, render_text, report_passed, run_report
-from .surface import neron_lattice
+from .surface import UnsupportedCompositionError, neron_lattice
 
 
 def _write(args, text: str) -> None:
@@ -44,6 +49,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--level", type=int, required=True, help="level N >= 3")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("-o", "--output", default=None, help="write to FILE instead of stdout")
+
+
+def _add_max_level(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-level", type=int, default=12, help="refuse levels above this (default 12)")
 
 
 def _cmd_invariants(args) -> int:
@@ -125,7 +134,15 @@ def _cmd_filtration(args) -> int:
     return 0
 
 
+def _check_max_level(args) -> None:
+    if args.level > args.max_level:
+        raise LevelTooSmallError(
+            f"level {args.level} exceeds the configured maximum {args.max_level}; raise it with --max-level"
+        )
+
+
 def _cmd_eval(args) -> int:
+    _check_max_level(args)
     mode = "threefold" if args.threefold else "surface"
     value = evaluate(args.expression, args.level, mode)
     _write(args, value.render() + "\n")
@@ -133,12 +150,8 @@ def _cmd_eval(args) -> int:
 
 
 def _run_full(args) -> tuple[dict, int]:
-    n = args.level
-    if n > args.max_level:
-        raise LevelTooSmallError(
-            f"level {n} exceeds the configured maximum {args.max_level}; raise it with --max-level"
-        )
-    payload = run_report(n, include_threefold=not args.surface_only)
+    _check_max_level(args)
+    payload = run_report(args.level, include_threefold=not args.surface_only)
     return payload, 0 if report_passed(payload) else 1
 
 
@@ -188,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a correspondence expression")
     _add_common(p)
+    _add_max_level(p)
     p.add_argument("--threefold", action="store_true")
     p.add_argument("expression")
     p.set_defaults(func=_cmd_eval)
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.add_argument("--max-level", type=int, default=12)
+        _add_max_level(p)
         p.add_argument(
             "--surface-only",
             action="store_true",
@@ -214,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InvariantError, UnsupportedCompositionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (LevelTooSmallError, ParseError, UnknownAtomError, EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

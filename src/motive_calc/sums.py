@@ -117,8 +117,9 @@ class LinComb:
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.level == other.level and self.terms == other.terms
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.level, frozenset(self.terms.items())))
+    def __hash__(self):
+        # the support alone: equal sums share it, and hashing no coefficient is much cheaper
+        return hash((self.level, frozenset(self.terms)))
 
     def render(self) -> str:
         if not self.terms:

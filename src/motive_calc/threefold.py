@@ -10,8 +10,12 @@ them is an algebra quotient and factorized computation stays exact.
 
 Products of the large projectors are computed in a factored form -- a sum
 of pure tensors, each factor an honest surface correspondence -- and only
-expanded to atom sums for equality tests; this is what keeps the full
-certificate cheap at higher levels.
+expanded to atom sums for equality tests, after equal pure tensors are
+merged so that cancelling sums never reach the atom level.  Divisor
+actions are also computed on the factored form: a pure tensor acts as the
+tensor product of its two factors' slot actions.  Within one certificate
+each distinct surface product is computed once.  This is what keeps the
+full certificate cheap at higher levels.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .endos import SurfEnd, aff_end, mu0, surf_identity
 from .levels import _check_level, level_invariants
@@ -133,6 +137,17 @@ def _tensor_rule(swap: bool):
 
 # -- factored representation -----------------------------------------------------
 
+def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict | None) -> SurfCorr:
+    """compose(a, b), looked up in memo first and stored there when memo is given."""
+    if memo is None:
+        return compose(a, b)
+    key = (a, b)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = compose(a, b)
+    return got
+
+
 @dataclass
 class TensorExpr:
     """Sum of pure tensors (coeff, A, B, swap) with surface-correspondence factors."""
@@ -147,6 +162,11 @@ class TensorExpr:
                 raise ValueError("cusp products are not tensor factors")
         return TensorExpr(a.level, [(Fraction(coeff), a, b, swap)])
 
+    @property
+    def terms(self) -> dict:
+        """{(A, B, swap): coeff}: parts with equal factors and swap merged, zero sums dropped."""
+        return collect(((a, b, e), c) for c, a, b, e in self.parts if c)
+
     def __add__(self, other: "TensorExpr") -> "TensorExpr":
         return TensorExpr(self.level, self.parts + other.parts)
 
@@ -157,15 +177,16 @@ class TensorExpr:
     def __sub__(self, other: "TensorExpr") -> "TensorExpr":
         return self + other.scale(-1)
 
-    def compose(self, other: "TensorExpr") -> "TensorExpr":
+    def compose(self, other: "TensorExpr", memo: dict | None = None) -> "TensorExpr":
+        """self after other; memo, when given, keeps every surface product for later calls."""
         parts = []
         for c1, a1, b1, e1 in self.parts:
             for c2, a2, b2, e2 in other.parts:
                 x, y, swap = _meet(e1, a2, b2, e2)
-                na = compose(a1, x)
+                na = _surface_product(a1, x, memo)
                 if na.is_zero():
                     continue
-                nb = compose(b1, y)
+                nb = _surface_product(b1, y, memo)
                 if nb.is_zero():
                     continue
                 parts.append((c1 * c2, na, nb, swap))
@@ -179,7 +200,7 @@ class TensorExpr:
         level = self.level
         pairs = [
             bilinear([(la, c * ca) for la, ca in a.terms.items()], b.terms.items(), _tensor_rule(e), level)
-            for c, a, b, e in self.parts
+            for (a, b, e), c in self.terms.items()
         ]
         return TCorr._make(level, collect(chain.from_iterable(pairs)))
 
@@ -212,11 +233,11 @@ def symmetrizer_exprs(n: int) -> tuple[TensorExpr, TensorExpr]:
     return a2, s2
 
 
-def split_sym_alt_exprs(n: int) -> tuple[TensorExpr, TensorExpr]:
-    """(alt, sym) parts of the middle pair projector."""
+def split_sym_alt_exprs(n: int, memo: dict | None = None) -> tuple[TensorExpr, TensorExpr]:
+    """(alt, sym) parts of the middle pair projector; memo as in `TensorExpr.compose`."""
     a2, s2 = symmetrizer_exprs(n)
     p11 = pair_projector_expr(n, 1, 1)
-    return a2.compose(p11), s2.compose(p11)
+    return a2.compose(p11, memo), s2.compose(p11, memo)
 
 
 def split_sym_alt(n: int) -> tuple[TCorr, TCorr]:
@@ -289,25 +310,52 @@ def _half_slot(satom: Atom, idx: int, level: int) -> list[int]:
     return []
 
 
-def act_t_atom_on_key(atom: TAtom, key: TDivKey, level: int) -> list[tuple[TDivKey, int]]:
-    """The product of the two factors' slot actions; the swap exchanges the two indices."""
-    left, right, swap = atom
-    kind = key[0]
-    if kind == "F3":
-        return [(FIBER3, 1)] if keeps_fiber(left) and keeps_fiber(right) else []
-    _, c, m, k = key
-    if swap:
-        m, k = k, m
-    slot = component_slot if kind == "I" else _half_slot
-    ms = slot(left, m, level)
-    if not ms:
-        return []
-    ks = slot(right, k, level)
-    return [((kind, c, a, b), 1) for a in ms for b in ks]
+def _factor_terms(factor) -> Iterable[tuple]:
+    """The (atom, coeff) terms of a tensor factor: a SurfCorr's, or the atom itself with coefficient 1."""
+    return factor.terms.items() if isinstance(factor, SurfCorr) else ((factor, 1),)
 
 
-def act_on_threefold_divisor(x: TCorr, z: ThreefoldDivClass) -> ThreefoldDivClass:
-    return product(x, z, act_t_atom_on_key, ThreefoldDivClass)
+def _slot_image(factor, idx: int, slot, level: int) -> dict:
+    """{index: coeff}: the components a factor sends component idx of its slot to."""
+    return collect((i, c) for atom, c in _factor_terms(factor) for i in slot(atom, idx, level))
+
+
+def act_on_threefold_divisor(x: TCorr | TensorExpr, z: ThreefoldDivClass) -> ThreefoldDivClass:
+    """x acting on z, one pure tensor (A, B, swap) of x at a time; an atom of a TCorr is one.
+
+    A pure tensor acts as the tensor product of the slot actions of its two
+    factors, and its swap exchanges the two indices of a component.  A
+    factor keeps the fiber class with the sum of the coefficients of its
+    atoms that keep it.
+    """
+    z.check_level(x)
+    level = z.level
+
+    def images():
+        for (left, right, swap), c in x.terms.items():
+            for key, cz in z.terms.items():
+                cc = c * cz
+                kind = key[0]
+                if kind == "F3":
+                    kept = sum(ca for a, ca in _factor_terms(left) if keeps_fiber(a))
+                    kept *= sum(cb for b, cb in _factor_terms(right) if keeps_fiber(b))
+                    if kept:
+                        yield FIBER3, cc * kept
+                    continue
+                _, cusp, m, k = key
+                if swap:
+                    m, k = k, m
+                slot = component_slot if kind == "I" else _half_slot
+                ms = _slot_image(left, m, slot, level)
+                if not ms:
+                    continue
+                ks = _slot_image(right, k, slot, level)
+                for i, ci in ms.items():
+                    ci *= cc
+                    for j, cj in ks.items():
+                        yield (kind, cusp, i, j), (ci if cj == 1 else ci * cj)
+
+    return ThreefoldDivClass._make(level, collect(images()))
 
 
 # -- restriction to the open part --------------------------------------------------
@@ -546,12 +594,16 @@ def threefold_certificate(n: int) -> list[dict]:
     _check_level(n)
     cert = Certificate()
     check = cert.equal
+    products: dict = {}  # surface products of this certificate only, so a later fault still shows
+
+    def mul(x: TensorExpr, y: TensorExpr) -> TensorExpr:
+        return x.compose(y, products)
 
     exprs: dict[str, TensorExpr] = {}
     for i1 in range(3):
         for i2 in range(3):
             exprs[f"pi({i1},{i2})"] = pair_projector_expr(n, i1, i2)
-    alt_expr, sym_expr = split_sym_alt_exprs(n)
+    alt_expr, sym_expr = split_sym_alt_exprs(n, products)
     exprs["alt(1,1)"] = alt_expr
     exprs["sym(1,1)"] = sym_expr
 
@@ -561,7 +613,7 @@ def threefold_certificate(n: int) -> list[dict]:
     # pairwise products among the nine pair projectors
     for na in pair_names:
         for nb in pair_names:
-            got = exprs[na].compose(exprs[nb]).expand()
+            got = mul(exprs[na], exprs[nb]).expand()
             want = expanded[na] if na == nb else TCorr.zero(n)
             law = f"{na} . {nb} = {na if na == nb else '0'}"
             check(f"kronecker:{na}.{nb}", law, got, want)
@@ -571,19 +623,19 @@ def threefold_certificate(n: int) -> list[dict]:
         check(
             f"split:idempotent:{na}",
             f"{na} . {na} = {na}",
-            exprs[na].compose(exprs[na]).expand(),
+            mul(exprs[na], exprs[na]).expand(),
             expanded[na],
         )
     check(
         "split:orthogonal",
         "alt(1,1) . sym(1,1) = 0",
-        exprs["alt(1,1)"].compose(exprs["sym(1,1)"]).expand(),
+        mul(exprs["alt(1,1)"], exprs["sym(1,1)"]).expand(),
         TCorr.zero(n),
     )
     check(
         "split:orthogonal_rev",
         "sym(1,1) . alt(1,1) = 0",
-        exprs["sym(1,1)"].compose(exprs["alt(1,1)"]).expand(),
+        mul(exprs["sym(1,1)"], exprs["alt(1,1)"]).expand(),
         TCorr.zero(n),
     )
     check(
@@ -596,8 +648,8 @@ def threefold_certificate(n: int) -> list[dict]:
     check(
         "split:a2_commutes",
         "A2 . pi(1,1) = pi(1,1) . A2",
-        a2.compose(exprs["pi(1,1)"]).expand(),
-        exprs["pi(1,1)"].compose(a2).expand(),
+        mul(a2, exprs["pi(1,1)"]).expand(),
+        mul(exprs["pi(1,1)"], a2).expand(),
     )
     for na in ("alt(1,1)", "sym(1,1)"):
         for nb in pair_names:
@@ -606,13 +658,13 @@ def threefold_certificate(n: int) -> list[dict]:
             check(
                 f"split:orthogonal:{na}.{nb}",
                 f"{na} . {nb} = 0",
-                exprs[na].compose(exprs[nb]).expand(),
+                mul(exprs[na], exprs[nb]).expand(),
                 TCorr.zero(n),
             )
             check(
                 f"split:orthogonal:{nb}.{na}",
                 f"{nb} . {na} = 0",
-                exprs[nb].compose(exprs[na]).expand(),
+                mul(exprs[nb], exprs[na]).expand(),
                 TCorr.zero(n),
             )
 
@@ -635,7 +687,7 @@ def threefold_certificate(n: int) -> list[dict]:
             check(
                 f"swap:pi({i1},{i2})",
                 f"sigma . pi({i1},{i2}) . sigma = pi({i2},{i1})",
-                sig.compose(exprs[f"pi({i1},{i2})"]).compose(sig).expand(),
+                mul(mul(sig, exprs[f"pi({i1},{i2})"]), sig).expand(),
                 expanded[f"pi({i2},{i1})"],
             )
 
@@ -643,20 +695,20 @@ def threefold_certificate(n: int) -> list[dict]:
     pif = TensorExpr(n, [p for name in pair_names for p in exprs[name].parts])
     pinf = t_delta_expr(n) - pif
     pinf_exp = pinf.expand()
-    check("residual:idempotent", "piInf . piInf = piInf", pinf.compose(pinf).expand(), pinf_exp)
+    check("residual:idempotent", "piInf . piInf = piInf", mul(pinf, pinf).expand(), pinf_exp)
     check("residual:transpose", "t(piInf) = piInf", pinf.transpose().expand(), pinf_exp)
-    del pinf_exp  # as large as pi(1,1) expanded; keeping it raises the peak of the action rows
+    del pinf_exp  # as large as pi(1,1) expanded; keeping it raises the peak of the rows below
     for na in pair_names + ["alt(1,1)", "sym(1,1)"]:
         check(
             f"residual:piInf.{na}",
             f"piInf . {na} = 0",
-            pinf.compose(exprs[na]).expand(),
+            mul(pinf, exprs[na]).expand(),
             TCorr.zero(n),
         )
         check(
             f"residual:{na}.piInf",
             f"{na} . piInf = 0",
-            exprs[na].compose(pinf).expand(),
+            mul(exprs[na], pinf).expand(),
             TCorr.zero(n),
         )
 
@@ -698,7 +750,7 @@ def threefold_certificate(n: int) -> list[dict]:
     check(
         "action:pi(0,0):fiber",
         "pi(0,0)[fiber] = [fiber]",
-        act_on_threefold_divisor(expanded["pi(0,0)"], f3),
+        act_on_threefold_divisor(exprs["pi(0,0)"], f3),
         f3,
     )
     for na in pair_names:
@@ -707,17 +759,16 @@ def threefold_certificate(n: int) -> list[dict]:
         check(
             f"action:{na}:fiber",
             f"{na}[fiber] = 0",
-            act_on_threefold_divisor(expanded[na], f3),
+            act_on_threefold_divisor(exprs[na], f3),
             ThreefoldDivClass(n),
         )
     ident = ThreefoldDivClass.of(n, theta_int(0, 0, 0))
     check(
         "action:pi(0,0):Theta(0;0,0)",
         "pi(0,0)[Theta(0;0,0)] = full integer-indexed fiber sheet",
-        act_on_threefold_divisor(expanded["pi(0,0)"], ident),
+        act_on_threefold_divisor(exprs["pi(0,0)"], ident),
         model_full_fiber(n, 0),
     )
-    pif_exp = pif.expand()
     sample_components = [theta_int(0, m, k) for m in range(n) for k in range(n)]
     sample_components += [theta_half(0, p, q) for p in range(n) for q in range(n)]
     bad = ""
@@ -726,7 +777,7 @@ def threefold_certificate(n: int) -> list[dict]:
             continue
         z = ThreefoldDivClass.of(n, key)
         for na in pair_names:
-            got = act_on_threefold_divisor(expanded[na], z)
+            got = act_on_threefold_divisor(exprs[na], z)
             if not got.is_zero():
                 bad = f"{na}{t_div_label(key)} = {got.render()}"
                 break
@@ -739,12 +790,12 @@ def threefold_certificate(n: int) -> list[dict]:
         bad,
     )
     # residual acts as the identity wherever the finite part acts as zero
-    delta_exp = t_delta_expr(n).expand()
+    t_delta = t_delta_expr(n)
     detail = ""
     for key in sample_components:
         z = ThreefoldDivClass.of(n, key)
-        killed = act_on_threefold_divisor(pif_exp, z)
-        if killed.is_zero() and act_on_threefold_divisor(delta_exp, z) - killed != z:
+        killed = act_on_threefold_divisor(pif, z)
+        if killed.is_zero() and act_on_threefold_divisor(t_delta, z) - killed != z:
             detail = f"failed at {t_div_label(key)}"
             break
     cert.record(

@@ -99,6 +99,34 @@ def test_cli_eval_rejects_a_zero_denominator(capsys):
     assert "zero denominator (at position 2)" in capsys.readouterr().err
 
 
+def test_cli_eval_max_level_guard(capsys):
+    assert main(["eval", "--level", "40", "pi1 . pi1"]) == 2
+    assert "exceeds the configured maximum 12" in capsys.readouterr().err
+    assert main(["eval", "--level", "13", "--max-level", "13", "Delta - Delta"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_cli_internal_fault_exits_three(monkeypatch, capsys):
+    from motive_calc import motives
+
+    monkeypatch.setattr(motives, "basis_dim", lambda key, inv: 7)
+    assert main(["decompose", "--level", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: Betti Euler number")
+
+
+def test_cli_unsupported_composition_exits_three(monkeypatch, capsys):
+    import motive_calc.cli as cli
+    from motive_calc.surface import UnsupportedCompositionError
+
+    def outside_the_table(n, include_threefold=True):
+        raise UnsupportedCompositionError("tgraph o graph with no invertible side")
+
+    monkeypatch.setattr(cli, "run_report", outside_the_table)
+    assert main(["report", "--level", "3"]) == 3
+    assert capsys.readouterr().err == "internal error: tgraph o graph with no invertible side\n"
+
+
 def test_cli_level_too_small(capsys):
     assert main(["report", "--level", "2"]) == 2
     err = capsys.readouterr().err

@@ -1,15 +1,22 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motive_calc import sums, surface
 from motive_calc.endos import enumerate_surf, mu0, surf_end, surf_identity
 from motive_calc.surface import (
     GENERIC_FIBER,
     VERT,
+    SurfCorr,
     act_atom_on_key,
     build_pi_bars,
+    component_slot,
     delta,
+    keeps_fiber,
     restrict_to_open,
     theta_key,
 )
@@ -19,6 +26,7 @@ from motive_calc.threefold import (
     TCorr,
     TensorExpr,
     ThreefoldDivClass,
+    _half_slot,
     act_on_threefold_divisor,
     b_term_expr,
     cusp_incidence,
@@ -29,6 +37,7 @@ from motive_calc.threefold import (
     restrict_to_open_t,
     sigma_expr,
     split_sym_alt,
+    split_sym_alt_exprs,
     t_atom,
     t_compose,
     t_delta_expr,
@@ -36,6 +45,7 @@ from motive_calc.threefold import (
     tensor_open,
     theta_half,
     theta_int,
+    threefold_certificate,
 )
 
 
@@ -319,3 +329,141 @@ def test_residual_identity_fails_when_the_action_is_lost(monkeypatch):
     monkeypatch.setattr(threefold, "act_on_threefold_divisor", no_action)
     entries = {e["name"]: e for e in threefold.threefold_certificate(3)}
     assert entries["action:residual_identity"]["status"] == "fail"
+
+
+# -- the factored action and expansion against atom-level references ---------------
+
+def act_t_atom_on_key(atom, key, level):
+    """Reference action of one tensor atom: the product of its factors' slot actions."""
+    left, right, swap = atom
+    if key[0] == "F3":
+        return [(FIBER3, 1)] if keeps_fiber(left) and keeps_fiber(right) else []
+    kind, c, m, k = key
+    if swap:
+        m, k = k, m
+    slot = component_slot if kind == "I" else _half_slot
+    return [((kind, c, a, b), 1) for a in slot(left, m, level) for b in slot(right, k, level)]
+
+
+def atom_level_action(expanded: TCorr, z: ThreefoldDivClass) -> ThreefoldDivClass:
+    return sums.product(expanded, z, act_t_atom_on_key, ThreefoldDivClass)
+
+
+def named_projector_exprs(n):
+    exprs = {f"pi({i1},{i2})": pair_projector_expr(n, i1, i2) for i1 in range(3) for i2 in range(3)}
+    exprs["alt(1,1)"], exprs["sym(1,1)"] = split_sym_alt_exprs(n)
+    exprs["piF"] = TensorExpr(n, [p for i1 in range(3) for i2 in range(3) for p in exprs[f"pi({i1},{i2})"].parts])
+    exprs["piInf"] = t_delta_expr(n) - exprs["piF"]
+    return exprs
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_factored_action_matches_the_atom_level_action(n):
+    keys = [FIBER3]
+    keys += [theta_int(0, m, k) for m in range(n) for k in range(n)]
+    keys += [theta_half(0, p, q) for p in range(n) for q in range(n)]
+    for name, x in named_projector_exprs(n).items():
+        expanded = x.expand()
+        for key in keys:
+            z = ThreefoldDivClass.of(n, key)
+            want = atom_level_action(expanded, z)
+            assert act_on_threefold_divisor(x, z) == want, (name, key)
+            # a TCorr goes through the same loop, each atom a one-atom pure tensor
+            assert act_on_threefold_divisor(expanded, z) == want, (name, key)
+
+
+def test_factored_action_on_a_mixed_class(n=3):
+    rng = random.Random(5)
+    keys = [FIBER3] + [theta_int(c, m, k) for c in range(2) for m in range(n) for k in range(n)]
+    keys += [theta_half(c, p, q) for c in range(2) for p in range(n) for q in range(n)]
+    z = ThreefoldDivClass(n, {key: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for key in keys})
+    for name, x in named_projector_exprs(n).items():
+        assert act_on_threefold_divisor(x, z) == atom_level_action(x.expand(), z), name
+
+
+def naive_expand(x: TensorExpr) -> TCorr:
+    """Each part expanded on its own, atom by atom, then summed."""
+    total = TCorr.zero(x.level)
+    for c, a, b, e in x.parts:
+        terms = {}
+        for la, ca in a.terms.items():
+            for rb, cb in b.terms.items():
+                atom = t_atom(la, rb, e)
+                if atom is not None:
+                    terms[atom] = terms.get(atom, 0) + c * ca * cb
+        total = total + TCorr(x.level, terms)
+    return total
+
+
+def _factor_pool(n=3):
+    m0, ident = mu0(n), surf_identity(n)
+    atoms = [("G", ident), ("G", surf_end(n, 1, 0, -1)), ("G", m0), ("T", m0), VERT]
+    pool = [SurfCorr.of(n, a) for a in atoms]
+    pool += [SurfCorr(n, {atoms[0]: 1, VERT: Fraction(-1, 2)}), SurfCorr(n, {atoms[1]: 2, atoms[3]: -1})]
+    pool += list(build_pi_bars(n).values())
+    return pool
+
+
+FACTORS = _factor_pool()
+
+_coeffs = st.sampled_from([Fraction(k, 2) for k in (-4, -2, -1, 0, 1, 2, 6)])
+_parts = st.lists(
+    st.tuples(
+        _coeffs,
+        st.integers(0, len(FACTORS) - 1),
+        st.integers(0, len(FACTORS) - 1),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_parts, st.data())
+def test_merged_expand_equals_per_part_expansion(parts, data):
+    parts = [(c, FACTORS[i], FACTORS[j], e) for c, i, j, e in parts]
+    # repeat some parts, negated or not, so that merging has work to do
+    for c, a, b, e in list(parts):
+        if data.draw(st.booleans()):
+            parts.append((data.draw(st.sampled_from([-c, c])), a, b, e))
+    x = TensorExpr(3, parts)
+    assert x.expand() == naive_expand(x)
+
+
+_keys = st.one_of(
+    st.just(FIBER3),
+    st.builds(theta_int, st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
+    st.builds(theta_half, st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_parts, _keys)
+def test_factored_action_matches_on_random_expressions(parts, key):
+    # the projectors kill almost every component; these operands act nontrivially
+    x = TensorExpr(3, [(c, FACTORS[i], FACTORS[j], e) for c, i, j, e in parts])
+    z = ThreefoldDivClass.of(3, key)
+    assert act_on_threefold_divisor(x, z) == atom_level_action(x.expand(), z)
+
+
+# -- the threefold certificate ---------------------------------------------------------
+
+def test_certificate_products_do_not_outlive_the_call(monkeypatch):
+    assert all(e["status"] == "pass" for e in threefold_certificate(3))
+    rule = surface.compose_atom_pair
+
+    def without_r4(x, y, level):
+        # tGraph(c) o Graph(f) for a collapse f: the rule that gives V on equal sections
+        if x[0] == "T" and y[0] == "G" and y[1].collapse:
+            return None
+        return rule(x, y, level)
+
+    monkeypatch.setattr(surface, "compose_atom_pair", without_r4)
+    entries = threefold_certificate(3)
+    assert any(e["name"].startswith("kronecker:") and e["status"] == "fail" for e in entries)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_threefold_certificate_passes_at_higher_levels(n):
+    failed = [e["name"] for e in threefold_certificate(n) if e["status"] != "pass"]
+    assert failed == []
