@@ -7,8 +7,9 @@ verify.  Exit status:
     1  some check failed;
     2  the invocation itself was bad (unknown level, level above
        --max-level, parse error, ...);
-    3  an internal fault: an invariant of the engine broke, or it was asked
-       for a composition outside its rule table.
+    3  an internal fault: an invariant of the engine broke, it was asked
+       for a composition outside its rule table, or a product produced a
+       d_a^2 term.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import sys
 
 from .dsl import ParseError, UnknownAtomError, EvalError, evaluate
+from .exact import DegreeError
 from .levels import InvariantError, LevelTooSmallError, level_invariants
 from .motives import (
     chow_kunneth_table,
@@ -62,6 +64,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    _check_max_level(args)
     payload = neron_lattice(args.level).to_json()
 
     def text(p: dict) -> str:
@@ -188,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="cusp-fiber intersection lattice")
     _add_common(p)
+    _add_max_level(p)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("decompose", help="motive decomposition and Betti table")
@@ -228,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvariantError, UnsupportedCompositionError) as exc:
+    except (InvariantError, UnsupportedCompositionError, DegreeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (LevelTooSmallError, ParseError, UnknownAtomError, EvalError, ValueError) as exc:

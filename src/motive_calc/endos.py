@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import GElem, LevelMismatchError
+from .groups import LevelMismatchError
 from .levels import _check_level
 
 
@@ -24,17 +24,14 @@ class SurfEnd(NamedTuple):
     s: int
     collapse: bool
 
-    def g(self) -> GElem:
-        return GElem(self.level, self.b1, self.b2, self.s)
-
     def is_automorphism(self) -> bool:
         return not self.collapse
 
     def inv(self) -> "SurfEnd":
         if self.collapse:
             raise ValueError("collapse endomorphisms are not invertible")
-        gi = self.g().inv()
-        return SurfEnd(self.level, gi.b1, gi.b2, gi.s, False)
+        n, s = self.level, self.s
+        return SurfEnd(n, (-s * self.b1) % n, (-s * self.b2) % n, s, False)
 
     def label(self) -> str:
         core = f"({self.b1},{self.b2},{'+' if self.s == 1 else '-'})"
@@ -74,8 +71,9 @@ def surf_compose(f: SurfEnd, h: SurfEnd) -> SurfEnd:
         raise LevelMismatchError("endomorphisms of different levels")
     if f.collapse:
         return f
-    gh = f.g().mul(h.g())
-    return surf_end(f.level, gh.b1, gh.b2, gh.s, h.collapse)
+    # the group law (b,s)(b',s') = (b + s b', s s') on the automorphism parts
+    s = f.s
+    return surf_end(f.level, f.b1 + s * h.b1, f.b2 + s * h.b2, s * h.s, h.collapse)
 
 
 def enumerate_surf(n: int) -> list[SurfEnd]:

@@ -6,11 +6,23 @@ says how its atoms sort and print.  Products are the bilinear extension
 of a rule on atom pairs (`bilinear`), images under a map of atoms are
 `linear_map`, and both feed the one accumulation loop, `collect`, which
 drops every atom whose coefficient cancels to zero.
+
+A product of two sums with rational coefficients runs on integers.
+`integral` writes each operand as a common denominator d (the lcm of its
+denominators) and a list of (atom, integer numerator) terms, so the loop
+multiplies and adds plain ints, with no gcd per atom pair.  `rationalize`
+then turns the collected numerators back into `Fraction(v, dx * dy)` in
+place: one normalization per atom of the result.  The stored coefficients
+are `Fraction`s in lowest terms as before; `exact` states that contract.
+`bilinear` and `collect` are generic over the coefficient ring, so the
+divisor actions, whose coefficients are linear in d_a, feed the same loop
+directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from .exact import fmt_rational
@@ -35,6 +47,26 @@ def collect(pairs: Iterable[tuple], out: dict | None = None) -> dict:
             out[atom] = c
         else:
             del out[atom]
+    return out
+
+
+def integral(terms: dict) -> tuple[int, list]:
+    """(d, [(atom, v)]) with d the lcm of the denominators of terms and each coeff = v/d."""
+    d = lcm(*{c.denominator for c in terms.values()})
+    return d, [(atom, c.numerator * (d // c.denominator)) for atom, c in terms.items()]
+
+
+def rationalize(out: dict, d: int) -> dict:
+    """Replace each integer numerator v of out by Fraction(v, d), in place.
+
+    Equal numerators share one Fraction: a projector has few distinct coefficients.
+    """
+    made: dict = {}
+    for atom, v in out.items():
+        q = made.get(v)
+        if q is None:
+            q = made[v] = Fraction(v, d)
+        out[atom] = q
     return out
 
 
@@ -132,9 +164,11 @@ class LinComb:
 
 
 def product(x: LinComb, y: LinComb, rule: Callable, cls: type | None = None) -> LinComb:
-    """Bilinear extension of `rule` to x and y, as a sum of type cls (default: x's)."""
+    """Bilinear extension of `rule` to rational sums x and y, as a sum of type cls (default: x's)."""
     x.check_level(y)
-    terms = collect(bilinear(x.terms.items(), y.terms.items(), rule, x.level))
+    dx, xs = integral(x.terms)
+    dy, ys = integral(y.terms)
+    terms = rationalize(collect(bilinear(xs, ys, rule, x.level)), dx * dy)
     return (cls or type(x))._make(x.level, terms)
 
 

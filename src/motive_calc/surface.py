@@ -24,7 +24,7 @@ from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, sur
 from .exact import LinearCoeff, RatMatrix, mat_inverse, mat_rank
 from .groups import epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
-from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
+from .sums import Certificate, LinComb, bilinear, collect, integral, linear_map, product, rationalize
 
 Atom = tuple
 
@@ -233,18 +233,18 @@ def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | 
             if mx == f.b1:
                 return [(("C", cx, k, nx), 1) for k in range(level)]
             return None
-        fi = f.inv()
-        return [(("C", cx, (fi.b1 + fi.s * mx) % level, nx), 1)]  # R11
+        # R11: the first slot is pulled back through f, i.e. pushed through f^-1: m -> s(m - b1)
+        return [(("C", cx, (f.s * (mx - f.b1)) % level, nx), 1)]
     if ky == "T":
         return None  # R13
     return None  # R14 (CP o V)
 
 
-def _split_by_cusp(terms: dict) -> tuple[list, dict]:
+def _split_by_cusp(terms: list) -> tuple[list, dict]:
     """Separate component-product atoms per cusp; they only meet their own cusp."""
     other: list = []
     by_cusp: dict[int, list] = {}
-    for atom, c in terms.items():
+    for atom, c in terms:
         if atom[0] == "C":
             by_cusp.setdefault(atom[1], []).append((atom, c))
         else:
@@ -255,13 +255,14 @@ def _split_by_cusp(terms: dict) -> tuple[list, dict]:
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     after.check_level(before)
     level = after.level
-    x_other, x_cusp = _split_by_cusp(after.terms)
-    y_other, y_cusp = _split_by_cusp(before.terms)
-    y_all = list(before.terms.items())
-    pairs = [bilinear(x_other, y_all, compose_atom_pair, level)]
+    dx, xs = integral(after.terms)
+    dy, ys = integral(before.terms)
+    x_other, x_cusp = _split_by_cusp(xs)
+    y_other, y_cusp = _split_by_cusp(ys)
+    pairs = [bilinear(x_other, ys, compose_atom_pair, level)]
     pairs += [bilinear(bucket, y_other + y_cusp.get(cusp, []), compose_atom_pair, level)
               for cusp, bucket in x_cusp.items()]
-    return SurfCorr._make(level, collect(chain.from_iterable(pairs)))
+    return SurfCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), dx * dy))
 
 
 # -- named projectors -----------------------------------------------------------
@@ -433,7 +434,9 @@ def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, i
 
 
 def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:
-    return product(x, z, act_atom_on_key, DivClass)
+    x.check_level(z)
+    terms = collect(bilinear(x.terms.items(), z.terms.items(), act_atom_on_key, x.level))
+    return DivClass._make(x.level, terms)
 
 
 # -- restriction to the open part ------------------------------------------------

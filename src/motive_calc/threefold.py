@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .endos import SurfEnd, aff_end, mu0, surf_identity
 from .levels import _check_level, level_invariants
-from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
+from .sums import Certificate, LinComb, bilinear, collect, integral, linear_map, product, rationalize
 from .surface import (
     VERT,
     Atom,
@@ -197,12 +198,19 @@ class TensorExpr:
         return TensorExpr(self.level, parts)
 
     def expand(self) -> TCorr:
+        """The atom sum, on integer numerators over one denominator common to every part."""
         level = self.level
+        parts = []
+        for (a, b, e), c in self.terms.items():
+            da, xs = integral({la: c * ca for la, ca in a.terms.items()})
+            db, ys = integral(b.terms)
+            parts.append((da * db, xs, ys, e))
+        d = lcm(*(dp for dp, _, _, _ in parts))
         pairs = [
-            bilinear([(la, c * ca) for la, ca in a.terms.items()], b.terms.items(), _tensor_rule(e), level)
-            for (a, b, e), c in self.terms.items()
+            bilinear([(la, v * (d // dp)) for la, v in xs], ys, _tensor_rule(e), level)
+            for dp, xs, ys, e in parts
         ]
-        return TCorr._make(level, collect(chain.from_iterable(pairs)))
+        return TCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), d))
 
 
 def t_delta_expr(n: int) -> TensorExpr:

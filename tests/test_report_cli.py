@@ -127,6 +127,18 @@ def test_cli_unsupported_composition_exits_three(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: tgraph o graph with no invertible side\n"
 
 
+def test_cli_degree_error_exits_three(monkeypatch, capsys):
+    import motive_calc.cli as cli
+    from motive_calc.exact import DegreeError
+
+    def squares_d_a(expression, level, mode):
+        raise DegreeError("product would have a d_a^2 term")
+
+    monkeypatch.setattr(cli, "evaluate", squares_d_a)
+    assert main(["eval", "--level", "3", "pi0"]) == 3
+    assert capsys.readouterr().err == "internal error: product would have a d_a^2 term\n"
+
+
 def test_cli_level_too_small(capsys):
     assert main(["report", "--level", "2"]) == 2
     err = capsys.readouterr().err
@@ -135,8 +147,15 @@ def test_cli_level_too_small(capsys):
 
 def test_cli_max_level_guard(capsys):
     assert main(["report", "--level", "13"]) == 2
-    assert main(["invariants", "--level", "13"]) == 0  # only report/verify are guarded
+    assert main(["invariants", "--level", "13"]) == 0  # invariants is not guarded
     capsys.readouterr()
+
+
+def test_cli_lattice_max_level_guard(capsys):
+    assert main(["lattice", "--level", "13"]) == 2
+    assert "exceeds the configured maximum 12" in capsys.readouterr().err
+    assert main(["lattice", "--level", "13", "--max-level", "13"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 12
 
 
 def test_cli_report_and_verify(tmp_path, capsys):
