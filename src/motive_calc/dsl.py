@@ -8,9 +8,15 @@ Grammar (composition binds tighter than sums; '.' chains associate left):
     args   := arg (',' arg)*     arg := signed integer | expr
 
 Surface names: Delta, V, mu0, G(b1,b2,s), pi0, pi1, pi2, piF, piInf,
-piC(c), CP(c,m,n).  Threefold mode adds Delta (the tensor diagonal),
-sigma, ptilde(i1,i2), b1, b2, alt11, sym11, and the tensor constructor
-T(a,b) whose arguments are surface expressions.
+piC(c), CP(c,m,n).  Threefold names: Delta (the tensor diagonal), sigma,
+ptilde(i1,i2), b1, b2, alt11, sym11, and the tensor constructor T(a,b)
+whose arguments are surface expressions.  `parse_expr(source, mode)`
+rejects, with its position, a name that only the other mode knows: a
+threefold name in surface mode, a surface name outside T(...) in
+threefold mode.
+
+A threefold value stays factored, a `TensorExpr`, through the whole
+expression, and is expanded to its canonical `TCorr` once, at the end.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .endos import mu0 as mu0_end
-from .endos import surf_end
+from .endos import mu0 as mu0_end, surf_end
 from .levels import cusp_count
 from .surface import (
     SurfCorr,
@@ -36,15 +41,12 @@ from .surface import (
     transpose,
 )
 from .threefold import (
-    TCorr,
     TensorExpr,
     b_term_expr,
     pair_projector_expr,
     sigma_expr,
-    split_sym_alt,
-    t_compose,
+    split_sym_alt_exprs,
     t_delta_expr,
-    t_transpose,
 )
 
 
@@ -55,7 +57,11 @@ class ParseError(ValueError):
 
 
 class UnknownAtomError(ValueError):
-    pass
+    """A name the mode does not know; the parser gives the position of its token."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.position = position
 
 
 class EvalError(ValueError):
@@ -130,9 +136,10 @@ def _tokenize(source: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, mode: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.mode = mode  # "surface" inside the arguments of T(...)
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -141,6 +148,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind."""
+        if self.peek()[0] != kind:
+            return False
+        self.pos += 1
+        return True
 
     def expect(self, kind: str) -> tuple:
         tok = self.next()
@@ -156,12 +170,7 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        parts = []
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
-        parts.append((sign, self.term()))
+        parts = [(-1 if self.accept("-") else 1, self.term())]
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             parts.append((1 if op == "+" else -1, self.term()))
@@ -173,35 +182,28 @@ class _Parser:
         coeff = None
         if self.peek()[0] == "int":
             # rational scalar '*' prefix
-            save = self.pos
-            num = self.next()[1]
-            if self.peek()[0] == "/":
-                self.next()
+            num_tok = self.next()
+            coeff = Fraction(num_tok[1])
+            if self.accept("/"):
                 den_tok = self.expect("int")
                 if not den_tok[1]:
                     raise ParseError("zero denominator", den_tok[2])
-                coeff = Fraction(num, den_tok[1])
-            else:
-                coeff = Fraction(num)
-            if self.peek()[0] == "*":
-                self.next()
-            else:
-                raise ParseError("a scalar must be followed by '*'", self.tokens[save][2])
+                coeff /= den_tok[1]
+            if not self.accept("*"):
+                raise ParseError("a scalar must be followed by '*'", num_tok[2])
         node = self.factor()
-        while self.peek()[0] == ".":
-            self.next()
+        while self.accept("."):
             node = Compose(node, self.factor())
         if coeff is not None:
             node = Scale(coeff, node)
         return node
 
     def factor(self) -> Node:
-        tok = self.peek()
-        if tok[0] == "(":
-            self.next()
+        if self.accept("("):
             node = self.expr()
             self.expect(")")
             return node
+        tok = self.peek()
         if tok[0] == "name":
             self.next()
             name = tok[1]
@@ -210,19 +212,17 @@ class _Parser:
                 inner = self.expr()
                 self.expect(")")
                 return Transpose(inner)
-            args: tuple = ()
-            if self.peek()[0] == "(":
-                self.next()
-                collected = []
-                while True:
-                    collected.append(self.arg())
-                    if self.peek()[0] == ",":
-                        self.next()
-                        continue
-                    break
+            if name in _FOREIGN[self.mode]:
+                raise UnknownAtomError(f"{name!r} is not a {self.mode} name", tok[2])
+            args = []
+            if self.accept("("):
+                outer, self.mode = self.mode, "surface" if name == "T" else self.mode
+                args.append(self.arg())
+                while self.accept(","):
+                    args.append(self.arg())
                 self.expect(")")
-                args = tuple(collected)
-            return NamedAtom(name, args)
+                self.mode = outer
+            return NamedAtom(name, tuple(args))
         raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
 
     def arg(self):
@@ -240,7 +240,7 @@ class _Parser:
 def parse_expr(source: str, mode: str = "surface") -> Node:
     if mode not in ("surface", "threefold"):
         raise ValueError("mode must be 'surface' or 'threefold'")
-    return _Parser(source).parse()
+    return _Parser(source, mode).parse()
 
 
 # -- printer -----------------------------------------------------------------
@@ -283,105 +283,95 @@ def _wrap(node: Node) -> str:
 
 # -- evaluator ---------------------------------------------------------------
 
-def _int_args(atom: NamedAtom, count: int) -> tuple:
-    if len(atom.args) != count or not all(isinstance(a, int) for a in atom.args):
-        raise EvalError(f"{atom.name} expects {count} integer arguments")
-    return atom.args
+def _graph(n: int, b1: int, b2: int, s: int) -> SurfCorr:
+    if s not in (1, -1):
+        raise EvalError("G(b1,b2,s) needs s = 1 or -1")
+    return SurfCorr.of(n, graph(surf_end(n, b1, b2, s)))
 
 
-def _eval_surface_atom(atom: NamedAtom, n: int) -> SurfCorr:
-    name = atom.name
-    if name == "Delta":
-        return delta(n)
-    if name == "V":
-        return SurfCorr.of(n, VERT)
-    if name == "mu0":
-        return SurfCorr.of(n, ("G", mu0_end(n)))
-    if name == "G":
-        b1, b2, s = _int_args(atom, 3)
-        if s not in (1, -1):
-            raise EvalError("G(b1,b2,s) needs s = 1 or -1")
-        return SurfCorr.of(n, graph(surf_end(n, b1, b2, s, False)))
-    if name in ("pi0", "pi1", "pi2"):
-        return build_pi_bars(n)[name]
-    if name == "piF":
-        return build_pi_f(n)
-    if name == "piInf":
-        return build_pi_inf(n)
-    if name == "piC":
-        (c,) = _int_args(atom, 1)
-        if not 0 <= c < cusp_count(n):
-            raise EvalError(f"cusp index {c} out of range")
-        return build_pi_cusp(n, c)
-    if name == "CP":
-        c, m, k = _int_args(atom, 3)
-        if not 0 <= c < cusp_count(n):
-            raise EvalError(f"cusp index {c} out of range")
-        return SurfCorr.of(n, cusp_prod(c, m % n, k % n))
-    raise UnknownAtomError(f"unknown surface atom {name!r}")
+def _cusp(n: int, c: int) -> int:
+    if not 0 <= c < cusp_count(n):
+        raise EvalError(f"cusp index {c} out of range")
+    return c
 
 
-def _eval_threefold_atom(atom: NamedAtom, n: int) -> TCorr:
-    name = atom.name
-    if name == "Delta":
-        return t_delta_expr(n).expand()
-    if name == "sigma":
-        return sigma_expr(n).expand()
-    if name == "ptilde":
-        i1, i2 = _int_args(atom, 2)
-        if not (0 <= i1 <= 2 and 0 <= i2 <= 2):
-            raise EvalError("ptilde indices must lie in 0..2")
-        return pair_projector_expr(n, i1, i2).expand()
-    if name == "b1":
-        return b_term_expr(n, 1).expand()
-    if name == "b2":
-        return b_term_expr(n, 2).expand()
-    if name == "alt11":
-        return split_sym_alt(n)[0]
-    if name == "sym11":
-        return split_sym_alt(n)[1]
-    if name == "T":
-        if len(atom.args) != 2:
+def _pair_projector(n: int, i1: int, i2: int) -> TensorExpr:
+    if not (0 <= i1 <= 2 and 0 <= i2 <= 2):
+        raise EvalError("ptilde indices must lie in 0..2")
+    return pair_projector_expr(n, i1, i2)
+
+
+# name -> (number of integer arguments, value from the level and those arguments)
+_SURFACE_ATOMS = {
+    "Delta": (0, delta),
+    "V": (0, lambda n: SurfCorr.of(n, VERT)),
+    "mu0": (0, lambda n: SurfCorr.of(n, graph(mu0_end(n)))),
+    "pi0": (0, lambda n: build_pi_bars(n)["pi0"]),
+    "pi1": (0, lambda n: build_pi_bars(n)["pi1"]),
+    "pi2": (0, lambda n: build_pi_bars(n)["pi2"]),
+    "piF": (0, build_pi_f),
+    "piInf": (0, build_pi_inf),
+    "G": (3, _graph),
+    "piC": (1, lambda n, c: build_pi_cusp(n, _cusp(n, c))),
+    "CP": (3, lambda n, c, m, k: SurfCorr.of(n, cusp_prod(_cusp(n, c), m % n, k % n))),
+}
+_THREEFOLD_ATOMS = {
+    "Delta": (0, t_delta_expr),
+    "sigma": (0, sigma_expr),
+    "b1": (0, lambda n: b_term_expr(n, 1)),
+    "b2": (0, lambda n: b_term_expr(n, 2)),
+    "alt11": (0, lambda n: split_sym_alt_exprs(n)[0]),
+    "sym11": (0, lambda n: split_sym_alt_exprs(n)[1]),
+    "ptilde": (2, _pair_projector),
+}
+_ATOMS = {"surface": _SURFACE_ATOMS, "threefold": _THREEFOLD_ATOMS}
+# what the parser rejects in each mode: the names only the other mode knows
+_FOREIGN = {
+    "surface": (_THREEFOLD_ATOMS.keys() | {"T"}) - _SURFACE_ATOMS.keys(),
+    "threefold": _SURFACE_ATOMS.keys() - _THREEFOLD_ATOMS.keys(),
+}
+
+
+def _eval_atom(atom: NamedAtom, n: int, mode: str):
+    name, args = atom.name, atom.args
+    if name == "T" and mode == "threefold":
+        if len(args) != 2 or any(isinstance(a, int) for a in args):
             raise EvalError("T(a,b) expects two surface expressions")
-        left = _as_node(atom.args[0])
-        right = _as_node(atom.args[1])
-        a = eval_expr(left, n, mode="surface")
-        b = eval_expr(right, n, mode="surface")
-        return TensorExpr.pure(a, b).expand()
-    raise UnknownAtomError(f"unknown threefold atom {name!r}")
-
-
-def _as_node(arg) -> Node:
-    if isinstance(arg, int):
-        raise EvalError("expected an expression argument, found an integer")
-    return arg
+        return TensorExpr.pure(*(eval_expr(a, n, mode="surface") for a in args))
+    if name not in _ATOMS[mode]:
+        raise UnknownAtomError(f"unknown {mode} atom {name!r}")
+    count, build = _ATOMS[mode][name]
+    if len(args) != count or not all(isinstance(a, int) for a in args):
+        raise EvalError(f"{name} expects {count} integer arguments" if count else f"{name} takes no arguments")
+    return build(n, *args)
 
 
 def eval_expr(node: Node, n: int, mode: str = "surface"):
     """Evaluate to a canonical SurfCorr (surface mode) or TCorr (threefold)."""
     surface = mode == "surface"
-    zero = SurfCorr.zero(n) if surface else TCorr.zero(n)
+    memo: dict = {}  # the surface products of the factors of threefold values
 
     def ev(x: Node):
         if isinstance(x, NamedAtom):
-            return _eval_surface_atom(x, n) if surface else _eval_threefold_atom(x, n)
+            return _eval_atom(x, n, mode)
         if isinstance(x, Scale):
             return ev(x.node).scale(x.coeff)
         if isinstance(x, Transpose):
             inner = ev(x.node)
-            return transpose(inner) if surface else t_transpose(inner)
+            return transpose(inner) if surface else inner.transpose()
         if isinstance(x, Compose):
             left, right = ev(x.left), ev(x.right)
-            return compose(left, right) if surface else t_compose(left, right)
+            return compose(left, right) if surface else left.compose(right, memo)
         if isinstance(x, Sum):
-            acc = zero
+            acc = SurfCorr.zero(n) if surface else TensorExpr(n)
             for sign, part in x.parts:
                 value = ev(part)
                 acc = acc + (value if sign == 1 else value.scale(-1))
             return acc
         raise TypeError(f"unknown node {x!r}")
 
-    return ev(node)
+    value = ev(node)
+    return value if surface else value.expand()
 
 
 def evaluate(source: str, n: int, mode: str = "surface"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groups import LevelMismatchError
-from .levels import _check_level
 
 
 class SurfEnd(NamedTuple):
@@ -55,16 +54,6 @@ def mu0(n: int) -> SurfEnd:
     return surf_end(n, 0, 0, 1, True)
 
 
-def mu_minus1(n: int) -> SurfEnd:
-    """Fiberwise inversion."""
-    return surf_end(n, 0, 0, -1, False)
-
-
-def tau_end(n: int, b1: int, b2: int) -> SurfEnd:
-    """Translation by the torsion section b."""
-    return surf_end(n, b1, b2, 1, False)
-
-
 def surf_compose(f: SurfEnd, h: SurfEnd) -> SurfEnd:
     """f after h.  Collapses absorb on the right: (g,col) o h = (g,col)."""
     if f.level != h.level:
@@ -74,14 +63,6 @@ def surf_compose(f: SurfEnd, h: SurfEnd) -> SurfEnd:
     # the group law (b,s)(b',s') = (b + s b', s s') on the automorphism parts
     s = f.s
     return surf_end(f.level, f.b1 + s * h.b1, f.b2 + s * h.b2, s * h.s, h.collapse)
-
-
-def enumerate_surf(n: int) -> list[SurfEnd]:
-    """All distinct surface endomorphisms: 2N^2 automorphisms, N^2 collapses."""
-    _check_level(n)
-    out = [surf_end(n, b1, b2, s, False) for s in (1, -1) for b1 in range(n) for b2 in range(n)]
-    out += [surf_end(n, b1, b2, 1, True) for b1 in range(n) for b2 in range(n)]
-    return out
 
 
 class AffEnd(NamedTuple):

@@ -24,7 +24,7 @@ from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, sur
 from .exact import LinearCoeff, RatMatrix, mat_inverse, mat_rank
 from .groups import epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
-from .sums import Certificate, LinComb, bilinear, collect, integral, linear_map, product, rationalize
+from .sums import Certificate, LinComb, bilinear, collect, integral, linear_map, rationalize
 
 Atom = tuple
 
@@ -498,14 +498,6 @@ def compose_open_atoms(x: OpenAtom, y: OpenAtom) -> OpenAtom:
     if ax.is_automorphism():
         return ("g", aff_compose(ax.inv(), ay))
     raise UnsupportedCompositionError("tgraph o graph with no invertible side")
-
-
-def _open_pair(x: OpenAtom, y: OpenAtom, _level: int) -> tuple:
-    return ((compose_open_atoms(x, y), 1),)
-
-
-def compose_open(after: OpenCorr, before: OpenCorr) -> OpenCorr:
-    return product(after, before, _open_pair)
 
 
 def restrict_atom(atom: Atom) -> OpenAtom | None:

@@ -50,7 +50,6 @@ from .surface import (
     restrict_atom,
     restrict_to_open,
     transpose,
-    transpose_atom,
 )
 
 TAtom = tuple  # (left_surface_atom, right_surface_atom, swap: bool)
@@ -115,15 +114,6 @@ def compose_t_atom_pair(x: TAtom, y: TAtom, level: int) -> tuple[tuple[TAtom, in
 
 def t_compose(after: TCorr, before: TCorr) -> TCorr:
     return product(after, before, compose_t_atom_pair)
-
-
-def t_transpose_atom(atom: TAtom) -> TAtom:
-    left, right, swap = atom
-    return _transposed(transpose_atom(left), transpose_atom(right), swap)
-
-
-def t_transpose(x: TCorr) -> TCorr:
-    return linear_map(x, t_transpose_atom)
 
 
 def _tensor_rule(swap: bool):
@@ -246,11 +236,6 @@ def split_sym_alt_exprs(n: int, memo: dict | None = None) -> tuple[TensorExpr, T
     a2, s2 = symmetrizer_exprs(n)
     p11 = pair_projector_expr(n, 1, 1)
     return a2.compose(p11, memo), s2.compose(p11, memo)
-
-
-def split_sym_alt(n: int) -> tuple[TCorr, TCorr]:
-    alt, sym = split_sym_alt_exprs(n)
-    return alt.expand(), sym.expand()
 
 
 # -- divisor classes --------------------------------------------------------------

@@ -10,8 +10,7 @@ import random
 import time
 from math import comb
 
-from motive_calc.abstract_words import all_words, reduce_word
-from motive_calc.endos import enumerate_surf, mu0
+from motive_calc.endos import mu0
 from motive_calc.groups import group_certificate
 from motive_calc.levels import cusp_count, level_invariants, local_multiplicity
 from motive_calc.motives import decompose_surface, realize_betti, surface_multiplicity
@@ -31,6 +30,9 @@ from motive_calc.surface import (
 from motive_calc.threefold import estimate_n, euler_fiber, threefold_certificate
 from motive_calc.dsl import evaluate
 from motive_calc.exact import RatMatrix
+
+from abstract_words import all_words, reduce_word
+from support import enumerate_surf
 
 
 def _report(index: int, label: str) -> None:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_calc.dsl import (
     Compose,
@@ -11,11 +13,14 @@ from motive_calc.dsl import (
     Sum,
     Transpose,
     UnknownAtomError,
+    eval_expr,
     evaluate,
     parse_expr,
     print_expr,
 )
 from motive_calc.surface import SurfCorr, VERT, build_pi_bars, delta
+
+from flat_threefold import flat_eval
 
 
 def test_parse_compose():
@@ -52,20 +57,20 @@ def test_parse_error_position():
 
 def test_round_trip_corpus():
     corpus = [
-        "pi1 . pi2",
-        "pi0 . pi0 - pi0",
-        "1/2 * (Delta - t(G(0,0,-1)))",
-        "-piC(0) + 2/3 * V . mu0",
-        "t(mu0) . mu0",
-        "CP(0,1,2) . CP(0,1,1) + piF - piInf",
-        "T(pi0, pi2) - ptilde(0,2)",
-        "sigma . ptilde(1,1) . sigma",
-        "pi0 . (pi1 . pi2)",  # right-nested chains keep their parentheses
-        "t(pi0 . (V . mu0))",
+        ("surface", "pi1 . pi2"),
+        ("surface", "pi0 . pi0 - pi0"),
+        ("surface", "1/2 * (Delta - t(G(0,0,-1)))"),
+        ("surface", "-piC(0) + 2/3 * V . mu0"),
+        ("surface", "t(mu0) . mu0"),
+        ("surface", "CP(0,1,2) . CP(0,1,1) + piF - piInf"),
+        ("threefold", "T(pi0, pi2) - ptilde(0,2)"),
+        ("threefold", "sigma . ptilde(1,1) . sigma"),
+        ("surface", "pi0 . (pi1 . pi2)"),  # right-nested chains keep their parentheses
+        ("surface", "t(pi0 . (V . mu0))"),
     ]
-    for source in corpus:
-        ast = parse_expr(source)
-        assert parse_expr(print_expr(ast)) == ast
+    for mode, source in corpus:
+        ast = parse_expr(source, mode)
+        assert parse_expr(print_expr(ast), mode) == ast
 
 
 def test_eval_orthogonality():
@@ -112,8 +117,91 @@ def test_eval_errors():
         evaluate("piC(99)", 3)
     with pytest.raises(EvalError):
         evaluate("T(pi0, pi1) . T(1, 2)", 3, "threefold")
+    # a name that takes no arguments rejects them, even ones never evaluated
+    for source in ("pi1(5)", "Delta(1,2)", "mu0(x)", "V(0)", "piF(pi0)"):
+        with pytest.raises(EvalError, match="takes no arguments"):
+            evaluate(source, 3)
+    for source in ("sigma(7)", "Delta(0)", "b1(1)", "alt11(0,0)"):
+        with pytest.raises(EvalError, match="takes no arguments"):
+            evaluate(source, 3, "threefold")
+
+
+@pytest.mark.parametrize(
+    "mode, source, position",
+    [
+        ("surface", "alt11", 0),
+        ("surface", "pi0 . sigma", 6),
+        ("surface", "T(pi0, pi2)", 0),
+        ("surface", "G(b1,0,1)", 2),
+        ("threefold", "pi0", 0),
+        ("threefold", "sigma . t(mu0)", 10),
+        ("threefold", "T(pi0, sigma)", 7),
+        ("threefold", "T(T(pi0, pi0), pi0)", 2),
+    ],
+)
+def test_parse_rejects_names_of_the_other_mode(mode, source, position):
+    with pytest.raises(UnknownAtomError) as err:
+        parse_expr(source, mode)
+    assert err.value.position == position
+    assert f"(at position {position})" in str(err.value)
+
+
+def test_tensor_arguments_are_surface_expressions():
+    ast = parse_expr("T(pi0 . V, Delta) . Delta", "threefold")
+    assert ast == Compose(
+        NamedAtom("T", (Compose(NamedAtom("pi0"), NamedAtom("V")), NamedAtom("Delta"))),
+        NamedAtom("Delta"),
+    )
 
 
 def test_scale_binds_whole_chain():
     got = evaluate("1/2 * pi0 . pi0", 3)
     assert got == build_pi_bars(3)["pi0"].scale(Fraction(1, 2))
+
+
+# -- the factored threefold evaluator against the flat engine --------------------
+
+_SCALARS = st.sampled_from(["2", "1/2", "3/4", "-1"])
+_SURFACE_LEAVES = st.one_of(
+    st.sampled_from(["Delta", "V", "mu0", "t(mu0)", "pi0", "pi2"]),
+    st.builds("G({},{},{})".format, st.integers(0, 2), st.integers(0, 2), st.sampled_from([1, -1])),
+)
+_SURFACE_FACTORS = st.one_of(
+    _SURFACE_LEAVES,
+    st.builds("{} {} {}".format, _SURFACE_LEAVES, st.sampled_from("+-"), _SURFACE_LEAVES),
+    st.builds("{} . {}".format, _SURFACE_LEAVES, _SURFACE_LEAVES),
+    st.builds("{} * ({})".format, _SCALARS, _SURFACE_LEAVES),
+)
+_THREEFOLD_LEAVES = st.one_of(
+    st.sampled_from(["Delta", "sigma", "b1", "b2"]),
+    st.builds("ptilde({},{})".format, st.integers(0, 2), st.integers(0, 2)),
+    st.builds("T({}, {})".format, _SURFACE_FACTORS, _SURFACE_FACTORS),
+)
+
+
+def _threefold_nodes(children):
+    return st.one_of(
+        st.builds("({}) {} ({})".format, children, st.sampled_from("+-"), children),
+        st.builds("{} * ({})".format, _SCALARS, children),
+        st.builds("({}) . ({})".format, children, children),
+        st.builds("t({})".format, children),
+    )
+
+
+THREEFOLD_QUERIES = st.recursive(_THREEFOLD_LEAVES, _threefold_nodes, max_leaves=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(THREEFOLD_QUERIES)
+def test_factored_threefold_eval_matches_the_flat_engine(source):
+    node = parse_expr(source, "threefold")
+    got = eval_expr(node, 3, "threefold")
+    want = flat_eval(node, 3)
+    assert got == want
+    assert got.render() == want.render()
+
+
+def test_named_threefold_atoms_match_the_flat_engine():
+    for source in ("alt11", "sym11", "t(alt11) . sigma - sym11", "t(sigma . b1) . ptilde(2,0)"):
+        node = parse_expr(source, "threefold")
+        assert eval_expr(node, 3, "threefold") == flat_eval(node, 3)

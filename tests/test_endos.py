@@ -3,20 +3,11 @@ from itertools import product
 
 import pytest
 
-from motive_calc.endos import (
-    aff_compose,
-    aff_end,
-    enumerate_surf,
-    mu0,
-    mu_minus1,
-    surf_compose,
-    surf_end,
-    surf_identity,
-    tau_end,
-)
+from motive_calc.endos import aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
 from motive_calc.groups import LevelMismatchError
 from motive_calc.surface import graph
 from motive_calc.threefold import compose_t_atom_pair, t_atom, verify_structure_identities
+from support import enumerate_surf, mu_minus1, tau_end
 
 
 def endo(a, b, swap=False):

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motive_calc.endos import enumerate_surf
 from motive_calc.groups import (
     G2Elem,
     GroupRingElement,
@@ -35,13 +34,11 @@ from motive_calc.surface import (
     VERT,
     SurfCorr,
     UnsupportedCompositionError,
-    _open_pair,
     build_pi_bars,
     build_pi_cusp,
     build_pi_inf,
     compose,
     compose_atom_pair,
-    compose_open,
     delta,
     restrict_to_open,
 )
@@ -60,6 +57,8 @@ from motive_calc.threefold import (
     t_delta_expr,
     tensor_open,
 )
+
+from support import _open_pair, compose_open, enumerate_surf
 
 LEVELS = st.integers(3, 5)
 

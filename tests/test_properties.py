@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc.dsl import parse_expr, print_expr
-from motive_calc.endos import enumerate_surf
 from motive_calc.levels import cusp_count
 from motive_calc.surface import (
     SurfCorr,
@@ -17,6 +16,8 @@ from motive_calc.surface import (
     neron_lattice,
     transpose,
 )
+
+from support import enumerate_surf
 
 
 def _random_corr(n, rng, size=4):

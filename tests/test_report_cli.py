@@ -83,6 +83,37 @@ def test_cli_eval_threefold(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_cli_eval_threefold_split_is_orthogonal_at_level_six(capsys):
+    assert main(["eval", "--level", "6", "--threefold", "alt11 . sym11"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--level", "3", "pi1(5)"],
+        ["--level", "3", "Delta(1,2)"],
+        ["--level", "3", "mu0(x)"],
+        ["--level", "3", "--threefold", "sigma(7)"],
+    ],
+)
+def test_cli_eval_rejects_arguments_of_names_that_take_none(argv, capsys):
+    assert main(["eval", *argv]) == 2
+    assert "takes no arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--level", "3", "pi0 . sigma"], "'sigma' is not a surface name (at position 6)"),
+        (["--level", "3", "--threefold", "sigma . pi0"], "'pi0' is not a threefold name (at position 8)"),
+    ],
+)
+def test_cli_eval_rejects_names_of_the_other_mode(argv, message, capsys):
+    assert main(["eval", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("factor", ["CP(0,1,1)", "piC(0)"])
 def test_cli_eval_rejects_cusp_products_as_tensor_factors(factor, capsys):
     assert main(["eval", "--level", "3", "--threefold", f"T({factor},Delta)"]) == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from motive_calc.endos import enumerate_surf, mu0, surf_end
+from motive_calc.endos import mu0, surf_end
 from motive_calc.exact import LinearCoeff, RatMatrix
 from motive_calc.groups import LevelMismatchError, lambda_theta
 from motive_calc.levels import cusp_count
@@ -21,7 +21,6 @@ from motive_calc.surface import (
     build_pi_cusp,
     build_pi_inf,
     compose,
-    compose_open,
     compose_open_atoms,
     cusp_prod,
     delta,
@@ -37,6 +36,8 @@ from motive_calc.surface import (
     tgraph,
     transpose,
 )
+
+from support import compose_open, enumerate_surf
 
 
 def all_atoms(n):

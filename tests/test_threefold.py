@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import sums, surface
-from motive_calc.endos import enumerate_surf, mu0, surf_end, surf_identity
+from motive_calc.endos import mu0, surf_end, surf_identity
 from motive_calc.surface import (
     GENERIC_FIBER,
     VERT,
@@ -36,17 +36,18 @@ from motive_calc.threefold import (
     pair_projector_expr,
     restrict_to_open_t,
     sigma_expr,
-    split_sym_alt,
     split_sym_alt_exprs,
     t_atom,
     t_compose,
     t_delta_expr,
-    t_transpose,
     tensor_open,
     theta_half,
     theta_int,
     threefold_certificate,
 )
+
+from flat_threefold import split_sym_alt, t_transpose
+from support import enumerate_surf
 
 
 def t_delta(n):
