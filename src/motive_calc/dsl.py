@@ -13,7 +13,9 @@ ptilde(i1,i2), b1, b2, alt11, sym11, and the tensor constructor T(a,b)
 whose arguments are surface expressions.  `parse_expr(source, mode)`
 rejects, with its position, a name that only the other mode knows: a
 threefold name in surface mode, a surface name outside T(...) in
-threefold mode.
+threefold mode.  It also rejects an unknown name and a wrong number of
+integer arguments, so a bad query stops before any product is computed;
+only argument values (a sign, a cusp index) are checked when evaluated.
 
 A threefold value stays factored, a `TensorExpr`, through the whole
 expression, and is expanded to its canonical `TCorr` once, at the end.
@@ -65,7 +67,11 @@ class UnknownAtomError(ValueError):
 
 
 class EvalError(ValueError):
-    pass
+    """A name with the wrong arguments, or arguments out of range; the parser gives the position of its token."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -214,15 +220,24 @@ class _Parser:
                 return Transpose(inner)
             if name in _FOREIGN[self.mode]:
                 raise UnknownAtomError(f"{name!r} is not a {self.mode} name", tok[2])
+            entry = _ATOMS[self.mode].get(name)  # None for T(a,b), which is checked when evaluated
+            if entry is None and name != "T":
+                raise UnknownAtomError(f"unknown {self.mode} atom {name!r}", tok[2])
             args = []
             if self.accept("("):
+                if entry is not None and not entry[0]:
+                    # before its arguments, which need not parse: mu0(x)
+                    raise _arity_error(name, 0, tok[2])
                 outer, self.mode = self.mode, "surface" if name == "T" else self.mode
                 args.append(self.arg())
                 while self.accept(","):
                     args.append(self.arg())
                 self.expect(")")
                 self.mode = outer
-            return NamedAtom(name, tuple(args))
+            atom = NamedAtom(name, tuple(args))
+            if entry is not None:
+                _constructor(atom, self.mode, tok[2])
+            return atom
         raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
 
     def arg(self):
@@ -332,18 +347,35 @@ _FOREIGN = {
 }
 
 
+def _arity_error(name: str, count: int, position: int | None) -> EvalError:
+    message = f"{name} expects {count} integer arguments" if count else f"{name} takes no arguments"
+    return EvalError(message, position)
+
+
+def _constructor(atom: NamedAtom, mode: str, position: int | None = None):
+    """The constructor of a named atom other than T, once its name and integer arguments are checked.
+
+    The parser calls it with the position of the name; `eval_expr` again, for trees built by hand.
+    """
+    entry = _ATOMS[mode].get(atom.name)
+    if entry is None:
+        raise UnknownAtomError(f"unknown {mode} atom {atom.name!r}", position)
+    count, build = entry
+    if len(atom.args) != count:
+        raise _arity_error(atom.name, count, position)
+    for a in atom.args:  # a loop: a generator in all(...) costs more, twice per atom of a query
+        if not isinstance(a, int):
+            raise _arity_error(atom.name, count, position)
+    return build
+
+
 def _eval_atom(atom: NamedAtom, n: int, mode: str):
     name, args = atom.name, atom.args
     if name == "T" and mode == "threefold":
         if len(args) != 2 or any(isinstance(a, int) for a in args):
             raise EvalError("T(a,b) expects two surface expressions")
         return TensorExpr.pure(*(eval_expr(a, n, mode="surface") for a in args))
-    if name not in _ATOMS[mode]:
-        raise UnknownAtomError(f"unknown {mode} atom {name!r}")
-    count, build = _ATOMS[mode][name]
-    if len(args) != count or not all(isinstance(a, int) for a in args):
-        raise EvalError(f"{name} expects {count} integer arguments" if count else f"{name} takes no arguments")
-    return build(n, *args)
+    return _constructor(atom, mode)(n, *args)
 
 
 def eval_expr(node: Node, n: int, mode: str = "surface"):

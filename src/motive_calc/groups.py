@@ -7,15 +7,22 @@ the S_2 factor swapping the two fiber coordinates.  The named idempotents
 swap symmetrizers) all live in these group rings with rational
 coefficients, and every identity about them is checked by exact
 group-ring multiplication.
+
+Multiplication runs on indices: G is numbered 0..2N^2-1 in `enumerate_g`
+order, with a product table built once per level (`g_table`), and an
+element of G^2 x| S_2 is the triple (i, j, swap) over it.  Coefficients
+are integer numerators over one common denominator per operand, and only
+the atoms of a product are turned back into `GElem`s and `G2Elem`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .levels import _check_level
-from .sums import Certificate, LevelMismatchError, LinComb, linear_map, product
+from .sums import Certificate, LevelMismatchError, LinComb, integral, linear_map, rationalize
 
 
 class GElem(NamedTuple):
@@ -100,8 +107,47 @@ def sigma_swap(n: int) -> G2Elem:
 GroupElem = Union[GElem, G2Elem]
 
 
-def _group_product(g: GroupElem, h: GroupElem, _level) -> tuple:
-    return ((g.mul(h), 1),)
+@lru_cache(maxsize=None)
+def g_table(n: int) -> tuple[list[GElem], dict[GElem, int], list[list[int]]]:
+    """G numbered 0..2N^2-1 in `enumerate_g` order: (elements, index of each, product table).
+
+    Row i, column j of the table holds the index of the product of elements i and j.
+    """
+    elems = enumerate_g(n)
+    index = {g: i for i, g in enumerate(elems)}
+    return elems, index, [[index[g.mul(h)] for h in elems] for g in elems]
+
+
+def _g_product(xs: list, ys: list, table: list) -> dict:
+    """Summed integer products of encoded G terms (i, v), keyed by the index of each product."""
+    out: dict = {}
+    get = out.get
+    for i, a in xs:
+        row = table[i]
+        for j, b in ys:
+            k = row[j]
+            out[k] = get(k, 0) + a * b
+    return out
+
+
+def _g2_product(xs: list, ys: list, table: list) -> dict:
+    """The same for G^2 x| S_2 terms (i, j, swap, v); a product (i, j, swap) is keyed 2(iM + j) + swap.
+
+    (g1, g2, s)(h1, h2, t) = (g1 h1', g2 h2', s xor t), with (h1', h2') = (h2, h1) when s is set.
+    """
+    size = len(table)
+    by_swap = (
+        [(k, l, int(t), b) for k, l, t, b in ys],
+        [(l, k, int(not t), b) for k, l, t, b in ys],
+    )
+    out: dict = {}
+    get = out.get
+    for i, j, s, a in xs:
+        r1, r2 = table[i], table[j]
+        for k, l, u, b in by_swap[s]:
+            key = (r1[k] * size + r2[l]) * 2 + u
+            out[key] = get(key, 0) + a * b
+    return out
 
 
 class GroupRingElement(LinComb):
@@ -121,7 +167,41 @@ class GroupRingElement(LinComb):
         return GroupRingElement({g: coeff})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return product(self, other, _group_product)
+        """The product on integer numerators, with each element encoded by its index in G.
+
+        An element of G^2 x| S_2 is encoded as (i, j, swap); only the atoms of
+        the result are decoded back to group elements.
+        """
+        if not (self.terms and other.terms):
+            return GroupRingElement()
+        first = next(iter(self.terms))
+        n = first.level
+        elems, index, table = g_table(n)
+        dx, xs = integral(self.terms)
+        dy, ys = integral(other.terms)
+        in_g2 = type(first) is G2Elem
+        try:
+            if in_g2:
+                xs = [(index[g.g1], index[g.g2], g.swap, v) for g, v in xs]
+                ys = [(index[h.g1], index[h.g2], h.swap, v) for h, v in ys]
+            else:
+                xs = [(index[g], v) for g, v in xs]
+                ys = [(index[h], v) for h, v in ys]
+        except (KeyError, AttributeError):
+            raise LevelMismatchError("group elements of different levels or kinds") from None
+        if not in_g2:
+            out = _g_product(xs, ys, table)
+            terms = {elems[k]: v for k, v in out.items() if v}
+        else:
+            out = _g2_product(xs, ys, table)
+            size = len(elems)
+            new = tuple.__new__  # G2Elem(...) without its keyword-argument layer
+            terms = {}
+            for k, v in out.items():
+                if v:
+                    i, j = divmod(k >> 1, size)
+                    terms[new(G2Elem, (n, elems[i], elems[j], k & 1 == 1))] = v
+        return GroupRingElement._make(None, rationalize(terms, dx * dy))
 
     def involute(self) -> "GroupRingElement":
         """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""
@@ -154,12 +234,12 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
 def epsilon2_projector(n: int) -> GroupRingElement:
     """(1/4N^4) sum over G^2 of eps2(g)^-1 g, inside Q[G^2 x| S_2]."""
     _check_level(n)
-    scale = Fraction(1, 4 * n ** 4)
-    terms = {}
-    for a in enumerate_g(n):
-        for b in enumerate_g(n):
-            terms[G2Elem(n, a, b, False)] = scale * epsilon(a) * epsilon(b)
-    return GroupRingElement(terms)
+    plus = Fraction(1, 4 * n ** 4)
+    minus = -plus
+    elems = enumerate_g(n)
+    terms = {G2Elem(n, a, b, False): plus if epsilon(a) == epsilon(b) else minus
+             for a in elems for b in elems}
+    return GroupRingElement._make(None, terms)
 
 
 def symmetrizers(n: int) -> tuple[GroupRingElement, GroupRingElement]:

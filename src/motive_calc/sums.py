@@ -153,11 +153,14 @@ class LinComb:
         # the support alone: equal sums share it, and hashing no coefficient is much cheaper
         return hash((self.level, frozenset(self.terms)))
 
-    def render(self) -> str:
+    def render(self, limit: int | None = None) -> str:
+        """The sum in print order; with a limit, only its first `limit` atoms and then "+ ..."."""
         if not self.terms:
             return "0"
         fmt, label, terms = self.fmt, self.label, self.terms
-        return " + ".join(f"{fmt(terms[a])}*{label(a)}" for a in sorted(terms, key=self.sort_key))
+        atoms = sorted(terms, key=self.sort_key)
+        shown = " + ".join(f"{fmt(terms[a])}*{label(a)}" for a in atoms[:limit])
+        return shown if limit is None or len(atoms) <= limit else f"{shown} + ..."
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}<{self.render()}>"
@@ -184,6 +187,9 @@ def linear_map(x: LinComb, f: Callable, cls: type | None = None) -> LinComb:
     return (cls or type(x))._make(x.level, collect(images()))
 
 
+RESIDUAL_ATOMS = 8  # the atoms of a failed entry's residual that its "got" shows
+
+
 class Certificate:
     """Records checked laws as report entries, in the order they are checked."""
 
@@ -199,6 +205,13 @@ class Certificate:
         self.entries.append(entry)
 
     def equal(self, name: str, law: str, got: LinComb, want: LinComb) -> None:
-        """Record whether the two sides of `law` are equal as sums."""
+        """Record whether the two sides of `law` are equal as sums.
+
+        A failed entry shows the residual got - want: its size and its first atoms.
+        """
         ok = got == want
-        self.record(name, law, ok, "" if ok else f"got {got.render()}, want {want.render()}")
+        if ok:
+            self.record(name, law, ok)
+            return
+        residual = got - want
+        self.record(name, law, ok, f"got - want has {len(residual.terms)} atoms: {residual.render(RESIDUAL_ATOMS)}")

@@ -11,6 +11,11 @@ formulas and the product-correspondence formula
 with (Y . Z) the N-gon intersection pairing.  The derivations are noted
 rule by rule below, and the whole table is cross-checked by the
 associativity and action-coherence test suites.
+
+`compose` does not send every atom pair through the table.  A graph,
+tGraph or V atom acts on a component product only through a key
+(`after_key`, `before_key`), so the atoms that share a key are summed
+first and one representative per key meets the component products.
 """
 
 from __future__ import annotations
@@ -252,16 +257,70 @@ def _split_by_cusp(terms: list) -> tuple[list, dict]:
     return other, by_cusp
 
 
+def after_key(atom: Atom) -> tuple | None:
+    """What a graph, tGraph or V atom after a component product acts through (R10, R12).
+
+    None when the rule gives 0: a collapse or V.
+    """
+    kind = atom[0]
+    if kind == "G":
+        f: SurfEnd = atom[1]
+        return None if f.collapse else ("G", f.b1, f.s)
+    if kind == "T":
+        return ("T", atom[1].b1)
+    return None
+
+
+def before_key(atom: Atom) -> tuple | None:
+    """What a graph, tGraph or V atom before a component product acts through (R11).
+
+    None when the rule gives 0: a tGraph (R13) or V (R14).
+    """
+    if atom[0] == "G":
+        f: SurfEnd = atom[1]
+        return ("G", f.b1, f.s, f.collapse)
+    return None
+
+
+def by_key(terms: list, key) -> list:
+    """One representative atom per key, with the summed numerators of the atoms sharing it.
+
+    Keys whose numerators cancel, and atoms without a key, drop out.
+    """
+    summed: dict = {}
+    for atom, v in terms:
+        k = key(atom)
+        if k is None:
+            continue
+        slot = summed.get(k)
+        if slot is None:
+            summed[k] = [atom, v]
+        else:
+            slot[1] += v
+    return [(atom, v) for atom, v in summed.values() if v]
+
+
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
+    """after o before, with the graph atoms met with component products summed by key first.
+
+    A graph, tGraph or V atom acts on a component product only through
+    `after_key` or `before_key`, so the atoms that share a key are paired
+    once, through one representative.  Graph-graph pairs and R9 pairs on
+    one cusp run atom by atom.
+    """
     after.check_level(before)
     level = after.level
+    rule = compose_atom_pair  # looked up at each call, so a patched rule is used
     dx, xs = integral(after.terms)
     dy, ys = integral(before.terms)
     x_other, x_cusp = _split_by_cusp(xs)
     y_other, y_cusp = _split_by_cusp(ys)
-    pairs = [bilinear(x_other, ys, compose_atom_pair, level)]
-    pairs += [bilinear(bucket, y_other + y_cusp.get(cusp, []), compose_atom_pair, level)
-              for cusp, bucket in x_cusp.items()]
+    pairs = [bilinear(x_other, y_other, rule, level)]
+    if y_cusp and x_other:
+        y_cusps = list(chain.from_iterable(y_cusp.values()))
+        pairs.append(bilinear(by_key(x_other, after_key), y_cusps, rule, level))
+    y_keyed = by_key(y_other, before_key) if x_cusp else []
+    pairs += [bilinear(bucket, y_keyed + y_cusp.get(cusp, []), rule, level) for cusp, bucket in x_cusp.items()]
     return SurfCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), dx * dy))
 
 

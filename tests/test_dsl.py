@@ -146,6 +146,32 @@ def test_parse_rejects_names_of_the_other_mode(mode, source, position):
     assert f"(at position {position})" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "mode, source, error, message, position",
+    [
+        ("surface", "pi1 . pi1 + nope", UnknownAtomError, "unknown surface atom 'nope'", 12),
+        ("surface", "G(1,2)", EvalError, "G expects 3 integer arguments", 0),
+        ("surface", "pi0 . piC(pi0)", EvalError, "piC expects 1 integer arguments", 6),
+        ("surface", "Delta + mu0(x)", EvalError, "mu0 takes no arguments", 8),
+        ("threefold", "sigma . ptilde(1)", EvalError, "ptilde expects 2 integer arguments", 8),
+        ("threefold", "T(pi0, nope) + sigma", UnknownAtomError, "unknown surface atom 'nope'", 7),
+        ("threefold", "sym11 . sigma(7)", EvalError, "sigma takes no arguments", 8),
+    ],
+)
+def test_parse_rejects_unknown_names_and_wrong_argument_counts(mode, source, error, message, position):
+    with pytest.raises(error) as err:
+        parse_expr(source, mode)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_trees_built_by_hand_are_still_checked_when_evaluated():
+    with pytest.raises(UnknownAtomError):
+        eval_expr(NamedAtom("nope"), 3)
+    with pytest.raises(EvalError, match="G expects 3 integer arguments"):
+        eval_expr(NamedAtom("G", (1, 2)), 3)
+
+
 def test_tensor_arguments_are_surface_expressions():
     ast = parse_expr("T(pi0 . V, Delta) . Delta", "threefold")
     assert ast == Compose(

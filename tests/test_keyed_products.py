@@ -1,0 +1,188 @@
+"""The keyed products against the atom-pair products they replaced.
+
+`surface.compose` pairs a graph, tGraph or V atom with component products
+once per key (`after_key`, `before_key`), through one representative atom
+carrying the summed numerators of the atoms that share the key.
+`GroupRingElement.__mul__` reads the index of each product from a table of
+G.  Neither shortcut shows in the certificates when it is wrong in a way
+that cancels: pi1's +- coefficients cancel per b1, so a key that forgot the
+inversion part s would leave `surface_certificate` all pass.  These tests
+check both kernels atom by atom instead: exhaustively that atoms with one
+key act alike, and on random operands that the products equal the oracles
+in `support`.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motive_calc.groups import (
+    G2Elem,
+    GroupRingElement,
+    LevelMismatchError,
+    enumerate_g,
+    epsilon2_projector,
+    epsilon_projector,
+    g_table,
+    lambda_theta,
+    symmetrizers,
+)
+from motive_calc.levels import cusp_count
+from motive_calc.sums import product
+from motive_calc.surface import (
+    VERT,
+    SurfCorr,
+    after_key,
+    before_key,
+    build_pi_bars,
+    build_pi_cusp,
+    compose,
+    compose_atom_pair,
+    cusp_prod,
+)
+
+from support import compose_by_atom_pairs, enumerate_surf, group_product
+
+
+def _non_cusp_atoms(n):
+    ends = enumerate_surf(n)
+    return [("G", e) for e in ends] + [("T", e) for e in ends if e.collapse] + [VERT]
+
+
+def _cusp_products(n):
+    return [cusp_prod(c, m, k) for c in range(cusp_count(n)) for m in range(n) for k in range(n)]
+
+
+# -- the keys, exhaustively ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("side", ["after", "before"])
+def test_atoms_with_one_key_act_alike_on_every_cusp_product(n, side):
+    key = after_key if side == "after" else before_key
+    atoms = _non_cusp_atoms(n)
+    keys = {key(a) for a in atoms}
+    assert len(keys) > 1  # the keys tell some atoms apart
+    for y in _cusp_products(n):
+        seen = {}
+        for x in atoms:
+            out = compose_atom_pair(x, y, n) if side == "after" else compose_atom_pair(y, x, n)
+            k = key(x)
+            if k is None:
+                assert not out, (x, y)
+            else:
+                assert seen.setdefault(k, out) == out, (x, y)
+
+
+# -- compose on random operands ------------------------------------------------------
+
+@st.composite
+def keyed_operands(draw, n):
+    """Atoms of every kind with small integer and half-integer coefficients.
+
+    Automorphisms come with both signs of s on a few translations, so that
+    keys are shared and some sums of numerators cancel; component products
+    lie on several cusps.
+    """
+    ends = enumerate_surf(n)
+    autos = [e for e in ends if not e.collapse and e.b1 < 2 and e.b2 < 2]
+    collapses = [e for e in ends if e.collapse and e.b2 < 2]
+    cusps = st.integers(0, min(2, cusp_count(n) - 1))
+    index = st.integers(0, n - 1)
+    atom = st.one_of(
+        st.builds(lambda e: ("G", e), st.sampled_from(autos)),
+        st.builds(lambda e: ("G", e), st.sampled_from(collapses)),
+        st.builds(lambda e: ("T", e), st.sampled_from(collapses)),
+        st.just(VERT),
+        st.builds(cusp_prod, cusps, index, index),
+    )
+    coeff = st.sampled_from([Fraction(k, 2) for k in (-2, -1, 1, 2, 3)])
+    terms = draw(st.lists(st.tuples(atom, coeff), min_size=1, max_size=14))
+    total = SurfCorr.zero(n)
+    for a, c in terms:
+        total = total + SurfCorr.of(n, a, c)
+    named = [build_pi_bars(n)["pi1"], build_pi_cusp(n, 0), build_pi_cusp(n, 1)]
+    for p in draw(st.lists(st.sampled_from(named), max_size=2)):
+        total = total + p.scale(draw(coeff))
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(3, 5))
+def test_compose_matches_the_atom_pair_oracle(data, n):
+    x = data.draw(keyed_operands(n))
+    y = data.draw(keyed_operands(n))
+    got = compose(x, y)
+    assert got == compose_by_atom_pairs(x, y)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+# -- the group ring on its product table ---------------------------------------------
+
+def test_the_table_is_the_group_law():
+    n = 3
+    elems, index, table = g_table(n)
+    assert elems == enumerate_g(n)
+    for g in elems:
+        for h in elems:
+            assert elems[table[index[g]][index[h]]] == g.mul(h)
+
+
+@st.composite
+def group_operands(draw, n, pairs):
+    if pairs:
+        g = st.sampled_from(enumerate_g(n))
+        elem = st.builds(lambda a, b, e: G2Elem(n, a, b, e), g, g, st.booleans())
+        named = list(symmetrizers(n))
+    else:
+        elem = st.sampled_from(enumerate_g(n))
+        named = [epsilon_projector(n), *lambda_theta(n)]
+    coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
+    total = GroupRingElement()
+    for g, c in draw(st.lists(st.tuples(elem, coeff), min_size=1, max_size=10)):
+        total = total + GroupRingElement.of(g, c)
+    for p in draw(st.lists(st.sampled_from(named), max_size=2)):
+        total = total + p.scale(draw(coeff))
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(3, 5), st.booleans())
+def test_group_ring_product_matches_the_pairwise_oracle(data, n, pairs):
+    x = data.draw(group_operands(n, pairs))
+    y = data.draw(group_operands(n, pairs))
+    got = x * y
+    assert got == product(x, y, group_product)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert all(type(g) is type(next(iter(x.terms))) for g in got.terms)
+    if pairs:
+        assert all(type(g.swap) is bool for g in got.terms)
+
+
+def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
+    n = 3
+    eps2 = epsilon2_projector(n)
+    for s in symmetrizers(n):
+        assert s * eps2 == product(s, eps2, group_product)
+        assert eps2 * s == product(eps2, s, group_product)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (GroupRingElement.of(enumerate_g(3)[1]), GroupRingElement.of(enumerate_g(4)[1])),
+        (GroupRingElement.of(enumerate_g(3)[1]), symmetrizers(3)[0]),
+        (symmetrizers(3)[0], GroupRingElement.of(enumerate_g(3)[1])),
+        (symmetrizers(3)[0], symmetrizers(4)[0]),
+    ],
+)
+def test_group_ring_product_rejects_other_levels_and_kinds(x, y):
+    with pytest.raises(LevelMismatchError):
+        x * y
+
+
+def test_group_ring_product_with_zero_is_zero():
+    eps = epsilon_projector(3)
+    assert (eps * GroupRingElement()).is_zero()
+    assert (GroupRingElement() * eps).is_zero()

@@ -246,3 +246,14 @@ def test_cli_exit_one_on_failing_certificate(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["verify", "--level", "3"]) == 1
     assert capsys.readouterr().out.strip().splitlines()[-1] == "FAIL"
+
+
+def test_cli_eval_rejects_an_unknown_name_before_computing(monkeypatch, capsys):
+    from motive_calc import dsl
+
+    def no_products(after, before):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(dsl, "compose", no_products)
+    assert main(["eval", "--level", "12", "pi1 . pi1 + nope"]) == 2
+    assert "unknown surface atom 'nope' (at position 12)" in capsys.readouterr().err

@@ -422,3 +422,12 @@ def test_surface_certificate_passes(n):
     entries = surface_certificate(n)
     assert entries
     assert all(e["status"] == "pass" for e in entries)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cusp_projector_coefficients_have_the_closed_form(n):
+    # the inverse of the reduced N-gon block, entry (i, j) for components 1..N-1
+    inv = neron_lattice(n).reduced_inverse
+    for i in range(1, n):
+        for j in range(1, n):
+            assert inv[i - 1, j - 1] == Fraction(-min(i, j) * (n - max(i, j)), n)
