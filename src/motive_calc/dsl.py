@@ -23,6 +23,7 @@ expression, and is expanded to its canonical `TCorr` once, at the end.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -107,36 +108,26 @@ Node = Union[NamedAtom, Scale, Compose, Transpose, Sum]
 
 # -- tokenizer ---------------------------------------------------------------
 
-_PUNCT = "+-*/.(),"
+# one token per match, after its ASCII whitespace: a punctuation mark, a name, an integer,
+# or any other character, which is an error; trailing whitespace matches nothing
+_TOKEN = re.compile(r"\s*(?:([-+*/.(),])|([A-Za-z_]\w*)|(\d+)|(\S))", re.ASCII)
 
 
 def _tokenize(source: str) -> list[tuple[str, object, int]]:
+    """(kind, value, position) tokens of source, ASCII only; kind is "int", "name", the punctuation mark, or "end"."""
     tokens = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(source) and source[j].isdigit():
-                j += 1
-            tokens.append(("int", int(source[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        text = match[group]
+        pos = match.start(group)
+        if group == 1:
+            tokens.append((text, text, pos))
+        elif group == 2:
+            tokens.append(("name", text, pos))
+        elif group == 3:
+            tokens.append(("int", int(text), pos))
+        else:
+            raise ParseError(f"unexpected character {text!r}", pos)
     tokens.append(("end", None, len(source)))
     return tokens
 

@@ -16,13 +16,14 @@ place: one normalization per atom of the result.  The stored coefficients
 are `Fraction`s in lowest terms as before; `exact` states that contract.
 `bilinear` and `collect` are generic over the coefficient ring, so the
 divisor actions, whose coefficients are linear in d_a, feed the same loop
-directly.
+directly.  `tensor_vanishes` decides whether a sum of pure tensors of
+such integer vectors is zero without forming the tensors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .exact import fmt_rational
@@ -86,6 +87,54 @@ def bilinear(xs: Iterable[tuple], ys: Iterable[tuple], rule: Callable, level: in
                     yield atom, (c if k == 1 else c * k)
 
 
+def combination(scaled: Iterable[tuple]) -> tuple[Fraction, dict]:
+    """(q, r) with sum_i k_i x_i = q r, for pairs (k_i, x_i) of a nonzero rational and an integer vector."""
+    scaled = list(scaled)
+    d = lcm(*(k.denominator for k, _ in scaled))
+    out: dict = {}
+    for k, x in scaled:
+        m = k.numerator * (d // k.denominator)
+        collect(((atom, m * v) for atom, v in x.items()), out)
+    return Fraction(1, d), out
+
+
+def tensor_vanishes(groups: Iterable[tuple]) -> bool:
+    """Whether the sum over the groups (d, a, [(k_j, b_j)]) of (a / d) (x) sum_j k_j b_j is zero.
+
+    a and the b_j are integer vectors ({atom: int}), d a positive integer
+    and the k_j nonzero rationals.  The left factors are brought to an
+    echelon basis by fraction-free elimination on integer rows, each
+    reduced row divided by its content.  A left factor is q row; reducing
+    row against a basis row b with pivot value p at the pivot atom, where
+    row holds x, is
+        q row = (q / p) (p row - x b) + (q x / p) b,
+    so the right sum of the group is collected on b with weight q x / p.
+    A row left nonzero joins the basis with its right sum.  The basis rows
+    are independent, so the tensor is zero iff every collected right sum is.
+    """
+    basis: list = []  # (pivot atom, pivot value, row, [(weight, right sum)])
+    for d, row, rights in groups:
+        q, right = combination(rights)
+        if not right:
+            continue
+        q /= d
+        for pivot, p, b, collected in basis:
+            x = row.get(pivot)
+            if not x:
+                continue
+            collected.append((q * x / p, right))
+            reduced = {atom: p * v for atom, v in row.items()}
+            collect(((atom, -x * v) for atom, v in b.items()), reduced)
+            g = gcd(*reduced.values())
+            row, q = ({atom: v // g for atom, v in reduced.items()} if g > 1 else reduced), q * g / p
+            if not row:
+                break
+        if row:
+            pivot = next(iter(row))
+            basis.append((pivot, row[pivot], row, [(q, right)]))
+    return not any(combination(collected)[1] for _, _, _, collected in basis)
+
+
 class LinComb:
     """Finite combination of atoms with nonzero exact coefficients, at one level.
 
@@ -94,13 +143,14 @@ class LinComb:
     (prints one coefficient) and `cast` (normalizes an input coefficient).
     """
 
-    __slots__ = ("level", "terms")
+    __slots__ = ("level", "terms", "_hash")
     sort_key = None
     fmt = staticmethod(fmt_rational)
     cast = Fraction
 
     def __init__(self, level, terms: dict | None = None):
         self.level = level
+        self._hash = None
         self.terms: dict = {}
         if terms:
             cast = self.cast
@@ -115,6 +165,7 @@ class LinComb:
         obj = cls.__new__(cls)
         obj.level = level
         obj.terms = terms
+        obj._hash = None
         return obj
 
     @classmethod
@@ -150,8 +201,11 @@ class LinComb:
         return type(other) is type(self) and self.level == other.level and self.terms == other.terms
 
     def __hash__(self):
-        # the support alone: equal sums share it, and hashing no coefficient is much cheaper
-        return hash((self.level, frozenset(self.terms)))
+        # the support alone: equal sums share it, and hashing no coefficient is much cheaper;
+        # computed once, since a sum's terms are not changed after it is made
+        if self._hash is None:
+            self._hash = hash((self.level, frozenset(self.terms)))
+        return self._hash
 
     def render(self, limit: int | None = None) -> str:
         """The sum in print order; with a limit, only its first `limit` atoms and then "+ ..."."""
@@ -207,11 +261,13 @@ class Certificate:
     def equal(self, name: str, law: str, got: LinComb, want: LinComb) -> None:
         """Record whether the two sides of `law` are equal as sums.
 
-        A failed entry shows the residual got - want: its size and its first atoms.
+        A failed entry shows the residual got - want, as `residual` records it.
         """
-        ok = got == want
-        if ok:
-            self.record(name, law, ok)
-            return
-        residual = got - want
-        self.record(name, law, ok, f"got - want has {len(residual.terms)} atoms: {residual.render(RESIDUAL_ATOMS)}")
+        if got == want:
+            self.record(name, law, True)
+        else:
+            self.residual(name, law, got - want)
+
+    def residual(self, name: str, law: str, residual: LinComb) -> None:
+        """Record `law` as failed with its nonzero residual got - want: its size and its first atoms."""
+        self.record(name, law, False, f"got - want has {len(residual.terms)} atoms: {residual.render(RESIDUAL_ATOMS)}")

@@ -3,7 +3,8 @@
 It evaluates a threefold expression the way the program did before its
 values were kept factored: every named atom is expanded to a `TCorr` at
 once, products run atom pair by atom pair through `t_compose`, and
-transposes atom by atom.
+transposes atom by atom.  `expands_to_zero` decides a factored sum is zero
+the way the certificate did before its zero test: by expanding it.
 """
 
 from motive_calc.dsl import Compose, NamedAtom, Scale, Sum, Transpose, eval_expr
@@ -30,6 +31,11 @@ def t_transpose_atom(atom: TAtom) -> TAtom:
 
 def t_transpose(x: TCorr) -> TCorr:
     return linear_map(x, t_transpose_atom)
+
+
+def expands_to_zero(x: TensorExpr) -> bool:
+    """The expand-and-compare oracle of `TensorExpr.is_zero`."""
+    return x.expand().is_zero()
 
 
 def split_sym_alt(n: int) -> tuple[TCorr, TCorr]:

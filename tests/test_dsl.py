@@ -13,6 +13,7 @@ from motive_calc.dsl import (
     Sum,
     Transpose,
     UnknownAtomError,
+    _tokenize,
     eval_expr,
     evaluate,
     parse_expr,
@@ -53,6 +54,34 @@ def test_parse_error_position():
         parse_expr("pi0 pi1")
     with pytest.raises(ParseError):
         parse_expr("1/2 pi0")
+
+
+@pytest.mark.parametrize(
+    "source, char, position",
+    [
+        ("G(1,2,1) . \u00b2", "\u00b2", 11),  # superscript two
+        ("G(\u0661,2,1)", "\u0661", 2),  # Arabic-Indic one
+        ("pi\u00e9", "\u00e9", 2),  # a letter outside ASCII
+        ("pi0 .\u00a0pi1", "\u00a0", 5),  # a space outside ASCII
+        ("pi0 $ pi1", "$", 4),
+    ],
+)
+def test_tokenizer_accepts_ascii_only(source, char, position):
+    with pytest.raises(ParseError) as err:
+        parse_expr(source)
+    assert err.value.position == position
+    assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+
+def test_tokens_keep_their_kinds_and_positions():
+    assert _tokenize(" 12/3*\tpi_1 . t(G(0,0,-1)) \n") == [
+        ("int", 12, 1), ("/", "/", 3), ("int", 3, 4), ("*", "*", 5), ("name", "pi_1", 7),
+        (".", ".", 12), ("name", "t", 14), ("(", "(", 15), ("name", "G", 16), ("(", "(", 17),
+        ("int", 0, 18), (",", ",", 19), ("int", 0, 20), (",", ",", 21), ("-", "-", 22),
+        ("int", 1, 23), (")", ")", 24), (")", ")", 25), ("end", None, 28),
+    ]
+    # a digit run ends where letters begin: "2pi0" is an integer and a name
+    assert _tokenize("2pi0") == [("int", 2, 0), ("name", "pi0", 1), ("end", None, 4)]
 
 
 def test_round_trip_corpus():

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from motive_calc import groups, surface
+from motive_calc import groups, surface, threefold
 from motive_calc.groups import group_certificate
 from motive_calc.surface import surface_certificate
+from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
+
+from flat_threefold import expands_to_zero
 
 
 def _failed(entries):
@@ -111,3 +114,100 @@ def test_a_failed_entry_shows_its_residual_capped(monkeypatch):
     assert failed["got"] == f"got - want has {len(residual.terms)} atoms: {shown} + ..."
     # passing entries carry no detail, so their bytes are those of an unmutated run
     assert all("got" not in e for e in entries.values() if e["status"] == "pass")
+
+
+# -- the threefold certificate, under its zero test and under the expand-and-compare oracle
+
+@pytest.fixture(params=["zero test", "oracle"])
+def zero_test(request, monkeypatch):
+    """Run a test once with `TensorExpr.is_zero` and once with the oracle in its place."""
+    if request.param == "oracle":
+        monkeypatch.setattr(TensorExpr, "is_zero", expands_to_zero)
+    return request.param
+
+
+def test_threefold_certificate_passes_unmutated(zero_test):
+    assert _failed(threefold_certificate(4)) == []
+
+
+def test_threefold_certificate_fails_with_an_inversion_rule_doubled(zero_test, monkeypatch):
+    rule = surface.compose_atom_pair
+
+    def doubled_r1(x, y, level):
+        # Graph(f) o Graph(g) with f an inversion: R1 with its coefficient doubled
+        produced = rule(x, y, level)
+        if produced and x[0] == "G" and y[0] == "G" and not x[1].collapse and x[1].s == -1:
+            return [(atom, 2 * k) for atom, k in produced]
+        return produced
+
+    monkeypatch.setattr(surface, "compose_atom_pair", doubled_r1)
+    failed = _failed(threefold_certificate(4))
+    assert "kronecker:pi(1,1).pi(1,1)" in failed
+    assert "split:idempotent:alt(1,1)" in failed
+
+
+def _pi1_bumped(build):
+    def bumped(n):
+        bars = build(n)
+        bars["pi1"] = _bump_first(bars["pi1"])
+        return bars
+
+    return bumped
+
+
+def test_threefold_certificate_fails_with_a_factor_projector_coefficient_changed(zero_test, monkeypatch):
+    monkeypatch.setattr(threefold, "build_pi_bars", _pi1_bumped(threefold.build_pi_bars))
+    failed = _failed(threefold_certificate(4))
+    assert "kronecker:pi(1,1).pi(1,1)" in failed
+    assert "kronecker:pi(0,1).pi(0,1)" in failed
+
+
+def test_threefold_certificate_fails_with_the_swap_in_meet_flipped(zero_test, monkeypatch):
+    def flipped(swap_x, left_y, right_y, swap_y):
+        # a swapped x exchanges y's factors but keeps y's swap
+        return (right_y, left_y, swap_y) if swap_x else (left_y, right_y, swap_y)
+
+    monkeypatch.setattr(threefold, "_meet", flipped)
+    failed = _failed(threefold_certificate(4))
+    assert "swap:pi(0,1)" in failed
+    assert "split:a2_commutes" in failed
+
+
+def test_a_failed_threefold_entry_shows_its_residual_capped(zero_test, monkeypatch):
+    monkeypatch.setattr(threefold, "build_pi_bars", _pi1_bumped(threefold.build_pi_bars))
+    entries = {e["name"]: e for e in threefold_certificate(4)}
+    failed = entries["kronecker:pi(0,1).pi(0,1)"]
+    assert failed["status"] == "fail"
+    # the residual computed flat: every atom pair through the rule table
+    p01 = threefold.pair_projector_expr(4, 0, 1).expand()
+    residual = t_compose(p01, p01) - p01
+    assert len(residual.terms) > 8
+    assert failed["got"] == f"got - want has {len(residual.terms)} atoms: {residual.render(8)}"
+    assert failed["got"].endswith(" + ...")
+    assert all("got" not in e for e in entries.values() if e["status"] == "pass")
+
+
+# -- the structure identities
+
+def test_structure_identities_fail_with_the_tensor_product_lost(monkeypatch):
+    assert _failed(threefold.verify_structure_identities(4)) == []
+    monkeypatch.setattr(threefold, "t_compose", lambda after, before: TCorr.zero(after.level))
+    failed = _failed(threefold.verify_structure_identities(4))
+    assert "section_property" in failed
+    assert "retract_to_base" in failed
+
+
+def test_structure_identities_fail_with_the_collapse_rule_doubled(monkeypatch):
+    rule = threefold.compose_atom_pair
+
+    def doubled(x, y, level):
+        # Graph(mu0) o Graph(mu0): R1 on two collapses, with its coefficient doubled
+        produced = rule(x, y, level)
+        if produced and x[0] == y[0] == "G" and x[1].collapse and y[1].collapse:
+            return [(atom, 2 * k) for atom, k in produced]
+        return produced
+
+    monkeypatch.setattr(threefold, "compose_atom_pair", doubled)
+    failed = _failed(threefold.verify_structure_identities(4))
+    assert "section_property" in failed
+    assert "retract_to_base" in failed

@@ -130,6 +130,20 @@ def test_cli_eval_rejects_a_zero_denominator(capsys):
     assert "zero denominator (at position 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # a superscript two is a digit to str.isdigit but no int() literal
+        ("G(1,2,1) . \u00b2", "unexpected character '\u00b2' (at position 11)"),
+        # an Arabic-Indic one is a digit that int() reads as 1
+        ("G(\u0661,2,1)", "unexpected character '\u0661' (at position 2)"),
+    ],
+)
+def test_cli_eval_rejects_non_ascii_digits_with_their_position(source, message, capsys):
+    assert main(["eval", "--level", "3", source]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_eval_max_level_guard(capsys):
     assert main(["eval", "--level", "40", "pi1 . pi1"]) == 2
     assert "exceeds the configured maximum 12" in capsys.readouterr().err

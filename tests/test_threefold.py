@@ -324,7 +324,7 @@ def test_estimate_n_level_three_value():
 def test_residual_identity_fails_when_the_action_is_lost(monkeypatch):
     import motive_calc.threefold as threefold
 
-    def no_action(x, z):
+    def no_action(x, z, **_memo):
         return ThreefoldDivClass(z.level)
 
     monkeypatch.setattr(threefold, "act_on_threefold_divisor", no_action)
@@ -468,3 +468,19 @@ def test_certificate_products_do_not_outlive_the_call(monkeypatch):
 def test_threefold_certificate_passes_at_higher_levels(n):
     failed = [e["name"] for e in threefold_certificate(n) if e["status"] != "pass"]
     assert failed == []
+
+
+def test_a_passing_certificate_expands_only_the_restriction_rows(monkeypatch):
+    # the nine pair projectors and the two b(j) terms, restricted atom by atom
+    expand = TensorExpr.expand
+    calls = []
+
+    def counted(self):
+        calls.append(len(self.parts))
+        return expand(self)
+
+    monkeypatch.setattr(TensorExpr, "expand", counted)
+    failed = [e["name"] for e in threefold_certificate(4) if e["status"] != "pass"]
+    assert failed == []
+    assert len(calls) == 11
+    assert calls == [1] * 11
