@@ -53,26 +53,24 @@ from .threefold import (
 )
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class UnknownAtomError(ValueError):
-    """A name the mode does not know; the parser gives the position of its token."""
+class _PositionedError(ValueError):
+    """An error in a query, at the position of its token when the parser finds it."""
 
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 
-class EvalError(ValueError):
-    """A name with the wrong arguments, or arguments out of range; the parser gives the position of its token."""
+class ParseError(_PositionedError):
+    """Source text that is not an expression."""
 
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message if position is None else f"{message} (at position {position})")
-        self.position = position
+
+class UnknownAtomError(_PositionedError):
+    """A name the mode does not know."""
+
+
+class EvalError(_PositionedError):
+    """A name with the wrong arguments, or arguments out of range."""
 
 
 @dataclass(frozen=True)
@@ -247,44 +245,6 @@ def parse_expr(source: str, mode: str = "surface") -> Node:
     if mode not in ("surface", "threefold"):
         raise ValueError("mode must be 'surface' or 'threefold'")
     return _Parser(source, mode).parse()
-
-
-# -- printer -----------------------------------------------------------------
-
-def print_expr(node: Node) -> str:
-    if isinstance(node, NamedAtom):
-        if not node.args:
-            return node.name
-        rendered = ",".join(str(a) if isinstance(a, int) else print_expr(a) for a in node.args)
-        return f"{node.name}({rendered})"
-    if isinstance(node, Transpose):
-        return f"t({print_expr(node.node)})"
-    if isinstance(node, Compose):
-        # composition parses left-associated, so a right-nested chain
-        # must keep its parentheses
-        right = node.right
-        right_text = f"({print_expr(right)})" if isinstance(right, Compose) else _wrap(right)
-        return f"{_wrap(node.left)} . {right_text}"
-    if isinstance(node, Scale):
-        num = node.coeff
-        text = str(num.numerator) if num.denominator == 1 else f"{num.numerator}/{num.denominator}"
-        return f"{text} * {_wrap(node.node)}"
-    if isinstance(node, Sum):
-        out = []
-        for i, (sign, part) in enumerate(node.parts):
-            rendered = _wrap(part) if isinstance(part, Sum) else print_expr(part)
-            if i == 0:
-                out.append(rendered if sign == 1 else f"-{rendered}")
-            else:
-                out.append(f"{'+' if sign == 1 else '-'} {rendered}")
-        return " ".join(out)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _wrap(node: Node) -> str:
-    if isinstance(node, (Sum, Scale)):
-        return f"({print_expr(node)})"
-    return print_expr(node)
 
 
 # -- evaluator ---------------------------------------------------------------

@@ -234,9 +234,6 @@ class BettiTable:
     which: str
     b: tuple  # Count per degree 0..2d
 
-    def dimension(self) -> int:
-        return (len(self.b) - 1) // 2
-
     def euler(self) -> Count:
         total = Count(0)
         for i, bi in enumerate(self.b):

@@ -17,7 +17,9 @@ are `Fraction`s in lowest terms as before; `exact` states that contract.
 `bilinear` and `collect` are generic over the coefficient ring, so the
 divisor actions, whose coefficients are linear in d_a, feed the same loop
 directly.  `tensor_vanishes` decides whether a sum of pure tensors of
-such integer vectors is zero without forming the tensors.
+such integer vectors is zero without forming the tensors; a quotient,
+such as the dropped V (x) V of the threefold atoms, is the caller's one
+extra part.
 """
 
 from __future__ import annotations

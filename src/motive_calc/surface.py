@@ -44,13 +44,6 @@ def graph(f: SurfEnd) -> Atom:
     return ("G", f)
 
 
-def tgraph(f: SurfEnd) -> Atom:
-    """Transposed graph; for automorphisms this is the graph of the inverse."""
-    if f.is_automorphism():
-        return ("G", f.inv())
-    return ("T", f)
-
-
 VERT: Atom = ("V",)
 
 
@@ -580,10 +573,11 @@ def surface_certificate(n: int) -> list[dict]:
     """Every composition/orthogonality/action identity for the surface projectors."""
     _check_level(n)
     bars = build_pi_bars(n)
-    c_count = cusp_count(n)
+    cusps = [build_pi_cusp(n, c) for c in range(cusp_count(n))]
     named: list[tuple[str, SurfCorr]] = [(k, bars[k]) for k in ("pi0", "pi1", "pi2")]
-    named += [(f"piC({c})", build_pi_cusp(n, c)) for c in range(c_count)]
-    pi_inf = build_pi_inf(n)
+    named += [(f"piC({c})", pc) for c, pc in enumerate(cusps)]
+    pi_f = build_pi_f(n)
+    pi_inf = delta(n) - pi_f
 
     cert = Certificate()
     check = cert.equal
@@ -599,8 +593,7 @@ def surface_certificate(n: int) -> list[dict]:
     # transpose symmetry
     check("transpose:pi0", "t(pi0) = pi2", transpose(bars["pi0"]), bars["pi2"])
     check("transpose:pi1", "t(pi1) = pi1", transpose(bars["pi1"]), bars["pi1"])
-    for c in range(c_count):
-        pc = build_pi_cusp(n, c)
+    for c, pc in enumerate(cusps):
         check(f"transpose:piC({c})", f"t(piC({c})) = piC({c})", transpose(pc), pc)
 
     # residual projector
@@ -619,8 +612,7 @@ def surface_certificate(n: int) -> list[dict]:
             compose(pa, pi_inf),
             SurfCorr.zero(n),
         )
-    for c in range(c_count):
-        pc = build_pi_cusp(n, c)
+    for c, pc in enumerate(cusps):
         check(
             f"residual:piInf.piC({c})",
             f"piInf . piC({c}) = piC({c})",
@@ -689,7 +681,7 @@ def surface_certificate(n: int) -> list[dict]:
                 act_on_divisor(pa, z),
                 DivClass(n),
             )
-    pc0 = build_pi_cusp(n, 0)
+    pc0 = cusps[0]
     for m in range(1, n):
         z = DivClass.of(n, theta_key(0, m))
         check(
@@ -709,7 +701,7 @@ def surface_certificate(n: int) -> list[dict]:
     # the residual acts on cusp components exactly as the cusp projectors do
     for m in range(n):
         z = DivClass.of(n, theta_key(0, m))
-        lhs = z - act_on_divisor(build_pi_f(n), z)
+        lhs = z - act_on_divisor(pi_f, z)
         rhs = act_on_divisor(pc0, z)
         check(
             f"residual_action:theta(0;{m})",

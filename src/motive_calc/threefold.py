@@ -13,12 +13,13 @@ of pure tensors, each factor an honest surface correspondence.  An
 equality is decided on that form too: `TensorExpr.is_zero` tests the
 difference of the two sides by exact elimination on the factors (see its
 docstring), and only a failed certificate entry expands its residual to
-atoms.  The restriction rows expand the pair projectors, because their
-law is about the factoring.  Divisor actions are also computed on the
-factored form: a pure tensor acts as the tensor product of its two
-factors' slot actions.  Within one certificate each distinct surface
-product and each slot image is computed once.  This is what keeps the
-full certificate cheap at higher levels.
+atoms.  The restriction rows expand each pair projector and restrict it
+once, because their law is about the factoring; the parity rows reuse
+those restrictions.  Divisor actions are also computed on the factored
+form: a pure tensor acts as the tensor product of its two factors' slot
+actions.  Within one certificate the projectors share their factors, and
+each distinct surface product and each slot image is computed once.
+This is what keeps the full certificate cheap at higher levels.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .sums import (
     LinComb,
     bilinear,
     collect,
-    combination,
     integral,
     linear_map,
     product,
@@ -142,10 +142,8 @@ def _tensor_rule(swap: bool):
 
 # -- factored representation -----------------------------------------------------
 
-def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict | None) -> SurfCorr:
-    """compose(a, b), looked up in memo first and stored there when memo is given."""
-    if memo is None:
-        return compose(a, b)
+def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict) -> SurfCorr:
+    """compose(a, b), looked up in memo first and stored there."""
     key = (a, b)
     got = memo.get(key)
     if got is None:
@@ -153,20 +151,8 @@ def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict | None) -> SurfCorr:
     return got
 
 
-class _VSplit(NamedTuple):
-    """A tensor factor as A' + vV, with A' = rest / d free of V, rest on integer numerators."""
-
-    v: Fraction | int
-    d: int
-    rest: dict
-    cusp: bool  # whether A' holds a cusp product
-
-    @staticmethod
-    def of(factor: SurfCorr) -> "_VSplit":
-        terms = dict(factor.terms)
-        v = terms.pop(VERT, 0)
-        d, rest = integral(terms)
-        return _VSplit(v, d, dict(rest), any(atom[0] == "C" for atom in terms))
+def _has_cusp(factor: SurfCorr) -> bool:
+    return any(atom[0] == "C" for atom in factor.terms)
 
 
 @dataclass
@@ -177,11 +163,10 @@ class TensorExpr:
     parts: list[tuple[Fraction, SurfCorr, SurfCorr, bool]] = field(default_factory=list)
 
     @staticmethod
-    def pure(a: SurfCorr, b: SurfCorr, swap: bool = False, coeff=1) -> "TensorExpr":
-        for factor in (a, b):
-            if any(atom[0] == "C" for atom in factor.terms):
-                raise ValueError("cusp products are not tensor factors")
-        return TensorExpr(a.level, [(Fraction(coeff), a, b, swap)])
+    def pure(a: SurfCorr, b: SurfCorr, swap: bool = False) -> "TensorExpr":
+        if _has_cusp(a) or _has_cusp(b):
+            raise ValueError("cusp products are not tensor factors")
+        return TensorExpr(a.level, [(Fraction(1), a, b, swap)])
 
     @property
     def terms(self) -> dict:
@@ -200,6 +185,8 @@ class TensorExpr:
 
     def compose(self, other: "TensorExpr", memo: dict | None = None) -> "TensorExpr":
         """self after other; memo, when given, keeps every surface product for later calls."""
+        if memo is None:
+            memo = {}
         parts = []
         for c1, a1, b1, e1 in self.parts:
             for c2, a2, b2, e2 in other.parts:
@@ -220,35 +207,36 @@ class TensorExpr:
     def is_zero(self) -> bool:
         """Whether the atom sum is zero, decided on the factors without expanding.
 
-        Each factor is A' + aV with A' free of V.  Since V (x) V is dropped,
-        (A' + aV) (x) (B' + bV) = A' (x) B' + a V (x) B' + b A' (x) V, and the
-        three pieces, like parts of different swaps, lie in disjoint atom
-        sets.  So the sum is zero iff, per swap, the two sums of V pieces
-        vanish and sum_i c_i A'_i (x) B'_i does, which `tensor_vanishes`
-        decides.  A cusp product in a factor raises as `t_atom` does.
+        Parts of different swaps have disjoint atoms, so each swap is decided
+        alone.  Per swap, the atom sum of T = sum_i c_i A_i (x) B_i drops only
+        V (x) V, whose coefficient in T is k = sum_i c_i a_i b_i (a_i, b_i the
+        V coefficients of A_i, B_i); so it is zero iff T - k V (x) V is, which
+        `tensor_vanishes` decides.  A cusp product in a factor raises as
+        `t_atom` does, when the other factor of its part is nonzero.
         """
-        pieces: dict = {}  # (swap, V slot) -> [(scale, B' or A')]: the V (x) B' and A' (x) V pieces
-        tensors: dict = {}  # swap -> {id(A): (d, A' numerators, [(scale, B')])}: the A' (x) B' pieces by left factor
-        splits: dict = {}  # id(factor) -> its _VSplit; the factors stay alive in self.terms
+        tensors: dict = {}  # swap -> {id(A), or V for -k V (x) V: (d, A numerators, [(scale, B numerators)])}
+        vv: dict = {}  # swap -> k, the coefficient of V (x) V in T
+        ints: dict = {}  # id(factor) -> (d, numerators, V coefficient); the factors stay alive in self.terms
 
-        def split(factor: SurfCorr) -> _VSplit:
-            got = splits.get(id(factor))
+        def integers(factor: SurfCorr) -> tuple:
+            got = ints.get(id(factor))
             if got is None:
-                got = splits[id(factor)] = _VSplit.of(factor)
+                if _has_cusp(factor):
+                    raise ValueError("cusp products are not tensor factors")
+                d, xs = integral(factor.terms)
+                got = ints[id(factor)] = (d, dict(xs), factor.terms.get(VERT, 0))
             return got
 
         for (a, b, e), c in self.terms.items():
-            sa, sb = split(a), split(b)
-            if (sa.cusp and (sb.rest or sb.v)) or (sb.cusp and (sa.rest or sa.v)):
-                raise ValueError("cusp products are not tensor factors")
-            if sa.v and sb.rest:
-                pieces.setdefault((e, 0), []).append((c * sa.v / sb.d, sb.rest))
-            if sb.v and sa.rest:
-                pieces.setdefault((e, 1), []).append((c * sb.v / sa.d, sa.rest))
-            if sa.rest and sb.rest:
-                tensors.setdefault(e, {}).setdefault(id(a), (sa.d, sa.rest, []))[2].append((Fraction(c, sb.d), sb.rest))
-        if any(combination(scaled)[1] for scaled in pieces.values()):
-            return False
+            if not (a.terms and b.terms):
+                continue  # a zero factor: the part expands to nothing
+            (da, xs, va), (db, ys, vb) = integers(a), integers(b)
+            tensors.setdefault(e, {}).setdefault(id(a), (da, xs, []))[2].append((Fraction(c, db), ys))
+            if va and vb:
+                vv[e] = vv.get(e, 0) + c * va * vb
+        for e, k in vv.items():
+            if k:
+                tensors[e][VERT] = (1, {VERT: 1}, [(-k, {VERT: 1})])
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
     def expand(self) -> TCorr:
@@ -372,18 +360,17 @@ def _factor_terms(factor) -> Iterable[tuple]:
     return factor.terms.items() if isinstance(factor, SurfCorr) else ((factor, 1),)
 
 
-def _slot_image(factor, idx: int, slot, level: int, memo: dict | None) -> dict:
+def _slot_image(factor, idx: int, slot, level: int, memo: dict) -> dict:
     """{index: coeff}: the components a factor sends component idx of its slot to.
 
-    memo, when given, keeps every image for later calls.  It is keyed by
-    the factor's id and holds the factor too, so that the id is not reused.
+    memo keeps every image for later calls.  It is keyed by the factor's
+    id and holds the factor too, so that the id is not reused.
     """
-    if memo is None:
-        return collect((i, c) for atom, c in _factor_terms(factor) for i in slot(atom, idx, level))
     key = (id(factor), idx, slot)
     got = memo.get(key)
     if got is None:
-        got = memo[key] = (factor, _slot_image(factor, idx, slot, level, None))
+        image = collect((i, c) for atom, c in _factor_terms(factor) for i in slot(atom, idx, level))
+        got = memo[key] = (factor, image)
     return got[1]
 
 
@@ -400,6 +387,8 @@ def act_on_threefold_divisor(
     """
     z.check_level(x)
     level = z.level
+    if slot_images is None:
+        slot_images = {}
 
     def images():
         for (left, right, swap), c in x.terms.items():
@@ -457,14 +446,10 @@ def tensor_open(a: OpenCorr, b: OpenCorr, swap: bool = False) -> OpenTCorr:
     return product(a, b, _tensor_rule(swap), OpenTCorr)
 
 
-def _open_t_pair(x: OpenTAtom, y: OpenTAtom, _level: int) -> tuple:
-    lx, rx, ex = x
-    fy, gy, swap = _meet(ex, *y)
-    return (((compose_open_atoms(lx, fy), compose_open_atoms(rx, gy), swap), 1),)
-
-
-def compose_open_t(after: OpenTCorr, before: OpenTCorr) -> OpenTCorr:
-    return product(after, before, _open_t_pair)
+def invert_open_t(x: OpenTCorr) -> OpenTCorr:
+    """inversion . x, with inversion = Graph(-1) (x) Graph(-1): one pure tensor, so it acts factor by factor."""
+    inv = open_graph(aff_end(x.level, -1))
+    return linear_map(x, lambda atom: (compose_open_atoms(inv, atom[0]), compose_open_atoms(inv, atom[1]), atom[2]))
 
 
 # -- two-object composition system ------------------------------------------
@@ -683,10 +668,12 @@ def threefold_certificate(n: int) -> list[dict]:
         else:
             cert.residual(name, law, residual.expand())
 
+    # one set of factors for every pair projector, built as `pair_projector_expr` builds it
+    bars = build_pi_bars(n)
     exprs: dict[str, TensorExpr] = {}
     for i1 in range(3):
         for i2 in range(3):
-            exprs[f"pi({i1},{i2})"] = pair_projector_expr(n, i1, i2)
+            exprs[f"pi({i1},{i2})"] = TensorExpr.pure(bars[f"pi{i1}"], bars[f"pi{i2}"])
     alt_expr, sym_expr = split_sym_alt_exprs(n, products)
     exprs["alt(1,1)"] = alt_expr
     exprs["sym(1,1)"] = sym_expr
@@ -750,16 +737,14 @@ def threefold_certificate(n: int) -> list[dict]:
 
     # restriction to the open part factors through the surface restrictions: that law
     # is about factoring, so its left side is the expanded projector, restricted atom by atom
-    expanded = {name: exprs[name].expand() for name in pair_names}
-    # restriction to the open part factors through the surface restrictions
-    bars = build_pi_bars(n)
+    opened = {name: restrict_to_open_t(exprs[name].expand()) for name in pair_names}
     open_bars = {i: restrict_to_open(bars[f"pi{i}"]) for i in range(3)}
     for i1 in range(3):
         for i2 in range(3):
             cert.equal(
                 f"restriction:pi({i1},{i2})",
                 f"open(pi({i1},{i2})) = open(pi{i1}) (x) open(pi{i2})",
-                restrict_to_open_t(expanded[f"pi({i1},{i2})"]),
+                opened[f"pi({i1},{i2})"],
                 tensor_open(open_bars[i1], open_bars[i2]),
             )
     for j in (1, 2):
@@ -770,17 +755,16 @@ def threefold_certificate(n: int) -> list[dict]:
             OpenTCorr(n),
         )
     # parity grading of the restricted projectors under both inversions
-    inversion = OpenTCorr(n, {(open_graph(aff_end(n, -1)), open_graph(aff_end(n, -1)), False): Fraction(1)})
     for i in range(5):
         graded = OpenTCorr(n)
         for i1 in range(3):
             for i2 in range(3):
                 if i1 + i2 == i:
-                    graded = graded + restrict_to_open_t(expanded[f"pi({i1},{i2})"])
+                    graded = graded + opened[f"pi({i1},{i2})"]
         cert.equal(
             f"restriction:parity:{i}",
             f"inversion . (sum of open pi with i1+i2={i}) = (-1)^{i} (same)",
-            compose_open_t(inversion, graded),
+            invert_open_t(graded),
             graded.scale((-1) ** i),
         )
 

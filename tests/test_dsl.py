@@ -17,11 +17,11 @@ from motive_calc.dsl import (
     eval_expr,
     evaluate,
     parse_expr,
-    print_expr,
 )
 from motive_calc.surface import SurfCorr, VERT, build_pi_bars, delta
 
 from flat_threefold import flat_eval
+from support import print_expr
 
 
 def test_parse_compose():

@@ -44,10 +44,8 @@ from motive_calc.surface import (
 from motive_calc.threefold import (
     TCorr,
     TensorExpr,
-    _open_t_pair,
     _tensor_rule,
     b_term_expr,
-    compose_open_t,
     compose_t_atom_pair,
     pair_projector_expr,
     sigma_expr,
@@ -57,7 +55,7 @@ from motive_calc.threefold import (
     tensor_open,
 )
 
-from support import _open_pair, compose_open, enumerate_surf, group_product
+from support import _open_pair, _open_t_pair, compose_open, compose_open_t, enumerate_surf, group_product
 
 LEVELS = st.integers(3, 5)
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from motive_calc import groups, surface, threefold
+from motive_calc.endos import aff_end
 from motive_calc.groups import group_certificate
-from motive_calc.surface import surface_certificate
+from motive_calc.surface import aff_of, open_graph, surface_certificate
 from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
 
 from flat_threefold import expands_to_zero
@@ -185,6 +186,50 @@ def test_a_failed_threefold_entry_shows_its_residual_capped(zero_test, monkeypat
     assert failed["got"] == f"got - want has {len(residual.terms)} atoms: {residual.render(8)}"
     assert failed["got"].endswith(" + ...")
     assert all("got" not in e for e in entries.values() if e["status"] == "pass")
+
+
+# -- the restriction rows: each entry fails under at least one fault of the open part, at N = 4
+
+_restrict = threefold.restrict_atom
+_compose_open = threefold.compose_open_atoms
+
+
+def _is_inversion(atom) -> bool:
+    return atom[0] == "G" and not atom[1].collapse and atom[1].s == -1
+
+
+RESTRICTION_FAULTS = {
+    "V restricted to a graph": ("restrict_atom", lambda atom: (
+        open_graph(aff_end(4, 1)) if atom[0] == "V" else _restrict(atom))),
+    "tGraph restricted as a graph": ("restrict_atom", lambda atom: (
+        open_graph(aff_of(atom[1])) if atom[0] == "T" else _restrict(atom))),
+    "inversion graphs lost": ("restrict_atom", lambda atom: (
+        None if _is_inversion(atom) else _restrict(atom))),
+    "inversion ignored on graphs": ("compose_open_atoms", lambda x, y: (
+        y if y[0] == "g" else _compose_open(x, y))),
+}
+
+RESTRICTION_FAILURES = {
+    "V restricted to a graph": [f"restriction:pi({i1},{i2})" for i1 in range(3) for i2 in range(3) if (i1, i2) != (1, 1)]
+    + ["restriction:b(1)", "restriction:b(2)"] + [f"restriction:parity:{i}" for i in range(5)],
+    "tGraph restricted as a graph": [f"restriction:pi({i1},{i2})" for i1, i2 in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0))],
+    "inversion graphs lost": [f"restriction:pi({i1},{i2})" for i1, i2 in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))]
+    + [f"restriction:parity:{i}" for i in (1, 2, 3)],
+    "inversion ignored on graphs": ["restriction:parity:1", "restriction:parity:3"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RESTRICTION_FAULTS))
+def test_threefold_restriction_rows_fail_under_an_open_part_fault(fault, monkeypatch):
+    name, patched = RESTRICTION_FAULTS[fault]
+    monkeypatch.setattr(threefold, name, patched)
+    assert _failed(threefold_certificate(4)) == RESTRICTION_FAILURES[fault]
+
+
+def test_every_threefold_restriction_entry_fails_under_some_fault():
+    names = {e["name"] for e in threefold_certificate(4) if e["name"].startswith("restriction:")}
+    assert len(names) == 16
+    assert names == set().union(*RESTRICTION_FAILURES.values())
 
 
 # -- the structure identities

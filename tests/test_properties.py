@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motive_calc.dsl import parse_expr, print_expr
+from motive_calc.dsl import parse_expr
 from motive_calc.levels import cusp_count
 from motive_calc.surface import (
     SurfCorr,
@@ -17,7 +17,7 @@ from motive_calc.surface import (
     transpose,
 )
 
-from support import enumerate_surf
+from support import enumerate_surf, print_expr
 
 
 def _random_corr(n, rng, size=4):

@@ -33,11 +33,10 @@ from motive_calc.surface import (
     sec_key,
     surface_certificate,
     theta_key,
-    tgraph,
     transpose,
 )
 
-from support import compose_open, enumerate_surf
+from support import compose_open, enumerate_surf, tgraph
 
 
 def all_atoms(n):

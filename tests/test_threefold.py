@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motive_calc import sums, surface
-from motive_calc.endos import mu0, surf_end, surf_identity
+from motive_calc import sums, surface, threefold
+from motive_calc.endos import aff_end, mu0, surf_end, surf_identity
 from motive_calc.surface import (
     GENERIC_FIBER,
     VERT,
@@ -17,6 +17,8 @@ from motive_calc.surface import (
     component_slot,
     delta,
     keeps_fiber,
+    open_graph,
+    open_tgraph,
     restrict_to_open,
     theta_key,
 )
@@ -32,6 +34,7 @@ from motive_calc.threefold import (
     cusp_incidence,
     estimate_n,
     euler_fiber,
+    invert_open_t,
     model_full_fiber,
     pair_projector_expr,
     restrict_to_open_t,
@@ -47,7 +50,7 @@ from motive_calc.threefold import (
 )
 
 from flat_threefold import split_sym_alt, t_transpose
-from support import enumerate_surf
+from support import compose_open_t, enumerate_surf
 
 
 def t_delta(n):
@@ -168,6 +171,32 @@ def test_restriction_factorizes(n=3):
             assert lhs == rhs
     assert restrict_to_open_t(b_term_expr(n, 1).expand()) == OpenTCorr(n)
     assert restrict_to_open_t(b_term_expr(n, 2).expand()) == OpenTCorr(n)
+
+
+_OPENED = {}  # level -> the restricted pair projectors
+
+
+def _opened_pair_projectors(n):
+    if n not in _OPENED:
+        _OPENED[n] = [restrict_to_open_t(x) for x in pair_projectors(n).values()]
+    return _OPENED[n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_the_parity_map_is_the_product_with_the_inversion(n, data):
+    # random open tensor sums: affine graphs and transposed graphs of any multiplier, and restricted projectors
+    affine = st.builds(lambda k, b1, b2: aff_end(n, k, b1, b2), st.sampled_from([1, -1, 0, 2, n]),
+                       st.integers(0, n - 1), st.integers(0, n - 1))
+    atom = st.one_of(st.builds(open_graph, affine), st.builds(open_tgraph, affine))
+    coeff = st.sampled_from([Fraction(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 3)])
+    x = OpenTCorr(n, data.draw(st.dictionaries(st.tuples(atom, atom, st.booleans()), coeff, max_size=8)))
+    for projector in data.draw(st.lists(st.sampled_from(_opened_pair_projectors(n)), max_size=2)):
+        x = x + projector.scale(data.draw(coeff))
+    inversion = open_graph(aff_end(n, -1))
+    got = invert_open_t(x)
+    assert got == compose_open_t(OpenTCorr.of(n, (inversion, inversion, False)), x)
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_action_rows(n=3):
@@ -484,3 +513,24 @@ def test_a_passing_certificate_expands_only_the_restriction_rows(monkeypatch):
     assert failed == []
     assert len(calls) == 11
     assert calls == [1] * 11
+
+
+def test_a_passing_certificate_builds_its_factors_once_and_restricts_each_projector_once(monkeypatch):
+    # one build_pi_bars for the certificate and one inside split_sym_alt_exprs;
+    # the nine pair projectors and the two b(j) terms are restricted once each
+    calls = {"build_pi_bars": 0, "restrict_to_open_t": 0}
+
+    def counted(name):
+        original = getattr(threefold, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(threefold, name, counted(name))
+    failed = [e["name"] for e in threefold_certificate(4) if e["status"] != "pass"]
+    assert failed == []
+    assert calls == {"build_pi_bars": 2, "restrict_to_open_t": 11}

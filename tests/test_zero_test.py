@@ -216,6 +216,53 @@ def test_swaps_and_v_pieces_are_independent(n=3):
         assert not y.is_zero() and not expands_to_zero(y)
 
 
+def test_a_sum_nonzero_only_in_v_tensor_v_reads_zero(n=3):
+    v = SurfCorr.of(n, VERT)
+    g, h = (SurfCorr.of(n, atom) for atom in _atoms(n)[:2])
+    # (g + 2V) (x) (h + 3V) - g (x) h - 2 V (x) h - 3 g (x) V = 6 V (x) V, which expands to nothing
+    x = TensorExpr(n, [
+        (Fraction(1), g + v.scale(2), h + v.scale(3), False),
+        (Fraction(-1), g, h, False),
+        (Fraction(-2), v, h, False),
+        (Fraction(-3), g, v, False),
+    ])
+    assert x.is_zero() and expands_to_zero(x)
+    # likewise under the swap, with the V (x) V coefficient cancelled in part by a pure V (x) V part
+    y = TensorExpr(n, [(c, a, b, True) for c, a, b, _ in x.parts] + [(Fraction(-4), v, v, True)])
+    assert y.is_zero() and expands_to_zero(y)
+    # with one of the other parts left out it is not zero
+    z = TensorExpr(n, x.parts[:3])
+    assert not z.is_zero() and not expands_to_zero(z)
+
+
+def test_a_v_part_cancels_only_against_the_v_part_of_a_mixed_factor(n=3):
+    v = SurfCorr.of(n, VERT)
+    g, h, k = (SurfCorr.of(n, atom) for atom in _atoms(n)[:3])
+    # (g + V) (x) h = g (x) h + V (x) h
+    x = TensorExpr(n, [(Fraction(1), g + v, h, False), (Fraction(-1), g, h, False), (Fraction(-1), v, h, False)])
+    assert x.is_zero() and expands_to_zero(x)
+    # V (x) h does not cancel against the V part of a factor paired with another right factor,
+    y = TensorExpr(n, [(Fraction(1), g + v, k, False), (Fraction(-1), g, h, False), (Fraction(-1), v, h, False)])
+    assert not y.is_zero() and not expands_to_zero(y)
+    # nor against a mixed factor without its V-free part taken away
+    y = TensorExpr(n, [(Fraction(1), g + v, h, False), (Fraction(-1), v, h, False)])
+    assert not y.is_zero() and not expands_to_zero(y)
+
+
+def test_a_cusp_factor_paired_with_a_zero_factor_does_not_raise(n=3):
+    cusp = SurfCorr(n, {cusp_prod(0, 1, 1): 1, VERT: 2})
+    for parts in ([(Fraction(1), cusp, SurfCorr(n), False)], [(Fraction(2), SurfCorr(n), cusp, True)]):
+        x = TensorExpr(n, parts)
+        assert x.is_zero() and expands_to_zero(x)
+        y = x + TensorExpr.pure(delta(n), delta(n))
+        assert not y.is_zero() and not expands_to_zero(y)
+    # paired with V, which is nonzero, it raises on both routes
+    x = TensorExpr(n, [(Fraction(1), cusp, SurfCorr.of(n, VERT), False)])
+    for test in (TensorExpr.is_zero, expands_to_zero):
+        with pytest.raises(ValueError, match="cusp products are not tensor factors"):
+            test(x)
+
+
 @pytest.mark.parametrize("n", LEVELS)
 def test_named_projector_laws_vanish_on_both_routes(n):
     memo: dict = {}
