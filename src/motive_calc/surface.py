@@ -12,10 +12,13 @@ with (Y . Z) the N-gon intersection pairing.  The derivations are noted
 rule by rule below, and the whole table is cross-checked by the
 associativity and action-coherence test suites.
 
-`compose` does not send every atom pair through the table.  A graph,
-tGraph or V atom acts on a component product only through a key
-(`after_key`, `before_key`), so the atoms that share a key are summed
-first and one representative per key meets the component products.
+`compose` does not send every atom pair through the table.  Two
+automorphism graphs meet through `aut_table`, the rule tabulated once per
+level on the indices of their group elements, so such a pair is an
+integer lookup.  A graph, tGraph or V atom acts on a component product
+only through a key (`after_key`, `before_key`), so the atoms that share a
+key are summed first and one representative per key meets the component
+products.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import chain
 
 from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
 from .exact import LinearCoeff, RatMatrix, mat_inverse, mat_rank
-from .groups import epsilon_projector, lambda_theta
+from .groups import enumerate_g, epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
 from .sums import Certificate, LinComb, bilinear, collect, integral, linear_map, rationalize
 
@@ -238,16 +241,78 @@ def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | 
     return None  # R14 (CP o V)
 
 
-def _split_by_cusp(terms: list) -> tuple[list, dict]:
-    """Separate component-product atoms per cusp; they only meet their own cusp."""
+def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
+    """(automorphism graph terms, other graph/tGraph/V terms, component product terms per cusp).
+
+    auts is `aut_index`: its graphs meet each other through `aut_table`.
+    Component products only meet their own cusp.
+    """
+    aut: list = []
     other: list = []
     by_cusp: dict[int, list] = {}
-    for atom, c in terms:
+    for term in terms:
+        atom = term[0]
         if atom[0] == "C":
-            by_cusp.setdefault(atom[1], []).append((atom, c))
+            by_cusp.setdefault(atom[1], []).append(term)
+        elif atom in auts:
+            aut.append(term)
         else:
-            other.append((atom, c))
-    return other, by_cusp
+            other.append(term)
+    return aut, other, by_cusp
+
+
+@lru_cache(maxsize=None)
+def aut_index(level: int) -> dict[Atom, int]:
+    """The 2N^2 automorphism graphs numbered in `enumerate_g` order, as their group elements in `g_table`."""
+    return {graph(surf_end(level, g.b1, g.b2, g.s)): i for i, g in enumerate(enumerate_g(level))}
+
+
+@lru_cache(maxsize=None)
+def aut_table(level: int, rule) -> tuple[list[Atom], list[list[tuple]]]:
+    """`rule` on every pair of automorphism graphs, tabulated on ids: (atoms, rows).
+
+    rows[i][j] is what rule(atoms[i], atoms[j], level) returned, written as
+    (atom id, multiplier) pairs; ids 0..2N^2-1 are those of `aut_index`,
+    and an atom the rule produces outside them gets an id after them.
+    Equal entries are one shared tuple.  The table is built from the rule
+    it is given, not from the product rows of `g_table`, so a patched rule
+    gets its own table.
+    """
+    index = dict(aut_index(level))
+    atoms = list(index)
+    shared: dict = {}
+
+    def entry(x: Atom, y: Atom) -> tuple:
+        ids = []
+        for atom, k in rule(x, y, level) or ():
+            i = index.get(atom)
+            if i is None:
+                i = index[atom] = len(atoms)
+                atoms.append(atom)
+            ids.append((i, k))
+        ids = tuple(ids)
+        return shared.setdefault(ids, ids)
+
+    auts = atoms[:]
+    return atoms, [[entry(x, y) for y in auts] for x in auts]
+
+
+def _aut_product(xs: list, ys: list, index: dict, table: tuple) -> list:
+    """The summed products of automorphism graph terms (atom, v), read from `aut_table`.
+
+    index is `aut_index`.  The numerators are summed on integer ids, as
+    `groups._g_product` does; only the atoms of the result are decoded.
+    """
+    atoms, rows = table
+    ys = [(index[b], v) for b, v in ys]
+    out: dict = {}
+    get = out.get
+    for a, u in xs:
+        row = rows[index[a]]
+        for j, v in ys:
+            for k, m in row[j]:
+                out[k] = get(k, 0) + u * v * m
+    return [(atoms[k], v) for k, v in out.items() if v]
 
 
 def after_key(atom: Atom) -> tuple | None:
@@ -294,25 +359,29 @@ def by_key(terms: list, key) -> list:
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
-    """after o before, with the graph atoms met with component products summed by key first.
+    """after o before: automorphism graph pairs read `aut_table`, graph atoms meet component products by key.
 
+    Two automorphism graphs meet through the tabulated rule, on integer ids.
     A graph, tGraph or V atom acts on a component product only through
     `after_key` or `before_key`, so the atoms that share a key are paired
-    once, through one representative.  Graph-graph pairs and R9 pairs on
-    one cusp run atom by atom.
+    once, through one representative.  The other graph pairs and R9 pairs
+    on one cusp run atom by atom.
     """
     after.check_level(before)
     level = after.level
     rule = compose_atom_pair  # looked up at each call, so a patched rule is used
     dx, xs = integral(after.terms)
     dy, ys = integral(before.terms)
-    x_other, x_cusp = _split_by_cusp(xs)
-    y_other, y_cusp = _split_by_cusp(ys)
-    pairs = [bilinear(x_other, y_other, rule, level)]
-    if y_cusp and x_other:
+    auts = aut_index(level)
+    x_aut, x_other, x_cusp = _split(xs, auts)
+    y_aut, y_other, y_cusp = _split(ys, auts)
+    pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
+    if x_aut and y_aut:
+        pairs.append(_aut_product(x_aut, y_aut, auts, aut_table(level, rule)))
+    if y_cusp and (x_aut or x_other):
         y_cusps = list(chain.from_iterable(y_cusp.values()))
-        pairs.append(bilinear(by_key(x_other, after_key), y_cusps, rule, level))
-    y_keyed = by_key(y_other, before_key) if x_cusp else []
+        pairs.append(bilinear(by_key(x_aut + x_other, after_key), y_cusps, rule, level))
+    y_keyed = by_key(y_aut + y_other, before_key) if x_cusp else []
     pairs += [bilinear(bucket, y_keyed + y_cusp.get(cusp, []), rule, level) for cusp, bucket in x_cusp.items()]
     return SurfCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), dx * dy))
 
@@ -340,14 +409,23 @@ def epsilon_graph_sum(n: int) -> SurfCorr:
     return group_ring_to_corr(epsilon_projector(n))
 
 
-def build_pi_bars(n: int) -> dict[str, SurfCorr]:
-    """pi0 = tGraph(mu0) - V/2, pi2 = Graph(mu0) - V/2, pi1 = sign-character average."""
+@lru_cache(maxsize=None)
+def _pi_bars(n: int) -> tuple[SurfCorr, SurfCorr, SurfCorr]:
     _check_level(n)
     half = Fraction(1, 2)
     m0 = mu0(n)
     pi0 = SurfCorr(n, {("T", m0): Fraction(1), VERT: -half})
     pi2 = SurfCorr(n, {("G", m0): Fraction(1), VERT: -half})
-    return {"pi0": pi0, "pi1": epsilon_graph_sum(n), "pi2": pi2}
+    return pi0, epsilon_graph_sum(n), pi2
+
+
+def build_pi_bars(n: int) -> dict[str, SurfCorr]:
+    """pi0 = tGraph(mu0) - V/2, pi2 = Graph(mu0) - V/2, pi1 = sign-character average.
+
+    The three sums are made once per level, so every caller holds the same
+    objects; the dict is new at each call.
+    """
+    return dict(zip(("pi0", "pi1", "pi2"), _pi_bars(n)))
 
 
 def build_pi_cusp(n: int, c: int) -> SurfCorr:

@@ -143,11 +143,16 @@ def _tensor_rule(swap: bool):
 # -- factored representation -----------------------------------------------------
 
 def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict) -> SurfCorr:
-    """compose(a, b), looked up in memo first and stored there."""
+    """compose(a, b), looked up in memo first and stored there.
+
+    A product equal to an operand is stored as that operand, so that a
+    later lookup of it matches by identity, not coefficient by coefficient.
+    """
     key = (a, b)
     got = memo.get(key)
     if got is None:
-        got = memo[key] = compose(a, b)
+        got = compose(a, b)
+        got = memo[key] = a if got == a else b if got == b else got
     return got
 
 

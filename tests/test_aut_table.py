@@ -1,0 +1,108 @@
+"""The tabulated rule on automorphism graph pairs, against the rule itself.
+
+`surface.compose` reads the product of two automorphism graphs from
+`surface.aut_table`, a table of the rule that `compose` finds at its call,
+on integer ids.  These tests check the table entry by entry, and that a
+patched rule reaches `compose` through a table of its own while the table
+of the unpatched rule stays as it was.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from motive_calc import surface
+from motive_calc.endos import surf_end
+from motive_calc.groups import g_table
+from motive_calc.surface import (
+    VERT,
+    SurfCorr,
+    aut_index,
+    aut_table,
+    build_pi_bars,
+    build_pi_cusp,
+    build_pi_f,
+    compose,
+    compose_atom_pair,
+    cusp_prod,
+    delta,
+)
+
+from support import compose_by_atom_pairs, enumerate_surf
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_table_entry_is_the_rule_on_its_pair(n):
+    auts = [("G", e) for e in enumerate_surf(n) if not e.collapse]
+    assert any(e.s == -1 for _, e in auts)  # inversions included
+    index = aut_index(n)
+    assert list(index) == auts
+    assert [index[("G", surf_end(n, g.b1, g.b2, g.s))] for g in g_table(n)[0]] == list(range(2 * n * n))
+    atoms, rows = aut_table(n, compose_atom_pair)
+    assert atoms == auts  # R1 produces no atom outside the 2N^2 graphs
+    assert len(rows) == 2 * n * n
+    for x in auts:
+        row = rows[index[x]]
+        assert len(row) == 2 * n * n
+        for y in auts:
+            assert [(atoms[k], m) for k, m in row[index[y]]] == list(compose_atom_pair(x, y, n) or ())
+    # equal entries are one shared tuple
+    assert len({id(entry) for row in rows for entry in row}) == 2 * n * n
+
+
+def _inversions_doubled(rule):
+    def doubled(x, y, level):
+        produced = rule(x, y, level)
+        if produced and x[0] == "G" and y[0] == "G" and not x[1].collapse and x[1].s == -1:
+            return [(atom, 2 * k) for atom, k in produced]
+        return produced
+
+    return doubled
+
+
+def _one_pair_dropped(rule):
+    def dropped(x, y, level):
+        if x == ("G", surf_end(level, 1, 0, -1)) and y == ("G", surf_end(level, 0, 1)):
+            return None
+        return rule(x, y, level)
+
+    return dropped
+
+
+def _one_pair_with_v(rule):
+    # an atom outside the 2N^2 graphs, and two atoms in one entry
+    def with_v(x, y, level):
+        produced = rule(x, y, level)
+        if x == ("G", surf_end(level, 1, 1)) and y[0] == "G" and not y[1].collapse:
+            return [*produced, (VERT, 3)]
+        return produced
+
+    return with_v
+
+
+def _operands(n):
+    bars = build_pi_bars(n)
+    pi_f = build_pi_f(n)
+    mixed = SurfCorr(n, {
+        ("G", surf_end(n, 1, 0, -1)): Fraction(1, 2),
+        ("G", surf_end(n, 1, 1)): Fraction(-3),
+        ("G", surf_end(n, 0, 1, 1, True)): Fraction(2),
+        VERT: Fraction(1, 3),
+        cusp_prod(0, 1, 2): Fraction(5),
+    })
+    return [bars["pi1"], pi_f, delta(n) - pi_f, bars["pi0"] + bars["pi1"], mixed, build_pi_cusp(n, 1) + mixed]
+
+
+@pytest.mark.parametrize("fault", [_inversions_doubled, _one_pair_dropped, _one_pair_with_v])
+def test_a_patched_rule_reaches_compose_through_its_own_table(fault, monkeypatch):
+    n = 4
+    operands = _operands(n)
+    pairs = [(x, y) for x in operands for y in operands]
+    unpatched = [compose(x, y) for x, y in pairs]
+    assert unpatched == [compose_by_atom_pairs(x, y) for x, y in pairs]
+    monkeypatch.setattr(surface, "compose_atom_pair", fault(compose_atom_pair))
+    patched = [compose(x, y) for x, y in pairs]
+    assert patched == [compose_by_atom_pairs(x, y) for x, y in pairs]
+    assert patched != unpatched  # the fault shows
+    monkeypatch.undo()
+    assert [compose(x, y) for x, y in pairs] == unpatched

@@ -46,6 +46,21 @@ def test_surface_certificate_fails_with_r9_pairing_doubled(monkeypatch):
     assert "kronecker:piC(0).piC(0)" in failed
 
 
+def test_surface_certificate_fails_with_an_inversion_rule_doubled(monkeypatch):
+    # automorphism graph pairs are read from a table of the rule, which must be the patched one
+    rule = surface.compose_atom_pair
+
+    def doubled_r1(x, y, level):
+        produced = rule(x, y, level)
+        if produced and x[0] == "G" and y[0] == "G" and not x[1].collapse and x[1].s == -1:
+            return [(atom, 2 * k) for atom, k in produced]
+        return produced
+
+    monkeypatch.setattr(surface, "compose_atom_pair", doubled_r1)
+    failed = _failed(surface_certificate(4))
+    assert "kronecker:pi1.pi1" in failed
+
+
 def test_surface_certificate_fails_with_a_cusp_projector_coefficient_changed(monkeypatch):
     build = surface.build_pi_cusp
 

@@ -534,3 +534,23 @@ def test_a_passing_certificate_builds_its_factors_once_and_restricts_each_projec
     failed = [e["name"] for e in threefold_certificate(4) if e["status"] != "pass"]
     assert failed == []
     assert calls == {"build_pi_bars": 2, "restrict_to_open_t": 11}
+
+
+def test_the_pi_bars_of_a_level_are_made_once_and_handed_out_in_a_fresh_dict():
+    a, b = build_pi_bars(4), build_pi_bars(4)
+    assert a is not b
+    assert all(a[k] is b[k] for k in ("pi0", "pi1", "pi2"))
+    a["pi1"] = delta(4)
+    assert build_pi_bars(4)["pi1"] is b["pi1"]
+
+
+def test_a_surface_product_equal_to_an_operand_is_stored_as_that_operand():
+    n = 4
+    pi0, pi1 = build_pi_bars(n)["pi0"], build_pi_bars(n)["pi1"]
+    d = delta(n)
+    memo = {}
+    assert threefold._surface_product(d, pi1, memo) is pi1
+    assert threefold._surface_product(pi1, d, memo) is pi1
+    assert threefold._surface_product(pi1, pi1, memo) is pi1
+    assert threefold._surface_product(pi1, pi0, memo).is_zero()
+    assert all(memo[(x, y)] is pi1 for x, y in ((d, pi1), (pi1, d), (pi1, pi1)))
