@@ -8,21 +8,30 @@ swap symmetrizers) all live in these group rings with rational
 coefficients, and every identity about them is checked by exact
 group-ring multiplication.
 
-Multiplication runs on indices: G is numbered 0..2N^2-1 in `enumerate_g`
-order, with a product table built once per level (`g_table`), and an
-element of G^2 x| S_2 is the triple (i, j, swap) over it.  Coefficients
-are integer numerators over one common denominator per operand, and only
-the atoms of a product are turned back into `GElem`s and `G2Elem`s.
+Q[G] multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g`
+order, with a product table built once per level (`g_table`).
+Coefficients are integer numerators over one common denominator per
+operand, and only the atoms of a product are turned back into `GElem`s.
+
+G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
+(Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
+factors, sum of c (a (x) b) sigma^e, multiplied factor by factor and
+compared by `TensorExpr.is_zero` without enumerating G^2 x| S_2.  Only a
+failed entry expands its residual, to atoms (g, h, swap) of a `PairSum`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 from .levels import _check_level
 from .sums import Certificate, LevelMismatchError, LinComb, integral, linear_map, rationalize
+
+# threefold imports surface, which imports this module: the G^2 builders import it when called
+if TYPE_CHECKING:
+    from .threefold import TensorExpr
 
 
 class GElem(NamedTuple):
@@ -71,42 +80,6 @@ def epsilon(x: GElem) -> int:
     return x.s
 
 
-class G2Elem(NamedTuple):
-    """Element of G^2 semidirect S_2; swap conjugates by exchanging the pair."""
-
-    level: int
-    g1: GElem
-    g2: GElem
-    swap: bool
-
-    def mul(self, other: "G2Elem") -> "G2Elem":
-        if self.level != other.level:
-            raise LevelMismatchError("group elements of different levels")
-        h1, h2 = (other.g2, other.g1) if self.swap else (other.g1, other.g2)
-        return G2Elem(self.level, self.g1.mul(h1), self.g2.mul(h2), self.swap != other.swap)
-
-    def inv(self) -> "G2Elem":
-        if not self.swap:
-            return G2Elem(self.level, self.g1.inv(), self.g2.inv(), False)
-        # (g1,g2,swap)^-1 = (g2^-1, g1^-1, swap)
-        return G2Elem(self.level, self.g2.inv(), self.g1.inv(), True)
-
-    def label(self) -> str:
-        sigma = ".s" if self.swap else ""
-        return f"[{self.g1.label()},{self.g2.label()}]{sigma}"
-
-
-def g2_identity(n: int) -> G2Elem:
-    return G2Elem(n, g_identity(n), g_identity(n), False)
-
-
-def sigma_swap(n: int) -> G2Elem:
-    return G2Elem(n, g_identity(n), g_identity(n), True)
-
-
-GroupElem = Union[GElem, G2Elem]
-
-
 @lru_cache(maxsize=None)
 def g_table(n: int) -> tuple[list[GElem], dict[GElem, int], list[list[int]]]:
     """G numbered 0..2N^2-1 in `enumerate_g` order: (elements, index of each, product table).
@@ -130,26 +103,6 @@ def _g_product(xs: list, ys: list, table: list) -> dict:
     return out
 
 
-def _g2_product(xs: list, ys: list, table: list) -> dict:
-    """The same for G^2 x| S_2 terms (i, j, swap, v); a product (i, j, swap) is keyed 2(iM + j) + swap.
-
-    (g1, g2, s)(h1, h2, t) = (g1 h1', g2 h2', s xor t), with (h1', h2') = (h2, h1) when s is set.
-    """
-    size = len(table)
-    by_swap = (
-        [(k, l, int(t), b) for k, l, t, b in ys],
-        [(l, k, int(not t), b) for k, l, t, b in ys],
-    )
-    out: dict = {}
-    get = out.get
-    for i, j, s, a in xs:
-        r1, r2 = table[i], table[j]
-        for k, l, u, b in by_swap[s]:
-            key = (r1[k] * size + r2[l]) * 2 + u
-            out[key] = get(key, 0) + a * b
-    return out
-
-
 class GroupRingElement(LinComb):
     """Finite formal rational combination of group elements.
 
@@ -163,45 +116,26 @@ class GroupRingElement(LinComb):
         super().__init__(None, terms)
 
     @staticmethod
-    def of(g: GroupElem, coeff=1) -> "GroupRingElement":
+    def of(g: GElem, coeff=1) -> "GroupRingElement":
         return GroupRingElement({g: coeff})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """The product on integer numerators, with each element encoded by its index in G.
 
-        An element of G^2 x| S_2 is encoded as (i, j, swap); only the atoms of
-        the result are decoded back to group elements.
+        Only the atoms of the result are decoded back to group elements.
         """
         if not (self.terms and other.terms):
             return GroupRingElement()
-        first = next(iter(self.terms))
-        n = first.level
-        elems, index, table = g_table(n)
+        elems, index, table = g_table(next(iter(self.terms)).level)
         dx, xs = integral(self.terms)
         dy, ys = integral(other.terms)
-        in_g2 = type(first) is G2Elem
         try:
-            if in_g2:
-                xs = [(index[g.g1], index[g.g2], g.swap, v) for g, v in xs]
-                ys = [(index[h.g1], index[h.g2], h.swap, v) for h, v in ys]
-            else:
-                xs = [(index[g], v) for g, v in xs]
-                ys = [(index[h], v) for h, v in ys]
-        except (KeyError, AttributeError):
+            xs = [(index[g], v) for g, v in xs]
+            ys = [(index[h], v) for h, v in ys]
+        except KeyError:
             raise LevelMismatchError("group elements of different levels or kinds") from None
-        if not in_g2:
-            out = _g_product(xs, ys, table)
-            terms = {elems[k]: v for k, v in out.items() if v}
-        else:
-            out = _g2_product(xs, ys, table)
-            size = len(elems)
-            new = tuple.__new__  # G2Elem(...) without its keyword-argument layer
-            terms = {}
-            for k, v in out.items():
-                if v:
-                    i, j = divmod(k >> 1, size)
-                    terms[new(G2Elem, (n, elems[i], elems[j], k & 1 == 1))] = v
-        return GroupRingElement._make(None, rationalize(terms, dx * dy))
+        out = _g_product(xs, ys, table)
+        return GroupRingElement._make(None, rationalize({elems[k]: v for k, v in out.items() if v}, dx * dy))
 
     def involute(self) -> "GroupRingElement":
         """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""
@@ -231,31 +165,39 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
     return lam, GroupRingElement(theta_terms)
 
 
-def epsilon2_projector(n: int) -> GroupRingElement:
-    """(1/4N^4) sum over G^2 of eps2(g)^-1 g, inside Q[G^2 x| S_2]."""
-    _check_level(n)
-    plus = Fraction(1, 4 * n ** 4)
-    minus = -plus
-    elems = enumerate_g(n)
-    terms = {G2Elem(n, a, b, False): plus if epsilon(a) == epsilon(b) else minus
-             for a in elems for b in elems}
-    return GroupRingElement._make(None, terms)
+class PairSum(LinComb):
+    """An element of Q[G^2 x| S_2] expanded to atoms (g, h, swap), printed as [g,h].s.
+
+    Atoms sort in their natural order, that of the triples (g, h, swap).
+    """
+
+    __slots__ = ()
+    label = staticmethod(lambda atom: f"[{atom[0].label()},{atom[1].label()}]{'.s' if atom[2] else ''}")
 
 
-def symmetrizers(n: int) -> tuple[GroupRingElement, GroupRingElement]:
+def epsilon2_projector(n: int) -> TensorExpr:
+    """eps (x) eps = (1/4N^4) sum over G^2 of eps2(g)^-1 g, inside Q[G^2 x| S_2]."""
+    from .threefold import TensorExpr
+
+    eps = epsilon_projector(n)
+    return TensorExpr.pure(eps, eps)
+
+
+def symmetrizers(n: int) -> tuple[TensorExpr, TensorExpr]:
     """(A2, S2) = ((1 + sigma)/2, (1 - sigma)/2): orthogonal, summing to 1."""
+    from .threefold import TensorExpr
+
     _check_level(n)
+    e = GroupRingElement.of(g_identity(n))
+    one, sigma = TensorExpr.pure(e, e), TensorExpr.pure(e, e, swap=True)
     half = Fraction(1, 2)
-    e = g2_identity(n)
-    s = sigma_swap(n)
-    return (
-        GroupRingElement({e: half, s: half}),
-        GroupRingElement({e: half, s: -half}),
-    )
+    return (one + sigma).scale(half), (one - sigma).scale(half)
 
 
 def group_certificate(n: int) -> list[dict]:
     """Idempotency, commutation and orthogonality of the named idempotents."""
+    from .threefold import TensorExpr
+
     cert = Certificate()
     check = cert.equal
     eps = epsilon_projector(n)
@@ -269,13 +211,17 @@ def group_certificate(n: int) -> list[dict]:
     check("theta_lambda:product", "theta . lambda = eps", theta * lam, eps)
 
     a2, s2 = symmetrizers(n)
-    one = GroupRingElement.of(g2_identity(n))
-    check("a2:idempotent", "A2 . A2 = A2", a2 * a2, a2)
-    check("s2:idempotent", "S2 . S2 = S2", s2 * s2, s2)
-    check("a2_s2:orthogonal", "A2 . S2 = 0", a2 * s2, GroupRingElement())
-    check("s2_a2:orthogonal", "S2 . A2 = 0", s2 * a2, GroupRingElement())
-    check("a2_s2:sum", "A2 + S2 = 1", a2 + s2, one)
+    e = GroupRingElement.of(g_identity(n))
+    zero = TensorExpr(None)
     eps2 = epsilon2_projector(n)
-    check("a2_eps2:commute", "A2 . eps2 = eps2 . A2", a2 * eps2, eps2 * a2)
-    check("s2_eps2:commute", "S2 . eps2 = eps2 . S2", s2 * eps2, eps2 * s2)
+    for name, law, got, want in (
+        ("a2:idempotent", "A2 . A2 = A2", a2.compose(a2), a2),
+        ("s2:idempotent", "S2 . S2 = S2", s2.compose(s2), s2),
+        ("a2_s2:orthogonal", "A2 . S2 = 0", a2.compose(s2), zero),
+        ("s2_a2:orthogonal", "S2 . A2 = 0", s2.compose(a2), zero),
+        ("a2_s2:sum", "A2 + S2 = 1", a2 + s2, TensorExpr.pure(e, e)),
+        ("a2_eps2:commute", "A2 . eps2 = eps2 . A2", a2.compose(eps2), eps2.compose(a2)),
+        ("s2_eps2:commute", "S2 . eps2 = eps2 . S2", s2.compose(eps2), eps2.compose(s2)),
+    ):
+        cert.vanishes(name, law, got, want, PairSum)
     return cert.entries

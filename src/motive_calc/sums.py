@@ -270,6 +270,19 @@ class Certificate:
         else:
             self.residual(name, law, got - want)
 
+    def vanishes(self, name: str, law: str, got, want, cls: type | None = None) -> None:
+        """Record whether the two sides of `law`, factored sums (`threefold.TensorExpr`), are equal.
+
+        It is decided by the zero test of got - want.  Only a failed entry
+        expands that residual, as a sum of type cls when given, and shows it
+        as `residual` records it.
+        """
+        residual = got - want
+        if residual.is_zero():
+            self.record(name, law, True)
+        else:
+            self.residual(name, law, residual.expand(cls))
+
     def residual(self, name: str, law: str, residual: LinComb) -> None:
         """Record `law` as failed with its nonzero residual got - want: its size and its first atoms."""
         self.record(name, law, False, f"got - want has {len(residual.terms)} atoms: {residual.render(RESIDUAL_ATOMS)}")

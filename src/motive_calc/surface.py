@@ -132,6 +132,10 @@ class SurfCorr(LinComb):
     sort_key = staticmethod(atom_sort_key)
     label = staticmethod(atom_label)
 
+    def __mul__(self, other: "SurfCorr") -> "SurfCorr":
+        """self o other, by this module's `compose` as bound at the call, so a patched one is used."""
+        return compose(self, other)
+
 
 # -- transposition -------------------------------------------------------------
 

@@ -52,7 +52,6 @@ from .surface import (
     atom_sort_key,
     build_pi_bars,
     component_slot,
-    compose,
     compose_atom_pair,
     compose_open_atoms,
     delta,
@@ -143,15 +142,17 @@ def _tensor_rule(swap: bool):
 # -- factored representation -----------------------------------------------------
 
 def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict) -> SurfCorr:
-    """compose(a, b), looked up in memo first and stored there.
+    """The factor product a * b, looked up in memo first and stored there.
 
-    A product equal to an operand is stored as that operand, so that a
-    later lookup of it matches by identity, not coefficient by coefficient.
+    For surface factors that is `compose(a, b)`; `groups` composes Q[G]
+    factors here too.  A product equal to an operand is stored as that
+    operand, so that a later lookup of it matches by identity, not
+    coefficient by coefficient.
     """
     key = (a, b)
     got = memo.get(key)
     if got is None:
-        got = compose(a, b)
+        got = a * b
         got = memo[key] = a if got == a else b if got == b else got
     return got
 
@@ -162,7 +163,11 @@ def _has_cusp(factor: SurfCorr) -> bool:
 
 @dataclass
 class TensorExpr:
-    """Sum of pure tensors (coeff, A, B, swap) with surface-correspondence factors."""
+    """Sum of pure tensors (coeff, A, B, swap) with surface-correspondence factors.
+
+    The factors are only multiplied with `*`, so Q[G] factors make the same
+    class the group ring of G^2 x| S_2 (see `groups`).
+    """
 
     level: int
     parts: list[tuple[Fraction, SurfCorr, SurfCorr, bool]] = field(default_factory=list)
@@ -189,7 +194,7 @@ class TensorExpr:
         return self + other.scale(-1)
 
     def compose(self, other: "TensorExpr", memo: dict | None = None) -> "TensorExpr":
-        """self after other; memo, when given, keeps every surface product for later calls."""
+        """self after other; memo, when given, keeps every factor product for later calls."""
         if memo is None:
             memo = {}
         parts = []
@@ -244,8 +249,8 @@ class TensorExpr:
                 tensors[e][VERT] = (1, {VERT: 1}, [(-k, {VERT: 1})])
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
-    def expand(self) -> TCorr:
-        """The atom sum, on integer numerators over one denominator common to every part."""
+    def expand(self, cls: type | None = None) -> LinComb:
+        """The atom sum, as a sum of type cls (default: TCorr), on integer numerators over one common denominator."""
         level = self.level
         parts = []
         for (a, b, e), c in self.terms.items():
@@ -257,7 +262,7 @@ class TensorExpr:
             bilinear([(la, v * (d // dp)) for la, v in xs], ys, _tensor_rule(e), level)
             for dp, xs, ys, e in parts
         ]
-        return TCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), d))
+        return (cls or TCorr)._make(level, rationalize(collect(chain.from_iterable(pairs)), d))
 
 
 def t_delta_expr(n: int) -> TensorExpr:
@@ -665,13 +670,7 @@ def threefold_certificate(n: int) -> list[dict]:
     def act(x: TensorExpr, z: ThreefoldDivClass) -> ThreefoldDivClass:
         return act_on_threefold_divisor(x, z, slot_images=slot_images)
 
-    def check(name: str, law: str, got: TensorExpr, want: TensorExpr) -> None:
-        """Record law by the zero test of got - want; only a failure expands, its residual."""
-        residual = got - want
-        if residual.is_zero():
-            cert.record(name, law, True)
-        else:
-            cert.residual(name, law, residual.expand())
+    check = cert.vanishes
 
     # one set of factors for every pair projector, built as `pair_projector_expr` builds it
     bars = build_pi_bars(n)

@@ -10,17 +10,32 @@ atom-pair products are the oracles of the program's keyed products:
 `GroupRingElement.__mul__` reads an integer product table, and
 `compose_open_t` multiplies open tensor sums atom pair by atom pair, where
 `threefold.invert_open_t` applies the inversion factor by factor.
+
+The program holds an element of G^2 x| S_2's group ring factored, as a
+`TensorExpr` with Q[G] factors.  Its oracle is the ring as the program
+once held it: sums of `G2Elem`s, one element (g1, g2, swap) at a time,
+multiplied by `group_product` with `G2Elem.mul`'s own swap rule.
+`g2_sum` expands a factored element to such a `G2Sum`, `factored`
+factors one back, and the `*` of a `G2Sum` is the program's product
+between the two, so `x * y == product(x, y, group_product)` compares the
+program with the oracle.  `g2_epsilon2` builds eps2 the old way, term by
+term.
+
 `print_expr` prints a parsed query back to source text, so that the tests
 can check that parsing its print gives the same tree.
 """
 
+from fractions import Fraction
+from typing import NamedTuple
+
 from motive_calc import surface
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
 from motive_calc.endos import SurfEnd, surf_end
+from motive_calc.groups import GElem, GroupRingElement, enumerate_g, epsilon, g_identity
 from motive_calc.levels import _check_level
-from motive_calc.sums import product
+from motive_calc.sums import LevelMismatchError, product
 from motive_calc.surface import Atom, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms
-from motive_calc.threefold import OpenTAtom, OpenTCorr, _meet
+from motive_calc.threefold import OpenTAtom, OpenTCorr, TensorExpr, _meet
 
 
 def mu_minus1(n: int) -> SurfEnd:
@@ -64,6 +79,76 @@ def compose_by_atom_pairs(after: SurfCorr, before: SurfCorr) -> SurfCorr:
 def group_product(g, h, _level) -> tuple:
     """The product of two group elements, as a rule for `sums.product`."""
     return ((g.mul(h), 1),)
+
+
+class G2Elem(NamedTuple):
+    """Element of G^2 semidirect S_2; swap conjugates by exchanging the pair."""
+
+    level: int
+    g1: GElem
+    g2: GElem
+    swap: bool
+
+    def mul(self, other: "G2Elem") -> "G2Elem":
+        if self.level != other.level:
+            raise LevelMismatchError("group elements of different levels")
+        h1, h2 = (other.g2, other.g1) if self.swap else (other.g1, other.g2)
+        return G2Elem(self.level, self.g1.mul(h1), self.g2.mul(h2), self.swap != other.swap)
+
+    def inv(self) -> "G2Elem":
+        if not self.swap:
+            return G2Elem(self.level, self.g1.inv(), self.g2.inv(), False)
+        # (g1,g2,swap)^-1 = (g2^-1, g1^-1, swap)
+        return G2Elem(self.level, self.g2.inv(), self.g1.inv(), True)
+
+    def label(self) -> str:
+        sigma = ".s" if self.swap else ""
+        return f"[{self.g1.label()},{self.g2.label()}]{sigma}"
+
+
+def g2_identity(n: int) -> G2Elem:
+    return G2Elem(n, g_identity(n), g_identity(n), False)
+
+
+def sigma_swap(n: int) -> G2Elem:
+    return G2Elem(n, g_identity(n), g_identity(n), True)
+
+
+class G2Sum(GroupRingElement):
+    """A sum of `G2Elem`s, whose `*` is the program's factored product."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: "G2Sum") -> "G2Sum":
+        # the program has no product of a G^2 x| S_2 element with a Q[G] one: they are two types there
+        if not isinstance(other, G2Sum):
+            raise LevelMismatchError("group elements of different kinds")
+        return g2_sum(factored(self).compose(factored(other)))
+
+
+def factored(x: G2Sum) -> TensorExpr:
+    """x as pure tensors a (x) h.sigma^e with a in Q[G]: its atoms grouped by their h and e."""
+    lefts: dict = {}
+    for g, c in x.terms.items():
+        lefts.setdefault((g.g2, g.swap), {})[g.g1] = c
+    parts = [(Fraction(1), GroupRingElement(a), GroupRingElement.of(h), e) for (h, e), a in lefts.items()]
+    return TensorExpr(None, parts)
+
+
+def g2_sum(x: TensorExpr) -> G2Sum:
+    """The atoms of a factored element of Q[G^2 x| S_2], each (g, h, swap) as a `G2Elem`."""
+    return G2Sum._make(None, {G2Elem(g.level, g, h, e): c for (g, h, e), c in x.expand().terms.items()})
+
+
+def g2_epsilon2(n: int) -> G2Sum:
+    """(1/4N^4) sum over G^2 of eps2(g)^-1 g, term by term."""
+    _check_level(n)
+    plus = Fraction(1, 4 * n ** 4)
+    minus = -plus
+    elems = enumerate_g(n)
+    terms = {G2Elem(n, a, b, False): plus if epsilon(a) == epsilon(b) else minus
+             for a in elems for b in elems}
+    return G2Sum._make(None, terms)
 
 
 def _open_t_pair(x: OpenTAtom, y: OpenTAtom, _level: int) -> tuple:

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc.groups import (
-    G2Elem,
     GroupRingElement,
     enumerate_g,
     epsilon_projector,
@@ -55,7 +54,17 @@ from motive_calc.threefold import (
     tensor_open,
 )
 
-from support import _open_pair, _open_t_pair, compose_open, compose_open_t, enumerate_surf, group_product
+from support import (
+    G2Elem,
+    G2Sum,
+    _open_pair,
+    _open_t_pair,
+    compose_open,
+    compose_open_t,
+    enumerate_surf,
+    g2_sum,
+    group_product,
+)
 
 LEVELS = st.integers(3, 5)
 
@@ -171,7 +180,7 @@ def group_ring_elements(draw, n, pairs=False):
     if pairs:
         g = st.sampled_from(enumerate_g(n))
         elem = st.builds(lambda a, b, e: G2Elem(n, a, b, e), g, g, st.booleans())
-        named = list(symmetrizers(n))
+        named = [g2_sum(s) for s in symmetrizers(n)]
     else:
         elem = st.sampled_from(enumerate_g(n))
         named = [epsilon_projector(n), *lambda_theta(n)]
@@ -183,7 +192,7 @@ def group_ring_elements(draw, n, pairs=False):
         min_size=1,
         max_size=4,
     ))
-    total = GroupRingElement()
+    total = G2Sum() if pairs else GroupRingElement()
     for piece in pieces:
         total = total + piece
     return total

@@ -9,7 +9,10 @@ that cancels: pi1's +- coefficients cancel per b1, so a key that forgot the
 inversion part s would leave `surface_certificate` all pass.  These tests
 check both kernels atom by atom instead: exhaustively that atoms with one
 key act alike, and on random operands that the products equal the oracles
-in `support`.
+in `support`.  The group ring of G^2 x| S_2, held factored as a
+`TensorExpr` with Q[G] factors, is checked the same way against sums of
+`G2Elem`s: its products and zero test on random factors, and its swap
+rule on every element at N = 3.
 """
 
 from fractions import Fraction
@@ -19,18 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc.groups import (
-    G2Elem,
     GroupRingElement,
     LevelMismatchError,
     enumerate_g,
     epsilon2_projector,
     epsilon_projector,
+    g_identity,
     g_table,
     lambda_theta,
+    mu_inv,
     symmetrizers,
 )
 from motive_calc.levels import cusp_count
 from motive_calc.sums import product
+from motive_calc.threefold import TensorExpr
 from motive_calc.surface import (
     VERT,
     SurfCorr,
@@ -43,7 +48,18 @@ from motive_calc.surface import (
     cusp_prod,
 )
 
-from support import compose_by_atom_pairs, enumerate_surf, group_product
+from support import (
+    G2Elem,
+    G2Sum,
+    compose_by_atom_pairs,
+    enumerate_surf,
+    factored,
+    g2_epsilon2,
+    g2_identity,
+    g2_sum,
+    group_product,
+    sigma_swap,
+)
 
 
 def _non_cusp_atoms(n):
@@ -134,12 +150,12 @@ def group_operands(draw, n, pairs):
     if pairs:
         g = st.sampled_from(enumerate_g(n))
         elem = st.builds(lambda a, b, e: G2Elem(n, a, b, e), g, g, st.booleans())
-        named = list(symmetrizers(n))
+        named = [g2_sum(s) for s in symmetrizers(n)]
     else:
         elem = st.sampled_from(enumerate_g(n))
         named = [epsilon_projector(n), *lambda_theta(n)]
     coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
-    total = GroupRingElement()
+    total = G2Sum() if pairs else GroupRingElement()
     for g, c in draw(st.lists(st.tuples(elem, coeff), min_size=1, max_size=10)):
         total = total + GroupRingElement.of(g, c)
     for p in draw(st.lists(st.sampled_from(named), max_size=2)):
@@ -162,8 +178,8 @@ def test_group_ring_product_matches_the_pairwise_oracle(data, n, pairs):
 
 def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
     n = 3
-    eps2 = epsilon2_projector(n)
-    for s in symmetrizers(n):
+    eps2 = g2_sum(epsilon2_projector(n))
+    for s in map(g2_sum, symmetrizers(n)):
         assert s * eps2 == product(s, eps2, group_product)
         assert eps2 * s == product(eps2, s, group_product)
 
@@ -172,9 +188,9 @@ def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
     "x, y",
     [
         (GroupRingElement.of(enumerate_g(3)[1]), GroupRingElement.of(enumerate_g(4)[1])),
-        (GroupRingElement.of(enumerate_g(3)[1]), symmetrizers(3)[0]),
-        (symmetrizers(3)[0], GroupRingElement.of(enumerate_g(3)[1])),
-        (symmetrizers(3)[0], symmetrizers(4)[0]),
+        (GroupRingElement.of(enumerate_g(3)[1]), g2_sum(symmetrizers(3)[0])),
+        (g2_sum(symmetrizers(3)[0]), GroupRingElement.of(enumerate_g(3)[1])),
+        (g2_sum(symmetrizers(3)[0]), g2_sum(symmetrizers(4)[0])),
     ],
 )
 def test_group_ring_product_rejects_other_levels_and_kinds(x, y):
@@ -186,3 +202,57 @@ def test_group_ring_product_with_zero_is_zero():
     eps = epsilon_projector(3)
     assert (eps * GroupRingElement()).is_zero()
     assert (GroupRingElement() * eps).is_zero()
+
+
+# -- G^2 x| S_2 factored, against G2Elem sums ----------------------------------------
+
+@st.composite
+def factored_operands(draw, n):
+    """Sums of one to three pure tensors c (a (x) b) sigma^e.  A factor is a sum of up to
+    four elements of G, lambda, or 1 + mu(-1), which lambda annihilates, so that products
+    cancel; the expansions stay small enough for the pairwise oracle."""
+    coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
+    terms = st.lists(st.tuples(st.sampled_from(enumerate_g(n)), coeff), min_size=1, max_size=4)
+    named = [lambda_theta(n)[0], GroupRingElement({g_identity(n): 1, mu_inv(n): 1})]
+    factor = st.one_of(st.builds(lambda ts: GroupRingElement(dict(ts)), terms), st.sampled_from(named))
+    total = TensorExpr(None)
+    for a, b, e, c in draw(st.lists(st.tuples(factor, factor, st.booleans(), coeff), min_size=1, max_size=3)):
+        total = total + TensorExpr.pure(a, b, e).scale(c)
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(3, 5))
+def test_factored_g2_products_and_zero_test_match_the_pairwise_oracle(data, n):
+    x = data.draw(factored_operands(n))
+    y = data.draw(factored_operands(n))
+    got = x.compose(y)
+    want = product(g2_sum(x), g2_sum(y), group_product)
+    assert g2_sum(got) == want
+    assert (got - factored(want)).is_zero()
+    g = st.sampled_from(enumerate_g(n))
+    extra = data.draw(st.builds(lambda a, b, e: G2Sum({G2Elem(n, a, b, e): 1}), g, g, st.booleans()))
+    assert not (got - factored(want + extra)).is_zero()
+    assert (x - y).is_zero() == (g2_sum(x) == g2_sum(y))
+
+
+def test_factored_swap_rule_on_every_element_at_n3():
+    # y holds every element b_j once, with coefficient j + 1; left multiplication by a is a
+    # bijection, so a . y equal to the oracle's means a b_j right for every j
+    n = 3
+    g = enumerate_g(n)
+    elems = [G2Elem(n, a, b, e) for e in (False, True) for a in g for b in g]
+    y = G2Sum({b: j + 1 for j, b in enumerate(elems)})
+    y_factored = factored(y)
+    for a in elems:
+        x = TensorExpr.pure(GroupRingElement.of(a.g1), GroupRingElement.of(a.g2), a.swap)
+        assert g2_sum(x.compose(y_factored)) == G2Sum({a.mul(b): j + 1 for j, b in enumerate(elems)}), a
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_named_g2_elements_are_the_term_by_term_ones(n):
+    half = Fraction(1, 2)
+    a2, s2 = map(g2_sum, symmetrizers(n))
+    assert a2 == G2Sum({g2_identity(n): half, sigma_swap(n): half})
+    assert s2 == G2Sum({g2_identity(n): half, sigma_swap(n): -half})
+    assert g2_sum(epsilon2_projector(n)) == g2_epsilon2(n)

@@ -8,11 +8,13 @@ import pytest
 
 from motive_calc import groups, surface, threefold
 from motive_calc.endos import aff_end
-from motive_calc.groups import group_certificate
+from motive_calc.groups import GElem, GroupRingElement, group_certificate
+from motive_calc.sums import product
 from motive_calc.surface import aff_of, open_graph, surface_certificate
 from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
 
 from flat_threefold import expands_to_zero
+from support import G2Sum, g2_epsilon2, g2_identity, g2_sum, group_product, sigma_swap
 
 
 def _failed(entries):
@@ -24,12 +26,16 @@ def test_certificates_pass_unmutated(certificate):
     assert _failed(certificate(4)) == []
 
 
+def _bumped(x, atom):
+    """x with the coefficient of atom raised by 1."""
+    terms = dict(x.terms)
+    terms[atom] = terms.get(atom, 0) + 1
+    return type(x)._make(x.level, terms)
+
+
 def _bump_first(x):
     """x with the coefficient of its first atom in print order raised by 1."""
-    atom = min(x.terms, key=x.sort_key)
-    terms = dict(x.terms)
-    terms[atom] += 1
-    return type(x)._make(x.level, terms)
+    return _bumped(x, min(x.terms, key=x.sort_key))
 
 
 def test_surface_certificate_fails_with_r9_pairing_doubled(monkeypatch):
@@ -88,48 +94,122 @@ def test_group_certificate_fails_with_an_epsilon_coefficient_changed(monkeypatch
     assert "eps:idempotent" in failed
 
 
+_g_table = groups.g_table
+
+
+def _one_table_entry_off(n):
+    elems, index, table = _g_table(n)
+    if n == 4:
+        table = [list(row) for row in table]
+        # tau(0,1) tau(0,1) should be tau(0,2); send it to tau(0,3)
+        t01, t02, t03 = (index[groups.tau(n, 0, b)] for b in (1, 2, 3))
+        assert table[t01][t01] == t02
+        table[t01][t01] = t03
+    return elems, index, table
+
+
 def test_group_certificate_fails_with_one_product_table_entry_changed(monkeypatch):
-    build = groups.g_table
-
-    def one_entry_off(n):
-        elems, index, table = build(n)
-        if n == 4:
-            table = [list(row) for row in table]
-            # tau(0,1) tau(0,1) should be tau(0,2); send it to tau(0,3)
-            t01, t02, t03 = (index[groups.tau(n, 0, b)] for b in (1, 2, 3))
-            assert table[t01][t01] == t02
-            table[t01][t01] = t03
-        return elems, index, table
-
-    monkeypatch.setattr(groups, "g_table", one_entry_off)
+    monkeypatch.setattr(groups, "g_table", _one_table_entry_off)
     failed = _failed(group_certificate(4))
     assert "eps:idempotent" in failed
     assert _failed(group_certificate(3)) == []
 
 
+_epsilon2 = groups.epsilon2_projector
+
+
+def _asymmetric_eps2(n):
+    """eps2 plus eps|b1=1 (x) eps|b1=0: the coefficients of (a, b) with a a translation by (1, *)
+    and b by (0, *) doubled, which breaks the swap symmetry that makes eps2 commute with A2 and S2."""
+    eps = groups.epsilon_projector(n)
+
+    def part(b1):
+        return GroupRingElement({g: c for g, c in eps.terms.items() if g.b1 == b1})
+
+    return _epsilon2(n) + TensorExpr.pure(part(1), part(0))
+
+
 def test_a_failed_entry_shows_its_residual_capped(monkeypatch):
-    build = groups.epsilon2_projector
-
-    def asymmetric(n):
-        # doubling the coefficients of (a, b) with a a translation by (1, *) and b by (0, *)
-        # breaks the swap symmetry that makes eps2 commute with A2 and S2
-        eps2 = build(n)
-        terms = {g: 2 * c if (g.g1.b1, g.g2.b1) == (1, 0) else c for g, c in eps2.terms.items()}
-        return groups.GroupRingElement(terms)
-
-    monkeypatch.setattr(groups, "epsilon2_projector", asymmetric)
+    monkeypatch.setattr(groups, "epsilon2_projector", _asymmetric_eps2)
     entries = {e["name"]: e for e in group_certificate(4)}
     failed = entries["a2_eps2:commute"]
     assert failed["status"] == "fail"
-    a2 = groups.symmetrizers(4)[0]
-    eps2 = asymmetric(4)
-    residual = a2 * eps2 - eps2 * a2
+    # the same fault on the old form, term by term, and the residual by the oracle product
+    half = Fraction(1, 2)
+    a2 = G2Sum({g2_identity(4): half, sigma_swap(4): half})
+    eps2 = G2Sum({g: 2 * c if (g.g1.b1, g.g2.b1) == (1, 0) else c for g, c in g2_epsilon2(4).terms.items()})
+    assert g2_sum(_asymmetric_eps2(4)) == eps2
+    residual = product(a2, eps2, group_product) - product(eps2, a2, group_product)
     assert len(residual.terms) > 8
     first = sorted(residual.terms, key=residual.sort_key)[:8]
     shown = " + ".join(f"{residual.fmt(residual.terms[a])}*{residual.label(a)}" for a in first)
     assert failed["got"] == f"got - want has {len(residual.terms)} atoms: {shown} + ..."
     # passing entries carry no detail, so their bytes are those of an unmutated run
     assert all("got" not in e for e in entries.values() if e["status"] == "pass")
+
+
+# -- the group certificate: each entry fails under at least one fault, at N = 4
+
+def _flipped_meet(swap_x, left_y, right_y, swap_y):
+    # a swapped x exchanges y's factors but keeps y's swap
+    return (right_y, left_y, swap_y) if swap_x else (left_y, right_y, swap_y)
+
+
+_epsilon, _lambda_theta, _symmetrizers, _inv = (
+    groups.epsilon_projector, groups.lambda_theta, groups.symmetrizers, GElem.inv)
+
+
+def _lambda_bumped(n):
+    lam, theta = _lambda_theta(n)
+    return _bumped(lam, groups.g_identity(n)), theta
+
+
+def _theta_bumped(n):
+    # tau(0,1), which the inversion does not fix, so lambda and theta stop commuting
+    lam, theta = _lambda_theta(n)
+    return lam, _bumped(theta, groups.tau(n, 0, 1))
+
+
+def _a2_bumped(n):
+    a2, s2 = _symmetrizers(n)
+    e = GroupRingElement.of(groups.g_identity(n))
+    return a2 + TensorExpr.pure(e, e), s2
+
+
+GROUP_FAULTS = {
+    "eps coefficient": (groups, "epsilon_projector", lambda n: _bump_first(_epsilon(n))),
+    "lambda coefficient": (groups, "lambda_theta", _lambda_bumped),
+    "theta coefficient": (groups, "lambda_theta", _theta_bumped),
+    "A2 coefficient": (groups, "symmetrizers", _a2_bumped),
+    "product table entry": (groups, "g_table", _one_table_entry_off),
+    "inverse of tau(0,1)": (GElem, "inv", lambda g: g if g == groups.tau(g.level, 0, 1) else _inv(g)),
+    "swap in _meet flipped": (threefold, "_meet", _flipped_meet),
+    "eps2 asymmetric": (groups, "epsilon2_projector", _asymmetric_eps2),
+}
+
+GROUP_FAILURES = {
+    "eps coefficient": ["eps:idempotent", "lambda_theta:product", "theta_lambda:product"],
+    "lambda coefficient": ["lambda:idempotent", "lambda_theta:product", "theta_lambda:product"],
+    "theta coefficient": ["theta:idempotent", "lambda_theta:commute", "lambda_theta:product", "theta_lambda:product"],
+    "A2 coefficient": ["a2:idempotent", "a2_s2:orthogonal", "s2_a2:orthogonal", "a2_s2:sum"],
+    "product table entry": ["eps:idempotent", "theta:idempotent"],
+    "inverse of tau(0,1)": ["eps:involution"],
+    "swap in _meet flipped": ["s2:idempotent", "a2_s2:orthogonal", "a2_eps2:commute", "s2_eps2:commute"],
+    "eps2 asymmetric": ["a2_eps2:commute", "s2_eps2:commute"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(GROUP_FAULTS))
+def test_group_certificate_fails_under_a_fault(fault, monkeypatch):
+    owner, name, patched = GROUP_FAULTS[fault]
+    monkeypatch.setattr(owner, name, patched)
+    assert _failed(group_certificate(4)) == GROUP_FAILURES[fault]
+
+
+def test_every_group_entry_fails_under_some_fault():
+    names = [e["name"] for e in group_certificate(4)]
+    assert len(names) == 14
+    assert set(names) == set().union(*GROUP_FAILURES.values())
 
 
 # -- the threefold certificate, under its zero test and under the expand-and-compare oracle
@@ -179,11 +259,7 @@ def test_threefold_certificate_fails_with_a_factor_projector_coefficient_changed
 
 
 def test_threefold_certificate_fails_with_the_swap_in_meet_flipped(zero_test, monkeypatch):
-    def flipped(swap_x, left_y, right_y, swap_y):
-        # a swapped x exchanges y's factors but keeps y's swap
-        return (right_y, left_y, swap_y) if swap_x else (left_y, right_y, swap_y)
-
-    monkeypatch.setattr(threefold, "_meet", flipped)
+    monkeypatch.setattr(threefold, "_meet", _flipped_meet)
     failed = _failed(threefold_certificate(4))
     assert "swap:pi(0,1)" in failed
     assert "split:a2_commutes" in failed
