@@ -15,10 +15,13 @@ associativity and action-coherence test suites.
 `compose` does not send every atom pair through the table.  Two
 automorphism graphs meet through `aut_table`, the rule tabulated once per
 level on the indices of their group elements, so such a pair is an
-integer lookup.  A graph, tGraph or V atom acts on a component product
-only through a key (`after_key`, `before_key`), so the atoms that share a
-key are summed first and one representative per key meets the component
-products.
+integer lookup.  The component products of one cusp form a sparse
+integer block, and the rest of the table acts on blocks as matrices read
+from the rule and kept per level (`CuspRule`): R9 is the block product
+with the N-gon pairing, three nonzeros per row, and a graph, tGraph or V
+atom acts on a block through an index map on its rows or columns.
+Component products on disjoint cusps compose to zero before any
+arithmetic.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def neron_lattice(n: int) -> NeronLattice:
 class SurfCorr(LinComb):
     """Formal exact-rational combination of surface atoms."""
 
-    __slots__ = ()
+    __slots__ = ("_cusps",)  # `_cusp_support`, set at its first call; the terms do not change after that
     sort_key = staticmethod(atom_sort_key)
     label = staticmethod(atom_label)
 
@@ -245,24 +248,33 @@ def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | 
     return None  # R14 (CP o V)
 
 
-def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
-    """(automorphism graph terms, other graph/tGraph/V terms, component product terms per cusp).
+def _split(terms: list, auts: dict, level: int) -> tuple[list, list, dict]:
+    """(automorphism graph terms, other graph/tGraph/V terms, component product blocks per cusp).
 
     auts is `aut_index`: its graphs meet each other through `aut_table`.
-    Component products only meet their own cusp.
+    The block of a cusp holds the numerator of CP(c;m,n) at block[m][n];
+    a component index outside 0..N-1 is rejected.
     """
     aut: list = []
     other: list = []
-    by_cusp: dict[int, list] = {}
-    for term in terms:
-        atom = term[0]
+    blocks: dict[int, dict] = {}
+    for atom, v in terms:
         if atom[0] == "C":
-            by_cusp.setdefault(atom[1], []).append(term)
+            _, c, m, n = atom
+            if not (0 <= m < level and 0 <= n < level):
+                raise _index_error(atom, level)
+            block = blocks.get(c)
+            if block is None:
+                block = blocks[c] = {}
+            row = block.get(m)
+            if row is None:
+                row = block[m] = {}
+            row[n] = v
         elif atom in auts:
-            aut.append(term)
+            aut.append((atom, v))
         else:
-            other.append(term)
-    return aut, other, by_cusp
+            other.append((atom, v))
+    return aut, other, blocks
 
 
 @lru_cache(maxsize=None)
@@ -319,74 +331,220 @@ def _aut_product(xs: list, ys: list, index: dict, table: tuple) -> list:
     return [(atoms[k], v) for k, v in out.items() if v]
 
 
-def after_key(atom: Atom) -> tuple | None:
-    """What a graph, tGraph or V atom after a component product acts through (R10, R12).
+# -- component products as blocks -------------------------------------------------
+#
+# The component products of one cusp form a block, a sparse integer matrix
+# {m: {n: v}} holding the numerator of CP(c;m,n) at [m][n].  R9 on one
+# cusp is the matrix product Y.A.X of the before block Y, the N-gon
+# pairing A and the after block X.  A graph, tGraph or V atom acts on a
+# block through an index map: on its columns when the atom comes after it
+# (R10, R12, R14), on its rows when it comes before (R11, R13, R14).  The
+# maps of an operand's atoms, weighted by their numerators, add up to one
+# sparse matrix, so an operand meets a block in one matrix product.
 
-    None when the rule gives 0: a collapse or V.
+
+def _read(rule, x: Atom, y: Atom, level: int, slot: int) -> tuple:
+    """rule(x, y) as ((j, k), ...) for its terms k CP(0;j,0) (slot 2) or k CP(0;0,j) (slot 3)."""
+    out = []
+    for atom, k in rule(x, y, level) or ():
+        if atom[0] != "C" or atom[1] or atom[5 - slot]:
+            raise UnsupportedCompositionError(
+                f"{atom_label(x)} o {atom_label(y)} gives {atom_label(atom)}, which no block map can write")
+        out.append((atom[slot], k))
+    return tuple(out)
+
+
+def _sparse(rows) -> dict:
+    """{i: {j: w}} from (i, {j: w}) pairs, without zero entries or empty rows."""
+    out = {}
+    for i, row in rows:
+        row = {j: w for j, w in row.items() if w}
+        if row:
+            out[i] = row
+    return out
+
+
+class CuspRule:
+    """A rule on the component products of cusp 0: R9's pairing, and an index map per graph, tGraph or V atom.
+
+    `pairing` is A as a sparse matrix {ny: {mx: k}}, with
+    CP(0;mx,0) o CP(0;0,ny) = k CP(0;0,0); it has three nonzeros per row.
+    A map sends each index i to ((j, w), ...).  An atom after a block sends
+    column i to columns j, read from atom o CP(0;0,i); an atom before a
+    block sends row i to rows j, read from CP(0;i,0) o atom.  An atom's map
+    is read the first time it meets a block; equal maps share one id in
+    `maps`, and the map that sends every index to nothing, zero, is id None.
     """
-    kind = atom[0]
-    if kind == "G":
-        f: SurfEnd = atom[1]
-        return None if f.collapse else ("G", f.b1, f.s)
-    if kind == "T":
-        return ("T", atom[1].b1)
-    return None
+
+    def __init__(self, level: int, rule) -> None:
+        self.level = level
+        self.rule = rule
+        pairing = []
+        for ny in range(level):
+            row = {}
+            for mx in range(level):
+                for j, k in _read(rule, cusp_prod(0, mx, 0), cusp_prod(0, 0, ny), level, 3):
+                    if j:
+                        raise UnsupportedCompositionError(f"CP(0;{mx},0) o CP(0;0,{ny}) leaves CP(0;0,0)")
+                    row[mx] = row.get(mx, 0) + k
+            pairing.append((ny, row))
+        self.pairing = _sparse(pairing)
+        self.maps: list[tuple] = []
+        self._ids: dict = {}
+        self._after: dict = {}
+        self._before: dict = {}
+
+    def map_id(self, atom: Atom, after: bool) -> int | None:
+        """The id of atom's map: on the columns of a block after atom, or on the rows of one before it."""
+        ids = self._after if after else self._before
+        i = ids.get(atom, ids)
+        if i is ids:
+            rule, n = self.rule, self.level
+            if after:
+                images = tuple(_read(rule, atom, cusp_prod(0, 0, j), n, 3) for j in range(n))
+            else:
+                images = tuple(_read(rule, cusp_prod(0, j, 0), atom, n, 2) for j in range(n))
+            i = None
+            if any(images):
+                i = self._ids.get(images)
+                if i is None:
+                    i = self._ids[images] = len(self.maps)
+                    self.maps.append(images)
+            ids[atom] = i
+        return i
+
+    def combined(self, terms: list, after: bool, indices) -> dict:
+        """The sum of v M over the (atom, v) terms, M the atom's map, on the given indices only.
+
+        It is {i: {j: w}} for atoms after a block and {j: {i: w}} for atoms
+        before one, for i in indices.  The numerators of the atoms that
+        share a map are summed first.
+        """
+        ids = self._after if after else self._before
+        summed: dict = {}
+        for atom, v in terms:
+            m = ids.get(atom, ids)
+            if m is ids:
+                m = self.map_id(atom, after)
+            if m is not None:
+                summed[m] = summed.get(m, 0) + v
+        out: dict = {}
+        for m, v in summed.items():
+            if not v:
+                continue
+            images = self.maps[m]
+            for i in indices:
+                for j, w in images[i]:
+                    r, c = (i, j) if after else (j, i)
+                    row = out.get(r)
+                    if row is None:
+                        row = out[r] = {}
+                    row[c] = row.get(c, 0) + v * w
+        return _sparse(out.items())
 
 
-def before_key(atom: Atom) -> tuple | None:
-    """What a graph, tGraph or V atom before a component product acts through (R11).
+@lru_cache(maxsize=None)
+def cusp_rule(level: int, rule) -> CuspRule:
+    """The `CuspRule` of rule at level, cached per rule as `aut_table` is."""
+    return CuspRule(level, rule)
 
-    None when the rule gives 0: a tGraph (R13) or V (R14).
+
+def _mul(a: dict, b: dict, out: dict) -> dict:
+    """Add the product a.b of two sparse matrices {i: {j: v}} into out, and return out."""
+    for i, arow in a.items():
+        orow = out.get(i)
+        if orow is None:
+            orow = out[i] = {}
+        get = orow.get
+        for k, v in arow.items():
+            brow = b.get(k)
+            if v and brow:
+                for j, w in brow.items():
+                    orow[j] = get(j, 0) + v * w
+    return out
+
+
+def _block_products(x_plain: list, x_blocks: dict, y_plain: list, y_blocks: dict, table: CuspRule) -> list:
+    """The (atom, numerator) terms of every product that meets a block.
+
+    Per cusp that is Y.C + Y.A.X + R.X, with C the summed maps of the
+    after operand's other atoms and R those of the before operand's, each
+    on the columns of the Y blocks or the rows of the X blocks only.
     """
-    if atom[0] == "G":
-        f: SurfEnd = atom[1]
-        return ("G", f.b1, f.s, f.collapse)
-    return None
+    after = before = None
+    if y_blocks and x_plain:
+        columns = set().union(*(row for y in y_blocks.values() for row in y.values()))
+        after = table.combined(x_plain, True, columns)
+    if x_blocks and y_plain:
+        before = table.combined(y_plain, False, set().union(*x_blocks.values()))
+    out = []
+    for c in dict.fromkeys(chain(y_blocks, x_blocks)):
+        y = y_blocks.get(c)
+        x = x_blocks.get(c)
+        block: dict = {}
+        if y and after:
+            _mul(y, after, block)
+        if y and x:
+            _mul(_mul(y, table.pairing, {}), x, block)
+        if x and before:
+            _mul(before, x, block)
+        out += [(("C", c, m, k), v) for m, row in block.items() for k, v in row.items() if v]
+    return out
 
 
-def by_key(terms: list, key) -> list:
-    """One representative atom per key, with the summed numerators of the atoms sharing it.
+def _cusp_support(x: SurfCorr) -> frozenset | None:
+    """The cusps of x when it holds only component products, else None; kept on x once found.
 
-    Keys whose numerators cancel, and atoms without a key, drop out.
+    Such a sum composes with one on other cusps to zero without reaching
+    `_split`, so its component indices are checked here.
     """
-    summed: dict = {}
-    for atom, v in terms:
-        k = key(atom)
-        if k is None:
-            continue
-        slot = summed.get(k)
-        if slot is None:
-            summed[k] = [atom, v]
-        else:
-            slot[1] += v
-    return [(atom, v) for atom, v in summed.values() if v]
+    try:
+        return x._cusps
+    except AttributeError:
+        pass
+    terms, level = x.terms, x.level
+    cusps = None
+    if all(atom[0] == "C" for atom in terms):
+        for atom in terms:
+            if not (0 <= atom[2] < level and 0 <= atom[3] < level):
+                raise _index_error(atom, level)
+        cusps = frozenset(atom[1] for atom in terms)
+    x._cusps = cusps
+    return cusps
+
+
+def _index_error(atom: Atom, level: int) -> ValueError:
+    return ValueError(f"{atom_label(atom)} has a component index outside 0..{level - 1}")
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
-    """after o before: automorphism graph pairs read `aut_table`, graph atoms meet component products by key.
+    """after o before: automorphism graph pairs read `aut_table`, component products meet as blocks.
 
-    Two automorphism graphs meet through the tabulated rule, on integer ids.
-    A graph, tGraph or V atom acts on a component product only through
-    `after_key` or `before_key`, so the atoms that share a key are paired
-    once, through one representative.  The other graph pairs and R9 pairs
-    on one cusp run atom by atom.
+    Two operands that hold only component products, on disjoint sets of
+    cusps, compose to zero before any arithmetic.  Otherwise the
+    component products of each cusp are one integer block (`CuspRule`):
+    R9 is the block product Y.A.X, and a graph, tGraph or V atom acts on
+    a block through its index map, the atoms of one map summed first.
+    Two automorphism graphs meet through the tabulated rule, on integer
+    ids, and the other graph, tGraph and V pairs run atom by atom.
     """
     after.check_level(before)
     level = after.level
+    x_cusps = _cusp_support(after)
+    y_cusps = _cusp_support(before)
+    if x_cusps is not None and y_cusps is not None and x_cusps.isdisjoint(y_cusps):
+        return SurfCorr._make(level, {})
     rule = compose_atom_pair  # looked up at each call, so a patched rule is used
     dx, xs = integral(after.terms)
     dy, ys = integral(before.terms)
     auts = aut_index(level)
-    x_aut, x_other, x_cusp = _split(xs, auts)
-    y_aut, y_other, y_cusp = _split(ys, auts)
+    x_aut, x_other, x_blocks = _split(xs, auts, level)
+    y_aut, y_other, y_blocks = _split(ys, auts, level)
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
     if x_aut and y_aut:
         pairs.append(_aut_product(x_aut, y_aut, auts, aut_table(level, rule)))
-    if y_cusp and (x_aut or x_other):
-        y_cusps = list(chain.from_iterable(y_cusp.values()))
-        pairs.append(bilinear(by_key(x_aut + x_other, after_key), y_cusps, rule, level))
-    y_keyed = by_key(y_aut + y_other, before_key) if x_cusp else []
-    pairs += [bilinear(bucket, y_keyed + y_cusp.get(cusp, []), rule, level) for cusp, bucket in x_cusp.items()]
+    if x_blocks or y_blocks:
+        pairs.append(_block_products(x_aut + x_other, x_blocks, y_aut + y_other, y_blocks, cusp_rule(level, rule)))
     return SurfCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), dx * dy))
 
 

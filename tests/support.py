@@ -5,7 +5,7 @@ open-part correspondences; the tests do, to check the rule table
 exhaustively and the restriction to the open part against it.  The
 atom-pair products are the oracles of the program's keyed products:
 `compose_by_atom_pairs` sends every atom pair through the rule table, where
-`surface.compose` pairs graph atoms with component products once per key,
+`surface.compose` multiplies the component products of a cusp as blocks,
 `group_product` multiplies group elements one pair at a time, where
 `GroupRingElement.__mul__` reads an integer product table, and
 `compose_open_t` multiplies open tensor sums atom pair by atom pair, where

@@ -1,26 +1,29 @@
 """The keyed products against the atom-pair products they replaced.
 
-`surface.compose` pairs a graph, tGraph or V atom with component products
-once per key (`after_key`, `before_key`), through one representative atom
-carrying the summed numerators of the atoms that share the key.
-`GroupRingElement.__mul__` reads the index of each product from a table of
-G.  Neither shortcut shows in the certificates when it is wrong in a way
-that cancels: pi1's +- coefficients cancel per b1, so a key that forgot the
-inversion part s would leave `surface_certificate` all pass.  These tests
-check both kernels atom by atom instead: exhaustively that atoms with one
-key act alike, and on random operands that the products equal the oracles
-in `support`.  The group ring of G^2 x| S_2, held factored as a
-`TensorExpr` with Q[G] factors, is checked the same way against sums of
-`G2Elem`s: its products and zero test on random factors, and its swap
-rule on every element at N = 3.
+`surface.compose` lets a graph, tGraph or V atom act on the component
+products of a cusp through an index map read from the rule
+(`CuspRule.map_id`), and sums the numerators of the atoms that share a
+map first.  `GroupRingElement.__mul__` reads the index of each product
+from a table of G.  Neither shortcut shows in the certificates when it is
+wrong in a way that cancels: pi1's +- coefficients cancel per b1, so a map
+that forgot the inversion part s would leave `surface_certificate` all
+pass.  These tests check both kernels atom by atom instead: exhaustively
+that atoms with one map act alike, and on random operands that the
+products equal the oracles in `support`.  The group ring of G^2 x| S_2,
+held factored as a `TensorExpr` with Q[G] factors, is checked the same
+way against sums of `G2Elem`s: its products and zero test on random
+factors, and its swap rule on every element at N = 3.
 """
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motive_calc import surface
 from motive_calc.groups import (
     GroupRingElement,
     LevelMismatchError,
@@ -34,18 +37,21 @@ from motive_calc.groups import (
     symmetrizers,
 )
 from motive_calc.levels import cusp_count
-from motive_calc.sums import product
+from motive_calc.sums import integral, product
 from motive_calc.threefold import TensorExpr
 from motive_calc.surface import (
     VERT,
     SurfCorr,
-    after_key,
-    before_key,
+    UnsupportedCompositionError,
+    atom_label,
     build_pi_bars,
     build_pi_cusp,
     compose,
     compose_atom_pair,
     cusp_prod,
+    cusp_rule,
+    delta,
+    surface_certificate,
 )
 
 from support import (
@@ -71,12 +77,16 @@ def _cusp_products(n):
     return [cusp_prod(c, m, k) for c in range(cusp_count(n)) for m in range(n) for k in range(n)]
 
 
-# -- the keys, exhaustively ----------------------------------------------------------
+# -- the maps, exhaustively ----------------------------------------------------------
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("side", ["after", "before"])
 def test_atoms_with_one_key_act_alike_on_every_cusp_product(n, side):
-    key = after_key if side == "after" else before_key
+    table = cusp_rule(n, compose_atom_pair)
+
+    def key(x):  # the id of x's map, None for the zero map
+        return table.map_id(x, side == "after")
+
     atoms = _non_cusp_atoms(n)
     keys = {key(a) for a in atoms}
     assert len(keys) > 1  # the keys tell some atoms apart
@@ -89,6 +99,91 @@ def test_atoms_with_one_key_act_alike_on_every_cusp_product(n, side):
                 assert not out, (x, y)
             else:
                 assert seen.setdefault(k, out) == out, (x, y)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_maps_and_the_pairing_are_the_rule_on_every_cusp(n):
+    # read on cusp 0, they give the rule's answer on every cusp and at every other index
+    table = cusp_rule(n, compose_atom_pair)
+
+    def images(x, after, i):
+        m = table.map_id(x, after)
+        return table.maps[m][i] if m is not None else ()
+
+    for y in _cusp_products(n):
+        _, c, m, k = y
+        for x in _non_cusp_atoms(n):
+            after = images(x, True, k)
+            assert list(compose_atom_pair(x, y, n) or ()) == [(("C", c, m, j), w) for j, w in after], (x, y)
+            before = images(x, False, m)
+            assert list(compose_atom_pair(y, x, n) or ()) == [(("C", c, j, k), w) for j, w in before], (x, y)
+        for z in _cusp_products(n):
+            # z o y = A[k][z.m] CP(c;m,z.n) on one cusp
+            want = table.pairing.get(k, {}).get(z[2]) if z[1] == c else None
+            assert list(compose_atom_pair(z, y, n) or ()) == ([(("C", c, m, z[3]), want)] if want else []), (z, y)
+
+
+def test_disjoint_cusp_operands_compose_to_zero_before_any_arithmetic(monkeypatch):
+    n = 4
+    calls = []
+    monkeypatch.setattr(surface, "integral", lambda terms: calls.append(terms) or integral(terms))
+    x = build_pi_cusp(n, 0).scale(3) + SurfCorr.of(n, cusp_prod(1, 2, 3))
+    y = build_pi_cusp(n, 2) + SurfCorr.of(n, cusp_prod(3, 0, 1), Fraction(1, 2))
+    assert compose(x, y).is_zero() and compose(y, x).is_zero()
+    assert calls == []
+    # a shared cusp, or any atom that is not a component product, takes the full path
+    for a, b in [
+        (x, y + SurfCorr.of(n, cusp_prod(1, 1, 1))),
+        (x, y + SurfCorr.of(n, VERT)),
+        (x + delta(n), y),
+        (x.scale(2) + build_pi_bars(n)["pi1"], y),
+    ]:
+        calls.clear()
+        assert compose(a, b) == compose_by_atom_pairs(a, b)
+        assert len(calls) == 2
+
+
+def test_the_surface_certificate_sends_no_component_product_through_the_rule(monkeypatch):
+    # once the tables are built, every product with a component product is read from them
+    calls = Counter()
+
+    def counted(x, y, level):
+        calls[x[0], y[0]] += 1
+        return compose_atom_pair(x, y, level)
+
+    monkeypatch.setattr(surface, "compose_atom_pair", counted)
+    assert all(e["status"] == "pass" for e in surface_certificate(6))
+    assert calls["C", "C"] > 0  # the pairing was read
+    calls.clear()
+    assert all(e["status"] == "pass" for e in surface_certificate(6))
+    assert sum(calls.values()) > 0
+    assert [pair for pair in calls if "C" in pair] == []
+
+
+@pytest.mark.parametrize("kinds", [("V", "C"), ("C", "C")])
+def test_a_rule_that_leaves_the_block_is_refused(kinds, monkeypatch):
+    # V o CP = V, or R9 with its product on the first slot, cannot be written as a block map or pairing
+    def leaves(x, y, level):
+        if (x[0], y[0]) == kinds:
+            return [(VERT, 1)] if x[0] == "V" else [(("C", x[1], x[2], y[3]), 1)]
+        return compose_atom_pair(x, y, level)
+
+    monkeypatch.setattr(surface, "compose_atom_pair", leaves)
+    n = 4
+    with pytest.raises(UnsupportedCompositionError):
+        compose(SurfCorr.of(n, VERT) + build_pi_cusp(n, 0), build_pi_cusp(n, 0))
+
+
+@pytest.mark.parametrize("bad", [cusp_prod(0, 5, 1), cusp_prod(0, 1, 5), cusp_prod(1, -1, 0), cusp_prod(2, 0, 4)])
+def test_compose_rejects_component_indices_out_of_range(bad):
+    n = 4
+    wrong = SurfCorr.of(n, bad)
+    message = re.escape(atom_label(bad))
+    # against the same cusp, another cusp, and with other atoms on either side
+    for other in (SurfCorr.of(n, cusp_prod(0, 1, 1)), build_pi_cusp(n, 3), delta(n), build_pi_bars(n)["pi1"]):
+        for a, b in ((wrong, other), (other, wrong), (wrong + delta(n), other), (other, wrong + delta(n))):
+            with pytest.raises(ValueError, match=message):
+                compose(a, b)
 
 
 # -- compose on random operands ------------------------------------------------------

@@ -5,16 +5,20 @@ that still reads all-pass under such a fault would be checking nothing."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_calc import groups, surface, threefold
 from motive_calc.endos import aff_end
 from motive_calc.groups import GElem, GroupRingElement, group_certificate
+from motive_calc.levels import cusp_count
 from motive_calc.sums import product
-from motive_calc.surface import aff_of, open_graph, surface_certificate
+from motive_calc.surface import VERT, SurfCorr, aff_of, build_pi_cusp, cusp_prod, open_graph, surface_certificate
 from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
 
 from flat_threefold import expands_to_zero
-from support import G2Sum, g2_epsilon2, g2_identity, g2_sum, group_product, sigma_swap
+from support import (
+    G2Sum, compose_by_atom_pairs, enumerate_surf, g2_epsilon2, g2_identity, g2_sum, group_product, sigma_swap)
 
 
 def _failed(entries):
@@ -210,6 +214,145 @@ def test_every_group_entry_fails_under_some_fault():
     names = [e["name"] for e in group_certificate(4)]
     assert len(names) == 14
     assert set(names) == set().union(*GROUP_FAILURES.values())
+
+
+# -- the surface rule on component products (R9-R14): each fault with the entries it flips at N = 4
+
+_rule = surface.compose_atom_pair
+
+
+def _is_aut(atom) -> bool:
+    return atom[0] == "G" and not atom[1].collapse
+
+
+def _doubled_where(kinds):
+    def doubled(x, y, level):
+        produced = _rule(x, y, level)
+        if produced and kinds(x, y):
+            return [(atom, 2 * k) for atom, k in produced]
+        return produced
+
+    return doubled
+
+
+def _r10_shifted(x, y, level):
+    # Graph(f) o CP(c;m,n) = CP(c;m,f(n) + 1)
+    if _is_aut(x) and y[0] == "C":
+        return [(("C", c, m, (n + 1) % level), k) for (_, c, m, n), k in _rule(x, y, level)]
+    return _rule(x, y, level)
+
+
+def _r11_shifted(x, y, level):
+    # CP(c;m,n) o Graph(f) = CP(c;f^-1(m) + 1,n)
+    if x[0] == "C" and _is_aut(y):
+        return [(("C", c, (m + 1) % level, n), k) for (_, c, m, n), k in _rule(x, y, level)]
+    return _rule(x, y, level)
+
+
+def _r11_collapse_off(x, y, level):
+    # the collapse pulls back the component of the section one further on
+    if x[0] == "C" and y[0] == "G" and y[1].collapse:
+        return _rule(x, ("G", y[1]._replace(b1=(y[1].b1 + 1) % level)), level)
+    return _rule(x, y, level)
+
+
+def _r12_off(x, y, level):
+    if x[0] == "T" and y[0] == "C":
+        return _rule(("T", x[1]._replace(b1=(x[1].b1 + 1) % level)), y, level)
+    return _rule(x, y, level)
+
+
+def _r13_nonzero(x, y, level):
+    # CP o tGraph = CP
+    if x[0] == "C" and y[0] == "T":
+        return [(x, 1)]
+    return _rule(x, y, level)
+
+
+def _r14_nonzero(x, y, level):
+    # V o CP = CP
+    if x[0] == "V" and y[0] == "C":
+        return [(y, 1)]
+    return _rule(x, y, level)
+
+
+SURFACE_RULE_FAULTS = {
+    "R9 doubled": _doubled_where(lambda x, y: x[0] == y[0] == "C"),
+    "R10 shifted by one column": _r10_shifted,
+    "R11 shifted by one row": _r11_shifted,
+    "R11 collapse on the wrong section": _r11_collapse_off,
+    "R12 on the wrong section": _r12_off,
+    "R13 nonzero": _r13_nonzero,
+    "R14 nonzero": _r14_nonzero,
+}
+
+
+def _per_cusp(*names):
+    return [name.format(c) for name in names for c in range(cusp_count(4))]
+
+
+SURFACE_RULE_FAILURES = {
+    "R9 doubled": _per_cusp("kronecker:piC({0}).piC({0})"),
+    "R10 shifted by one column": _per_cusp("residual:piInf.piC({})"),
+    "R11 shifted by one row": _per_cusp("residual:piC({}).piInf"),
+    "R11 collapse on the wrong section": _per_cusp("kronecker:piC({}).pi2", "residual:piC({}).piInf"),
+    "R12 on the wrong section": _per_cusp("kronecker:pi0.piC({})", "residual:piInf.piC({})"),
+    "R13 nonzero": _per_cusp("kronecker:piC({}).pi0", "residual:piC({}).piInf"),
+    "R14 nonzero": _per_cusp("kronecker:pi0.piC({})", "kronecker:pi2.piC({})", "residual:piInf.piC({})"),
+}
+
+# No entry sees these two: the cusp projectors have no component-0 term, and
+# mu0 is the only collapse in the named projectors.  They still reach compose.
+UNSEEN_SURFACE_RULE_FAULTS = {
+    "R12 doubled": _doubled_where(lambda x, y: x[0] == "T" and y[0] == "C"),
+    "R11 collapse doubled": _doubled_where(lambda x, y: x[0] == "C" and y[0] == "G" and y[1].collapse),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SURFACE_RULE_FAULTS))
+def test_surface_certificate_fails_under_a_rule_fault(fault, monkeypatch):
+    monkeypatch.setattr(surface, "compose_atom_pair", SURFACE_RULE_FAULTS[fault])
+    assert _failed(surface_certificate(4)) == SURFACE_RULE_FAILURES[fault]
+    # every atom pair through the faulty rule flips the same entries
+    monkeypatch.setattr(surface, "compose", compose_by_atom_pairs)
+    assert _failed(surface_certificate(4)) == SURFACE_RULE_FAILURES[fault]
+
+
+@st.composite
+def cusp_block_operands(draw, n):
+    """Full cusp projectors on up to three cusps, scaled, plus random component products and graph,
+    tGraph and V atoms."""
+    ends = enumerate_surf(n)
+    cusps = range(min(3, cusp_count(n)))
+    coeff = st.sampled_from([Fraction(k, 2) for k in (-3, -1, 1, 2, 5)])
+    total = SurfCorr.zero(n)
+    for c in draw(st.lists(st.sampled_from(cusps), max_size=3, unique=True)):
+        total = total + build_pi_cusp(n, c).scale(draw(coeff))
+    index = st.integers(0, n - 1)
+    atom = st.one_of(
+        st.builds(cusp_prod, st.sampled_from(cusps), index, index),
+        st.builds(lambda e: ("G", e), st.sampled_from(ends)),
+        st.builds(lambda e: ("T", e), st.sampled_from([e for e in ends if e.collapse])),
+        st.just(VERT),
+    )
+    for a, c in draw(st.lists(st.tuples(atom, coeff), max_size=8)):
+        total = total + SurfCorr.of(n, a, c)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(3, 5))
+def test_compose_matches_the_atom_pair_oracle_under_every_rule_fault(data, n):
+    x = data.draw(cusp_block_operands(n))
+    y = data.draw(cusp_block_operands(n))
+    unpatched = surface.compose(x, y)
+    assert unpatched == compose_by_atom_pairs(x, y)
+    for fault in [*SURFACE_RULE_FAULTS.values(), *UNSEEN_SURFACE_RULE_FAULTS.values()]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surface, "compose_atom_pair", fault)
+            assert surface.compose(x, y) == compose_by_atom_pairs(x, y)
+    # the tables are kept per rule, so the unpatched rule reads its own again
+    assert surface.compose(x, y) == unpatched
 
 
 # -- the threefold certificate, under its zero test and under the expand-and-compare oracle
