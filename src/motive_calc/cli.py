@@ -6,7 +6,8 @@ verify.  Exit status:
     0  every non-experimental check passed;
     1  some check failed;
     2  the invocation itself was bad (unknown level, level above
-       --max-level, parse error, ...);
+       --max-level, parse error, an output file that cannot be
+       written, ...);
     3  an internal fault: an invariant of the engine broke, it was asked
        for a composition outside its rule table, or a product produced a
        d_a^2 term.
@@ -15,6 +16,7 @@ verify.  Exit status:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .dsl import ParseError, UnknownAtomError, EvalError, evaluate
@@ -32,10 +34,25 @@ from .report import CERTIFICATE_SECTIONS, render_json, render_text, report_passe
 from .surface import UnsupportedCompositionError, neron_lattice
 
 
+class OutputError(Exception):
+    """The file named by -o cannot be written."""
+
+
+def _check_output(args) -> None:
+    """Refuse, before any work, an output path whose directory does not exist."""
+    if args.output:
+        folder = os.path.dirname(os.path.abspath(args.output))
+        if not os.path.isdir(folder):
+            raise OutputError(f"cannot write {args.output}: no directory {folder}")
+
+
 def _write(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -231,11 +248,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args)
         return args.func(args)
     except (InvariantError, UnsupportedCompositionError, DegreeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (LevelTooSmallError, ParseError, UnknownAtomError, EvalError, ValueError) as exc:
+    except (LevelTooSmallError, ParseError, UnknownAtomError, EvalError, ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Union
 
 from .endos import mu0 as mu0_end, surf_end
-from .levels import cusp_count
+from .levels import _check_level, cusp_count
 from .surface import (
     SurfCorr,
     VERT,
@@ -331,6 +331,7 @@ def _eval_atom(atom: NamedAtom, n: int, mode: str):
 
 def eval_expr(node: Node, n: int, mode: str = "surface"):
     """Evaluate to a canonical SurfCorr (surface mode) or TCorr (threefold)."""
+    _check_level(n)
     surface = mode == "surface"
     memo: dict = {}  # the surface products of the factors of threefold values
 

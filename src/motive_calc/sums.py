@@ -283,6 +283,13 @@ class Certificate:
         else:
             self.residual(name, law, residual.expand(cls))
 
+    def settle(self, name: str, law: str, residual: LinComb) -> None:
+        """Record `law` from its residual got - want, computed by the caller: it holds iff that is zero."""
+        if residual.is_zero():
+            self.record(name, law, True)
+        else:
+            self.residual(name, law, residual)
+
     def residual(self, name: str, law: str, residual: LinComb) -> None:
         """Record `law` as failed with its nonzero residual got - want: its size and its first atoms."""
         self.record(name, law, False, f"got - want has {len(residual.terms)} atoms: {residual.render(RESIDUAL_ATOMS)}")

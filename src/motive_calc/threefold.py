@@ -13,9 +13,11 @@ of pure tensors, each factor an honest surface correspondence.  An
 equality is decided on that form too: `TensorExpr.is_zero` tests the
 difference of the two sides by exact elimination on the factors (see its
 docstring), and only a failed certificate entry expands its residual to
-atoms.  The restriction rows expand each pair projector and restrict it
-once, because their law is about the factoring; the parity rows reuse
-those restrictions.  Divisor actions are also computed on the factored
+atoms.  The restriction rows keep expand-then-restrict, because their
+law is about the factoring, but take it one chunk of the left factor at
+a time on integer numerators and sum the chunk residuals, so a passing
+row never holds a pair projector expanded whole (`restriction_residual`,
+`parity_residual`).  Divisor actions are also computed on the factored
 form: a pure tensor acts as the tensor product of its two factors' slot
 actions.  Within one certificate the projectors share their factors, and
 each distinct surface product and each slot image is computed once.
@@ -46,7 +48,6 @@ from .sums import (
 from .surface import (
     VERT,
     Atom,
-    OpenCorr,
     SurfCorr,
     atom_label,
     atom_sort_key,
@@ -452,14 +453,93 @@ def restrict_to_open_t(x: TCorr) -> OpenTCorr:
     return linear_map(x, _restrict_t_atom, OpenTCorr)
 
 
-def tensor_open(a: OpenCorr, b: OpenCorr, swap: bool = False) -> OpenTCorr:
-    return product(a, b, _tensor_rule(swap), OpenTCorr)
+def _chunked(pairs: list[tuple[SurfCorr, SurfCorr]]) -> tuple[int, dict]:
+    """(d, {L: [(xs, ys)]}): the pure tensors a (x) b of pairs, cut by the open atom L of a's terms.
+
+    xs are the terms of a that `restrict_atom` sends to L (None is a chunk
+    of its own) and ys all the terms of b, as integer numerators whose
+    products are over d, the lcm of the pairs' common denominators.
+    """
+    factors = [(integral(a.terms), integral(b.terms)) for a, b in pairs]
+    d = lcm(*(da * db for (da, _), (db, _) in factors))
+    chunks: dict = {}
+    for (da, xs), (db, ys) in factors:
+        k = d // (da * db)
+        cut: dict = {}
+        for atom, v in xs:
+            cut.setdefault(restrict_atom(atom), []).append((atom, k * v))
+        for key, part in cut.items():
+            chunks.setdefault(key, []).append((part, ys))
+    return d, chunks
 
 
-def invert_open_t(x: OpenTCorr) -> OpenTCorr:
-    """inversion . x, with inversion = Graph(-1) (x) Graph(-1): one pure tensor, so it acts factor by factor."""
-    inv = open_graph(aff_end(x.level, -1))
-    return linear_map(x, lambda atom: (compose_open_atoms(inv, atom[0]), compose_open_atoms(inv, atom[1]), atom[2]))
+def _restricted(chunk: list, level: int) -> dict:
+    """The sum of the xs (x) ys of a chunk, expanded through `t_atom`, then restricted atom by atom."""
+
+    def opened():
+        for xs, ys in chunk:
+            for atom, v in bilinear(xs, ys, _tensor_rule(False), level):
+                o = _restrict_t_atom(atom)
+                if o is not None:
+                    yield o, v
+
+    return collect(opened())
+
+
+def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
+    """open(a (x) b) - open(a) (x) open(b), summed one chunk of a's terms at a time.
+
+    The left side is a (x) b expanded and restricted atom by atom, the
+    right side the tensor product of the surface restrictions
+    (`surface.restrict_to_open`).  Both are taken on integer numerators,
+    one left open atom L at a time: the chunk of L (see `_chunked`) less
+    open(a) at L tensored with open(b).  The chunk residuals are summed,
+    so the result is the whole residual whatever the atom maps do; when
+    the law holds, the sum is empty after each chunk.
+    """
+    level = a.level
+    d, chunks = _chunked([(a, b)])
+    da, open_a = integral(restrict_to_open(a).terms)
+    db, open_b = integral(restrict_to_open(b).terms)
+    open_a = dict(open_a)
+    k = -(d // (da * db))  # -open(a) (x) open(b) over d
+    out: dict = {}
+    for key in chunks.keys() | open_a.keys():
+        if key in chunks:
+            collect(_restricted(chunks[key], level).items(), out)
+        if key in open_a:
+            u = k * open_a[key]
+            collect((((key, rb, False), u * v) for rb, v in open_b), out)
+    return OpenTCorr._make(level, rationalize(out, d))
+
+
+def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTCorr:
+    """inversion . g - sign g, for g the sum of open(a (x) b) over the pairs (a, b).
+
+    inversion = Graph(-1) (x) Graph(-1) is one pure tensor, so it acts
+    factor by factor through `compose_open_atoms`.  g is summed one chunk
+    at a time (see `_chunked`), on integer numerators over one common
+    denominator.  The inversion is an involution and sends chunk L to the
+    chunk of its image L', so L and L' are taken together: when the law
+    holds, the residual is empty after each such pair, and at most two
+    restricted chunks are alive.
+    """
+    level = pairs[0][0].level
+    d, chunks = _chunked(pairs)
+    inv = open_graph(aff_end(level, -1))
+    out: dict = {}
+    while chunks:
+        key = next(iter(chunks))
+        orbit = [chunks.pop(key)]
+        image = None if key is None else compose_open_atoms(inv, key)
+        if image in chunks:
+            orbit.append(chunks.pop(image))
+        for parts in orbit:
+            chunk = _restricted(parts, level)
+            collect((((compose_open_atoms(inv, lo), compose_open_atoms(inv, ro), e), v)
+                     for (lo, ro, e), v in chunk.items()), out)
+            collect(((atom, -sign * v) for atom, v in chunk.items()), out)
+    return OpenTCorr._make(level, rationalize(out, d))
 
 
 # -- two-object composition system ------------------------------------------
@@ -740,16 +820,14 @@ def threefold_certificate(n: int) -> list[dict]:
         check(f"residual:{na}.piInf", f"{na} . piInf = 0", mul(exprs[na], pinf), zero)
 
     # restriction to the open part factors through the surface restrictions: that law
-    # is about factoring, so its left side is the expanded projector, restricted atom by atom
-    opened = {name: restrict_to_open_t(exprs[name].expand()) for name in pair_names}
-    open_bars = {i: restrict_to_open(bars[f"pi{i}"]) for i in range(3)}
+    # is about factoring, so its left side is the expanded projector, restricted atom by
+    # atom; the residual is summed one chunk of the left factor at a time
     for i1 in range(3):
         for i2 in range(3):
-            cert.equal(
+            cert.settle(
                 f"restriction:pi({i1},{i2})",
                 f"open(pi({i1},{i2})) = open(pi{i1}) (x) open(pi{i2})",
-                opened[f"pi({i1},{i2})"],
-                tensor_open(open_bars[i1], open_bars[i2]),
+                restriction_residual(bars[f"pi{i1}"], bars[f"pi{i2}"]),
             )
     for j in (1, 2):
         cert.equal(
@@ -760,16 +838,11 @@ def threefold_certificate(n: int) -> list[dict]:
         )
     # parity grading of the restricted projectors under both inversions
     for i in range(5):
-        graded = OpenTCorr(n)
-        for i1 in range(3):
-            for i2 in range(3):
-                if i1 + i2 == i:
-                    graded = graded + opened[f"pi({i1},{i2})"]
-        cert.equal(
+        pairs = [(bars[f"pi{i1}"], bars[f"pi{i - i1}"]) for i1 in range(3) if 0 <= i - i1 < 3]
+        cert.settle(
             f"restriction:parity:{i}",
             f"inversion . (sum of open pi with i1+i2={i}) = (-1)^{i} (same)",
-            invert_open_t(graded),
-            graded.scale((-1) ** i),
+            parity_residual(pairs, (-1) ** i),
         )
 
     # divisor action rows

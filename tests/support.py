@@ -9,7 +9,16 @@ atom-pair products are the oracles of the program's keyed products:
 `group_product` multiplies group elements one pair at a time, where
 `GroupRingElement.__mul__` reads an integer product table, and
 `compose_open_t` multiplies open tensor sums atom pair by atom pair, where
-`threefold.invert_open_t` applies the inversion factor by factor.
+`invert_open_t` and `threefold.parity_residual` apply the inversion
+factor by factor.
+
+The program decides the restriction rows of the threefold certificate one
+chunk of a left factor at a time (`threefold.restriction_residual`,
+`threefold.parity_residual`).  Their oracles expand the pair projector
+whole, restrict it with `threefold.restrict_to_open_t`, and compare it with
+`tensor_open` of the surface restrictions, or invert it with
+`invert_open_t`; both read the atom maps through `threefold`, so a fault
+patched there reaches them as it reaches the program.
 
 The program holds an element of G^2 x| S_2's group ring factored, as a
 `TensorExpr` with Q[G] factors.  Its oracle is the ring as the program
@@ -28,14 +37,14 @@ can check that parsing its print gives the same tree.
 from fractions import Fraction
 from typing import NamedTuple
 
-from motive_calc import surface
+from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
-from motive_calc.endos import SurfEnd, surf_end
+from motive_calc.endos import SurfEnd, aff_end, surf_end
 from motive_calc.groups import GElem, GroupRingElement, enumerate_g, epsilon, g_identity
 from motive_calc.levels import _check_level
-from motive_calc.sums import LevelMismatchError, product
-from motive_calc.surface import Atom, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms
-from motive_calc.threefold import OpenTAtom, OpenTCorr, TensorExpr, _meet
+from motive_calc.sums import LevelMismatchError, linear_map, product
+from motive_calc.surface import Atom, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms, open_graph, restrict_to_open
+from motive_calc.threefold import OpenTAtom, OpenTCorr, TensorExpr, _meet, _tensor_rule
 
 
 def mu_minus1(n: int) -> SurfEnd:
@@ -159,6 +168,35 @@ def _open_t_pair(x: OpenTAtom, y: OpenTAtom, _level: int) -> tuple:
 
 def compose_open_t(after: OpenTCorr, before: OpenTCorr) -> OpenTCorr:
     return product(after, before, _open_t_pair)
+
+
+def tensor_open(a: OpenCorr, b: OpenCorr, swap: bool = False) -> OpenTCorr:
+    return product(a, b, _tensor_rule(swap), OpenTCorr)
+
+
+def invert_open_t(x: OpenTCorr) -> OpenTCorr:
+    """inversion . x, with inversion = Graph(-1) (x) Graph(-1): one pure tensor, so it acts factor by factor."""
+    inv = open_graph(aff_end(x.level, -1))
+    compose = threefold.compose_open_atoms
+    return linear_map(x, lambda atom: (compose(inv, atom[0]), compose(inv, atom[1]), atom[2]))
+
+
+def expanded_open(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
+    """open(a (x) b): the pure tensor expanded whole, then restricted atom by atom."""
+    return threefold.restrict_to_open_t(TensorExpr.pure(a, b).expand())
+
+
+def restriction_residual_by_expansion(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
+    """The oracle of `threefold.restriction_residual`."""
+    return expanded_open(a, b) - tensor_open(restrict_to_open(a), restrict_to_open(b))
+
+
+def parity_residual_by_expansion(pairs: list, sign: int) -> OpenTCorr:
+    """The oracle of `threefold.parity_residual`."""
+    graded = OpenTCorr(pairs[0][0].level)
+    for a, b in pairs:
+        graded = graded + expanded_open(a, b)
+    return invert_open_t(graded) - graded.scale(sign)
 
 
 def print_expr(node: Node) -> str:

@@ -51,7 +51,6 @@ from motive_calc.threefold import (
     t_atom,
     t_compose,
     t_delta_expr,
-    tensor_open,
 )
 
 from support import (
@@ -64,6 +63,7 @@ from support import (
     enumerate_surf,
     g2_sum,
     group_product,
+    tensor_open,
 )
 
 LEVELS = st.integers(3, 5)

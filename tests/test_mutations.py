@@ -2,6 +2,8 @@
 wrong, the certificate that covers it must report a failure.  A certificate
 that still reads all-pass under such a fault would be checking nothing."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,15 @@ from motive_calc import groups, surface, threefold
 from motive_calc.endos import aff_end
 from motive_calc.groups import GElem, GroupRingElement, group_certificate
 from motive_calc.levels import cusp_count
-from motive_calc.sums import product
-from motive_calc.surface import VERT, SurfCorr, aff_of, build_pi_cusp, cusp_prod, open_graph, surface_certificate
+from motive_calc.sums import Certificate, product
+from motive_calc.surface import (
+    VERT, SurfCorr, aff_of, build_pi_bars, build_pi_cusp, cusp_prod, open_graph, surface_certificate)
 from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
 
 from flat_threefold import expands_to_zero
 from support import (
-    G2Sum, compose_by_atom_pairs, enumerate_surf, g2_epsilon2, g2_identity, g2_sum, group_product, sigma_swap)
+    G2Sum, compose_by_atom_pairs, enumerate_surf, g2_epsilon2, g2_identity, g2_sum, group_product,
+    parity_residual_by_expansion, restriction_residual_by_expansion, sigma_swap)
 
 
 def _failed(entries):
@@ -425,6 +429,7 @@ def test_a_failed_threefold_entry_shows_its_residual_capped(zero_test, monkeypat
 # -- the restriction rows: each entry fails under at least one fault of the open part, at N = 4
 
 _restrict = threefold.restrict_atom
+_restrict_t = threefold._restrict_t_atom
 _compose_open = threefold.compose_open_atoms
 
 
@@ -432,16 +437,32 @@ def _is_inversion(atom) -> bool:
     return atom[0] == "G" and not atom[1].collapse and atom[1].s == -1
 
 
-RESTRICTION_FAULTS = {
-    "V restricted to a graph": ("restrict_atom", lambda atom: (
-        open_graph(aff_end(4, 1)) if atom[0] == "V" else _restrict(atom))),
-    "tGraph restricted as a graph": ("restrict_atom", lambda atom: (
-        open_graph(aff_of(atom[1])) if atom[0] == "T" else _restrict(atom))),
-    "inversion graphs lost": ("restrict_atom", lambda atom: (
-        None if _is_inversion(atom) else _restrict(atom))),
-    "inversion ignored on graphs": ("compose_open_atoms", lambda x, y: (
-        y if y[0] == "g" else _compose_open(x, y))),
-}
+def restriction_faults(n):
+    """Faults of the open part at level n, each as (name in `threefold`, patched function).
+
+    The last two sit at the chunk boundaries of the restriction rows: the
+    tensor slots of a restricted atom exchanged, and the inversion made to
+    send two graphs to one.
+    """
+
+    def merged(atom):
+        return open_graph(aff_end(n, -1)) if atom == open_graph(aff_end(n, -1, 1)) else atom
+
+    return {
+        "V restricted to a graph": ("restrict_atom", lambda atom: (
+            open_graph(aff_end(n, 1)) if atom[0] == "V" else _restrict(atom))),
+        "tGraph restricted as a graph": ("restrict_atom", lambda atom: (
+            open_graph(aff_of(atom[1])) if atom[0] == "T" else _restrict(atom))),
+        "inversion graphs lost": ("restrict_atom", lambda atom: (
+            None if _is_inversion(atom) else _restrict(atom))),
+        "inversion ignored on graphs": ("compose_open_atoms", lambda x, y: (
+            y if y[0] == "g" else _compose_open(x, y))),
+        "tensor slots swapped": ("_restrict_t_atom", lambda atom: _restrict_t((atom[1], atom[0], atom[2]))),
+        "two inversion graphs merged": ("compose_open_atoms", lambda x, y: merged(_compose_open(x, y))),
+    }
+
+
+RESTRICTION_FAULTS = restriction_faults(4)
 
 RESTRICTION_FAILURES = {
     "V restricted to a graph": [f"restriction:pi({i1},{i2})" for i1 in range(3) for i2 in range(3) if (i1, i2) != (1, 1)]
@@ -450,6 +471,21 @@ RESTRICTION_FAILURES = {
     "inversion graphs lost": [f"restriction:pi({i1},{i2})" for i1, i2 in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))]
     + [f"restriction:parity:{i}" for i in (1, 2, 3)],
     "inversion ignored on graphs": ["restriction:parity:1", "restriction:parity:3"],
+    "tensor slots swapped": [f"restriction:pi({i1},{i2})" for i1 in range(3) for i2 in range(3) if i1 != i2],
+    "two inversion graphs merged": [f"restriction:parity:{i}" for i in (1, 2, 3)],
+}
+
+# sha256 of json.dumps(threefold_certificate(4), sort_keys=True) with no fault and under each
+# fault, as the rows read when each pair projector was expanded whole, restricted, and compared
+# with tensor_open of the surface restrictions: the chunked rows must give the same bytes
+WHOLE_EXPANSION_DIGESTS = {
+    None: "7d7e8fccffd70404f81cd7b40c967dc31ed4ef58a4579d274f111704cfe4ecd9",
+    "V restricted to a graph": "9618a5a6ffabca4fc95c638290ee5b12c9a1419008a9286aabbc3b21134a2da4",
+    "tGraph restricted as a graph": "fba3067682d550f4f0916507e5d60d2b08c1353eb79757d6462ee9bf715810ac",
+    "inversion graphs lost": "a48cf014af60ec0e3e0df1918bbf0754617958737bc3d797968ef62ebb8e4289",
+    "inversion ignored on graphs": "f9037b7f2774a41746e3c8de95c113a628a6c62fb2004898be752b667f0166b6",
+    "tensor slots swapped": "89ba7bfa2701782de9cad4ef0570de8e0bd4d6aed47daad204ad0090809ea7c7",
+    "two inversion graphs merged": "a958bc55b2b9c0b525a8f06a6344e35ccf2a6d9ced4cf1e2fd6e37edc8830868",
 }
 
 
@@ -464,6 +500,54 @@ def test_every_threefold_restriction_entry_fails_under_some_fault():
     names = {e["name"] for e in threefold_certificate(4) if e["name"].startswith("restriction:")}
     assert len(names) == 16
     assert names == set().union(*RESTRICTION_FAILURES.values())
+
+
+@pytest.mark.parametrize("fault", list(WHOLE_EXPANSION_DIGESTS))
+def test_threefold_entries_under_a_fault_are_those_of_the_whole_expansion(fault, monkeypatch):
+    if fault is not None:
+        monkeypatch.setattr(threefold, *RESTRICTION_FAULTS[fault])
+    blob = json.dumps(threefold_certificate(4), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == WHOLE_EXPANSION_DIGESTS[fault]
+
+
+@st.composite
+def open_part_factors(draw, n):
+    """A surface sum of V, graphs of every endomorphism, transposed collapse graphs and bar projectors."""
+    ends = enumerate_surf(n)
+    atom = st.one_of(
+        st.builds(lambda e: ("G", e), st.sampled_from(ends)),
+        st.builds(lambda e: ("T", e), st.sampled_from([e for e in ends if e.collapse])),
+        st.just(VERT),
+    )
+    coeff = st.sampled_from([Fraction(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 3, 2 * n * n)])
+    x = SurfCorr(n, draw(st.dictionaries(atom, coeff, max_size=6)))
+    bars = build_pi_bars(n)
+    for name in draw(st.lists(st.sampled_from(sorted(bars)), max_size=2)):
+        x = x + bars[name].scale(draw(coeff))
+    return x
+
+
+def _settled(residual):
+    """The entry that the certificate records for a row with this residual."""
+    cert = Certificate()
+    cert.settle("row", "got = want", residual)
+    return cert.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(3, 5))
+def test_chunked_restriction_rows_match_the_whole_expansion_under_every_fault(data, n):
+    pairs = data.draw(st.lists(st.tuples(open_part_factors(n), open_part_factors(n)), min_size=1, max_size=3))
+    sign = data.draw(st.sampled_from([1, -1]))
+    for fault in [None, *restriction_faults(n).values()]:
+        with pytest.MonkeyPatch.context() as patch:
+            if fault is not None:
+                patch.setattr(threefold, *fault)
+            rows = [(threefold.restriction_residual(a, b), restriction_residual_by_expansion(a, b)) for a, b in pairs]
+            rows.append((threefold.parity_residual(pairs, sign), parity_residual_by_expansion(pairs, sign)))
+            for got, want in rows:
+                assert got == want
+                assert _settled(got) == _settled(want)
 
 
 # -- the structure identities

@@ -271,3 +271,34 @@ def test_cli_eval_rejects_an_unknown_name_before_computing(monkeypatch, capsys):
     monkeypatch.setattr(dsl, "compose", no_products)
     assert main(["eval", "--level", "12", "pi1 . pi1 + nope"]) == 2
     assert "unknown surface atom 'nope' (at position 12)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["0", "2", "-3"])
+@pytest.mark.parametrize("mode", [[], ["--threefold"]])
+def test_cli_eval_rejects_levels_below_three(level, mode, capsys):
+    expression = "T(pi0, pi0)" if mode else "Delta"
+    assert main(["eval", *mode, "--level", level, expression]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: level must be an integer >= 3, got {int(level)}\n"
+
+
+def test_cli_refuses_an_output_path_in_a_missing_directory_before_any_work(tmp_path, monkeypatch, capsys):
+    import motive_calc.cli as cli
+
+    def no_report(n, include_threefold=True):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "run_report", no_report)
+    target = tmp_path / "missing" / "x.json"
+    assert main(["report", "--level", "3", "-o", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: no directory {target.parent}\n"
+    assert not target.parent.exists()
+
+
+def test_cli_an_output_path_that_fails_at_write_time_exits_two(tmp_path, capsys):
+    # a directory passes the check made before the work, and fails only when opened
+    assert main(["invariants", "--level", "3", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -34,7 +35,6 @@ from motive_calc.threefold import (
     cusp_incidence,
     estimate_n,
     euler_fiber,
-    invert_open_t,
     model_full_fiber,
     pair_projector_expr,
     restrict_to_open_t,
@@ -43,14 +43,13 @@ from motive_calc.threefold import (
     t_atom,
     t_compose,
     t_delta_expr,
-    tensor_open,
     theta_half,
     theta_int,
     threefold_certificate,
 )
 
 from flat_threefold import split_sym_alt, t_transpose
-from support import compose_open_t, enumerate_surf
+from support import compose_open_t, enumerate_surf, invert_open_t, tensor_open
 
 
 def t_delta(n):
@@ -500,7 +499,8 @@ def test_threefold_certificate_passes_at_higher_levels(n):
 
 
 def test_a_passing_certificate_expands_only_the_restriction_rows(monkeypatch):
-    # the nine pair projectors and the two b(j) terms, restricted atom by atom
+    # only the two b(j) terms, restricted atom by atom: the pair projector rows
+    # expand one chunk of a left factor at a time, and no pair projector whole
     expand = TensorExpr.expand
     calls = []
 
@@ -511,13 +511,28 @@ def test_a_passing_certificate_expands_only_the_restriction_rows(monkeypatch):
     monkeypatch.setattr(TensorExpr, "expand", counted)
     failed = [e["name"] for e in threefold_certificate(4) if e["status"] != "pass"]
     assert failed == []
-    assert len(calls) == 11
-    assert calls == [1] * 11
+    assert len(calls) == 2
+    assert calls == [1] * 2
+
+
+def test_a_passing_certificate_at_level_8_peaks_under_2_mb():
+    # the restriction rows hold one chunk of a left factor tensored with the right factor at a
+    # time, not the 4N^4 atoms of a pair projector expanded whole (about 14 MB at this level)
+    threefold_certificate(8)  # the level's projectors and rule tables, made once per process
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        failed = [e["name"] for e in threefold_certificate(8) if e["status"] != "pass"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failed == []
+    assert peak <= 2_000_000
 
 
 def test_a_passing_certificate_builds_its_factors_once_and_restricts_each_projector_once(monkeypatch):
     # one build_pi_bars for the certificate and one inside split_sym_alt_exprs;
-    # the nine pair projectors and the two b(j) terms are restricted once each
+    # the two b(j) terms are restricted once each, and the pair projectors never whole
     calls = {"build_pi_bars": 0, "restrict_to_open_t": 0}
 
     def counted(name):
@@ -533,7 +548,7 @@ def test_a_passing_certificate_builds_its_factors_once_and_restricts_each_projec
         monkeypatch.setattr(threefold, name, counted(name))
     failed = [e["name"] for e in threefold_certificate(4) if e["status"] != "pass"]
     assert failed == []
-    assert calls == {"build_pi_bars": 2, "restrict_to_open_t": 11}
+    assert calls == {"build_pi_bars": 2, "restrict_to_open_t": 2}
 
 
 def test_the_pi_bars_of_a_level_are_made_once_and_handed_out_in_a_fresh_dict():
