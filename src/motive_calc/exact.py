@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -30,6 +31,15 @@ class DegreeError(ArithmeticError):
     """
 
 
+def exact_rational(value) -> RationalLike:
+    """value as an int or a `Fraction`; a float, a binary approximation of the number meant, raises TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"float coefficient {value!r}: write it as an int, a Fraction or a string such as '1/10'")
+    return Fraction(value)
+
+
 def fmt_rational(q: RationalLike) -> str:
     """Render p/q, or just p when the denominator is 1 (JSON convention)."""
     q = Fraction(q)
@@ -44,19 +54,28 @@ class LinearCoeff:
 
     d_a is the degree of the pushed-down self-intersection of the zero
     section; it stays symbolic because no identity in scope needs its
-    numeric value.  Products may never produce d_a**2.
+    numeric value.  Products may never produce d_a**2.  The parts are ints
+    or `Fraction`s; like a `Fraction`, a value is `numerator`/`denominator`.
     """
 
-    const: Fraction = Fraction(0)
-    da_part: Fraction = Fraction(0)
+    const: RationalLike = 0
+    da_part: RationalLike = 0
 
     @staticmethod
     def of(value: RationalLike) -> "LinearCoeff":
-        return LinearCoeff(Fraction(value), Fraction(0))
+        return LinearCoeff(exact_rational(value), 0)
 
     @staticmethod
     def d_a(scale: RationalLike = 1) -> "LinearCoeff":
-        return LinearCoeff(Fraction(0), Fraction(scale))
+        return LinearCoeff(0, exact_rational(scale))
+
+    @property
+    def denominator(self) -> int:
+        return lcm(self.const.denominator, self.da_part.denominator)
+
+    @property
+    def numerator(self) -> "LinearCoeff":
+        return LinearCoeff(int(self.const * self.denominator), int(self.da_part * self.denominator))
 
     def __bool__(self) -> bool:
         return bool(self.const) or bool(self.da_part)
@@ -82,8 +101,11 @@ class LinearCoeff:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, k: int) -> "LinearCoeff":
+        """Both integer parts divided by k, which divides them."""
+        return LinearCoeff(self.const // k, self.da_part // k)
+
     def scale(self, k: RationalLike) -> "LinearCoeff":
-        k = Fraction(k)
         return LinearCoeff(self.const * k, self.da_part * k)
 
     def __str__(self) -> str:
@@ -111,10 +133,6 @@ class RatMatrix:
     def identity(n: int) -> "RatMatrix":
         return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(0)] * cols for _ in range(rows)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
@@ -127,20 +145,6 @@ class RatMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(fmt_rational(x) for x in row) for row in self.entries)
         return f"RatMatrix[{body}]"
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0)))
-            out.append(row)
-        return RatMatrix(out)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
         rows = list(row_idx)

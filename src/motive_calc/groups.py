@@ -9,9 +9,9 @@ coefficients, and every identity about them is checked by exact
 group-ring multiplication.
 
 Q[G] multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g`
-order, with a product table built once per level (`g_table`).
-Coefficients are integer numerators over one common denominator per
-operand, and only the atoms of a product are turned back into `GElem`s.
+order, with a product table built once per level (`g_table`).  A product
+multiplies the operands' integer numerators on indices, over the product
+of their denominators, and turns only its atoms back into `GElem`s.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .levels import _check_level
-from .sums import Certificate, LevelMismatchError, LinComb, integral, linear_map, rationalize
+from .sums import Certificate, LevelMismatchError, LinComb, linear_map
 
 # threefold imports surface, which imports this module: the G^2 builders import it when called
 if TYPE_CHECKING:
@@ -124,18 +124,16 @@ class GroupRingElement(LinComb):
 
         Only the atoms of the result are decoded back to group elements.
         """
-        if not (self.terms and other.terms):
+        if not (self.nums and other.nums):
             return GroupRingElement()
-        elems, index, table = g_table(next(iter(self.terms)).level)
-        dx, xs = integral(self.terms)
-        dy, ys = integral(other.terms)
+        elems, index, table = g_table(next(iter(self.nums)).level)
         try:
-            xs = [(index[g], v) for g, v in xs]
-            ys = [(index[h], v) for h, v in ys]
+            xs = [(index[g], v) for g, v in self.nums.items()]
+            ys = [(index[h], v) for h, v in other.nums.items()]
         except KeyError:
             raise LevelMismatchError("group elements of different levels or kinds") from None
         out = _g_product(xs, ys, table)
-        return GroupRingElement._make(None, rationalize({elems[k]: v for k, v in out.items() if v}, dx * dy))
+        return GroupRingElement.over(None, self.d * other.d, {elems[k]: v for k, v in out.items() if v})
 
     def involute(self) -> "GroupRingElement":
         """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""

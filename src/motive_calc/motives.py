@@ -246,9 +246,6 @@ class BettiTable:
     def substitute(self, n_value: int) -> list[int]:
         return [bi.substitute(n_value) for bi in self.b]
 
-    def poincare_symmetric(self) -> bool:
-        return all(self.b[i] == self.b[len(self.b) - 1 - i] for i in range(len(self.b)))
-
     def to_json(self) -> dict:
         return {
             "level": self.level,

@@ -1,34 +1,33 @@
 """Formal sums with exact coefficients, their products, and the certificate recorder.
 
 Every correspondence, divisor class and group-ring element is a `LinComb`:
-a level and a dict from atoms to nonzero coefficients.  A subclass only
-says how its atoms sort and print.  Products are the bilinear extension
-of a rule on atom pairs (`bilinear`), images under a map of atoms are
-`linear_map`, and both feed the one accumulation loop, `collect`, which
-drops every atom whose coefficient cancels to zero.
+a level and the canonical form (d, {atom: v}) of a sum of atoms, the
+coefficient of an atom being v / d with v a nonzero integer, d >= 1 and
+gcd(d, every v) = 1; so `==` compares ints.  A subclass only says how its
+atoms sort and print.  Products are the bilinear extension of a rule on
+atom pairs (`bilinear`), images under a map of atoms are `linear_map`,
+and both feed the one accumulation loop, `collect`, which drops every
+atom whose numerator cancels.  A product of x and y is over x.d * y.d,
+and `LinComb.over` divides each result by its common factor with its d.
 
-A product of two sums with rational coefficients runs on integers.
-`integral` writes each operand as a common denominator d (the lcm of its
-denominators) and a list of (atom, integer numerator) terms, so the loop
-multiplies and adds plain ints, with no gcd per atom pair.  `rationalize`
-then turns the collected numerators back into `Fraction(v, dx * dy)` in
-place: one normalization per atom of the result.  The stored coefficients
-are `Fraction`s in lowest terms as before; `exact` states that contract.
-`bilinear` and `collect` are generic over the coefficient ring, so the
-divisor actions, whose coefficients are linear in d_a, feed the same loop
-directly.  `tensor_vanishes` decides whether a sum of pure tensors of
-such integer vectors is zero without forming the tensors; a quotient,
-such as the dropped V (x) V of the threefold atoms, is the caller's one
-extra part.
+Only this module knows the form: a `Fraction` appears where a coefficient
+enters (`cast`, `scale`) and where one leaves (`render`, and the `terms`
+view).  The divisor actions, whose numerators are `LinearCoeff`s linear
+in d_a with integer parts, feed the same loop.  `tensor_vanishes` decides
+whether a sum of pure tensors of sums is zero without forming the
+tensors; a quotient, such as the dropped V (x) V of the threefold atoms,
+is the caller's one extra part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable
 
-from .exact import fmt_rational
+from .exact import exact_rational, fmt_rational
 
 
 class LevelMismatchError(ValueError):
@@ -53,26 +52,6 @@ def collect(pairs: Iterable[tuple], out: dict | None = None) -> dict:
     return out
 
 
-def integral(terms: dict) -> tuple[int, list]:
-    """(d, [(atom, v)]) with d the lcm of the denominators of terms and each coeff = v/d."""
-    d = lcm(*{c.denominator for c in terms.values()})
-    return d, [(atom, c.numerator * (d // c.denominator)) for atom, c in terms.items()]
-
-
-def rationalize(out: dict, d: int) -> dict:
-    """Replace each integer numerator v of out by Fraction(v, d), in place.
-
-    Equal numerators share one Fraction: a projector has few distinct coefficients.
-    """
-    made: dict = {}
-    for atom, v in out.items():
-        q = made.get(v)
-        if q is None:
-            q = made[v] = Fraction(v, d)
-        out[atom] = q
-    return out
-
-
 def bilinear(xs: Iterable[tuple], ys: Iterable[tuple], rule: Callable, level: int):
     """The (atom, coeff) terms of every product of a term of xs with a term of ys.
 
@@ -89,85 +68,74 @@ def bilinear(xs: Iterable[tuple], ys: Iterable[tuple], rule: Callable, level: in
                     yield atom, (c if k == 1 else c * k)
 
 
-def combination(scaled: Iterable[tuple]) -> tuple[Fraction, dict]:
-    """(q, r) with sum_i k_i x_i = q r, for pairs (k_i, x_i) of a nonzero rational and an integer vector."""
-    scaled = list(scaled)
-    d = lcm(*(k.denominator for k, _ in scaled))
-    out: dict = {}
-    for k, x in scaled:
-        m = k.numerator * (d // k.denominator)
-        collect(((atom, m * v) for atom, v in x.items()), out)
-    return Fraction(1, d), out
-
-
 def tensor_vanishes(groups: Iterable[tuple]) -> bool:
-    """Whether the sum over the groups (d, a, [(k_j, b_j)]) of (a / d) (x) sum_j k_j b_j is zero.
+    """Whether the sum over the groups (a, [b_j]) of a (x) (sum_j b_j) is zero, for sums a and b_j.
 
-    a and the b_j are integer vectors ({atom: int}), d a positive integer
-    and the k_j nonzero rationals.  The left factors are brought to an
-    echelon basis by fraction-free elimination on integer rows, each
-    reduced row divided by its content.  A left factor is q row; reducing
-    row against a basis row b with pivot value p at the pivot atom, where
-    row holds x, is
-        q row = (q / p) (p row - x b) + (q x / p) b,
-    so the right sum of the group is collected on b with weight q x / p.
-    A row left nonzero joins the basis with its right sum.  The basis rows
-    are independent, so the tensor is zero iff every collected right sum is.
+    The left factors are brought to an echelon basis by elimination.
+    Reducing a against a basis sum b whose pivot atom has coefficient p in
+    b and x in a is
+        a = (a - (x / p) b) + (x / p) b,
+    so the right sum of the group is collected on b with weight x / p.  A
+    left factor left nonzero joins the basis with its right sum.  The
+    basis sums are independent, so the tensor is zero iff every collected
+    right sum is.
     """
-    basis: list = []  # (pivot atom, pivot value, row, [(weight, right sum)])
-    for d, row, rights in groups:
-        q, right = combination(rights)
-        if not right:
+    basis: list = []  # (pivot atom, basis sum, [weighted right sums])
+    for a, rights in groups:
+        right = reduce(add, rights)
+        if not right.nums:
             continue
-        q /= d
-        for pivot, p, b, collected in basis:
-            x = row.get(pivot)
-            if not x:
-                continue
-            collected.append((q * x / p, right))
-            reduced = {atom: p * v for atom, v in row.items()}
-            collect(((atom, -x * v) for atom, v in b.items()), reduced)
-            g = gcd(*reduced.values())
-            row, q = ({atom: v // g for atom, v in reduced.items()} if g > 1 else reduced), q * g / p
-            if not row:
-                break
-        if row:
-            pivot = next(iter(row))
-            basis.append((pivot, row[pivot], row, [(q, right)]))
-    return not any(combination(collected)[1] for _, _, _, collected in basis)
+        for pivot, b, collected in basis:
+            x = a.nums.get(pivot)
+            if x:
+                k = Fraction(x * b.d, a.d * b.nums[pivot])
+                collected.append(right.scale(k))
+                a = a - b.scale(k)
+                if not a.nums:
+                    break
+        if a.nums:
+            basis.append((next(iter(a.nums)), a, [right]))
+    return all(not reduce(add, collected).nums for _, _, collected in basis)
 
 
 class LinComb:
     """Finite combination of atoms with nonzero exact coefficients, at one level.
 
-    Each subclass sets `label`, which prints one atom, and may override
-    `sort_key` (the print order of atoms; natural order when None), `fmt`
-    (prints one coefficient) and `cast` (normalizes an input coefficient).
+    It holds the canonical form: the coefficient of an atom is nums[atom] / d
+    (see the module docstring).  Each subclass sets `label`, which prints
+    one atom, and may override `sort_key` (the print order of atoms;
+    natural order when None), `fmt` (prints one coefficient), `cast` (an
+    input coefficient as an exact number with `numerator` and
+    `denominator`) and `content` (the gcd of d and the numerators).
     """
 
-    __slots__ = ("level", "terms", "_hash")
+    __slots__ = ("level", "d", "nums", "_hash")
     sort_key = None
     fmt = staticmethod(fmt_rational)
-    cast = Fraction
+    cast = staticmethod(exact_rational)
+    content = staticmethod(gcd)
 
     def __init__(self, level, terms: dict | None = None):
-        self.level = level
-        self._hash = None
-        self.terms: dict = {}
-        if terms:
-            cast = self.cast
-            for atom, c in terms.items():
-                c = cast(c)
-                if c:
-                    self.terms[atom] = c
+        """The sum of coeff * atom over the items of terms; a float coefficient raises TypeError."""
+        cs = [(atom, self.cast(c)) for atom, c in (terms or {}).items()]
+        # inputs in lowest terms over their lcm have no common factor left
+        self.level, self.d, self._hash = level, lcm(*(c.denominator for _, c in cs)), None
+        self.nums = {atom: c.numerator * (self.d // c.denominator) for atom, c in cs if c}
 
     @classmethod
-    def _make(cls, level, terms: dict):
-        """Wrap a dict whose coefficients are already cast and nonzero."""
+    def over(cls, level, d: int, nums: dict):
+        """The sum of nums[atom] / d, for d >= 1 and nonzero numerators, in canonical form.
+
+        nums becomes the sum's own: it is divided in place by its common
+        factor with d.
+        """
+        g = cls.content(d, *nums.values()) if nums else d
+        if g > 1:
+            d //= g
+            for atom, v in nums.items():
+                nums[atom] = v // g
         obj = cls.__new__(cls)
-        obj.level = level
-        obj.terms = terms
-        obj._hash = None
+        obj.level, obj.d, obj.nums, obj._hash = level, d, nums, None
         return obj
 
     @classmethod
@@ -178,44 +146,60 @@ class LinComb:
     def zero(cls, level):
         return cls(level)
 
+    @property
+    def terms(self) -> dict:
+        """{atom: coefficient} as `Fraction`s (`LinearCoeff`s of them in a divisor class): built at each read."""
+        d = self.d
+        return {atom: Fraction(v, d) if type(v) is int else v * Fraction(1, d) for atom, v in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def check_level(self, other: "LinComb") -> None:
         if self.level != other.level:
             raise LevelMismatchError("operands of different levels")
 
-    def __add__(self, other):
+    def _plus(self, other: "LinComb", sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         self.check_level(other)
-        return self._make(self.level, collect(other.terms.items(), dict(self.terms)))
+        d = lcm(self.d, other.d)
+        kx, ky = d // self.d, sign * (d // other.d)
+        nums = dict(self.nums) if kx == 1 else {atom: kx * v for atom, v in self.nums.items()}
+        collect(other.nums.items() if ky == 1 else ((atom, ky * v) for atom, v in other.nums.items()), nums)
+        return self.over(self.level, d, nums)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self.check_level(other)
-        return self._make(self.level, collect(((a, -c) for a, c in other.terms.items()), dict(self.terms)))
+        return self._plus(other, -1)
 
     def scale(self, k):
-        k = Fraction(k)
+        """k times the sum, for an exact rational k; a float raises TypeError."""
+        k = exact_rational(k)
         if not k:
-            return self._make(self.level, {})
-        return self._make(self.level, {a: c * k for a, c in self.terms.items()})
+            return self.over(self.level, 1, {})
+        m = k.numerator
+        return self.over(self.level, self.d * k.denominator, {atom: m * v for atom, v in self.nums.items()})
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.level == other.level and self.terms == other.terms
+        return (type(other) is type(self) and self.level == other.level
+                and self.d == other.d and self.nums == other.nums)
 
     def __hash__(self):
         # the support alone: equal sums share it, and hashing no coefficient is much cheaper;
-        # computed once, since a sum's terms are not changed after it is made
+        # computed once, since a sum is not changed after it is made
         if self._hash is None:
-            self._hash = hash((self.level, frozenset(self.terms)))
+            self._hash = hash((self.level, frozenset(self.nums)))
         return self._hash
 
     def render(self, limit: int | None = None) -> str:
         """The sum in print order; with a limit, only its first `limit` atoms and then "+ ..."."""
-        if not self.terms:
+        if not self.nums:
             return "0"
-        fmt, label, terms = self.fmt, self.label, self.terms
-        atoms = sorted(terms, key=self.sort_key)
-        shown = " + ".join(f"{fmt(terms[a])}*{label(a)}" for a in atoms[:limit])
+        fmt, label, nums, q = self.fmt, self.label, self.nums, Fraction(1, self.d)
+        atoms = sorted(nums, key=self.sort_key)
+        shown = " + ".join(f"{fmt(nums[a] * q)}*{label(a)}" for a in atoms[:limit])
         return shown if limit is None or len(atoms) <= limit else f"{shown} + ..."
 
     def __repr__(self) -> str:
@@ -223,24 +207,22 @@ class LinComb:
 
 
 def product(x: LinComb, y: LinComb, rule: Callable, cls: type | None = None) -> LinComb:
-    """Bilinear extension of `rule` to rational sums x and y, as a sum of type cls (default: x's)."""
+    """Bilinear extension of `rule` to x and y, as a sum of type cls (default: x's), on their numerators."""
     x.check_level(y)
-    dx, xs = integral(x.terms)
-    dy, ys = integral(y.terms)
-    terms = rationalize(collect(bilinear(xs, ys, rule, x.level)), dx * dy)
-    return (cls or type(x))._make(x.level, terms)
+    terms = collect(bilinear(x.nums.items(), y.nums.items(), rule, x.level))
+    return (cls or type(x)).over(x.level, x.d * y.d, terms)
 
 
 def linear_map(x: LinComb, f: Callable, cls: type | None = None) -> LinComb:
     """Image of x under the atom map f; atoms that f sends to None drop out."""
 
     def images():
-        for a, c in x.terms.items():
+        for a, v in x.nums.items():
             b = f(a)
             if b is not None:
-                yield b, c
+                yield b, v
 
-    return (cls or type(x))._make(x.level, collect(images()))
+    return (cls or type(x)).over(x.level, x.d, collect(images()))
 
 
 RESIDUAL_ATOMS = 8  # the atoms of a failed entry's residual that its "got" shows
@@ -292,4 +274,4 @@ class Certificate:
 
     def residual(self, name: str, law: str, residual: LinComb) -> None:
         """Record `law` as failed with its nonzero residual got - want: its size and its first atoms."""
-        self.record(name, law, False, f"got - want has {len(residual.terms)} atoms: {residual.render(RESIDUAL_ATOMS)}")
+        self.record(name, law, False, f"got - want has {len(residual.nums)} atoms: {residual.render(RESIDUAL_ATOMS)}")

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 
 from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
-from .exact import LinearCoeff, RatMatrix, mat_inverse, mat_rank
+from .exact import LinearCoeff, RatMatrix, exact_rational, mat_inverse, mat_rank
 from .groups import enumerate_g, epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
-from .sums import Certificate, LinComb, bilinear, collect, integral, linear_map, rationalize
+from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
 
 Atom = tuple
 
@@ -502,7 +503,7 @@ def _cusp_support(x: SurfCorr) -> frozenset | None:
         return x._cusps
     except AttributeError:
         pass
-    terms, level = x.terms, x.level
+    terms, level = x.nums, x.level
     cusps = None
     if all(atom[0] == "C" for atom in terms):
         for atom in terms:
@@ -533,19 +534,17 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     x_cusps = _cusp_support(after)
     y_cusps = _cusp_support(before)
     if x_cusps is not None and y_cusps is not None and x_cusps.isdisjoint(y_cusps):
-        return SurfCorr._make(level, {})
+        return SurfCorr.over(level, 1, {})
     rule = compose_atom_pair  # looked up at each call, so a patched rule is used
-    dx, xs = integral(after.terms)
-    dy, ys = integral(before.terms)
     auts = aut_index(level)
-    x_aut, x_other, x_blocks = _split(xs, auts, level)
-    y_aut, y_other, y_blocks = _split(ys, auts, level)
+    x_aut, x_other, x_blocks = _split(after.nums.items(), auts, level)
+    y_aut, y_other, y_blocks = _split(before.nums.items(), auts, level)
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
     if x_aut and y_aut:
         pairs.append(_aut_product(x_aut, y_aut, auts, aut_table(level, rule)))
     if x_blocks or y_blocks:
         pairs.append(_block_products(x_aut + x_other, x_blocks, y_aut + y_other, y_blocks, cusp_rule(level, rule)))
-    return SurfCorr._make(level, rationalize(collect(chain.from_iterable(pairs)), dx * dy))
+    return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs)))
 
 
 # -- named projectors -----------------------------------------------------------
@@ -557,13 +556,13 @@ def delta(n: int) -> SurfCorr:
 def group_ring_to_corr(element) -> SurfCorr:
     """Image of a group-ring element under g -> Graph(g)."""
     level = None
-    terms = {}
-    for g, c in element.terms.items():
+    nums = {}
+    for g, v in element.nums.items():
         level = g.level
-        terms[graph(surf_end(g.level, g.b1, g.b2, g.s, False))] = c
+        nums[graph(surf_end(g.level, g.b1, g.b2, g.s, False))] = v
     if level is None:
         raise ValueError("cannot infer the level of an empty group-ring element")
-    return SurfCorr(level, terms)
+    return SurfCorr.over(level, element.d, nums)
 
 
 def epsilon_graph_sum(n: int) -> SurfCorr:
@@ -647,17 +646,25 @@ def div_label(key: DivKey) -> str:
 
 
 def _linear_coeff(c) -> LinearCoeff:
-    return c if isinstance(c, LinearCoeff) else LinearCoeff.of(c)
+    if isinstance(c, LinearCoeff):
+        return LinearCoeff(exact_rational(c.const), exact_rational(c.da_part))
+    return LinearCoeff.of(exact_rational(c))
+
+
+def _linear_content(d: int, *coeffs: LinearCoeff) -> int:
+    """The gcd of d and the integer parts of coeffs."""
+    return gcd(d, *(p for c in coeffs for p in (c.const, c.da_part)))
 
 
 class DivClass(LinComb):
-    """Formal combination of divisor basis classes with linear-in-d_a coefficients."""
+    """Formal combination of divisor basis classes; its numerators are `LinearCoeff`s with integer parts."""
 
     __slots__ = ()
     sort_key = staticmethod(div_sort_key)
     label = staticmethod(div_label)
     fmt = staticmethod(lambda c: f"({c})")
     cast = staticmethod(_linear_coeff)
+    content = staticmethod(_linear_content)
 
 
 def full_cusp_fiber(n: int, c: int) -> DivClass:
@@ -726,9 +733,7 @@ def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, i
 
 
 def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:
-    x.check_level(z)
-    terms = collect(bilinear(x.terms.items(), z.terms.items(), act_atom_on_key, x.level))
-    return DivClass._make(x.level, terms)
+    return product(x, z, act_atom_on_key, DivClass)
 
 
 # -- restriction to the open part ------------------------------------------------

@@ -21,28 +21,31 @@ row never holds a pair projector expanded whole (`restriction_residual`,
 form: a pure tensor acts as the tensor product of its two factors' slot
 actions.  Within one certificate the projectors share their factors, and
 each distinct surface product and each slot image is computed once.
-This is what keeps the full certificate cheap at higher levels.
+This is what keeps the full certificate cheap at higher levels.  The
+expansion, the zero test, the chunked rows and the divisor actions read
+each factor's denominator and integer numerators directly; only the few
+part coefficients of a `TensorExpr` are `Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
 from math import lcm
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .endos import SurfEnd, aff_end, mu0, surf_identity
+from .exact import exact_rational
 from .levels import _check_level, level_invariants
 from .sums import (
     Certificate,
     LinComb,
     bilinear,
     collect,
-    integral,
     linear_map,
     product,
-    rationalize,
     tensor_vanishes,
 )
 from .surface import (
@@ -159,7 +162,7 @@ def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict) -> SurfCorr:
 
 
 def _has_cusp(factor: SurfCorr) -> bool:
-    return any(atom[0] == "C" for atom in factor.terms)
+    return any(atom[0] == "C" for atom in factor.nums)
 
 
 @dataclass
@@ -175,9 +178,12 @@ class TensorExpr:
 
     @staticmethod
     def pure(a: SurfCorr, b: SurfCorr, swap: bool = False) -> "TensorExpr":
+        a.check_level(b)
         if _has_cusp(a) or _has_cusp(b):
             raise ValueError("cusp products are not tensor factors")
         return TensorExpr(a.level, [(Fraction(1), a, b, swap)])
+
+    check_level = LinComb.check_level  # it reads only the two levels
 
     @property
     def terms(self) -> dict:
@@ -185,10 +191,12 @@ class TensorExpr:
         return collect(((a, b, e), c) for c, a, b, e in self.parts if c)
 
     def __add__(self, other: "TensorExpr") -> "TensorExpr":
+        self.check_level(other)
         return TensorExpr(self.level, self.parts + other.parts)
 
     def scale(self, k) -> "TensorExpr":
-        k = Fraction(k)
+        """k times the sum, for an exact rational k; a float raises TypeError."""
+        k = Fraction(exact_rational(k))
         return TensorExpr(self.level, [(c * k, a, b, e) for c, a, b, e in self.parts])
 
     def __sub__(self, other: "TensorExpr") -> "TensorExpr":
@@ -225,45 +233,25 @@ class TensorExpr:
         `tensor_vanishes` decides.  A cusp product in a factor raises as
         `t_atom` does, when the other factor of its part is nonzero.
         """
-        tensors: dict = {}  # swap -> {id(A), or V for -k V (x) V: (d, A numerators, [(scale, B numerators)])}
-        vv: dict = {}  # swap -> k, the coefficient of V (x) V in T
-        ints: dict = {}  # id(factor) -> (d, numerators, V coefficient); the factors stay alive in self.terms
-
-        def integers(factor: SurfCorr) -> tuple:
-            got = ints.get(id(factor))
-            if got is None:
-                if _has_cusp(factor):
-                    raise ValueError("cusp products are not tensor factors")
-                d, xs = integral(factor.terms)
-                got = ints[id(factor)] = (d, dict(xs), factor.terms.get(VERT, 0))
-            return got
-
+        tensors: dict = {}  # swap -> {id(A), or V for -k V (x) V: (A, [c B])}, A held so that its id stays its own
         for (a, b, e), c in self.terms.items():
-            if not (a.terms and b.terms):
+            if not (a.nums and b.nums):
                 continue  # a zero factor: the part expands to nothing
-            (da, xs, va), (db, ys, vb) = integers(a), integers(b)
-            tensors.setdefault(e, {}).setdefault(id(a), (da, xs, []))[2].append((Fraction(c, db), ys))
-            if va and vb:
-                vv[e] = vv.get(e, 0) + c * va * vb
-        for e, k in vv.items():
-            if k:
-                tensors[e][VERT] = (1, {VERT: 1}, [(-k, {VERT: 1})])
+            if _has_cusp(a) or _has_cusp(b):
+                raise ValueError("cusp products are not tensor factors")
+            by_left = tensors.setdefault(e, {})
+            by_left.setdefault(id(a), (a, []))[1].append(b.scale(c))
+            va, vb = a.nums.get(VERT), b.nums.get(VERT)
+            if va and vb:  # the part's share -c_i a_i b_i V (x) V of -k V (x) V
+                vv = SurfCorr.over(self.level, a.d * b.d, {VERT: -va * vb}).scale(c)
+                by_left.setdefault(VERT, (SurfCorr.of(self.level, VERT), []))[1].append(vv)
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
     def expand(self, cls: type | None = None) -> LinComb:
-        """The atom sum, as a sum of type cls (default: TCorr), on integer numerators over one common denominator."""
-        level = self.level
-        parts = []
-        for (a, b, e), c in self.terms.items():
-            da, xs = integral({la: c * ca for la, ca in a.terms.items()})
-            db, ys = integral(b.terms)
-            parts.append((da * db, xs, ys, e))
-        d = lcm(*(dp for dp, _, _, _ in parts))
-        pairs = [
-            bilinear([(la, v * (d // dp)) for la, v in xs], ys, _tensor_rule(e), level)
-            for dp, xs, ys, e in parts
-        ]
-        return (cls or TCorr)._make(level, rationalize(collect(chain.from_iterable(pairs)), d))
+        """The atom sum, as a sum of type cls (default: TCorr): each part the `product` of its factors."""
+        cls = cls or TCorr
+        parts = (product(a, b, _tensor_rule(e), cls).scale(c) for (a, b, e), c in self.terms.items())
+        return reduce(add, parts, cls.over(self.level, 1, {}))
 
 
 def t_delta_expr(n: int) -> TensorExpr:
@@ -367,12 +355,12 @@ def _half_slot(satom: Atom, idx: int, level: int) -> list[int]:
 
 
 def _factor_terms(factor) -> Iterable[tuple]:
-    """The (atom, coeff) terms of a tensor factor: a SurfCorr's, or the atom itself with coefficient 1."""
-    return factor.terms.items() if isinstance(factor, SurfCorr) else ((factor, 1),)
+    """The (atom, numerator) terms of a tensor factor: a SurfCorr's, or the atom itself with numerator 1."""
+    return factor.nums.items() if isinstance(factor, SurfCorr) else ((factor, 1),)
 
 
 def _slot_image(factor, idx: int, slot, level: int, memo: dict) -> dict:
-    """{index: coeff}: the components a factor sends component idx of its slot to.
+    """{index: numerator}: the components a factor sends component idx of its slot to, over the factor's d.
 
     memo keeps every image for later calls.  It is keyed by the factor's
     id and holds the factor too, so that the id is not reused.
@@ -380,7 +368,7 @@ def _slot_image(factor, idx: int, slot, level: int, memo: dict) -> dict:
     key = (id(factor), idx, slot)
     got = memo.get(key)
     if got is None:
-        image = collect((i, c) for atom, c in _factor_terms(factor) for i in slot(atom, idx, level))
+        image = collect((i, v) for atom, v in _factor_terms(factor) for i in slot(atom, idx, level))
         got = memo[key] = (factor, image)
     return got[1]
 
@@ -393,22 +381,30 @@ def act_on_threefold_divisor(
     A pure tensor acts as the tensor product of the slot actions of its two
     factors, and its swap exchanges the two indices of a component.  A
     factor keeps the fiber class with the sum of the coefficients of its
-    atoms that keep it.  slot_images, when given, keeps the slot images of
-    the factors for later calls, as the memo of `_slot_image`.
+    atoms that keep it.  Each pure tensor is taken on integer numerators,
+    over the lcm of their denominators.  slot_images, when given, keeps
+    the slot images of the factors for later calls, as the memo of
+    `_slot_image`.
     """
     z.check_level(x)
     level = z.level
     if slot_images is None:
         slot_images = {}
+    if isinstance(x, TensorExpr):
+        parts = [(c.numerator, c.denominator * a.d * b.d, a, b, e) for (a, b, e), c in x.terms.items()]
+    else:
+        parts = [(v, x.d, *atom) for atom, v in x.nums.items()]
+    d = lcm(*(dp for _, dp, _, _, _ in parts))
 
     def images():
-        for (left, right, swap), c in x.terms.items():
-            for key, cz in z.terms.items():
-                cc = c * cz
+        for u, dp, left, right, swap in parts:
+            u *= d // dp
+            for key, cz in z.nums.items():
+                cc = u * cz
                 kind = key[0]
                 if kind == "F3":
-                    kept = sum(ca for a, ca in _factor_terms(left) if keeps_fiber(a))
-                    kept *= sum(cb for b, cb in _factor_terms(right) if keeps_fiber(b))
+                    kept = sum(v for a, v in _factor_terms(left) if keeps_fiber(a))
+                    kept *= sum(v for b, v in _factor_terms(right) if keeps_fiber(b))
                     if kept:
                         yield FIBER3, cc * kept
                     continue
@@ -425,7 +421,7 @@ def act_on_threefold_divisor(
                     for j, cj in ks.items():
                         yield (kind, cusp, i, j), (ci if cj == 1 else ci * cj)
 
-    return ThreefoldDivClass._make(level, collect(images()))
+    return ThreefoldDivClass.over(level, d * z.d, collect(images()))
 
 
 # -- restriction to the open part --------------------------------------------------
@@ -458,15 +454,15 @@ def _chunked(pairs: list[tuple[SurfCorr, SurfCorr]]) -> tuple[int, dict]:
 
     xs are the terms of a that `restrict_atom` sends to L (None is a chunk
     of its own) and ys all the terms of b, as integer numerators whose
-    products are over d, the lcm of the pairs' common denominators.
+    products are over d, the lcm of the products a.d * b.d.
     """
-    factors = [(integral(a.terms), integral(b.terms)) for a, b in pairs]
-    d = lcm(*(da * db for (da, _), (db, _) in factors))
+    d = lcm(*(a.d * b.d for a, b in pairs))
     chunks: dict = {}
-    for (da, xs), (db, ys) in factors:
-        k = d // (da * db)
+    for a, b in pairs:
+        k = d // (a.d * b.d)
+        ys = b.nums.items()
         cut: dict = {}
-        for atom, v in xs:
+        for atom, v in a.nums.items():
             cut.setdefault(restrict_atom(atom), []).append((atom, k * v))
         for key, part in cut.items():
             chunks.setdefault(key, []).append((part, ys))
@@ -499,18 +495,16 @@ def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
     """
     level = a.level
     d, chunks = _chunked([(a, b)])
-    da, open_a = integral(restrict_to_open(a).terms)
-    db, open_b = integral(restrict_to_open(b).terms)
-    open_a = dict(open_a)
-    k = -(d // (da * db))  # -open(a) (x) open(b) over d
+    open_a, open_b = restrict_to_open(a), restrict_to_open(b)
+    k = -(d // (open_a.d * open_b.d))  # -open(a) (x) open(b) over d
     out: dict = {}
-    for key in chunks.keys() | open_a.keys():
+    for key in chunks.keys() | open_a.nums.keys():
         if key in chunks:
             collect(_restricted(chunks[key], level).items(), out)
-        if key in open_a:
-            u = k * open_a[key]
-            collect((((key, rb, False), u * v) for rb, v in open_b), out)
-    return OpenTCorr._make(level, rationalize(out, d))
+        if key in open_a.nums:
+            u = k * open_a.nums[key]
+            collect((((key, rb, False), u * v) for rb, v in open_b.nums.items()), out)
+    return OpenTCorr.over(level, d, out)
 
 
 def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTCorr:
@@ -539,7 +533,7 @@ def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTC
             collect((((compose_open_atoms(inv, lo), compose_open_atoms(inv, ro), e), v)
                      for (lo, ro, e), v in chunk.items()), out)
             collect(((atom, -sign * v) for atom, v in chunk.items()), out)
-    return OpenTCorr._make(level, rationalize(out, d))
+    return OpenTCorr.over(level, d, out)
 
 
 # -- two-object composition system ------------------------------------------

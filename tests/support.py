@@ -32,6 +32,10 @@ term.
 
 `print_expr` prints a parsed query back to source text, so that the tests
 can check that parsing its print gives the same tree.
+
+`mat_mul`, `mat_transpose` and `mat_zero` multiply, transpose and build
+`RatMatrix`es, and `poincare_symmetric` reads a Betti table's Poincare
+symmetry: the program needs none of them.
 """
 
 from fractions import Fraction
@@ -40,9 +44,11 @@ from typing import NamedTuple
 from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
 from motive_calc.endos import SurfEnd, aff_end, surf_end
+from motive_calc.exact import RatMatrix
 from motive_calc.groups import GElem, GroupRingElement, enumerate_g, epsilon, g_identity
 from motive_calc.levels import _check_level
-from motive_calc.sums import LevelMismatchError, linear_map, product
+from motive_calc.motives import BettiTable
+from motive_calc.sums import LevelMismatchError, LinComb, linear_map, product
 from motive_calc.surface import Atom, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms, open_graph, restrict_to_open
 from motive_calc.threefold import OpenTAtom, OpenTCorr, TensorExpr, _meet, _tensor_rule
 
@@ -70,6 +76,13 @@ def enumerate_surf(n: int) -> list[SurfEnd]:
     out = [surf_end(n, b1, b2, s, False) for s in (1, -1) for b1 in range(n) for b2 in range(n)]
     out += [surf_end(n, b1, b2, 1, True) for b1 in range(n) for b2 in range(n)]
     return out
+
+
+def from_fractions(cls: type, level, terms: dict) -> LinComb:
+    """The sum of type cls with the {atom: coefficient} terms, through the constructor every `LinComb` shares."""
+    x = cls.__new__(cls)
+    LinComb.__init__(x, level, terms)
+    return x
 
 
 def _open_pair(x: OpenAtom, y: OpenAtom, _level: int) -> tuple:
@@ -146,7 +159,7 @@ def factored(x: G2Sum) -> TensorExpr:
 
 def g2_sum(x: TensorExpr) -> G2Sum:
     """The atoms of a factored element of Q[G^2 x| S_2], each (g, h, swap) as a `G2Elem`."""
-    return G2Sum._make(None, {G2Elem(g.level, g, h, e): c for (g, h, e), c in x.expand().terms.items()})
+    return G2Sum({G2Elem(g.level, g, h, e): c for (g, h, e), c in x.expand().terms.items()})
 
 
 def g2_epsilon2(n: int) -> G2Sum:
@@ -157,7 +170,7 @@ def g2_epsilon2(n: int) -> G2Sum:
     elems = enumerate_g(n)
     terms = {G2Elem(n, a, b, False): plus if epsilon(a) == epsilon(b) else minus
              for a in elems for b in elems}
-    return G2Sum._make(None, terms)
+    return G2Sum(terms)
 
 
 def _open_t_pair(x: OpenTAtom, y: OpenTAtom, _level: int) -> tuple:
@@ -233,3 +246,24 @@ def _wrap(node: Node) -> str:
     if isinstance(node, (Sum, Scale)):
         return f"({print_expr(node)})"
     return print_expr(node)
+
+
+def mat_zero(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix([[Fraction(0)] * cols for _ in range(rows)])
+
+
+def mat_transpose(m: RatMatrix) -> RatMatrix:
+    return RatMatrix([[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
+
+
+def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The matrix product a.b; a ValueError when a's columns are not b's rows."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    return RatMatrix([[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+                       for j in range(b.cols)] for i in range(a.rows)])
+
+
+def poincare_symmetric(table: BettiTable) -> bool:
+    """Whether b_i = b_(2d-i) for every degree i of the table."""
+    return all(table.b[i] == table.b[len(table.b) - 1 - i] for i in range(len(table.b)))

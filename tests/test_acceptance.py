@@ -32,7 +32,7 @@ from motive_calc.dsl import evaluate
 from motive_calc.exact import RatMatrix
 
 from abstract_words import all_words, reduce_word
-from support import enumerate_surf
+from support import enumerate_surf, mat_mul
 
 
 def _report(index: int, label: str) -> None:
@@ -77,8 +77,8 @@ def test_criterion_03_neron_lattice():
         lat = neron_lattice(n)
         assert lat.rank == n - 1
         ident = RatMatrix.identity(n - 1)
-        assert lat.reduced_inverse * lat.reduced_block == ident
-        assert lat.reduced_block * lat.reduced_inverse == ident
+        assert mat_mul(lat.reduced_inverse, lat.reduced_block) == ident
+        assert mat_mul(lat.reduced_block, lat.reduced_inverse) == ident
     _report(3, "lattice rank N-1 and exact reduced inverse for N = 3..12")
 
 

@@ -1,19 +1,23 @@
-"""The integer kernel against the Fraction loop it replaced.
+"""The integer kernel against the Fraction loop it replaced, and the canonical form.
 
-Every product of two rational sums runs on integer numerators over one
-common denominator (`sums.integral`, `sums.rationalize`).  The reference
-here is the loop that multiplied and added `Fraction`s atom pair by atom
-pair: `collect(bilinear(x.terms.items(), y.terms.items(), rule, level))`.
+A sum is held as (d, {atom: v}), each coefficient v / d, and every
+product of two sums runs on their integer numerators, over the product of
+their denominators.  The reference here is the loop that multiplied and
+added `Fraction`s atom pair by atom pair:
+`collect(bilinear(x.terms.items(), y.terms.items(), rule, level))`.
 Operands are random sums at N = 3..5 with denominators from
 {1, 2, 3, 4, 2N^2}, mixed with named projectors so that products cancel to
-zero or to integer coefficients.  Besides equality, every coefficient of
-a result must be a nonzero `Fraction` in lowest terms: `==` alone would
-pass an `int`, since `Fraction(2) == 2`.
+zero or to integer coefficients.  Besides equality, every result must be
+in canonical form: d >= 1, every numerator a nonzero int, and no common
+factor of d and the numerators.  `==` alone would pass a form with a
+common factor left, since it compares the forms, not the values.
 """
 
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +30,18 @@ from motive_calc.groups import (
     lambda_theta,
     symmetrizers,
 )
+from motive_calc.dsl import evaluate
+from motive_calc.exact import LinearCoeff
 from motive_calc.levels import cusp_count
-from motive_calc.sums import bilinear, collect, integral, rationalize
+from motive_calc.report import run_report
+from motive_calc.sums import LinComb, bilinear, collect, linear_map
 from motive_calc.surface import (
+    GENERIC_FIBER,
     VERT,
+    DivClass,
     SurfCorr,
     UnsupportedCompositionError,
+    act_on_divisor,
     build_pi_bars,
     build_pi_cusp,
     build_pi_inf,
@@ -39,18 +49,28 @@ from motive_calc.surface import (
     compose_atom_pair,
     delta,
     restrict_to_open,
+    sec_key,
+    theta_key,
+    transpose,
 )
 from motive_calc.threefold import (
+    FIBER3,
     TCorr,
     TensorExpr,
+    ThreefoldDivClass,
     _tensor_rule,
+    act_on_threefold_divisor,
     b_term_expr,
     compose_t_atom_pair,
     pair_projector_expr,
+    parity_residual,
+    restriction_residual,
     sigma_expr,
     t_atom,
     t_compose,
     t_delta_expr,
+    theta_half,
+    theta_int,
 )
 
 from support import (
@@ -61,6 +81,7 @@ from support import (
     compose_open,
     compose_open_t,
     enumerate_surf,
+    from_fractions,
     g2_sum,
     group_product,
     tensor_open,
@@ -74,7 +95,7 @@ LEVELS = st.integers(3, 5)
 def oracle_product(x, y, rule, cls=None):
     """The Fraction-coefficient product: one normalized Fraction per atom pair."""
     terms = collect(bilinear(x.terms.items(), y.terms.items(), rule, x.level))
-    return (cls or type(x))._make(x.level, terms)
+    return from_fractions(cls or type(x), x.level, terms)
 
 
 def oracle_expand(x: TensorExpr) -> TCorr:
@@ -83,17 +104,26 @@ def oracle_expand(x: TensorExpr) -> TCorr:
         bilinear([(la, c * ca) for la, ca in a.terms.items()], b.terms.items(), _tensor_rule(e), x.level)
         for (a, b, e), c in x.terms.items()
     ]
-    return TCorr._make(x.level, collect(chain.from_iterable(pairs)))
+    return TCorr(x.level, collect(chain.from_iterable(pairs)))
+
+
+def assert_canonical(x):
+    """x is in the form (d, {atom: v}): d >= 1, each v a nonzero int (or `LinearCoeff` of ints), gcd(d, all v) = 1."""
+    assert type(x.d) is int and x.d >= 1
+    parts = [p for v in x.nums.values() for p in ((v.const, v.da_part) if isinstance(v, LinearCoeff) else (v,))]
+    assert all(type(p) is int for p in parts)
+    assert all(x.nums.values())
+    assert gcd(x.d, *parts) == 1
+    for c in x.terms.values():
+        assert type(c) is (LinearCoeff if isinstance(x, DivClass) else Fraction)
 
 
 def assert_same(got, want):
     assert type(got) is type(want)
     assert got.level == want.level
     assert got.terms == want.terms
-    for c in got.terms.values():
-        assert type(c) is Fraction
-        assert c != 0
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    assert got == want
+    assert_canonical(got)
 
 
 def assert_same_outcome(kernel, oracle):
@@ -198,22 +228,6 @@ def group_ring_elements(draw, n, pairs=False):
     return total
 
 
-# -- the helpers ---------------------------------------------------------------------
-
-def test_integral_takes_the_lcm_of_the_denominators():
-    d, terms = integral({"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": Fraction(5)})
-    assert d == 6
-    assert terms == [("a", 3), ("b", -4), ("c", 30)]
-    assert integral({}) == (1, [])
-
-
-def test_rationalize_works_in_place_in_lowest_terms():
-    out = {"a": 3, "b": -4, "c": 6}
-    assert rationalize(out, 6) is out
-    assert out == {"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": Fraction(1)}
-    assert all(type(c) is Fraction for c in out.values())
-
-
 # -- every product that runs through the kernel ------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -286,3 +300,109 @@ def test_expand_matches_the_fraction_loop(data, n):
               for c, a, b, e in parts if data.draw(st.booleans())]
     x = TensorExpr(n, parts)
     assert_same(x.expand(), oracle_expand(x))
+
+
+# -- the canonical form after every operation that makes a sum ---------------------
+
+@st.composite
+def div_classes(draw, n):
+    """A random surface divisor class: section and component classes, and the fiber with a d_a part.
+
+    Only the fiber carries d_a: V and tGraphs send a section to d_a times
+    the fiber, and d_a^2 is outside the calculus.
+    """
+    index = st.integers(0, n - 1)
+    keys = st.one_of(st.builds(sec_key, index, index), st.builds(theta_key, st.just(0), index))
+    terms = draw(st.dictionaries(keys, coefficients(n), max_size=4))
+    if draw(st.booleans()):
+        terms[GENERIC_FIBER] = LinearCoeff(draw(coefficients(n)), draw(coefficients(n)))
+    return DivClass(n, terms)
+
+
+@st.composite
+def threefold_div_classes(draw, n):
+    index = st.integers(0, n - 1)
+    keys = st.one_of(st.just(FIBER3), st.builds(theta_int, st.just(0), index, index),
+                     st.builds(theta_half, st.just(0), index, index))
+    return ThreefoldDivClass(n, draw(st.dictionaries(keys, coefficients(n), max_size=4)))
+
+
+def _fraction_sum(x, y, sign):
+    """x + sign * y on the `terms` views, by the Fraction loop."""
+    return collect(((atom, sign * c) for atom, c in y.terms.items()), dict(x.terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), LEVELS)
+def test_every_operation_that_makes_a_sum_leaves_it_in_canonical_form(data, n):
+    x, y = data.draw(surface_sums(n)), data.draw(surface_sums(n))
+    a, b = data.draw(surface_sums(n, cusps=False)), data.draw(surface_sums(n, cusps=False))
+    g, h = data.draw(group_ring_elements(n)), data.draw(group_ring_elements(n))
+    s, t = data.draw(tensor_sums(n)), data.draw(tensor_sums(n))
+    z, w = data.draw(div_classes(n)), data.draw(threefold_div_classes(n))
+    k = data.draw(coefficients(n))
+    e = TensorExpr.pure(a, b) + TensorExpr.pure(b, a, swap=True).scale(k)
+    made = [
+        SurfCorr(n, dict(x.terms)), x + y, x - y, x - x, x.scale(k), x.scale(0), z + z.scale(k), z - z,
+        compose(x, y), t_compose(s, t), transpose(x), restrict_to_open(x), g * h, g.involute(),
+        e.expand(), act_on_divisor(x, z), act_on_threefold_divisor(e, w), act_on_threefold_divisor(s, w),
+        restriction_residual(a, b), parity_residual([(a, b), (b, a)], -1),
+    ]
+    for made_sum in made:
+        assert_canonical(made_sum)
+    assert SurfCorr(n, dict(x.terms)) == x
+    assert (x + y).terms == _fraction_sum(x, y, 1)
+    assert (x - y).terms == _fraction_sum(x, y, -1)
+    assert (z - z.scale(k)).terms == _fraction_sum(z, z.scale(k), -1)
+    assert x.scale(k).terms == {atom: k * c for atom, c in x.terms.items()}
+
+
+def test_a_cancellation_that_leaves_a_common_factor_is_divided_out():
+    n = 3
+    half = Fraction(1, 2)
+    a, b = ("G", enumerate_surf(n)[1]), ("G", enumerate_surf(n)[2])
+    x = SurfCorr(n, {a: half, b: half})
+    assert (x.d, x.nums) == (2, {a: 1, b: 1})
+    # a and b mapped to one atom: 1/2 V + 1/2 V = V
+    merged = linear_map(x, lambda atom: VERT)
+    assert (merged.d, merged.nums) == (1, {VERT: 1})
+    summed = x + SurfCorr(n, {a: half, b: -half})
+    assert (summed.d, summed.nums) == (1, {a: 1})
+    assert summed == SurfCorr.of(n, a)
+    # the translation average theta is idempotent: 2N^2 numerators over N^4, divided by N^2
+    theta = lambda_theta(n)[1]
+    assert (theta * theta).d == theta.d == n * n
+    assert (x - x).d == 1 and not (x - x).nums
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SurfCorr(3, {VERT: 0.1}),
+    lambda: DivClass(3, {GENERIC_FIBER: LinearCoeff(0, 0.5)}),
+    lambda: SurfCorr.of(3, VERT).scale(0.5),
+    lambda: t_delta_expr(3).scale(0.5),
+    lambda: LinearCoeff.of(0.1),
+], ids=["constructor", "divisor constructor", "LinComb.scale", "TensorExpr.scale", "LinearCoeff.of"])
+def test_a_float_coefficient_is_rejected(make):
+    with pytest.raises(TypeError, match="float"):
+        make()
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_the_program_never_reads_the_terms_view(monkeypatch):
+    # `terms` builds Fractions at each read; it is there for tests, printing and the benchmark's tracer
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    reads = []
+    view = LinComb.terms.fget
+    monkeypatch.setattr(LinComb, "terms", property(lambda x: reads.append(sys._getframe(1).f_code) or view(x)))
+    for n in range(3, 7):
+        run_report(n, include_threefold=True)
+    for query in workloads.plain_pool():
+        evaluate(query.source, query.level, query.mode).render()
+    assert reads == []
+    assert SurfCorr.of(3, VERT).terms == {VERT: 1} and len(reads) == 1

@@ -36,9 +36,7 @@ def test_certificates_pass_unmutated(certificate):
 
 def _bumped(x, atom):
     """x with the coefficient of atom raised by 1."""
-    terms = dict(x.terms)
-    terms[atom] = terms.get(atom, 0) + 1
-    return type(x)._make(x.level, terms)
+    return x + x.over(x.level, 1, {atom: 1})
 
 
 def _bump_first(x):

@@ -17,7 +17,7 @@ from motive_calc.surface import (
     transpose,
 )
 
-from support import enumerate_surf, print_expr
+from support import enumerate_surf, mat_mul, print_expr
 
 
 def _random_corr(n, rng, size=4):
@@ -112,4 +112,4 @@ def test_lattice_at_the_performance_boundary():
     assert lat.rank == 15
     from motive_calc.exact import RatMatrix
 
-    assert lat.reduced_block * lat.reduced_inverse == RatMatrix.identity(15)
+    assert mat_mul(lat.reduced_block, lat.reduced_inverse) == RatMatrix.identity(15)

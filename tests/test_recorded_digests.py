@@ -19,8 +19,8 @@ from motive_calc.report import render_json, run_report  # noqa: E402
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("workload", ["surface-sweep", "threefold-report"])
+@pytest.mark.parametrize(
+    "workload, n", [(workload, int(n)) for workload in workloads.REPORTS for n in EXPECTED[workload]])
 def test_report_digest(workload, n):
     include = workloads.REPORTS[workload]["threefold"]
     text = render_json(run_report(n, include_threefold=include))

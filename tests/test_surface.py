@@ -36,7 +36,7 @@ from motive_calc.surface import (
     transpose,
 )
 
-from support import compose_open, enumerate_surf, tgraph
+from support import compose_open, enumerate_surf, mat_mul, tgraph
 
 
 def all_atoms(n):
@@ -149,8 +149,8 @@ def test_neron_lattice_inverse_exact(n):
     lat = neron_lattice(n)
     assert lat.rank == n - 1
     ident = RatMatrix.identity(n - 1)
-    assert lat.reduced_inverse * lat.reduced_block == ident
-    assert lat.reduced_block * lat.reduced_inverse == ident
+    assert mat_mul(lat.reduced_inverse, lat.reduced_block) == ident
+    assert mat_mul(lat.reduced_block, lat.reduced_inverse) == ident
 
 
 # -- projectors ---------------------------------------------------------------
@@ -369,7 +369,7 @@ def test_cusp_products_match_matrix_oracle(n):
                 for _ in range(4)
             },
         )
-        want = _matrix_to_corr(_corr_to_matrix(y, n) * a_n * _corr_to_matrix(x, n), n)
+        want = _matrix_to_corr(mat_mul(mat_mul(_corr_to_matrix(y, n), a_n), _corr_to_matrix(x, n)), n)
         assert compose(x, y) == want
 
 
@@ -383,7 +383,7 @@ def test_pi_cusp_idempotent_by_matrix_algebra(n):
         for k in range(1, n):
             s_full[m][k] = lat.reduced_inverse[m - 1, k - 1]
     s_mat = RatMatrix(s_full)
-    assert s_mat * lat.full_matrix * s_mat == s_mat
+    assert mat_mul(mat_mul(s_mat, lat.full_matrix), s_mat) == s_mat
     assert _corr_to_matrix(build_pi_cusp(n, 0), n) == s_mat
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from motive_calc import sums, surface, threefold
 from motive_calc.endos import aff_end, mu0, surf_end, surf_identity
+from motive_calc.groups import GroupRingElement, g_identity
 from motive_calc.surface import (
     GENERIC_FIBER,
     VERT,
@@ -88,6 +89,20 @@ def test_sigma_involution():
     n = 3
     sig = sigma_expr(n).expand()
     assert t_compose(sig, sig) == t_delta(n)
+
+
+def test_tensor_expressions_of_different_levels_do_not_mix():
+    # each entry point checks, as LinComb.check_level does for sums
+    for mixed in (
+        lambda: TensorExpr.pure(delta(3), delta(4)),
+        lambda: t_delta_expr(3) + t_delta_expr(4),
+        lambda: (t_delta_expr(3) - t_delta_expr(4)).is_zero(),
+    ):
+        with pytest.raises(sums.LevelMismatchError):
+            mixed()
+    # group-ring tensors have level None on both sides
+    e = GroupRingElement.of(g_identity(3))
+    assert (TensorExpr.pure(e, e) - TensorExpr.pure(e, e).scale(1)).is_zero()
 
 
 def test_two_vertical_factors_vanish():
