@@ -7,13 +7,12 @@ Everything is computed over exact rationals; no floating point anywhere.
 
 __version__ = "0.1.0"
 
-from .exact import Rational, RatMatrix, LinearCoeff, SingularMatrixError, DegreeError
+from .exact import Rational, RatMatrix, SingularMatrixError, DegreeError
 from .levels import LevelInvariants, LevelTooSmallError, cusp_count, level_invariants, local_multiplicity
 
 __all__ = [
     "Rational",
     "RatMatrix",
-    "LinearCoeff",
     "SingularMatrixError",
     "DegreeError",
     "LevelInvariants",

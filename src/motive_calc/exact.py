@@ -4,14 +4,13 @@
 in lowest terms with positive denominator, which is exactly the contract
 every other module relies on.  Matrices are small (bounded by the level,
 N <= 16 or so) and dense; elimination is fraction-free in the Bareiss
-style so intermediate entries stay controlled.
+style so intermediate entries stay controlled.  The symbol d_a of the
+divisor actions is no scalar here but a basis class (`surface.DA_FIBER`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -24,7 +23,7 @@ class SingularMatrixError(ZeroDivisionError):
 
 
 class DegreeError(ArithmeticError):
-    """Raised when a product would create a degree-two term in d_a.
+    """Raised when a divisor action would create a degree-two term in d_a (see `surface.DA_FIBER`).
 
     The calculus proves every such product vanishes before it can occur,
     so reaching this error means a rewrite rule is wrong, not the input.
@@ -46,75 +45,6 @@ def fmt_rational(q: RationalLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class LinearCoeff:
-    """Value of the form `const + da_part * d_a` with d_a a free symbol.
-
-    d_a is the degree of the pushed-down self-intersection of the zero
-    section; it stays symbolic because no identity in scope needs its
-    numeric value.  Products may never produce d_a**2.  The parts are ints
-    or `Fraction`s; like a `Fraction`, a value is `numerator`/`denominator`.
-    """
-
-    const: RationalLike = 0
-    da_part: RationalLike = 0
-
-    @staticmethod
-    def of(value: RationalLike) -> "LinearCoeff":
-        return LinearCoeff(exact_rational(value), 0)
-
-    @staticmethod
-    def d_a(scale: RationalLike = 1) -> "LinearCoeff":
-        return LinearCoeff(0, exact_rational(scale))
-
-    @property
-    def denominator(self) -> int:
-        return lcm(self.const.denominator, self.da_part.denominator)
-
-    @property
-    def numerator(self) -> "LinearCoeff":
-        return LinearCoeff(int(self.const * self.denominator), int(self.da_part * self.denominator))
-
-    def __bool__(self) -> bool:
-        return bool(self.const) or bool(self.da_part)
-
-    def __add__(self, other: "LinearCoeff") -> "LinearCoeff":
-        return LinearCoeff(self.const + other.const, self.da_part + other.da_part)
-
-    def __sub__(self, other: "LinearCoeff") -> "LinearCoeff":
-        return LinearCoeff(self.const - other.const, self.da_part - other.da_part)
-
-    def __neg__(self) -> "LinearCoeff":
-        return LinearCoeff(-self.const, -self.da_part)
-
-    def __mul__(self, other: "LinearCoeff | RationalLike") -> "LinearCoeff":
-        if not isinstance(other, LinearCoeff):
-            return self.scale(other)
-        if self.da_part and other.da_part:
-            raise DegreeError("product would have a d_a^2 term")
-        return LinearCoeff(
-            self.const * other.const,
-            self.const * other.da_part + self.da_part * other.const,
-        )
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, k: int) -> "LinearCoeff":
-        """Both integer parts divided by k, which divides them."""
-        return LinearCoeff(self.const // k, self.da_part // k)
-
-    def scale(self, k: RationalLike) -> "LinearCoeff":
-        return LinearCoeff(self.const * k, self.da_part * k)
-
-    def __str__(self) -> str:
-        if not self.da_part:
-            return fmt_rational(self.const)
-        da = "d_a" if self.da_part == 1 else f"{fmt_rational(self.da_part)}*d_a"
-        if not self.const:
-            return da
-        return f"{fmt_rational(self.const)} + {da}"
 
 
 class RatMatrix:

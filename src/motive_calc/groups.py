@@ -15,8 +15,9 @@ of their denominators, and turns only its atoms back into `GElem`s.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
-factors, sum of c (a (x) b) sigma^e, multiplied factor by factor and
-compared by `TensorExpr.is_zero` without enumerating G^2 x| S_2.  Only a
+factors, the sum of c (a (x) b) sigma^e held as a `LinComb` of the
+triples (a, b, e), multiplied factor by factor and compared by
+`TensorExpr.is_zero` without enumerating G^2 x| S_2.  Only a
 failed entry expands its residual, to atoms (g, h, swap) of a `PairSum`.
 """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 
@@ -48,6 +49,7 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3, and must still be rejected
 def cusp_count(n: int) -> int:
     """Number of cusps: N^2/2 * prod_{p|N}(1 - p^-2), always an integer."""
     _check_level(n)

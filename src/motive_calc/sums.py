@@ -1,6 +1,8 @@
 """Formal sums with exact coefficients, their products, and the certificate recorder.
 
-Every correspondence, divisor class and group-ring element is a `LinComb`:
+Every sum in the program is a `LinComb`: a correspondence, a divisor
+class, a group-ring element, and a sum of pure tensors of those
+(`threefold.TensorExpr`, whose atoms are the triples (A, B, swap)).  It is
 a level and the canonical form (d, {atom: v}) of a sum of atoms, the
 coefficient of an atom being v / d with v a nonzero integer, d >= 1 and
 gcd(d, every v) = 1; so `==` compares ints.  A subclass only says how its
@@ -11,12 +13,12 @@ atom whose numerator cancels.  A product of x and y is over x.d * y.d,
 and `LinComb.over` divides each result by its common factor with its d.
 
 Only this module knows the form: a `Fraction` appears where a coefficient
-enters (`cast`, `scale`) and where one leaves (`render`, and the `terms`
-view).  The divisor actions, whose numerators are `LinearCoeff`s linear
-in d_a with integer parts, feed the same loop.  `tensor_vanishes` decides
-whether a sum of pure tensors of sums is zero without forming the
-tensors; a quotient, such as the dropped V (x) V of the threefold atoms,
-is the caller's one extra part.
+enters (the constructor, `scale`) and where one leaves (`render`, and the
+`terms` view).  The symbol d_a of the divisor actions is no coefficient:
+d_a times the fiber is a basis class of its own (`surface.DA_FIBER`).
+`tensor_vanishes` decides whether a sum of pure tensors of sums is zero
+without forming the tensors; a quotient, such as the dropped V (x) V of
+the threefold atoms, is the caller's one extra part.
 """
 
 from __future__ import annotations
@@ -103,21 +105,16 @@ class LinComb:
 
     It holds the canonical form: the coefficient of an atom is nums[atom] / d
     (see the module docstring).  Each subclass sets `label`, which prints
-    one atom, and may override `sort_key` (the print order of atoms;
-    natural order when None), `fmt` (prints one coefficient), `cast` (an
-    input coefficient as an exact number with `numerator` and
-    `denominator`) and `content` (the gcd of d and the numerators).
+    one atom, and may override `sort_key`, the print order of atoms
+    (natural order when None).
     """
 
     __slots__ = ("level", "d", "nums", "_hash")
     sort_key = None
-    fmt = staticmethod(fmt_rational)
-    cast = staticmethod(exact_rational)
-    content = staticmethod(gcd)
 
     def __init__(self, level, terms: dict | None = None):
         """The sum of coeff * atom over the items of terms; a float coefficient raises TypeError."""
-        cs = [(atom, self.cast(c)) for atom, c in (terms or {}).items()]
+        cs = [(atom, exact_rational(c)) for atom, c in (terms or {}).items()]
         # inputs in lowest terms over their lcm have no common factor left
         self.level, self.d, self._hash = level, lcm(*(c.denominator for _, c in cs)), None
         self.nums = {atom: c.numerator * (self.d // c.denominator) for atom, c in cs if c}
@@ -129,7 +126,7 @@ class LinComb:
         nums becomes the sum's own: it is divided in place by its common
         factor with d.
         """
-        g = cls.content(d, *nums.values()) if nums else d
+        g = gcd(d, *nums.values())
         if g > 1:
             d //= g
             for atom, v in nums.items():
@@ -148,9 +145,9 @@ class LinComb:
 
     @property
     def terms(self) -> dict:
-        """{atom: coefficient} as `Fraction`s (`LinearCoeff`s of them in a divisor class): built at each read."""
+        """{atom: coefficient} as `Fraction`s: built at each read."""
         d = self.d
-        return {atom: Fraction(v, d) if type(v) is int else v * Fraction(1, d) for atom, v in self.nums.items()}
+        return {atom: Fraction(v, d) for atom, v in self.nums.items()}
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -197,9 +194,9 @@ class LinComb:
         """The sum in print order; with a limit, only its first `limit` atoms and then "+ ..."."""
         if not self.nums:
             return "0"
-        fmt, label, nums, q = self.fmt, self.label, self.nums, Fraction(1, self.d)
+        label, nums, d = self.label, self.nums, self.d
         atoms = sorted(nums, key=self.sort_key)
-        shown = " + ".join(f"{fmt(nums[a] * q)}*{label(a)}" for a in atoms[:limit])
+        shown = " + ".join(f"{fmt_rational(Fraction(nums[a], d))}*{label(a)}" for a in atoms[:limit])
         return shown if limit is None or len(atoms) <= limit else f"{shown} + ..."
 
     def __repr__(self) -> str:
@@ -255,7 +252,8 @@ class Certificate:
     def vanishes(self, name: str, law: str, got, want, cls: type | None = None) -> None:
         """Record whether the two sides of `law`, factored sums (`threefold.TensorExpr`), are equal.
 
-        It is decided by the zero test of got - want.  Only a failed entry
+        It is decided by the zero test of got - want, not by `==`, which
+        compares the factored forms.  Only a failed entry
         expands that residual, as a sum of type cls when given, and shows it
         as `residual` records it.
         """

@@ -22,6 +22,12 @@ with the N-gon pairing, three nonzeros per row, and a graph, tGraph or V
 atom acts on a block through an index map on its rows or columns.
 Component products on disjoint cusps compose to zero before any
 arithmetic.
+
+A divisor class is a rational sum of basis classes: the fiber, sections,
+cusp components, and d_a times the fiber (`DA_FIBER`), d_a being the
+degree of the pushed-down self-intersection of the zero section.  Only
+the fiber carries d_a, so d_a is a class here, not a coefficient, and an
+image that would carry it twice raises `DegreeError`.
 """
 
 from __future__ import annotations
@@ -30,10 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd
 
 from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
-from .exact import LinearCoeff, RatMatrix, exact_rational, mat_inverse, mat_rank
+from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
 from .groups import enumerate_g, epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
 from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
@@ -619,6 +624,8 @@ DivKey = tuple
 
 GENERIC_FIBER: DivKey = ("F",)
 
+DA_FIBER: DivKey = ("D",)  # d_a times the fiber class, the one class that carries d_a
+
 
 def sec_key(b1: int, b2: int) -> DivKey:
     return ("S", b1, b2)
@@ -628,43 +635,45 @@ def theta_key(c: int, m: int) -> DivKey:
     return ("Th", c, m)
 
 
+_DIV_RANK = {"F": 0, "D": 1, "S": 2, "Th": 3}
+
+
 def div_sort_key(key: DivKey) -> tuple:
-    kind = key[0]
-    if kind == "F":
-        return (0, 0, 0)
-    if kind == "S":
-        return (1, key[1], key[2])
-    return (2, key[1], key[2])
+    return (_DIV_RANK[key[0]], *key[1:])
 
 
 def div_label(key: DivKey) -> str:
     if key[0] == "F":
         return "[fiber]"
+    if key[0] == "D":
+        return "d_a*[fiber]"
     if key[0] == "S":
         return f"[sec({key[1]},{key[2]})]"
     return f"[theta({key[1]};{key[2]})]"
 
 
-def _linear_coeff(c) -> LinearCoeff:
-    if isinstance(c, LinearCoeff):
-        return LinearCoeff(exact_rational(c.const), exact_rational(c.da_part))
-    return LinearCoeff.of(exact_rational(c))
-
-
-def _linear_content(d: int, *coeffs: LinearCoeff) -> int:
-    """The gcd of d and the integer parts of coeffs."""
-    return gcd(d, *(p for c in coeffs for p in (c.const, c.da_part)))
-
-
 class DivClass(LinComb):
-    """Formal combination of divisor basis classes; its numerators are `LinearCoeff`s with integer parts."""
+    """Formal rational combination of divisor basis classes, d_a*[fiber] among them."""
 
     __slots__ = ()
     sort_key = staticmethod(div_sort_key)
     label = staticmethod(div_label)
-    fmt = staticmethod(lambda c: f"({c})")
-    cast = staticmethod(_linear_coeff)
-    content = staticmethod(_linear_content)
+
+
+def check_indices(z: LinComb) -> None:
+    """Reject a divisor class with a cusp >= `cusp_count` or a component or section index outside 0..N-1.
+
+    A basis class is a section (kind, b1, b2), a class over a cusp (kind,
+    cusp, index, ...), or a fiber class (kind,).  A surface or threefold
+    action checks its class here, where it enters.
+    """
+    n = z.level
+    for key in z.nums:
+        if len(key) == 1:
+            continue
+        cusp, indices = (0, key[1:]) if key[0] == "S" else (key[1], key[2:])
+        if not (0 <= cusp < cusp_count(n) and all(0 <= i < n for i in indices)):
+            raise ValueError(f"{z.label(key)} is outside level {n}: cusps 0..{cusp_count(n) - 1}, indices 0..{n - 1}")
 
 
 def full_cusp_fiber(n: int, c: int) -> DivClass:
@@ -692,8 +701,15 @@ def keeps_fiber(atom: Atom) -> bool:
     return kind == "T" or (kind == "G" and not atom[1].collapse)
 
 
-def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, int | LinearCoeff]]:
+def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, int]]:
     """One atom acting on one divisor basis class."""
+    if key == DA_FIBER:
+        # d_a times the image of the fiber, which may hold no d_a itself: that would be d_a^2
+        image = act_atom_on_key(atom, GENERIC_FIBER, level)
+        for k, _ in image:
+            if k != GENERIC_FIBER:
+                raise DegreeError(f"{atom_label(atom)} sends d_a*[fiber] to d_a*{div_label(k)}")
+        return [(DA_FIBER, v) for _, v in image]
     kind = atom[0]
     if kind == "C":
         # cusp product: z -> (z . theta_c(m)) theta_c(n)
@@ -726,13 +742,15 @@ def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, i
         cend: SurfEnd = atom[1]
         if (key[1], key[2]) == (cend.b1, cend.b2):
             # section against itself: d_a times the fiber class
-            return [(GENERIC_FIBER, LinearCoeff.d_a())]
+            return [(DA_FIBER, 1)]
         return []
     # V: z -> d_a (z . fiber) fiber; only sections meet the fiber
-    return [(GENERIC_FIBER, LinearCoeff.d_a())]
+    return [(DA_FIBER, 1)]
 
 
 def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:
+    """x acting on z, atom by atom through `act_atom_on_key`; z's indices are checked first."""
+    check_indices(z)
     return product(x, z, act_atom_on_key, DivClass)
 
 

@@ -9,8 +9,9 @@ products only arise inside expressions that already vanish), so dropping
 them is an algebra quotient and factorized computation stays exact.
 
 Products of the large projectors are computed in a factored form -- a sum
-of pure tensors, each factor an honest surface correspondence.  An
-equality is decided on that form too: `TensorExpr.is_zero` tests the
+of pure tensors, each factor an honest surface correspondence, held as a
+`LinComb` whose atoms are the triples (A, B, swap).  An equality is
+decided on that form too: `TensorExpr.is_zero` tests the
 difference of the two sides by exact elimination on the factors (see its
 docstring), and only a failed certificate entry expands its residual to
 atoms.  The restriction rows keep expand-then-restrict, because their
@@ -23,13 +24,13 @@ actions.  Within one certificate the projectors share their factors, and
 each distinct surface product and each slot image is computed once.
 This is what keeps the full certificate cheap at higher levels.  The
 expansion, the zero test, the chunked rows and the divisor actions read
-each factor's denominator and integer numerators directly; only the few
-part coefficients of a `TensorExpr` are `Fraction`s.
+the denominators and integer numerators of the sum and of its factors
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -37,7 +38,6 @@ from operator import add
 from typing import Iterable, NamedTuple
 
 from .endos import SurfEnd, aff_end, mu0, surf_identity
-from .exact import exact_rational
 from .levels import _check_level, level_invariants
 from .sums import (
     Certificate,
@@ -55,6 +55,7 @@ from .surface import (
     atom_label,
     atom_sort_key,
     build_pi_bars,
+    check_indices,
     component_slot,
     compose_atom_pair,
     compose_open_atoms,
@@ -165,63 +166,54 @@ def _has_cusp(factor: SurfCorr) -> bool:
     return any(atom[0] == "C" for atom in factor.nums)
 
 
-@dataclass
-class TensorExpr:
-    """Sum of pure tensors (coeff, A, B, swap) with surface-correspondence factors.
+class TensorExpr(LinComb):
+    """Sum of pure tensors (A (x) B).swap^e of surface correspondences A and B: a `LinComb` of the triples.
 
-    The factors are only multiplied with `*`, so Q[G] factors make the same
-    class the group ring of G^2 x| S_2 (see `groups`).
+    An atom is (A, B, swap), so pure tensors with equal factors merge as
+    the atoms of any sum do.  `==` compares these factored forms: two sums
+    can expand to the same atoms and still differ, so the zero test is
+    `(x - y).is_zero()`.  The factors are only multiplied with `*`, so
+    Q[G] factors make the same class the group ring of G^2 x| S_2 (see
+    `groups`).
     """
 
-    level: int
-    parts: list[tuple[Fraction, SurfCorr, SurfCorr, bool]] = field(default_factory=list)
+    __slots__ = ()
+    sort_key, label = _tensor_print(LinComb.render, lambda factor: f"({factor.render()})")
+
+    def __init__(self, level, parts: Iterable[tuple] = ()):
+        """The sum of c (A (x) B).swap^e over the parts (c, A, B, swap); a float c raises TypeError."""
+        super().__init__(level, collect(((a, b, e), c) for c, a, b, e in parts if c))
 
     @staticmethod
     def pure(a: SurfCorr, b: SurfCorr, swap: bool = False) -> "TensorExpr":
         a.check_level(b)
         if _has_cusp(a) or _has_cusp(b):
             raise ValueError("cusp products are not tensor factors")
-        return TensorExpr(a.level, [(Fraction(1), a, b, swap)])
-
-    check_level = LinComb.check_level  # it reads only the two levels
+        return TensorExpr.over(a.level, 1, {(a, b, swap): 1})
 
     @property
-    def terms(self) -> dict:
-        """{(A, B, swap): coeff}: parts with equal factors and swap merged, zero sums dropped."""
-        return collect(((a, b, e), c) for c, a, b, e in self.parts if c)
-
-    def __add__(self, other: "TensorExpr") -> "TensorExpr":
-        self.check_level(other)
-        return TensorExpr(self.level, self.parts + other.parts)
-
-    def scale(self, k) -> "TensorExpr":
-        """k times the sum, for an exact rational k; a float raises TypeError."""
-        k = Fraction(exact_rational(k))
-        return TensorExpr(self.level, [(c * k, a, b, e) for c, a, b, e in self.parts])
-
-    def __sub__(self, other: "TensorExpr") -> "TensorExpr":
-        return self + other.scale(-1)
+    def parts(self) -> list[tuple[Fraction, SurfCorr, SurfCorr, bool]]:
+        """[(coefficient, A, B, swap)], the coefficients as `Fraction`s: built at each read."""
+        return [(Fraction(v, self.d), a, b, e) for (a, b, e), v in self.nums.items()]
 
     def compose(self, other: "TensorExpr", memo: dict | None = None) -> "TensorExpr":
-        """self after other; memo, when given, keeps every factor product for later calls."""
+        """self after other, factor by factor; memo, when given, keeps every factor product for later calls."""
         if memo is None:
             memo = {}
-        parts = []
-        for c1, a1, b1, e1 in self.parts:
-            for c2, a2, b2, e2 in other.parts:
-                x, y, swap = _meet(e1, a2, b2, e2)
-                na = _surface_product(a1, x, memo)
-                if na.is_zero():
-                    continue
-                nb = _surface_product(b1, y, memo)
-                if nb.is_zero():
-                    continue
-                parts.append((c1 * c2, na, nb, swap))
-        return TensorExpr(self.level, parts)
+
+        def rule(x: tuple, y: tuple, _level) -> tuple | None:
+            a1, b1, e1 = x
+            a2, b2, swap = _meet(e1, *y)
+            a = _surface_product(a1, a2, memo)
+            if a.is_zero():
+                return None
+            b = _surface_product(b1, b2, memo)
+            return None if b.is_zero() else (((a, b, swap), 1),)
+
+        return product(self, other, rule)
 
     def transpose(self) -> "TensorExpr":
-        parts = [(c, *_transposed(transpose(a), transpose(b), e)) for c, a, b, e in self.parts]
-        return TensorExpr(self.level, parts)
+        return linear_map(self, lambda atom: _transposed(transpose(atom[0]), transpose(atom[1]), atom[2]))
 
     def is_zero(self) -> bool:
         """Whether the atom sum is zero, decided on the factors without expanding.
@@ -230,27 +222,28 @@ class TensorExpr:
         alone.  Per swap, the atom sum of T = sum_i c_i A_i (x) B_i drops only
         V (x) V, whose coefficient in T is k = sum_i c_i a_i b_i (a_i, b_i the
         V coefficients of A_i, B_i); so it is zero iff T - k V (x) V is, which
-        `tensor_vanishes` decides.  A cusp product in a factor raises as
-        `t_atom` does, when the other factor of its part is nonzero.
+        `tensor_vanishes` decides on the numerators c_i d.  A cusp product in
+        a factor raises as `t_atom` does, when the other factor of its part
+        is nonzero.
         """
         tensors: dict = {}  # swap -> {id(A), or V for -k V (x) V: (A, [c B])}, A held so that its id stays its own
-        for (a, b, e), c in self.terms.items():
+        for (a, b, e), v in self.nums.items():
             if not (a.nums and b.nums):
                 continue  # a zero factor: the part expands to nothing
             if _has_cusp(a) or _has_cusp(b):
                 raise ValueError("cusp products are not tensor factors")
             by_left = tensors.setdefault(e, {})
-            by_left.setdefault(id(a), (a, []))[1].append(b.scale(c))
+            by_left.setdefault(id(a), (a, []))[1].append(b.scale(v))
             va, vb = a.nums.get(VERT), b.nums.get(VERT)
             if va and vb:  # the part's share -c_i a_i b_i V (x) V of -k V (x) V
-                vv = SurfCorr.over(self.level, a.d * b.d, {VERT: -va * vb}).scale(c)
+                vv = SurfCorr.over(self.level, a.d * b.d, {VERT: -va * vb * v})
                 by_left.setdefault(VERT, (SurfCorr.of(self.level, VERT), []))[1].append(vv)
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
     def expand(self, cls: type | None = None) -> LinComb:
-        """The atom sum, as a sum of type cls (default: TCorr): each part the `product` of its factors."""
+        """The atom sum, as a sum of type cls (default: TCorr): each pure tensor the `product` of its factors."""
         cls = cls or TCorr
-        parts = (product(a, b, _tensor_rule(e), cls).scale(c) for (a, b, e), c in self.terms.items())
+        parts = (product(a, b, _tensor_rule(e), cls).scale(Fraction(v, self.d)) for (a, b, e), v in self.nums.items())
         return reduce(add, parts, cls.over(self.level, 1, {}))
 
 
@@ -354,11 +347,6 @@ def _half_slot(satom: Atom, idx: int, level: int) -> list[int]:
     return []
 
 
-def _factor_terms(factor) -> Iterable[tuple]:
-    """The (atom, numerator) terms of a tensor factor: a SurfCorr's, or the atom itself with numerator 1."""
-    return factor.nums.items() if isinstance(factor, SurfCorr) else ((factor, 1),)
-
-
 def _slot_image(factor, idx: int, slot, level: int, memo: dict) -> dict:
     """{index: numerator}: the components a factor sends component idx of its slot to, over the factor's d.
 
@@ -368,43 +356,40 @@ def _slot_image(factor, idx: int, slot, level: int, memo: dict) -> dict:
     key = (id(factor), idx, slot)
     got = memo.get(key)
     if got is None:
-        image = collect((i, v) for atom, v in _factor_terms(factor) for i in slot(atom, idx, level))
+        image = collect((i, v) for atom, v in factor.nums.items() for i in slot(atom, idx, level))
         got = memo[key] = (factor, image)
     return got[1]
 
 
 def act_on_threefold_divisor(
-    x: TCorr | TensorExpr, z: ThreefoldDivClass, *, slot_images: dict | None = None
+    x: TensorExpr, z: ThreefoldDivClass, *, slot_images: dict | None = None
 ) -> ThreefoldDivClass:
-    """x acting on z, one pure tensor (A, B, swap) of x at a time; an atom of a TCorr is one.
+    """x acting on z, one pure tensor (A, B, swap) of x at a time; z's indices are checked first.
 
     A pure tensor acts as the tensor product of the slot actions of its two
     factors, and its swap exchanges the two indices of a component.  A
     factor keeps the fiber class with the sum of the coefficients of its
     atoms that keep it.  Each pure tensor is taken on integer numerators,
-    over the lcm of their denominators.  slot_images, when given, keeps
+    over the lcm of the products A.d * B.d.  slot_images, when given, keeps
     the slot images of the factors for later calls, as the memo of
     `_slot_image`.
     """
     z.check_level(x)
+    check_indices(z)
     level = z.level
     if slot_images is None:
         slot_images = {}
-    if isinstance(x, TensorExpr):
-        parts = [(c.numerator, c.denominator * a.d * b.d, a, b, e) for (a, b, e), c in x.terms.items()]
-    else:
-        parts = [(v, x.d, *atom) for atom, v in x.nums.items()]
-    d = lcm(*(dp for _, dp, _, _, _ in parts))
+    d = lcm(*(a.d * b.d for a, b, _ in x.nums))
 
     def images():
-        for u, dp, left, right, swap in parts:
-            u *= d // dp
+        for (left, right, swap), v in x.nums.items():
+            u = v * (d // (left.d * right.d))
             for key, cz in z.nums.items():
                 cc = u * cz
                 kind = key[0]
                 if kind == "F3":
-                    kept = sum(v for a, v in _factor_terms(left) if keeps_fiber(a))
-                    kept *= sum(v for b, v in _factor_terms(right) if keeps_fiber(b))
+                    kept = sum(w for a, w in left.nums.items() if keeps_fiber(a))
+                    kept *= sum(w for b, w in right.nums.items() if keeps_fiber(b))
                     if kept:
                         yield FIBER3, cc * kept
                     continue
@@ -421,7 +406,7 @@ def act_on_threefold_divisor(
                     for j, cj in ks.items():
                         yield (kind, cusp, i, j), (ci if cj == 1 else ci * cj)
 
-    return ThreefoldDivClass.over(level, d * z.d, collect(images()))
+    return ThreefoldDivClass.over(level, x.d * d * z.d, collect(images()))
 
 
 # -- restriction to the open part --------------------------------------------------
@@ -805,7 +790,7 @@ def threefold_certificate(n: int) -> list[dict]:
             )
 
     # residual projector
-    pif = TensorExpr(n, [p for name in pair_names for p in exprs[name].parts])
+    pif = reduce(add, (exprs[name] for name in pair_names))
     pinf = t_delta_expr(n) - pif
     check("residual:idempotent", "piInf . piInf = piInf", mul(pinf, pinf), pinf)
     check("residual:transpose", "t(piInf) = piInf", pinf.transpose(), pinf)

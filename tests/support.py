@@ -36,21 +36,35 @@ can check that parsing its print gives the same tree.
 `mat_mul`, `mat_transpose` and `mat_zero` multiply, transpose and build
 `RatMatrix`es, and `poincare_symmetric` reads a Betti table's Poincare
 symmetry: the program needs none of them.
+
+The program holds d_a times the fiber as a basis class of its own,
+`surface.DA_FIBER`, with plain rational coefficients.  The oracle is the
+form it once had: `LinearCoeff` coefficients const + da_part d_a on the
+fiber, whose product raises `DegreeError` at d_a^2.  `linear_class`
+reads a divisor class in that form, and `act_on_divisor_linear` acts on
+it atom by atom with `LinearCoeff` arithmetic.
+
+The program's threefold divisor action takes only a `TensorExpr`;
+`lifted` turns a `TCorr` into one pure tensor per atom, so that a test
+can act with an atom-level sum through the program's action.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
 from motive_calc.endos import SurfEnd, aff_end, surf_end
-from motive_calc.exact import RatMatrix
+from motive_calc.exact import DegreeError, RatMatrix, RationalLike, exact_rational, fmt_rational
 from motive_calc.groups import GElem, GroupRingElement, enumerate_g, epsilon, g_identity
 from motive_calc.levels import _check_level
 from motive_calc.motives import BettiTable
 from motive_calc.sums import LevelMismatchError, LinComb, linear_map, product
-from motive_calc.surface import Atom, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms, open_graph, restrict_to_open
-from motive_calc.threefold import OpenTAtom, OpenTCorr, TensorExpr, _meet, _tensor_rule
+from motive_calc.surface import (
+    DA_FIBER, GENERIC_FIBER, Atom, DivClass, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms, open_graph,
+    restrict_to_open)
+from motive_calc.threefold import OpenTAtom, OpenTCorr, TCorr, TensorExpr, _meet, _tensor_rule
 
 
 def mu_minus1(n: int) -> SurfEnd:
@@ -267,3 +281,97 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def poincare_symmetric(table: BettiTable) -> bool:
     """Whether b_i = b_(2d-i) for every degree i of the table."""
     return all(table.b[i] == table.b[len(table.b) - 1 - i] for i in range(len(table.b)))
+
+
+# -- d_a as a coefficient: the oracle of the divisor actions
+
+@dataclass(frozen=True)
+class LinearCoeff:
+    """Value of the form `const + da_part * d_a` with d_a a free symbol; products may never produce d_a**2."""
+
+    const: RationalLike = 0
+    da_part: RationalLike = 0
+
+    @staticmethod
+    def of(value: RationalLike) -> "LinearCoeff":
+        return LinearCoeff(exact_rational(value), 0)
+
+    @staticmethod
+    def d_a(scale: RationalLike = 1) -> "LinearCoeff":
+        return LinearCoeff(0, exact_rational(scale))
+
+    def __bool__(self) -> bool:
+        return bool(self.const) or bool(self.da_part)
+
+    def __add__(self, other: "LinearCoeff") -> "LinearCoeff":
+        return LinearCoeff(self.const + other.const, self.da_part + other.da_part)
+
+    def __sub__(self, other: "LinearCoeff") -> "LinearCoeff":
+        return LinearCoeff(self.const - other.const, self.da_part - other.da_part)
+
+    def __neg__(self) -> "LinearCoeff":
+        return LinearCoeff(-self.const, -self.da_part)
+
+    def __mul__(self, other: "LinearCoeff | RationalLike") -> "LinearCoeff":
+        if not isinstance(other, LinearCoeff):
+            return self.scale(other)
+        if self.da_part and other.da_part:
+            raise DegreeError("product would have a d_a^2 term")
+        return LinearCoeff(
+            self.const * other.const,
+            self.const * other.da_part + self.da_part * other.const,
+        )
+
+    __rmul__ = __mul__
+
+    def scale(self, k: RationalLike) -> "LinearCoeff":
+        return LinearCoeff(self.const * k, self.da_part * k)
+
+    def __str__(self) -> str:
+        if not self.da_part:
+            return fmt_rational(self.const)
+        da = "d_a" if self.da_part == 1 else f"{fmt_rational(self.da_part)}*d_a"
+        if not self.const:
+            return da
+        return f"{fmt_rational(self.const)} + {da}"
+
+
+def _add_linear(out: dict, key, c: LinearCoeff) -> None:
+    total = out.get(key, LinearCoeff()) + c
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def linear_class(z: DivClass) -> dict:
+    """{key: LinearCoeff}: z with its d_a*[fiber] coefficient read as the d_a part of [fiber]."""
+    out: dict = {}
+    for key, c in z.terms.items():
+        if key == DA_FIBER:
+            _add_linear(out, GENERIC_FIBER, LinearCoeff.d_a(c))
+        else:
+            _add_linear(out, key, LinearCoeff.of(c))
+    return out
+
+
+def act_on_divisor_linear(x: SurfCorr, z: dict) -> dict:
+    """x acting on the {key: LinearCoeff} class z, atom pair by atom pair, with d_a a coefficient.
+
+    Each row is `surface.act_atom_on_key` on a class without d_a, a
+    d_a*[fiber] in its image read as d_a times [fiber]; a d_a^2 raises
+    `DegreeError` in the `LinearCoeff` product.
+    """
+    out: dict = {}
+    for atom, c in x.terms.items():
+        for key, cz in z.items():
+            for k, m in surface.act_atom_on_key(atom, key, x.level):
+                image = LinearCoeff.d_a(m) if k == DA_FIBER else LinearCoeff.of(m)
+                _add_linear(out, GENERIC_FIBER if k == DA_FIBER else k, image * cz * c)
+    return out
+
+
+def lifted(x: TCorr) -> TensorExpr:
+    """x as one pure tensor per atom (a, b, swap), with the one-atom factors a and b."""
+    n = x.level
+    return TensorExpr(n, [(c, SurfCorr.of(n, a), SurfCorr.of(n, b), e) for (a, b, e), c in x.terms.items()])

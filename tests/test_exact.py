@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from motive_calc.exact import (
     DegreeError,
-    LinearCoeff,
     RatMatrix,
     SingularMatrixError,
     fmt_rational,
@@ -17,7 +16,7 @@ from motive_calc.exact import (
 from motive_calc.dsl import NamedAtom, Scale, parse_expr
 from motive_calc.surface import neron_lattice
 
-from support import mat_mul, mat_transpose, mat_zero
+from support import LinearCoeff, mat_mul, mat_transpose, mat_zero
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4

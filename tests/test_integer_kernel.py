@@ -31,11 +31,11 @@ from motive_calc.groups import (
     symmetrizers,
 )
 from motive_calc.dsl import evaluate
-from motive_calc.exact import LinearCoeff
 from motive_calc.levels import cusp_count
 from motive_calc.report import run_report
 from motive_calc.sums import LinComb, bilinear, collect, linear_map
 from motive_calc.surface import (
+    DA_FIBER,
     GENERIC_FIBER,
     VERT,
     DivClass,
@@ -73,17 +73,22 @@ from motive_calc.threefold import (
     theta_int,
 )
 
+from flat_threefold import t_transpose
 from support import (
     G2Elem,
     G2Sum,
+    LinearCoeff,
     _open_pair,
     _open_t_pair,
+    act_on_divisor_linear,
     compose_open,
     compose_open_t,
     enumerate_surf,
     from_fractions,
     g2_sum,
     group_product,
+    lifted,
+    linear_class,
     tensor_open,
 )
 
@@ -108,14 +113,11 @@ def oracle_expand(x: TensorExpr) -> TCorr:
 
 
 def assert_canonical(x):
-    """x is in the form (d, {atom: v}): d >= 1, each v a nonzero int (or `LinearCoeff` of ints), gcd(d, all v) = 1."""
+    """x is in the form (d, {atom: v}): d >= 1, each v a nonzero int, gcd(d, all v) = 1."""
     assert type(x.d) is int and x.d >= 1
-    parts = [p for v in x.nums.values() for p in ((v.const, v.da_part) if isinstance(v, LinearCoeff) else (v,))]
-    assert all(type(p) is int for p in parts)
-    assert all(x.nums.values())
-    assert gcd(x.d, *parts) == 1
-    for c in x.terms.values():
-        assert type(c) is (LinearCoeff if isinstance(x, DivClass) else Fraction)
+    assert all(type(v) is int and v for v in x.nums.values())
+    assert gcd(x.d, *x.nums.values()) == 1
+    assert all(type(c) is Fraction for c in x.terms.values())
 
 
 def assert_same(got, want):
@@ -308,14 +310,14 @@ def test_expand_matches_the_fraction_loop(data, n):
 def div_classes(draw, n):
     """A random surface divisor class: section and component classes, and the fiber with a d_a part.
 
-    Only the fiber carries d_a: V and tGraphs send a section to d_a times
-    the fiber, and d_a^2 is outside the calculus.
+    Only the fiber carries d_a, as the class d_a*[fiber]: V and tGraphs
+    send a section to it, and d_a^2 is outside the calculus.
     """
     index = st.integers(0, n - 1)
     keys = st.one_of(st.builds(sec_key, index, index), st.builds(theta_key, st.just(0), index))
     terms = draw(st.dictionaries(keys, coefficients(n), max_size=4))
     if draw(st.booleans()):
-        terms[GENERIC_FIBER] = LinearCoeff(draw(coefficients(n)), draw(coefficients(n)))
+        terms[GENERIC_FIBER], terms[DA_FIBER] = draw(coefficients(n)), draw(coefficients(n))
     return DivClass(n, terms)
 
 
@@ -342,11 +344,13 @@ def test_every_operation_that_makes_a_sum_leaves_it_in_canonical_form(data, n):
     z, w = data.draw(div_classes(n)), data.draw(threefold_div_classes(n))
     k = data.draw(coefficients(n))
     e = TensorExpr.pure(a, b) + TensorExpr.pure(b, a, swap=True).scale(k)
+    f = TensorExpr(n, [(k, a, a, False), (1, b, a, True), (Fraction(1, 2), a, b, False)])
     made = [
         SurfCorr(n, dict(x.terms)), x + y, x - y, x - x, x.scale(k), x.scale(0), z + z.scale(k), z - z,
         compose(x, y), t_compose(s, t), transpose(x), restrict_to_open(x), g * h, g.involute(),
-        e.expand(), act_on_divisor(x, z), act_on_threefold_divisor(e, w), act_on_threefold_divisor(s, w),
+        e.expand(), act_on_divisor(x, z), act_on_threefold_divisor(e, w), act_on_threefold_divisor(lifted(s), w),
         restriction_residual(a, b), parity_residual([(a, b), (b, a)], -1),
+        e, f, e + f, e - f, e - e, f.scale(k), f.scale(0), e.compose(f), f.transpose(), lifted(s),
     ]
     for made_sum in made:
         assert_canonical(made_sum)
@@ -355,6 +359,42 @@ def test_every_operation_that_makes_a_sum_leaves_it_in_canonical_form(data, n):
     assert (x - y).terms == _fraction_sum(x, y, -1)
     assert (z - z.scale(k)).terms == _fraction_sum(z, z.scale(k), -1)
     assert x.scale(k).terms == {atom: k * c for atom, c in x.terms.items()}
+    assert (e - f).terms == _fraction_sum(e, f, -1)
+    assert f.scale(k).terms == {atom: k * c for atom, c in f.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), LEVELS)
+def test_the_divisor_action_matches_the_linear_coeff_oracle(data, n):
+    # d_a*[fiber] is a class of its own; the oracle holds d_a as a coefficient of [fiber]
+    x = data.draw(surface_sums(n))
+    z = data.draw(div_classes(n))
+    assert linear_class(act_on_divisor(x, z)) == act_on_divisor_linear(x, linear_class(z))
+
+
+@st.composite
+def tensor_exprs(draw, n):
+    """A random `TensorExpr` whose parts share a few small factors, so that equal pure tensors merge."""
+    factor = st.builds(lambda terms: SurfCorr(n, terms),
+                       st.dictionaries(surface_atoms(n, cusps=False), coefficients(n), min_size=1, max_size=3))
+    pool = draw(st.lists(factor, min_size=1, max_size=3)) + [delta(n), build_pi_bars(n)["pi0"]]
+    pick = st.sampled_from(pool)
+    return TensorExpr(n, draw(st.lists(st.tuples(coefficients(n), pick, pick, st.booleans()), max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(3, 4))
+def test_tensor_expression_operations_expand_to_the_flat_results(data, n):
+    x, y = data.draw(tensor_exprs(n)), data.draw(tensor_exprs(n))
+    k = data.draw(coefficients(n))
+    fx, fy = x.expand(), y.expand()
+    assert fx == oracle_expand(x)
+    assert x.compose(y).expand() == t_compose(fx, fy)
+    assert x.transpose().expand() == t_transpose(fx)
+    assert (x + y).expand() == fx + fy
+    assert (x - y).expand() == fx - fy
+    assert x.scale(k).expand() == fx.scale(k)
+    assert (x - x).nums == {} and x.scale(2) == x + x and x + y == y + x
 
 
 def test_a_cancellation_that_leaves_a_common_factor_is_divided_out():
@@ -377,11 +417,13 @@ def test_a_cancellation_that_leaves_a_common_factor_is_divided_out():
 
 @pytest.mark.parametrize("make", [
     lambda: SurfCorr(3, {VERT: 0.1}),
-    lambda: DivClass(3, {GENERIC_FIBER: LinearCoeff(0, 0.5)}),
+    lambda: DivClass(3, {DA_FIBER: 0.5}),
     lambda: SurfCorr.of(3, VERT).scale(0.5),
     lambda: t_delta_expr(3).scale(0.5),
     lambda: LinearCoeff.of(0.1),
-], ids=["constructor", "divisor constructor", "LinComb.scale", "TensorExpr.scale", "LinearCoeff.of"])
+    lambda: TensorExpr(3, [(0.5, delta(3), delta(3), False)]),
+], ids=["constructor", "divisor constructor", "LinComb.scale", "TensorExpr.scale", "LinearCoeff.of",
+        "TensorExpr constructor"])
 def test_a_float_coefficient_is_rejected(make):
     with pytest.raises(TypeError, match="float"):
         make()
@@ -391,18 +433,21 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_the_program_never_reads_the_terms_view(monkeypatch):
-    # `terms` builds Fractions at each read; it is there for tests, printing and the benchmark's tracer
+    # `terms` and `TensorExpr.parts` build Fractions at each read; they are there for tests, printing
+    # and the benchmark's tracer
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
     reads = []
-    view = LinComb.terms.fget
-    monkeypatch.setattr(LinComb, "terms", property(lambda x: reads.append(sys._getframe(1).f_code) or view(x)))
+    for cls, name in ((LinComb, "terms"), (TensorExpr, "parts")):
+        view = getattr(cls, name).fget
+        monkeypatch.setattr(cls, name, property(lambda x, view=view: reads.append(sys._getframe(1).f_code) or view(x)))
     for n in range(3, 7):
         run_report(n, include_threefold=True)
     for query in workloads.plain_pool():
         evaluate(query.source, query.level, query.mode).render()
     assert reads == []
     assert SurfCorr.of(3, VERT).terms == {VERT: 1} and len(reads) == 1
+    assert len(t_delta_expr(3).parts) == 1 and len(reads) == 2

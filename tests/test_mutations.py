@@ -11,18 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import groups, surface, threefold
-from motive_calc.endos import aff_end
+from motive_calc.endos import aff_end, mu0
+from motive_calc.exact import DegreeError, fmt_rational
 from motive_calc.groups import GElem, GroupRingElement, group_certificate
 from motive_calc.levels import cusp_count
 from motive_calc.sums import Certificate, product
 from motive_calc.surface import (
-    VERT, SurfCorr, aff_of, build_pi_bars, build_pi_cusp, cusp_prod, open_graph, surface_certificate)
+    DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, act_on_divisor, aff_of, build_pi_bars, build_pi_cusp,
+    cusp_prod, open_graph, surface_certificate)
 from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
 
 from flat_threefold import expands_to_zero
 from support import (
-    G2Sum, compose_by_atom_pairs, enumerate_surf, g2_epsilon2, g2_identity, g2_sum, group_product,
-    parity_residual_by_expansion, restriction_residual_by_expansion, sigma_swap)
+    G2Sum, act_on_divisor_linear, compose_by_atom_pairs, enumerate_surf, g2_epsilon2, g2_identity, g2_sum,
+    group_product, linear_class, parity_residual_by_expansion, restriction_residual_by_expansion, sigma_swap)
 
 
 def _failed(entries):
@@ -148,7 +150,7 @@ def test_a_failed_entry_shows_its_residual_capped(monkeypatch):
     residual = product(a2, eps2, group_product) - product(eps2, a2, group_product)
     assert len(residual.terms) > 8
     first = sorted(residual.terms, key=residual.sort_key)[:8]
-    shown = " + ".join(f"{residual.fmt(residual.terms[a])}*{residual.label(a)}" for a in first)
+    shown = " + ".join(f"{fmt_rational(residual.terms[a])}*{residual.label(a)}" for a in first)
     assert failed["got"] == f"got - want has {len(residual.terms)} atoms: {shown} + ..."
     # passing entries carry no detail, so their bytes are those of an unmutated run
     assert all("got" not in e for e in entries.values() if e["status"] == "pass")
@@ -572,3 +574,101 @@ def test_structure_identities_fail_with_the_collapse_rule_doubled(monkeypatch):
     failed = _failed(threefold.verify_structure_identities(4))
     assert "section_property" in failed
     assert "retract_to_base" in failed
+
+
+# -- the divisor action rows: each fault with the surface and threefold entries it flips at N = 4
+
+_keeps, _slot, _act = surface.keeps_fiber, surface.component_slot, surface.act_atom_on_key
+
+
+def _in_both(name, patched):
+    # threefold imports the slot actions by name from surface
+    return [(surface, name, patched), (threefold, name, patched)]
+
+
+def _slot_where(test, image):
+    def slot(atom, m, level):
+        return image(atom, m, level) if test(atom) else _slot(atom, m, level)
+
+    return slot
+
+
+def _cusp_action_doubled(atom, key, level):
+    produced = _act(atom, key, level)
+    return [(k, 2 * v) for k, v in produced] if atom[0] == "C" else produced
+
+
+ACTION_FAULTS = {
+    "V keeps the fiber": _in_both("keeps_fiber", lambda atom: atom[0] == "V" or _keeps(atom)),
+    "fiber kept by the sign, not the collapse flag": _in_both(
+        "keeps_fiber", lambda atom: atom[0] == "T" or (atom[0] == "G" and atom[1].s == 1)),
+    "cusp-product action doubled": [(surface, "act_atom_on_key", _cusp_action_doubled)],
+    "component index shifted by one": _in_both(
+        "component_slot", lambda atom, m, level: [(k + 1) % level for k in _slot(atom, m, level)]),
+    "tGraph pulls back the next component": _in_both("component_slot", _slot_where(
+        lambda atom: atom[0] == "T", lambda atom, m, level: range(level) if m == (atom[1].b1 + 1) % level else ())),
+    "tGraph pulls back every component": _in_both("component_slot", _slot_where(
+        lambda atom: atom[0] == "T", lambda atom, m, level: range(level))),
+    "collapse graph acts as its translation": _in_both("component_slot", _slot_where(
+        lambda atom: atom[0] == "G" and atom[1].collapse, lambda atom, m, level: ((atom[1].b1 + m) % level,))),
+    "translations drop their shift": _in_both("component_slot", _slot_where(
+        lambda atom: _is_aut(atom) and atom[1].s == 1, lambda atom, m, level: (m,))),
+}
+
+_RESIDUAL_ACTIONS = [f"residual_action:theta(0;{m})" for m in range(4)]
+
+# (surface entries, threefold entries) that each fault flips
+ACTION_FAILURES = {
+    "V keeps the fiber": (
+        ["action:pi0:fiber", "action:pi2:fiber"],
+        [f"action:pi({i1},{i2}):fiber" for i1 in (0, 2) for i2 in (0, 2)]),
+    "fiber kept by the sign, not the collapse flag": (
+        ["action:pi1:fiber", "action:pi2:fiber"],
+        [f"action:pi({i1},{i2}):fiber" for i1 in range(3) for i2 in range(3) if (i1, i2) != (0, 0)]),
+    "cusp-product action doubled": (
+        [f"action:piC(0):theta(0;{m})" for m in (1, 2, 3)] + _RESIDUAL_ACTIONS, []),
+    "component index shifted by one": ([], ["action:residual_identity"]),
+    "tGraph pulls back the next component": (
+        ["action:pi0:theta(0;0)", "action:pi0:theta(0;1)"] + _RESIDUAL_ACTIONS[:2],
+        ["action:pi(0,0):Theta(0;0,0)", "action:components_annihilated"]),
+    "tGraph pulls back every component": (
+        [f"action:pi0:theta(0;{m})" for m in (1, 2, 3)] + _RESIDUAL_ACTIONS[1:], ["action:components_annihilated"]),
+    "collapse graph acts as its translation": (
+        [f"action:pi2:theta(0;{m})" for m in range(4)] + _RESIDUAL_ACTIONS, ["action:components_annihilated"]),
+    "translations drop their shift": (
+        [f"action:pi1:theta(0;{m})" for m in range(4)] + ["action:theta_avg"] + _RESIDUAL_ACTIONS,
+        ["action:components_annihilated"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ACTION_FAULTS))
+def test_divisor_action_rows_fail_under_an_action_fault(fault, monkeypatch):
+    for owner, name, patched in ACTION_FAULTS[fault]:
+        monkeypatch.setattr(owner, name, patched)
+    assert (_failed(surface_certificate(4)), _failed(threefold_certificate(4))) == ACTION_FAILURES[fault]
+
+
+def test_every_divisor_action_entry_fails_under_some_fault():
+    rows = [e["name"] for e in surface_certificate(4) if e["name"].startswith(("action:", "residual_action:"))]
+    rows += [e["name"] for e in threefold_certificate(4) if e["name"].startswith("action:")]
+    assert len(rows) == 23 + 12
+    assert set(rows) == {name for flipped in ACTION_FAILURES.values() for side in flipped for name in side}
+
+
+def test_a_fiber_row_that_gives_d_a_raises_degree_error_on_d_a_fiber(monkeypatch):
+    # the fiber row made to give d_a [fiber], as V gives on a section: once is a class, twice is d_a^2
+    def fiber_to_d_a(atom, key, level):
+        if key == GENERIC_FIBER and _keeps(atom):
+            return [(DA_FIBER, 1)]
+        return _act(atom, key, level)
+
+    monkeypatch.setattr(surface, "act_atom_on_key", fiber_to_d_a)
+    n = 4
+    t = SurfCorr.of(n, ("T", mu0(n)))
+    assert act_on_divisor(t, DivClass.of(n, GENERIC_FIBER)) == DivClass.of(n, DA_FIBER)
+    with pytest.raises(DegreeError):
+        act_on_divisor(t, DivClass.of(n, DA_FIBER))
+    with pytest.raises(DegreeError):
+        act_on_divisor_linear(t, linear_class(DivClass.of(n, DA_FIBER)))
+    # the certificate only acts on [fiber] and the components, so it reads the fault as failed rows
+    assert "action:pi0:fiber" in _failed(surface_certificate(n))

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from motive_calc.endos import mu0, surf_end
-from motive_calc.exact import LinearCoeff, RatMatrix
+from motive_calc.exact import RatMatrix
 from motive_calc.groups import LevelMismatchError, lambda_theta
 from motive_calc.levels import cusp_count
 from motive_calc.surface import (
+    DA_FIBER,
     DivClass,
     GENERIC_FIBER,
     OpenCorr,
@@ -228,11 +229,28 @@ def test_action_involves_da_symbol():
     t = SurfCorr.of(n, ("T", mu0(n)))
     z = DivClass.of(n, sec_key(0, 0))
     got = act_on_divisor(t, z)
-    assert got == DivClass(n, {GENERIC_FIBER: LinearCoeff.d_a()})
+    assert got == DivClass.of(n, DA_FIBER)
     v = SurfCorr.of(n, VERT)
-    assert act_on_divisor(v, z) == DivClass(n, {GENERIC_FIBER: LinearCoeff.d_a()})
+    assert act_on_divisor(v, z) == DivClass.of(n, DA_FIBER)
     # d_a never squares along in-table chains: the fiber pairs to zero
     assert act_on_divisor(v, got).is_zero()
+
+
+def test_a_divisor_class_out_of_range_is_rejected():
+    # N = 3 has 4 cusps; each of these was once computed as some in-range class
+    n = 3
+    shift = SurfCorr.of(n, graph(surf_end(n, 1, 0, 1)))
+    for x, key in (
+        (shift, theta_key(0, 7)),
+        (shift, theta_key(99, 1)),
+        (shift, theta_key(4, 0)),
+        (shift, sec_key(5, -4)),
+        (SurfCorr.of(n, cusp_prod(0, 1, 1)), theta_key(0, 4)),
+    ):
+        with pytest.raises(ValueError, match="outside level 3"):
+            act_on_divisor(x, DivClass(n, {GENERIC_FIBER: 1, key: 1}))
+    edge = DivClass(n, {theta_key(3, 2): 1, sec_key(2, 0): 1, DA_FIBER: 1})
+    assert act_on_divisor(shift, edge) == DivClass(n, {theta_key(3, 0): 1, sec_key(0, 0): 1, DA_FIBER: 1})
 
 
 def test_section_pushforward():

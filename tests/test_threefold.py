@@ -50,7 +50,7 @@ from motive_calc.threefold import (
 )
 
 from flat_threefold import split_sym_alt, t_transpose
-from support import compose_open_t, enumerate_surf, invert_open_t, tensor_open
+from support import compose_open_t, enumerate_surf, invert_open_t, lifted, tensor_open
 
 
 def t_delta(n):
@@ -214,7 +214,7 @@ def test_the_parity_map_is_the_product_with_the_inversion(n, data):
 
 
 def test_action_rows(n=3):
-    tildes = pair_projectors(n)
+    tildes = {name: lifted(x) for name, x in pair_projectors(n).items()}
     f3 = ThreefoldDivClass.of(n, FIBER3)
     assert act_on_threefold_divisor(tildes["pi(0,0)"], f3) == f3
     assert act_on_threefold_divisor(tildes["pi(1,2)"], f3).is_zero()
@@ -228,17 +228,25 @@ def test_action_rows(n=3):
 
 
 def test_sigma_action_transposes_indices(n=3):
-    sig = sigma_expr(n).expand()
+    sig = lifted(sigma_expr(n).expand())
     z = ThreefoldDivClass.of(n, theta_int(0, 1, 2))
     assert act_on_threefold_divisor(sig, z) == ThreefoldDivClass.of(n, theta_int(0, 2, 1))
     h = ThreefoldDivClass.of(n, theta_half(0, 1, 0))
     assert act_on_threefold_divisor(sig, h) == ThreefoldDivClass.of(n, theta_half(0, 0, 1))
 
 
+def test_a_threefold_divisor_class_out_of_range_is_rejected(n=3):
+    for key in (theta_int(0, 5, 7), theta_int(4, 0, 0), theta_half(0, 0, 3), theta_half(-1, 0, 0)):
+        with pytest.raises(ValueError, match="outside level 3"):
+            act_on_threefold_divisor(t_delta_expr(n), ThreefoldDivClass.of(n, key))
+    edge = ThreefoldDivClass(n, {theta_int(3, 2, 0): 1, theta_half(3, 0, 2): 1, FIBER3: 1})
+    assert act_on_threefold_divisor(t_delta_expr(n), edge) == edge
+
+
 def test_half_index_action(n=4):
     # inversion on a half-integer index: -(p + 1/2) = (-p - 1) + 1/2
     auto = t_atom(("G", surf_end(n, 1, 0, -1)), ("G", surf_identity(n)))
-    x = TCorr.of(n, auto)
+    x = lifted(TCorr.of(n, auto))
     z = ThreefoldDivClass.of(n, theta_half(0, 1, 1))
     want = ThreefoldDivClass.of(n, theta_half(0, (1 - 1 - 1) % n, 1))
     assert act_on_threefold_divisor(x, z) == want
@@ -261,8 +269,8 @@ def test_action_coherence_sampled(n=3):
             continue
         x, y = TCorr.of(n, xa), TCorr.of(n, xb)
         z = ThreefoldDivClass.of(n, rng.choice(keys))
-        lhs = act_on_threefold_divisor(t_compose(x, y), z)
-        rhs = act_on_threefold_divisor(x, act_on_threefold_divisor(y, z))
+        lhs = act_on_threefold_divisor(lifted(t_compose(x, y)), z)
+        rhs = act_on_threefold_divisor(lifted(x), act_on_threefold_divisor(lifted(y), z))
         assert lhs == rhs
         checked += 1
 
@@ -284,7 +292,7 @@ def test_threefold_action_is_the_tensor_of_the_surface_actions(n):
             atom = t_atom(left, right, swap)
             if atom is None:
                 continue
-            x = TCorr.of(n, atom)
+            x = lifted(TCorr.of(n, atom))
             assert act_on_threefold_divisor(x, f3) == (f3 if keeps[left] and keeps[right] else ThreefoldDivClass(n))
             for m, k in product(range(n), repeat=2):
                 a, b = (k, m) if swap else (m, k)
@@ -412,8 +420,8 @@ def test_factored_action_matches_the_atom_level_action(n):
             z = ThreefoldDivClass.of(n, key)
             want = atom_level_action(expanded, z)
             assert act_on_threefold_divisor(x, z) == want, (name, key)
-            # a TCorr goes through the same loop, each atom a one-atom pure tensor
-            assert act_on_threefold_divisor(expanded, z) == want, (name, key)
+            # the expansion, each atom a one-atom pure tensor, acts alike
+            assert act_on_threefold_divisor(lifted(expanded), z) == want, (name, key)
 
 
 def test_factored_action_on_a_mixed_class(n=3):

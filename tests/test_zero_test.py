@@ -279,3 +279,16 @@ def test_named_projector_laws_vanish_on_both_routes(n):
         assert law.is_zero() and expands_to_zero(law)
     off = alt.compose(alt, memo) - sym
     assert not off.is_zero() and not expands_to_zero(off)
+
+
+def test_equality_compares_canonical_forms_whatever_the_order_and_grouping(n=3):
+    x, y = t_delta_expr(n), sigma_expr(n)
+    assert x + y == y + x
+    assert (x + y).scale(2) == (x + y) + (x + y)
+    assert (x - x).parts == [] and x - x == TensorExpr(n)
+    # == is not the zero test: one factor split in two expands to the same atoms, as another form
+    bars = build_pi_bars(n)
+    split = TensorExpr.pure(bars["pi0"], delta(n)) + TensorExpr.pure(bars["pi2"], delta(n))
+    joined = TensorExpr.pure(bars["pi0"] + bars["pi2"], delta(n))
+    assert split != joined
+    assert (split - joined).is_zero() and expands_to_zero(split - joined)
