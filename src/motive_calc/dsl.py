@@ -14,8 +14,12 @@ whose arguments are surface expressions.  `parse_expr(source, mode)`
 rejects, with its position, a name that only the other mode knows: a
 threefold name in surface mode, a surface name outside T(...) in
 threefold mode.  It also rejects an unknown name and a wrong number of
-integer arguments, so a bad query stops before any product is computed;
-only argument values (a sign, a cusp index) are checked when evaluated.
+integer arguments, so a bad query stops before any product is computed.
+Argument values are checked when evaluated, where their atom is built:
+the sign s of G(b1,b2,s) by `surf_end`, and a cusp index by the check of
+the sum's constructor.  The indices b1, b2 of G and m, n of CP(c,m,n)
+wrap mod N; the cusp c does not.  Products, sums and transposes of the
+named values are built from checked operands and not checked again.
 
 A threefold value stays factored, a `TensorExpr`, through the whole
 expression, and is expanded to its canonical `TCorr` once, at the end.
@@ -29,7 +33,7 @@ from fractions import Fraction
 from typing import Union
 
 from .endos import mu0 as mu0_end, surf_end
-from .levels import _check_level, cusp_count
+from .levels import _check_level
 from .surface import (
     SurfCorr,
     VERT,
@@ -249,18 +253,6 @@ def parse_expr(source: str, mode: str = "surface") -> Node:
 
 # -- evaluator ---------------------------------------------------------------
 
-def _graph(n: int, b1: int, b2: int, s: int) -> SurfCorr:
-    if s not in (1, -1):
-        raise EvalError("G(b1,b2,s) needs s = 1 or -1")
-    return SurfCorr.of(n, graph(surf_end(n, b1, b2, s)))
-
-
-def _cusp(n: int, c: int) -> int:
-    if not 0 <= c < cusp_count(n):
-        raise EvalError(f"cusp index {c} out of range")
-    return c
-
-
 def _pair_projector(n: int, i1: int, i2: int) -> TensorExpr:
     if not (0 <= i1 <= 2 and 0 <= i2 <= 2):
         raise EvalError("ptilde indices must lie in 0..2")
@@ -277,9 +269,9 @@ _SURFACE_ATOMS = {
     "pi2": (0, lambda n: build_pi_bars(n)["pi2"]),
     "piF": (0, build_pi_f),
     "piInf": (0, build_pi_inf),
-    "G": (3, _graph),
-    "piC": (1, lambda n, c: build_pi_cusp(n, _cusp(n, c))),
-    "CP": (3, lambda n, c, m, k: SurfCorr.of(n, cusp_prod(_cusp(n, c), m % n, k % n))),
+    "G": (3, lambda n, b1, b2, s: SurfCorr.of(n, graph(surf_end(n, b1, b2, s)))),
+    "piC": (1, build_pi_cusp),
+    "CP": (3, lambda n, c, m, k: SurfCorr.of(n, cusp_prod(c, m % n, k % n))),
 }
 _THREEFOLD_ATOMS = {
     "Delta": (0, t_delta_expr),

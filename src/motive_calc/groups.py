@@ -104,14 +104,27 @@ def _g_product(xs: list, ys: list, table: list) -> dict:
     return out
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3
+def g_elements(n: int) -> frozenset[GElem]:
+    return frozenset(enumerate_g(n))
+
+
 class GroupRingElement(LinComb):
     """Finite formal rational combination of group elements.
 
-    Its level is None: each group element carries its own.
+    Its level is None: each group element carries its own, and the
+    constructor takes elements of G of one level only.
     """
 
     __slots__ = ()
     label = staticmethod(lambda g: g.label())
+
+    @staticmethod
+    def check(_level, atoms) -> None:
+        """Each atom an element of G (`enumerate_g`) at one level N, that of the first."""
+        for g in atoms:
+            if type(g) is not GElem or g not in g_elements(next(iter(atoms)).level):
+                raise ValueError(f"{g!r} is not an element of G at the level of the sum")
 
     def __init__(self, terms: dict | None = None):
         super().__init__(None, terms)
@@ -157,7 +170,6 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
     lambda = (1 - mu(-1))/2 and theta = (1/N^2) sum tau(b): commuting
     idempotents whose product (either order) is the epsilon projector.
     """
-    _check_level(n)
     half = Fraction(1, 2)
     lam = GroupRingElement({g_identity(n): half, mu_inv(n): -half})
     theta_terms = {tau(n, b1, b2): Fraction(1, n * n) for b1 in range(n) for b2 in range(n)}
@@ -186,7 +198,6 @@ def symmetrizers(n: int) -> tuple[TensorExpr, TensorExpr]:
     """(A2, S2) = ((1 + sigma)/2, (1 - sigma)/2): orthogonal, summing to 1."""
     from .threefold import TensorExpr
 
-    _check_level(n)
     e = GroupRingElement.of(g_identity(n))
     one, sigma = TensorExpr.pure(e, e), TensorExpr.pure(e, e, swap=True)
     half = Fraction(1, 2)

@@ -6,11 +6,13 @@ class, a group-ring element, and a sum of pure tensors of those
 a level and the canonical form (d, {atom: v}) of a sum of atoms, the
 coefficient of an atom being v / d with v a nonzero integer, d >= 1 and
 gcd(d, every v) = 1; so `==` compares ints.  A subclass only says how its
-atoms sort and print.  Products are the bilinear extension of a rule on
-atom pairs (`bilinear`), images under a map of atoms are `linear_map`,
-and both feed the one accumulation loop, `collect`, which drops every
-atom whose numerator cancels.  A product of x and y is over x.d * y.d,
-and `LinComb.over` divides each result by its common factor with its d.
+atoms sort and print, and which it takes: the constructor passes each atom
+through `check`, and `over`, which builds every result, checks nothing.
+Products are the bilinear extension of a rule on atom pairs (`bilinear`),
+images under a map of atoms are `linear_map`, and both feed the one
+accumulation loop, `collect`, which drops every atom whose numerator
+cancels.  A product of x and y is over x.d * y.d, and `LinComb.over`
+divides each result by its common factor with its d.
 
 Only this module knows the form: a `Fraction` appears where a coefficient
 enters (the constructor, `scale`) and where one leaves (`render`, and the
@@ -106,14 +108,16 @@ class LinComb:
     It holds the canonical form: the coefficient of an atom is nums[atom] / d
     (see the module docstring).  Each subclass sets `label`, which prints
     one atom, and may override `sort_key`, the print order of atoms
-    (natural order when None).
+    (natural order when None), and `ranges` or `check`, the atoms it takes.
     """
 
     __slots__ = ("level", "d", "nums", "_hash")
     sort_key = None
+    ranges = None
 
     def __init__(self, level, terms: dict | None = None):
-        """The sum of coeff * atom over the items of terms; a float coefficient raises TypeError."""
+        """The sum of coeff * atom over the items of terms, each atom passed by `check`; a float raises TypeError."""
+        self.check(level, terms or ())
         cs = [(atom, exact_rational(c)) for atom, c in (terms or {}).items()]
         # inputs in lowest terms over their lcm have no common factor left
         self.level, self.d, self._hash = level, lcm(*(c.denominator for _, c in cs)), None
@@ -134,6 +138,20 @@ class LinComb:
         obj = cls.__new__(cls)
         obj.level, obj.d, obj.nums, obj._hash = level, d, nums, None
         return obj
+
+    @classmethod
+    def check(cls, level, atoms) -> None:
+        """Raise ValueError unless each atom (kind, *indices) has its indices in `ranges(level)[kind]`, if set."""
+        if cls.ranges is None or not atoms:
+            return
+        ranges = cls.ranges(level)
+        for atom in atoms:
+            bounds = ranges.get(atom[0]) if type(atom) is tuple and atom else None
+            if bounds is None or len(atom) != len(bounds) + 1:
+                raise ValueError(f"unknown atom {atom!r}")
+            for i, r in zip(atom[1:], bounds):  # a loop: a generator in all(...) costs twice as much
+                if i not in r:
+                    raise ValueError(f"{cls.label(atom)} is outside level {level}")
 
     @classmethod
     def of(cls, level, atom, coeff=1):

@@ -23,6 +23,9 @@ atom acts on a block through an index map on its rows or columns.
 Component products on disjoint cusps compose to zero before any
 arithmetic.
 
+The constructor of a correspondence or a divisor class takes only atoms of
+its level (`atom_ranges`); results are built by `LinComb.over`, unchecked.
+
 A divisor class is a rational sum of basis classes: the fiber, sections,
 cusp components, and d_a times the fiber (`DA_FIBER`), d_a being the
 degree of the pushed-down self-intersection of the zero section.  Only
@@ -134,12 +137,25 @@ def neron_lattice(n: int) -> NeronLattice:
 
 # -- formal sums ---------------------------------------------------------------
 
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3
+def atom_ranges(level: int) -> dict:
+    """The surface atoms of a level for `LinComb.check`.
+
+    Graphs of the 3N^2 endomorphisms in `surf_end`'s normal form, tGraphs of
+    the N^2 collapses, V, and CP(c;m,n) with c below `cusp_count` and m, n in 0..N-1.
+    """
+    cusps, idx = range(cusp_count(level)), range(level)
+    ends = {surf_end(level, b1, b2, s, c) for c in (False, True) for s in (1, -1) for b1 in idx for b2 in idx}
+    return {"G": (ends,), "T": ({f for f in ends if f.collapse},), "V": (), "C": (cusps, idx, idx)}
+
+
 class SurfCorr(LinComb):
-    """Formal exact-rational combination of surface atoms."""
+    """Formal exact-rational combination of surface atoms, those of `atom_ranges`."""
 
     __slots__ = ("_cusps",)  # `_cusp_support`, set at its first call; the terms do not change after that
     sort_key = staticmethod(atom_sort_key)
     label = staticmethod(atom_label)
+    ranges = staticmethod(atom_ranges)
 
     def __mul__(self, other: "SurfCorr") -> "SurfCorr":
         """self o other, by this module's `compose` as bound at the call, so a patched one is used."""
@@ -254,12 +270,11 @@ def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | 
     return None  # R14 (CP o V)
 
 
-def _split(terms: list, auts: dict, level: int) -> tuple[list, list, dict]:
+def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
     """(automorphism graph terms, other graph/tGraph/V terms, component product blocks per cusp).
 
     auts is `aut_index`: its graphs meet each other through `aut_table`.
-    The block of a cusp holds the numerator of CP(c;m,n) at block[m][n];
-    a component index outside 0..N-1 is rejected.
+    The block of a cusp holds the numerator of CP(c;m,n) at block[m][n].
     """
     aut: list = []
     other: list = []
@@ -267,8 +282,6 @@ def _split(terms: list, auts: dict, level: int) -> tuple[list, list, dict]:
     for atom, v in terms:
         if atom[0] == "C":
             _, c, m, n = atom
-            if not (0 <= m < level and 0 <= n < level):
-                raise _index_error(atom, level)
             block = blocks.get(c)
             if block is None:
                 block = blocks[c] = {}
@@ -501,26 +514,18 @@ def _block_products(x_plain: list, x_blocks: dict, y_plain: list, y_blocks: dict
 def _cusp_support(x: SurfCorr) -> frozenset | None:
     """The cusps of x when it holds only component products, else None; kept on x once found.
 
-    Such a sum composes with one on other cusps to zero without reaching
-    `_split`, so its component indices are checked here.
+    Such a sum composes with one on other cusps to zero without reaching `_split`.
     """
     try:
         return x._cusps
     except AttributeError:
         pass
-    terms, level = x.nums, x.level
+    terms = x.nums
     cusps = None
     if all(atom[0] == "C" for atom in terms):
-        for atom in terms:
-            if not (0 <= atom[2] < level and 0 <= atom[3] < level):
-                raise _index_error(atom, level)
         cusps = frozenset(atom[1] for atom in terms)
     x._cusps = cusps
     return cusps
-
-
-def _index_error(atom: Atom, level: int) -> ValueError:
-    return ValueError(f"{atom_label(atom)} has a component index outside 0..{level - 1}")
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
@@ -542,8 +547,8 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
         return SurfCorr.over(level, 1, {})
     rule = compose_atom_pair  # looked up at each call, so a patched rule is used
     auts = aut_index(level)
-    x_aut, x_other, x_blocks = _split(after.nums.items(), auts, level)
-    y_aut, y_other, y_blocks = _split(before.nums.items(), auts, level)
+    x_aut, x_other, x_blocks = _split(after.nums.items(), auts)
+    y_aut, y_other, y_blocks = _split(before.nums.items(), auts)
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
     if x_aut and y_aut:
         pairs.append(_aut_product(x_aut, y_aut, auts, aut_table(level, rule)))
@@ -595,10 +600,7 @@ def build_pi_bars(n: int) -> dict[str, SurfCorr]:
 
 
 def build_pi_cusp(n: int, c: int) -> SurfCorr:
-    """Dual-basis combination of component products over one cusp fiber."""
-    _check_level(n)
-    if not 0 <= c < cusp_count(n):
-        raise ValueError(f"cusp index {c} out of range")
+    """Dual-basis combination of component products over one cusp fiber; c must lie below `cusp_count`."""
     inv = neron_lattice(n).reduced_inverse
     terms = {}
     for m in range(1, n):
@@ -658,22 +660,7 @@ class DivClass(LinComb):
     __slots__ = ()
     sort_key = staticmethod(div_sort_key)
     label = staticmethod(div_label)
-
-
-def check_indices(z: LinComb) -> None:
-    """Reject a divisor class with a cusp >= `cusp_count` or a component or section index outside 0..N-1.
-
-    A basis class is a section (kind, b1, b2), a class over a cusp (kind,
-    cusp, index, ...), or a fiber class (kind,).  A surface or threefold
-    action checks its class here, where it enters.
-    """
-    n = z.level
-    for key in z.nums:
-        if len(key) == 1:
-            continue
-        cusp, indices = (0, key[1:]) if key[0] == "S" else (key[1], key[2:])
-        if not (0 <= cusp < cusp_count(n) and all(0 <= i < n for i in indices)):
-            raise ValueError(f"{z.label(key)} is outside level {n}: cusps 0..{cusp_count(n) - 1}, indices 0..{n - 1}")
+    ranges = staticmethod(lambda n: {"F": (), "D": (), "S": (range(n),) * 2, "Th": (range(cusp_count(n)), range(n))})
 
 
 def full_cusp_fiber(n: int, c: int) -> DivClass:
@@ -749,8 +736,7 @@ def act_atom_on_key(atom: Atom, key: DivKey, level: int) -> list[tuple[DivKey, i
 
 
 def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:
-    """x acting on z, atom by atom through `act_atom_on_key`; z's indices are checked first."""
-    check_indices(z)
+    """x acting on z, atom by atom through `act_atom_on_key`."""
     return product(x, z, act_atom_on_key, DivClass)
 
 

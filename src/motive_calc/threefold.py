@@ -26,6 +26,9 @@ This is what keeps the full certificate cheap at higher levels.  The
 expansion, the zero test, the chunked rows and the divisor actions read
 the denominators and integer numerators of the sum and of its factors
 directly.
+
+Each sum is checked where it is built, and results are built by
+`LinComb.over`, unchecked: no tensor factor holds a cusp product.
 """
 
 from __future__ import annotations
@@ -33,14 +36,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple
 
 from .endos import SurfEnd, aff_end, mu0, surf_identity
-from .levels import _check_level, level_invariants
+from .exact import exact_rational
+from .levels import _check_level, cusp_count, level_invariants
 from .sums import (
     Certificate,
+    LevelMismatchError,
     LinComb,
     bilinear,
     collect,
@@ -55,7 +61,6 @@ from .surface import (
     atom_label,
     atom_sort_key,
     build_pi_bars,
-    check_indices,
     component_slot,
     compose_atom_pair,
     compose_open_atoms,
@@ -77,8 +82,6 @@ def t_atom(left: Atom, right: Atom, swap: bool = False) -> TAtom | None:
     """None encodes the vanished two-vertical atom."""
     if left[0] == "V" and right[0] == "V":
         return None
-    if left[0] == "C" or right[0] == "C":
-        raise ValueError("cusp products are not tensor factors")
     return (left, right, swap)
 
 
@@ -100,6 +103,16 @@ class TCorr(LinComb):
 
     __slots__ = ()
     sort_key, label = _tensor_print(atom_sort_key, atom_label)
+
+    @staticmethod
+    def check(level, atoms) -> None:
+        """Each atom (a, b, swap) holds surface atoms a and b of the level, not both V and neither a cusp product."""
+        for a, b, swap in atoms:
+            SurfCorr.check(level, (a, b))
+            if a[0] == "C" or b[0] == "C":
+                raise ValueError("cusp products are not tensor factors")
+            if swap not in (False, True) or a == b == VERT:
+                raise ValueError(f"unknown atom {(a, b, swap)!r}")
 
 
 def _meet(swap_x: bool, left_y, right_y, swap_y: bool) -> tuple:
@@ -162,10 +175,6 @@ def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict) -> SurfCorr:
     return got
 
 
-def _has_cusp(factor: SurfCorr) -> bool:
-    return any(atom[0] == "C" for atom in factor.nums)
-
-
 class TensorExpr(LinComb):
     """Sum of pure tensors (A (x) B).swap^e of surface correspondences A and B: a `LinComb` of the triples.
 
@@ -174,22 +183,34 @@ class TensorExpr(LinComb):
     can expand to the same atoms and still differ, so the zero test is
     `(x - y).is_zero()`.  The factors are only multiplied with `*`, so
     Q[G] factors make the same class the group ring of G^2 x| S_2 (see
-    `groups`).
+    `groups`).  The constructor and `pure` check each pure tensor; the
+    results of `over`, built from checked operands, are not checked again.
     """
 
     __slots__ = ()
     sort_key, label = _tensor_print(LinComb.render, lambda factor: f"({factor.render()})")
 
     def __init__(self, level, parts: Iterable[tuple] = ()):
-        """The sum of c (A (x) B).swap^e over the parts (c, A, B, swap); a float c raises TypeError."""
-        super().__init__(level, collect(((a, b, e), c) for c, a, b, e in parts if c))
+        """The sum of c (A (x) B).swap^e over the parts (c, A, B, swap); a float c, even 0.0, raises TypeError."""
+        terms: dict = {}
+        for c, a, b, e in parts:
+            terms[a, b, e] = terms.get((a, b, e), 0) + exact_rational(c)
+        super().__init__(level, terms)
+
+    @staticmethod
+    def check(level, atoms) -> None:
+        """Each atom (A, B, swap) has sums A, B of one class and of the level, with no cusp product; V (x) V may."""
+        for a, b, swap in atoms:
+            if not isinstance(a, LinComb) or type(b) is not type(a) or swap not in (False, True):
+                raise ValueError(f"unknown atom {(a, b, swap)!r}")
+            if a.level != level or b.level != level:
+                raise LevelMismatchError("tensor factors of another level")
+            if any(atom[0] == "C" for atom in chain(a.nums, b.nums)):
+                raise ValueError("cusp products are not tensor factors")
 
     @staticmethod
     def pure(a: SurfCorr, b: SurfCorr, swap: bool = False) -> "TensorExpr":
-        a.check_level(b)
-        if _has_cusp(a) or _has_cusp(b):
-            raise ValueError("cusp products are not tensor factors")
-        return TensorExpr.over(a.level, 1, {(a, b, swap): 1})
+        return TensorExpr(a.level, [(1, a, b, swap)])
 
     @property
     def parts(self) -> list[tuple[Fraction, SurfCorr, SurfCorr, bool]]:
@@ -222,22 +243,17 @@ class TensorExpr(LinComb):
         alone.  Per swap, the atom sum of T = sum_i c_i A_i (x) B_i drops only
         V (x) V, whose coefficient in T is k = sum_i c_i a_i b_i (a_i, b_i the
         V coefficients of A_i, B_i); so it is zero iff T - k V (x) V is, which
-        `tensor_vanishes` decides on the numerators c_i d.  A cusp product in
-        a factor raises as `t_atom` does, when the other factor of its part
-        is nonzero.
+        `tensor_vanishes` decides on the numerators c_i d.  A part with a zero
+        factor joins no basis and drops out.
         """
         tensors: dict = {}  # swap -> {id(A), or V for -k V (x) V: (A, [c B])}, A held so that its id stays its own
         for (a, b, e), v in self.nums.items():
-            if not (a.nums and b.nums):
-                continue  # a zero factor: the part expands to nothing
-            if _has_cusp(a) or _has_cusp(b):
-                raise ValueError("cusp products are not tensor factors")
             by_left = tensors.setdefault(e, {})
             by_left.setdefault(id(a), (a, []))[1].append(b.scale(v))
             va, vb = a.nums.get(VERT), b.nums.get(VERT)
             if va and vb:  # the part's share -c_i a_i b_i V (x) V of -k V (x) V
                 vv = SurfCorr.over(self.level, a.d * b.d, {VERT: -va * vb * v})
-                by_left.setdefault(VERT, (SurfCorr.of(self.level, VERT), []))[1].append(vv)
+                by_left.setdefault(VERT, (SurfCorr.over(self.level, 1, {VERT: 1}), []))[1].append(vv)
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
     def expand(self, cls: type | None = None) -> LinComb:
@@ -319,6 +335,8 @@ class ThreefoldDivClass(LinComb):
     __slots__ = ()
     sort_key = staticmethod(t_div_sort_key)
     label = staticmethod(t_div_label)
+    ranges = staticmethod(  # a component over a cusp: the cusp, then its two indices
+        lambda n: {"F3": (), **dict.fromkeys(("I", "H"), (range(cusp_count(n)), range(n), range(n)))})
 
 
 def model_full_fiber(n: int, c: int) -> ThreefoldDivClass:
@@ -364,7 +382,7 @@ def _slot_image(factor, idx: int, slot, level: int, memo: dict) -> dict:
 def act_on_threefold_divisor(
     x: TensorExpr, z: ThreefoldDivClass, *, slot_images: dict | None = None
 ) -> ThreefoldDivClass:
-    """x acting on z, one pure tensor (A, B, swap) of x at a time; z's indices are checked first.
+    """x acting on z, one pure tensor (A, B, swap) of x at a time.
 
     A pure tensor acts as the tensor product of the slot actions of its two
     factors, and its swap exchanges the two indices of a component.  A
@@ -375,7 +393,6 @@ def act_on_threefold_divisor(
     `_slot_image`.
     """
     z.check_level(x)
-    check_indices(z)
     level = z.level
     if slot_images is None:
         slot_images = {}

@@ -155,6 +155,11 @@ class G2Sum(GroupRingElement):
 
     __slots__ = ()
 
+    @staticmethod
+    def check(_level, atoms) -> None:
+        """Each atom a `G2Elem` whose two group elements `GroupRingElement` takes, all of one level."""
+        GroupRingElement.check(None, [g for x in atoms for g in (x.g1, x.g2)])
+
     def __mul__(self, other: "G2Sum") -> "G2Sum":
         # the program has no product of a G^2 x| S_2 element with a Q[G] one: they are two types there
         if not isinstance(other, G2Sum):

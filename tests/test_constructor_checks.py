@@ -1,0 +1,247 @@
+"""Every sum is checked where it is built: input the model declares invalid raises there.
+
+At N = 3 there are 4 cusps, each fiber over one an N-gon.  The table holds
+each kind of atom and basis class with each index just out of range, an
+unknown kind and an atom of another level, and each row goes through every
+public constructor of its class: the constructor, with a coefficient of 1,
+of 0 and beside a valid atom, and `of` (`pure` for a `TensorExpr`).  Each
+of them raises ValueError, and a float coefficient TypeError.  The DSL
+rows go through `motive-calc eval --level 3`, which exits 2 for each.
+`test_the_table_raises_under_python_O` runs both tables again in a child
+process under `python -O`.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from motive_calc.cli import main
+from motive_calc.endos import SurfEnd
+from motive_calc.groups import GElem, GroupRingElement, epsilon_projector
+from motive_calc.surface import (
+    DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
+from motive_calc.threefold import FIBER3, TCorr, TensorExpr, ThreefoldDivClass, theta_half, theta_int
+
+N = 3
+IDENT = ("G", SurfEnd(N, 0, 0, 1, False))
+CP = cusp_prod(0, 1, 1)
+
+
+def _sum_rows(cls, valid, atoms):
+    """(id, {constructor: build}, error) for each (id, atom): every way to build a cls sum holding atom."""
+    return [(f"{cls.__name__} {name}", {
+        "constructor": lambda atom=atom: cls(N, {atom: 1}),
+        "zero coefficient": lambda atom=atom: cls(N, {atom: 0}),
+        "beside a valid atom": lambda atom=atom: cls(N, {valid: 1, atom: Fraction(1, 2)}),
+        "of": lambda atom=atom: cls.of(N, atom),
+    }, ValueError) for name, atom in atoms]
+
+
+SURFACE_ATOMS = [
+    ("graph b1 = N", ("G", SurfEnd(N, 3, 0, 1, False))),
+    ("graph b1 = -1", ("G", SurfEnd(N, -1, 0, 1, False))),
+    ("graph b1 = 7", ("G", SurfEnd(N, 7, 0, 1, False))),
+    ("graph b2 = N", ("G", SurfEnd(N, 0, 3, 1, False))),
+    ("graph b2 = -1", ("G", SurfEnd(N, 0, -1, 1, False))),
+    ("graph s = 0", ("G", SurfEnd(N, 0, 0, 0, False))),
+    ("graph s = 2", ("G", SurfEnd(N, 0, 0, 2, False))),
+    ("graph of a collapse with s = -1", ("G", SurfEnd(N, 0, 0, -1, True))),
+    ("graph of level 4", ("G", SurfEnd(4, 0, 0, 1, False))),
+    ("tGraph b1 = N", ("T", SurfEnd(N, 3, 0, 1, True))),
+    ("tGraph b2 = -1", ("T", SurfEnd(N, 0, -1, 1, True))),
+    ("tGraph of an automorphism", ("T", SurfEnd(N, 0, 0, 1, False))),
+    ("tGraph of level 4", ("T", SurfEnd(4, 0, 0, 1, True))),
+    ("CP cusp = cusp_count", cusp_prod(4, 0, 0)),
+    ("CP cusp = -1", cusp_prod(-1, 0, 0)),
+    ("CP(9;0,5)", cusp_prod(9, 0, 5)),
+    ("CP m = N", cusp_prod(0, 3, 0)),
+    ("CP m = -1", cusp_prod(0, -1, 0)),
+    ("CP n = N", cusp_prod(0, 0, 3)),
+    ("CP n = -1", cusp_prod(0, 0, -1)),
+    ("CP of three indices", ("C", 0, 0)),
+    ("V with an index", ("V", 0)),
+    ("unknown kind", ("X", 0)),
+]
+
+DIVISOR_CLASSES = [
+    ("section b1 = N", sec_key(3, 0)),
+    ("section b1 = -1", sec_key(-1, 0)),
+    ("section b2 = N", sec_key(0, 3)),
+    ("section b2 = -1", sec_key(0, -1)),
+    ("theta cusp = cusp_count", theta_key(4, 0)),
+    ("theta cusp = -1", theta_key(-1, 0)),
+    ("theta m = N", theta_key(0, 3)),
+    ("theta m = -1", theta_key(0, -1)),
+    ("threefold fiber", FIBER3),
+    ("unknown kind", ("X",)),
+]
+
+THREEFOLD_CLASSES = [
+    (f"{name} {label}", key(*index))
+    for name, key in (("Theta", theta_int), ("half Theta", theta_half))
+    for label, index in (
+        ("cusp = cusp_count", (4, 0, 0)), ("cusp = -1", (-1, 0, 0)),
+        ("m = N", (0, 3, 0)), ("m = -1", (0, -1, 0)), ("k = N", (0, 0, 3)), ("k = -1", (0, 0, -1)))
+] + [("surface fiber", GENERIC_FIBER), ("unknown kind", ("X", 0, 0, 0))]
+
+TENSOR_ATOMS = [
+    ("cusp product on the left", (CP, IDENT, False)),
+    ("cusp product on the right", (VERT, CP, True)),
+    ("V (x) V", (VERT, VERT, False)),
+    ("swapped V (x) V", (VERT, VERT, True)),
+    ("factor of level 4", (("G", SurfEnd(4, 0, 0, 1, False)), VERT, False)),
+    ("factor out of range", (("G", SurfEnd(N, 3, 0, 1, False)), VERT, False)),
+    ("factor of unknown kind", (("X", 0), IDENT, False)),
+    ("swap 2", (IDENT, VERT, 2)),
+    ("two factors", (IDENT, IDENT)),
+]
+
+
+def _pure_tensor_rows():
+    """(id, {constructor: build}, ValueError) for pure tensors (A, B, swap) a `TensorExpr` refuses."""
+    pi = build_pi_bars(N)
+    cusp = SurfCorr(N, {CP: 1, VERT: 1})
+    factors = [
+        ("cusp factor on the left", (cusp, pi["pi1"], False)),
+        ("cusp factor on the right", (delta(N), cusp, True)),
+        ("cusp factor beside a zero factor", (cusp, SurfCorr(N), False)),
+        ("factors of level 4", (delta(4), delta(4), False)),
+        ("right factor of level 4", (delta(N), delta(4), False)),
+        ("factors of two classes", (delta(N), epsilon_projector(N), False)),
+        ("factor that is no sum", (IDENT, delta(N), False)),
+        ("swap 2", (delta(N), delta(N), 2)),
+    ]
+    rows = []
+    for name, (a, b, e) in factors:
+        builds = {
+            "constructor": lambda a=a, b=b, e=e: TensorExpr(N, [(1, a, b, e)]),
+            "zero coefficient": lambda a=a, b=b, e=e: TensorExpr(N, [(0, a, b, e)]),
+            "beside a valid part": lambda a=a, b=b, e=e: TensorExpr(N, [(1, delta(N), delta(N), True), (2, a, b, e)]),
+        }
+        if getattr(a, "level", None) == N:  # pure reads its level from the left factor
+            builds["pure"] = lambda a=a, b=b, e=e: TensorExpr.pure(a, b, e)
+        rows.append((f"TensorExpr {name}", builds, ValueError))
+    return rows
+
+
+GROUP_ELEMENTS = [
+    ("b1 = N", GElem(N, 3, 0, 1)),
+    ("b1 = -1", GElem(N, -1, 0, 1)),
+    ("b2 = N", GElem(N, 0, 3, 1)),
+    ("b2 = -1", GElem(N, 0, -1, 1)),
+    ("s = 0", GElem(N, 0, 0, 0)),
+    ("s = 2", GElem(N, 0, 0, 2)),
+    ("level 2", GElem(2, 0, 0, 1)),
+    ("a plain tuple", (N, 0, 0, 1)),
+    ("a surface atom", IDENT),
+]
+
+
+def _group_rows():
+    one, other = GElem(N, 0, 0, 1), GElem(4, 0, 0, 1)
+    rows = [(f"GroupRingElement {name}", {
+        "constructor": lambda g=g: GroupRingElement({g: 1}),
+        "zero coefficient": lambda g=g: GroupRingElement({g: 0}),
+        "beside a valid element": lambda g=g: GroupRingElement({GElem(N, 1, 2, -1): 1, g: 1}),
+        "of": lambda g=g: GroupRingElement.of(g),
+    }, ValueError) for name, g in GROUP_ELEMENTS]
+    rows.append(("GroupRingElement two levels", {
+        "constructor": lambda: GroupRingElement({one: 1, other: 1}),
+        "zero coefficient": lambda: GroupRingElement({one: 1, other: 0}),
+    }, ValueError))
+    return rows
+
+
+def _float_rows():
+    return [("float coefficient", {
+        "SurfCorr": lambda: SurfCorr(N, {VERT: 0.5}),
+        "SurfCorr.of": lambda: SurfCorr.of(N, VERT, 0.5),
+        "DivClass": lambda: DivClass(N, {DA_FIBER: 0.5}),
+        "ThreefoldDivClass": lambda: ThreefoldDivClass.of(N, FIBER3, 0.25),
+        "TCorr": lambda: TCorr(N, {(IDENT, VERT, False): 1.5}),
+        "TensorExpr": lambda: TensorExpr(N, [(0.0, delta(N), delta(N), False)]),
+        "GroupRingElement": lambda: GroupRingElement({GElem(N, 0, 0, 1): 0.5}),
+    }, TypeError)]
+
+
+ROWS = (
+    _sum_rows(SurfCorr, IDENT, SURFACE_ATOMS)
+    + _sum_rows(DivClass, GENERIC_FIBER, DIVISOR_CLASSES)
+    + _sum_rows(ThreefoldDivClass, FIBER3, THREEFOLD_CLASSES)
+    + _sum_rows(TCorr, (IDENT, VERT, False), TENSOR_ATOMS)
+    + _pure_tensor_rows()
+    + _group_rows()
+    + _float_rows()
+)
+
+# eval --level 3 arguments that must exit 2
+QUERIES = [
+    ["CP(4,0,0)"], ["CP(-1,0,0)"], ["CP(9,0,1)"], ["piC(4)"], ["piC(-1)"], ["G(0,0,2)"], ["G(0,0,0)"],
+    ["CP(9,0,1) . CP(0,1,1)"], ["t(CP(9,0,1))"],
+    ["--threefold", "ptilde(3,0)"], ["--threefold", "ptilde(0,-1)"],
+    ["--threefold", "T(CP(0,1,1),Delta)"], ["--threefold", "T(Delta,piC(0))"], ["--threefold", "T(CP(9,0,1),V)"],
+    ["Foo"],
+]
+
+
+def unrefused(builds: dict, error: type) -> list[str]:
+    """The constructors among builds that return, or raise anything but error, each with what it did."""
+    out = []
+    for how, build in builds.items():
+        try:
+            build()
+        except error:
+            continue
+        except Exception as exc:  # reported: the test fails on it
+            out.append(f"{how}: {type(exc).__name__}: {exc}")
+        else:
+            out.append(f"{how}: accepted")
+    return out
+
+
+def exit_codes() -> list[int]:
+    return [main(["eval", "--level", "3", *argv]) for argv in QUERIES]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
+def test_an_invalid_atom_is_refused_by_every_constructor(row):
+    _, builds, error = row
+    assert unrefused(builds, error) == []
+
+
+def test_the_valid_edge_of_each_range_is_taken():
+    # the last index of each range, and the first, build
+    SurfCorr(N, {cusp_prod(3, 2, 0): 1, ("G", SurfEnd(N, 2, 2, -1, False)): 1, ("T", SurfEnd(N, 2, 0, 1, True)): 1})
+    DivClass(N, {sec_key(2, 2): 1, theta_key(3, 2): 1, DA_FIBER: 1})
+    ThreefoldDivClass(N, {theta_int(3, 2, 2): 1, theta_half(0, 2, 0): 1})
+    TCorr.of(N, (VERT, ("T", SurfEnd(N, 2, 2, 1, True)), True))
+    TensorExpr.pure(SurfCorr.of(N, VERT), SurfCorr.of(N, VERT))  # V (x) V expands to zero, and is taken
+    GroupRingElement({GElem(N, 2, 2, -1): 1, GElem(N, 0, 0, 1): 0})
+
+
+def test_eval_exits_2_on_each_invalid_query(capsys):
+    assert exit_codes() == [2] * len(QUERIES)
+    err = capsys.readouterr().err
+    assert "CP(9;0,1) is outside level 3" in err
+    assert "cusp products are not tensor factors" in err
+
+
+def test_the_table_raises_under_python_O():
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_constructor_checks as t
+bad = [(name, got) for name, builds, error in t.ROWS if (got := t.unrefused(builds, error))]
+print(sys.flags.optimize, len(t.ROWS), bad, set(t.exit_codes()))
+"""
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script, str(tests)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"1 {len(ROWS)} [] {{2}}\n"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,10 +141,10 @@ def test_unknown_atom():
 def test_eval_errors():
     with pytest.raises(EvalError):
         evaluate("G(1,2)", 3)  # wrong arity
-    with pytest.raises(EvalError):
-        evaluate("G(0,0,2)", 3)  # bad sign
-    with pytest.raises(EvalError):
-        evaluate("piC(99)", 3)
+    with pytest.raises(ValueError, match=re.escape("inversion part must be +-1")):
+        evaluate("G(0,0,2)", 3)  # bad sign, refused where the atom is built
+    with pytest.raises(ValueError, match=re.escape("CP(99;1,1) is outside level 3")):
+        evaluate("piC(99)", 3)  # refused where the sum is built
     with pytest.raises(EvalError):
         evaluate("T(pi0, pi1) . T(1, 2)", 3, "threefold")
     # a name that takes no arguments rejects them, even ones never evaluated

@@ -218,7 +218,7 @@ def group_ring_elements(draw, n, pairs=False):
         named = [epsilon_projector(n), *lambda_theta(n)]
     pieces = draw(st.lists(
         st.one_of(
-            st.builds(lambda g, c: GroupRingElement.of(g, c), elem, coefficients(n)),
+            st.builds(lambda g, c: (G2Sum if pairs else GroupRingElement)({g: c}), elem, coefficients(n)),
             st.builds(lambda p, c: p.scale(c), st.sampled_from(named), coefficients(n)),
         ),
         min_size=1,
@@ -422,8 +422,9 @@ def test_a_cancellation_that_leaves_a_common_factor_is_divided_out():
     lambda: t_delta_expr(3).scale(0.5),
     lambda: LinearCoeff.of(0.1),
     lambda: TensorExpr(3, [(0.5, delta(3), delta(3), False)]),
+    lambda: TensorExpr(3, [(0.0, delta(3), delta(3), False)]),
 ], ids=["constructor", "divisor constructor", "LinComb.scale", "TensorExpr.scale", "LinearCoeff.of",
-        "TensorExpr constructor"])
+        "TensorExpr constructor", "TensorExpr constructor, zero"])
 def test_a_float_coefficient_is_rejected(make):
     with pytest.raises(TypeError, match="float"):
         make()

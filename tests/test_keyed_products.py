@@ -177,14 +177,13 @@ def test_a_rule_that_leaves_the_block_is_refused(kinds, monkeypatch):
 
 @pytest.mark.parametrize("bad", [cusp_prod(0, 5, 1), cusp_prod(0, 1, 5), cusp_prod(1, -1, 0), cusp_prod(2, 0, 4)])
 def test_compose_rejects_component_indices_out_of_range(bad):
+    # an operand holding the atom is refused where it is built, so compose never sees it
     n = 4
-    wrong = SurfCorr.of(n, bad)
-    message = re.escape(atom_label(bad))
-    # against the same cusp, another cusp, and with other atoms on either side
-    for other in (SurfCorr.of(n, cusp_prod(0, 1, 1)), build_pi_cusp(n, 3), delta(n), build_pi_bars(n)["pi1"]):
-        for a, b in ((wrong, other), (other, wrong), (wrong + delta(n), other), (other, wrong + delta(n))):
-            with pytest.raises(ValueError, match=message):
-                compose(a, b)
+    message = re.escape(f"{atom_label(bad)} is outside level 4")
+    ident = next(iter(delta(n).nums))
+    for build in (lambda: SurfCorr.of(n, bad), lambda: SurfCorr(n, {ident: 1, bad: 1}), lambda: SurfCorr(n, {bad: 0})):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 # -- compose on random operands ------------------------------------------------------
@@ -253,7 +252,7 @@ def group_operands(draw, n, pairs):
     coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
     total = G2Sum() if pairs else GroupRingElement()
     for g, c in draw(st.lists(st.tuples(elem, coeff), min_size=1, max_size=10)):
-        total = total + GroupRingElement.of(g, c)
+        total = total + type(total)({g: c})
     for p in draw(st.lists(st.sampled_from(named), max_size=2)):
         total = total + p.scale(draw(coeff))
     return total

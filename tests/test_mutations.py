@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import groups, surface, threefold
-from motive_calc.endos import aff_end, mu0
+from motive_calc.endos import aff_end, mu0, surf_end
 from motive_calc.exact import DegreeError, fmt_rational
 from motive_calc.groups import GElem, GroupRingElement, group_certificate
 from motive_calc.levels import cusp_count
@@ -357,6 +357,80 @@ def test_compose_matches_the_atom_pair_oracle_under_every_rule_fault(data, n):
             assert surface.compose(x, y) == compose_by_atom_pairs(x, y)
     # the tables are kept per rule, so the unpatched rule reads its own again
     assert surface.compose(x, y) == unpatched
+
+
+# -- the surface transpose and witness rows ------------------------------------------
+
+_transpose, _build_pi_cusp = surface.transpose_atom, surface.build_pi_cusp
+
+
+def _transpose_where(test, image):
+    return lambda atom: image(atom) if test(atom) else _transpose(atom)
+
+
+def _rule_where(test, produced):
+    return lambda x, y, level: produced if test(x, y) else _rule(x, y, level)
+
+
+def _pi_cusp_asymmetric(n, c):
+    # piC(c) is symmetric, so a transpose that forgets to swap its slots cannot show; this one is not
+    return _bumped(_build_pi_cusp(n, c), cusp_prod(c, 1, 2))
+
+
+# (name patched in surface, patch)
+TRANSPOSE_WITNESS_FAULTS = {
+    "V transposes to zero": ("transpose_atom", _transpose_where(lambda atom: atom == VERT, lambda atom: None)),
+    "a tGraph transposes to the graph of the next section": ("transpose_atom", _transpose_where(
+        lambda atom: atom[0] == "T", lambda atom: ("G", surf_end(atom[1].level, atom[1].b1 + 1, atom[1].b2, 1, True)))),
+    "an automorphism graph transposes with its sign forced to +1": ("transpose_atom", _transpose_where(
+        _is_aut, lambda atom: ("G", atom[1].inv()._replace(s=1)))),
+    "each cusp projector made asymmetric": ("build_pi_cusp", _pi_cusp_asymmetric),
+    "R5 nonzero: a collapse graph after V gives V": ("compose_atom_pair", _rule_where(
+        lambda x, y: x[0] == "G" and x[1].collapse and y == VERT, [(VERT, 1)])),
+    "R6 zero: V after a graph gives 0": ("compose_atom_pair", _rule_where(
+        lambda x, y: x == VERT and y[0] == "G", None)),
+    "R7 nonzero: V after a tGraph gives V": ("compose_atom_pair", _rule_where(
+        lambda x, y: x == VERT and y[0] == "T", [(VERT, 1)])),
+    "R8 nonzero: V o V = V": ("compose_atom_pair", _rule_where(lambda x, y: x == y == VERT, [(VERT, 1)])),
+}
+
+_WITNESS_PI0 = ["witness:pi0:p.p'.p", "witness:pi0:p'.p.p'"]
+_WITNESS_PI2 = ["witness:pi2:p.p'.p", "witness:pi2:p'.p.p'"]
+
+# every entry of surface_certificate(4) that each fault flips
+TRANSPOSE_WITNESS_FAILURES = {
+    "V transposes to zero": ["transpose:pi0", "residual:transpose"],
+    "a tGraph transposes to the graph of the next section": ["transpose:pi0", "residual:transpose"],
+    "an automorphism graph transposes with its sign forced to +1": ["transpose:pi1", "residual:transpose"],
+    "each cusp projector made asymmetric": (
+        _per_cusp("kronecker:piC({0}).piC({0})") + _per_cusp("transpose:piC({})")
+        + ["action:piC(0):theta(0;1)", "action:piC(0):theta(0;2)"]
+        + [f"residual_action:theta(0;{m})" for m in range(3)]),
+    "R5 nonzero: a collapse graph after V gives V": [
+        "kronecker:pi2.pi0", "kronecker:pi2.pi2", "residual:idempotent", "residual:piInf.pi0",
+        "residual:piInf.pi2", "residual:pi2.piInf", *_WITNESS_PI2],
+    "R6 zero: V after a graph gives 0": [
+        "kronecker:pi0.pi2", "kronecker:pi2.pi2", "residual:piInf.pi2", _WITNESS_PI2[1]],
+    "R7 nonzero: V after a tGraph gives V": [
+        "kronecker:pi0.pi0", "kronecker:pi2.pi0", "residual:idempotent", "residual:piInf.pi0",
+        "residual:pi0.piInf", "residual:pi2.piInf", *_WITNESS_PI0],
+    "R8 nonzero: V o V = V": [
+        "kronecker:pi0.pi0", "kronecker:pi0.pi2", "kronecker:pi2.pi0", "kronecker:pi2.pi2", "residual:idempotent",
+        "residual:piInf.pi0", "residual:pi0.piInf", "residual:piInf.pi2", "residual:pi2.piInf",
+        "witness:pi0:nilpotent", "witness:pi2:nilpotent", _WITNESS_PI2[1]],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TRANSPOSE_WITNESS_FAULTS))
+def test_transpose_and_witness_rows_fail_under_a_fault(fault, monkeypatch):
+    monkeypatch.setattr(surface, *TRANSPOSE_WITNESS_FAULTS[fault])
+    assert _failed(surface_certificate(4)) == TRANSPOSE_WITNESS_FAILURES[fault]
+
+
+def test_every_transpose_and_witness_entry_fails_under_some_fault():
+    rows = [e["name"] for e in surface_certificate(4) if e["name"].startswith(("transpose:", "witness:"))]
+    assert len(rows) == 8 + 6
+    assert set(rows) <= {name for flipped in TRANSPOSE_WITNESS_FAILURES.values() for name in flipped}
 
 
 # -- the threefold certificate, under its zero test and under the expand-and-compare oracle

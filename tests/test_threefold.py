@@ -236,9 +236,10 @@ def test_sigma_action_transposes_indices(n=3):
 
 
 def test_a_threefold_divisor_class_out_of_range_is_rejected(n=3):
+    # refused where the class is built, before any action
     for key in (theta_int(0, 5, 7), theta_int(4, 0, 0), theta_half(0, 0, 3), theta_half(-1, 0, 0)):
         with pytest.raises(ValueError, match="outside level 3"):
-            act_on_threefold_divisor(t_delta_expr(n), ThreefoldDivClass.of(n, key))
+            ThreefoldDivClass.of(n, key)
     edge = ThreefoldDivClass(n, {theta_int(3, 2, 0): 1, theta_half(3, 0, 2): 1, FIBER3: 1})
     assert act_on_threefold_divisor(t_delta_expr(n), edge) == edge
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from motive_calc.endos import mu0, surf_end, surf_identity
 from motive_calc.surface import VERT, SurfCorr, build_pi_bars, cusp_prod, delta
-from motive_calc.threefold import TensorExpr, pair_projector_expr, sigma_expr, split_sym_alt_exprs, t_delta_expr
+from motive_calc.threefold import TCorr, TensorExpr, pair_projector_expr, sigma_expr, split_sym_alt_exprs, t_delta_expr
 
 from flat_threefold import expands_to_zero
 
@@ -60,14 +60,6 @@ POOLS = {n: _pool(n) for n in LEVELS}
 
 _coeffs = st.sampled_from([Fraction(k, 2) for k in (-4, -2, -1, 1, 2, 6)] + [Fraction(1, 3)])
 _part = st.tuples(_coeffs, st.integers(0, 99), st.integers(0, 99), st.booleans())
-
-
-def _outcome(test, x):
-    """test(x), or the message of the ValueError it raises."""
-    try:
-        return test(x)
-    except ValueError as err:
-        return str(err)
 
 
 def _split(factor: SurfCorr, mask: list[bool]) -> tuple[SurfCorr, SurfCorr]:
@@ -145,17 +137,22 @@ def test_zero_test_matches_the_oracle(n, raw, data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(LEVELS), st.lists(_part, max_size=4), _part, st.integers(0, 1), st.data())
 def test_a_cusp_product_in_a_factor_raises_as_the_oracle_does(n, raw, bad, slot, data):
+    # the sum is refused where it is built, beside any other parts and whatever the other factor,
+    # zero included; the flat oracle's constructor refuses each tensor atom of the cusp product
     pool = POOLS[n]
     parts = [(c, pool[i % len(pool)], pool[j % len(pool)], e) for c, i, j, e in raw]
     c, i, j, e = bad
     cusp = SurfCorr(n, {cusp_prod(0, 1, 1): 1, **pool[i % len(pool)].terms})
-    other = data.draw(st.sampled_from(pool + [SurfCorr(n)]))  # a zero other factor expands to nothing
-    parts.append((c, cusp, other, e) if slot == 0 else (c, other, cusp, e))
-    x = TensorExpr(n, parts)
-    got = _outcome(TensorExpr.is_zero, x)
-    assert got == _outcome(expands_to_zero, x)
-    if not other.is_zero():
-        assert got == "cusp products are not tensor factors"
+    other = data.draw(st.sampled_from(pool + [SurfCorr(n)]))
+    pair = (cusp, other) if slot == 0 else (other, cusp)
+    message = "cusp products are not tensor factors"
+    with pytest.raises(ValueError, match=message):
+        TensorExpr(n, parts + [(c, *pair, e)])
+    with pytest.raises(ValueError, match=message):
+        TensorExpr.pure(*pair, e)
+    for atom in other.nums:
+        with pytest.raises(ValueError, match=message):
+            TCorr.of(n, (cusp_prod(0, 1, 1), atom, e) if slot == 0 else (atom, cusp_prod(0, 1, 1), e))
 
 
 def test_parts_that_cancel_only_after_elimination(n=4):
@@ -249,18 +246,19 @@ def test_a_v_part_cancels_only_against_the_v_part_of_a_mixed_factor(n=3):
     assert not y.is_zero() and not expands_to_zero(y)
 
 
-def test_a_cusp_factor_paired_with_a_zero_factor_does_not_raise(n=3):
+def test_a_cusp_factor_is_refused_even_beside_a_zero_factor(n=3):
     cusp = SurfCorr(n, {cusp_prod(0, 1, 1): 1, VERT: 2})
-    for parts in ([(Fraction(1), cusp, SurfCorr(n), False)], [(Fraction(2), SurfCorr(n), cusp, True)]):
+    for parts in ([(Fraction(1), cusp, SurfCorr(n), False)], [(Fraction(2), SurfCorr(n), cusp, True)],
+                  [(Fraction(1), cusp, SurfCorr.of(n, VERT), False)]):
+        with pytest.raises(ValueError, match="cusp products are not tensor factors"):
+            TensorExpr(n, parts)
+    # a cusp-free factor beside a zero one is taken, and the part expands to nothing on both routes
+    free = SurfCorr(n, {VERT: 2, ("G", surf_identity(n)): 1})
+    for parts in ([(Fraction(1), free, SurfCorr(n), False)], [(Fraction(2), SurfCorr(n), free, True)]):
         x = TensorExpr(n, parts)
         assert x.is_zero() and expands_to_zero(x)
         y = x + TensorExpr.pure(delta(n), delta(n))
         assert not y.is_zero() and not expands_to_zero(y)
-    # paired with V, which is nonzero, it raises on both routes
-    x = TensorExpr(n, [(Fraction(1), cusp, SurfCorr.of(n, VERT), False)])
-    for test in (TensorExpr.is_zero, expands_to_zero):
-        with pytest.raises(ValueError, match="cusp products are not tensor factors"):
-            test(x)
 
 
 @pytest.mark.parametrize("n", LEVELS)
