@@ -18,9 +18,13 @@ atoms.  The restriction rows keep expand-then-restrict, because their
 law is about the factoring, but take it one chunk of the left factor at
 a time on integer numerators and sum the chunk residuals, so a passing
 row never holds a pair projector expanded whole (`restriction_residual`,
-`parity_residual`).  Divisor actions are also computed on the factored
-form: a pure tensor acts as the tensor product of its two factors' slot
-actions.  Within one certificate the projectors share their factors, and
+`parity_residual`).  Each row reads `restrict_atom` once per distinct
+surface atom and the inversion `compose_open_atoms(inv, .)` once per
+distinct open atom, into maps made from the functions bound when the row
+runs and dropped when it ends; every t-atom is still built by `t_atom`
+and restricted by `_restrict_t_atom`, from those maps.  Divisor actions
+are also computed on the factored form: a pure tensor acts as the tensor
+product of its two factors' slot actions.  Within one certificate the projectors share their factors, and
 each distinct surface product and each slot image is computed once.
 This is what keeps the full certificate cheap at higher levels.  The
 expansion, the zero test, the chunked rows and the divisor actions read
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from math import lcm
 from operator import add
@@ -48,7 +52,6 @@ from .sums import (
     Certificate,
     LevelMismatchError,
     LinComb,
-    bilinear,
     collect,
     linear_map,
     product,
@@ -183,7 +186,7 @@ class TensorExpr(LinComb):
     can expand to the same atoms and still differ, so the zero test is
     `(x - y).is_zero()`.  The factors are only multiplied with `*`, so
     Q[G] factors make the same class the group ring of G^2 x| S_2 (see
-    `groups`).  The constructor and `pure` check each pure tensor; the
+    `groups`).  The constructor, `of` and `pure` check each pure tensor; the
     results of `over`, built from checked operands, are not checked again.
     """
 
@@ -208,9 +211,16 @@ class TensorExpr(LinComb):
             if any(atom[0] == "C" for atom in chain(a.nums, b.nums)):
                 raise ValueError("cusp products are not tensor factors")
 
+    @classmethod
+    def of(cls, level, atom: tuple, coeff=1) -> "TensorExpr":
+        """The one-part sum coeff (A (x) B).swap^e of the atom (A, B, swap), checked as the constructor checks it."""
+        a, b, swap = atom
+        return cls(level, [(coeff, a, b, swap)])
+
     @staticmethod
     def pure(a: SurfCorr, b: SurfCorr, swap: bool = False) -> "TensorExpr":
-        return TensorExpr(a.level, [(1, a, b, swap)])
+        """(a (x) b).swap^e at the level of a."""
+        return TensorExpr.of(a.level, (a, b, swap))
 
     @property
     def parts(self) -> list[tuple[Fraction, SurfCorr, SurfCorr, bool]]:
@@ -438,26 +448,53 @@ class OpenTCorr(LinComb):
     sort_key, label = _tensor_print(open_atom_sort_key, open_atom_label)
 
 
-def _restrict_t_atom(atom: TAtom) -> OpenTAtom | None:
+class _AtomMap(dict):
+    """{atom: f(atom)}, f called once per atom read: the map of one row, dropped with it.
+
+    f is the function bound when the map is made, so a map made inside a
+    row reads the open-part maps as they are bound when that row runs.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, atom):
+        got = self[atom] = self.f(atom)
+        return got
+
+
+def _restrict_t_atom(atom: TAtom, opened: dict) -> OpenTAtom | None:
+    """(open(a), open(b), swap) for the atom (a, b, swap), each open atom read from opened; None if one is."""
     left, right, swap = atom
-    lo, ro = restrict_atom(left), restrict_atom(right)
+    lo, ro = opened[left], opened[right]
     if lo is None or ro is None:
         return None
     return (lo, ro, swap)
 
 
 def restrict_to_open_t(x: TCorr) -> OpenTCorr:
-    """Drop vertical-labeled atoms; send tensor factors to affine graphs."""
-    return linear_map(x, _restrict_t_atom, OpenTCorr)
+    """Drop vertical-labeled atoms; send tensor factors to affine graphs, each read from `restrict_atom` once."""
+    opened = _AtomMap(restrict_atom)
+    return linear_map(x, lambda atom: _restrict_t_atom(atom, opened), OpenTCorr)
 
 
-def _chunked(pairs: list[tuple[SurfCorr, SurfCorr]]) -> tuple[int, dict]:
-    """(d, {L: [(xs, ys)]}): the pure tensors a (x) b of pairs, cut by the open atom L of a's terms.
+def _chunked(pairs: list[tuple[SurfCorr, SurfCorr]], opened: dict) -> tuple[int, int, dict]:
+    """(level, d, {L: [(xs, ys)]}): the pure tensors a (x) b of pairs, cut by the open atom L of a's terms.
 
-    xs are the terms of a that `restrict_atom` sends to L (None is a chunk
-    of its own) and ys all the terms of b, as integer numerators whose
-    products are over d, the lcm of the products a.d * b.d.
+    xs are the terms of a that opened, the row's map of `restrict_atom`,
+    sends to L (None is a chunk of its own) and ys all the terms of b, as
+    integer numerators whose products are over d, the lcm of the products
+    a.d * b.d.  The pairs must be of one level; no pairs raise ValueError.
     """
+    if not pairs:
+        raise ValueError("an open-part row needs at least one pair of factors")
+    level = pairs[0][0].level
+    for a, b in pairs:
+        if a.level != level or b.level != level:
+            raise LevelMismatchError("factors of different levels in one open-part row")
     d = lcm(*(a.d * b.d for a, b in pairs))
     chunks: dict = {}
     for a, b in pairs:
@@ -465,23 +502,29 @@ def _chunked(pairs: list[tuple[SurfCorr, SurfCorr]]) -> tuple[int, dict]:
         ys = b.nums.items()
         cut: dict = {}
         for atom, v in a.nums.items():
-            cut.setdefault(restrict_atom(atom), []).append((atom, k * v))
+            cut.setdefault(opened[atom], []).append((atom, k * v))
         for key, part in cut.items():
             chunks.setdefault(key, []).append((part, ys))
-    return d, chunks
+    return level, d, chunks
 
 
-def _restricted(chunk: list, level: int) -> dict:
-    """The sum of the xs (x) ys of a chunk, expanded through `t_atom`, then restricted atom by atom."""
+def _restricted(chunk: list, opened: dict, out: dict) -> dict:
+    """out plus the sum of the xs (x) ys of a chunk, each product built by `t_atom` and restricted by `_restrict_t_atom`.
 
-    def opened():
+    The open atoms of the factors are read from opened, the row's map of
+    `restrict_atom`, so each distinct surface atom is restricted once per row.
+    """
+
+    def products():
         for xs, ys in chunk:
-            for atom, v in bilinear(xs, ys, _tensor_rule(False), level):
-                o = _restrict_t_atom(atom)
-                if o is not None:
-                    yield o, v
+            for a, ca in xs:
+                for b, cb in ys:
+                    atom = t_atom(a, b)
+                    o = None if atom is None else _restrict_t_atom(atom, opened)
+                    if o is not None:
+                        yield o, ca * cb
 
-    return collect(opened())
+    return collect(products(), out)
 
 
 def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
@@ -493,16 +536,18 @@ def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
     one left open atom L at a time: the chunk of L (see `_chunked`) less
     open(a) at L tensored with open(b).  The chunk residuals are summed,
     so the result is the whole residual whatever the atom maps do; when
-    the law holds, the sum is empty after each chunk.
+    the law holds, the sum is empty after each chunk.  The row reads
+    `restrict_atom` once per distinct surface atom, into a map that ends
+    with the row.
     """
-    level = a.level
-    d, chunks = _chunked([(a, b)])
+    opened = _AtomMap(restrict_atom)
+    level, d, chunks = _chunked([(a, b)], opened)
     open_a, open_b = restrict_to_open(a), restrict_to_open(b)
     k = -(d // (open_a.d * open_b.d))  # -open(a) (x) open(b) over d
     out: dict = {}
     for key in chunks.keys() | open_a.nums.keys():
         if key in chunks:
-            collect(_restricted(chunks[key], level).items(), out)
+            _restricted(chunks[key], opened, out)
         if key in open_a.nums:
             u = k * open_a.nums[key]
             collect((((key, rb, False), u * v) for rb, v in open_b.nums.items()), out)
@@ -518,22 +563,23 @@ def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTC
     denominator.  The inversion is an involution and sends chunk L to the
     chunk of its image L', so L and L' are taken together: when the law
     holds, the residual is empty after each such pair, and at most two
-    restricted chunks are alive.
+    restricted chunks are alive.  The row reads `restrict_atom` once per
+    distinct surface atom and the inversion once per distinct open atom,
+    into maps that end with the row.
     """
-    level = pairs[0][0].level
-    d, chunks = _chunked(pairs)
-    inv = open_graph(aff_end(level, -1))
+    opened = _AtomMap(restrict_atom)
+    level, d, chunks = _chunked(pairs, opened)
+    inverted = _AtomMap(partial(compose_open_atoms, open_graph(aff_end(level, -1))))
     out: dict = {}
     while chunks:
         key = next(iter(chunks))
         orbit = [chunks.pop(key)]
-        image = None if key is None else compose_open_atoms(inv, key)
+        image = None if key is None else inverted[key]
         if image in chunks:
             orbit.append(chunks.pop(image))
         for parts in orbit:
-            chunk = _restricted(parts, level)
-            collect((((compose_open_atoms(inv, lo), compose_open_atoms(inv, ro), e), v)
-                     for (lo, ro, e), v in chunk.items()), out)
+            chunk = _restricted(parts, opened, {})
+            collect((((inverted[lo], inverted[ro], e), v) for (lo, ro, e), v in chunk.items()), out)
             collect(((atom, -sign * v) for atom, v in chunk.items()), out)
     return OpenTCorr.over(level, d, out)
 

@@ -4,7 +4,7 @@ At N = 3 there are 4 cusps, each fiber over one an N-gon.  The table holds
 each kind of atom and basis class with each index just out of range, an
 unknown kind and an atom of another level, and each row goes through every
 public constructor of its class: the constructor, with a coefficient of 1,
-of 0 and beside a valid atom, and `of` (`pure` for a `TensorExpr`).  Each
+of 0 and beside a valid atom, and `of` (and `pure` for a `TensorExpr`).  Each
 of them raises ValueError, and a float coefficient TypeError.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
@@ -121,6 +121,7 @@ def _pure_tensor_rows():
             "constructor": lambda a=a, b=b, e=e: TensorExpr(N, [(1, a, b, e)]),
             "zero coefficient": lambda a=a, b=b, e=e: TensorExpr(N, [(0, a, b, e)]),
             "beside a valid part": lambda a=a, b=b, e=e: TensorExpr(N, [(1, delta(N), delta(N), True), (2, a, b, e)]),
+            "of": lambda a=a, b=b, e=e: TensorExpr.of(N, (a, b, e)),
         }
         if getattr(a, "level", None) == N:  # pure reads its level from the left factor
             builds["pure"] = lambda a=a, b=b, e=e: TensorExpr.pure(a, b, e)
@@ -164,6 +165,7 @@ def _float_rows():
         "ThreefoldDivClass": lambda: ThreefoldDivClass.of(N, FIBER3, 0.25),
         "TCorr": lambda: TCorr(N, {(IDENT, VERT, False): 1.5}),
         "TensorExpr": lambda: TensorExpr(N, [(0.0, delta(N), delta(N), False)]),
+        "TensorExpr.of": lambda: TensorExpr.of(N, (delta(N), delta(N), False), 0.5),
         "GroupRingElement": lambda: GroupRingElement({GElem(N, 0, 0, 1): 0.5}),
     }, TypeError)]
 
@@ -221,6 +223,12 @@ def test_the_valid_edge_of_each_range_is_taken():
     TCorr.of(N, (VERT, ("T", SurfEnd(N, 2, 2, 1, True)), True))
     TensorExpr.pure(SurfCorr.of(N, VERT), SurfCorr.of(N, VERT))  # V (x) V expands to zero, and is taken
     GroupRingElement({GElem(N, 2, 2, -1): 1, GElem(N, 0, 0, 1): 0})
+
+
+def test_tensor_expr_of_builds_the_one_part_sum():
+    a, b = delta(N), SurfCorr.of(N, VERT, Fraction(1, 2))
+    assert TensorExpr.of(N, (a, b, True), Fraction(2, 3)) == TensorExpr(N, [(Fraction(2, 3), a, b, True)])
+    assert TensorExpr.of(N, (a, b, False)) == TensorExpr.pure(a, b) == TensorExpr(N, [(1, a, b, False)])
 
 
 def test_eval_exits_2_on_each_invalid_query(capsys):

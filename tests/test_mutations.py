@@ -531,7 +531,8 @@ def restriction_faults(n):
             None if _is_inversion(atom) else _restrict(atom))),
         "inversion ignored on graphs": ("compose_open_atoms", lambda x, y: (
             y if y[0] == "g" else _compose_open(x, y))),
-        "tensor slots swapped": ("_restrict_t_atom", lambda atom: _restrict_t((atom[1], atom[0], atom[2]))),
+        "tensor slots swapped": ("_restrict_t_atom", lambda atom, opened: (
+            _restrict_t((atom[1], atom[0], atom[2]), opened))),
         "two inversion graphs merged": ("compose_open_atoms", lambda x, y: merged(_compose_open(x, y))),
     }
 
@@ -568,6 +569,16 @@ def test_threefold_restriction_rows_fail_under_an_open_part_fault(fault, monkeyp
     name, patched = RESTRICTION_FAULTS[fault]
     monkeypatch.setattr(threefold, name, patched)
     assert _failed(threefold_certificate(4)) == RESTRICTION_FAILURES[fault]
+
+
+def test_each_restriction_fault_reaches_its_rows_after_a_clean_certificate(monkeypatch):
+    # one process: no open-part map of a row outlives it, so each patched map reaches every later row
+    assert _failed(threefold_certificate(4)) == []
+    for fault in sorted(RESTRICTION_FAULTS):
+        with monkeypatch.context() as patch:
+            patch.setattr(threefold, *RESTRICTION_FAULTS[fault])
+            assert _failed(threefold_certificate(4)) == RESTRICTION_FAILURES[fault], fault
+    assert _failed(threefold_certificate(4)) == []
 
 
 def test_every_threefold_restriction_entry_fails_under_some_fault():

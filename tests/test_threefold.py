@@ -575,6 +575,58 @@ def test_a_passing_certificate_builds_its_factors_once_and_restricts_each_projec
     assert calls == {"build_pi_bars": 2, "restrict_to_open_t": 2}
 
 
+def test_each_open_part_row_reads_the_atom_maps_once_per_distinct_atom(monkeypatch):
+    # the 9 restriction, 2 b(j) and 5 parity rows: restrict_atom once per distinct surface atom
+    # of a row, and the inversion once per distinct open atom of a parity row
+    row = [0]
+    reads = {"restrict_atom": [], "compose_open_atoms": []}
+
+    def counted(name):
+        original = getattr(threefold, name)
+
+        def wrapper(*args):
+            reads[name].append((row[0], args))
+            return original(*args)
+
+        return wrapper
+
+    def one_row(name):
+        original = getattr(threefold, name)
+
+        def wrapper(*args):
+            row[0] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in reads:
+        monkeypatch.setattr(threefold, name, counted(name))
+    for name in ("restriction_residual", "restrict_to_open_t", "parity_residual"):
+        monkeypatch.setattr(threefold, name, one_row(name))
+    failed = [e["name"] for e in threefold_certificate(4) if e["status"] != "pass"]
+    assert failed == []
+    assert row[0] == 9 + 2 + 5
+    assert {name: len(got) for name, got in reads.items()} == {"restrict_atom": 289, "compose_open_atoms": 102}
+    assert all(len(set(got)) == len(got) for got in reads.values())
+
+
+def test_a_restriction_row_refuses_factors_of_two_levels():
+    with pytest.raises(sums.LevelMismatchError):
+        threefold.restriction_residual(build_pi_bars(3)["pi0"], build_pi_bars(4)["pi2"])
+
+
+def test_a_parity_row_refuses_factors_of_two_levels():
+    pi0, pi2 = build_pi_bars(3)["pi0"], build_pi_bars(4)["pi2"]
+    for pairs in ([(pi0, pi2)], [(pi0, pi0), (pi2, pi2)]):
+        with pytest.raises(sums.LevelMismatchError, match="open-part row"):
+            threefold.parity_residual(pairs, 1)
+
+
+def test_a_parity_row_refuses_no_pairs():
+    with pytest.raises(ValueError, match="at least one pair"):
+        threefold.parity_residual([], 1)
+
+
 def test_the_pi_bars_of_a_level_are_made_once_and_handed_out_in_a_fresh_dict():
     a, b = build_pi_bars(4), build_pi_bars(4)
     assert a is not b
