@@ -1,19 +1,22 @@
-"""Finite monoids of fiberwise endomorphisms.
+"""Fiberwise maps: the elements of G, the surface endomorphisms and the open-part affine maps.
 
-Surface endomorphisms are automorphisms g in G together with collapses
-x -> g.(zero-section point in the fiber of x).  A collapse map depends
-only on where it sends the zero section, so collapse elements are
-normalized to inversion part +1 at construction; with that normalization
-`mu(-1) o mu(0) = mu(0)` holds on the nose, which the projector
-orthogonality certificates require.  Affine endomorphisms x -> n x + b
-model the open part, where multiplication by any integer n makes sense.
+A fiberwise map is x -> n x + b, b an N-torsion point and n in {0, +-1}:
+`SurfEnd(level, b1, b2, s, collapse)`, with n = s for an automorphism and
+n = 0 for a collapse x -> b (the point b in the fiber of x).  The
+automorphisms are the elements (b, s) of G = (Z/N)^2 semidirect mu_2
+(`groups`), and on the open part every map is read as x -> n x + b
+(`surface.restrict_atom`).  A collapse depends only on where it sends the
+zero section, so it is normalized to inversion part +1 at construction;
+with that normalization `mu(-1) o mu(0) = mu(0)` holds on the nose, which
+the projector orthogonality certificates require.  `surf_compose` is the
+one composition law and `SurfEnd.inv` the one inverse.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import LevelMismatchError
+from .sums import LevelMismatchError
 
 
 class SurfEnd(NamedTuple):
@@ -23,18 +26,27 @@ class SurfEnd(NamedTuple):
     s: int
     collapse: bool
 
+    @property
+    def n(self) -> int:
+        """The multiplier n of x -> n x + b: s for an automorphism, 0 for a collapse."""
+        return 0 if self.collapse else self.s
+
     def is_automorphism(self) -> bool:
         return not self.collapse
 
     def inv(self) -> "SurfEnd":
+        """(b, s)^-1 = (-s b, s); a collapse has no inverse."""
         if self.collapse:
             raise ValueError("collapse endomorphisms are not invertible")
         n, s = self.level, self.s
         return SurfEnd(n, (-s * self.b1) % n, (-s * self.b2) % n, s, False)
 
+    def element_label(self) -> str:
+        """(b1,b2,+-): how an element of G prints."""
+        return f"({self.b1},{self.b2},{'+' if self.s == 1 else '-'})"
+
     def label(self) -> str:
-        core = f"({self.b1},{self.b2},{'+' if self.s == 1 else '-'})"
-        return f"col{core}" if self.collapse else f"aut{core}"
+        return ("col" if self.collapse else "aut") + self.element_label()
 
 
 def surf_end(n: int, b1: int, b2: int, s: int = 1, collapse: bool = False) -> SurfEnd:
@@ -55,45 +67,14 @@ def mu0(n: int) -> SurfEnd:
 
 
 def surf_compose(f: SurfEnd, h: SurfEnd) -> SurfEnd:
-    """f after h.  Collapses absorb on the right: (g,col) o h = (g,col)."""
+    """f after h: (n, b) o (n', b') = (n n', n b' + b), so a collapse absorbs on the right: (g,col) o h = (g,col).
+
+    On G that is the group law (b,s)(b',s') = (b + s b', s s').
+    """
     if f.level != h.level:
         raise LevelMismatchError("endomorphisms of different levels")
     if f.collapse:
         return f
-    # the group law (b,s)(b',s') = (b + s b', s s') on the automorphism parts
-    s = f.s
-    return surf_end(f.level, f.b1 + s * h.b1, f.b2 + s * h.b2, s * h.s, h.collapse)
-
-
-class AffEnd(NamedTuple):
-    """Affine endomorphism x -> n x + b of the open part; b is N-torsion."""
-
-    level: int
-    n: int
-    b1: int
-    b2: int
-
-    def is_automorphism(self) -> bool:
-        return self.n in (1, -1)
-
-    def inv(self) -> "AffEnd":
-        if not self.is_automorphism():
-            raise ValueError("only degree-one affine maps invert")
-        # (n,b)^-1 = (n, -n b) when n = +-1
-        m = self.level
-        return AffEnd(m, self.n, (-self.n * self.b1) % m, (-self.n * self.b2) % m)
-
-    def label(self) -> str:
-        return f"aff({self.n};{self.b1},{self.b2})"
-
-
-def aff_end(level: int, n: int, b1: int = 0, b2: int = 0) -> AffEnd:
-    return AffEnd(level, n, b1 % level, b2 % level)
-
-
-def aff_compose(f: AffEnd, h: AffEnd) -> AffEnd:
-    """(n,b) o (n',b') = (n n', n b' + b); torsion reduced mod the level."""
-    if f.level != h.level:
-        raise LevelMismatchError("affine endomorphisms of different levels")
-    m = f.level
-    return AffEnd(m, f.n * h.n, (f.n * h.b1 + f.b1) % m, (f.n * h.b2 + f.b2) % m)
+    m, s = f.level, f.s
+    # a collapse keeps inversion part +1, as `surf_end` normalizes it
+    return SurfEnd(m, (f.b1 + s * h.b1) % m, (f.b2 + s * h.b2) % m, 1 if h.collapse else s * h.s, h.collapse)

@@ -8,10 +8,14 @@ swap symmetrizers) all live in these group rings with rational
 coefficients, and every identity about them is checked by exact
 group-ring multiplication.
 
-Q[G] multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g`
-order, with a product table built once per level (`g_table`).  A product
-multiplies the operands' integer numerators on indices, over the product
-of their denominators, and turns only its atoms back into `GElem`s.
+The elements of G are the automorphism `endos.SurfEnd`s (collapse
+False), multiplied by `endos.surf_compose` and inverted by
+`SurfEnd.inv`; one prints as (b1,b2,+-), and g -> Graph(g) takes it to
+the surface atom ("G", g) as it is.  Q[G] multiplies on indices: G is
+numbered 0..2N^2-1 in `enumerate_g` order, with a product table built
+from `surf_compose` once per level (`g_table`).  A product multiplies the
+operands' integer numerators on indices, over the product of their
+denominators, and turns only its atoms back into elements of G.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
@@ -25,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
+from .endos import SurfEnd, surf_compose, surf_end
 from .levels import _check_level
 from .sums import Certificate, LevelMismatchError, LinComb, linear_map
 
@@ -35,61 +40,39 @@ if TYPE_CHECKING:
     from .threefold import TensorExpr
 
 
-class GElem(NamedTuple):
-    """Element (b, s) of (Z/N)^2 semidirect mu_2; law (b,s)(b',s') = (b+s b', s s')."""
-
-    level: int
-    b1: int
-    b2: int
-    s: int
-
-    def mul(self, other: "GElem") -> "GElem":
-        if self.level != other.level:
-            raise LevelMismatchError("group elements of different levels")
-        n = self.level
-        return GElem(n, (self.b1 + self.s * other.b1) % n, (self.b2 + self.s * other.b2) % n, self.s * other.s)
-
-    def inv(self) -> "GElem":
-        n = self.level
-        return GElem(n, (-self.s * self.b1) % n, (-self.s * self.b2) % n, self.s)
-
-    def label(self) -> str:
-        return f"({self.b1},{self.b2},{'+' if self.s == 1 else '-'})"
+def g_identity(n: int) -> SurfEnd:
+    return SurfEnd(n, 0, 0, 1, False)
 
 
-def g_identity(n: int) -> GElem:
-    return GElem(n, 0, 0, 1)
-
-
-def tau(n: int, b1: int, b2: int) -> GElem:
+def tau(n: int, b1: int, b2: int) -> SurfEnd:
     """Translation by the torsion point b."""
-    return GElem(n, b1 % n, b2 % n, 1)
+    return surf_end(n, b1, b2)
 
 
-def mu_inv(n: int) -> GElem:
+def mu_inv(n: int) -> SurfEnd:
     """Fiberwise inversion."""
-    return GElem(n, 0, 0, -1)
+    return SurfEnd(n, 0, 0, -1, False)
 
 
-def enumerate_g(n: int) -> list[GElem]:
+def enumerate_g(n: int) -> list[SurfEnd]:
     _check_level(n)
-    return [GElem(n, b1, b2, s) for s in (1, -1) for b1 in range(n) for b2 in range(n)]
+    return [SurfEnd(n, b1, b2, s, False) for s in (1, -1) for b1 in range(n) for b2 in range(n)]
 
 
-def epsilon(x: GElem) -> int:
+def epsilon(x: SurfEnd) -> int:
     """Sign character: trivial on translations, -1 on the inversion part."""
     return x.s
 
 
 @lru_cache(maxsize=None)
-def g_table(n: int) -> tuple[list[GElem], dict[GElem, int], list[list[int]]]:
+def g_table(n: int) -> tuple[list[SurfEnd], dict[SurfEnd, int], list[list[int]]]:
     """G numbered 0..2N^2-1 in `enumerate_g` order: (elements, index of each, product table).
 
-    Row i, column j of the table holds the index of the product of elements i and j.
+    Row i, column j of the table holds the index of `surf_compose` of elements i and j.
     """
     elems = enumerate_g(n)
     index = {g: i for i, g in enumerate(elems)}
-    return elems, index, [[index[g.mul(h)] for h in elems] for g in elems]
+    return elems, index, [[index[surf_compose(g, h)] for h in elems] for g in elems]
 
 
 def _g_product(xs: list, ys: list, table: list) -> dict:
@@ -105,7 +88,7 @@ def _g_product(xs: list, ys: list, table: list) -> dict:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3
-def g_elements(n: int) -> frozenset[GElem]:
+def g_elements(n: int) -> frozenset[SurfEnd]:
     return frozenset(enumerate_g(n))
 
 
@@ -117,20 +100,20 @@ class GroupRingElement(LinComb):
     """
 
     __slots__ = ()
-    label = staticmethod(lambda g: g.label())
+    label = staticmethod(SurfEnd.element_label)
 
     @staticmethod
     def check(_level, atoms) -> None:
         """Each atom an element of G (`enumerate_g`) at one level N, that of the first."""
         for g in atoms:
-            if type(g) is not GElem or g not in g_elements(next(iter(atoms)).level):
+            if type(g) is not SurfEnd or g not in g_elements(next(iter(atoms)).level):
                 raise ValueError(f"{g!r} is not an element of G at the level of the sum")
 
     def __init__(self, terms: dict | None = None):
         super().__init__(None, terms)
 
     @staticmethod
-    def of(g: GElem, coeff=1) -> "GroupRingElement":
+    def of(g: SurfEnd, coeff=1) -> "GroupRingElement":
         return GroupRingElement({g: coeff})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
@@ -183,7 +166,7 @@ class PairSum(LinComb):
     """
 
     __slots__ = ()
-    label = staticmethod(lambda atom: f"[{atom[0].label()},{atom[1].label()}]{'.s' if atom[2] else ''}")
+    label = staticmethod(lambda atom: f"[{atom[0].element_label()},{atom[1].element_label()}]{'.s' if atom[2] else ''}")
 
 
 def epsilon2_projector(n: int) -> TensorExpr:

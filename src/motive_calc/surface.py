@@ -26,6 +26,14 @@ arithmetic.
 The constructor of a correspondence or a divisor class takes only atoms of
 its level (`atom_ranges`); results are built by `LinComb.over`, unchecked.
 
+On the open part, away from the cusps, V and the component products
+vanish, and a graph or tGraph of a fiberwise map is read as the graph or
+tGraph of x -> n x + b (`endos`): `restrict_atom` keeps the `SurfEnd` and
+only changes its species, and `compose_open_atoms` composes through
+`surf_compose`.  An open atom prints as aff(n;b1,b2) and sorts by
+(species, n, b1, b2).  `OpenCorr` takes the open atoms of the surface's
+graphs and tGraphs only, tGraphs being in the normal form of `open_tgraph`.
+
 A divisor class is a rational sum of basis classes: the fiber, sections,
 cusp components, and d_a times the fiber (`DA_FIBER`), d_a being the
 degree of the pushed-down self-intersection of the zero section.  Only
@@ -40,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .endos import AffEnd, SurfEnd, aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
+from .endos import SurfEnd, mu0, surf_compose, surf_end, surf_identity
 from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
 from .groups import enumerate_g, epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
@@ -299,7 +307,7 @@ def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
 @lru_cache(maxsize=None)
 def aut_index(level: int) -> dict[Atom, int]:
     """The 2N^2 automorphism graphs numbered in `enumerate_g` order, as their group elements in `g_table`."""
-    return {graph(surf_end(level, g.b1, g.b2, g.s)): i for i, g in enumerate(enumerate_g(level))}
+    return {graph(g): i for i, g in enumerate(enumerate_g(level))}
 
 
 @lru_cache(maxsize=None)
@@ -564,15 +572,11 @@ def delta(n: int) -> SurfCorr:
 
 
 def group_ring_to_corr(element) -> SurfCorr:
-    """Image of a group-ring element under g -> Graph(g)."""
-    level = None
-    nums = {}
-    for g, v in element.nums.items():
-        level = g.level
-        nums[graph(surf_end(g.level, g.b1, g.b2, g.s, False))] = v
-    if level is None:
+    """Image of a group-ring element under g -> Graph(g); an element of G is already a `SurfEnd`."""
+    if not element.nums:
         raise ValueError("cannot infer the level of an empty group-ring element")
-    return SurfCorr.over(level, element.d, nums)
+    level = next(iter(element.nums)).level
+    return SurfCorr.over(level, element.d, {graph(g): v for g, v in element.nums.items()})
 
 
 def epsilon_graph_sum(n: int) -> SurfCorr:
@@ -742,73 +746,64 @@ def act_on_divisor(x: SurfCorr, z: DivClass) -> DivClass:
 
 # -- restriction to the open part ------------------------------------------------
 
-def aff_of(f: SurfEnd) -> AffEnd:
-    """Restrict a fiberwise endomorphism to the open part."""
-    if f.collapse:
-        return aff_end(f.level, 0, f.b1, f.b2)
-    return aff_end(f.level, f.s, f.b1, f.b2)
-
-
 OpenAtom = tuple
 
 
-def open_graph(a: AffEnd) -> OpenAtom:
-    return ("g", a)
+def open_graph(f: SurfEnd) -> OpenAtom:
+    return ("g", f)
 
 
-def open_tgraph(a: AffEnd) -> OpenAtom:
+def open_tgraph(f: SurfEnd) -> OpenAtom:
     # the transposed graph of a degree-one map is the graph of its inverse
-    if a.is_automorphism():
-        return ("g", a.inv())
-    return ("t", a)
+    return ("t", f) if f.collapse else ("g", f.inv())
 
 
 def open_atom_sort_key(atom: OpenAtom) -> tuple:
-    species, a = atom
-    return (0 if species == "g" else 1, a.n, a.b1, a.b2)
+    species, f = atom
+    return (0 if species == "g" else 1, f.n, f.b1, f.b2)
 
 
 def open_atom_label(atom: OpenAtom) -> str:
-    species, a = atom
-    return f"Graph({a.label()})" if species == "g" else f"tGraph({a.label()})"
+    species, f = atom
+    return f"{'Graph' if species == 'g' else 'tGraph'}(aff({f.n};{f.b1},{f.b2}))"
 
 
 class OpenCorr(LinComb):
-    """Formal combination of open-part graphs and transposed graphs."""
+    """Formal combination of open-part graphs and transposed graphs: the surface's, of `atom_ranges`."""
 
     __slots__ = ()
     sort_key = staticmethod(open_atom_sort_key)
     label = staticmethod(open_atom_label)
+    ranges = staticmethod(lambda n: {"g": atom_ranges(n)["G"], "t": atom_ranges(n)["T"]})
 
 
 def compose_open_atoms(x: OpenAtom, y: OpenAtom) -> OpenAtom:
-    """after=x, before=y; mixed species need an invertible side."""
-    sx, ax = x
-    sy, ay = y
+    """after=x, before=y, through `surf_compose`; mixed species need an invertible side."""
+    sx, fx = x
+    sy, fy = y
     if sx == "g" and sy == "g":
-        return ("g", aff_compose(ax, ay))
+        return ("g", surf_compose(fx, fy))
     if sx == "t" and sy == "t":
-        return open_tgraph(aff_compose(ay, ax))
+        return open_tgraph(surf_compose(fy, fx))
     if sx == "g" and sy == "t":
-        if ax.is_automorphism():
-            return open_tgraph(aff_compose(ay, ax.inv()))
+        if fx.is_automorphism():
+            return open_tgraph(surf_compose(fy, fx.inv()))
         raise UnsupportedCompositionError("graph o tgraph with no invertible side")
     # sx == "t", sy == "g"
-    if ay.is_automorphism():
-        return open_tgraph(aff_compose(ay.inv(), ax))
-    if ax.is_automorphism():
-        return ("g", aff_compose(ax.inv(), ay))
+    if fy.is_automorphism():
+        return open_tgraph(surf_compose(fy.inv(), fx))
+    if fx.is_automorphism():
+        return ("g", surf_compose(fx.inv(), fy))
     raise UnsupportedCompositionError("tgraph o graph with no invertible side")
 
 
+_OPEN_SPECIES = {"G": "g", "T": "t"}
+
+
 def restrict_atom(atom: Atom) -> OpenAtom | None:
-    """The open-part atom of a graph or transposed graph; None over the cusps."""
-    kind = atom[0]
-    if kind == "G":
-        return open_graph(aff_of(atom[1]))
-    if kind == "T":
-        return open_tgraph(aff_of(atom[1]))
-    return None  # V and cusp products are supported over the cusps
+    """The open-part atom of a graph or transposed graph: the same map, of the open species; None over the cusps."""
+    species = _OPEN_SPECIES.get(atom[0])
+    return None if species is None else (species, atom[1])  # V and cusp products lie over the cusps
 
 
 def restrict_to_open(x: SurfCorr) -> OpenCorr:

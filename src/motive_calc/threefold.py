@@ -45,8 +45,9 @@ from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple
 
-from .endos import SurfEnd, aff_end, mu0, surf_identity
+from .endos import SurfEnd, mu0, surf_identity
 from .exact import exact_rational
+from .groups import mu_inv
 from .levels import _check_level, cusp_count, level_invariants
 from .sums import (
     Certificate,
@@ -60,6 +61,7 @@ from .sums import (
 from .surface import (
     VERT,
     Atom,
+    OpenCorr,
     SurfCorr,
     atom_label,
     atom_sort_key,
@@ -244,7 +246,17 @@ class TensorExpr(LinComb):
         return product(self, other, rule)
 
     def transpose(self) -> "TensorExpr":
-        return linear_map(self, lambda atom: _transposed(transpose(atom[0]), transpose(atom[1]), atom[2]))
+        """Each factor transposed by its own class.
+
+        A surface factor goes through `transpose` as bound at the call, a
+        Q[G] factor through `involute`: g -> g^-1, as transposing Graph(g)
+        gives Graph(g^-1).
+        """
+
+        def t(factor: LinComb) -> LinComb:
+            return transpose(factor) if type(factor) is SurfCorr else factor.involute()
+
+        return linear_map(self, lambda atom: _transposed(t(atom[0]), t(atom[1]), atom[2]))
 
     def is_zero(self) -> bool:
         """Whether the atom sum is zero, decided on the factors without expanding.
@@ -447,6 +459,14 @@ class OpenTCorr(LinComb):
     __slots__ = ()
     sort_key, label = _tensor_print(open_atom_sort_key, open_atom_label)
 
+    @staticmethod
+    def check(level, atoms) -> None:
+        """Each atom (a, b, swap) holds open atoms a and b of the level (`OpenCorr`) and a swap of False or True."""
+        for a, b, swap in atoms:
+            OpenCorr.check(level, (a, b))
+            if swap not in (False, True):
+                raise ValueError(f"unknown atom {(a, b, swap)!r}")
+
 
 class _AtomMap(dict):
     """{atom: f(atom)}, f called once per atom read: the map of one row, dropped with it.
@@ -569,7 +589,7 @@ def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTC
     """
     opened = _AtomMap(restrict_atom)
     level, d, chunks = _chunked(pairs, opened)
-    inverted = _AtomMap(partial(compose_open_atoms, open_graph(aff_end(level, -1))))
+    inverted = _AtomMap(partial(compose_open_atoms, open_graph(mu_inv(level))))
     out: dict = {}
     while chunks:
         key = next(iter(chunks))

@@ -20,10 +20,19 @@ whole, restrict it with `threefold.restrict_to_open_t`, and compare it with
 `invert_open_t`; both read the atom maps through `threefold`, so a fault
 patched there reaches them as it reaches the program.
 
+The program has one type of fiberwise map, `endos.SurfEnd`, with one law,
+`surf_compose`.  The types it once had are the oracles of that law:
+`GElem` with its `mul` and `inv`, for the elements of G and `g_table`,
+and `AffEnd` with `aff_compose`, for the open part, where `aff_of` reads
+a `SurfEnd` as x -> n x + b and `compose_affine_atoms`, `affine_label`
+and `affine_sort_key` compose, print and sort open atoms as the program
+once did.
+
 The program holds an element of G^2 x| S_2's group ring factored, as a
 `TensorExpr` with Q[G] factors.  Its oracle is the ring as the program
 once held it: sums of `G2Elem`s, one element (g1, g2, swap) at a time,
 multiplied by `group_product` with `G2Elem.mul`'s own swap rule.
+The two elements of a `G2Elem` are `GElem`s.
 `g2_sum` expands a factored element to such a `G2Sum`, `factored`
 factors one back, and the `*` of a `G2Sum` is the program's product
 between the two, so `x * y == product(x, y, group_product)` compares the
@@ -55,15 +64,15 @@ from typing import NamedTuple
 
 from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
-from motive_calc.endos import SurfEnd, aff_end, surf_end
+from motive_calc.endos import SurfEnd, surf_end
 from motive_calc.exact import DegreeError, RatMatrix, RationalLike, exact_rational, fmt_rational
-from motive_calc.groups import GElem, GroupRingElement, enumerate_g, epsilon, g_identity
+from motive_calc.groups import GroupRingElement, enumerate_g, mu_inv
 from motive_calc.levels import _check_level
 from motive_calc.motives import BettiTable
 from motive_calc.sums import LevelMismatchError, LinComb, linear_map, product
 from motive_calc.surface import (
-    DA_FIBER, GENERIC_FIBER, Atom, DivClass, OpenAtom, OpenCorr, SurfCorr, compose_open_atoms, open_graph,
-    restrict_to_open)
+    DA_FIBER, GENERIC_FIBER, Atom, DivClass, OpenAtom, OpenCorr, SurfCorr, UnsupportedCompositionError,
+    compose_open_atoms, open_graph, restrict_to_open)
 from motive_calc.threefold import OpenTAtom, OpenTCorr, TCorr, TensorExpr, _meet, _tensor_rule
 
 
@@ -112,9 +121,130 @@ def compose_by_atom_pairs(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     return product(after, before, surface.compose_atom_pair)
 
 
+class GElem(NamedTuple):
+    """Element (b, s) of (Z/N)^2 semidirect mu_2, as the program once held it; law (b,s)(b',s') = (b+s b', s s').
+
+    The oracle of the program's elements of G, the automorphism `SurfEnd`s,
+    and of their law `surf_compose`: `of` reads a `SurfEnd`, `end` gives one back.
+    """
+
+    level: int
+    b1: int
+    b2: int
+    s: int
+
+    @staticmethod
+    def of(g: SurfEnd) -> "GElem":
+        return GElem(g.level, g.b1, g.b2, g.s)
+
+    def end(self) -> SurfEnd:
+        return SurfEnd(self.level, self.b1, self.b2, self.s, False)
+
+    def mul(self, other: "GElem") -> "GElem":
+        if self.level != other.level:
+            raise LevelMismatchError("group elements of different levels")
+        n = self.level
+        return GElem(n, (self.b1 + self.s * other.b1) % n, (self.b2 + self.s * other.b2) % n, self.s * other.s)
+
+    def inv(self) -> "GElem":
+        n = self.level
+        return GElem(n, (-self.s * self.b1) % n, (-self.s * self.b2) % n, self.s)
+
+    def label(self) -> str:
+        return f"({self.b1},{self.b2},{'+' if self.s == 1 else '-'})"
+
+
+def oracle_g(n: int) -> list[GElem]:
+    """G in `enumerate_g` order, as `GElem`s."""
+    return [GElem.of(g) for g in enumerate_g(n)]
+
+
 def group_product(g, h, _level) -> tuple:
-    """The product of two group elements, as a rule for `sums.product`."""
-    return ((g.mul(h), 1),)
+    """The product of two group elements by `GElem.mul`, as a rule for `sums.product`.
+
+    g and h are elements of G (`SurfEnd`s), or `G2Elem`s.
+    """
+    if type(g) is G2Elem:
+        return ((g.mul(h), 1),)
+    return ((GElem.of(g).mul(GElem.of(h)).end(), 1),)
+
+
+class AffEnd(NamedTuple):
+    """Affine map x -> n x + b of the open part, b N-torsion, as the program once held it.
+
+    With `aff_compose` it is the oracle of the open part's law: the program
+    reads an open atom's `SurfEnd` as such a map (`aff_of`).
+    """
+
+    level: int
+    n: int
+    b1: int
+    b2: int
+
+    def is_automorphism(self) -> bool:
+        return self.n in (1, -1)
+
+    def inv(self) -> "AffEnd":
+        if not self.is_automorphism():
+            raise ValueError("only degree-one affine maps invert")
+        # (n,b)^-1 = (n, -n b) when n = +-1
+        m = self.level
+        return AffEnd(m, self.n, (-self.n * self.b1) % m, (-self.n * self.b2) % m)
+
+    def label(self) -> str:
+        return f"aff({self.n};{self.b1},{self.b2})"
+
+
+def aff_end(level: int, n: int, b1: int = 0, b2: int = 0) -> AffEnd:
+    return AffEnd(level, n, b1 % level, b2 % level)
+
+
+def aff_compose(f: AffEnd, h: AffEnd) -> AffEnd:
+    """(n,b) o (n',b') = (n n', n b' + b); torsion reduced mod the level."""
+    if f.level != h.level:
+        raise LevelMismatchError("affine endomorphisms of different levels")
+    m = f.level
+    return AffEnd(m, f.n * h.n, (f.n * h.b1 + f.b1) % m, (f.n * h.b2 + f.b2) % m)
+
+
+def aff_of(f: SurfEnd) -> AffEnd:
+    """A fiberwise map restricted to the open part, as an `AffEnd`: n = s, or 0 for a collapse."""
+    return aff_end(f.level, 0 if f.collapse else f.s, f.b1, f.b2)
+
+
+def affine_atom(atom: OpenAtom) -> tuple:
+    """An open atom with its map as an `AffEnd`."""
+    return atom[0], aff_of(atom[1])
+
+
+def _affine_tgraph(a: AffEnd) -> tuple:
+    return ("g", a.inv()) if a.is_automorphism() else ("t", a)
+
+
+def compose_affine_atoms(x: tuple, y: tuple) -> tuple:
+    """after=x, before=y on open atoms of `AffEnd`s by `aff_compose`: the oracle of `surface.compose_open_atoms`."""
+    (sx, ax), (sy, ay) = x, y
+    if sx == "g" and sy == "g":
+        return ("g", aff_compose(ax, ay))
+    if sx == "t" and sy == "t":
+        return _affine_tgraph(aff_compose(ay, ax))
+    if sx == "g" and ax.is_automorphism():
+        return _affine_tgraph(aff_compose(ay, ax.inv()))
+    if sx == "t" and ay.is_automorphism():
+        return _affine_tgraph(aff_compose(ay.inv(), ax))
+    if sx == "t" and ax.is_automorphism():
+        return ("g", aff_compose(ax.inv(), ay))
+    raise UnsupportedCompositionError("mixed species with no invertible side")
+
+
+def affine_sort_key(atom: tuple) -> tuple:
+    species, a = atom
+    return (0 if species == "g" else 1, a.n, a.b1, a.b2)
+
+
+def affine_label(atom: tuple) -> str:
+    species, a = atom
+    return f"Graph({a.label()})" if species == "g" else f"tGraph({a.label()})"
 
 
 class G2Elem(NamedTuple):
@@ -143,22 +273,23 @@ class G2Elem(NamedTuple):
 
 
 def g2_identity(n: int) -> G2Elem:
-    return G2Elem(n, g_identity(n), g_identity(n), False)
+    return G2Elem(n, GElem(n, 0, 0, 1), GElem(n, 0, 0, 1), False)
 
 
 def sigma_swap(n: int) -> G2Elem:
-    return G2Elem(n, g_identity(n), g_identity(n), True)
+    return G2Elem(n, GElem(n, 0, 0, 1), GElem(n, 0, 0, 1), True)
 
 
 class G2Sum(GroupRingElement):
     """A sum of `G2Elem`s, whose `*` is the program's factored product."""
 
     __slots__ = ()
+    label = staticmethod(lambda g: g.label())
 
     @staticmethod
     def check(_level, atoms) -> None:
         """Each atom a `G2Elem` whose two group elements `GroupRingElement` takes, all of one level."""
-        GroupRingElement.check(None, [g for x in atoms for g in (x.g1, x.g2)])
+        GroupRingElement.check(None, [g.end() for x in atoms for g in (x.g1, x.g2)])
 
     def __mul__(self, other: "G2Sum") -> "G2Sum":
         # the program has no product of a G^2 x| S_2 element with a Q[G] one: they are two types there
@@ -171,14 +302,14 @@ def factored(x: G2Sum) -> TensorExpr:
     """x as pure tensors a (x) h.sigma^e with a in Q[G]: its atoms grouped by their h and e."""
     lefts: dict = {}
     for g, c in x.terms.items():
-        lefts.setdefault((g.g2, g.swap), {})[g.g1] = c
+        lefts.setdefault((g.g2.end(), g.swap), {})[g.g1.end()] = c
     parts = [(Fraction(1), GroupRingElement(a), GroupRingElement.of(h), e) for (h, e), a in lefts.items()]
     return TensorExpr(None, parts)
 
 
 def g2_sum(x: TensorExpr) -> G2Sum:
     """The atoms of a factored element of Q[G^2 x| S_2], each (g, h, swap) as a `G2Elem`."""
-    return G2Sum({G2Elem(g.level, g, h, e): c for (g, h, e), c in x.expand().terms.items()})
+    return G2Sum({G2Elem(g.level, GElem.of(g), GElem.of(h), e): c for (g, h, e), c in x.expand().terms.items()})
 
 
 def g2_epsilon2(n: int) -> G2Sum:
@@ -186,8 +317,8 @@ def g2_epsilon2(n: int) -> G2Sum:
     _check_level(n)
     plus = Fraction(1, 4 * n ** 4)
     minus = -plus
-    elems = enumerate_g(n)
-    terms = {G2Elem(n, a, b, False): plus if epsilon(a) == epsilon(b) else minus
+    elems = oracle_g(n)
+    terms = {G2Elem(n, a, b, False): plus if a.s == b.s else minus
              for a in elems for b in elems}
     return G2Sum(terms)
 
@@ -208,7 +339,7 @@ def tensor_open(a: OpenCorr, b: OpenCorr, swap: bool = False) -> OpenTCorr:
 
 def invert_open_t(x: OpenTCorr) -> OpenTCorr:
     """inversion . x, with inversion = Graph(-1) (x) Graph(-1): one pure tensor, so it acts factor by factor."""
-    inv = open_graph(aff_end(x.level, -1))
+    inv = open_graph(mu_inv(x.level))
     compose = threefold.compose_open_atoms
     return linear_map(x, lambda atom: (compose(inv, atom[0]), compose(inv, atom[1]), atom[2]))
 

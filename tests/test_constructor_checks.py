@@ -5,7 +5,11 @@ each kind of atom and basis class with each index just out of range, an
 unknown kind and an atom of another level, and each row goes through every
 public constructor of its class: the constructor, with a coefficient of 1,
 of 0 and beside a valid atom, and `of` (and `pure` for a `TensorExpr`).  Each
-of them raises ValueError, and a float coefficient TypeError.  The DSL
+of them raises ValueError, and a float coefficient TypeError.  The
+open-part sums take only the open atoms of the surface's graphs and
+tGraphs, so a map x -> 7x, one of another level, a tGraph of an
+automorphism (not the normal form of `open_tgraph`) and an unknown atom
+are rows too.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -21,13 +25,16 @@ import pytest
 
 from motive_calc.cli import main
 from motive_calc.endos import SurfEnd
-from motive_calc.groups import GElem, GroupRingElement, epsilon_projector
+from motive_calc.groups import GroupRingElement, epsilon_projector
 from motive_calc.surface import (
-    DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
-from motive_calc.threefold import FIBER3, TCorr, TensorExpr, ThreefoldDivClass, theta_half, theta_int
+    DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
+from motive_calc.threefold import FIBER3, OpenTCorr, TCorr, TensorExpr, ThreefoldDivClass, theta_half, theta_int
+
+from support import aff_end
 
 N = 3
 IDENT = ("G", SurfEnd(N, 0, 0, 1, False))
+OPEN_IDENT = ("g", SurfEnd(N, 0, 0, 1, False))
 CP = cusp_prod(0, 1, 1)
 
 
@@ -101,6 +108,27 @@ TENSOR_ATOMS = [
 ]
 
 
+OPEN_ATOMS = [
+    ("graph of level 4", ("g", SurfEnd(4, 0, 0, 1, False))),
+    ("graph b1 = N", ("g", SurfEnd(N, 3, 0, 1, False))),
+    ("graph of x -> 7x", ("g", SurfEnd(N, 0, 0, 7, False))),
+    ("graph of an affine map of the old type", ("g", aff_end(N, 7))),
+    ("tGraph of an automorphism", ("t", SurfEnd(N, 0, 0, 1, False))),
+    ("tGraph of level 4", ("t", SurfEnd(4, 0, 0, 1, True))),
+    ("surface graph", IDENT),
+    ("unknown kind", ("x",)),
+]
+
+OPEN_TENSOR_ATOMS = [
+    ("factor of level 4", (("g", SurfEnd(4, 0, 0, 1, False)), OPEN_IDENT, False)),
+    ("right factor of level 5", (OPEN_IDENT, ("g", SurfEnd(5, 0, 0, 1, False)), False)),
+    ("tGraph of an automorphism on the right", (OPEN_IDENT, ("t", SurfEnd(N, 0, 0, 1, False)), True)),
+    ("factor of unknown kind", (("x",), OPEN_IDENT, False)),
+    ("swap 2", (OPEN_IDENT, OPEN_IDENT, 2)),
+    ("two factors", (OPEN_IDENT, OPEN_IDENT)),
+]
+
+
 def _pure_tensor_rows():
     """(id, {constructor: build}, ValueError) for pure tensors (A, B, swap) a `TensorExpr` refuses."""
     pi = build_pi_bars(N)
@@ -130,24 +158,26 @@ def _pure_tensor_rows():
 
 
 GROUP_ELEMENTS = [
-    ("b1 = N", GElem(N, 3, 0, 1)),
-    ("b1 = -1", GElem(N, -1, 0, 1)),
-    ("b2 = N", GElem(N, 0, 3, 1)),
-    ("b2 = -1", GElem(N, 0, -1, 1)),
-    ("s = 0", GElem(N, 0, 0, 0)),
-    ("s = 2", GElem(N, 0, 0, 2)),
-    ("level 2", GElem(2, 0, 0, 1)),
+    ("b1 = N", SurfEnd(N, 3, 0, 1, False)),
+    ("b1 = -1", SurfEnd(N, -1, 0, 1, False)),
+    ("b2 = N", SurfEnd(N, 0, 3, 1, False)),
+    ("b2 = -1", SurfEnd(N, 0, -1, 1, False)),
+    ("s = 0", SurfEnd(N, 0, 0, 0, False)),
+    ("s = 2", SurfEnd(N, 0, 0, 2, False)),
+    ("level 2", SurfEnd(2, 0, 0, 1, False)),
+    ("a collapse", SurfEnd(N, 0, 0, 1, True)),
     ("a plain tuple", (N, 0, 0, 1)),
+    ("a plain tuple of five", (N, 0, 0, 1, False)),
     ("a surface atom", IDENT),
 ]
 
 
 def _group_rows():
-    one, other = GElem(N, 0, 0, 1), GElem(4, 0, 0, 1)
+    one, other = SurfEnd(N, 0, 0, 1, False), SurfEnd(4, 0, 0, 1, False)
     rows = [(f"GroupRingElement {name}", {
         "constructor": lambda g=g: GroupRingElement({g: 1}),
         "zero coefficient": lambda g=g: GroupRingElement({g: 0}),
-        "beside a valid element": lambda g=g: GroupRingElement({GElem(N, 1, 2, -1): 1, g: 1}),
+        "beside a valid element": lambda g=g: GroupRingElement({SurfEnd(N, 1, 2, -1, False): 1, g: 1}),
         "of": lambda g=g: GroupRingElement.of(g),
     }, ValueError) for name, g in GROUP_ELEMENTS]
     rows.append(("GroupRingElement two levels", {
@@ -166,7 +196,9 @@ def _float_rows():
         "TCorr": lambda: TCorr(N, {(IDENT, VERT, False): 1.5}),
         "TensorExpr": lambda: TensorExpr(N, [(0.0, delta(N), delta(N), False)]),
         "TensorExpr.of": lambda: TensorExpr.of(N, (delta(N), delta(N), False), 0.5),
-        "GroupRingElement": lambda: GroupRingElement({GElem(N, 0, 0, 1): 0.5}),
+        "GroupRingElement": lambda: GroupRingElement({SurfEnd(N, 0, 0, 1, False): 0.5}),
+        "OpenCorr": lambda: OpenCorr(N, {OPEN_IDENT: 0.5}),
+        "OpenTCorr": lambda: OpenTCorr(N, {(OPEN_IDENT, OPEN_IDENT, False): 1.5}),
     }, TypeError)]
 
 
@@ -175,6 +207,8 @@ ROWS = (
     + _sum_rows(DivClass, GENERIC_FIBER, DIVISOR_CLASSES)
     + _sum_rows(ThreefoldDivClass, FIBER3, THREEFOLD_CLASSES)
     + _sum_rows(TCorr, (IDENT, VERT, False), TENSOR_ATOMS)
+    + _sum_rows(OpenCorr, OPEN_IDENT, OPEN_ATOMS)
+    + _sum_rows(OpenTCorr, (OPEN_IDENT, OPEN_IDENT, False), OPEN_TENSOR_ATOMS)
     + _pure_tensor_rows()
     + _group_rows()
     + _float_rows()
@@ -222,7 +256,10 @@ def test_the_valid_edge_of_each_range_is_taken():
     ThreefoldDivClass(N, {theta_int(3, 2, 2): 1, theta_half(0, 2, 0): 1})
     TCorr.of(N, (VERT, ("T", SurfEnd(N, 2, 2, 1, True)), True))
     TensorExpr.pure(SurfCorr.of(N, VERT), SurfCorr.of(N, VERT))  # V (x) V expands to zero, and is taken
-    GroupRingElement({GElem(N, 2, 2, -1): 1, GElem(N, 0, 0, 1): 0})
+    GroupRingElement({SurfEnd(N, 2, 2, -1, False): 1, SurfEnd(N, 0, 0, 1, False): 0})
+    OpenCorr(N, {("g", SurfEnd(N, 2, 2, -1, False)): 1, ("g", SurfEnd(N, 2, 0, 1, True)): 1,
+                 ("t", SurfEnd(N, 2, 2, 1, True)): 1})
+    OpenTCorr.of(N, (("t", SurfEnd(N, 2, 2, 1, True)), OPEN_IDENT, True))
 
 
 def test_tensor_expr_of_builds_the_one_part_sum():

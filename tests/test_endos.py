@@ -3,11 +3,14 @@ from itertools import product
 
 import pytest
 
-from motive_calc.endos import aff_compose, aff_end, mu0, surf_compose, surf_end, surf_identity
+from motive_calc.endos import mu0, surf_compose, surf_end, surf_identity
 from motive_calc.groups import LevelMismatchError
-from motive_calc.surface import graph
+from motive_calc.surface import (
+    UnsupportedCompositionError, compose_open_atoms, graph, open_atom_label, open_atom_sort_key, open_graph)
 from motive_calc.threefold import compose_t_atom_pair, t_atom, verify_structure_identities
-from support import enumerate_surf, mu_minus1, tau_end
+from support import (
+    aff_compose, aff_end, aff_of, affine_atom, affine_label, affine_sort_key, compose_affine_atoms, enumerate_surf,
+    mu_minus1, tau_end)
 
 
 def endo(a, b, swap=False):
@@ -132,6 +135,30 @@ def test_tensor_associativity_sampled():
         ]
         a, b, c = xs
         assert tc(tc(a, b), c) == tc(a, tc(b, c))
+
+
+# -- the open part: a SurfEnd read as x -> n x + b, against the AffEnd oracle
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_open_atoms_compose_print_and_sort_as_the_affine_oracle(n):
+    # graph after graph is surf_compose against aff_compose on all (3N^2)^2 pairs of maps
+    ends = enumerate_surf(n)
+    affine = [aff_end(n, k, b1, b2) for k in (1, -1, 0) for b1 in range(n) for b2 in range(n)]
+    assert sorted(map(aff_of, ends)) == sorted(affine)  # a bijection onto the maps with n in {0, +-1}
+    atoms = [open_graph(f) for f in ends] + [("t", f) for f in ends if f.collapse]
+    for x in atoms:
+        assert open_atom_label(x) == affine_label(affine_atom(x))
+        assert open_atom_sort_key(x) == affine_sort_key(affine_atom(x))
+        for y in atoms:
+            try:
+                got = affine_atom(compose_open_atoms(x, y))
+            except UnsupportedCompositionError:
+                got = "unsupported"
+            try:
+                want = compose_affine_atoms(affine_atom(x), affine_atom(y))
+            except UnsupportedCompositionError:
+                want = "unsupported"
+            assert got == want, (x, y)
 
 
 def test_aff_composition():

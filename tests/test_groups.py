@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
+from motive_calc.endos import SurfEnd, surf_compose
 from motive_calc.groups import (
-    GElem,
+    GroupRingElement,
     LevelMismatchError,
     enumerate_g,
     epsilon,
@@ -18,41 +19,43 @@ from motive_calc.groups import (
     symmetrizers,
     tau,
 )
+from motive_calc.threefold import TensorExpr
 
-from support import G2Elem, G2Sum, g2_identity, g2_sum, sigma_swap
+from support import G2Elem, G2Sum, GElem, g2_identity, g2_sum, oracle_g, sigma_swap
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_group_axioms_exhaustive(n):
+    # the group law is surf_compose on the automorphisms, and the inverse SurfEnd.inv
     elems = enumerate_g(n)
     e = g_identity(n)
     for g in elems:
-        assert g.mul(g.inv()) == e
-        assert g.inv().mul(g) == e
-        assert g.mul(e) == g
-        assert e.mul(g) == g
+        assert surf_compose(g, g.inv()) == e
+        assert surf_compose(g.inv(), g) == e
+        assert surf_compose(g, e) == g
+        assert surf_compose(e, g) == g
     for a, b, c in product(elems, repeat=3):
-        assert a.mul(b).mul(c) == a.mul(b.mul(c))
+        assert surf_compose(surf_compose(a, b), c) == surf_compose(a, surf_compose(b, c))
 
 
 def test_semidirect_examples():
     n = 5
-    x = GElem(n, 1, 0, -1)
-    assert x.mul(x) == g_identity(n)
-    assert tau(n, 1, 2).mul(tau(n, 4, 4)) == tau(n, 0, 1)
-    assert g_identity(n).mul(x) == x
+    x = SurfEnd(n, 1, 0, -1, False)
+    assert surf_compose(x, x) == g_identity(n)
+    assert surf_compose(tau(n, 1, 2), tau(n, 4, 4)) == tau(n, 0, 1)
+    assert surf_compose(g_identity(n), x) == x
 
 
 def test_level_mismatch():
     with pytest.raises(LevelMismatchError):
-        g_identity(3).mul(g_identity(4))
+        surf_compose(g_identity(3), g_identity(4))
 
 
 def test_epsilon_values():
     n = 4
     assert epsilon(tau(n, 1, 3)) == 1
     assert epsilon(mu_inv(n)) == -1
-    assert epsilon(tau(n, 1, 3).mul(mu_inv(n))) == -1
+    assert epsilon(surf_compose(tau(n, 1, 3), mu_inv(n))) == -1
 
 
 def test_epsilon_projector_support():
@@ -97,9 +100,30 @@ def test_epsilon2_projector_idempotent_small():
     assert p * p == p
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_named_g2_elements_transpose_to_themselves(n):
+    a2, s2 = symmetrizers(n)
+    for x in (epsilon2_projector(n), a2, s2):
+        t = x.transpose()
+        assert (t - x).is_zero()
+        assert all(type(f) is GroupRingElement for a, b, _ in t.nums for f in (a, b))
+        assert t.render() == x.render()
+
+
+def test_a_g2_transpose_inverts_each_factor():
+    # transposing Graph(g) gives Graph(g^-1): on Q[G] factors the transpose is the involution
+    n = 3
+    t01, one = GroupRingElement.of(tau(n, 0, 1)), GroupRingElement.of(g_identity(n))
+    got = TensorExpr.pure(t01, one).transpose()
+    want = TensorExpr.pure(GroupRingElement.of(tau(n, 0, 1).inv()), one)
+    assert got == want
+    assert (got - want).is_zero()
+    assert g2_sum(got) == G2Sum({G2Elem(n, GElem(n, 0, 2, 1), GElem(n, 0, 0, 1), False): 1})
+
+
 def test_g2_group_sampled():
     n = 3
-    g = enumerate_g(n)
+    g = oracle_g(n)
     elems = [G2Elem(n, a, b, swap) for swap in (False, True) for a in g for b in g]
     assert len(elems) == 2 * (2 * n * n) ** 2
     e = g2_identity(n)
@@ -116,8 +140,8 @@ def test_g2_group_sampled():
 def test_sigma_conjugation_swaps_coordinates():
     n = 3
     s = sigma_swap(n)
-    for g1 in enumerate_g(n)[:6]:
-        for g2 in enumerate_g(n)[-6:]:
+    for g1 in oracle_g(n)[:6]:
+        for g2 in oracle_g(n)[-6:]:
             x = G2Elem(n, g1, g2, False)
             assert s.mul(x).mul(s) == G2Elem(n, g2, g1, False)
 

@@ -57,6 +57,7 @@ from motive_calc.surface import (
 from support import (
     G2Elem,
     G2Sum,
+    GElem,
     compose_by_atom_pairs,
     enumerate_surf,
     factored,
@@ -64,6 +65,7 @@ from support import (
     g2_identity,
     g2_sum,
     group_product,
+    oracle_g,
     sigma_swap,
 )
 
@@ -232,18 +234,21 @@ def test_compose_matches_the_atom_pair_oracle(data, n):
 # -- the group ring on its product table ---------------------------------------------
 
 def test_the_table_is_the_group_law():
-    n = 3
-    elems, index, table = g_table(n)
-    assert elems == enumerate_g(n)
-    for g in elems:
-        for h in elems:
-            assert elems[table[index[g]][index[h]]] == g.mul(h)
+    # g_table is built from surf_compose; GElem.mul, the law it replaced, is the oracle, and so are its labels
+    for n in range(3, 7):
+        elems, index, table = g_table(n)
+        assert elems == enumerate_g(n)
+        for g in elems:
+            assert GroupRingElement.label(g) == GElem.of(g).label()
+            assert GElem.of(g.inv()) == GElem.of(g).inv()
+            for h in elems:
+                assert GElem.of(elems[table[index[g]][index[h]]]) == GElem.of(g).mul(GElem.of(h))
 
 
 @st.composite
 def group_operands(draw, n, pairs):
     if pairs:
-        g = st.sampled_from(enumerate_g(n))
+        g = st.sampled_from(oracle_g(n))
         elem = st.builds(lambda a, b, e: G2Elem(n, a, b, e), g, g, st.booleans())
         named = [g2_sum(s) for s in symmetrizers(n)]
     else:
@@ -325,7 +330,7 @@ def test_factored_g2_products_and_zero_test_match_the_pairwise_oracle(data, n):
     want = product(g2_sum(x), g2_sum(y), group_product)
     assert g2_sum(got) == want
     assert (got - factored(want)).is_zero()
-    g = st.sampled_from(enumerate_g(n))
+    g = st.sampled_from(oracle_g(n))
     extra = data.draw(st.builds(lambda a, b, e: G2Sum({G2Elem(n, a, b, e): 1}), g, g, st.booleans()))
     assert not (got - factored(want + extra)).is_zero()
     assert (x - y).is_zero() == (g2_sum(x) == g2_sum(y))
@@ -335,12 +340,12 @@ def test_factored_swap_rule_on_every_element_at_n3():
     # y holds every element b_j once, with coefficient j + 1; left multiplication by a is a
     # bijection, so a . y equal to the oracle's means a b_j right for every j
     n = 3
-    g = enumerate_g(n)
+    g = oracle_g(n)
     elems = [G2Elem(n, a, b, e) for e in (False, True) for a in g for b in g]
     y = G2Sum({b: j + 1 for j, b in enumerate(elems)})
     y_factored = factored(y)
     for a in elems:
-        x = TensorExpr.pure(GroupRingElement.of(a.g1), GroupRingElement.of(a.g2), a.swap)
+        x = TensorExpr.pure(GroupRingElement.of(a.g1.end()), GroupRingElement.of(a.g2.end()), a.swap)
         assert g2_sum(x.compose(y_factored)) == G2Sum({a.mul(b): j + 1 for j, b in enumerate(elems)}), a
 
 

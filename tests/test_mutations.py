@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import groups, surface, threefold
-from motive_calc.endos import aff_end, mu0, surf_end
+from motive_calc.endos import SurfEnd, mu0, surf_end
 from motive_calc.exact import DegreeError, fmt_rational
-from motive_calc.groups import GElem, GroupRingElement, group_certificate
+from motive_calc.groups import GroupRingElement, group_certificate
 from motive_calc.levels import cusp_count
 from motive_calc.sums import Certificate, product
 from motive_calc.surface import (
-    DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, act_on_divisor, aff_of, build_pi_bars, build_pi_cusp,
+    DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, act_on_divisor, build_pi_bars, build_pi_cusp,
     cusp_prod, open_graph, surface_certificate)
 from motive_calc.threefold import TCorr, TensorExpr, t_compose, threefold_certificate
 
@@ -164,7 +164,7 @@ def _flipped_meet(swap_x, left_y, right_y, swap_y):
 
 
 _epsilon, _lambda_theta, _symmetrizers, _inv = (
-    groups.epsilon_projector, groups.lambda_theta, groups.symmetrizers, GElem.inv)
+    groups.epsilon_projector, groups.lambda_theta, groups.symmetrizers, SurfEnd.inv)
 
 
 def _lambda_bumped(n):
@@ -190,7 +190,7 @@ GROUP_FAULTS = {
     "theta coefficient": (groups, "lambda_theta", _theta_bumped),
     "A2 coefficient": (groups, "symmetrizers", _a2_bumped),
     "product table entry": (groups, "g_table", _one_table_entry_off),
-    "inverse of tau(0,1)": (GElem, "inv", lambda g: g if g == groups.tau(g.level, 0, 1) else _inv(g)),
+    "inverse of tau(0,1)": (SurfEnd, "inv", lambda g: g if g == groups.tau(g.level, 0, 1) else _inv(g)),
     "swap in _meet flipped": (threefold, "_meet", _flipped_meet),
     "eps2 asymmetric": (groups, "epsilon2_projector", _asymmetric_eps2),
 }
@@ -433,6 +433,41 @@ def test_every_transpose_and_witness_entry_fails_under_some_fault():
     assert set(rows) <= {name for flipped in TRANSPOSE_WITNESS_FAILURES.values() for name in flipped}
 
 
+# -- pi1: one coefficient of `epsilon_graph_sum`, with the per-level cache of the three bars cleared around it
+
+_epsilon_graph_sum = surface.epsilon_graph_sum
+
+
+def _pi1_second_atom_bumped(n):
+    """pi1 with the coefficient of its second atom in print order, Graph(aut(0,0,-)), raised by 1/(2N^2)."""
+    pi1 = _epsilon_graph_sum(n)
+    return pi1 + pi1.over(n, 2 * n * n, {sorted(pi1.nums, key=pi1.sort_key)[1]: 1})
+
+
+# every entry of surface_certificate(4) that the fault flips: all but t(pi1), since the inversion is its own inverse
+PI1_FAILURES = (
+    ["kronecker:pi0.pi1", "kronecker:pi1.pi0", "kronecker:pi1.pi1", "kronecker:pi1.pi2"]
+    + _per_cusp("kronecker:pi1.piC({})") + ["kronecker:pi2.pi1"] + _per_cusp("kronecker:piC({}).pi1")
+    + ["residual:idempotent"]
+    + [f"residual:{row}" for p in ("pi0", "pi1", "pi2") for row in (f"piInf.{p}", f"{p}.piInf")]
+    + [f"residual:{row}" for c in range(cusp_count(4)) for row in (f"piInf.piC({c})", f"piC({c}).piInf")]
+    + ["action:pi1:fiber"] + [f"action:pi1:theta(0;{m})" for m in range(4)]
+    + [f"residual_action:theta(0;{m})" for m in range(4)])
+
+
+def test_a_pi1_coefficient_fault_flips_exactly_its_entries(monkeypatch):
+    surface._pi_bars.cache_clear()
+    monkeypatch.setattr(surface, "epsilon_graph_sum", _pi1_second_atom_bumped)
+    try:
+        failed = _failed(surface_certificate(4))
+    finally:
+        monkeypatch.undo()
+        surface._pi_bars.cache_clear()
+    assert failed == PI1_FAILURES
+    assert len(failed) == 45
+    assert _failed(surface_certificate(4)) == []
+
+
 # -- the threefold certificate, under its zero test and under the expand-and-compare oracle
 
 @pytest.fixture(params=["zero test", "oracle"])
@@ -520,13 +555,13 @@ def restriction_faults(n):
     """
 
     def merged(atom):
-        return open_graph(aff_end(n, -1)) if atom == open_graph(aff_end(n, -1, 1)) else atom
+        return open_graph(surf_end(n, 0, 0, -1)) if atom == open_graph(surf_end(n, 1, 0, -1)) else atom
 
     return {
         "V restricted to a graph": ("restrict_atom", lambda atom: (
-            open_graph(aff_end(n, 1)) if atom[0] == "V" else _restrict(atom))),
+            open_graph(surf_end(n, 0, 0)) if atom[0] == "V" else _restrict(atom))),
         "tGraph restricted as a graph": ("restrict_atom", lambda atom: (
-            open_graph(aff_of(atom[1])) if atom[0] == "T" else _restrict(atom))),
+            open_graph(atom[1]) if atom[0] == "T" else _restrict(atom))),
         "inversion graphs lost": ("restrict_atom", lambda atom: (
             None if _is_inversion(atom) else _restrict(atom))),
         "inversion ignored on graphs": ("compose_open_atoms", lambda x, y: (

@@ -16,7 +16,6 @@ from motive_calc.surface import (
     UnsupportedCompositionError,
     VERT,
     act_on_divisor,
-    aff_of,
     an_entry,
     build_pi_bars,
     build_pi_cusp,
@@ -281,7 +280,7 @@ def test_restriction_of_projectors():
     n = 3
     bars = build_pi_bars(n)
     assert restrict_to_open(bars["pi0"]) == OpenCorr(
-        n, {open_tgraph(aff_of(mu0(n))): Fraction(1)}
+        n, {open_tgraph(mu0(n)): Fraction(1)}
     )
     assert restrict_to_open(build_pi_cusp(n, 0)).is_zero()
     pi1_open = restrict_to_open(bars["pi1"])
@@ -319,22 +318,18 @@ def test_restriction_respects_mixed_table_cases():
 
 def test_open_mixed_without_invertible_raises():
     n = 3
-    from motive_calc.endos import aff_end
-
-    zero_map = ("g", aff_end(n, 0, 0, 0))
-    tzero = ("t", aff_end(n, 0, 1, 0))
+    zero_map = ("g", mu0(n))  # x -> 0
+    tzero = ("t", surf_end(n, 1, 0, collapse=True))  # the transposed graph of x -> (1, 0)
     with pytest.raises(UnsupportedCompositionError):
         compose_open_atoms(zero_map, tzero)
 
 
-def test_mu_n_absorption_on_open_part():
+def test_mu_0_absorption_on_open_part():
     n = 3
-    from motive_calc.endos import aff_end
-
     theta_open = restrict_to_open(group_ring_to_corr(lambda_theta(n)[1]))
-    mu_n = OpenCorr(n, {open_tgraph(aff_end(n, n)): Fraction(1)})
-    # averaging over torsion translations absorbs into multiplication by N
-    assert compose_open(theta_open, mu_n) == mu_n
+    mu_0 = OpenCorr(n, {open_tgraph(mu0(n)): Fraction(1)})
+    # averaging over torsion translations absorbs into multiplication by 0, which kills torsion
+    assert compose_open(theta_open, mu_0) == mu_0
 
 
 # -- independent matrix oracle for the cusp-product subalgebra ---------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import sums, surface, threefold
-from motive_calc.endos import aff_end, mu0, surf_end, surf_identity
+from motive_calc.endos import mu0, surf_end, surf_identity
 from motive_calc.groups import GroupRingElement, g_identity
 from motive_calc.surface import (
     GENERIC_FIBER,
@@ -199,15 +199,14 @@ def _opened_pair_projectors(n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 5), st.data())
 def test_the_parity_map_is_the_product_with_the_inversion(n, data):
-    # random open tensor sums: affine graphs and transposed graphs of any multiplier, and restricted projectors
-    affine = st.builds(lambda k, b1, b2: aff_end(n, k, b1, b2), st.sampled_from([1, -1, 0, 2, n]),
-                       st.integers(0, n - 1), st.integers(0, n - 1))
+    # random open tensor sums: graphs and transposed graphs of every fiberwise map, and restricted projectors
+    affine = st.sampled_from(enumerate_surf(n))
     atom = st.one_of(st.builds(open_graph, affine), st.builds(open_tgraph, affine))
     coeff = st.sampled_from([Fraction(k, d) for k in (-3, -1, 1, 2) for d in (1, 2, 3)])
     x = OpenTCorr(n, data.draw(st.dictionaries(st.tuples(atom, atom, st.booleans()), coeff, max_size=8)))
     for projector in data.draw(st.lists(st.sampled_from(_opened_pair_projectors(n)), max_size=2)):
         x = x + projector.scale(data.draw(coeff))
-    inversion = open_graph(aff_end(n, -1))
+    inversion = open_graph(surf_end(n, 0, 0, -1))
     got = invert_open_t(x)
     assert got == compose_open_t(OpenTCorr.of(n, (inversion, inversion, False)), x)
     assert all(type(c) is Fraction for c in got.terms.values())
