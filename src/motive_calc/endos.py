@@ -49,6 +49,22 @@ class SurfEnd(NamedTuple):
         return ("col" if self.collapse else "aut") + self.element_label()
 
 
+class SurfEnds(frozenset):
+    """A set of `SurfEnd`s that holds no value of another type, such as a plain tuple equal to a member.
+
+    `LinComb.check` reads one as the range of a map slot of an atom.
+    """
+
+    __slots__ = ()
+
+    def __contains__(self, f) -> bool:
+        return type(f) is SurfEnd and frozenset.__contains__(self, f)
+
+
+# what `SurfEnd._make` calls: it builds a SurfEnd from a tuple of its fields without the generated `__new__`
+_new = tuple.__new__
+
+
 def surf_end(n: int, b1: int, b2: int, s: int = 1, collapse: bool = False) -> SurfEnd:
     if s not in (1, -1):
         raise ValueError("inversion part must be +-1")
@@ -71,10 +87,11 @@ def surf_compose(f: SurfEnd, h: SurfEnd) -> SurfEnd:
 
     On G that is the group law (b,s)(b',s') = (b + s b', s s').
     """
-    if f.level != h.level:
+    m, b1, b2, s, collapse = f
+    level, c1, c2, t, h_collapse = h
+    if m != level:
         raise LevelMismatchError("endomorphisms of different levels")
-    if f.collapse:
+    if collapse:
         return f
-    m, s = f.level, f.s
     # a collapse keeps inversion part +1, as `surf_end` normalizes it
-    return SurfEnd(m, (f.b1 + s * h.b1) % m, (f.b2 + s * h.b2) % m, 1 if h.collapse else s * h.s, h.collapse)
+    return _new(SurfEnd, (m, (b1 + s * c1) % m, (b2 + s * c2) % m, 1 if h_collapse else s * t, h_collapse))

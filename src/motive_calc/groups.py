@@ -12,10 +12,11 @@ The elements of G are the automorphism `endos.SurfEnd`s (collapse
 False), multiplied by `endos.surf_compose` and inverted by
 `SurfEnd.inv`; one prints as (b1,b2,+-), and g -> Graph(g) takes it to
 the surface atom ("G", g) as it is.  Q[G] multiplies on indices: G is
-numbered 0..2N^2-1 in `enumerate_g` order, with a product table built
-from `surf_compose` once per level (`g_table`).  A product multiplies the
-operands' integer numerators on indices, over the product of their
-denominators, and turns only its atoms back into elements of G.
+numbered 0..2N^2-1 in `enumerate_g` order, with a product table that
+`g_table` builds once per level by index arithmetic on that numbering,
+not by `surf_compose`.  A product multiplies the operands' integer
+numerators on indices, over the product of their denominators, and turns
+only its atoms back into elements of G.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .endos import SurfEnd, surf_compose, surf_end
+from .endos import SurfEnd, surf_end
 from .levels import _check_level
 from .sums import Certificate, LevelMismatchError, LinComb, linear_map
 
@@ -68,11 +69,24 @@ def epsilon(x: SurfEnd) -> int:
 def g_table(n: int) -> tuple[list[SurfEnd], dict[SurfEnd, int], list[list[int]]]:
     """G numbered 0..2N^2-1 in `enumerate_g` order: (elements, index of each, product table).
 
-    Row i, column j of the table holds the index of `surf_compose` of elements i and j.
+    Row i, column j of the table holds the index of the product of elements
+    i and j.  (b, s) is numbered ((s < 0) N + b1) N + b2, and (b, s) sends
+    (c, t) to (b + s c, s t), so the columns (c, t) with one (t, c1) make a
+    block of N indices: those of (b2 + s c2) mod N over the c2, each plus
+    N times ((st < 0) N + (b1 + s c1) mod N).  A row joins 2N such blocks,
+    built once per (s, b2); every entry is one of the ints of `index`.
     """
     elems = enumerate_g(n)
-    index = {g: i for i, g in enumerate(elems)}
-    return elems, index, [[index[surf_compose(g, h)] for h in elems] for g in elems]
+    ids = list(range(len(elems)))
+    index = dict(zip(elems, ids))
+    table = []
+    for s in (1, -1):
+        # blocks[b2][k]: the indices k N + (b2 + s c2) mod N over the c2, for k in 0..2N-1
+        blocks = [[[ids[k * n + (b2 + s * c2) % n] for c2 in range(n)] for k in range(2 * n)] for b2 in range(n)]
+        for b1 in range(n):
+            ks = [(0 if t == s else n) + (b1 + s * c1) % n for t in (1, -1) for c1 in range(n)]
+            table += [[i for k in ks for i in row[k]] for row in blocks]
+    return elems, index, table
 
 
 def _g_product(xs: list, ys: list, table: list) -> dict:

@@ -151,7 +151,15 @@ class LinComb:
                 raise ValueError(f"unknown atom {atom!r}")
             for i, r in zip(atom[1:], bounds):  # a loop: a generator in all(...) costs twice as much
                 if i not in r:
-                    raise ValueError(f"{cls.label(atom)} is outside level {level}")
+                    raise ValueError(f"{cls._printed(atom)} is outside level {level}")
+
+    @classmethod
+    def _printed(cls, atom) -> str:
+        """The atom's label, or its repr when a slot holds no value the label can read, such as no map."""
+        try:
+            return cls.label(atom)
+        except (AttributeError, TypeError):
+            return repr(atom)
 
     @classmethod
     def of(cls, level, atom, coeff=1):

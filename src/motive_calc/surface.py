@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .endos import SurfEnd, mu0, surf_compose, surf_end, surf_identity
+from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_end, surf_identity
 from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
 from .groups import enumerate_g, epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
@@ -153,8 +153,8 @@ def atom_ranges(level: int) -> dict:
     the N^2 collapses, V, and CP(c;m,n) with c below `cusp_count` and m, n in 0..N-1.
     """
     cusps, idx = range(cusp_count(level)), range(level)
-    ends = {surf_end(level, b1, b2, s, c) for c in (False, True) for s in (1, -1) for b1 in idx for b2 in idx}
-    return {"G": (ends,), "T": ({f for f in ends if f.collapse},), "V": (), "C": (cusps, idx, idx)}
+    ends = SurfEnds(surf_end(level, b1, b2, s, c) for c in (False, True) for s in (1, -1) for b1 in idx for b2 in idx)
+    return {"G": (ends,), "T": (SurfEnds(f for f in ends if f.collapse),), "V": (), "C": (cusps, idx, idx)}
 
 
 class SurfCorr(LinComb):

@@ -21,12 +21,14 @@ whole, restrict it with `threefold.restrict_to_open_t`, and compare it with
 patched there reaches them as it reaches the program.
 
 The program has one type of fiberwise map, `endos.SurfEnd`, with one law,
-`surf_compose`.  The types it once had are the oracles of that law:
-`GElem` with its `mul` and `inv`, for the elements of G and `g_table`,
-and `AffEnd` with `aff_compose`, for the open part, where `aff_of` reads
-a `SurfEnd` as x -> n x + b and `compose_affine_atoms`, `affine_label`
-and `affine_sort_key` compose, print and sort open atoms as the program
-once did.
+`surf_compose`.  `groups.g_table` builds the product table of G by
+index arithmetic; `g_table_by_compose` builds it as the program once did,
+one `surf_compose` call per entry.  The types the program once had are
+the oracles of the law: `GElem` with its `mul` and `inv`, for the
+elements of G and `g_table`, and `AffEnd` with `aff_compose`, for the
+open part, where `aff_of` reads a `SurfEnd` as x -> n x + b and
+`compose_affine_atoms`, `affine_label` and `affine_sort_key` compose,
+print and sort open atoms as the program once did.
 
 The program holds an element of G^2 x| S_2's group ring factored, as a
 `TensorExpr` with Q[G] factors.  Its oracle is the ring as the program
@@ -64,7 +66,7 @@ from typing import NamedTuple
 
 from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
-from motive_calc.endos import SurfEnd, surf_end
+from motive_calc.endos import SurfEnd, surf_compose, surf_end
 from motive_calc.exact import DegreeError, RatMatrix, RationalLike, exact_rational, fmt_rational
 from motive_calc.groups import GroupRingElement, enumerate_g, mu_inv
 from motive_calc.levels import _check_level
@@ -157,6 +159,13 @@ class GElem(NamedTuple):
 def oracle_g(n: int) -> list[GElem]:
     """G in `enumerate_g` order, as `GElem`s."""
     return [GElem.of(g) for g in enumerate_g(n)]
+
+
+def g_table_by_compose(n: int) -> list[list[int]]:
+    """The product table of G as `groups.g_table` once built it, one `surf_compose` call per entry."""
+    elems = enumerate_g(n)
+    index = {g: i for i, g in enumerate(elems)}
+    return [[index[surf_compose(g, h)] for h in elems] for g in elems]
 
 
 def group_product(g, h, _level) -> tuple:

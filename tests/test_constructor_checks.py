@@ -9,7 +9,9 @@ of them raises ValueError, and a float coefficient TypeError.  The
 open-part sums take only the open atoms of the surface's graphs and
 tGraphs, so a map x -> 7x, one of another level, a tGraph of an
 automorphism (not the normal form of `open_tgraph`) and an unknown atom
-are rows too.  The DSL
+are rows too.  A map slot of a surface or open-part atom takes only a
+`SurfEnd`: a plain tuple equal to one, and a value that is no map (whose
+label cannot print), are rows of both.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -62,6 +64,10 @@ SURFACE_ATOMS = [
     ("tGraph b2 = -1", ("T", SurfEnd(N, 0, -1, 1, True))),
     ("tGraph of an automorphism", ("T", SurfEnd(N, 0, 0, 1, False))),
     ("tGraph of level 4", ("T", SurfEnd(4, 0, 0, 1, True))),
+    ("graph of a plain tuple of five", ("G", (N, 1, 0, -1, False))),
+    ("tGraph of a plain tuple of five", ("T", (N, 0, 0, 1, True))),
+    ("graph of no map", ("G", "x")),
+    ("tGraph of no map", ("T", None)),
     ("CP cusp = cusp_count", cusp_prod(4, 0, 0)),
     ("CP cusp = -1", cusp_prod(-1, 0, 0)),
     ("CP(9;0,5)", cusp_prod(9, 0, 5)),
@@ -115,6 +121,9 @@ OPEN_ATOMS = [
     ("graph of an affine map of the old type", ("g", aff_end(N, 7))),
     ("tGraph of an automorphism", ("t", SurfEnd(N, 0, 0, 1, False))),
     ("tGraph of level 4", ("t", SurfEnd(4, 0, 0, 1, True))),
+    ("graph of a plain tuple of five", ("g", (N, 1, 0, -1, False))),
+    ("tGraph of a plain tuple of five", ("t", (N, 0, 0, 1, True))),
+    ("graph of no map", ("g", "x")),
     ("surface graph", IDENT),
     ("unknown kind", ("x",)),
 ]

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from motive_calc.endos import mu0, surf_compose, surf_end, surf_identity
+from motive_calc.endos import SurfEnd, mu0, surf_compose, surf_end, surf_identity
 from motive_calc.groups import LevelMismatchError
 from motive_calc.surface import (
     UnsupportedCompositionError, compose_open_atoms, graph, open_atom_label, open_atom_sort_key, open_graph)
@@ -81,6 +81,30 @@ def test_collapse_ideal():
 def test_level_mismatch():
     with pytest.raises(LevelMismatchError):
         surf_compose(mu0(3), mu0(4))
+
+
+@pytest.mark.parametrize("f, h", list(product((surf_identity(3), mu_minus1(3), mu0(3)), (surf_identity(4), mu0(4)))))
+def test_level_mismatch_of_every_kind_of_map(f, h):
+    # automorphisms and collapses on either side: the level is checked before a collapse absorbs
+    with pytest.raises(LevelMismatchError):
+        surf_compose(f, h)
+    with pytest.raises(LevelMismatchError):
+        surf_compose(h, f)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_composite_is_a_surf_end_built_field_by_field(n):
+    # on all (3N^2)^2 pairs: the law written out with the SurfEnd constructor, as the program once built it
+    for f in enumerate_surf(n):
+        for h in enumerate_surf(n):
+            got = surf_compose(f, h)
+            assert type(got) is SurfEnd
+            if f.collapse:
+                want = f
+            else:
+                s = 1 if h.collapse else f.s * h.s
+                want = SurfEnd(n, (f.b1 + f.s * h.b1) % n, (f.b2 + f.s * h.b2) % n, s, h.collapse)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_tensor_products_of_partial_collapses():

@@ -15,7 +15,9 @@ way against sums of `G2Elem`s: its products and zero test on random
 factors, and its swap rule on every element at N = 3.
 """
 
+import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import surface
+from motive_calc.endos import surf_compose
 from motive_calc.groups import (
     GroupRingElement,
     LevelMismatchError,
@@ -64,6 +67,7 @@ from support import (
     g2_epsilon2,
     g2_identity,
     g2_sum,
+    g_table_by_compose,
     group_product,
     oracle_g,
     sigma_swap,
@@ -233,8 +237,59 @@ def test_compose_matches_the_atom_pair_oracle(data, n):
 
 # -- the group ring on its product table ---------------------------------------------
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_table_is_the_compose_built_table(n):
+    elems, index, table = g_table(n)
+    assert elems == enumerate_g(n)
+    assert index == {g: i for i, g in enumerate(elems)}
+    assert table == g_table_by_compose(n)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_sampled_rows_of_a_large_table_are_the_compose_built_rows(n):
+    elems, index, table = g_table(n)
+    try:
+        assert len(table) == len(elems) == 2 * n * n
+        rng = random.Random(n)
+        # the first and last rows of both halves, and a sample
+        for i in sorted({0, n * n - 1, n * n, 2 * n * n - 1, *rng.sample(range(2 * n * n), 12)}):
+            g = elems[i]
+            assert table[i] == [index[surf_compose(g, h)] for h in elems]
+    finally:
+        g_table.cache_clear()  # the tables of these levels are large, and no other test reads them
+
+
+def _calls(codes, build):
+    """How many times build() calls each function of codes, counted by a profile hook whatever name it is bound to."""
+    counts = Counter()
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_the_table_cost_model_at_n8():
+    # g_table is index arithmetic alone; aut_table makes one rule call per pair of the 2N^2 graphs
+    codes = {surf_compose.__code__: "surf_compose", compose_atom_pair.__code__: "rule"}
+    g_table.cache_clear()
+    surface.aut_table.cache_clear()
+    try:
+        assert _calls(codes, lambda: g_table(8)) == Counter()
+        assert _calls(codes, lambda: surface.aut_table(8, compose_atom_pair))["rule"] == (2 * 8 * 8) ** 2 == 16384
+    finally:
+        g_table.cache_clear()
+        surface.aut_table.cache_clear()
+
+
 def test_the_table_is_the_group_law():
-    # g_table is built from surf_compose; GElem.mul, the law it replaced, is the oracle, and so are its labels
+    # g_table is built by index arithmetic; GElem.mul, the law it replaced, is the oracle, and so are its labels
     for n in range(3, 7):
         elems, index, table = g_table(n)
         assert elems == enumerate_g(n)
