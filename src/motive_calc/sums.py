@@ -141,7 +141,7 @@ class LinComb:
 
     @classmethod
     def check(cls, level, atoms) -> None:
-        """Raise ValueError unless each atom (kind, *indices) has its indices in `ranges(level)[kind]`, if set."""
+        """Raise ValueError unless each atom (kind, *indices) has its indices in `ranges(level)[kind]`, if set; a range takes ints only."""
         if cls.ranges is None or not atoms:
             return
         ranges = cls.ranges(level)
@@ -150,7 +150,7 @@ class LinComb:
             if bounds is None or len(atom) != len(bounds) + 1:
                 raise ValueError(f"unknown atom {atom!r}")
             for i, r in zip(atom[1:], bounds):  # a loop: a generator in all(...) costs twice as much
-                if i not in r:
+                if i not in r or (type(i) is not int and type(r) is range):
                     raise ValueError(f"{cls._printed(atom)} is outside level {level}")
 
     @classmethod

@@ -160,7 +160,7 @@ def atom_ranges(level: int) -> dict:
 class SurfCorr(LinComb):
     """Formal exact-rational combination of surface atoms, those of `atom_ranges`."""
 
-    __slots__ = ("_cusps",)  # `_cusp_support`, set at its first call; the terms do not change after that
+    __slots__ = ("_derived",)  # what `compose` derives from the terms (`_Operand`), set at its first call
     sort_key = staticmethod(atom_sort_key)
     label = staticmethod(atom_label)
     ranges = staticmethod(atom_ranges)
@@ -440,35 +440,6 @@ class CuspRule:
             ids[atom] = i
         return i
 
-    def combined(self, terms: list, after: bool, indices) -> dict:
-        """The sum of v M over the (atom, v) terms, M the atom's map, on the given indices only.
-
-        It is {i: {j: w}} for atoms after a block and {j: {i: w}} for atoms
-        before one, for i in indices.  The numerators of the atoms that
-        share a map are summed first.
-        """
-        ids = self._after if after else self._before
-        summed: dict = {}
-        for atom, v in terms:
-            m = ids.get(atom, ids)
-            if m is ids:
-                m = self.map_id(atom, after)
-            if m is not None:
-                summed[m] = summed.get(m, 0) + v
-        out: dict = {}
-        for m, v in summed.items():
-            if not v:
-                continue
-            images = self.maps[m]
-            for i in indices:
-                for j, w in images[i]:
-                    r, c = (i, j) if after else (j, i)
-                    row = out.get(r)
-                    if row is None:
-                        row = out[r] = {}
-                    row[c] = row.get(c, 0) + v * w
-        return _sparse(out.items())
-
 
 @lru_cache(maxsize=None)
 def cusp_rule(level: int, rule) -> CuspRule:
@@ -476,64 +447,114 @@ def cusp_rule(level: int, rule) -> CuspRule:
     return CuspRule(level, rule)
 
 
-def _mul(a: dict, b: dict, out: dict) -> dict:
-    """Add the product a.b of two sparse matrices {i: {j: v}} into out, and return out."""
+def _mul(a: dict, row, out: dict) -> dict:
+    """Add the product a.b of two sparse matrices {i: {j: v}} into out, and return out; row(k) reads b's row k."""
     for i, arow in a.items():
         orow = out.get(i)
         if orow is None:
             orow = out[i] = {}
         get = orow.get
         for k, v in arow.items():
-            brow = b.get(k)
+            brow = row(k)
             if v and brow:
                 for j, w in brow.items():
                     orow[j] = get(j, 0) + v * w
     return out
 
 
-def _block_products(x_plain: list, x_blocks: dict, y_plain: list, y_blocks: dict, table: CuspRule) -> list:
-    """The (atom, numerator) terms of every product that meets a block.
-
-    Per cusp that is Y.C + Y.A.X + R.X, with C the summed maps of the
-    after operand's other atoms and R those of the before operand's, each
-    on the columns of the Y blocks or the rows of the X blocks only.
-    """
-    after = before = None
-    if y_blocks and x_plain:
-        columns = set().union(*(row for y in y_blocks.values() for row in y.values()))
-        after = table.combined(x_plain, True, columns)
-    if x_blocks and y_plain:
-        before = table.combined(y_plain, False, set().union(*x_blocks.values()))
-    out = []
-    for c in dict.fromkeys(chain(y_blocks, x_blocks)):
-        y = y_blocks.get(c)
-        x = x_blocks.get(c)
-        block: dict = {}
-        if y and after:
-            _mul(y, after, block)
-        if y and x:
-            _mul(_mul(y, table.pairing, {}), x, block)
-        if x and before:
-            _mul(before, x, block)
-        out += [(("C", c, m, k), v) for m, row in block.items() for k, v in row.items() if v]
+def _mul_columns(columns, b: dict, out: dict) -> dict:
+    """Add the product a.b into out, and return out, for a read by its columns: columns[i] = {j: a[j][i]}."""
+    for i, brow in b.items():
+        for j, w in columns[i].items():
+            orow = out.get(j)
+            if orow is None:
+                orow = out[j] = {}
+            get = orow.get
+            for k, v in brow.items():
+                orow[k] = get(k, 0) + w * v
     return out
 
 
-def _cusp_support(x: SurfCorr) -> frozenset | None:
-    """The cusps of x when it holds only component products, else None; kept on x once found.
+class _Rows(dict):
+    """{i: {j: w}}: the sum of v M over the (M, v) in `terms`, M a map of `CuspRule.maps`; row i is made at its first read."""
 
-    Such a sum composes with one on other cusps to zero without reaching `_split`.
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list) -> None:
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, i: int) -> dict:
+        row: dict = {}
+        for images, v in self.terms:
+            for j, w in images[i]:
+                row[j] = row.get(j, 0) + v * w
+        row = self[i] = {j: w for j, w in row.items() if w}
+        return row
+
+
+class _Operand:
+    """What `compose` derives from an operand's terms, kept on it as `_derived`: the terms of a sum never change.
+
+    `cusps` are its cusps when it holds only component products, else None;
+    `parts` is `_split`'s, made at the first product that needs it; `rows`
+    holds per (`CuspRule`, after) the `_Rows` of its graph, tGraph and V
+    atoms, None for zero, keyed by the table itself so that a patched rule
+    reads its own maps.
     """
-    try:
-        return x._cusps
-    except AttributeError:
-        pass
-    terms = x.nums
-    cusps = None
-    if all(atom[0] == "C" for atom in terms):
-        cusps = frozenset(atom[1] for atom in terms)
-    x._cusps = cusps
-    return cusps
+
+    __slots__ = ("cusps", "parts", "rows")
+
+    def __init__(self, nums: dict) -> None:
+        self.cusps = frozenset(atom[1] for atom in nums) if all(atom[0] == "C" for atom in nums) else None
+        self.parts = None
+        self.rows: dict = {}
+
+    @staticmethod
+    def of(x: SurfCorr) -> "_Operand":
+        op = getattr(x, "_derived", None)  # an unset slot: no exception raised and caught per fresh operand
+        if op is None:
+            op = x._derived = _Operand(x.nums)
+        return op
+
+    def maps(self, table: CuspRule, after: bool) -> _Rows | None:
+        """The sum of v M over the graph, tGraph and V terms (atom, v), M the atom's map on one side of a block."""
+        key = (table, after)
+        rows = self.rows.get(key, key)
+        if rows is key:
+            summed: dict = {}
+            for atom, v in chain(self.parts[0], self.parts[1]):
+                m = table.map_id(atom, after)
+                if m is not None:
+                    summed[m] = summed.get(m, 0) + v
+            terms = [(table.maps[m], v) for m, v in summed.items() if v]
+            rows = self.rows[key] = _Rows(terms) if terms else None
+        return rows
+
+
+def _block_products(x: _Operand, y: _Operand, table: CuspRule) -> list:
+    """The (atom, numerator) terms of every product of the after operand x and the before operand y that meets a block.
+
+    Per cusp that is Y.C + Y.A.X + R.X, with C the summed maps of x's
+    other atoms and R those of y's, each row read from the operand's
+    `_Rows`, made at its first read.
+    """
+    x_blocks, y_blocks = x.parts[2], y.parts[2]
+    after = x.maps(table, True) if y_blocks else None
+    before = y.maps(table, False) if x_blocks else None
+    out = []
+    for c in dict.fromkeys(chain(y_blocks, x_blocks)):
+        yb = y_blocks.get(c)
+        xb = x_blocks.get(c)
+        block: dict = {}
+        if yb and after is not None:
+            _mul(yb, after.__getitem__, block)
+        if yb and xb:
+            _mul(_mul(yb, table.pairing.get, {}), xb.get, block)
+        if xb and before is not None:
+            _mul_columns(before, xb, block)
+        out += [(("C", c, m, k), v) for m, row in block.items() for k, v in row.items() if v]
+    return out
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
@@ -545,23 +566,25 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     R9 is the block product Y.A.X, and a graph, tGraph or V atom acts on
     a block through its index map, the atoms of one map summed first.
     Two automorphism graphs meet through the tabulated rule, on integer
-    ids, and the other graph, tGraph and V pairs run atom by atom.
+    ids, and the other graph, tGraph and V pairs run atom by atom.  What
+    this reads of an operand is derived once and kept on it (`_Operand`).
     """
     after.check_level(before)
     level = after.level
-    x_cusps = _cusp_support(after)
-    y_cusps = _cusp_support(before)
-    if x_cusps is not None and y_cusps is not None and x_cusps.isdisjoint(y_cusps):
+    x, y = _Operand.of(after), _Operand.of(before)
+    if x.cusps is not None and y.cusps is not None and x.cusps.isdisjoint(y.cusps):
         return SurfCorr.over(level, 1, {})
     rule = compose_atom_pair  # looked up at each call, so a patched rule is used
     auts = aut_index(level)
-    x_aut, x_other, x_blocks = _split(after.nums.items(), auts)
-    y_aut, y_other, y_blocks = _split(before.nums.items(), auts)
+    for op, z in ((x, after), (y, before)):
+        if op.parts is None:
+            op.parts = _split(z.nums.items(), auts)
+    (x_aut, x_other, x_blocks), (y_aut, y_other, y_blocks) = x.parts, y.parts
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
     if x_aut and y_aut:
         pairs.append(_aut_product(x_aut, y_aut, auts, aut_table(level, rule)))
     if x_blocks or y_blocks:
-        pairs.append(_block_products(x_aut + x_other, x_blocks, y_aut + y_other, y_blocks, cusp_rule(level, rule)))
+        pairs.append(_block_products(x, y, cusp_rule(level, rule)))
     return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs)))
 
 

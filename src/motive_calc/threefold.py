@@ -16,18 +16,18 @@ difference of the two sides by exact elimination on the factors (see its
 docstring), and only a failed certificate entry expands its residual to
 atoms.  The restriction rows keep expand-then-restrict, because their
 law is about the factoring, but take it one chunk of the left factor at
-a time on integer numerators and sum the chunk residuals, so a passing
-row never holds a pair projector expanded whole (`restriction_residual`,
-`parity_residual`).  Each row reads `restrict_atom` once per distinct
-surface atom and the inversion `compose_open_atoms(inv, .)` once per
-distinct open atom, into maps made from the functions bound when the row
-runs and dropped when it ends; every t-atom is still built by `t_atom`
-and restricted by `_restrict_t_atom`, from those maps.  Divisor actions
+a time on integer numerators (`restriction_residual`).  The parity rows
+test the factored open form, open(a) (x) open(b) less the dropped
+V (x) V, with `tensor_vanishes` (`parity_residual`).  Each row reads
+`restrict_atom` once per distinct surface atom and the inversion
+`compose_open_atoms(inv, .)` once per distinct open atom, into maps made
+from the functions bound when the row runs and dropped when it ends;
+no row holds a pair projector expanded whole.  Divisor actions
 are also computed on the factored form: a pure tensor acts as the tensor
 product of its two factors' slot actions.  Within one certificate the projectors share their factors, and
 each distinct surface product and each slot image is computed once.
 This is what keeps the full certificate cheap at higher levels.  The
-expansion, the zero test, the chunked rows and the divisor actions read
+expansion, the zero test, the open-part rows and the divisor actions read
 the denominators and integer numerators of the sum and of its factors
 directly.
 
@@ -501,48 +501,39 @@ def restrict_to_open_t(x: TCorr) -> OpenTCorr:
     return linear_map(x, lambda atom: _restrict_t_atom(atom, opened), OpenTCorr)
 
 
-def _chunked(pairs: list[tuple[SurfCorr, SurfCorr]], opened: dict) -> tuple[int, int, dict]:
-    """(level, d, {L: [(xs, ys)]}): the pure tensors a (x) b of pairs, cut by the open atom L of a's terms.
-
-    xs are the terms of a that opened, the row's map of `restrict_atom`,
-    sends to L (None is a chunk of its own) and ys all the terms of b, as
-    integer numerators whose products are over d, the lcm of the products
-    a.d * b.d.  The pairs must be of one level; no pairs raise ValueError.
-    """
+def _row_level(pairs: list[tuple[SurfCorr, SurfCorr]]) -> int:
+    """The level of an open-part row's pairs of factors; no pairs, or factors of two levels, raise ValueError."""
     if not pairs:
         raise ValueError("an open-part row needs at least one pair of factors")
     level = pairs[0][0].level
     for a, b in pairs:
         if a.level != level or b.level != level:
             raise LevelMismatchError("factors of different levels in one open-part row")
-    d = lcm(*(a.d * b.d for a, b in pairs))
+    return level
+
+
+def _chunked(a: SurfCorr, opened: dict) -> dict:
+    """{L: xs}: the terms xs of a that opened, the row's map of `restrict_atom`, sends to L; None is a chunk of its own."""
     chunks: dict = {}
-    for a, b in pairs:
-        k = d // (a.d * b.d)
-        ys = b.nums.items()
-        cut: dict = {}
-        for atom, v in a.nums.items():
-            cut.setdefault(opened[atom], []).append((atom, k * v))
-        for key, part in cut.items():
-            chunks.setdefault(key, []).append((part, ys))
-    return level, d, chunks
+    for atom, v in a.nums.items():
+        chunks.setdefault(opened[atom], []).append((atom, v))
+    return chunks
 
 
-def _restricted(chunk: list, opened: dict, out: dict) -> dict:
-    """out plus the sum of the xs (x) ys of a chunk, each product built by `t_atom` and restricted by `_restrict_t_atom`.
+def _restricted(xs: list, ys, opened: dict, out: dict) -> dict:
+    """out plus the sum of the products of the terms xs and ys, each built by `t_atom` and restricted by `_restrict_t_atom`.
 
     The open atoms of the factors are read from opened, the row's map of
     `restrict_atom`, so each distinct surface atom is restricted once per row.
     """
 
     def products():
-        for xs, ys in chunk:
-            for a, ca in xs:
-                for b, cb in ys:
-                    atom = t_atom(a, b)
-                    o = None if atom is None else _restrict_t_atom(atom, opened)
-                    if o is not None:
-                        yield o, ca * cb
+        for a, ca in xs:
+            for b, cb in ys:
+                atom = t_atom(a, b)
+                o = None if atom is None else _restrict_t_atom(atom, opened)
+                if o is not None:
+                    yield o, ca * cb
 
     return collect(products(), out)
 
@@ -560,14 +551,17 @@ def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
     `restrict_atom` once per distinct surface atom, into a map that ends
     with the row.
     """
+    level = _row_level([(a, b)])
     opened = _AtomMap(restrict_atom)
-    level, d, chunks = _chunked([(a, b)], opened)
+    chunks = _chunked(a, opened)
+    d = a.d * b.d
     open_a, open_b = restrict_to_open(a), restrict_to_open(b)
     k = -(d // (open_a.d * open_b.d))  # -open(a) (x) open(b) over d
+    ys = b.nums.items()
     out: dict = {}
     for key in chunks.keys() | open_a.nums.keys():
         if key in chunks:
-            _restricted(chunks[key], opened, out)
+            _restricted(chunks[key], ys, opened, out)
         if key in open_a.nums:
             u = k * open_a.nums[key]
             collect((((key, rb, False), u * v) for rb, v in open_b.nums.items()), out)
@@ -575,33 +569,33 @@ def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
 
 
 def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTCorr:
-    """inversion . g - sign g, for g the sum of open(a (x) b) over the pairs (a, b).
+    """inversion . g - sign g, for g the sum of open(a (x) b) over the pairs (a, b), decided on the factors.
 
-    inversion = Graph(-1) (x) Graph(-1) is one pure tensor, so it acts
-    factor by factor through `compose_open_atoms`.  g is summed one chunk
-    at a time (see `_chunked`), on integer numerators over one common
-    denominator.  The inversion is an involution and sends chunk L to the
-    chunk of its image L', so L and L' are taken together: when the law
-    holds, the residual is empty after each such pair, and at most two
-    restricted chunks are alive.  The row reads `restrict_atom` once per
-    distinct surface atom and the inversion once per distinct open atom,
-    into maps that end with the row.
+    `t_atom` drops V (x) V before restriction, so open(a (x) b) is
+    open(a) (x) open(b) less v_a v_b open(V) (x) open(V), v_a and v_b the
+    V coefficients of a and b.  inversion = Graph(-1) (x) Graph(-1) is one
+    pure tensor, so it acts factor by factor, and the residual is a sum of
+    pure tensors of open sums: `tensor_vanishes` decides it, and only a
+    nonzero one is expanded.  The row reads `restrict_atom` once per
+    distinct surface atom and the inversion `compose_open_atoms(inv, .)`
+    once per distinct open atom, into maps that end with the row.
     """
+    level = _row_level(pairs)
     opened = _AtomMap(restrict_atom)
-    level, d, chunks = _chunked(pairs, opened)
     inverted = _AtomMap(partial(compose_open_atoms, open_graph(mu_inv(level))))
-    out: dict = {}
-    while chunks:
-        key = next(iter(chunks))
-        orbit = [chunks.pop(key)]
-        image = None if key is None else inverted[key]
-        if image in chunks:
-            orbit.append(chunks.pop(image))
-        for parts in orbit:
-            chunk = _restricted(parts, opened, {})
-            collect((((inverted[lo], inverted[ro], e), v) for (lo, ro, e), v in chunk.items()), out)
-            collect(((atom, -sign * v) for atom, v in chunk.items()), out)
-    return OpenTCorr.over(level, d, out)
+    restrict, invert = partial(linear_map, f=opened.__getitem__, cls=OpenCorr), partial(linear_map, f=inverted.__getitem__)
+    groups = []  # (x, [y]) for the pure tensor x (x) y
+    for a, b in pairs:
+        oa, ob = restrict(a), restrict(b)
+        groups += [(invert(oa), [invert(ob)]), (oa, [ob.scale(-sign)])]
+    vv = sum(Fraction(a.nums.get(VERT, 0), a.d) * Fraction(b.nums.get(VERT, 0), b.d) for a, b in pairs)
+    if vv and opened[VERT] is not None:
+        v = OpenCorr.over(level, 1, {opened[VERT]: 1})
+        groups += [(invert(v), [invert(v).scale(-vv)]), (v, [v.scale(sign * vv)])]
+    if tensor_vanishes(groups):
+        return OpenTCorr.over(level, 1, {})
+    tensor = _tensor_rule(False)
+    return reduce(add, (product(x, reduce(add, ys), tensor, OpenTCorr) for x, ys in groups))
 
 
 # -- two-object composition system ------------------------------------------

@@ -13,12 +13,14 @@ atom-pair products are the oracles of the program's keyed products:
 factor by factor.
 
 The program decides the restriction rows of the threefold certificate one
-chunk of a left factor at a time (`threefold.restriction_residual`,
-`threefold.parity_residual`).  Their oracles expand the pair projector
-whole, restrict it with `threefold.restrict_to_open_t`, and compare it with
-`tensor_open` of the surface restrictions, or invert it with
-`invert_open_t`; both read the atom maps through `threefold`, so a fault
-patched there reaches them as it reaches the program.
+chunk of a left factor at a time (`threefold.restriction_residual`), and
+the parity rows on the factored open form (`threefold.parity_residual`).
+Their oracles expand the pair projector whole, restrict it with
+`threefold.restrict_to_open_t`, and compare it with `tensor_open` of the
+surface restrictions, or invert it with `invert_open_t`; both read the
+atom maps through `threefold`, so a fault patched there reaches them as it
+reaches the program.  A parity row builds no restricted t-atom, so a
+patched `_restrict_t_atom` reaches only its oracle.
 
 The program has one type of fiberwise map, `endos.SurfEnd`, with one law,
 `surf_compose`.  `groups.g_table` builds the product table of G by

@@ -11,7 +11,9 @@ tGraphs, so a map x -> 7x, one of another level, a tGraph of an
 automorphism (not the normal form of `open_tgraph`) and an unknown atom
 are rows too.  A map slot of a surface or open-part atom takes only a
 `SurfEnd`: a plain tuple equal to one, and a value that is no map (whose
-label cannot print), are rows of both.  The DSL
+label cannot print), are rows of both.  An index slot takes an int only:
+a float or a bool equal to an index in range is a row of each class with
+index slots.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -76,6 +78,9 @@ SURFACE_ATOMS = [
     ("CP n = N", cusp_prod(0, 0, 3)),
     ("CP n = -1", cusp_prod(0, 0, -1)),
     ("CP of three indices", ("C", 0, 0)),
+    ("CP(0.0;1,True)", ("C", 0.0, 1, True)),
+    ("CP m = 1.0", cusp_prod(0, 1.0, 1)),
+    ("CP n = False", cusp_prod(0, 1, False)),
     ("V with an index", ("V", 0)),
     ("unknown kind", ("X", 0)),
 ]
@@ -89,6 +94,8 @@ DIVISOR_CLASSES = [
     ("theta cusp = -1", theta_key(-1, 0)),
     ("theta m = N", theta_key(0, 3)),
     ("theta m = -1", theta_key(0, -1)),
+    ("section b1 = 0.0", sec_key(0.0, 1)),
+    ("theta cusp = True", theta_key(True, 0)),
     ("threefold fiber", FIBER3),
     ("unknown kind", ("X",)),
 ]
@@ -98,7 +105,8 @@ THREEFOLD_CLASSES = [
     for name, key in (("Theta", theta_int), ("half Theta", theta_half))
     for label, index in (
         ("cusp = cusp_count", (4, 0, 0)), ("cusp = -1", (-1, 0, 0)),
-        ("m = N", (0, 3, 0)), ("m = -1", (0, -1, 0)), ("k = N", (0, 0, 3)), ("k = -1", (0, 0, -1)))
+        ("m = N", (0, 3, 0)), ("m = -1", (0, -1, 0)), ("k = N", (0, 0, 3)), ("k = -1", (0, 0, -1)),
+        ("cusp = 0.0", (0.0, 0, 0)), ("k = True", (0, 0, True)))
 ] + [("surface fiber", GENERIC_FIBER), ("unknown kind", ("X", 0, 0, 0))]
 
 TENSOR_ATOMS = [

@@ -138,16 +138,46 @@ def test_disjoint_cusp_operands_compose_to_zero_before_any_arithmetic(monkeypatc
     y = build_pi_cusp(n, 2) + SurfCorr.of(n, cusp_prod(3, 0, 1), Fraction(1, 2))
     assert compose(x, y).is_zero() and compose(y, x).is_zero()
     assert calls == []
-    # a shared cusp, or any atom that is not a component product, takes the full path
-    for a, b in [
+    # a shared cusp, or any atom that is not a component product, takes the full path; it splits an
+    # operand the first time it takes it, and keeps the split: x is new in the first pair, y in the third
+    pairs = [
         (x, y + SurfCorr.of(n, cusp_prod(1, 1, 1))),
         (x, y + SurfCorr.of(n, VERT)),
         (x + delta(n), y),
         (x.scale(2) + build_pi_bars(n)["pi1"], y),
-    ]:
+    ]
+    for (a, b), new in zip(pairs, [2, 1, 2, 1]):
         calls.clear()
         assert compose(a, b) == compose_by_atom_pairs(a, b)
-        assert len(calls) == 2
+        assert len(calls) == new
+    calls.clear()
+    for a, b in pairs:
+        assert compose(a, b) == compose_by_atom_pairs(a, b)
+    assert calls == []
+
+
+def test_the_surface_certificate_splits_each_distinct_operand_once(monkeypatch):
+    # 794 products of 36 distinct operands, every one of which meets a product past the disjoint-cusp
+    # zero; the pi bars are cached per level, so they are made again here with nothing kept on them
+    splits, products = [], []
+    split, plain_compose = surface._split, surface.compose
+
+    def counted(a, b):
+        products.append((a, b))  # held, so that no id is reused
+        return plain_compose(a, b)
+
+    surface._pi_bars.cache_clear()
+    monkeypatch.setattr(surface, "_split", lambda *args: splits.append(args) or split(*args))
+    monkeypatch.setattr(surface, "compose", counted)
+    try:
+        entries = surface_certificate(8)
+    finally:
+        monkeypatch.undo()
+        surface._pi_bars.cache_clear()
+    assert all(e["status"] == "pass" for e in entries)
+    assert len(products) == 794
+    assert len({id(x) for pair in products for x in pair}) == 36
+    assert len(splits) == 36
 
 
 def test_the_surface_certificate_sends_no_component_product_through_the_rule(monkeypatch):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from motive_calc import groups, surface, threefold
 from motive_calc.endos import SurfEnd, mu0, surf_end
 from motive_calc.exact import DegreeError, fmt_rational
-from motive_calc.groups import GroupRingElement, group_certificate
+from motive_calc.groups import GroupRingElement, group_certificate, mu_inv
 from motive_calc.levels import cusp_count
-from motive_calc.sums import Certificate, product
+from motive_calc.sums import Certificate, linear_map, product
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, act_on_divisor, build_pi_bars, build_pi_cusp,
     cusp_prod, open_graph, surface_certificate)
@@ -154,6 +154,37 @@ def test_a_failed_entry_shows_its_residual_capped(monkeypatch):
     assert failed["got"] == f"got - want has {len(residual.terms)} atoms: {shown} + ..."
     # passing entries carry no detail, so their bytes are those of an unmutated run
     assert all("got" not in e for e in entries.values() if e["status"] == "pass")
+
+
+def _sign_dropped_table(slot):
+    """A `g_table` whose product (b, s)(c, t) forgets s on one coordinate of b + s c: b1 (slot 1) or b2 (slot 2)."""
+
+    def table(n):
+        elems, index, _ = _g_table(n)
+
+        def mul(g, h):
+            s1, s2 = (1, g.s) if slot == 1 else (g.s, 1)
+            return SurfEnd(n, (g.b1 + s1 * h.b1) % n, (g.b2 + s2 * h.b2) % n, g.s * h.s, False)
+
+        return elems, index, [[index[mul(g, h)] for h in elems] for g in elems]
+
+    return table
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a_conjugated_inversion_sees_a_table_that_drops_a_sign(n, monkeypatch):
+    # tau(1,1) mu_inv tau(1,1)^-1 = tau(2,2) mu_inv; a table that forgets s on b1 or on b2 gives
+    # tau(0,2) mu_inv or tau(2,0) mu_inv, though no certificate entry sees either fault
+    def holds():
+        t, t_inv, m = (GroupRingElement.of(g) for g in (groups.tau(n, 1, 1), groups.tau(n, -1 % n, -1 % n), mu_inv(n)))
+        return t * m * t_inv == GroupRingElement.of(groups.tau(n, 2, 2)) * m
+
+    assert holds()
+    for slot in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "g_table", _sign_dropped_table(slot))
+            assert not holds(), slot
+    assert holds()
 
 
 # -- the group certificate: each entry fails under at least one fault, at N = 4
@@ -433,6 +464,19 @@ def test_every_transpose_and_witness_entry_fails_under_some_fault():
     assert set(rows) <= {name for flipped in TRANSPOSE_WITNESS_FAILURES.values() for name in flipped}
 
 
+def test_each_surface_fault_flips_its_entries_after_a_clean_certificate(monkeypatch):
+    # one process: what compose keeps on the cached pi bars is its split and, per rule table, its maps,
+    # so a patched rule, transpose or cusp projector still reaches every entry it reaches alone
+    assert _failed(surface_certificate(4)) == []
+    faults = [("compose_atom_pair", patched, SURFACE_RULE_FAILURES[name]) for name, patched in SURFACE_RULE_FAULTS.items()]
+    faults += [(*TRANSPOSE_WITNESS_FAULTS[name], TRANSPOSE_WITNESS_FAILURES[name]) for name in TRANSPOSE_WITNESS_FAULTS]
+    for name, patched, failures in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(surface, name, patched)
+            assert _failed(surface_certificate(4)) == failures, (name, failures)
+    assert _failed(surface_certificate(4)) == []
+
+
 # -- pi1: one coefficient of `epsilon_graph_sum`, with the per-level cache of the three bars cleared around it
 
 _epsilon_graph_sum = surface.epsilon_graph_sum
@@ -654,17 +698,26 @@ def _settled(residual):
     return cert.entries
 
 
+def _slots_swapped(x):
+    """x with the two tensor slots of each open atom exchanged."""
+    return linear_map(x, lambda atom: (atom[1], atom[0], atom[2]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(3, 5))
 def test_chunked_restriction_rows_match_the_whole_expansion_under_every_fault(data, n):
     pairs = data.draw(st.lists(st.tuples(open_part_factors(n), open_part_factors(n)), min_size=1, max_size=3))
     sign = data.draw(st.sampled_from([1, -1]))
-    for fault in [None, *restriction_faults(n).values()]:
+    for name, fault in [(None, None), *restriction_faults(n).items()]:
         with pytest.MonkeyPatch.context() as patch:
             if fault is not None:
                 patch.setattr(threefold, *fault)
             rows = [(threefold.restriction_residual(a, b), restriction_residual_by_expansion(a, b)) for a, b in pairs]
-            rows.append((threefold.parity_residual(pairs, sign), parity_residual_by_expansion(pairs, sign)))
+            parity = parity_residual_by_expansion(pairs, sign)
+            if name == "tensor slots swapped":
+                # the factored parity row builds no restricted t-atom, so this fault reaches only the oracle
+                parity = _slots_swapped(parity)
+            rows.append((threefold.parity_residual(pairs, sign), parity))
             for got, want in rows:
                 assert got == want
                 assert _settled(got) == _settled(want)
