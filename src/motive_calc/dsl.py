@@ -15,11 +15,16 @@ rejects, with its position, a name that only the other mode knows: a
 threefold name in surface mode, a surface name outside T(...) in
 threefold mode.  It also rejects an unknown name and a wrong number of
 integer arguments, so a bad query stops before any product is computed.
-Argument values are checked when evaluated, where their atom is built:
-the sign s of G(b1,b2,s) by `surf_end`, and a cusp index by the check of
-the sum's constructor.  The indices b1, b2 of G and m, n of CP(c,m,n)
-wrap mod N; the cusp c does not.  Products, sums and transposes of the
-named values are built from checked operands and not checked again.
+A call whose arguments are all integers, such as G(1,2,-1), is one token.
+Argument values are checked when evaluated, the first time their atom is
+built: the sign s of G(b1,b2,s) by `surf_end`, and a cusp index by the
+check of the sum's constructor.  The indices b1, b2 of G and m, n of
+CP(c,m,n) wrap mod N; the cusp c does not.  The value of a named atom
+that is a sum is built once per process, per mode, level and arguments
+with the wrapped indices reduced, and a build that raises is not kept.
+alt11 and sym11 are products, so they are built again at each query and
+a patched rule reaches them.  Products, sums and transposes of the named
+values are built from checked operands and not checked again.
 
 A threefold value stays factored, a `TensorExpr`, through the whole
 expression, and is expanded to its canonical `TCorr` once, at the end.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .endos import mu0 as mu0_end, surf_end
@@ -110,23 +116,35 @@ Node = Union[NamedAtom, Scale, Compose, Transpose, Sum]
 
 # -- tokenizer ---------------------------------------------------------------
 
-# one token per match, after its ASCII whitespace: a punctuation mark, a name, an integer,
-# or any other character, which is an error; trailing whitespace matches nothing
-_TOKEN = re.compile(r"\s*(?:([-+*/.(),])|([A-Za-z_]\w*)|(\d+)|(\S))", re.ASCII)
+# one token per match, after its ASCII whitespace: a name, with the parenthesized arguments after it
+# when they are all integers, each with an optional '-' against its digits and the name is not t; a
+# punctuation mark; an integer; or any other character, which is an error.  Trailing whitespace
+# matches nothing.
+_TOKEN = re.compile(
+    r"\s*(?:([A-Za-z_]\w*)(?:(?<!\bt)\s*\(((?:\s*-?\d+\s*,)*\s*-?\d+\s*)\))?|([-+*/.(),])|(\d+)|(\S))",
+    re.ASCII,
+)
 
 
-def _tokenize(source: str) -> list[tuple[str, object, int]]:
-    """(kind, value, position) tokens of source, ASCII only; kind is "int", "name", the punctuation mark, or "end"."""
+def _tokenize(source: str) -> list[tuple]:
+    """(kind, value, position) tokens of source, ASCII only; kind is "int", "name", the punctuation mark, or "end".
+
+    A call on integer arguments is one token ("call", name, position,
+    args), which parses as the name, its parenthesized arguments and the
+    integer tokens of those arguments would.
+    """
     tokens = []
     for match in _TOKEN.finditer(source):
         group = match.lastindex
         text = match[group]
         pos = match.start(group)
-        if group == 1:
+        if group == 3:
             tokens.append((text, text, pos))
-        elif group == 2:
+        elif group == 1:
             tokens.append(("name", text, pos))
-        elif group == 3:
+        elif group == 2:
+            tokens.append(("call", match[1], match.start(1), tuple(map(int, text.split(",")))))
+        elif group == 4:
             tokens.append(("int", int(text), pos))
         else:
             raise ParseError(f"unexpected character {text!r}", pos)
@@ -182,14 +200,15 @@ class _Parser:
         if self.peek()[0] == "int":
             # rational scalar '*' prefix
             num_tok = self.next()
-            coeff = Fraction(num_tok[1])
+            den = 1
             if self.accept("/"):
                 den_tok = self.expect("int")
-                if not den_tok[1]:
+                den = den_tok[1]
+                if not den:
                     raise ParseError("zero denominator", den_tok[2])
-                coeff /= den_tok[1]
             if not self.accept("*"):
                 raise ParseError("a scalar must be followed by '*'", num_tok[2])
+            coeff = Fraction(num_tok[1], den)
         node = self.factor()
         while self.accept("."):
             node = Compose(node, self.factor())
@@ -203,10 +222,11 @@ class _Parser:
             self.expect(")")
             return node
         tok = self.peek()
-        if tok[0] == "name":
-            self.next()
+        kind = tok[0]
+        if kind == "name" or kind == "call":
+            self.pos += 1
             name = tok[1]
-            if name == "t":
+            if name == "t":  # never a call: t(1) is no transpose, and fails as the expression 1
                 self.expect("(")
                 inner = self.expr()
                 self.expect(")")
@@ -216,25 +236,30 @@ class _Parser:
             entry = _ATOMS[self.mode].get(name)  # None for T(a,b), which is checked when evaluated
             if entry is None and name != "T":
                 raise UnknownAtomError(f"unknown {self.mode} atom {name!r}", tok[2])
-            args = []
-            if self.accept("("):
+            args = ()
+            if kind == "call" or self.accept("("):
                 if entry is not None and not entry[0]:
                     # before its arguments, which need not parse: mu0(x)
                     raise _arity_error(name, 0, tok[2])
-                outer, self.mode = self.mode, "surface" if name == "T" else self.mode
-                args.append(self.arg())
-                while self.accept(","):
-                    args.append(self.arg())
-                self.expect(")")
-                self.mode = outer
-            atom = NamedAtom(name, tuple(args))
+                args = tok[3] if kind == "call" else self.args("surface" if name == "T" else self.mode)
+            atom = NamedAtom(name, args)
             if entry is not None:
                 _constructor(atom, self.mode, tok[2])
             return atom
         raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
 
+    def args(self, mode: str) -> tuple:
+        """The arguments after a name's '(', through its ')', parsed in mode."""
+        outer, self.mode = self.mode, mode
+        args = [self.arg()]
+        while self.accept(","):
+            args.append(self.arg())
+        self.expect(")")
+        self.mode = outer
+        return tuple(args)
+
     def arg(self):
-        # integer arguments are the common case; anything else is a sub-expression
+        # an integer beside arguments that are not, as in G(1,2,x), is an integer; anything else is a sub-expression
         tok = self.peek()
         if tok[0] == "int" and self.tokens[self.pos + 1][0] in (",", ")"):
             self.next()
@@ -298,7 +323,8 @@ def _arity_error(name: str, count: int, position: int | None) -> EvalError:
 def _constructor(atom: NamedAtom, mode: str, position: int | None = None):
     """The constructor of a named atom other than T, once its name and integer arguments are checked.
 
-    The parser calls it with the position of the name; `eval_expr` again, for trees built by hand.
+    The parser calls it with the position of the name; `_eval_atom` again, for trees built by hand,
+    unless the atom's value is already stored.  A bool is no integer argument.
     """
     entry = _ATOMS[mode].get(atom.name)
     if entry is None:
@@ -307,9 +333,22 @@ def _constructor(atom: NamedAtom, mode: str, position: int | None = None):
     if len(atom.args) != count:
         raise _arity_error(atom.name, count, position)
     for a in atom.args:  # a loop: a generator in all(...) costs more, twice per atom of a query
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise _arity_error(atom.name, count, position)
     return build
+
+
+# the named values that are products: built again at each query, so that a patched rule reaches them
+_PRODUCTS = frozenset({"alt11", "sym11"})
+
+
+@lru_cache(maxsize=None)
+def _named_sum(mode: str, name: str, n: int, args: tuple):
+    """The value of a named atom that is a sum, built once per process; its indices that wrap mod N are reduced.
+
+    A build that raises is not stored, so a stored key names a checked atom.
+    """
+    return _constructor(NamedAtom(name, args), mode)(n, *args)
 
 
 def _eval_atom(atom: NamedAtom, n: int, mode: str):
@@ -318,7 +357,18 @@ def _eval_atom(atom: NamedAtom, n: int, mode: str):
         if len(args) != 2 or any(isinstance(a, int) for a in args):
             raise EvalError("T(a,b) expects two surface expressions")
         return TensorExpr.pure(*(eval_expr(a, n, mode="surface") for a in args))
-    return _constructor(atom, mode)(n, *args)
+    stored = name not in _PRODUCTS
+    for a in args:
+        if type(a) is not int:  # True or 1.0 would find the value stored at 1; `_constructor` refuses it
+            stored = False
+    if not stored:
+        return _constructor(atom, mode)(n, *args)
+    if len(args) == 3:  # b1, b2 of G(b1,b2,s) and m, n of CP(c,m,n) wrap mod N
+        if name == "G":
+            args = (args[0] % n, args[1] % n, args[2])
+        elif name == "CP":
+            args = (args[0], args[1] % n, args[2] % n)
+    return _named_sum(mode, name, n, args)
 
 
 def eval_expr(node: Node, n: int, mode: str = "surface"):

@@ -66,7 +66,7 @@ _new = tuple.__new__
 
 
 def surf_end(n: int, b1: int, b2: int, s: int = 1, collapse: bool = False) -> SurfEnd:
-    if s not in (1, -1):
+    if type(s) is not int or s not in (1, -1):  # a bool equals 1 but is no inversion part
         raise ValueError("inversion part must be +-1")
     if collapse:
         s = 1  # the collapse map is determined by its section alone

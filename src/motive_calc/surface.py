@@ -311,50 +311,63 @@ def aut_index(level: int) -> dict[Atom, int]:
 
 
 @lru_cache(maxsize=None)
-def aut_table(level: int, rule) -> tuple[list[Atom], list[list[tuple]]]:
-    """`rule` on every pair of automorphism graphs, tabulated on ids: (atoms, rows).
+def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]], list[tuple]]:
+    """`rule` on every pair of automorphism graphs, tabulated on ids: (atoms, rows, general).
 
-    rows[i][j] is what rule(atoms[i], atoms[j], level) returned, written as
-    (atom id, multiplier) pairs; ids 0..2N^2-1 are those of `aut_index`,
-    and an atom the rule produces outside them gets an id after them.
-    Equal entries are one shared tuple.  The table is built from the rule
-    it is given, not from the product rows of `g_table`, so a patched rule
-    gets its own table.
+    rows[i][j] stands for what rule(atoms[i], atoms[j], level) returned.
+    Ids 0..2N^2-1 are those of `aut_index`, and an atom the rule produces
+    outside them gets an id after them.  An output of one atom with
+    multiplier 1, as R1 gives on every pair, is entered as that atom's id.
+    Any other output (zero, a multiplier other than 1, or several atoms)
+    is entered as ~g: general[g] holds it as (atom id, multiplier) pairs,
+    and equal outputs share one g.  The table is built from the rule it is
+    given, not from the product rows of `g_table`, so a patched rule gets
+    its own table.
     """
     index = dict(aut_index(level))
     atoms = list(index)
-    shared: dict = {}
-
-    def entry(x: Atom, y: Atom) -> tuple:
-        ids = []
-        for atom, k in rule(x, y, level) or ():
-            i = index.get(atom)
-            if i is None:
-                i = index[atom] = len(atoms)
-                atoms.append(atom)
-            ids.append((i, k))
-        ids = tuple(ids)
-        return shared.setdefault(ids, ids)
-
     auts = atoms[:]
-    return atoms, [[entry(x, y) for y in auts] for x in auts]
+    general: dict = {}  # each other output -> its g, in the order of first appearance
+
+    def atom_id(atom: Atom) -> int:
+        i = index.get(atom)
+        if i is None:
+            i = index[atom] = len(atoms)
+            atoms.append(atom)
+        return i
+
+    def entry(x: Atom, y: Atom) -> int:
+        produced = rule(x, y, level) or ()
+        if len(produced) == 1 and produced[0][1] == 1:
+            return atom_id(produced[0][0])
+        ids = tuple((atom_id(atom), k) for atom, k in produced)
+        return ~general.setdefault(ids, len(general))
+
+    rows = [[entry(x, y) for y in auts] for x in auts]
+    return atoms, rows, list(general)
 
 
 def _aut_product(xs: list, ys: list, index: dict, table: tuple) -> list:
     """The summed products of automorphism graph terms (atom, v), read from `aut_table`.
 
     index is `aut_index`.  The numerators are summed on integer ids, as
-    `groups._g_product` does; only the atoms of the result are decoded.
+    `groups._g_product` does; an entry that is a bare id adds u v to it,
+    and only the other entries are read from the table's general outputs.
+    Only the atoms of the result are decoded.
     """
-    atoms, rows = table
+    atoms, rows, general = table
     ys = [(index[b], v) for b, v in ys]
     out: dict = {}
     get = out.get
     for a, u in xs:
         row = rows[index[a]]
         for j, v in ys:
-            for k, m in row[j]:
-                out[k] = get(k, 0) + u * v * m
+            e = row[j]
+            if e >= 0:
+                out[e] = get(e, 0) + u * v
+            else:
+                for k, m in general[~e]:
+                    out[k] = get(k, 0) + u * v * m
     return [(atoms[k], v) for k, v in out.items() if v]
 
 

@@ -2,8 +2,9 @@
 
 `surface.compose` reads the product of two automorphism graphs from
 `surface.aut_table`, a table of the rule that `compose` finds at its call,
-on integer ids.  These tests check the table entry by entry, and that a
-patched rule reaches `compose` through a table of its own while the table
+on integer ids.  These tests check the table entry by entry, decoding
+both of its entry forms (a bare graph id, or an index into the general
+outputs), and that a patched rule reaches `compose` through a table of its own while the table
 of the unpatched rule stays as it was.
 """
 
@@ -31,6 +32,12 @@ from motive_calc.surface import (
 from support import compose_by_atom_pairs, enumerate_surf
 
 
+def _decoded(table, entry) -> list:
+    """An entry of `aut_table` as the (atom, multiplier) pairs the rule returned."""
+    atoms, _, general = table
+    return [(atoms[entry], 1)] if entry >= 0 else [(atoms[k], m) for k, m in general[~entry]]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_every_table_entry_is_the_rule_on_its_pair(n):
     auts = [("G", e) for e in enumerate_surf(n) if not e.collapse]
@@ -38,17 +45,18 @@ def test_every_table_entry_is_the_rule_on_its_pair(n):
     index = aut_index(n)
     assert list(index) == auts
     assert [index[("G", surf_end(n, g.b1, g.b2, g.s))] for g in g_table(n)[0]] == list(range(2 * n * n))
-    atoms, rows = aut_table(n, compose_atom_pair)
+    table = aut_table(n, compose_atom_pair)
+    atoms, rows, general = table
     assert atoms == auts  # R1 produces no atom outside the 2N^2 graphs
     assert len(rows) == 2 * n * n
     for x in auts:
         row = rows[index[x]]
         assert len(row) == 2 * n * n
         for y in auts:
-            assert [(atoms[k], m) for k, m in row[index[y]]] == list(compose_atom_pair(x, y, n) or ())
-    # equal entries are one shared tuple
-    assert len({id(entry) for row in rows for entry in row}) == 2 * n * n
-
+            assert _decoded(table, row[index[y]]) == list(compose_atom_pair(x, y, n) or ())
+    # R1 gives one graph with multiplier 1 on every pair: each entry is that graph's bare id
+    assert general == []
+    assert all(type(entry) is int and 0 <= entry < 2 * n * n for row in rows for entry in row)
 
 def _inversions_doubled(rule):
     def doubled(x, y, level):
@@ -78,6 +86,21 @@ def _one_pair_with_v(rule):
         return produced
 
     return with_v
+
+
+@pytest.mark.parametrize("fault", [_inversions_doubled, _one_pair_dropped, _one_pair_with_v])
+def test_every_entry_of_a_patched_rule_decodes_to_its_output(fault):
+    n = 3
+    rule = fault(compose_atom_pair)
+    auts = list(aut_index(n))
+    table = aut_table(n, rule)
+    atoms, rows, general = table
+    for x, row in zip(auts, rows):
+        for y, entry in zip(auts, row):
+            assert _decoded(table, entry) == list(rule(x, y, n) or ())
+    # only the outputs that are not one graph with multiplier 1 are general, and equal ones are one index
+    assert general and len(set(general)) == len(general)
+    assert {~e for row in rows for e in row if e < 0} == set(range(len(general)))
 
 
 def _operands(n):

@@ -13,7 +13,9 @@ are rows too.  A map slot of a surface or open-part atom takes only a
 `SurfEnd`: a plain tuple equal to one, and a value that is no map (whose
 label cannot print), are rows of both.  An index slot takes an int only:
 a float or a bool equal to an index in range is a row of each class with
-index slots.  The DSL
+index slots.  Neither is the inversion part of `surf_end`, nor an integer
+argument of a DSL atom built by hand, even one whose value at the equal
+int is stored.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -28,7 +30,8 @@ from pathlib import Path
 import pytest
 
 from motive_calc.cli import main
-from motive_calc.endos import SurfEnd
+from motive_calc.dsl import EvalError, NamedAtom, eval_expr
+from motive_calc.endos import SurfEnd, surf_end
 from motive_calc.groups import GroupRingElement, epsilon_projector
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
@@ -204,6 +207,27 @@ def _group_rows():
     return rows
 
 
+def _bool_rows():
+    """A bool equals 0 or 1, and a float can equal an int, but neither is an inversion part or a DSL argument.
+
+    Each DSL atom is evaluated alone, then after the same atom with int
+    arguments, whose value is stored from then on.
+    """
+    rows = [("surf_end inversion part", {
+        "s = True": lambda: surf_end(5, 1, 2, True),
+        "s = -1.0": lambda: surf_end(5, 1, 2, -1.0),
+    }, ValueError)]
+    for mode, name, args in (("surface", "G", (1, 2, True)), ("surface", "CP", (0, True, 1)),
+                             ("surface", "piC", (False,)), ("threefold", "ptilde", (True, 0))):
+        atom, twin = NamedAtom(name, args), NamedAtom(name, tuple(map(int, args)))
+        rows.append((f"DSL {name}{args}", {
+            "eval_expr": lambda atom=atom, mode=mode: eval_expr(atom, N, mode),
+            "after its int twin": lambda atom=atom, twin=twin, mode=mode: (eval_expr(twin, N, mode),
+                                                                           eval_expr(atom, N, mode)),
+        }, EvalError))
+    return rows
+
+
 def _float_rows():
     return [("float coefficient", {
         "SurfCorr": lambda: SurfCorr(N, {VERT: 0.5}),
@@ -228,6 +252,7 @@ ROWS = (
     + _sum_rows(OpenTCorr, (OPEN_IDENT, OPEN_IDENT, False), OPEN_TENSOR_ATOMS)
     + _pure_tensor_rows()
     + _group_rows()
+    + _bool_rows()
     + _float_rows()
 )
 
