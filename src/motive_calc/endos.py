@@ -6,40 +6,68 @@ n = 0 for a collapse x -> b (the point b in the fiber of x).  The
 automorphisms are the elements (b, s) of G = (Z/N)^2 semidirect mu_2
 (`groups`), and on the open part every map is read as x -> n x + b
 (`surface.restrict_atom`).  A collapse depends only on where it sends the
-zero section, so it is normalized to inversion part +1 at construction;
-with that normalization `mu(-1) o mu(0) = mu(0)` holds on the nose, which
-the projector orthogonality certificates require.  `surf_compose` is the
-one composition law and `SurfEnd.inv` the one inverse.
+zero section, so its inversion part is +1; with that normal form
+`mu(-1) o mu(0) = mu(0)` holds on the nose, which the projector
+orthogonality certificates require.  `surf_end` normalizes its arguments.
+
+Each map is one object: the 3N^2 maps of a level are built at its first
+use (`level_ends`) and listed by code (k N + b1) N + b2, k = 0 for s = +1,
+1 for s = -1 and 2 for a collapse, so G comes first, as `groups.enumerate_g`
+lists it.  The constructor takes the normal form only and returns the
+listed object, as a copy or a pickle does.  A map is equal only to itself,
+hashes by identity, has no order and iterates its five fields.
+`surf_compose`, the one law, and `SurfEnd.inv`, the one inverse, compute
+a code and read the list.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import product
 
+from .levels import _check_level
 from .sums import LevelMismatchError
 
 
-class SurfEnd(NamedTuple):
-    level: int
-    b1: int
-    b2: int
-    s: int
-    collapse: bool
+class SurfEnd:
+    """x -> n x + b at a level: the one object of its map, at index `code` of `level_ends(level)`."""
+
+    __slots__ = ("level", "b1", "b2", "s", "collapse", "code", "_ends")
+
+    def __new__(cls, level: int, b1: int, b2: int, s: int, collapse: bool) -> "SurfEnd":
+        ends = level_ends(level)  # a bool equals 0 or 1 and a float can equal an int, but neither is a field
+        if (type(b1) is type(b2) is type(s) is int and type(collapse) is bool
+                and 0 <= b1 < level and 0 <= b2 < level and (s == 1 or s == -1 and not collapse)):
+            return ends[((2 if collapse else s < 0) * level + b1) * level + b2]
+        raise ValueError(f"SurfEnd{(level, b1, b2, s, collapse)!r} is no map of level {level} in normal form")
+
+    def __setattr__(self, name, value=None):  # also __delattr__
+        raise AttributeError(f"SurfEnd.{name} is read-only: a map is one object")
+
+    __delattr__ = __setattr__
+
+    def __iter__(self):
+        return iter((self.level, self.b1, self.b2, self.s, self.collapse))
+
+    def __reduce__(self):
+        return SurfEnd, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SurfEnd{tuple(self)}"
 
     @property
     def n(self) -> int:
         """The multiplier n of x -> n x + b: s for an automorphism, 0 for a collapse."""
         return 0 if self.collapse else self.s
 
-    def is_automorphism(self) -> bool:
-        return not self.collapse
-
     def inv(self) -> "SurfEnd":
-        """(b, s)^-1 = (-s b, s); a collapse has no inverse."""
+        """(b, s)^-1 = (-s b, s); a collapse has no inverse, and (b, -1) is its own."""
         if self.collapse:
             raise ValueError("collapse endomorphisms are not invertible")
-        n, s = self.level, self.s
-        return SurfEnd(n, (-s * self.b1) % n, (-s * self.b2) % n, s, False)
+        if self.s < 0:
+            return self
+        n = self.level
+        return self._ends[-self.b1 % n * n + -self.b2 % n]
 
     def element_label(self) -> str:
         """(b1,b2,+-): how an element of G prints."""
@@ -49,20 +77,29 @@ class SurfEnd(NamedTuple):
         return ("col" if self.collapse else "aut") + self.element_label()
 
 
-class SurfEnds(frozenset):
-    """A set of `SurfEnd`s that holds no value of another type, such as a plain tuple equal to a member.
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3
+def level_ends(level: int) -> list[SurfEnd]:
+    """The 3N^2 maps of a level, by code, built at the first use of the level."""
+    _check_level(level)
+    ends: list[SurfEnd] = []
+    for (s, collapse), b1, b2 in product(((1, False), (-1, False), (1, True)), range(level), range(level)):
+        f = object.__new__(SurfEnd)
+        for name, value in zip(SurfEnd.__slots__, (level, b1, b2, s, collapse, len(ends), ends)):
+            object.__setattr__(f, name, value)
+        ends.append(f)
+    return ends
 
-    `LinComb.check` reads one as the range of a map slot of an atom.
-    """
 
-    __slots__ = ()
+class SurfEnds:
+    """The maps of one level, or its collapses only: the range of a map slot that `LinComb.check` reads."""
+
+    __slots__ = ("level", "collapses")
+
+    def __init__(self, level: int, collapses: bool = False) -> None:
+        self.level, self.collapses = level, collapses
 
     def __contains__(self, f) -> bool:
-        return type(f) is SurfEnd and frozenset.__contains__(self, f)
-
-
-# what `SurfEnd._make` calls: it builds a SurfEnd from a tuple of its fields without the generated `__new__`
-_new = tuple.__new__
+        return type(f) is SurfEnd and f.level == self.level and (f.collapse or not self.collapses)
 
 
 def surf_end(n: int, b1: int, b2: int, s: int = 1, collapse: bool = False) -> SurfEnd:
@@ -74,24 +111,25 @@ def surf_end(n: int, b1: int, b2: int, s: int = 1, collapse: bool = False) -> Su
 
 
 def surf_identity(n: int) -> SurfEnd:
-    return surf_end(n, 0, 0, 1, False)
+    return SurfEnd(n, 0, 0, 1, False)
 
 
 def mu0(n: int) -> SurfEnd:
     """Projection onto the zero section."""
-    return surf_end(n, 0, 0, 1, True)
+    return SurfEnd(n, 0, 0, 1, True)
 
 
 def surf_compose(f: SurfEnd, h: SurfEnd) -> SurfEnd:
     """f after h: (n, b) o (n', b') = (n n', n b' + b), so a collapse absorbs on the right: (g,col) o h = (g,col).
 
-    On G that is the group law (b,s)(b',s') = (b + s b', s s').
+    On G that is the group law (b,s)(b',s') = (b + s b', s s').  The code's k is h's, s = -1 swapping 0 and 1.
     """
-    m, b1, b2, s, collapse = f
-    level, c1, c2, t, h_collapse = h
-    if m != level:
+    m = f.level
+    if h.level != m:
         raise LevelMismatchError("endomorphisms of different levels")
-    if collapse:
+    if f.collapse:
         return f
-    # a collapse keeps inversion part +1, as `surf_end` normalizes it
-    return _new(SurfEnd, (m, (b1 + s * c1) % m, (b2 + s * c2) % m, 1 if h_collapse else s * t, h_collapse))
+    k = h.code // (m * m)
+    if f.s == 1:
+        return f._ends[(k * m + (f.b1 + h.b1) % m) * m + (f.b2 + h.b2) % m]
+    return f._ends[((k if k == 2 else 1 - k) * m + (f.b1 - h.b1) % m) * m + (f.b2 - h.b2) % m]

@@ -10,9 +10,10 @@ group-ring multiplication.
 
 The elements of G are the automorphism `endos.SurfEnd`s (collapse
 False), multiplied by `endos.surf_compose` and inverted by
-`SurfEnd.inv`; one prints as (b1,b2,+-), and g -> Graph(g) takes it to
-the surface atom ("G", g) as it is.  Q[G] multiplies on indices: G is
-numbered 0..2N^2-1 in `enumerate_g` order, with a product table that
+`SurfEnd.inv`; one prints as (b1,b2,+-) and sorts by (b1, b2, s), and
+g -> Graph(g) takes it to the surface atom ("G", g) as it is.  Q[G]
+multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g` order,
+an element's index being its `SurfEnd.code`, with a product table that
 `g_table` builds once per level by index arithmetic on that numbering,
 not by `surf_compose`.  A product multiplies the operands' integer
 numerators on indices, over the product of their denominators, and turns
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .endos import SurfEnd, surf_end
+from .endos import SurfEnd, level_ends, surf_end
 from .levels import _check_level
 from .sums import Certificate, LevelMismatchError, LinComb, linear_map
 
@@ -56,8 +57,7 @@ def mu_inv(n: int) -> SurfEnd:
 
 
 def enumerate_g(n: int) -> list[SurfEnd]:
-    _check_level(n)
-    return [SurfEnd(n, b1, b2, s, False) for s in (1, -1) for b1 in range(n) for b2 in range(n)]
+    return level_ends(n)[:2 * n * n]
 
 
 def epsilon(x: SurfEnd) -> int:
@@ -66,19 +66,18 @@ def epsilon(x: SurfEnd) -> int:
 
 
 @lru_cache(maxsize=None)
-def g_table(n: int) -> tuple[list[SurfEnd], dict[SurfEnd, int], list[list[int]]]:
-    """G numbered 0..2N^2-1 in `enumerate_g` order: (elements, index of each, product table).
+def g_table(n: int) -> tuple[list[SurfEnd], list[list[int]]]:
+    """G numbered 0..2N^2-1 in `enumerate_g` order, each element by its code: (elements, product table).
 
     Row i, column j of the table holds the index of the product of elements
     i and j.  (b, s) is numbered ((s < 0) N + b1) N + b2, and (b, s) sends
     (c, t) to (b + s c, s t), so the columns (c, t) with one (t, c1) make a
     block of N indices: those of (b2 + s c2) mod N over the c2, each plus
     N times ((st < 0) N + (b1 + s c1) mod N).  A row joins 2N such blocks,
-    built once per (s, b2); every entry is one of the ints of `index`.
+    built once per (s, b2); every entry is one of the ints of `ids`.
     """
     elems = enumerate_g(n)
     ids = list(range(len(elems)))
-    index = dict(zip(elems, ids))
     table = []
     for s in (1, -1):
         # blocks[b2][k]: the indices k N + (b2 + s c2) mod N over the c2, for k in 0..2N-1
@@ -86,24 +85,29 @@ def g_table(n: int) -> tuple[list[SurfEnd], dict[SurfEnd, int], list[list[int]]]
         for b1 in range(n):
             ks = [(0 if t == s else n) + (b1 + s * c1) % n for t in (1, -1) for c1 in range(n)]
             table += [[i for k in ks for i in row[k]] for row in blocks]
-    return elems, index, table
+    return elems, table
 
 
-def _g_product(xs: list, ys: list, table: list) -> dict:
-    """Summed integer products of encoded G terms (i, v), keyed by the index of each product."""
+def id_product(xs: list, ys: list, rows: list, general: list = ()) -> dict:
+    """Summed integer products of terms (i, v) encoded by id, keyed by the id of each product.
+
+    rows[i][j] is the id of the product of ids i and j, or ~g for general[g],
+    a sum of (id, multiplier) pairs.  `g_table` has no such entry;
+    `surface.aut_table` has one for each output of its rule that is not one
+    atom with multiplier 1.
+    """
     out: dict = {}
     get = out.get
     for i, a in xs:
-        row = table[i]
+        row = rows[i]
         for j, b in ys:
-            k = row[j]
-            out[k] = get(k, 0) + a * b
+            e = row[j]
+            if e >= 0:
+                out[e] = get(e, 0) + a * b
+            else:
+                for k, m in general[~e]:
+                    out[k] = get(k, 0) + a * b * m
     return out
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3
-def g_elements(n: int) -> frozenset[SurfEnd]:
-    return frozenset(enumerate_g(n))
 
 
 class GroupRingElement(LinComb):
@@ -114,13 +118,14 @@ class GroupRingElement(LinComb):
     """
 
     __slots__ = ()
+    sort_key = staticmethod(lambda g: (g.b1, g.b2, g.s))
     label = staticmethod(SurfEnd.element_label)
 
     @staticmethod
     def check(_level, atoms) -> None:
         """Each atom an element of G (`enumerate_g`) at one level N, that of the first."""
         for g in atoms:
-            if type(g) is not SurfEnd or g not in g_elements(next(iter(atoms)).level):
+            if type(g) is not SurfEnd or g.collapse or g.level != next(iter(atoms)).level:
                 raise ValueError(f"{g!r} is not an element of G at the level of the sum")
 
     def __init__(self, terms: dict | None = None):
@@ -131,19 +136,18 @@ class GroupRingElement(LinComb):
         return GroupRingElement({g: coeff})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        """The product on integer numerators, with each element encoded by its index in G.
+        """The product on integer numerators, with each element encoded by its index in G, its code.
 
         Only the atoms of the result are decoded back to group elements.
         """
         if not (self.nums and other.nums):
             return GroupRingElement()
-        elems, index, table = g_table(next(iter(self.nums)).level)
-        try:
-            xs = [(index[g], v) for g, v in self.nums.items()]
-            ys = [(index[h], v) for h, v in other.nums.items()]
-        except KeyError:
-            raise LevelMismatchError("group elements of different levels or kinds") from None
-        out = _g_product(xs, ys, table)
+        n = next(iter(self.nums)).level
+        if type(other) is not GroupRingElement or next(iter(other.nums)).level != n:
+            raise LevelMismatchError("group elements of different levels or kinds")
+        elems, table = g_table(n)
+        xs = [(g.code, v) for g, v in self.nums.items()]
+        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table)
         return GroupRingElement.over(None, self.d * other.d, {elems[k]: v for k, v in out.items() if v})
 
     def involute(self) -> "GroupRingElement":
@@ -174,12 +178,11 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
 
 
 class PairSum(LinComb):
-    """An element of Q[G^2 x| S_2] expanded to atoms (g, h, swap), printed as [g,h].s.
-
-    Atoms sort in their natural order, that of the triples (g, h, swap).
-    """
+    """An element of Q[G^2 x| S_2] expanded to atoms (g, h, swap), printed as [g,h].s, sorted by g, h, then swap."""
 
     __slots__ = ()
+    sort_key = staticmethod(
+        lambda atom: (GroupRingElement.sort_key(atom[0]), GroupRingElement.sort_key(atom[1]), atom[2]))
     label = staticmethod(lambda atom: f"[{atom[0].element_label()},{atom[1].element_label()}]{'.s' if atom[2] else ''}")
 
 

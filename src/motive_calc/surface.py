@@ -48,9 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_end, surf_identity
+from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_identity
 from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
-from .groups import enumerate_g, epsilon_projector, lambda_theta
+from .groups import enumerate_g, epsilon_projector, id_product, lambda_theta
 from .levels import _check_level, cusp_count
 from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
 
@@ -149,12 +149,11 @@ def neron_lattice(n: int) -> NeronLattice:
 def atom_ranges(level: int) -> dict:
     """The surface atoms of a level for `LinComb.check`.
 
-    Graphs of the 3N^2 endomorphisms in `surf_end`'s normal form, tGraphs of
-    the N^2 collapses, V, and CP(c;m,n) with c below `cusp_count` and m, n in 0..N-1.
+    Graphs of the 3N^2 endomorphisms of the level, tGraphs of its N^2
+    collapses, V, and CP(c;m,n) with c below `cusp_count` and m, n in 0..N-1.
     """
     cusps, idx = range(cusp_count(level)), range(level)
-    ends = SurfEnds(surf_end(level, b1, b2, s, c) for c in (False, True) for s in (1, -1) for b1 in idx for b2 in idx)
-    return {"G": (ends,), "T": (SurfEnds(f for f in ends if f.collapse),), "V": (), "C": (cusps, idx, idx)}
+    return {"G": (SurfEnds(level),), "T": (SurfEnds(level, True),), "V": (), "C": (cusps, idx, idx)}
 
 
 class SurfCorr(LinComb):
@@ -278,10 +277,10 @@ def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | 
     return None  # R14 (CP o V)
 
 
-def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
+def _split(terms: list) -> tuple[list, list, dict]:
     """(automorphism graph terms, other graph/tGraph/V terms, component product blocks per cusp).
 
-    auts is `aut_index`: its graphs meet each other through `aut_table`.
+    Automorphism graphs meet each other through `aut_table`.
     The block of a cusp holds the numerator of CP(c;m,n) at block[m][n].
     """
     aut: list = []
@@ -297,7 +296,7 @@ def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
             if row is None:
                 row = block[m] = {}
             row[n] = v
-        elif atom in auts:
+        elif atom[0] == "G" and not atom[1].collapse:
             aut.append((atom, v))
         else:
             other.append((atom, v))
@@ -306,8 +305,8 @@ def _split(terms: list, auts: dict) -> tuple[list, list, dict]:
 
 @lru_cache(maxsize=None)
 def aut_index(level: int) -> dict[Atom, int]:
-    """The 2N^2 automorphism graphs numbered in `enumerate_g` order, as their group elements in `g_table`."""
-    return {graph(g): i for i, g in enumerate(enumerate_g(level))}
+    """The 2N^2 automorphism graphs in `enumerate_g` order, each numbered by its map's code, its index in `g_table`."""
+    return {graph(g): g.code for g in enumerate_g(level)}
 
 
 @lru_cache(maxsize=None)
@@ -347,27 +346,13 @@ def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]], list[tuple
     return atoms, rows, list(general)
 
 
-def _aut_product(xs: list, ys: list, index: dict, table: tuple) -> list:
-    """The summed products of automorphism graph terms (atom, v), read from `aut_table`.
+def _aut_product(xs: list, ys: list, table: tuple) -> list:
+    """The summed products of automorphism graph terms (atom, v), read from `aut_table` by `groups.id_product`.
 
-    index is `aut_index`.  The numerators are summed on integer ids, as
-    `groups._g_product` does; an entry that is a bare id adds u v to it,
-    and only the other entries are read from the table's general outputs.
-    Only the atoms of the result are decoded.
+    An atom's id is the code of its map (`aut_index`); only the atoms of the result are decoded.
     """
     atoms, rows, general = table
-    ys = [(index[b], v) for b, v in ys]
-    out: dict = {}
-    get = out.get
-    for a, u in xs:
-        row = rows[index[a]]
-        for j, v in ys:
-            e = row[j]
-            if e >= 0:
-                out[e] = get(e, 0) + u * v
-            else:
-                for k, m in general[~e]:
-                    out[k] = get(k, 0) + u * v * m
+    out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows, general)
     return [(atoms[k], v) for k, v in out.items() if v]
 
 
@@ -588,14 +573,13 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     if x.cusps is not None and y.cusps is not None and x.cusps.isdisjoint(y.cusps):
         return SurfCorr.over(level, 1, {})
     rule = compose_atom_pair  # looked up at each call, so a patched rule is used
-    auts = aut_index(level)
     for op, z in ((x, after), (y, before)):
         if op.parts is None:
-            op.parts = _split(z.nums.items(), auts)
+            op.parts = _split(z.nums.items())
     (x_aut, x_other, x_blocks), (y_aut, y_other, y_blocks) = x.parts, y.parts
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
     if x_aut and y_aut:
-        pairs.append(_aut_product(x_aut, y_aut, auts, aut_table(level, rule)))
+        pairs.append(_aut_product(x_aut, y_aut, aut_table(level, rule)))
     if x_blocks or y_blocks:
         pairs.append(_block_products(x, y, cusp_rule(level, rule)))
     return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs)))
@@ -822,13 +806,13 @@ def compose_open_atoms(x: OpenAtom, y: OpenAtom) -> OpenAtom:
     if sx == "t" and sy == "t":
         return open_tgraph(surf_compose(fy, fx))
     if sx == "g" and sy == "t":
-        if fx.is_automorphism():
+        if not fx.collapse:
             return open_tgraph(surf_compose(fy, fx.inv()))
         raise UnsupportedCompositionError("graph o tgraph with no invertible side")
     # sx == "t", sy == "g"
-    if fy.is_automorphism():
+    if not fy.collapse:
         return open_tgraph(surf_compose(fy.inv(), fx))
-    if fx.is_automorphism():
+    if not fx.collapse:
         return ("g", surf_compose(fx.inv(), fy))
     raise UnsupportedCompositionError("tgraph o graph with no invertible side")
 

@@ -85,7 +85,7 @@ TAtom = tuple  # (left_surface_atom, right_surface_atom, swap: bool)
 
 def t_atom(left: Atom, right: Atom, swap: bool = False) -> TAtom | None:
     """None encodes the vanished two-vertical atom."""
-    if left[0] == "V" and right[0] == "V":
+    if left == VERT and right == VERT:
         return None
     return (left, right, swap)
 
@@ -204,13 +204,13 @@ class TensorExpr(LinComb):
 
     @staticmethod
     def check(level, atoms) -> None:
-        """Each atom (A, B, swap) has sums A, B of one class and of the level, with no cusp product; V (x) V may."""
+        """Each atom (A, B, swap) has sums A, B of one class and of the level, a surface A no cusp product; V (x) V may."""
         for a, b, swap in atoms:
             if not isinstance(a, LinComb) or type(b) is not type(a) or swap not in (False, True):
                 raise ValueError(f"unknown atom {(a, b, swap)!r}")
             if a.level != level or b.level != level:
                 raise LevelMismatchError("tensor factors of another level")
-            if any(atom[0] == "C" for atom in chain(a.nums, b.nums)):
+            if type(a) is SurfCorr and any(atom[0] == "C" for atom in chain(a.nums, b.nums)):
                 raise ValueError("cusp products are not tensor factors")
 
     @classmethod

@@ -23,7 +23,12 @@ reaches the program.  A parity row builds no restricted t-atom, so a
 patched `_restrict_t_atom` reaches only its oracle.
 
 The program has one type of fiberwise map, `endos.SurfEnd`, with one law,
-`surf_compose`.  `groups.g_table` builds the product table of G by
+`surf_compose`: one object per map of a level, equal only to itself, and
+composed and inverted by index arithmetic on the codes of the level's
+list.  `TupleEnd` is the form it once had, a `NamedTuple` compared and
+hashed by value and ordered as a tuple, with the law `tuple_compose` and
+the inverse `TupleEnd.inv` written out on its fields.
+`groups.g_table` builds the product table of G by
 index arithmetic; `g_table_by_compose` builds it as the program once did,
 one `surf_compose` call per entry.  The types the program once had are
 the oracles of the law: `GElem` with its `mul` and `inv`, for the
@@ -92,7 +97,7 @@ def tau_end(n: int, b1: int, b2: int) -> SurfEnd:
 
 def tgraph(f: SurfEnd) -> Atom:
     """Transposed graph; for automorphisms this is the graph of the inverse."""
-    if f.is_automorphism():
+    if not f.collapse:
         return ("G", f.inv())
     return ("T", f)
 
@@ -123,6 +128,57 @@ def compose_open(after: OpenCorr, before: OpenCorr) -> OpenCorr:
 def compose_by_atom_pairs(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     """after o before with every atom pair through `surface.compose_atom_pair`."""
     return product(after, before, surface.compose_atom_pair)
+
+
+class TupleEnd(NamedTuple):
+    """A fiberwise map as the program once held it: the oracle of the interned `SurfEnd`.
+
+    `of` reads a `SurfEnd`, `end` gives the interned one back.
+    """
+
+    level: int
+    b1: int
+    b2: int
+    s: int
+    collapse: bool
+
+    @staticmethod
+    def of(f: SurfEnd) -> "TupleEnd":
+        return TupleEnd(*f)
+
+    def end(self) -> SurfEnd:
+        return SurfEnd(*self)
+
+    def inv(self) -> "TupleEnd":
+        """(b, s)^-1 = (-s b, s); a collapse has no inverse."""
+        if self.collapse:
+            raise ValueError("collapse endomorphisms are not invertible")
+        n, s = self.level, self.s
+        return TupleEnd(n, (-s * self.b1) % n, (-s * self.b2) % n, s, False)
+
+    def element_label(self) -> str:
+        return f"({self.b1},{self.b2},{'+' if self.s == 1 else '-'})"
+
+    def label(self) -> str:
+        return ("col" if self.collapse else "aut") + self.element_label()
+
+
+def tuple_compose(f: TupleEnd, h: TupleEnd) -> TupleEnd:
+    """f after h, field by field: (n, b) o (n', b') = (n n', n b' + b), a collapse keeping inversion part +1."""
+    m, b1, b2, s, collapse = f
+    level, c1, c2, t, h_collapse = h
+    if m != level:
+        raise LevelMismatchError("endomorphisms of different levels")
+    if collapse:
+        return f
+    return TupleEnd(m, (b1 + s * c1) % m, (b2 + s * c2) % m, 1 if h_collapse else s * t, h_collapse)
+
+
+def tuple_ends(n: int) -> list[TupleEnd]:
+    """The 3N^2 maps of a level in the order of their codes, as `TupleEnd`s."""
+    _check_level(n)
+    kinds = ((1, False), (-1, False), (1, True))
+    return [TupleEnd(n, b1, b2, s, c) for s, c in kinds for b1 in range(n) for b2 in range(n)]
 
 
 class GElem(NamedTuple):
@@ -295,6 +351,7 @@ class G2Sum(GroupRingElement):
     """A sum of `G2Elem`s, whose `*` is the program's factored product."""
 
     __slots__ = ()
+    sort_key = None  # the natural order of the `G2Elem` tuples
     label = staticmethod(lambda g: g.label())
 
     @staticmethod

@@ -106,14 +106,14 @@ _g_table = groups.g_table
 
 
 def _one_table_entry_off(n):
-    elems, index, table = _g_table(n)
+    elems, table = _g_table(n)
     if n == 4:
         table = [list(row) for row in table]
         # tau(0,1) tau(0,1) should be tau(0,2); send it to tau(0,3)
-        t01, t02, t03 = (index[groups.tau(n, 0, b)] for b in (1, 2, 3))
+        t01, t02, t03 = (groups.tau(n, 0, b).code for b in (1, 2, 3))
         assert table[t01][t01] == t02
         table[t01][t01] = t03
-    return elems, index, table
+    return elems, table
 
 
 def test_group_certificate_fails_with_one_product_table_entry_changed(monkeypatch):
@@ -160,13 +160,13 @@ def _sign_dropped_table(slot):
     """A `g_table` whose product (b, s)(c, t) forgets s on one coordinate of b + s c: b1 (slot 1) or b2 (slot 2)."""
 
     def table(n):
-        elems, index, _ = _g_table(n)
+        elems, _ = _g_table(n)
 
         def mul(g, h):
             s1, s2 = (1, g.s) if slot == 1 else (g.s, 1)
             return SurfEnd(n, (g.b1 + s1 * h.b1) % n, (g.b2 + s2 * h.b2) % n, g.s * h.s, False)
 
-        return elems, index, [[index[mul(g, h)] for h in elems] for g in elems]
+        return elems, [[mul(g, h).code for h in elems] for g in elems]
 
     return table
 
@@ -287,13 +287,13 @@ def _r11_shifted(x, y, level):
 def _r11_collapse_off(x, y, level):
     # the collapse pulls back the component of the section one further on
     if x[0] == "C" and y[0] == "G" and y[1].collapse:
-        return _rule(x, ("G", y[1]._replace(b1=(y[1].b1 + 1) % level)), level)
+        return _rule(x, ("G", surf_end(level, y[1].b1 + 1, y[1].b2, 1, True)), level)
     return _rule(x, y, level)
 
 
 def _r12_off(x, y, level):
     if x[0] == "T" and y[0] == "C":
-        return _rule(("T", x[1]._replace(b1=(x[1].b1 + 1) % level)), y, level)
+        return _rule(("T", surf_end(level, x[1].b1 + 1, x[1].b2, 1, True)), y, level)
     return _rule(x, y, level)
 
 
@@ -414,7 +414,7 @@ TRANSPOSE_WITNESS_FAULTS = {
     "a tGraph transposes to the graph of the next section": ("transpose_atom", _transpose_where(
         lambda atom: atom[0] == "T", lambda atom: ("G", surf_end(atom[1].level, atom[1].b1 + 1, atom[1].b2, 1, True)))),
     "an automorphism graph transposes with its sign forced to +1": ("transpose_atom", _transpose_where(
-        _is_aut, lambda atom: ("G", atom[1].inv()._replace(s=1)))),
+        _is_aut, lambda atom: ("G", surf_end(atom[1].level, atom[1].inv().b1, atom[1].inv().b2)))),
     "each cusp projector made asymmetric": ("build_pi_cusp", _pi_cusp_asymmetric),
     "R5 nonzero: a collapse graph after V gives V": ("compose_atom_pair", _rule_where(
         lambda x, y: x[0] == "G" and x[1].collapse and y == VERT, [(VERT, 1)])),
