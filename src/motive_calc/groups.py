@@ -11,7 +11,10 @@ group-ring multiplication.
 The elements of G are the automorphism `endos.SurfEnd`s (collapse
 False), multiplied by `endos.surf_compose` and inverted by
 `SurfEnd.inv`; one prints as (b1,b2,+-) and sorts by (b1, b2, s), and
-g -> Graph(g) takes it to the surface atom ("G", g) as it is.  Q[G]
+g -> Graph(g) takes it to the surface atom ("G", g) as it is.  An element
+of Q[G] is a `LinComb` like every other sum: a level N and its elements
+of G at that level, each refused at the constructor otherwise, so sums
+and products of two levels raise `LevelMismatchError`.  Q[G]
 multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g` order,
 an element's index being its `SurfEnd.code`, with a product table that
 `g_table` builds once per level by index arithmetic on that numbering,
@@ -21,10 +24,11 @@ only its atoms back into elements of G.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
-factors, the sum of c (a (x) b) sigma^e held as a `LinComb` of the
-triples (a, b, e), multiplied factor by factor and compared by
-`TensorExpr.is_zero` without enumerating G^2 x| S_2.  Only a
-failed entry expands its residual, to atoms (g, h, swap) of a `PairSum`.
+factors of its level, the sum of c (a (x) b) sigma^e held as a `LinComb`
+of the triples (a, b, e), multiplied factor by factor.  Its entries go
+through `Certificate.check` like every other, whose zero test,
+`TensorExpr.is_zero`, enumerates no element of G^2 x| S_2; only a failed
+entry expands its residual, to atoms (g, h, swap) of a `PairSum`.
 """
 
 from __future__ import annotations
@@ -111,44 +115,31 @@ def id_product(xs: list, ys: list, rows: list, general: list = ()) -> dict:
 
 
 class GroupRingElement(LinComb):
-    """Finite formal rational combination of group elements.
-
-    Its level is None: each group element carries its own, and the
-    constructor takes elements of G of one level only.
-    """
+    """Finite formal rational combination of the elements of G at its level."""
 
     __slots__ = ()
     sort_key = staticmethod(lambda g: (g.b1, g.b2, g.s))
     label = staticmethod(SurfEnd.element_label)
 
     @staticmethod
-    def check(_level, atoms) -> None:
-        """Each atom an element of G (`enumerate_g`) at one level N, that of the first."""
+    def check(level, atoms) -> None:
+        """Each atom an element of G (`enumerate_g`) at the level."""
         for g in atoms:
-            if type(g) is not SurfEnd or g.collapse or g.level != next(iter(atoms)).level:
-                raise ValueError(f"{g!r} is not an element of G at the level of the sum")
-
-    def __init__(self, terms: dict | None = None):
-        super().__init__(None, terms)
-
-    @staticmethod
-    def of(g: SurfEnd, coeff=1) -> "GroupRingElement":
-        return GroupRingElement({g: coeff})
+            if type(g) is not SurfEnd or g.collapse or g.level != level:
+                raise ValueError(f"{g!r} is not an element of G at level {level}")
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """The product on integer numerators, with each element encoded by its index in G, its code.
 
         Only the atoms of the result are decoded back to group elements.
         """
-        if not (self.nums and other.nums):
-            return GroupRingElement()
-        n = next(iter(self.nums)).level
-        if type(other) is not GroupRingElement or next(iter(other.nums)).level != n:
-            raise LevelMismatchError("group elements of different levels or kinds")
-        elems, table = g_table(n)
+        if type(other) is not GroupRingElement:
+            raise LevelMismatchError("group elements of different kinds")
+        self.check_level(other)
+        elems, table = g_table(self.level)
         xs = [(g.code, v) for g, v in self.nums.items()]
         out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table)
-        return GroupRingElement.over(None, self.d * other.d, {elems[k]: v for k, v in out.items() if v})
+        return GroupRingElement.over(self.level, self.d * other.d, {elems[k]: v for k, v in out.items() if v})
 
     def involute(self) -> "GroupRingElement":
         """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""
@@ -162,7 +153,7 @@ def epsilon_projector(n: int) -> GroupRingElement:
     """(1/2N^2) sum over G of eps(g)^-1 g; an idempotent fixed by involution."""
     _check_level(n)
     scale = Fraction(1, 2 * n * n)
-    return GroupRingElement({g: scale * epsilon(g) for g in enumerate_g(n)})
+    return GroupRingElement(n, {g: scale * epsilon(g) for g in enumerate_g(n)})
 
 
 def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
@@ -172,9 +163,9 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
     idempotents whose product (either order) is the epsilon projector.
     """
     half = Fraction(1, 2)
-    lam = GroupRingElement({g_identity(n): half, mu_inv(n): -half})
+    lam = GroupRingElement(n, {g_identity(n): half, mu_inv(n): -half})
     theta_terms = {tau(n, b1, b2): Fraction(1, n * n) for b1 in range(n) for b2 in range(n)}
-    return lam, GroupRingElement(theta_terms)
+    return lam, GroupRingElement(n, theta_terms)
 
 
 class PairSum(LinComb):
@@ -198,7 +189,7 @@ def symmetrizers(n: int) -> tuple[TensorExpr, TensorExpr]:
     """(A2, S2) = ((1 + sigma)/2, (1 - sigma)/2): orthogonal, summing to 1."""
     from .threefold import TensorExpr
 
-    e = GroupRingElement.of(g_identity(n))
+    e = GroupRingElement.of(n, g_identity(n))
     one, sigma = TensorExpr.pure(e, e), TensorExpr.pure(e, e, swap=True)
     half = Fraction(1, 2)
     return (one + sigma).scale(half), (one - sigma).scale(half)
@@ -209,7 +200,7 @@ def group_certificate(n: int) -> list[dict]:
     from .threefold import TensorExpr
 
     cert = Certificate()
-    check = cert.equal
+    check = cert.check
     eps = epsilon_projector(n)
     lam, theta = lambda_theta(n)
     check("eps:idempotent", "eps . eps = eps", eps * eps, eps)
@@ -221,8 +212,8 @@ def group_certificate(n: int) -> list[dict]:
     check("theta_lambda:product", "theta . lambda = eps", theta * lam, eps)
 
     a2, s2 = symmetrizers(n)
-    e = GroupRingElement.of(g_identity(n))
-    zero = TensorExpr(None)
+    e = GroupRingElement.of(n, g_identity(n))
+    zero = TensorExpr(n)
     eps2 = epsilon2_projector(n)
     for name, law, got, want in (
         ("a2:idempotent", "A2 . A2 = A2", a2.compose(a2), a2),
@@ -233,5 +224,5 @@ def group_certificate(n: int) -> list[dict]:
         ("a2_eps2:commute", "A2 . eps2 = eps2 . A2", a2.compose(eps2), eps2.compose(a2)),
         ("s2_eps2:commute", "S2 . eps2 = eps2 . S2", s2.compose(eps2), eps2.compose(s2)),
     ):
-        cert.vanishes(name, law, got, want, PairSum)
+        check(name, law, got, want, PairSum)
     return cert.entries

@@ -35,15 +35,21 @@ def _check_level(n: int) -> None:
         raise LevelTooSmallError(f"level must be an integer >= 3, got {n!r}")
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
+def _prime_divisors(level: int) -> list[int]:
+    """The primes dividing the level, by trial division with every d up to 10^6.
+
+    A cofactor left below 10^12 is 1 or a prime.  A level that leaves one
+    of at least 10^12 raises ValueError instead of dividing on without bound.
+    """
+    out, n, d = [], level, 2
+    while d * d <= n and d <= 10 ** 6:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
+    if n >= 10 ** 12:
+        raise ValueError(f"level {level} is too large to factor: {n} >= 10^12 has no prime factor up to 10^6")
     if n > 1:
         out.append(n)
     return out

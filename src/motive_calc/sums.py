@@ -21,6 +21,12 @@ d_a times the fiber is a basis class of its own (`surface.DA_FIBER`).
 `tensor_vanishes` decides whether a sum of pure tensors of sums is zero
 without forming the tensors; a quotient, such as the dropped V (x) V of
 the threefold atoms, is the caller's one extra part.
+
+Every sum has a level, and `+`, `-` and every product of two levels raise
+`LevelMismatchError`.  A copy or a pickle of a sum holds its level, d and
+nums only.  Every equality entry of every certificate is one
+`Certificate.check` of got against want, and a failed one shows the
+residual got - want, capped at `RESIDUAL_ATOMS` atoms.
 """
 
 from __future__ import annotations
@@ -216,6 +222,10 @@ class LinComb:
             self._hash = hash((self.level, frozenset(self.nums)))
         return self._hash
 
+    def __reduce__(self):
+        """A copy or pickle holds the level, d and nums only: what is derived from them, such as the hash, is not carried."""
+        return type(self).over, (self.level, self.d, dict(self.nums))
+
     def render(self, limit: int | None = None) -> str:
         """The sum in print order; with a limit, only its first `limit` atoms and then "+ ..."."""
         if not self.nums:
@@ -265,36 +275,23 @@ class Certificate:
             entry["got"] = detail
         self.entries.append(entry)
 
-    def equal(self, name: str, law: str, got: LinComb, want: LinComb) -> None:
+    def check(self, name: str, law: str, got: LinComb, want: LinComb, cls: type | None = None) -> None:
         """Record whether the two sides of `law` are equal as sums.
 
-        A failed entry shows the residual got - want, as `residual` records it.
+        It holds when got == want, or else when got - want is zero by its
+        own `is_zero`: a factored sum (`threefold.TensorExpr`) can differ
+        from an equal sum in form, and its zero test decides it without
+        expanding.  A failed entry shows that residual, expanded to a sum
+        of type cls first when cls is given, as `residual` records it.
         """
         if got == want:
             self.record(name, law, True)
-        else:
-            self.residual(name, law, got - want)
-
-    def vanishes(self, name: str, law: str, got, want, cls: type | None = None) -> None:
-        """Record whether the two sides of `law`, factored sums (`threefold.TensorExpr`), are equal.
-
-        It is decided by the zero test of got - want, not by `==`, which
-        compares the factored forms.  Only a failed entry
-        expands that residual, as a sum of type cls when given, and shows it
-        as `residual` records it.
-        """
+            return
         residual = got - want
         if residual.is_zero():
             self.record(name, law, True)
         else:
-            self.residual(name, law, residual.expand(cls))
-
-    def settle(self, name: str, law: str, residual: LinComb) -> None:
-        """Record `law` from its residual got - want, computed by the caller: it holds iff that is zero."""
-        if residual.is_zero():
-            self.record(name, law, True)
-        else:
-            self.residual(name, law, residual)
+            self.residual(name, law, residual.expand(cls) if cls else residual)
 
     def residual(self, name: str, law: str, residual: LinComb) -> None:
         """Record `law` as failed with its nonzero residual got - want: its size and its first atoms."""

@@ -593,10 +593,7 @@ def delta(n: int) -> SurfCorr:
 
 def group_ring_to_corr(element) -> SurfCorr:
     """Image of a group-ring element under g -> Graph(g); an element of G is already a `SurfEnd`."""
-    if not element.nums:
-        raise ValueError("cannot infer the level of an empty group-ring element")
-    level = next(iter(element.nums)).level
-    return SurfCorr.over(level, element.d, {graph(g): v for g, v in element.nums.items()})
+    return SurfCorr.over(element.level, element.d, {graph(g): v for g, v in element.nums.items()})
 
 
 def epsilon_graph_sum(n: int) -> SurfCorr:
@@ -844,7 +841,7 @@ def surface_certificate(n: int) -> list[dict]:
     pi_inf = delta(n) - pi_f
 
     cert = Certificate()
-    check = cert.equal
+    check = cert.check
 
     # Kronecker pattern over the full projector list
     for (name_a, pa) in named:

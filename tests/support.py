@@ -355,9 +355,9 @@ class G2Sum(GroupRingElement):
     label = staticmethod(lambda g: g.label())
 
     @staticmethod
-    def check(_level, atoms) -> None:
-        """Each atom a `G2Elem` whose two group elements `GroupRingElement` takes, all of one level."""
-        GroupRingElement.check(None, [g.end() for x in atoms for g in (x.g1, x.g2)])
+    def check(level, atoms) -> None:
+        """Each atom a `G2Elem` whose two group elements `GroupRingElement` takes at the level."""
+        GroupRingElement.check(level, [g.end() for x in atoms for g in (x.g1, x.g2)])
 
     def __mul__(self, other: "G2Sum") -> "G2Sum":
         # the program has no product of a G^2 x| S_2 element with a Q[G] one: they are two types there
@@ -371,13 +371,13 @@ def factored(x: G2Sum) -> TensorExpr:
     lefts: dict = {}
     for g, c in x.terms.items():
         lefts.setdefault((g.g2.end(), g.swap), {})[g.g1.end()] = c
-    parts = [(Fraction(1), GroupRingElement(a), GroupRingElement.of(h), e) for (h, e), a in lefts.items()]
-    return TensorExpr(None, parts)
+    parts = [(Fraction(1), GroupRingElement(x.level, a), GroupRingElement.of(x.level, h), e) for (h, e), a in lefts.items()]
+    return TensorExpr(x.level, parts)
 
 
 def g2_sum(x: TensorExpr) -> G2Sum:
     """The atoms of a factored element of Q[G^2 x| S_2], each (g, h, swap) as a `G2Elem`."""
-    return G2Sum({G2Elem(g.level, GElem.of(g), GElem.of(h), e): c for (g, h, e), c in x.expand().terms.items()})
+    return G2Sum(x.level, {G2Elem(g.level, GElem.of(g), GElem.of(h), e): c for (g, h, e), c in x.expand().terms.items()})
 
 
 def g2_epsilon2(n: int) -> G2Sum:
@@ -388,7 +388,7 @@ def g2_epsilon2(n: int) -> G2Sum:
     elems = oracle_g(n)
     terms = {G2Elem(n, a, b, False): plus if a.s == b.s else minus
              for a in elems for b in elems}
-    return G2Sum(terms)
+    return G2Sum(n, terms)
 
 
 def _open_t_pair(x: OpenTAtom, y: OpenTAtom, _level: int) -> tuple:

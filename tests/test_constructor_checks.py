@@ -19,7 +19,9 @@ int is stored.  A map out of normal form (an index out of 0..N-1, an
 inversion part other than +-1, a collapse with s = -1, a level below 3,
 or a field of another type) is no `SurfEnd`: the constructor refuses it,
 so a row whose atom would hold one (`Refused`) asserts that refusal where
-the map is built.  The DSL
+the map is built.  An element of Q[G] holds elements of G of its own
+level only, and elements of Q[G] or of Q[G^2 x| S_2] at levels 3 and 4
+combined by +, -, * or a tensor product raise LevelMismatchError.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -36,7 +38,8 @@ import pytest
 from motive_calc.cli import main
 from motive_calc.dsl import EvalError, NamedAtom, eval_expr
 from motive_calc.endos import SurfEnd, surf_end
-from motive_calc.groups import GroupRingElement, epsilon_projector
+from motive_calc.groups import GroupRingElement, epsilon2_projector, epsilon_projector
+from motive_calc.sums import LevelMismatchError
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
 from motive_calc.threefold import FIBER3, OpenTCorr, TCorr, TensorExpr, ThreefoldDivClass, theta_half, theta_int
@@ -218,22 +221,43 @@ GROUP_ELEMENTS = [
     ("a plain tuple", (N, 0, 0, 1)),
     ("a plain tuple of five", (N, 0, 0, 1, False)),
     ("a surface atom", IDENT),
+    ("of level 4", SurfEnd(4, 0, 0, 1, False)),
 ]
 
 
 def _group_rows():
     one, other = SurfEnd(N, 0, 0, 1, False), SurfEnd(4, 0, 0, 1, False)
     rows = [(f"GroupRingElement {name}", _builds({
-        "constructor": lambda g=g: GroupRingElement({g: 1}),
-        "zero coefficient": lambda g=g: GroupRingElement({g: 0}),
-        "beside a valid element": lambda g=g: GroupRingElement({SurfEnd(N, 1, 2, -1, False): 1, g: 1}),
-        "of": lambda g=g: GroupRingElement.of(g),
+        "constructor": lambda g=g: GroupRingElement(N, {g: 1}),
+        "zero coefficient": lambda g=g: GroupRingElement(N, {g: 0}),
+        "beside a valid element": lambda g=g: GroupRingElement(N, {SurfEnd(N, 1, 2, -1, False): 1, g: 1}),
+        "of": lambda g=g: GroupRingElement.of(N, g),
     }, g), ValueError) for name, g in GROUP_ELEMENTS]
     rows.append(("GroupRingElement two levels", {
-        "constructor": lambda: GroupRingElement({one: 1, other: 1}),
-        "zero coefficient": lambda: GroupRingElement({one: 1, other: 0}),
+        "constructor": lambda: GroupRingElement(N, {one: 1, other: 1}),
+        "zero coefficient": lambda: GroupRingElement(N, {one: 1, other: 0}),
+        "level of the other element": lambda: GroupRingElement(4, {one: 1, other: 1}),
     }, ValueError))
     return rows
+
+
+def _cross_level_rows():
+    """Elements of Q[G] and of Q[G^2 x| S_2] at levels 3 and 4 combined: each way raises LevelMismatchError."""
+    e3, e4 = epsilon_projector(3), epsilon_projector(4)
+    p3, p4 = epsilon2_projector(3), epsilon2_projector(4)
+    return [("Q[G] across levels 3 and 4", {
+        "+": lambda: e3 + e4,
+        "-": lambda: e3 - e4,
+        "*": lambda: e3 * e4,
+        "* the other way": lambda: e4 * e3,
+        "* of an empty element": lambda: GroupRingElement(3) * e4,
+    }, LevelMismatchError), ("Q[G^2 x| S_2] across levels 3 and 4", {
+        "+": lambda: p3 + p4,
+        "-": lambda: p3 - p4,
+        "compose": lambda: p3.compose(p4),
+        "pure": lambda: TensorExpr.pure(e3, e4),
+        "constructor": lambda: TensorExpr(3, [(1, e3, e3, False), (1, e4, e4, True)]),
+    }, LevelMismatchError)]
 
 
 def _bool_rows():
@@ -270,7 +294,7 @@ def _float_rows():
         "TCorr": lambda: TCorr(N, {(IDENT, VERT, False): 1.5}),
         "TensorExpr": lambda: TensorExpr(N, [(0.0, delta(N), delta(N), False)]),
         "TensorExpr.of": lambda: TensorExpr.of(N, (delta(N), delta(N), False), 0.5),
-        "GroupRingElement": lambda: GroupRingElement({SurfEnd(N, 0, 0, 1, False): 0.5}),
+        "GroupRingElement": lambda: GroupRingElement(N, {SurfEnd(N, 0, 0, 1, False): 0.5}),
         "OpenCorr": lambda: OpenCorr(N, {OPEN_IDENT: 0.5}),
         "OpenTCorr": lambda: OpenTCorr(N, {(OPEN_IDENT, OPEN_IDENT, False): 1.5}),
     }, TypeError)]
@@ -285,6 +309,7 @@ ROWS = (
     + _sum_rows(OpenTCorr, (OPEN_IDENT, OPEN_IDENT, False), OPEN_TENSOR_ATOMS)
     + _pure_tensor_rows()
     + _group_rows()
+    + _cross_level_rows()
     + _bool_rows()
     + _float_rows()
 )
@@ -331,7 +356,7 @@ def test_the_valid_edge_of_each_range_is_taken():
     ThreefoldDivClass(N, {theta_int(3, 2, 2): 1, theta_half(0, 2, 0): 1})
     TCorr.of(N, (VERT, ("T", SurfEnd(N, 2, 2, 1, True)), True))
     TensorExpr.pure(SurfCorr.of(N, VERT), SurfCorr.of(N, VERT))  # V (x) V expands to zero, and is taken
-    GroupRingElement({SurfEnd(N, 2, 2, -1, False): 1, SurfEnd(N, 0, 0, 1, False): 0})
+    GroupRingElement(N, {SurfEnd(N, 2, 2, -1, False): 1, SurfEnd(N, 0, 0, 1, False): 0})
     OpenCorr(N, {("g", SurfEnd(N, 2, 2, -1, False)): 1, ("g", SurfEnd(N, 2, 0, 1, True)): 1,
                  ("t", SurfEnd(N, 2, 2, 1, True)): 1})
     OpenTCorr.of(N, (("t", SurfEnd(N, 2, 2, 1, True)), OPEN_IDENT, True))

@@ -85,7 +85,7 @@ def test_lambda_theta(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_symmetrizers(n):
     a2, s2 = map(g2_sum, symmetrizers(n))
-    one = G2Sum({g2_identity(n): 1})
+    one = G2Sum(n, {g2_identity(n): 1})
     assert a2 * a2 == a2
     assert s2 * s2 == s2
     assert (a2 * s2).is_zero()
@@ -113,12 +113,12 @@ def test_the_named_g2_elements_transpose_to_themselves(n):
 def test_a_g2_transpose_inverts_each_factor():
     # transposing Graph(g) gives Graph(g^-1): on Q[G] factors the transpose is the involution
     n = 3
-    t01, one = GroupRingElement.of(tau(n, 0, 1)), GroupRingElement.of(g_identity(n))
+    t01, one = GroupRingElement.of(n, tau(n, 0, 1)), GroupRingElement.of(n, g_identity(n))
     got = TensorExpr.pure(t01, one).transpose()
-    want = TensorExpr.pure(GroupRingElement.of(tau(n, 0, 1).inv()), one)
+    want = TensorExpr.pure(GroupRingElement.of(n, tau(n, 0, 1).inv()), one)
     assert got == want
     assert (got - want).is_zero()
-    assert g2_sum(got) == G2Sum({G2Elem(n, GElem(n, 0, 2, 1), GElem(n, 0, 0, 1), False): 1})
+    assert g2_sum(got) == G2Sum(n, {G2Elem(n, GElem(n, 0, 2, 1), GElem(n, 0, 0, 1), False): 1})
 
 
 def test_g2_group_sampled():

@@ -219,13 +219,13 @@ def group_ring_elements(draw, n, pairs=False):
         named = [epsilon_projector(n), *lambda_theta(n)]
     pieces = draw(st.lists(
         st.one_of(
-            st.builds(lambda g, c: (G2Sum if pairs else GroupRingElement)({g: c}), elem, coefficients(n)),
+            st.builds(lambda g, c: (G2Sum if pairs else GroupRingElement)(n, {g: c}), elem, coefficients(n)),
             st.builds(lambda p, c: p.scale(c), st.sampled_from(named), coefficients(n)),
         ),
         min_size=1,
         max_size=4,
     ))
-    total = G2Sum() if pairs else GroupRingElement()
+    total = G2Sum(n) if pairs else GroupRingElement(n)
     for piece in pieces:
         total = total + piece
     return total

@@ -7,7 +7,8 @@ and hashed by identity.  `support.TupleEnd` is the old form, a
 of N = 3..6 the two give the same composite, inverse and label, and the
 sums of elements of G print in the order the tuples sorted in.  A copy or
 a pickle of a map is the listed object, so no second equal map is ever
-made.  An identity hash differs from process to process, so the report
+made, and a copy or a pickle of a sum holds its level, d and nums only,
+not what `compose` derived from them.  An identity hash differs from process to process, so the report
 bytes are compared across two processes with different hash seeds.
 """
 
@@ -25,7 +26,8 @@ import pytest
 from motive_calc.endos import SurfEnd, level_ends, surf_compose, surf_end
 from motive_calc.exact import fmt_rational
 from motive_calc.groups import GroupRingElement, PairSum, enumerate_g, epsilon_projector, lambda_theta
-from motive_calc.surface import SurfCorr, build_pi_bars
+from motive_calc import surface
+from motive_calc.surface import SurfCorr, build_pi_bars, build_pi_cusp, compose
 from motive_calc.threefold import TensorExpr
 
 from support import TupleEnd, tuple_compose, tuple_ends
@@ -59,11 +61,11 @@ def test_sums_of_elements_of_g_print_in_the_order_of_the_tuples(n):
     rng = random.Random(n)
     elems = enumerate_g(n)
     shuffled = rng.sample(elems, len(elems))  # the sum's dict order is no print order
-    x = GroupRingElement({g: Fraction(i + 1, 7) for i, g in enumerate(shuffled)})
+    x = GroupRingElement(n, {g: Fraction(i + 1, 7) for i, g in enumerate(shuffled)})
     want = {TupleEnd.of(g): (Fraction(i + 1, 7), g) for i, g in enumerate(shuffled)}
     assert x.render() == _render(want, SurfEnd.element_label)
     pairs = [(g, h, e) for g in rng.sample(elems, 5) for h in rng.sample(elems, 5) for e in (True, False)]
-    y = PairSum(None, {atom: Fraction(i + 1) for i, atom in enumerate(pairs)})
+    y = PairSum(n, {atom: Fraction(i + 1) for i, atom in enumerate(pairs)})
     want = {(TupleEnd.of(g), TupleEnd.of(h), e): (Fraction(i + 1), (g, h, e)) for i, (g, h, e) in enumerate(pairs)}
     assert y.render() == _render(want, PairSum.label)
 
@@ -77,6 +79,23 @@ def test_a_copy_or_a_pickle_of_a_map_is_the_map():
     x = SurfCorr(4, build_pi_bars(4)["pi1"].terms)  # a new sum: nothing derived by a product is kept on it
     for clone in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert clone == x and all(a[1] is b[1] for a, b in zip(clone.nums, x.nums))
+
+
+def test_a_copy_or_a_pickle_of_a_composed_sum_holds_its_level_d_and_nums_only(monkeypatch):
+    # compose keeps a record of what it derives on each operand; a copy or a pickle carries none of it
+    bar = build_pi_bars(6)["pi1"]
+    x, pc = SurfCorr(6, bar.terms), build_pi_cusp(6, 0)
+    size = len(pickle.dumps(x))
+    for _ in range(2):
+        compose(x, pc)
+    assert x._derived is not None
+    assert len(pickle.dumps(x)) == len(pickle.dumps(bar)) == size
+    rule = surface.compose_atom_pair
+    monkeypatch.setattr(surface, "compose_atom_pair", lambda a, b, level: rule(a, b, level))
+    compose(x, pc)  # the record now keys maps by a table of a local function, which cannot be pickled
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x and clone.nums is not x.nums and getattr(clone, "_derived", None) is None
+    assert len(pickle.dumps(x)) == size
 
 
 def test_maps_are_equal_only_to_themselves():
@@ -96,7 +115,7 @@ def test_group_ring_factors_are_taken_and_a_surface_factor_with_a_cusp_product_i
     # the cusp product test reads a surface factor's atoms only; an element of G is no atom (kind, ...)
     eps = epsilon_projector(3)
     lam, theta = lambda_theta(3)
-    t = TensorExpr(None, [(1, eps, lam, False), (Fraction(1, 2), theta, eps, True)])
+    t = TensorExpr(3, [(1, eps, lam, False), (Fraction(1, 2), theta, eps, True)])
     assert TensorExpr.pure(eps, lam) + TensorExpr.pure(theta, eps, True).scale(Fraction(1, 2)) == t
     with pytest.raises(ValueError, match="cusp products are not tensor factors"):
         TensorExpr.pure(SurfCorr(3, {("C", 0, 1, 1): 1}), build_pi_bars(3)["pi1"])

@@ -340,9 +340,9 @@ def group_operands(draw, n, pairs):
         elem = st.sampled_from(enumerate_g(n))
         named = [epsilon_projector(n), *lambda_theta(n)]
     coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
-    total = G2Sum() if pairs else GroupRingElement()
+    total = G2Sum(n) if pairs else GroupRingElement(n)
     for g, c in draw(st.lists(st.tuples(elem, coeff), min_size=1, max_size=10)):
-        total = total + type(total)({g: c})
+        total = total + type(total)(n, {g: c})
     for p in draw(st.lists(st.sampled_from(named), max_size=2)):
         total = total + p.scale(draw(coeff))
     return total
@@ -372,9 +372,9 @@ def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
 @pytest.mark.parametrize(
     "x, y",
     [
-        (GroupRingElement.of(enumerate_g(3)[1]), GroupRingElement.of(enumerate_g(4)[1])),
-        (GroupRingElement.of(enumerate_g(3)[1]), g2_sum(symmetrizers(3)[0])),
-        (g2_sum(symmetrizers(3)[0]), GroupRingElement.of(enumerate_g(3)[1])),
+        (GroupRingElement.of(3, enumerate_g(3)[1]), GroupRingElement.of(4, enumerate_g(4)[1])),
+        (GroupRingElement.of(3, enumerate_g(3)[1]), g2_sum(symmetrizers(3)[0])),
+        (g2_sum(symmetrizers(3)[0]), GroupRingElement.of(3, enumerate_g(3)[1])),
         (g2_sum(symmetrizers(3)[0]), g2_sum(symmetrizers(4)[0])),
     ],
 )
@@ -385,8 +385,8 @@ def test_group_ring_product_rejects_other_levels_and_kinds(x, y):
 
 def test_group_ring_product_with_zero_is_zero():
     eps = epsilon_projector(3)
-    assert (eps * GroupRingElement()).is_zero()
-    assert (GroupRingElement() * eps).is_zero()
+    assert (eps * GroupRingElement(3)).is_zero()
+    assert (GroupRingElement(3) * eps).is_zero()
 
 
 # -- G^2 x| S_2 factored, against G2Elem sums ----------------------------------------
@@ -398,9 +398,9 @@ def factored_operands(draw, n):
     cancel; the expansions stay small enough for the pairwise oracle."""
     coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
     terms = st.lists(st.tuples(st.sampled_from(enumerate_g(n)), coeff), min_size=1, max_size=4)
-    named = [lambda_theta(n)[0], GroupRingElement({g_identity(n): 1, mu_inv(n): 1})]
-    factor = st.one_of(st.builds(lambda ts: GroupRingElement(dict(ts)), terms), st.sampled_from(named))
-    total = TensorExpr(None)
+    named = [lambda_theta(n)[0], GroupRingElement(n, {g_identity(n): 1, mu_inv(n): 1})]
+    factor = st.one_of(st.builds(lambda ts: GroupRingElement(n, dict(ts)), terms), st.sampled_from(named))
+    total = TensorExpr(n)
     for a, b, e, c in draw(st.lists(st.tuples(factor, factor, st.booleans(), coeff), min_size=1, max_size=3)):
         total = total + TensorExpr.pure(a, b, e).scale(c)
     return total
@@ -416,7 +416,7 @@ def test_factored_g2_products_and_zero_test_match_the_pairwise_oracle(data, n):
     assert g2_sum(got) == want
     assert (got - factored(want)).is_zero()
     g = st.sampled_from(oracle_g(n))
-    extra = data.draw(st.builds(lambda a, b, e: G2Sum({G2Elem(n, a, b, e): 1}), g, g, st.booleans()))
+    extra = data.draw(st.builds(lambda a, b, e: G2Sum(n, {G2Elem(n, a, b, e): 1}), g, g, st.booleans()))
     assert not (got - factored(want + extra)).is_zero()
     assert (x - y).is_zero() == (g2_sum(x) == g2_sum(y))
 
@@ -427,17 +427,17 @@ def test_factored_swap_rule_on_every_element_at_n3():
     n = 3
     g = oracle_g(n)
     elems = [G2Elem(n, a, b, e) for e in (False, True) for a in g for b in g]
-    y = G2Sum({b: j + 1 for j, b in enumerate(elems)})
+    y = G2Sum(n, {b: j + 1 for j, b in enumerate(elems)})
     y_factored = factored(y)
     for a in elems:
-        x = TensorExpr.pure(GroupRingElement.of(a.g1.end()), GroupRingElement.of(a.g2.end()), a.swap)
-        assert g2_sum(x.compose(y_factored)) == G2Sum({a.mul(b): j + 1 for j, b in enumerate(elems)}), a
+        x = TensorExpr.pure(GroupRingElement.of(n, a.g1.end()), GroupRingElement.of(n, a.g2.end()), a.swap)
+        assert g2_sum(x.compose(y_factored)) == G2Sum(n, {a.mul(b): j + 1 for j, b in enumerate(elems)}), a
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_named_g2_elements_are_the_term_by_term_ones(n):
     half = Fraction(1, 2)
     a2, s2 = map(g2_sum, symmetrizers(n))
-    assert a2 == G2Sum({g2_identity(n): half, sigma_swap(n): half})
-    assert s2 == G2Sum({g2_identity(n): half, sigma_swap(n): -half})
+    assert a2 == G2Sum(n, {g2_identity(n): half, sigma_swap(n): half})
+    assert s2 == G2Sum(n, {g2_identity(n): half, sigma_swap(n): -half})
     assert g2_sum(epsilon2_projector(n)) == g2_epsilon2(n)

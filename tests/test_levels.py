@@ -1,9 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
 from motive_calc.levels import (
     LevelTooSmallError,
+    _prime_divisors,
     cusp_count,
     level_invariants,
     local_multiplicity,
@@ -83,3 +89,34 @@ def test_local_multiplicity_parity_vanishing():
 
 def test_local_multiplicity_out_of_convention():
     assert local_multiplicity(4, 2) == 0
+
+
+# a subcommand on a level with a large prime cofactor: refused with exit 2 before any output, in bounded time
+def _cli(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "motive_calc.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=30)
+
+
+@pytest.mark.parametrize("command", ["invariants", "decompose", "filtration"])
+def test_a_level_with_a_prime_cofactor_above_10_12_is_refused(command):
+    out = _cli(command, "--level", str(2 ** 61 - 1))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "too large to factor" in out.stderr
+
+
+@pytest.mark.parametrize("level", [999999999989, 2 ** 100])
+def test_a_large_level_that_factors_up_to_10_6_keeps_its_output(level):
+    out = _cli("invariants", "--level", str(level))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["cusp_count"] == cusp_count(level)
+
+
+def test_trial_division_stops_at_10_6():
+    assert _prime_divisors(999999999989) == [999999999989]  # the largest prime below 10^12
+    assert _prime_divisors(2 ** 100 * 999983) == [2, 999983]
+    assert _prime_divisors(999983 * 999979 * 7) == [7, 999979, 999983]
+    for level in (10 ** 12 + 39, 1000003 ** 2):  # a prime, and the square of the least prime above 10^6
+        with pytest.raises(ValueError, match="too large to factor"):
+            _prime_divisors(level)

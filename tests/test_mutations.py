@@ -95,7 +95,7 @@ def test_group_certificate_fails_with_an_epsilon_coefficient_changed(monkeypatch
         g = min(eps.terms, key=lambda g: (g.s, g.b1, g.b2))
         terms = dict(eps.terms)
         terms[g] += Fraction(1, 2 * n * n)
-        return groups.GroupRingElement(terms)
+        return groups.GroupRingElement(n, terms)
 
     monkeypatch.setattr(groups, "epsilon_projector", one_coefficient_off)
     failed = _failed(group_certificate(4))
@@ -132,7 +132,7 @@ def _asymmetric_eps2(n):
     eps = groups.epsilon_projector(n)
 
     def part(b1):
-        return GroupRingElement({g: c for g, c in eps.terms.items() if g.b1 == b1})
+        return GroupRingElement(n, {g: c for g, c in eps.terms.items() if g.b1 == b1})
 
     return _epsilon2(n) + TensorExpr.pure(part(1), part(0))
 
@@ -144,8 +144,8 @@ def test_a_failed_entry_shows_its_residual_capped(monkeypatch):
     assert failed["status"] == "fail"
     # the same fault on the old form, term by term, and the residual by the oracle product
     half = Fraction(1, 2)
-    a2 = G2Sum({g2_identity(4): half, sigma_swap(4): half})
-    eps2 = G2Sum({g: 2 * c if (g.g1.b1, g.g2.b1) == (1, 0) else c for g, c in g2_epsilon2(4).terms.items()})
+    a2 = G2Sum(4, {g2_identity(4): half, sigma_swap(4): half})
+    eps2 = G2Sum(4, {g: 2 * c if (g.g1.b1, g.g2.b1) == (1, 0) else c for g, c in g2_epsilon2(4).terms.items()})
     assert g2_sum(_asymmetric_eps2(4)) == eps2
     residual = product(a2, eps2, group_product) - product(eps2, a2, group_product)
     assert len(residual.terms) > 8
@@ -176,8 +176,8 @@ def test_a_conjugated_inversion_sees_a_table_that_drops_a_sign(n, monkeypatch):
     # tau(1,1) mu_inv tau(1,1)^-1 = tau(2,2) mu_inv; a table that forgets s on b1 or on b2 gives
     # tau(0,2) mu_inv or tau(2,0) mu_inv, though no certificate entry sees either fault
     def holds():
-        t, t_inv, m = (GroupRingElement.of(g) for g in (groups.tau(n, 1, 1), groups.tau(n, -1 % n, -1 % n), mu_inv(n)))
-        return t * m * t_inv == GroupRingElement.of(groups.tau(n, 2, 2)) * m
+        t, t_inv, m = (GroupRingElement.of(n, g) for g in (groups.tau(n, 1, 1), groups.tau(n, -1 % n, -1 % n), mu_inv(n)))
+        return t * m * t_inv == GroupRingElement.of(n, groups.tau(n, 2, 2)) * m
 
     assert holds()
     for slot in (1, 2):
@@ -211,7 +211,7 @@ def _theta_bumped(n):
 
 def _a2_bumped(n):
     a2, s2 = _symmetrizers(n)
-    e = GroupRingElement.of(groups.g_identity(n))
+    e = GroupRingElement.of(n, groups.g_identity(n))
     return a2 + TensorExpr.pure(e, e), s2
 
 
@@ -694,7 +694,7 @@ def open_part_factors(draw, n):
 def _settled(residual):
     """The entry that the certificate records for a row with this residual."""
     cert = Certificate()
-    cert.settle("row", "got = want", residual)
+    cert.check("row", "got = want", residual, type(residual)(residual.level))
     return cert.entries
 
 
@@ -733,20 +733,83 @@ def test_structure_identities_fail_with_the_tensor_product_lost(monkeypatch):
     assert "retract_to_base" in failed
 
 
+_t_rule = threefold.compose_atom_pair
+
+
+def _collapse_doubled(x, y, level):
+    # Graph(mu0) o Graph(mu0): R1 on two collapses, with its coefficient doubled
+    produced = _t_rule(x, y, level)
+    if produced and x[0] == y[0] == "G" and x[1].collapse and y[1].collapse:
+        return [(atom, 2 * k) for atom, k in produced]
+    return produced
+
+
 def test_structure_identities_fail_with_the_collapse_rule_doubled(monkeypatch):
-    rule = threefold.compose_atom_pair
-
-    def doubled(x, y, level):
-        # Graph(mu0) o Graph(mu0): R1 on two collapses, with its coefficient doubled
-        produced = rule(x, y, level)
-        if produced and x[0] == y[0] == "G" and x[1].collapse and y[1].collapse:
-            return [(atom, 2 * k) for atom, k in produced]
-        return produced
-
-    monkeypatch.setattr(threefold, "compose_atom_pair", doubled)
+    monkeypatch.setattr(threefold, "compose_atom_pair", _collapse_doubled)
     failed = _failed(threefold.verify_structure_identities(4))
     assert "section_property" in failed
     assert "retract_to_base" in failed
+
+
+# (name patched in threefold, patch)
+STRUCTURE_FAULTS = {
+    "tensor product lost": ("t_compose", lambda after, before: TCorr.zero(after.level)),
+    "collapse rule doubled": ("compose_atom_pair", _collapse_doubled),
+}
+
+# every structure identity at N = 4 that each fault flips, with its residual got - want as a multiple of mu00
+STRUCTURE_FAILURES = {
+    "tensor product lost": {"section_property": -1, "retract_to_base": -1, "collapse_roundtrip": -1},
+    "collapse rule doubled": {"section_property": 3, "retract_to_base": 15, "collapse_roundtrip": 3},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURE_FAULTS))
+def test_a_structure_identity_failed_by_a_fault_shows_its_residual(fault, monkeypatch):
+    monkeypatch.setattr(threefold, *STRUCTURE_FAULTS[fault])
+    got = {e["name"]: e.get("got") for e in threefold.verify_structure_identities(4) if e["status"] == "fail"}
+    mu00 = threefold.total_collapse(4)
+    assert got == {name: f"got - want has 1 atoms: {mu00.scale(k).render()}"
+                   for name, k in STRUCTURE_FAILURES[fault].items()}
+
+
+# -- the threefold transpose and swap rows: each fault with the entries of threefold_certificate(4) it flips
+
+def _transposed_pi(*pairs):
+    return [f"transpose:pi({i1},{i2})" for i1, i2 in pairs]
+
+
+# (owner, name, patch): the transposes of surface atoms reach each factor of a pure tensor
+THREEFOLD_TRANSPOSE_SWAP_FAULTS = {
+    **{name: (surface, *TRANSPOSE_WITNESS_FAULTS[name]) for name in (
+        "V transposes to zero", "a tGraph transposes to the graph of the next section",
+        "an automorphism graph transposes with its sign forced to +1")},
+    "swap in _meet flipped": (threefold, "_meet", _flipped_meet),
+}
+
+THREEFOLD_TRANSPOSE_SWAP_FAILURES = {
+    "V transposes to zero": _transposed_pi((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
+    + ["residual:transpose"],
+    "a tGraph transposes to the graph of the next section": _transposed_pi((0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
+    + ["residual:transpose"],
+    "an automorphism graph transposes with its sign forced to +1": _transposed_pi((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
+    + ["transpose:alt(1,1)", "transpose:sym(1,1)", "residual:transpose"],
+    "swap in _meet flipped": ["split:a2_commutes"] + [f"swap:pi({i1},{i2})" for i1 in range(3) for i2 in range(3)],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(THREEFOLD_TRANSPOSE_SWAP_FAULTS))
+def test_threefold_transpose_and_swap_rows_fail_under_a_fault(fault, monkeypatch):
+    monkeypatch.setattr(*THREEFOLD_TRANSPOSE_SWAP_FAULTS[fault])
+    assert _failed(threefold_certificate(4)) == THREEFOLD_TRANSPOSE_SWAP_FAILURES[fault]
+
+
+def test_every_threefold_transpose_swap_and_structure_entry_fails_under_some_fault():
+    rows = [e["name"] for e in threefold_certificate(4) if e["name"].startswith(("transpose:", "swap:"))]
+    rows += [e["name"] for e in threefold.verify_structure_identities(4)]
+    assert len(rows) == 11 + 9 + 3
+    flipped = [*THREEFOLD_TRANSPOSE_SWAP_FAILURES.values(), *STRUCTURE_FAILURES.values()]
+    assert set(rows) <= {name for names in flipped for name in names}
 
 
 # -- the divisor action rows: each fault with the surface and threefold entries it flips at N = 4

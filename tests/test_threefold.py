@@ -100,8 +100,8 @@ def test_tensor_expressions_of_different_levels_do_not_mix():
     ):
         with pytest.raises(sums.LevelMismatchError):
             mixed()
-    # group-ring tensors have level None on both sides
-    e = GroupRingElement.of(g_identity(3))
+    # group-ring tensors have the level of their factors
+    e = GroupRingElement.of(3, g_identity(3))
     assert (TensorExpr.pure(e, e) - TensorExpr.pure(e, e).scale(1)).is_zero()
 
 

@@ -5,9 +5,11 @@ installs `perfbench/tracer.Tracer` and runs what a traced pass runs:
 `run_report(3)` with and without the threefold, each rendered, one surface
 and one threefold `dsl.evaluate`.  A wrapper that raises on a call, or a
 size count that no longer reads its argument, fails here instead of
-stopping the traced worker of `perfbench/run.py` (which then exits 3).  The
-tracer is read, not changed, and uninstalled in a `finally`, so the tests
-after this one see the original bindings.
+stopping the traced worker of `perfbench/run.py` (which then exits 3), and
+a layer the tracer binds that the pass no longer reaches fails here
+instead of reading 0 in the benchmark.  The tracer is read, not changed,
+and uninstalled in a `finally`, so the tests after this one see the
+original bindings.
 """
 
 import json
@@ -46,3 +48,7 @@ def test_a_traced_pass_reports_every_per_layer_metric():
     # the tracer finds Delta as one graph of (level, 0, 0, 1, False): SurfEnd's field layout
     assert metrics["surface.compose.delta_operand_calls"] > 0
     assert metrics["endos.surf_compose.calls"] > 0
+    # layers that the tracer binds by name and only some rows reach: a cut that orphans one reads 0 here
+    for layer in ("threefold.t_compose", "threefold.compose_t_atom_pair", "threefold.restrict_to_open_t",
+                  "groups.GroupRingElement.mul"):
+        assert metrics[f"{layer}.calls"] > 0, layer

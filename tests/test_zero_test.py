@@ -7,7 +7,8 @@ expansion (a factor split into two, two parts combined into one, a
 coefficient moved into a factor, a V part split off, V (x) V parts
 added), so that the parts cancel only after elimination.  Some of them
 are then perturbed by one more part: a new one, or one with its swap
-flipped or its factors exchanged.
+flipped or its factors exchanged.  `Certificate.check` decides an entry
+whose two sides differ in factored form by this test.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc.endos import mu0, surf_end, surf_identity
+from motive_calc.sums import Certificate
 from motive_calc.surface import VERT, SurfCorr, build_pi_bars, cusp_prod, delta
 from motive_calc.threefold import TCorr, TensorExpr, pair_projector_expr, sigma_expr, split_sym_alt_exprs, t_delta_expr
 
@@ -290,3 +292,19 @@ def test_equality_compares_canonical_forms_whatever_the_order_and_grouping(n=3):
     joined = TensorExpr.pure(bars["pi0"] + bars["pi2"], delta(n))
     assert split != joined
     assert (split - joined).is_zero() and expands_to_zero(split - joined)
+
+
+def test_a_certificate_entry_of_two_factored_forms_is_decided_by_the_zero_test(n=3):
+    # the certificates' passing entries are equal in factored form, so this is the only check of that path
+    a, b, c = delta(n), SurfCorr.of(n, VERT), build_pi_bars(n)["pi1"]
+    got, want = TensorExpr.pure(a + b, c), TensorExpr.pure(a, c) + TensorExpr.pure(b, c)
+    assert got != want
+    cert = Certificate()
+    cert.check("split factor", "got = want", got, want, TCorr)
+    cert.check("one more part", "got = want", got, want + TensorExpr.pure(b, a), TCorr)
+    residual = TensorExpr.pure(b, a).expand().scale(-1)
+    assert cert.entries == [
+        {"name": "split factor", "lhs": "got", "rhs": "want", "status": "pass"},
+        {"name": "one more part", "lhs": "got", "rhs": "want", "status": "fail",
+         "got": f"got - want has 1 atoms: {residual.render()}"},
+    ]
