@@ -24,7 +24,11 @@ that is a sum is built once per process, per mode, level and arguments
 with the wrapped indices reduced, and a build that raises is not kept.
 alt11 and sym11 are products, so they are built again at each query and
 a patched rule reaches them.  Products, sums and transposes of the named
-values are built from checked operands and not checked again.
+values are built from checked operands and not checked again.  A sum is
+folded once: each part's numerators, times an integer multiplier (its
+sign, times the coefficient of a scaled part), are collected into one
+dict over the lcm of the parts' denominators, and the result is built
+from it, with no running sum; a part scaled by 0 adds nothing.
 
 A threefold value stays factored, a `TensorExpr`, through the whole
 expression, and is expanded to its canonical `TCorr` once, at the end.
@@ -36,10 +40,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Union
 
 from .endos import mu0 as mu0_end, surf_end
+from .exact import exact_rational
 from .levels import _check_level
+from .sums import collect
 from .surface import (
     SurfCorr,
     VERT,
@@ -389,11 +396,21 @@ def eval_expr(node: Node, n: int, mode: str = "surface"):
             left, right = ev(x.left), ev(x.right)
             return compose(left, right) if surface else left.compose(right, memo)
         if isinstance(x, Sum):
-            acc = SurfCorr.zero(n) if surface else TensorExpr(n)
+            # each part is m/q times its value's numerators, m an integer: folded once, over the lcm of the q
+            parts = []
             for sign, part in x.parts:
-                value = ev(part)
-                acc = acc + (value if sign == 1 else value.scale(-1))
-            return acc
+                scaled = isinstance(part, Scale)
+                value = ev(part.node if scaled else part)
+                k = exact_rational(part.coeff) if scaled else 1  # checked as `scale` checks it
+                if k and value.nums:
+                    parts.append((value.nums, k.numerator if sign == 1 else -k.numerator, value.d * k.denominator))
+            d = lcm(*(q for _, _, q in parts))
+            nums: dict = {}
+            for terms, m, q in parts:
+                m *= d // q
+                # m.__mul__ on the int numerators: the pairs are made in C, with no generator frame per atom
+                collect(terms.items() if m == 1 else zip(terms, map(m.__mul__, terms.values())), nums)
+            return (SurfCorr if surface else TensorExpr).over(n, d, nums)
         raise TypeError(f"unknown node {x!r}")
 
     value = ev(node)

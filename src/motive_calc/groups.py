@@ -19,8 +19,9 @@ multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g` order,
 an element's index being its `SurfEnd.code`, with a product table that
 `g_table` builds once per level by index arithmetic on that numbering,
 not by `surf_compose`.  A product multiplies the operands' integer
-numerators on indices, over the product of their denominators, and turns
-only its atoms back into elements of G.
+numerators on indices, over the product of their denominators, sums them
+in a list indexed by id (`id_product`), and turns only its nonzero atoms
+back into elements of G.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
@@ -92,26 +93,27 @@ def g_table(n: int) -> tuple[list[SurfEnd], list[list[int]]]:
     return elems, table
 
 
-def id_product(xs: list, ys: list, rows: list, general: list = ()) -> dict:
-    """Summed integer products of terms (i, v) encoded by id, keyed by the id of each product.
+def id_product(xs: list, ys: list, rows: list, size: int, general: list = ()) -> list:
+    """Summed integer products of terms (i, v) encoded by id: the (id, sum) pairs with a nonzero sum, by id.
 
     rows[i][j] is the id of the product of ids i and j, or ~g for general[g],
     a sum of (id, multiplier) pairs.  `g_table` has no such entry;
     `surface.aut_table` has one for each output of its rule that is not one
-    atom with multiplier 1.
+    atom with multiplier 1.  The sums are added into a list of `size` slots,
+    one per id a product can have: 2N^2 for Q[G], and every atom of the
+    table for `aut_table`, whose patched rules can add atoms.
     """
-    out: dict = {}
-    get = out.get
+    out = [0] * size
     for i, a in xs:
         row = rows[i]
         for j, b in ys:
             e = row[j]
             if e >= 0:
-                out[e] = get(e, 0) + a * b
+                out[e] += a * b
             else:
                 for k, m in general[~e]:
-                    out[k] = get(k, 0) + a * b * m
-    return out
+                    out[k] += a * b * m
+    return [(k, v) for k, v in enumerate(out) if v]
 
 
 class GroupRingElement(LinComb):
@@ -138,8 +140,8 @@ class GroupRingElement(LinComb):
         self.check_level(other)
         elems, table = g_table(self.level)
         xs = [(g.code, v) for g, v in self.nums.items()]
-        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table)
-        return GroupRingElement.over(self.level, self.d * other.d, {elems[k]: v for k, v in out.items() if v})
+        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table, len(table))
+        return GroupRingElement.over(self.level, self.d * other.d, {elems[k]: v for k, v in out})
 
     def involute(self) -> "GroupRingElement":
         """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""
@@ -175,6 +177,14 @@ class PairSum(LinComb):
     sort_key = staticmethod(
         lambda atom: (GroupRingElement.sort_key(atom[0]), GroupRingElement.sort_key(atom[1]), atom[2]))
     label = staticmethod(lambda atom: f"[{atom[0].element_label()},{atom[1].element_label()}]{'.s' if atom[2] else ''}")
+
+    @staticmethod
+    def check(level, atoms) -> None:
+        """Each atom (g, h, swap): g and h elements of G at the level (`GroupRingElement.check`), swap a bool."""
+        for atom in atoms:
+            if type(atom) is not tuple or len(atom) != 3 or type(atom[2]) is not bool:
+                raise ValueError(f"unknown atom {atom!r}")
+            GroupRingElement.check(level, atom[:2])
 
 
 def epsilon2_projector(n: int) -> TensorExpr:

@@ -209,14 +209,19 @@ def transpose(x: SurfCorr) -> SurfCorr:
 #          full fiber class, and every such pairing is a zero row sum.
 
 
-def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | None:
-    """after=x composed with before=y; None means zero."""
+# R1's output per composite map h: the one tuple ((Graph(h), 1),), shared by every pair that composes to h
+_GRAPH_TERMS: dict = {}
+
+
+def compose_atom_pair(x: Atom, y: Atom, level: int) -> list[tuple[Atom, int]] | tuple | None:
+    """after=x composed with before=y; None means zero.  Read the output, do not change it: R1's is shared."""
     kx = x[0]
     ky = y[0]
     if kx == "G":
         f: SurfEnd = x[1]
         if ky == "G":
-            return [(("G", surf_compose(f, y[1])), 1)]  # R1
+            h = surf_compose(f, y[1])
+            return _GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),))  # R1
         if ky == "T":
             if f.collapse:
                 return None  # R3: (f x c)_* of the diagonal drops dimension
@@ -316,33 +321,40 @@ def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]], list[tuple
     rows[i][j] stands for what rule(atoms[i], atoms[j], level) returned.
     Ids 0..2N^2-1 are those of `aut_index`, and an atom the rule produces
     outside them gets an id after them.  An output of one atom with
-    multiplier 1, as R1 gives on every pair, is entered as that atom's id.
-    Any other output (zero, a multiplier other than 1, or several atoms)
-    is entered as ~g: general[g] holds it as (atom id, multiplier) pairs,
-    and equal outputs share one g.  The table is built from the rule it is
-    given, not from the product rows of `g_table`, so a patched rule gets
-    its own table.
+    multiplier 1, as R1 gives on every pair, is entered as that atom's id,
+    read from the index in the one loop over the pairs.  Any other output
+    (zero, a multiplier other than 1, or several atoms) is entered as ~g:
+    general[g] holds it as (atom id, multiplier) pairs, and equal outputs
+    share one g.  The table is built from the rule it is given, not from
+    the product rows of `g_table`, so a patched rule gets its own table.
     """
     index = dict(aut_index(level))
     atoms = list(index)
     auts = atoms[:]
     general: dict = {}  # each other output -> its g, in the order of first appearance
 
-    def atom_id(atom: Atom) -> int:
-        i = index.get(atom)
-        if i is None:
-            i = index[atom] = len(atoms)
-            atoms.append(atom)
-        return i
+    def entry(produced) -> int:
+        """The entry of an output that is no atom of the index with multiplier 1: a new atom, zero or general."""
+        ids = []
+        for atom, k in produced or ():
+            i = index.get(atom)
+            if i is None:
+                i = index[atom] = len(atoms)
+                atoms.append(atom)
+            ids.append((i, k))
+        if len(ids) == 1 and ids[0][1] == 1:
+            return ids[0][0]
+        return ~general.setdefault(tuple(ids), len(general))
 
-    def entry(x: Atom, y: Atom) -> int:
-        produced = rule(x, y, level) or ()
-        if len(produced) == 1 and produced[0][1] == 1:
-            return atom_id(produced[0][0])
-        ids = tuple((atom_id(atom), k) for atom, k in produced)
-        return ~general.setdefault(ids, len(general))
-
-    rows = [[entry(x, y) for y in auts] for x in auts]
+    rows = []
+    get = index.get
+    for x in auts:
+        row = []
+        rows.append(row)
+        for y in auts:
+            produced = rule(x, y, level)
+            i = get(produced[0][0]) if produced and len(produced) == 1 and produced[0][1] == 1 else None
+            row.append(entry(produced) if i is None else i)
     return atoms, rows, list(general)
 
 
@@ -352,8 +364,8 @@ def _aut_product(xs: list, ys: list, table: tuple) -> list:
     An atom's id is the code of its map (`aut_index`); only the atoms of the result are decoded.
     """
     atoms, rows, general = table
-    out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows, general)
-    return [(atoms[k], v) for k, v in out.items() if v]
+    out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows, len(atoms), general)
+    return [(atoms[k], v) for k, v in out]
 
 
 # -- component products as blocks -------------------------------------------------

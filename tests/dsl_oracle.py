@@ -1,4 +1,4 @@
-"""The DSL parser as it was before a call on integer arguments became one token, kept as an oracle.
+"""The DSL parser and evaluator as they once were, kept as oracles.
 
 `parse_by_tokens(source, mode)` tokenizes the source into one token per
 punctuation mark, name and integer, so `G(1,2,-1)` is 8 tokens, and parses
@@ -7,6 +7,14 @@ for every source, or raise the same exception type with the same message
 and position.  Name and argument checks are the program's own
 (`dsl._constructor`), so the two parsers differ only in how they read the
 text.
+
+`eval_by_running_sums(node, n, mode)` evaluates a tree as `dsl.eval_expr`
+did before a sum was folded once over one denominator: a `Sum` node adds
+its parts one at a time into a running sum (`acc + value`), each part
+negated by `scale(-1)` and each `Scale` part scaled by `scale(q)` first,
+so every part copies the sum so far.  Named atoms are the program's own
+(`dsl._eval_atom`), except that the arguments of T(a,b) are evaluated here
+too.
 """
 
 import re
@@ -14,6 +22,7 @@ from fractions import Fraction
 
 from motive_calc.dsl import (
     _ATOMS,
+    _eval_atom,
     _FOREIGN,
     Compose,
     NamedAtom,
@@ -26,6 +35,8 @@ from motive_calc.dsl import (
     _arity_error,
     _constructor,
 )
+from motive_calc.surface import SurfCorr, compose, transpose
+from motive_calc.threefold import TensorExpr
 
 # one token per match, after its ASCII whitespace: a punctuation mark, a name, an integer,
 # or any other character, which is an error; trailing whitespace matches nothing
@@ -166,3 +177,33 @@ def parse_by_tokens(source: str, mode: str = "surface") -> Node:
     if mode not in ("surface", "threefold"):
         raise ValueError("mode must be 'surface' or 'threefold'")
     return _Parser(source, mode).parse()
+
+
+def eval_by_running_sums(node: Node, n: int, mode: str = "surface"):
+    """The value of node as `dsl.eval_expr` once computed it, each sum a running sum of its parts."""
+    surface = mode == "surface"
+    memo: dict = {}
+
+    def ev(x: Node):
+        if isinstance(x, NamedAtom):
+            if x.name == "T" and not surface and len(x.args) == 2 and not any(isinstance(a, int) for a in x.args):
+                return TensorExpr.pure(*(eval_by_running_sums(a, n) for a in x.args))
+            return _eval_atom(x, n, mode)
+        if isinstance(x, Scale):
+            return ev(x.node).scale(x.coeff)
+        if isinstance(x, Transpose):
+            inner = ev(x.node)
+            return transpose(inner) if surface else inner.transpose()
+        if isinstance(x, Compose):
+            left, right = ev(x.left), ev(x.right)
+            return compose(left, right) if surface else left.compose(right, memo)
+        if isinstance(x, Sum):
+            acc = SurfCorr.zero(n) if surface else TensorExpr(n)
+            for sign, part in x.parts:
+                value = ev(part)
+                acc = acc + (value if sign == 1 else value.scale(-1))
+            return acc
+        raise TypeError(f"unknown node {x!r}")
+
+    value = ev(node)
+    return value if surface else value.expand()

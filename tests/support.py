@@ -30,7 +30,9 @@ hashed by value and ordered as a tuple, with the law `tuple_compose` and
 the inverse `TupleEnd.inv` written out on its fields.
 `groups.g_table` builds the product table of G by
 index arithmetic; `g_table_by_compose` builds it as the program once did,
-one `surf_compose` call per entry.  The types the program once had are
+one `surf_compose` call per entry.  `groups.id_product` adds the products
+read from such a table into a list indexed by id; `id_product_by_dict` adds
+them into a dict, as the program once did.  The types the program once had are
 the oracles of the law: `GElem` with its `mul` and `inv`, for the
 elements of G and `g_table`, and `AffEnd` with `aff_compose`, for the
 open part, where `aff_of` reads a `SurfEnd` as x -> n x + b and
@@ -224,6 +226,22 @@ def g_table_by_compose(n: int) -> list[list[int]]:
     elems = enumerate_g(n)
     index = {g: i for i, g in enumerate(elems)}
     return [[index[surf_compose(g, h)] for h in elems] for g in elems]
+
+
+def id_product_by_dict(xs: list, ys: list, rows: list, general: list = ()) -> dict:
+    """`groups.id_product` as it once was: the sums keyed by id in a dict, in the order first reached, zeros kept."""
+    out: dict = {}
+    get = out.get
+    for i, a in xs:
+        row = rows[i]
+        for j, b in ys:
+            e = row[j]
+            if e >= 0:
+                out[e] = get(e, 0) + a * b
+            else:
+                for k, m in general[~e]:
+                    out[k] = get(k, 0) + a * b * m
+    return out
 
 
 def group_product(g, h, _level) -> tuple:

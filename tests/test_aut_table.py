@@ -5,16 +5,20 @@
 on integer ids.  These tests check the table entry by entry, decoding
 both of its entry forms (a bare graph id, or an index into the general
 outputs), and that a patched rule reaches `compose` through a table of its own while the table
-of the unpatched rule stays as it was.
+of the unpatched rule stays as it was.  `groups.id_product`, which sums the products read from
+such a table, or from `g_table`, in a list indexed by id, is checked against the dict loop it
+replaced, `support.id_product_by_dict`.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motive_calc import surface
 from motive_calc.endos import surf_end
-from motive_calc.groups import g_table
+from motive_calc.groups import g_table, id_product
 from motive_calc.surface import (
     VERT,
     SurfCorr,
@@ -29,7 +33,7 @@ from motive_calc.surface import (
     delta,
 )
 
-from support import compose_by_atom_pairs, enumerate_surf
+from support import compose_by_atom_pairs, enumerate_surf, id_product_by_dict
 
 
 def _decoded(table, entry) -> list:
@@ -101,6 +105,54 @@ def test_every_entry_of_a_patched_rule_decodes_to_its_output(fault):
     # only the outputs that are not one graph with multiplier 1 are general, and equal ones are one index
     assert general and len(set(general)) == len(general)
     assert {~e for row in rows for e in row if e < 0} == set(range(len(general)))
+
+
+def _id_tables():
+    """(name, rows, size, general, level): `g_table` at N = 3..6, and `aut_table` at N = 3 of each patched rule."""
+    tables = [(f"g_table({n})", g_table(n)[1], 2 * n * n, (), n) for n in range(3, 7)]
+    for fault in (_inversions_doubled, _one_pair_dropped, _one_pair_with_v):
+        atoms, rows, general = aut_table(3, fault(compose_atom_pair))
+        tables.append((f"aut_table(3) of {fault.__name__}", rows, len(atoms), general, 3))
+    return tables
+
+
+ID_TABLES = _id_tables()
+
+
+@st.composite
+def _id_terms(draw, level: int) -> list:
+    """Terms (id, v) of ids in G, drawn from a few so that they repeat, some taken back so that sums cancel."""
+    pool = draw(st.lists(st.integers(0, 2 * level * level - 1), min_size=1, max_size=4))
+    value = (st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)).filter(bool)
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), value), max_size=10))
+    if terms:
+        terms += [(i, -v) for i, v in draw(st.lists(st.sampled_from(terms), max_size=4))]
+    return draw(st.permutations(terms))
+
+
+@pytest.mark.parametrize("table", ID_TABLES, ids=[t[0] for t in ID_TABLES])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_id_product_is_the_dict_loop_it_replaced(table, data):
+    _, rows, size, general, n = table
+    xs, ys = data.draw(_id_terms(n)), data.draw(_id_terms(n))
+    got = id_product(xs, ys, rows, size, general)
+    want = id_product_by_dict(xs, ys, rows, general)
+    assert got == sorted((k, v) for k, v in want.items() if v)
+    assert all(v for _, v in got)
+
+
+def test_the_patched_tables_have_general_entries_and_atoms_past_g():
+    patched = [table for table in ID_TABLES if table[0].startswith("aut_table")]
+    assert len(patched) == 3 and all(general for _, _, _, general, _ in patched)
+    _, rows, size, general, n = patched[-1]
+    assert size == 2 * n * n + 1  # V, the atom with_v adds
+    g11 = surf_end(n, 1, 1).code
+    got = id_product([(g11, 2), (0, 1)], [(0, 5)], rows, size, general)
+    assert got == sorted([(g11, 10), (0, 5), (size - 1, 30)])
+    # sums that cancel leave nothing, where the dict loop keeps their zeros
+    assert id_product([(g11, 2), (g11, -2)], [(0, 5)], rows, size, general) == []
+    assert set(id_product_by_dict([(g11, 2), (g11, -2)], [(0, 5)], rows, general).values()) == {0}
 
 
 def _operands(n):

@@ -21,7 +21,11 @@ or a field of another type) is no `SurfEnd`: the constructor refuses it,
 so a row whose atom would hold one (`Refused`) asserts that refusal where
 the map is built.  An element of Q[G] holds elements of G of its own
 level only, and elements of Q[G] or of Q[G^2 x| S_2] at levels 3 and 4
-combined by +, -, * or a tensor product raise LevelMismatchError.  The DSL
+combined by +, -, * or a tensor product raise LevelMismatchError.  An
+atom (g, h, swap) of an expanded element of Q[G^2 x| S_2], a `PairSum`,
+holds two elements of G of its level and a bool swap: an element of level
+4, a collapse, a swap of 2 or 1, and an atom that is no such triple are
+rows.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -38,7 +42,7 @@ import pytest
 from motive_calc.cli import main
 from motive_calc.dsl import EvalError, NamedAtom, eval_expr
 from motive_calc.endos import SurfEnd, surf_end
-from motive_calc.groups import GroupRingElement, epsilon2_projector, epsilon_projector
+from motive_calc.groups import GroupRingElement, PairSum, epsilon2_projector, epsilon_projector
 from motive_calc.sums import LevelMismatchError
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
@@ -241,6 +245,17 @@ def _group_rows():
     return rows
 
 
+PAIR_ATOMS = [
+    ("element of level 4", (SurfEnd(4, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), False)),
+    ("right element of level 4", (SurfEnd(N, 0, 0, 1, False), SurfEnd(4, 0, 0, 1, False), True)),
+    ("a collapse", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, True), True)),
+    ("junk", "junk"),
+    ("swap 2", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), 2)),
+    ("swap 1", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), 1)),
+    ("two elements", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False))),
+]
+
+
 def _cross_level_rows():
     """Elements of Q[G] and of Q[G^2 x| S_2] at levels 3 and 4 combined: each way raises LevelMismatchError."""
     e3, e4 = epsilon_projector(3), epsilon_projector(4)
@@ -309,6 +324,7 @@ ROWS = (
     + _sum_rows(OpenTCorr, (OPEN_IDENT, OPEN_IDENT, False), OPEN_TENSOR_ATOMS)
     + _pure_tensor_rows()
     + _group_rows()
+    + _sum_rows(PairSum, (SurfEnd(N, 1, 2, -1, False), SurfEnd(N, 0, 0, 1, False), True), PAIR_ATOMS)
     + _cross_level_rows()
     + _bool_rows()
     + _float_rows()
