@@ -19,9 +19,14 @@ multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g` order,
 an element's index being its `SurfEnd.code`, with a product table that
 `g_table` builds once per level by index arithmetic on that numbering,
 not by `surf_compose`.  A product multiplies the operands' integer
-numerators on indices, over the product of their denominators, sums them
-in a list indexed by id (`id_product`), and turns only its nonzero atoms
-back into elements of G.
+numerators on indices, over the product of their denominators, and turns
+only its nonzero atoms back into elements of G.  `id_product` reads it
+from the table `g_table` gives at the call, pair by pair; on
+the law's own table (`LawRows`) a dense product is instead `law_product`,
+four cyclic convolutions over (Z/N)^2, each one big-integer product by
+Kronecker substitution, which reads no table.  `surface.aut_table` keeps
+the rows of `g_table` when its rule agrees with the law on every pair, so
+the automorphism products of `surface.compose` reach the same kernel.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
@@ -34,6 +39,7 @@ entry expands its residual, to atoms (g, h, swap) of a `PairSum`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -70,8 +76,14 @@ def epsilon(x: SurfEnd) -> int:
     return x.s
 
 
+class LawRows(list):
+    """The rows of the product table that `g_table` builds from the group law: what `id_product` may read by the law."""
+
+    __slots__ = ("level",)
+
+
 @lru_cache(maxsize=None)
-def g_table(n: int) -> tuple[list[SurfEnd], list[list[int]]]:
+def g_table(n: int) -> tuple[list[SurfEnd], LawRows]:
     """G numbered 0..2N^2-1 in `enumerate_g` order, each element by its code: (elements, product table).
 
     Row i, column j of the table holds the index of the product of elements
@@ -79,11 +91,13 @@ def g_table(n: int) -> tuple[list[SurfEnd], list[list[int]]]:
     (c, t) to (b + s c, s t), so the columns (c, t) with one (t, c1) make a
     block of N indices: those of (b2 + s c2) mod N over the c2, each plus
     N times ((st < 0) N + (b1 + s c1) mod N).  A row joins 2N such blocks,
-    built once per (s, b2); every entry is one of the ints of `ids`.
+    built once per (s, b2); every entry is one of the ints of `ids`.  The
+    rows are a `LawRows`, the mark by which `id_product` knows the law.
     """
     elems = enumerate_g(n)
     ids = list(range(len(elems)))
-    table = []
+    table = LawRows()
+    table.level = n
     for s in (1, -1):
         # blocks[b2][k]: the indices k N + (b2 + s c2) mod N over the c2, for k in 0..2N-1
         blocks = [[[ids[k * n + (b2 + s * c2) % n] for c2 in range(n)] for k in range(2 * n)] for b2 in range(n)]
@@ -93,17 +107,32 @@ def g_table(n: int) -> tuple[list[SurfEnd], list[list[int]]]:
     return elems, table
 
 
+# a product with more operand pairs than this many per id of G takes `law_product` on the law's rows
+LAW_PAIRS_PER_ID = 16
+
+
 def id_product(xs: list, ys: list, rows: list, size: int, general: list = ()) -> list:
     """Summed integer products of terms (i, v) encoded by id: the (id, sum) pairs with a nonzero sum, by id.
 
     rows[i][j] is the id of the product of ids i and j, or ~g for general[g],
     a sum of (id, multiplier) pairs.  `g_table` has no such entry;
     `surface.aut_table` has one for each output of its rule that is not one
-    atom with multiplier 1.  The sums are added into a list of `size` slots,
-    one per id a product can have: 2N^2 for Q[G], and every atom of the
-    table for `aut_table`, whose patched rules can add atoms.
+    atom with multiplier 1.  size is the number of ids a product can have:
+    2N^2 for Q[G], and every atom of the table for `aut_table`, whose
+    patched rules can add atoms.
+
+    On the rows of the group law (`LawRows`), a product of more than
+    `LAW_PAIRS_PER_ID` pairs per id is `law_product`, which reads no row.
+    Any other product is the pair loop: each pair read from its row and
+    added into a list of `size` slots when there are at least a quarter as
+    many pairs as slots, and otherwise into a dict, which holds only the ids
+    the pairs reach.  Adding into a dict costs about four times as much per
+    pair as reading out one slot of the list.
     """
-    out = [0] * size
+    pairs = len(xs) * len(ys)
+    if type(rows) is LawRows and pairs > LAW_PAIRS_PER_ID * size:
+        return law_product(xs, ys, rows.level)
+    out = [0] * size if 4 * pairs >= size else defaultdict(int)
     for i, a in xs:
         row = rows[i]
         for j, b in ys:
@@ -113,6 +142,109 @@ def id_product(xs: list, ys: list, rows: list, size: int, general: list = ()) ->
             else:
                 for k, m in general[~e]:
                     out[k] += a * b * m
+    if type(out) is list:
+        return [(k, v) for k, v in enumerate(out) if v]
+    return sorted((k, v) for k, v in out.items() if v)
+
+
+# -- Q[G] products by the group law, as big-integer products (Kronecker substitution)
+#
+# With x = x+ + x-, x+- the terms of sign s = +-1, (b, s)(c, t) = (b + s c, s t) gives
+#     (x y)+ = x+ * y+ + x- * rho(y-),    (x y)- = x+ * y- + x- * rho(y+),
+# with * the cyclic convolution over (Z/N)^2 and rho(y)(c) = y(-c).  An N x N array a
+# is packed as the integer sum of a[b1][b2] z^(b1 S + b2), z = 2^w and S = 2N - 1, so
+# that the integer product of two packed arrays holds their linear convolution, one
+# signed slot of w bits per index (Kronecker substitution).  The two products of one
+# sign are added as integers and folded mod N in each coordinate on the integer.
+# Every slot and fold of a product of sign s sums products x_i y_j, each x_i with at
+# most one y_j, so it is at most min(sum |x| max |y|, max |x| sum |y|) in absolute
+# value: w, one bit above that bound, holds every slot without overflow.
+
+
+def _reflected(a: list, n: int) -> list:
+    """rho(a): the value of a at -c, for c in (Z/N)^2 in row-major order."""
+    return [a[-c1 % n * n + -c2 % n] for c1 in range(n) for c2 in range(n)]
+
+
+def _slot_width(bound: int) -> int:
+    """The slot width in bits that holds a signed slot of absolute value at most bound."""
+    return bound.bit_length() + 1
+
+
+def _packed(a: list, n: int, w: int, digits: dict) -> int:
+    """The N x N array a (row-major) as the integer sum of a[b1][b2] z^(b1 S + b2): a positive part less a negative part.
+
+    digits maps a value to its (positive, negative) digit strings of w bits, filled per value at first use.
+    """
+    zero = "0" * w
+    pad = zero * (n - 1)
+    pos, neg = [], []
+    for b1 in range(n - 1, -1, -1):  # written most significant first
+        pos.append(pad)
+        neg.append(pad)
+        for v in reversed(a[b1 * n:b1 * n + n]):
+            got = digits.get(v)
+            if got is None:
+                text = format(abs(v), f"0{w}b")
+                got = digits[v] = (text, zero) if v > 0 else (zero, text)
+            pos.append(got[0])
+            neg.append(got[1])
+    return int("".join(pos), 2) - int("".join(neg), 2)
+
+
+@lru_cache(maxsize=64)
+def _fold_constants(n: int, w: int) -> tuple:
+    """Masks and biases of the fold of a product of two packed N x N arrays, and where its N^2 folded slots are read."""
+    s, half, zero, ones = 2 * n - 1, "1" + "0" * (w - 1), "0" * w, "1" * w
+    return (
+        int(half * ((2 * n - 1) * s), 2),  # + half in every slot of the product
+        int(half * ((n - 1) * s), 2),  # - half in the rows folded onto rows 0..N-2
+        int((zero * (n - 1) + ones * n) * n, 2),  # slots 0..N-1 of each row
+        int((zero * n + ones * (n - 1)) * n, 2),  # slots 0..N-2 of each row
+        int((zero * n + half * (n - 1)) * n, 2),  # - half in the slots folded onto 0..N-2
+        tuple((n * s - 1 - (r * s + c)) * w for r in range(n) for c in range(n)),
+    )
+
+
+def _folded(p: int, n: int, w: int) -> list:
+    """The cyclic convolution, row-major, from p, the integer sum of linear convolutions of packed arrays.
+
+    Every slot is offset by half = 2^(w-1) so that it is a w-bit digit of
+    [0, 2^w): then rows N.. are added onto rows 0.. and slots N.. of each row
+    onto slots 0.., each sum less one offset, with no carry between slots.
+    """
+    bias, rows_bias, low, high, high_bias, at = _fold_constants(n, w)
+    nbits = w * n * (2 * n - 1)
+    p += bias
+    p = (p & ((1 << nbits) - 1)) + (p >> nbits) - rows_bias
+    p = (p & low) + ((p >> (w * n)) & high) - high_bias
+    text, half = format(p, "b").zfill(nbits), 1 << (w - 1)
+    return [int(text[i:i + w], 2) - half for i in at]
+
+
+def law_product(xs: list, ys: list, n: int) -> list:
+    """The Q[G] product of terms (id, v) of G at level n by the group law: the (id, sum) pairs with a nonzero sum, by id.
+
+    Ids are codes, so ids 0..N^2-1 are the (b, +1) and N^2..2N^2-1 the
+    (b, -1), b row-major; an id may repeat.  The four convolutions are four
+    big-integer products (see above), with one slot width for all, taken
+    from the bound on the sums of the product.
+    """
+    m = n * n
+    x, y = [0] * (2 * m), [0] * (2 * m)
+    for i, v in xs:
+        x[i] += v
+    for j, v in ys:
+        y[j] += v
+    ax, ay = list(map(abs, x)), list(map(abs, y))
+    bound = min(sum(ax) * max(ay), max(ax) * sum(ay))
+    if not bound:
+        return []
+    w = _slot_width(bound)
+    digits: dict = {}
+    xp, xm, yp, ym = (_packed(a, n, w, digits) for a in (x[:m], x[m:], y[:m], y[m:]))
+    rho_yp, rho_ym = (_packed(_reflected(a, n), n, w, digits) for a in (y[:m], y[m:]))
+    out = _folded(xp * yp + xm * rho_ym, n, w) + _folded(xp * ym + xm * rho_yp, n, w)
     return [(k, v) for k, v in enumerate(out) if v]
 
 
@@ -133,7 +265,10 @@ class GroupRingElement(LinComb):
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """The product on integer numerators, with each element encoded by its index in G, its code.
 
-        Only the atoms of the result are decoded back to group elements.
+        The table is read from `g_table` at each call, so a patched table
+        reaches the product; `id_product` takes a dense product on the law's
+        own rows to `law_product`.  Only the atoms of the result are decoded
+        back to group elements.
         """
         if type(other) is not GroupRingElement:
             raise LevelMismatchError("group elements of different kinds")

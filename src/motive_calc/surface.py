@@ -15,7 +15,10 @@ associativity and action-coherence test suites.
 `compose` does not send every atom pair through the table.  Two
 automorphism graphs meet through `aut_table`, the rule tabulated once per
 level on the indices of their group elements, so such a pair is an
-integer lookup.  The component products of one cusp form a sparse
+integer lookup; when the rule agrees with the group law on every pair,
+the table is the rows of `groups.g_table`, and a dense product of
+automorphism graphs is the group-law kernel `groups.law_product`, which
+reads no entry.  The component products of one cusp form a sparse
 integer block, and the rest of the table acts on blocks as matrices read
 from the rule and kept per level (`CuspRule`): R9 is the block product
 with the N-gon pairing, three nonzeros per row, and a graph, tGraph or V
@@ -46,8 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
+from . import groups
 from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_identity
 from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
 from .groups import enumerate_g, epsilon_projector, id_product, lambda_theta
@@ -320,21 +324,29 @@ def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]], list[tuple
 
     rows[i][j] stands for what rule(atoms[i], atoms[j], level) returned.
     Ids 0..2N^2-1 are those of `aut_index`, and an atom the rule produces
-    outside them gets an id after them.  An output of one atom with
-    multiplier 1, as R1 gives on every pair, is entered as that atom's id,
-    read from the index in the one loop over the pairs.  Any other output
-    (zero, a multiplier other than 1, or several atoms) is entered as ~g:
-    general[g] holds it as (atom id, multiplier) pairs, and equal outputs
-    share one g.  The table is built from the rule it is given, not from
-    the product rows of `g_table`, so a patched rule gets its own table.
+    outside them gets an id after them.  The rule is called once per pair,
+    one row of pairs per `map`, and the row is compared as a whole with the
+    law's row: R1's shared outputs for the products that `groups.g_table`,
+    as bound at the build, lists in that row.  When every row agrees, rows
+    is the rows object of that `g_table`, and no second table is kept.
+    From the first row that differs, the table is the rule's own: the rows
+    before it are copies of the law's, and each output from it on is
+    entered as an atom's id when it is one atom with multiplier 1, or else
+    (zero, a multiplier other than 1, or several atoms) as ~g, general[g]
+    holding it as (atom id, multiplier) pairs, equal outputs sharing one g.
+    So a patched rule gets its own table, and a `g_table` patched after the
+    build reaches no table built before it.
     """
     index = dict(aut_index(level))
     atoms = list(index)
     auts = atoms[:]
+    elems, law = groups.g_table(level)
+    # the law's outputs by id: R1's shared output for each element, as R1 makes it
+    law_terms = [_GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),)) for h in elems]
     general: dict = {}  # each other output -> its g, in the order of first appearance
 
     def entry(produced) -> int:
-        """The entry of an output that is no atom of the index with multiplier 1: a new atom, zero or general."""
+        """The entry of one output: an atom's id (a new atom gets one) when it is one atom with multiplier 1, else ~g."""
         ids = []
         for atom, k in produced or ():
             i = index.get(atom)
@@ -346,22 +358,24 @@ def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]], list[tuple
             return ids[0][0]
         return ~general.setdefault(tuple(ids), len(general))
 
-    rows = []
-    get = index.get
-    for x in auts:
-        row = []
-        rows.append(row)
-        for y in auts:
-            produced = rule(x, y, level)
-            i = get(produced[0][0]) if produced and len(produced) == 1 and produced[0][1] == 1 else None
-            row.append(entry(produced) if i is None else i)
-    return atoms, rows, list(general)
+    m = len(auts)
+    own = None  # the rule's own rows, from the first row that differs from the law's
+    for i, (x, law_row) in enumerate(zip(auts, law)):
+        produced = list(map(rule, repeat(x, m), auts, repeat(level, m)))
+        if own is None:
+            if produced == list(map(law_terms.__getitem__, law_row)):
+                continue
+            own = [list(row) for row in law[:i]]
+        own.append([entry(out) for out in produced])
+    return atoms, law if own is None else own, list(general)
 
 
 def _aut_product(xs: list, ys: list, table: tuple) -> list:
     """The summed products of automorphism graph terms (atom, v), read from `aut_table` by `groups.id_product`.
 
-    An atom's id is the code of its map (`aut_index`); only the atoms of the result are decoded.
+    An atom's id is the code of its map (`aut_index`); only the atoms of the
+    result are decoded.  On a table whose rows are the law's (`groups.LawRows`)
+    a dense product is `groups.law_product`, which reads no row.
     """
     atoms, rows, general = table
     out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows, len(atoms), general)
@@ -576,7 +590,8 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     R9 is the block product Y.A.X, and a graph, tGraph or V atom acts on
     a block through its index map, the atoms of one map summed first.
     Two automorphism graphs meet through the tabulated rule, on integer
-    ids, and the other graph, tGraph and V pairs run atom by atom.  What
+    ids (`groups.id_product`, by the group law when the table is the
+    law's), and the other graph, tGraph and V pairs run atom by atom.  What
     this reads of an operand is derived once and kept on it (`_Operand`).
     """
     after.check_level(before)

@@ -14,18 +14,22 @@ of pure tensors, each factor an honest surface correspondence, held as a
 decided on that form too, by `Certificate.check`: two equal factored
 forms pass at once, and otherwise `TensorExpr.is_zero` tests the
 difference of the two sides by exact elimination on the factors (see its
-docstring); only a failed entry expands its residual to atoms.  The restriction rows keep expand-then-restrict, because their
-law is about the factoring, but take it one chunk of the left factor at
-a time on integer numerators (`restriction_residual`).  The parity rows
-test the factored open form, open(a) (x) open(b) less the dropped
-V (x) V, with `tensor_vanishes` (`parity_residual`).  Each row reads
-`restrict_atom` once per distinct surface atom and the inversion
-`compose_open_atoms(inv, .)` once per distinct open atom, into maps made
-from the functions bound when the row runs and dropped when it ends;
-no row holds a pair projector expanded whole.  Divisor actions
-are also computed on the factored form: a pure tensor acts as the tensor
-product of its two factors' slot actions.  Within one certificate the projectors share their factors, and
-each distinct surface product and each slot image is computed once.
+docstring); only a failed entry expands its residual to atoms.  The
+restriction rows keep their law about the factoring, open(a (x) b) =
+open(a) (x) open(b), atom by atom: each pair of terms of a and b is built
+by `t_atom`, restricted, and compared with the atom that the tensor
+product of the surface restrictions expects, and only a pair whose two
+atoms differ adds to the residual, on integer numerators
+(`restriction_residual`).  The parity rows test the factored open form,
+open(a) (x) open(b) less the dropped V (x) V, with `tensor_vanishes`
+(`parity_residual`).  Each row reads `restrict_atom` once per distinct
+surface atom and the inversion `compose_open_atoms(inv, .)` once per
+distinct open atom, into maps made from the functions bound when the row
+runs and dropped when it ends; no row holds a pair projector expanded
+whole.  Divisor actions are also computed on the factored form: a pure
+tensor acts as the tensor product of its two factors' slot actions.
+Within one certificate the projectors share their factors, and each
+distinct surface product and each slot image is computed once.
 This is what keeps the full certificate cheap at higher levels.  The
 expansion, the zero test, the open-part rows and the divisor actions read
 the denominators and integer numerators of the sum and of its factors
@@ -45,6 +49,7 @@ from math import lcm
 from operator import add
 from typing import Iterable
 
+from . import surface
 from .endos import SurfEnd, mu0, surf_identity
 from .exact import exact_rational
 from .groups import mu_inv
@@ -53,6 +58,7 @@ from .sums import (
     Certificate,
     LevelMismatchError,
     LinComb,
+    bilinear,
     collect,
     linear_map,
     product,
@@ -76,7 +82,6 @@ from .surface import (
     open_atom_sort_key,
     open_graph,
     restrict_atom,
-    restrict_to_open,
     transpose,
 )
 
@@ -279,10 +284,19 @@ class TensorExpr(LinComb):
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
     def expand(self, cls: type | None = None) -> LinComb:
-        """The atom sum, as a sum of type cls (default: TCorr): each pure tensor the `product` of its factors."""
-        cls = cls or TCorr
-        parts = (product(a, b, _tensor_rule(e), cls).scale(Fraction(v, self.d)) for (a, b, e), v in self.nums.items())
-        return reduce(add, parts, cls.over(self.level, 1, {}))
+        """The atom sum, as a sum of type cls (default: TCorr), folded once over one denominator.
+
+        The part v/d (A (x) B).swap^e is v A.nums[a] B.nums[b] at each atom
+        (a, b, swap) over d A.d B.d, so every part is collected into one dict
+        over d q, q the lcm of the A.d B.d: B's numerators are multiplied
+        first by v q / (A.d B.d), then by A's, pair by pair.
+        """
+        level, nums = self.level, {}
+        q = lcm(*(a.d * b.d for a, b, _ in self.nums))
+        for (a, b, e), v in self.nums.items():
+            k = v * (q // (a.d * b.d))
+            collect(bilinear(a.nums.items(), [(y, k * c) for y, c in b.nums.items()], _tensor_rule(e), level), nums)
+        return (cls or TCorr).over(level, self.d * q, nums)
 
 
 def t_delta_expr(n: int) -> TensorExpr:
@@ -512,60 +526,39 @@ def _row_level(pairs: list[tuple[SurfCorr, SurfCorr]]) -> int:
     return level
 
 
-def _chunked(a: SurfCorr, opened: dict) -> dict:
-    """{L: xs}: the terms xs of a that opened, the row's map of `restrict_atom`, sends to L; None is a chunk of its own."""
-    chunks: dict = {}
-    for atom, v in a.nums.items():
-        chunks.setdefault(opened[atom], []).append((atom, v))
-    return chunks
-
-
-def _restricted(xs: list, ys, opened: dict, out: dict) -> dict:
-    """out plus the sum of the products of the terms xs and ys, each built by `t_atom` and restricted by `_restrict_t_atom`.
-
-    The open atoms of the factors are read from opened, the row's map of
-    `restrict_atom`, so each distinct surface atom is restricted once per row.
-    """
-
-    def products():
-        for a, ca in xs:
-            for b, cb in ys:
-                atom = t_atom(a, b)
-                o = None if atom is None else _restrict_t_atom(atom, opened)
-                if o is not None:
-                    yield o, ca * cb
-
-    return collect(products(), out)
-
-
 def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
-    """open(a (x) b) - open(a) (x) open(b), summed one chunk of a's terms at a time.
+    """open(a (x) b) - open(a) (x) open(b), summed over the pairs of terms whose two atoms differ.
 
-    The left side is a (x) b expanded and restricted atom by atom, the
-    right side the tensor product of the surface restrictions
-    (`surface.restrict_to_open`).  Both are taken on integer numerators,
-    one left open atom L at a time: the chunk of L (see `_chunked`) less
-    open(a) at L tensored with open(b).  The chunk residuals are summed,
-    so the result is the whole residual whatever the atom maps do; when
-    the law holds, the sum is empty after each chunk.  The row reads
-    `restrict_atom` once per distinct surface atom, into a map that ends
-    with the row.
+    Each pair (x, y) of a term of a and a term of b is built by `t_atom`
+    and restricted by `_restrict_t_atom`, through the row's map of
+    `restrict_atom`: its atom on the left side.  Its atom on the right
+    side, the tensor product of the surface restrictions, is
+    (open x, open y, False), each open atom read through
+    `surface.restrict_atom` as `surface.restrict_to_open` reads it, or none
+    when either lies over the cusps.  A pair adds ca cb at the first and
+    -ca cb at the second only when the two differ, so when the law holds
+    nothing is added, and otherwise the sum is the whole residual, term for
+    term, whatever the atom maps do.  Both maps are read once per distinct
+    surface atom, into maps that end with the row.
     """
     level = _row_level([(a, b)])
-    opened = _AtomMap(restrict_atom)
-    chunks = _chunked(a, opened)
-    d = a.d * b.d
-    open_a, open_b = restrict_to_open(a), restrict_to_open(b)
-    k = -(d // (open_a.d * open_b.d))  # -open(a) (x) open(b) over d
-    ys = b.nums.items()
-    out: dict = {}
-    for key in chunks.keys() | open_a.nums.keys():
-        if key in chunks:
-            _restricted(chunks[key], ys, opened, out)
-        if key in open_a.nums:
-            u = k * open_a.nums[key]
-            collect((((key, rb, False), u * v) for rb, v in open_b.nums.items()), out)
-    return OpenTCorr.over(level, d, out)
+    opened, expected = _AtomMap(restrict_atom), _AtomMap(surface.restrict_atom)
+    ys = [(y, cb, expected[y]) for y, cb in b.nums.items()]
+
+    def differences():
+        for x, ca in a.nums.items():
+            ex = expected[x]
+            for y, cb, ey in ys:
+                atom = t_atom(x, y)
+                got = None if atom is None else _restrict_t_atom(atom, opened)
+                want = None if ex is None or ey is None else (ex, ey, False)
+                if got != want:
+                    if got is not None:
+                        yield got, ca * cb
+                    if want is not None:
+                        yield want, -ca * cb
+
+    return OpenTCorr.over(level, a.d * b.d, collect(differences()))
 
 
 def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTCorr:
@@ -847,7 +840,7 @@ def threefold_certificate(n: int) -> list[dict]:
 
     # restriction to the open part factors through the surface restrictions: that law
     # is about factoring, so its left side is the expanded projector, restricted atom by
-    # atom; the residual is summed one chunk of the left factor at a time
+    # atom; the residual sums only the pairs of terms whose two atoms differ
     for i1 in range(3):
         for i2 in range(3):
             cert.check(

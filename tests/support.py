@@ -12,9 +12,11 @@ atom-pair products are the oracles of the program's keyed products:
 `invert_open_t` and `threefold.parity_residual` apply the inversion
 factor by factor.
 
-The program decides the restriction rows of the threefold certificate one
-chunk of a left factor at a time (`threefold.restriction_residual`), and
-the parity rows on the factored open form (`threefold.parity_residual`).
+The program decides the restriction rows of the threefold certificate
+pair by pair, adding only the pairs whose restricted atom differs from the
+one the tensor product of the surface restrictions expects
+(`threefold.restriction_residual`), and the parity rows on the factored
+open form (`threefold.parity_residual`).
 Their oracles expand the pair projector whole, restrict it with
 `threefold.restrict_to_open_t`, and compare it with `tensor_open` of the
 surface restrictions, or invert it with `invert_open_t`; both read the
@@ -31,13 +33,19 @@ the inverse `TupleEnd.inv` written out on its fields.
 `groups.g_table` builds the product table of G by
 index arithmetic; `g_table_by_compose` builds it as the program once did,
 one `surf_compose` call per entry.  `groups.id_product` adds the products
-read from such a table into a list indexed by id; `id_product_by_dict` adds
-them into a dict, as the program once did.  The types the program once had are
+read from such a table into a dict and returns the nonzero sums by id, or
+on the law's own table takes a dense product to `groups.law_product`,
+which reads no table; `id_product_by_dict` is the pair loop as the program
+once had it, zeros kept, the oracle of both.  The types the program once had are
 the oracles of the law: `GElem` with its `mul` and `inv`, for the
 elements of G and `g_table`, and `AffEnd` with `aff_compose`, for the
 open part, where `aff_of` reads a `SurfEnd` as x -> n x + b and
 `compose_affine_atoms`, `affine_label` and `affine_sort_key` compose,
 print and sort open atoms as the program once did.
+
+`TensorExpr.expand` folds its parts once over one denominator;
+`expand_by_running_sum` is the running sum it replaced, each part's
+product scaled and added to the sum of the parts before it.
 
 The program holds an element of G^2 x| S_2's group ring factored, as a
 `TensorExpr` with Q[G] factors.  Its oracle is the ring as the program
@@ -71,6 +79,8 @@ can act with an atom-level sum through the program's action.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from motive_calc import surface, threefold
@@ -433,6 +443,13 @@ def invert_open_t(x: OpenTCorr) -> OpenTCorr:
 def expanded_open(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
     """open(a (x) b): the pure tensor expanded whole, then restricted atom by atom."""
     return threefold.restrict_to_open_t(TensorExpr.pure(a, b).expand())
+
+
+def expand_by_running_sum(x: TensorExpr, cls: type | None = None) -> LinComb:
+    """`TensorExpr.expand` as it once was: each pure tensor's `product`, scaled, added to the running sum."""
+    cls = cls or TCorr
+    parts = (product(a, b, _tensor_rule(e), cls).scale(Fraction(v, x.d)) for (a, b, e), v in x.nums.items())
+    return reduce(add, parts, cls.over(x.level, 1, {}))
 
 
 def restriction_residual_by_expansion(a: SurfCorr, b: SurfCorr) -> OpenTCorr:

@@ -6,8 +6,8 @@ on integer ids.  These tests check the table entry by entry, decoding
 both of its entry forms (a bare graph id, or an index into the general
 outputs), and that a patched rule reaches `compose` through a table of its own while the table
 of the unpatched rule stays as it was.  `groups.id_product`, which sums the products read from
-such a table, or from `g_table`, in a list indexed by id, is checked against the dict loop it
-replaced, `support.id_product_by_dict`.
+such a table, or from `g_table`, by id, is checked against the dict loop it replaced,
+`support.id_product_by_dict`.
 """
 
 from fractions import Fraction

@@ -593,9 +593,9 @@ def _is_inversion(atom) -> bool:
 def restriction_faults(n):
     """Faults of the open part at level n, each as (name in `threefold`, patched function).
 
-    The last two sit at the chunk boundaries of the restriction rows: the
-    tensor slots of a restricted atom exchanged, and the inversion made to
-    send two graphs to one.
+    The last two act past the surface atom maps: the tensor slots of a
+    restricted atom exchanged, and the inversion made to send two graphs to
+    one.
     """
 
     def merged(atom):
@@ -631,7 +631,7 @@ RESTRICTION_FAILURES = {
 
 # sha256 of json.dumps(threefold_certificate(4), sort_keys=True) with no fault and under each
 # fault, as the rows read when each pair projector was expanded whole, restricted, and compared
-# with tensor_open of the surface restrictions: the chunked rows must give the same bytes
+# with tensor_open of the surface restrictions: the rows compared pair by pair must give the same bytes
 WHOLE_EXPANSION_DIGESTS = {
     None: "7d7e8fccffd70404f81cd7b40c967dc31ed4ef58a4579d274f111704cfe4ecd9",
     "V restricted to a graph": "9618a5a6ffabca4fc95c638290ee5b12c9a1419008a9286aabbc3b21134a2da4",
@@ -705,7 +705,7 @@ def _slots_swapped(x):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(3, 5))
-def test_chunked_restriction_rows_match_the_whole_expansion_under_every_fault(data, n):
+def test_restriction_rows_compared_per_pair_match_the_whole_expansion_under_every_fault(data, n):
     pairs = data.draw(st.lists(st.tuples(open_part_factors(n), open_part_factors(n)), min_size=1, max_size=3))
     sign = data.draw(st.sampled_from([1, -1]))
     for name, fault in [(None, None), *restriction_faults(n).items()]:
@@ -908,3 +908,68 @@ def test_a_fiber_row_that_gives_d_a_raises_degree_error_on_d_a_fiber(monkeypatch
         act_on_divisor_linear(t, linear_class(DivClass.of(n, DA_FIBER)))
     # the certificate only acts on [fiber] and the components, so it reads the fault as failed rows
     assert "action:pi0:fiber" in _failed(surface_certificate(n))
+
+
+# -- the Q[G] kernel (`groups.law_product`): each fault with the entries it flips at N = 6, where it runs
+
+_law = groups.law_product
+
+
+def _minus_halves_swapped(xs, ys, n):
+    # the terms of sign -1 of x and of y exchanged: x- rho(y-) becomes y- rho(x-), and x+ y- becomes x+ x-
+    m = n * n
+    return _law([t for t in xs if t[0] < m] + [t for t in ys if t[0] >= m],
+                [t for t in ys if t[0] < m] + [t for t in xs if t[0] >= m], n)
+
+
+# (name patched in groups, patch)
+KERNEL_FAULTS = {
+    "rho dropped": ("_reflected", lambda a, n: a),
+    "x- and y- swapped": ("law_product", _minus_halves_swapped),
+    "slot width one bit short": ("_slot_width", lambda bound: bound.bit_length()),
+}
+
+_PI1_FACTORS = ["pi(0,1)", "pi(1,0)", "pi(1,1)", "pi(1,2)", "pi(2,1)"]
+
+# (group, surface, threefold) entries that each fault flips at N = 6.  Every Q[G] operand that the certificates
+# multiply densely (eps, theta, and the graphs of pi1 and piInf) is constant on each half of G but at the identity,
+# so rho fixes it; and in each pair multiplied the two constants of sign -1 agree, or the terms of sign +1 have equal
+# sums, so the swap changes no product: those two faults flip no entry (a FOUND line of CHANGES.md), and the product
+# test below shows both
+KERNEL_FAILURES = {
+    "rho dropped": ([], [], []),
+    "x- and y- swapped": ([], [], []),
+    "slot width one bit short": (
+        ["eps:idempotent", "theta:idempotent"],
+        ["kronecker:pi1.pi1"],
+        [f"kronecker:{na}.{na}" for na in _PI1_FACTORS] + ["split:idempotent:alt(1,1)", "split:idempotent:sym(1,1)"]
+        + ["residual:idempotent"]
+        + [row for na in _PI1_FACTORS + ["alt(1,1)", "sym(1,1)"]
+           for row in (f"residual:piInf.{na}", f"residual:{na}.piInf")]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KERNEL_FAULTS))
+def test_certificates_under_a_kernel_fault(fault, monkeypatch):
+    n = 6
+    calls = []
+    monkeypatch.setattr(groups, "law_product", lambda *args: calls.append(args) or _law(*args))
+    assert (_failed(group_certificate(n)), _failed(surface_certificate(n))) == ([], [])
+    assert calls  # the kernel runs at this level
+    monkeypatch.setattr(groups, *KERNEL_FAULTS[fault])
+    got = (_failed(group_certificate(n)), _failed(surface_certificate(n)), _failed(threefold_certificate(n)))
+    assert got == KERNEL_FAILURES[fault]
+
+
+@pytest.mark.parametrize("fault", sorted(KERNEL_FAULTS))
+def test_each_kernel_fault_shows_on_products_without_those_symmetries(fault, monkeypatch):
+    # a dense x with no symmetry, and eps, each of whose product sums reaches the bound of the slot width
+    n = 6
+    x = GroupRingElement(n, {g: g.code % 7 - 3 for g in groups.enumerate_g(n)})
+    y = GroupRingElement(n, {g: g.code % 5 - 1 for g in groups.enumerate_g(n)})
+    eps = groups.epsilon_projector(n)
+    pairs = [(x, y), (eps, eps)]
+    want = [product(a, b, group_product) for a, b in pairs]
+    assert [a * b for a, b in pairs] == want
+    monkeypatch.setattr(groups, *KERNEL_FAULTS[fault])
+    assert [a * b for a, b in pairs] != want

@@ -8,6 +8,13 @@ time, `acc + value`, after `scale(-1)` or `scale(q)`.  Random trees at
 N = 3..6 in both modes, with nested sums, negative and fractional
 scalars, parts scaled by 0, transposes, products and T(a,b) parts, must
 evaluate to equal sums that print alike.
+
+`TensorExpr.expand` folds the same way: each part's atom products go into
+one dict over the lcm of the parts' denominators.  Its oracle,
+`support.expand_by_running_sum`, adds the scaled product of each part to
+the sum of the parts before it.  Random factored sums at N = 3..5, of
+surface or of Q[G] factors, with swapped parts and parts whose factors
+both hold V, must expand to equal sums that print alike.
 """
 
 from fractions import Fraction
@@ -17,10 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc.dsl import Compose, NamedAtom, Scale, Sum, Transpose, eval_expr, evaluate, parse_expr
+from motive_calc.endos import mu0
+from motive_calc.groups import GroupRingElement, PairSum, enumerate_g
 from motive_calc.levels import cusp_count
-from motive_calc.surface import VERT, SurfCorr
+from motive_calc.surface import VERT, SurfCorr, build_pi_bars
+from motive_calc.threefold import TensorExpr
 
 from dsl_oracle import eval_by_running_sums
+from support import enumerate_surf, expand_by_running_sum
 
 SCALARS = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-7, 6)]
 SIGNS = st.sampled_from([1, -1])
@@ -118,3 +129,51 @@ def test_a_float_scalar_in_a_hand_built_sum_is_refused():
         eval_expr(Sum(((1, Scale(1.5, NamedAtom("V"))),)), 3)
     with pytest.raises(TypeError, match="float coefficient"):
         eval_expr(Sum(((-1, NamedAtom("Delta")), (1, Scale(0.0, NamedAtom("V"))))), 3)
+
+
+# -- TensorExpr.expand ------------------------------------------------------------
+
+@st.composite
+def factored_sums(draw, n: int, group_ring: bool):
+    """A `TensorExpr` of up to five parts on a few shared factors, swapped or not.
+
+    Surface factors hold graphs, transposed collapse graphs and V, and
+    V + Graph(id) is always among them, so that parts with V in both factors,
+    whose V (x) V the expansion drops, come up often; Q[G] factors hold
+    elements of G.
+    """
+    coeff = st.sampled_from(SCALARS[1:] + [Fraction(1, 2 * n * n), Fraction(-3, n)])
+    if group_ring:
+        atom = st.sampled_from(enumerate_g(n))
+        make, fixed = GroupRingElement, [GroupRingElement(n, {g: 1 for g in enumerate_g(n)[:n]})]
+    else:
+        ends = enumerate_surf(n)
+        atom = st.one_of(st.sampled_from([("G", e) for e in ends]),
+                         st.sampled_from([("T", e) for e in ends if e.collapse]), st.just(VERT))
+        make, fixed = SurfCorr, [SurfCorr(n, {VERT: 1, ("G", ends[0]): 2}), build_pi_bars(n)["pi0"]]
+    factor = st.builds(lambda terms: make(n, terms), st.dictionaries(atom, coeff, min_size=1, max_size=4))
+    pick = st.sampled_from(draw(st.lists(factor, min_size=1, max_size=3)) + fixed)
+    return TensorExpr(n, draw(st.lists(st.tuples(coeff, pick, pick, st.booleans()), max_size=5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(3, 5), st.booleans())
+def test_an_expansion_folds_to_the_running_sum(data, n, group_ring):
+    x = data.draw(factored_sums(n, group_ring))
+    cls = PairSum if group_ring else None
+    got, want = x.expand(cls), expand_by_running_sum(x, cls)
+    assert type(got) is type(want)
+    assert got == want
+    assert got.render() == want.render()
+    assert all(got.nums.values())
+
+
+def test_an_expansion_drops_v_tensor_v_and_cancels_across_parts():
+    n = 4
+    v, pi0 = SurfCorr.of(n, VERT), build_pi_bars(n)["pi0"]
+    # pi0 = tGraph(mu0) - V/2, so pi0 (x) V less tGraph(mu0) (x) V is -V/2 (x) V, which is zero
+    x = TensorExpr(n, [(3, v, v, True), (1, pi0, v, False), (-1, SurfCorr.of(n, ("T", mu0(n))), v, False)])
+    assert len(x.nums) == 3
+    assert x.expand().nums == {} and x.expand().d == 1
+    y = TensorExpr(n, [(1, pi0, v, False), (Fraction(-2, 3), pi0, pi0, True)])
+    assert y.expand() == expand_by_running_sum(y)

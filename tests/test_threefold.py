@@ -523,7 +523,7 @@ def test_threefold_certificate_passes_at_higher_levels(n):
 
 def test_a_passing_certificate_expands_only_the_restriction_rows(monkeypatch):
     # only the two b(j) terms, restricted atom by atom: the pair projector rows
-    # expand one chunk of a left factor at a time, and no pair projector whole
+    # compare each pair of terms of their factors, and expand no pair projector whole
     expand = TensorExpr.expand
     calls = []
 
@@ -539,8 +539,8 @@ def test_a_passing_certificate_expands_only_the_restriction_rows(monkeypatch):
 
 
 def test_a_passing_certificate_at_level_8_peaks_under_2_mb():
-    # the restriction rows hold one chunk of a left factor tensored with the right factor at a
-    # time, not the 4N^4 atoms of a pair projector expanded whole (about 14 MB at this level)
+    # the restriction rows hold only the pairs of terms whose atoms differ, none when the law holds,
+    # not the 4N^4 atoms of a pair projector expanded whole (about 14 MB at this level)
     threefold_certificate(8)  # the level's projectors and rule tables, made once per process
     tracemalloc.start()
     try:
