@@ -57,16 +57,15 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, payload: dict, text_renderer=None) -> None:
-    if args.format == "text" and text_renderer is not None:
-        _write(args, text_renderer(payload))
-    else:
-        _write(args, render_json(payload))
+def _emit(args, payload: dict, text_renderer) -> None:
+    _write(args, text_renderer(payload) if args.format == "text" else render_json(payload))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
+    """--level and -o; --format only for a subcommand that renders both forms."""
     parser.add_argument("--level", type=int, required=True, help="level N >= 3")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
+    if formats:
+        parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("-o", "--output", default=None, help="write to FILE instead of stdout")
 
 
@@ -75,8 +74,7 @@ def _add_max_level(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_invariants(args) -> int:
-    payload = level_invariants(args.level).to_json()
-    _emit(args, payload)
+    _write(args, render_json(level_invariants(args.level).to_json()))
     return 0
 
 
@@ -207,17 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("lattice", help="cusp-fiber intersection lattice")
-    _add_common(p)
+    _add_common(p, formats=True)
     _add_max_level(p)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("decompose", help="motive decomposition and Betti table")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.add_argument("--threefold", action="store_true")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("filtration", help="Chow-group filtration tables")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.set_defaults(func=_cmd_filtration)
 
     p = sub.add_parser("eval", help="evaluate a correspondence expression")
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "run all certificates, print one line per check"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, formats=name == "report")
         _add_max_level(p)
         p.add_argument(
             "--surface-only",

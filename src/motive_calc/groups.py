@@ -21,12 +21,13 @@ an element's index being its `SurfEnd.code`, with a product table that
 not by `surf_compose`.  A product multiplies the operands' integer
 numerators on indices, over the product of their denominators, and turns
 only its nonzero atoms back into elements of G.  `id_product` reads it
-from the table `g_table` gives at the call, pair by pair; on
-the law's own table (`LawRows`) a dense product is instead `law_product`,
-four cyclic convolutions over (Z/N)^2, each one big-integer product by
-Kronecker substitution, which reads no table.  `surface.aut_table` keeps
-the rows of `g_table` when its rule agrees with the law on every pair, so
-the automorphism products of `surface.compose` reach the same kernel.
+from the table `g_table` gives at the call, pair by pair; on the law's
+own table (`LawRows`) a dense product is instead `law_product`, four
+cyclic convolutions over (Z/N)^2, each one big-integer product by
+Kronecker substitution, which reads no table.  Automorphism graphs
+multiply on this table only when the rule of `surface.compose` agrees
+with the law on every pair (`surface.aut_table`); otherwise the rule is
+called pair by pair.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
@@ -111,37 +112,27 @@ def g_table(n: int) -> tuple[list[SurfEnd], LawRows]:
 LAW_PAIRS_PER_ID = 16
 
 
-def id_product(xs: list, ys: list, rows: list, size: int, general: list = ()) -> list:
+def id_product(xs: list, ys: list, rows: list) -> list:
     """Summed integer products of terms (i, v) encoded by id: the (id, sum) pairs with a nonzero sum, by id.
 
-    rows[i][j] is the id of the product of ids i and j, or ~g for general[g],
-    a sum of (id, multiplier) pairs.  `g_table` has no such entry;
-    `surface.aut_table` has one for each output of its rule that is not one
-    atom with multiplier 1.  size is the number of ids a product can have:
-    2N^2 for Q[G], and every atom of the table for `aut_table`, whose
-    patched rules can add atoms.
-
-    On the rows of the group law (`LawRows`), a product of more than
+    rows[i][j] is the id of the product of ids i and j, and len(rows) is the
+    number of ids: 2N^2, on `g_table`'s rows or on a table patched in their
+    place.  On the rows of the group law (`LawRows`), a product of more than
     `LAW_PAIRS_PER_ID` pairs per id is `law_product`, which reads no row.
     Any other product is the pair loop: each pair read from its row and
-    added into a list of `size` slots when there are at least a quarter as
-    many pairs as slots, and otherwise into a dict, which holds only the ids
-    the pairs reach.  Adding into a dict costs about four times as much per
-    pair as reading out one slot of the list.
+    added into a list of one slot per id when there are at least a quarter
+    as many pairs as ids, and otherwise into a dict, which holds only the
+    ids the pairs reach.  Adding into a dict costs about four times as much
+    per pair as reading out one slot of the list.
     """
-    pairs = len(xs) * len(ys)
+    pairs, size = len(xs) * len(ys), len(rows)
     if type(rows) is LawRows and pairs > LAW_PAIRS_PER_ID * size:
         return law_product(xs, ys, rows.level)
     out = [0] * size if 4 * pairs >= size else defaultdict(int)
     for i, a in xs:
         row = rows[i]
         for j, b in ys:
-            e = row[j]
-            if e >= 0:
-                out[e] += a * b
-            else:
-                for k, m in general[~e]:
-                    out[k] += a * b * m
+            out[row[j]] += a * b
     if type(out) is list:
         return [(k, v) for k, v in enumerate(out) if v]
     return sorted((k, v) for k, v in out.items() if v)
@@ -275,7 +266,7 @@ class GroupRingElement(LinComb):
         self.check_level(other)
         elems, table = g_table(self.level)
         xs = [(g.code, v) for g, v in self.nums.items()]
-        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table, len(table))
+        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table)
         return GroupRingElement.over(self.level, self.d * other.d, {elems[k]: v for k, v in out})
 
     def involute(self) -> "GroupRingElement":

@@ -13,18 +13,17 @@ rule by rule below, and the whole table is cross-checked by the
 associativity and action-coherence test suites.
 
 `compose` does not send every atom pair through the table.  Two
-automorphism graphs meet through `aut_table`, the rule tabulated once per
-level on the indices of their group elements, so such a pair is an
-integer lookup; when the rule agrees with the group law on every pair,
-the table is the rows of `groups.g_table`, and a dense product of
-automorphism graphs is the group-law kernel `groups.law_product`, which
-reads no entry.  The component products of one cusp form a sparse
-integer block, and the rest of the table acts on blocks as matrices read
-from the rule and kept per level (`CuspRule`): R9 is the block product
-with the N-gon pairing, three nonzeros per row, and a graph, tGraph or V
-atom acts on a block through an index map on its rows or columns.
-Component products on disjoint cusps compose to zero before any
-arithmetic.
+automorphism graphs meet by one rule: when the rule agrees with the group
+law on every pair, checked once per level and rule (`aut_table`), they
+multiply as elements of Q[G] on the rows of `groups.g_table`, a dense
+product by the group-law kernel `groups.law_product`; otherwise the rule
+is called pair by pair, as for every other atom pair.  The component
+products of one cusp form a sparse integer block, and the rest of the
+table acts on blocks as matrices read from the rule and kept per level
+(`CuspRule`): R9 is the block product with the N-gon pairing, three
+nonzeros per row, and a graph, tGraph or V atom acts on a block through
+an index map on its rows or columns.  Component products on disjoint
+cusps compose to zero before any arithmetic.
 
 The constructor of a correspondence or a divisor class takes only atoms of
 its level (`atom_ranges`); results are built by `LinComb.over`, unchecked.
@@ -54,7 +53,7 @@ from itertools import chain, repeat
 from . import groups
 from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_identity
 from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
-from .groups import enumerate_g, epsilon_projector, id_product, lambda_theta
+from .groups import epsilon_projector, id_product, lambda_theta
 from .levels import _check_level, cusp_count
 from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
 
@@ -313,72 +312,37 @@ def _split(terms: list) -> tuple[list, list, dict]:
 
 
 @lru_cache(maxsize=None)
-def aut_index(level: int) -> dict[Atom, int]:
-    """The 2N^2 automorphism graphs in `enumerate_g` order, each numbered by its map's code, its index in `g_table`."""
-    return {graph(g): g.code for g in enumerate_g(level)}
+def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]]] | None:
+    """The group law's table of automorphism graph products, (atoms, rows), if `rule` agrees with it on every pair.
 
-
-@lru_cache(maxsize=None)
-def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]], list[tuple]]:
-    """`rule` on every pair of automorphism graphs, tabulated on ids: (atoms, rows, general).
-
-    rows[i][j] stands for what rule(atoms[i], atoms[j], level) returned.
-    Ids 0..2N^2-1 are those of `aut_index`, and an atom the rule produces
-    outside them gets an id after them.  The rule is called once per pair,
-    one row of pairs per `map`, and the row is compared as a whole with the
-    law's row: R1's shared outputs for the products that `groups.g_table`,
-    as bound at the build, lists in that row.  When every row agrees, rows
-    is the rows object of that `g_table`, and no second table is kept.
-    From the first row that differs, the table is the rule's own: the rows
-    before it are copies of the law's, and each output from it on is
-    entered as an atom's id when it is one atom with multiplier 1, or else
-    (zero, a multiplier other than 1, or several atoms) as ~g, general[g]
-    holding it as (atom id, multiplier) pairs, equal outputs sharing one g.
-    So a patched rule gets its own table, and a `g_table` patched after the
-    build reaches no table built before it.
+    atoms[i] is the graph of the element of G with code i, and rows[i][j]
+    the id of the product of graphs i and j: the rows object of
+    `groups.g_table`, as bound at the build, so a `g_table` patched after
+    the build reaches no table built before it.  The rule is called once
+    per pair, one row of pairs per `map`, and each row is compared as a
+    whole with the law's row: R1's shared outputs for the products that
+    row lists.  At the first row that differs the check stops and the
+    table is None: `compose` then calls the rule pair by pair.
     """
-    index = dict(aut_index(level))
-    atoms = list(index)
-    auts = atoms[:]
     elems, law = groups.g_table(level)
     # the law's outputs by id: R1's shared output for each element, as R1 makes it
-    law_terms = [_GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),)) for h in elems]
-    general: dict = {}  # each other output -> its g, in the order of first appearance
-
-    def entry(produced) -> int:
-        """The entry of one output: an atom's id (a new atom gets one) when it is one atom with multiplier 1, else ~g."""
-        ids = []
-        for atom, k in produced or ():
-            i = index.get(atom)
-            if i is None:
-                i = index[atom] = len(atoms)
-                atoms.append(atom)
-            ids.append((i, k))
-        if len(ids) == 1 and ids[0][1] == 1:
-            return ids[0][0]
-        return ~general.setdefault(tuple(ids), len(general))
-
-    m = len(auts)
-    own = None  # the rule's own rows, from the first row that differs from the law's
-    for i, (x, law_row) in enumerate(zip(auts, law)):
-        produced = list(map(rule, repeat(x, m), auts, repeat(level, m)))
-        if own is None:
-            if produced == list(map(law_terms.__getitem__, law_row)):
-                continue
-            own = [list(row) for row in law[:i]]
-        own.append([entry(out) for out in produced])
-    return atoms, law if own is None else own, list(general)
+    terms = [_GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),)) for h in elems]
+    atoms = [out[0][0] for out in terms]
+    m = len(atoms)
+    for x, row in zip(atoms, law):
+        if list(map(rule, repeat(x, m), atoms, repeat(level, m))) != list(map(terms.__getitem__, row)):
+            return None
+    return atoms, law
 
 
 def _aut_product(xs: list, ys: list, table: tuple) -> list:
     """The summed products of automorphism graph terms (atom, v), read from `aut_table` by `groups.id_product`.
 
-    An atom's id is the code of its map (`aut_index`); only the atoms of the
-    result are decoded.  On a table whose rows are the law's (`groups.LawRows`)
-    a dense product is `groups.law_product`, which reads no row.
+    An atom's id is the code of its map; only the atoms of the result are
+    decoded.  A dense product is `groups.law_product`, which reads no row.
     """
-    atoms, rows, general = table
-    out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows, len(atoms), general)
+    atoms, rows = table
+    out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows)
     return [(atoms[k], v) for k, v in out]
 
 
@@ -582,16 +546,17 @@ def _block_products(x: _Operand, y: _Operand, table: CuspRule) -> list:
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
-    """after o before: automorphism graph pairs read `aut_table`, component products meet as blocks.
+    """after o before: automorphism graph pairs by the group law, component products meet as blocks.
 
     Two operands that hold only component products, on disjoint sets of
     cusps, compose to zero before any arithmetic.  Otherwise the
     component products of each cusp are one integer block (`CuspRule`):
     R9 is the block product Y.A.X, and a graph, tGraph or V atom acts on
     a block through its index map, the atoms of one map summed first.
-    Two automorphism graphs meet through the tabulated rule, on integer
-    ids (`groups.id_product`, by the group law when the table is the
-    law's), and the other graph, tGraph and V pairs run atom by atom.  What
+    Two automorphism graphs multiply on integer ids by the group law
+    (`groups.id_product`) when `aut_table` finds the rule agrees with it,
+    and otherwise run atom by atom, as the other graph, tGraph and V pairs
+    do.  What
     this reads of an operand is derived once and kept on it (`_Operand`).
     """
     after.check_level(before)
@@ -606,7 +571,8 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     (x_aut, x_other, x_blocks), (y_aut, y_other, y_blocks) = x.parts, y.parts
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
     if x_aut and y_aut:
-        pairs.append(_aut_product(x_aut, y_aut, aut_table(level, rule)))
+        table = aut_table(level, rule)
+        pairs.append(bilinear(x_aut, y_aut, rule, level) if table is None else _aut_product(x_aut, y_aut, table))
     if x_blocks or y_blocks:
         pairs.append(_block_products(x, y, cusp_rule(level, rule)))
     return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs)))

@@ -238,7 +238,7 @@ def g_table_by_compose(n: int) -> list[list[int]]:
     return [[index[surf_compose(g, h)] for h in elems] for g in elems]
 
 
-def id_product_by_dict(xs: list, ys: list, rows: list, general: list = ()) -> dict:
+def id_product_by_dict(xs: list, ys: list, rows: list) -> dict:
     """`groups.id_product` as it once was: the sums keyed by id in a dict, in the order first reached, zeros kept."""
     out: dict = {}
     get = out.get
@@ -246,11 +246,7 @@ def id_product_by_dict(xs: list, ys: list, rows: list, general: list = ()) -> di
         row = rows[i]
         for j, b in ys:
             e = row[j]
-            if e >= 0:
-                out[e] = get(e, 0) + a * b
-            else:
-                for k, m in general[~e]:
-                    out[k] = get(k, 0) + a * b * m
+            out[e] = get(e, 0) + a * b
     return out
 
 

@@ -310,13 +310,11 @@ def _calls(codes, build):
 
 def test_the_table_cost_model_at_n8():
     # g_table is index arithmetic alone; aut_table makes one rule call per pair of the 2N^2 graphs, each with one
-    # surf_compose call, and no per-pair helper: its other Python-level calls, the 2N^2 graphs of `aut_index`
-    # among them, are fewer than 2 (2N^2)
+    # surf_compose call, and no per-pair helper: its other Python-level calls are fewer than 2 (2N^2)
     codes = {surf_compose.__code__: "surf_compose", compose_atom_pair.__code__: "rule"}
-    g_table.cache_clear()
-    surface.aut_table.cache_clear()
-    surface.aut_index.cache_clear()
     try:
+        g_table.cache_clear()
+        surface.aut_table.cache_clear()
         assert _calls(codes, lambda: g_table(8)).keys() <= {"other"}
         counts = _calls(codes, lambda: surface.aut_table(8, compose_atom_pair))
         assert counts["rule"] == counts["surf_compose"] == (2 * 8 * 8) ** 2 == 16384

@@ -9,11 +9,13 @@ Both are checked against the dict loop the program once had,
 `support.id_product_by_dict`, on both sides of that rule, with ids that
 repeat, sums that cancel and coefficients of +-2^70.
 
-`surface.aut_table` keeps no table of its own when the rule agrees with
-the law on every pair: its rows are the `g_table` rows it checked at the
-build.  So a `g_table` patched after the build must change no surface
-product, a rule and a `g_table` patched alike must never reach the
-kernel, and a rule that differs on one pair must keep all of its own rows.
+Automorphism graphs multiply on the law's table or not by a table at
+all: `surface.aut_table` is the `g_table` rows it checked at the build
+when the rule agrees with the law on every pair, and None otherwise.  So
+a `g_table` patched after the build must change no surface product, a
+rule and a `g_table` patched alike must never reach the kernel, and a
+rule that differs on one pair must get no table, calling the rule on no
+row past the one that differs.
 """
 
 import tracemalloc
@@ -72,7 +74,7 @@ def test_the_kernel_is_the_dict_loop_on_both_sides_of_the_size_rule(dense, data,
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groups, "law_product", lambda *args: calls.append(args) or _law_product(*args))
-        assert id_product(xs, ys, g_table(n)[1], 2 * n * n) == want
+        assert id_product(xs, ys, g_table(n)[1]) == want
     assert bool(calls) == dense == (len(xs) * len(ys) > LAW_PAIRS_PER_ID * 2 * n * n)
 
 
@@ -92,11 +94,23 @@ def test_zero_operands_and_no_terms_give_no_terms():
     assert law_product([(3, 2), (3, -2)], [(0, 1), (5, 7)], 4) == []
 
 
-def test_a_product_of_one_pair_touches_one_id_whatever_the_size():
+class _Rows:
+    """The rows of `g_table(3)` as a table of 10^7 ids."""
+
     rows = g_table(3)[1]
+
+    def __len__(self):
+        return 10 ** 7
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+
+def test_a_product_of_one_pair_touches_one_id_whatever_the_size():
+    rows = _Rows()
     tracemalloc.start()
     try:
-        got = id_product([(1, 2)], [(2, 3)], rows, 10 ** 7)
+        got = id_product([(1, 2)], [(2, 3)], rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,9 +139,9 @@ def _operands(n: int) -> list:
 
 def test_the_real_rule_keeps_no_table_of_its_own():
     for n in (3, 6):
-        atoms, rows, general = aut_table(n, compose_atom_pair)
+        atoms, rows = aut_table(n, compose_atom_pair)
         assert rows is g_table(n)[1] and type(rows) is LawRows
-        assert general == [] and len(atoms) == 2 * n * n
+        assert len(atoms) == 2 * n * n
 
 
 def test_a_g_table_patched_after_the_build_changes_no_surface_product(monkeypatch):
@@ -171,17 +185,22 @@ def test_a_rule_and_a_g_table_patched_alike_never_reach_the_kernel(monkeypatch):
     assert eps * eps == GroupRingElement.over(n, eps.d ** 2, {elems[k]: v for k, v in want.items() if v})
 
 
-def test_a_rule_that_differs_on_one_pair_keeps_all_of_its_own_rows():
+def test_a_rule_that_differs_on_one_pair_gets_no_table_past_its_row(monkeypatch):
     n = 4
     x, y = ("G", surf_end(n, 1, 0, -1)), ("G", surf_end(n, 0, 1))
+    calls = []
 
     def dropped(a, b, level):
+        calls.append((a, b))
         return None if (a, b) == (x, y) else compose_atom_pair(a, b, level)
 
-    law = g_table(n)[1]
-    atoms, rows, general = aut_table(n, dropped)
-    assert type(rows) is list and len(rows) == len(law)
-    assert not {id(row) for row in rows} & {id(row) for row in law}
-    differs = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e != law[i][j]]
-    assert differs == [(x[1].code, y[1].code)]
-    assert general == [()] and rows[x[1].code][y[1].code] == ~0
+    assert aut_table(n, dropped) is None
+    assert len(calls) <= (x[1].code + 1) * 2 * n * n
+    assert (x, y) in calls
+    # compose then calls the rule on every pair of automorphism graphs, as the atom-pair oracle does
+    monkeypatch.setattr(surface, "compose_atom_pair", dropped)
+    ops = _operands(n)
+    got = [compose(a, b) for a in ops for b in ops]
+    assert got == [compose_by_atom_pairs(a, b) for a in ops for b in ops]
+    monkeypatch.undo()
+    assert got != [compose(a, b) for a in ops for b in ops]

@@ -15,7 +15,7 @@ from motive_calc.endos import SurfEnd, mu0, surf_end
 from motive_calc.exact import DegreeError, fmt_rational
 from motive_calc.groups import GroupRingElement, group_certificate, mu_inv
 from motive_calc.levels import cusp_count
-from motive_calc.sums import Certificate, linear_map, product
+from motive_calc.sums import Certificate, linear_map, product, tensor_vanishes
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, VERT, DivClass, SurfCorr, act_on_divisor, build_pi_bars, build_pi_cusp,
     cusp_prod, open_graph, surface_certificate)
@@ -810,6 +810,146 @@ def test_every_threefold_transpose_swap_and_structure_entry_fails_under_some_fau
     assert len(rows) == 11 + 9 + 3
     flipped = [*THREEFOLD_TRANSPOSE_SWAP_FAILURES.values(), *STRUCTURE_FAILURES.values()]
     assert set(rows) <= {name for names in flipped for name in names}
+
+
+# -- the threefold product rows (kronecker, split, residual): each fault with the rows it flips at N = 4
+
+_PRODUCT_ROWS = ("kronecker:", "split:", "residual:")
+
+
+def _kron(pairs: str) -> list:
+    """The rows kronecker:pi(a,b).pi(c,d), each written ab.cd."""
+    return [f"kronecker:pi({p[0]},{p[1]}).pi({p[3]},{p[4]})" for p in pairs.split()]
+
+
+def _named(names: str) -> list:
+    """Projector names, a pair projector pi(a,b) written ab and a split part alt(1,1), sym(1,1) as alt, sym."""
+    return [f"{name}(1,1)" if name in ("alt", "sym") else f"pi({name[0]},{name[1]})" for name in names.split()]
+
+
+def _split_orthogonal(after: str, before: str) -> list:
+    """split:orthogonal:x.nb for each split part x and nb in after, and split:orthogonal:nb.x for nb in before."""
+    return ([f"split:orthogonal:{x}.{nb}" for x in ("alt(1,1)", "sym(1,1)") for nb in _named(after)]
+            + [f"split:orthogonal:{nb}.{x}" for x in ("alt(1,1)", "sym(1,1)") for nb in _named(before)])
+
+
+def _residual(after: str, before: str) -> list:
+    """residual:piInf.na for na in after, and residual:na.piInf for na in before."""
+    return [f"residual:piInf.{na}" for na in _named(after)] + [f"residual:{na}.piInf" for na in _named(before)]
+
+
+def _bar_changed(key, change):
+    """A `build_pi_bars` whose projector key is change(projector, level)."""
+    build = threefold.build_pi_bars
+
+    def changed(n):
+        bars = dict(build(n))
+        bars[key] = change(bars[key], n)
+        return bars
+
+    return changed
+
+
+def _symmetrizer_bumped(which):
+    """A `symmetrizer_exprs` with the coefficient of the first part of A2 (which 0) or S2 (which 1) raised by 1."""
+    build = threefold.symmetrizer_exprs
+
+    def bumped(n):
+        parts = list(build(n))
+        parts[which] = _bump_first(parts[which])
+        return tuple(parts)
+
+    return bumped
+
+
+def _with_diagonal(x, n):
+    return _bumped(x, ("G", surf_end(n, 0, 0)))
+
+
+_ALL_BUT_11 = "00 01 02 10 12 20 21 22"
+
+# (owner, name, patch)
+THREEFOLD_PRODUCT_FAULTS = {
+    **{f"{key} coefficient": (threefold, "build_pi_bars", _bar_changed(key, lambda x, n: _bump_first(x)))
+       for key in ("pi0", "pi1", "pi2")},
+    **{f"{key} with the diagonal added": (threefold, "build_pi_bars", _bar_changed(key, _with_diagonal))
+       for key in ("pi0", "pi2")},
+    "R1 doubled on inversions": (surface, "compose_atom_pair", _doubled_where(
+        lambda x, y: x[0] == y[0] == "G" and not x[1].collapse and x[1].s == -1)),
+    "R8 nonzero": (surface, "compose_atom_pair", _rule_where(lambda x, y: x[0] == y[0] == "V", [(VERT, 1)])),
+    "swap in _meet flipped": (threefold, "_meet", _flipped_meet),
+    "A2 coefficient": (threefold, "symmetrizer_exprs", _symmetrizer_bumped(0)),
+    "S2 coefficient": (threefold, "symmetrizer_exprs", _symmetrizer_bumped(1)),
+}
+
+# the kronecker, split and residual rows of threefold_certificate(4) that each fault flips, as sets
+THREEFOLD_PRODUCT_FAILURES = {
+    "pi0 coefficient": _kron("00.00 00.02 00.20 01.01 01.21 02.02 02.22 10.10 10.12 20.20 20.22")
+    + ["residual:idempotent", "residual:transpose"] + _residual(_ALL_BUT_11, "00 01 02 10 20"),
+    "pi1 coefficient": _kron(
+        "00.01 00.10 00.11 01.00 01.01 01.02 01.10 01.11 01.12 02.01 02.11 02.12 10.00 10.01 10.10 10.11 10.20 10.21 "
+        "11.00 11.01 11.02 11.10 11.11 11.12 11.20 11.21 11.22 12.01 12.02 12.11 12.12 12.21 12.22 20.10 20.11 20.21 "
+        "21.10 21.11 21.12 21.20 21.21 21.22 22.11 22.12 22.21")
+    + ["split:idempotent:alt(1,1)", "split:idempotent:sym(1,1)", "residual:idempotent"]
+    + _split_orthogonal(_ALL_BUT_11, _ALL_BUT_11) + _residual(f"{_ALL_BUT_11} 11 alt sym", f"{_ALL_BUT_11} 11 alt sym"),
+    "pi2 coefficient": _kron("00.02 00.20 01.21 02.02 02.22 10.12 12.12 20.20 20.22 21.21 22.22")
+    + ["residual:idempotent", "residual:transpose"] + _residual("02 12 20 21 22", _ALL_BUT_11),
+    "pi0 with the diagonal added": _kron(
+        "00.00 00.01 00.02 00.10 00.11 00.12 00.20 00.21 00.22 01.00 01.01 01.10 01.11 01.20 01.21 02.00 02.02 02.10 "
+        "02.12 02.20 02.22 10.00 10.01 10.02 10.10 10.11 10.12 11.00 11.01 11.10 12.00 12.02 12.10 20.00 20.01 20.02 "
+        "20.20 20.21 20.22 21.00 21.01 21.20 22.00 22.02 22.20")
+    + ["residual:idempotent"] + _split_orthogonal("00 01 10", "00 01 10")
+    + _residual(f"{_ALL_BUT_11} 11 alt sym", f"{_ALL_BUT_11} 11 alt sym"),
+    "pi2 with the diagonal added": _kron(
+        "00.02 00.20 00.22 01.02 01.21 01.22 02.00 02.01 02.02 02.20 02.21 02.22 10.12 10.20 10.22 11.12 11.21 11.22 "
+        "12.10 12.11 12.12 12.20 12.21 12.22 20.00 20.02 20.10 20.12 20.20 20.22 21.01 21.02 21.11 21.12 21.21 21.22 "
+        "22.00 22.01 22.02 22.10 22.11 22.12 22.20 22.21 22.22")
+    + ["residual:idempotent"] + _split_orthogonal("12 21 22", "12 21 22")
+    + _residual(f"{_ALL_BUT_11} 11 alt sym", f"{_ALL_BUT_11} 11 alt sym"),
+    "R1 doubled on inversions": _kron("01.01 01.02 10.10 10.20 11.11 11.12 11.21 11.22 12.12 12.22 21.21 21.22")
+    + ["split:idempotent:alt(1,1)", "split:idempotent:sym(1,1)", "split:a2_commutes", "residual:idempotent"]
+    + _split_orthogonal("12 21 22", "") + _residual("01 02 10 11 12 20 21 22 alt sym", "01 10 11 12 21 alt sym"),
+    # with V o V = V, pi0 pi0 = pi0 + V/4, pi2 pi2 = pi2 + V/4 and pi0 pi2 = pi2 pi0 = V/4; the rows whose two slot
+    # products are both V/4, (0,0).(2,2), (0,2).(2,0) and their reverses, pass: V (x) V is the tensor the atom sum drops
+    "R8 nonzero": _kron("00.00 00.02 00.20 01.01 01.21 02.00 02.02 02.22 10.10 10.12 12.10 12.12 20.00 20.20 20.22 "
+                        "21.01 21.21 22.02 22.20 22.22")
+    + ["residual:idempotent"] + _residual(_ALL_BUT_11, _ALL_BUT_11),
+    "swap in _meet flipped": ["split:a2_commutes"],
+    "A2 coefficient": ["split:idempotent:alt(1,1)", "split:orthogonal", "split:orthogonal_rev", "split:sum"],
+    "S2 coefficient": ["split:idempotent:sym(1,1)", "split:orthogonal", "split:orthogonal_rev", "split:sum"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(THREEFOLD_PRODUCT_FAULTS))
+def test_threefold_product_rows_fail_under_a_fault(fault, zero_test, monkeypatch):
+    monkeypatch.setattr(*THREEFOLD_PRODUCT_FAULTS[fault])
+    failed = [name for name in _failed(threefold_certificate(4)) if name.startswith(_PRODUCT_ROWS)]
+    assert len(failed) == len(set(failed))
+    assert set(failed) == set(THREEFOLD_PRODUCT_FAILURES[fault])
+
+
+def _is_zero_keeping_v_tensor_v(x):
+    """`TensorExpr.is_zero` without its V (x) V correction: the factored tensor must vanish, V (x) V included."""
+    tensors: dict = {}
+    for (a, b, e), v in x.nums.items():
+        tensors.setdefault(e, {}).setdefault(id(a), (a, []))[1].append(b.scale(v))
+    return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
+
+
+def test_the_v_tensor_v_correction_decides_four_rows_under_r8_nonzero(monkeypatch):
+    # no row of the unmutated certificate has a V (x) V part, so the correction alone flips nothing; under R8 nonzero
+    # the four rows whose product is V/4 (x) V/4 pass only through it
+    monkeypatch.setattr(TensorExpr, "is_zero", _is_zero_keeping_v_tensor_v)
+    assert _failed(threefold_certificate(4)) == []
+    monkeypatch.setattr(*THREEFOLD_PRODUCT_FAULTS["R8 nonzero"])
+    failed = {name for name in _failed(threefold_certificate(4)) if name.startswith(_PRODUCT_ROWS)}
+    assert failed - set(THREEFOLD_PRODUCT_FAILURES["R8 nonzero"]) == set(_kron("00.22 22.00 02.20 20.02"))
+
+
+def test_every_threefold_product_entry_fails_under_some_fault():
+    rows = [e["name"] for e in threefold_certificate(4) if e["name"].startswith(_PRODUCT_ROWS)]
+    assert len(rows) == 81 + 38 + 24 == len(set(rows))
+    assert set(rows) == set().union(*THREEFOLD_PRODUCT_FAILURES.values())
 
 
 # -- the divisor action rows: each fault with the surface and threefold entries it flips at N = 4

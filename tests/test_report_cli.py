@@ -242,6 +242,32 @@ def test_cli_lattice_text(capsys):
     assert "rank 2" in out
 
 
+@pytest.mark.parametrize("argv, marker", [
+    (["lattice", "--level", "3"], "rank 2"),
+    (["decompose", "--level", "3"], "betti:"),
+    (["filtration", "--level", "3"], "CH^1:"),
+    (["report", "--level", "3", "--surface-only"], "surface"),
+], ids=lambda v: v[0] if type(v) is list else "")
+def test_cli_format_text_on_the_subcommands_that_render_both_forms(argv, marker, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert marker in text and not text.startswith("{")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--level", "3"],
+    ["eval", "--level", "3", "piC(0)"],
+    ["verify", "--level", "3", "--surface-only"],
+], ids=lambda v: v[0])
+def test_cli_format_is_refused_where_one_form_is_printed(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        main([*argv, "--format", "text"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
+
 def test_cli_exit_one_on_failing_certificate(monkeypatch, capsys):
     import motive_calc.cli as cli
 
