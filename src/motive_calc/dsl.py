@@ -58,10 +58,10 @@ from .surface import (
     cusp_prod,
     delta,
     graph,
-    transpose,
 )
+from .tensor import TensorExpr
 from .threefold import (
-    TensorExpr,
+    TCorr,
     b_term_expr,
     pair_projector_expr,
     sigma_expr,
@@ -390,8 +390,7 @@ def eval_expr(node: Node, n: int, mode: str = "surface"):
         if isinstance(x, Scale):
             return ev(x.node).scale(x.coeff)
         if isinstance(x, Transpose):
-            inner = ev(x.node)
-            return transpose(inner) if surface else inner.transpose()
+            return ev(x.node).transpose()
         if isinstance(x, Compose):
             left, right = ev(x.left), ev(x.right)
             return compose(left, right) if surface else left.compose(right, memo)
@@ -414,7 +413,7 @@ def eval_expr(node: Node, n: int, mode: str = "surface"):
         raise TypeError(f"unknown node {x!r}")
 
     value = ev(node)
-    return value if surface else value.expand()
+    return value if surface else value.expand(TCorr)
 
 
 def evaluate(source: str, n: int, mode: str = "surface"):

@@ -9,8 +9,8 @@ coefficients, and every identity about them is checked by exact
 group-ring multiplication.
 
 The elements of G are the automorphism `endos.SurfEnd`s (collapse
-False), multiplied by `endos.surf_compose` and inverted by
-`SurfEnd.inv`; one prints as (b1,b2,+-) and sorts by (b1, b2, s), and
+False), multiplied by `endos.surf_compose`, inverted by `SurfEnd.inv`,
+with identity `endos.surf_identity`; one prints as (b1,b2,+-) and sorts by (b1, b2, s), and
 g -> Graph(g) takes it to the surface atom ("G", g) as it is.  An element
 of Q[G] is a `LinComb` like every other sum: a level N and its elements
 of G at that level, each refused at the constructor otherwise, so sums
@@ -30,12 +30,11 @@ with the law on every pair (`surface.aut_table`); otherwise the rule is
 called pair by pair.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
-(Q[G] (x) Q[G]) x| S_2: an element is a `threefold.TensorExpr` with Q[G]
-factors of its level, the sum of c (a (x) b) sigma^e held as a `LinComb`
-of the triples (a, b, e), multiplied factor by factor.  Its entries go
-through `Certificate.check` like every other, whose zero test,
-`TensorExpr.is_zero`, enumerates no element of G^2 x| S_2; only a failed
-entry expands its residual, to atoms (g, h, swap) of a `PairSum`.
+(Q[G] (x) Q[G]) x| S_2: an element is a `tensor.TensorExpr` with Q[G]
+factors, whose transpose is the involution and whose tensor drops
+nothing; A2 and S2 are `tensor.symmetrizers` of the identity.  Its zero
+test enumerates no element of G^2 x| S_2; only a failed entry expands its
+residual, to atoms (g, h, swap) of a `PairSum`.
 """
 
 from __future__ import annotations
@@ -43,19 +42,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-from .endos import SurfEnd, level_ends, surf_end
+from .endos import SurfEnd, level_ends, surf_end, surf_identity
 from .levels import _check_level
 from .sums import Certificate, LevelMismatchError, LinComb, linear_map
-
-# threefold imports surface, which imports this module: the G^2 builders import it when called
-if TYPE_CHECKING:
-    from .threefold import TensorExpr
-
-
-def g_identity(n: int) -> SurfEnd:
-    return SurfEnd(n, 0, 0, 1, False)
+from .tensor import TensorExpr, symmetrizers
 
 
 def tau(n: int, b1: int, b2: int) -> SurfEnd:
@@ -269,8 +260,8 @@ class GroupRingElement(LinComb):
         out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table)
         return GroupRingElement.over(self.level, self.d * other.d, {elems[k]: v for k, v in out})
 
-    def involute(self) -> "GroupRingElement":
-        """Coefficient-preserving g -> g^-1 (the group-ring transpose)."""
+    def transpose(self) -> "GroupRingElement":
+        """The involution g -> g^-1, coefficients kept: the transpose, as transposing Graph(g) gives Graph(g^-1)."""
         return linear_map(self, lambda g: g.inv())
 
     def __repr__(self) -> str:
@@ -291,7 +282,7 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
     idempotents whose product (either order) is the epsilon projector.
     """
     half = Fraction(1, 2)
-    lam = GroupRingElement(n, {g_identity(n): half, mu_inv(n): -half})
+    lam = GroupRingElement(n, {surf_identity(n): half, mu_inv(n): -half})
     theta_terms = {tau(n, b1, b2): Fraction(1, n * n) for b1 in range(n) for b2 in range(n)}
     return lam, GroupRingElement(n, theta_terms)
 
@@ -315,40 +306,26 @@ class PairSum(LinComb):
 
 def epsilon2_projector(n: int) -> TensorExpr:
     """eps (x) eps = (1/4N^4) sum over G^2 of eps2(g)^-1 g, inside Q[G^2 x| S_2]."""
-    from .threefold import TensorExpr
-
     eps = epsilon_projector(n)
     return TensorExpr.pure(eps, eps)
 
 
-def symmetrizers(n: int) -> tuple[TensorExpr, TensorExpr]:
-    """(A2, S2) = ((1 + sigma)/2, (1 - sigma)/2): orthogonal, summing to 1."""
-    from .threefold import TensorExpr
-
-    e = GroupRingElement.of(n, g_identity(n))
-    one, sigma = TensorExpr.pure(e, e), TensorExpr.pure(e, e, swap=True)
-    half = Fraction(1, 2)
-    return (one + sigma).scale(half), (one - sigma).scale(half)
-
-
 def group_certificate(n: int) -> list[dict]:
     """Idempotency, commutation and orthogonality of the named idempotents."""
-    from .threefold import TensorExpr
-
     cert = Certificate()
     check = cert.check
     eps = epsilon_projector(n)
     lam, theta = lambda_theta(n)
     check("eps:idempotent", "eps . eps = eps", eps * eps, eps)
-    check("eps:involution", "involution(eps) = eps", eps.involute(), eps)
+    check("eps:involution", "involution(eps) = eps", eps.transpose(), eps)
     check("lambda:idempotent", "lambda . lambda = lambda", lam * lam, lam)
     check("theta:idempotent", "theta . theta = theta", theta * theta, theta)
     check("lambda_theta:commute", "lambda . theta = theta . lambda", lam * theta, theta * lam)
     check("lambda_theta:product", "lambda . theta = eps", lam * theta, eps)
     check("theta_lambda:product", "theta . lambda = eps", theta * lam, eps)
 
-    a2, s2 = symmetrizers(n)
-    e = GroupRingElement.of(n, g_identity(n))
+    e = GroupRingElement.of(n, surf_identity(n))
+    a2, s2 = symmetrizers(e)
     zero = TensorExpr(n)
     eps2 = epsilon2_projector(n)
     for name, law, got, want in (

@@ -2,12 +2,14 @@
 
 Every sum in the program is a `LinComb`: a correspondence, a divisor
 class, a group-ring element, and a sum of pure tensors of those
-(`threefold.TensorExpr`, whose atoms are the triples (A, B, swap)).  It is
+(`tensor.TensorExpr`, whose atoms are the triples (A, B, swap)).  It is
 a level and the canonical form (d, {atom: v}) of a sum of atoms, the
 coefficient of an atom being v / d with v a nonzero integer, d >= 1 and
 gcd(d, every v) = 1; so `==` compares ints.  A subclass only says how its
 atoms sort and print, and which it takes: the constructor passes each atom
 through `check`, and `over`, which builds every result, checks nothing.
+As a tensor factor a subclass also says which atoms it refuses and whose
+square the tensor drops (the protocol is stated in `tensor`).
 Products are the bilinear extension of a rule on atom pairs (`bilinear`),
 images under a map of atoms are `linear_map`, and both feed the one
 accumulation loop, `collect`, which drops every atom whose numerator
@@ -18,23 +20,18 @@ Only this module knows the form: a `Fraction` appears where a coefficient
 enters (the constructor, `scale`) and where one leaves (`render`, and the
 `terms` view).  The symbol d_a of the divisor actions is no coefficient:
 d_a times the fiber is a basis class of its own (`surface.DA_FIBER`).
-`tensor_vanishes` decides whether a sum of pure tensors of sums is zero
-without forming the tensors; a quotient, such as the dropped V (x) V of
-the threefold atoms, is the caller's one extra part.
 
 Every sum has a level, and `+`, `-` and every product of two levels raise
-`LevelMismatchError`.  A copy or a pickle of a sum holds its level, d and
-nums only.  Every equality entry of every certificate is one
-`Certificate.check` of got against want, and a failed one shows the
-residual got - want, capped at `RESIDUAL_ATOMS` atoms.
+`LevelMismatchError`; `+` and `-` of two classes raise TypeError.  A copy
+or a pickle of a sum holds its level, d and nums only.  Every equality
+entry of every certificate is one `Certificate.check` of got against
+want, and a failed one shows the residual got - want, capped at
+`RESIDUAL_ATOMS` atoms.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import add
 from typing import Callable, Iterable
 
 from .exact import exact_rational, fmt_rational
@@ -78,36 +75,6 @@ def bilinear(xs: Iterable[tuple], ys: Iterable[tuple], rule: Callable, level: in
                     yield atom, (c if k == 1 else c * k)
 
 
-def tensor_vanishes(groups: Iterable[tuple]) -> bool:
-    """Whether the sum over the groups (a, [b_j]) of a (x) (sum_j b_j) is zero, for sums a and b_j.
-
-    The left factors are brought to an echelon basis by elimination.
-    Reducing a against a basis sum b whose pivot atom has coefficient p in
-    b and x in a is
-        a = (a - (x / p) b) + (x / p) b,
-    so the right sum of the group is collected on b with weight x / p.  A
-    left factor left nonzero joins the basis with its right sum.  The
-    basis sums are independent, so the tensor is zero iff every collected
-    right sum is.
-    """
-    basis: list = []  # (pivot atom, basis sum, [weighted right sums])
-    for a, rights in groups:
-        right = reduce(add, rights)
-        if not right.nums:
-            continue
-        for pivot, b, collected in basis:
-            x = a.nums.get(pivot)
-            if x:
-                k = Fraction(x * b.d, a.d * b.nums[pivot])
-                collected.append(right.scale(k))
-                a = a - b.scale(k)
-                if not a.nums:
-                    break
-        if a.nums:
-            basis.append((next(iter(a.nums)), a, [right]))
-    return all(not reduce(add, collected).nums for _, _, collected in basis)
-
-
 class LinComb:
     """Finite combination of atoms with nonzero exact coefficients, at one level.
 
@@ -120,6 +87,7 @@ class LinComb:
     __slots__ = ("level", "d", "nums", "_hash")
     sort_key = None
     ranges = None
+    tensor_null = None  # as a tensor factor (`tensor`): the atom whose square the tensor drops, if any
 
     def __init__(self, level, terms: dict | None = None):
         """The sum of coeff * atom over the items of terms, each atom passed by `check`; a float raises TypeError."""
@@ -160,6 +128,10 @@ class LinComb:
                     raise ValueError(f"{cls._printed(atom)} is outside level {level}")
 
     @classmethod
+    def check_factor(cls, level, atoms) -> None:
+        """Raise ValueError on the atoms this class refuses as tensor factors (`tensor`): none here."""
+
+    @classmethod
     def _printed(cls, atom) -> str:
         """The atom's label, or its repr when a slot holds no value the label can read, such as no map."""
         try:
@@ -189,7 +161,9 @@ class LinComb:
             raise LevelMismatchError("operands of different levels")
 
     def _plus(self, other: "LinComb", sign: int):
-        """self + sign * other, over the lcm of the two denominators."""
+        """self + sign * other, over the lcm of the two denominators; other of another class raises TypeError."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         self.check_level(other)
         d = lcm(self.d, other.d)
         kx, ky = d // self.d, sign * (d // other.d)
@@ -279,7 +253,7 @@ class Certificate:
         """Record whether the two sides of `law` are equal as sums.
 
         It holds when got == want, or else when got - want is zero by its
-        own `is_zero`: a factored sum (`threefold.TensorExpr`) can differ
+        own `is_zero`: a factored sum (`tensor.TensorExpr`) can differ
         from an equal sum in form, and its zero test decides it without
         expanding.  A failed entry shows that residual, expanded to a sum
         of type cls first when cls is given, as `residual` records it.

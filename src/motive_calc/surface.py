@@ -27,14 +27,17 @@ cusps compose to zero before any arithmetic.
 
 The constructor of a correspondence or a divisor class takes only atoms of
 its level (`atom_ranges`); results are built by `LinComb.over`, unchecked.
+As a tensor factor (`tensor`) a correspondence transposes by `transpose`,
+refuses cusp products, and drops V (x) V.
 
 On the open part, away from the cusps, V and the component products
 vanish, and a graph or tGraph of a fiberwise map is read as the graph or
 tGraph of x -> n x + b (`endos`): `restrict_atom` keeps the `SurfEnd` and
 only changes its species, and `compose_open_atoms` composes through
-`surf_compose`.  An open atom prints as aff(n;b1,b2) and sorts by
-(species, n, b1, b2).  `OpenCorr` takes the open atoms of the surface's
-graphs and tGraphs only, tGraphs being in the normal form of `open_tgraph`.
+`surf_compose`, pair by pair in a product of two `OpenCorr`s.  An open
+atom prints as aff(n;b1,b2) and sorts by (species, n, b1, b2).  `OpenCorr`
+takes the open atoms of the surface's graphs and tGraphs only, tGraphs
+being in the normal form of `open_tgraph`.
 
 A divisor class is a rational sum of basis classes: the fiber, sections,
 cusp components, and d_a times the fiber (`DA_FIBER`), d_a being the
@@ -166,10 +169,22 @@ class SurfCorr(LinComb):
     sort_key = staticmethod(atom_sort_key)
     label = staticmethod(atom_label)
     ranges = staticmethod(atom_ranges)
+    tensor_null = VERT  # V (x) V vanishes on the threefold
+
+    @classmethod
+    def check_factor(cls, level, atoms) -> None:
+        """Cusp products are no tensor factors."""
+        for atom in atoms:
+            if atom[0] == "C":
+                raise ValueError("cusp products are not tensor factors")
 
     def __mul__(self, other: "SurfCorr") -> "SurfCorr":
         """self o other, by this module's `compose` as bound at the call, so a patched one is used."""
         return compose(self, other)
+
+    def transpose(self) -> "SurfCorr":
+        """This module's `transpose` as bound at the call."""
+        return transpose(self)
 
 
 # -- transposition -------------------------------------------------------------
@@ -785,6 +800,10 @@ class OpenCorr(LinComb):
     sort_key = staticmethod(open_atom_sort_key)
     label = staticmethod(open_atom_label)
     ranges = staticmethod(lambda n: {"g": atom_ranges(n)["G"], "t": atom_ranges(n)["T"]})
+
+    def __mul__(self, other: "OpenCorr") -> "OpenCorr":
+        """self o other, atom pair by atom pair through this module's `compose_open_atoms` as bound at the call."""
+        return product(self, other, lambda x, y, _level: ((compose_open_atoms(x, y), 1),))
 
 
 def compose_open_atoms(x: OpenAtom, y: OpenAtom) -> OpenAtom:

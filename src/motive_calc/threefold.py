@@ -8,35 +8,24 @@ which factor meets which.  An atom with two vertical factors is zero
 products only arise inside expressions that already vanish), so dropping
 them is an algebra quotient and factorized computation stays exact.
 
-Products of the large projectors are computed in a factored form -- a sum
-of pure tensors, each factor an honest surface correspondence, held as a
-`LinComb` whose atoms are the triples (A, B, swap).  An equality is
-decided on that form too, by `Certificate.check`: two equal factored
-forms pass at once, and otherwise `TensorExpr.is_zero` tests the
-difference of the two sides by exact elimination on the factors (see its
-docstring); only a failed entry expands its residual to atoms.  The
-restriction rows keep their law about the factoring, open(a (x) b) =
+The flat engine on these atoms, `TCorr` and `t_compose`, runs the
+structure identities and the `restriction:b(j)` rows.  Every other entry
+is computed on the factored form, a `tensor.TensorExpr` of surface
+correspondences, and decided by `Certificate.check` with the tensor zero
+test; only a failed entry expands its residual to atoms.  The restriction
+rows keep their law about the factoring, open(a (x) b) =
 open(a) (x) open(b), atom by atom: each pair of terms of a and b is built
 by `t_atom`, restricted, and compared with the atom that the tensor
 product of the surface restrictions expects, and only a pair whose two
-atoms differ adds to the residual, on integer numerators
-(`restriction_residual`).  The parity rows test the factored open form,
-open(a) (x) open(b) less the dropped V (x) V, with `tensor_vanishes`
-(`parity_residual`).  Each row reads `restrict_atom` once per distinct
-surface atom and the inversion `compose_open_atoms(inv, .)` once per
-distinct open atom, into maps made from the functions bound when the row
-runs and dropped when it ends; no row holds a pair projector expanded
-whole.  Divisor actions are also computed on the factored form: a pure
-tensor acts as the tensor product of its two factors' slot actions.
-Within one certificate the projectors share their factors, and each
-distinct surface product and each slot image is computed once.
-This is what keeps the full certificate cheap at higher levels.  The
-expansion, the zero test, the open-part rows and the divisor actions read
-the denominators and integer numerators of the sum and of its factors
-directly.
-
-Each sum is checked where it is built, and results are built by
-`LinComb.over`, unchecked: no tensor factor holds a cusp product.
+atoms differ adds to the residual (`restriction_residual`).  A parity row
+is one `TensorExpr` of open factors (`parity_residual`).  Each open-part
+row reads `restrict_atom` once per distinct surface atom, into a map made
+from the function bound when the row runs and dropped when it ends; no row
+holds a pair projector expanded whole.  Divisor actions are also computed
+on the factored form: a pure tensor acts as the tensor product of its two
+factors' slot actions.  Within one certificate the projectors share their
+factors, and each distinct surface product and each slot image is
+computed once.
 """
 
 from __future__ import annotations
@@ -44,26 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain
 from math import lcm
 from operator import add
-from typing import Iterable
 
 from . import surface
 from .endos import SurfEnd, mu0, surf_identity
-from .exact import exact_rational
 from .groups import mu_inv
 from .levels import _check_level, cusp_count, level_invariants
-from .sums import (
-    Certificate,
-    LevelMismatchError,
-    LinComb,
-    bilinear,
-    collect,
-    linear_map,
-    product,
-    tensor_vanishes,
-)
+from .sums import Certificate, LevelMismatchError, LinComb, collect, linear_map, product
 from .surface import (
     VERT,
     Atom,
@@ -74,7 +51,6 @@ from .surface import (
     build_pi_bars,
     component_slot,
     compose_atom_pair,
-    compose_open_atoms,
     delta,
     graph,
     keeps_fiber,
@@ -82,8 +58,8 @@ from .surface import (
     open_atom_sort_key,
     open_graph,
     restrict_atom,
-    transpose,
 )
+from .tensor import TensorExpr, _meet, _tensor_print, symmetrizers
 
 TAtom = tuple  # (left_surface_atom, right_surface_atom, swap: bool)
 
@@ -93,19 +69,6 @@ def t_atom(left: Atom, right: Atom, swap: bool = False) -> TAtom | None:
     if left == VERT and right == VERT:
         return None
     return (left, right, swap)
-
-
-def _tensor_print(factor_sort_key, factor_label):
-    """Print order and label of (a (x) b).swap^e atoms, from those of their factors."""
-
-    def sort_key(atom: tuple) -> tuple:
-        return (int(atom[2]), factor_sort_key(atom[0]), factor_sort_key(atom[1]))
-
-    def label(atom: tuple) -> str:
-        tail = ".s" if atom[2] else ""
-        return f"[{factor_label(atom[0])}(x){factor_label(atom[1])}]{tail}"
-
-    return staticmethod(sort_key), staticmethod(label)
 
 
 class TCorr(LinComb):
@@ -119,20 +82,9 @@ class TCorr(LinComb):
         """Each atom (a, b, swap) holds surface atoms a and b of the level, not both V and neither a cusp product."""
         for a, b, swap in atoms:
             SurfCorr.check(level, (a, b))
-            if a[0] == "C" or b[0] == "C":
-                raise ValueError("cusp products are not tensor factors")
+            SurfCorr.check_factor(level, (a, b))
             if swap not in (False, True) or a == b == VERT:
                 raise ValueError(f"unknown atom {(a, b, swap)!r}")
-
-
-def _meet(swap_x: bool, left_y, right_y, swap_y: bool) -> tuple:
-    """The factors of y that the left and right factor of x meet, and the product's swap."""
-    return (right_y, left_y, not swap_y) if swap_x else (left_y, right_y, swap_y)
-
-
-def _transposed(t_left, t_right, swap: bool) -> tuple:
-    """Transpose of (a (x) b).swap^e from the factor transposes: a swap also exchanges them."""
-    return (t_right, t_left, True) if swap else (t_left, t_right, False)
 
 
 def compose_t_atom_pair(x: TAtom, y: TAtom, level: int) -> tuple[tuple[TAtom, int]] | None:
@@ -157,147 +109,7 @@ def t_compose(after: TCorr, before: TCorr) -> TCorr:
     return product(after, before, compose_t_atom_pair)
 
 
-def _tensor_rule(swap: bool):
-    """Product rule of a pure tensor: one left and one right factor atom."""
-
-    def rule(left: tuple, right: tuple, _level: int) -> tuple | None:
-        atom = t_atom(left, right, swap)
-        return None if atom is None else ((atom, 1),)
-
-    return rule
-
-
 # -- factored representation -----------------------------------------------------
-
-def _surface_product(a: SurfCorr, b: SurfCorr, memo: dict) -> SurfCorr:
-    """The factor product a * b, looked up in memo first and stored there.
-
-    For surface factors that is `compose(a, b)`; `groups` composes Q[G]
-    factors here too.  A product equal to an operand is stored as that
-    operand, so that a later lookup of it matches by identity, not
-    coefficient by coefficient.
-    """
-    key = (a, b)
-    got = memo.get(key)
-    if got is None:
-        got = a * b
-        got = memo[key] = a if got == a else b if got == b else got
-    return got
-
-
-class TensorExpr(LinComb):
-    """Sum of pure tensors (A (x) B).swap^e of surface correspondences A and B: a `LinComb` of the triples.
-
-    An atom is (A, B, swap), so pure tensors with equal factors merge as
-    the atoms of any sum do.  `==` compares these factored forms: two sums
-    can expand to the same atoms and still differ, so the zero test is
-    `(x - y).is_zero()`.  The factors are only multiplied with `*`, so
-    Q[G] factors make the same class the group ring of G^2 x| S_2 (see
-    `groups`).  The constructor, `of` and `pure` check each pure tensor; the
-    results of `over`, built from checked operands, are not checked again.
-    """
-
-    __slots__ = ()
-    sort_key, label = _tensor_print(LinComb.render, lambda factor: f"({factor.render()})")
-
-    def __init__(self, level, parts: Iterable[tuple] = ()):
-        """The sum of c (A (x) B).swap^e over the parts (c, A, B, swap); a float c, even 0.0, raises TypeError."""
-        terms: dict = {}
-        for c, a, b, e in parts:
-            terms[a, b, e] = terms.get((a, b, e), 0) + exact_rational(c)
-        super().__init__(level, terms)
-
-    @staticmethod
-    def check(level, atoms) -> None:
-        """Each atom (A, B, swap) has sums A, B of one class and of the level, a surface A no cusp product; V (x) V may."""
-        for a, b, swap in atoms:
-            if not isinstance(a, LinComb) or type(b) is not type(a) or swap not in (False, True):
-                raise ValueError(f"unknown atom {(a, b, swap)!r}")
-            if a.level != level or b.level != level:
-                raise LevelMismatchError("tensor factors of another level")
-            if type(a) is SurfCorr and any(atom[0] == "C" for atom in chain(a.nums, b.nums)):
-                raise ValueError("cusp products are not tensor factors")
-
-    @classmethod
-    def of(cls, level, atom: tuple, coeff=1) -> "TensorExpr":
-        """The one-part sum coeff (A (x) B).swap^e of the atom (A, B, swap), checked as the constructor checks it."""
-        a, b, swap = atom
-        return cls(level, [(coeff, a, b, swap)])
-
-    @staticmethod
-    def pure(a: SurfCorr, b: SurfCorr, swap: bool = False) -> "TensorExpr":
-        """(a (x) b).swap^e at the level of a."""
-        return TensorExpr.of(a.level, (a, b, swap))
-
-    @property
-    def parts(self) -> list[tuple[Fraction, SurfCorr, SurfCorr, bool]]:
-        """[(coefficient, A, B, swap)], the coefficients as `Fraction`s: built at each read."""
-        return [(Fraction(v, self.d), a, b, e) for (a, b, e), v in self.nums.items()]
-
-    def compose(self, other: "TensorExpr", memo: dict | None = None) -> "TensorExpr":
-        """self after other, factor by factor; memo, when given, keeps every factor product for later calls."""
-        if memo is None:
-            memo = {}
-
-        def rule(x: tuple, y: tuple, _level) -> tuple | None:
-            a1, b1, e1 = x
-            a2, b2, swap = _meet(e1, *y)
-            a = _surface_product(a1, a2, memo)
-            if a.is_zero():
-                return None
-            b = _surface_product(b1, b2, memo)
-            return None if b.is_zero() else (((a, b, swap), 1),)
-
-        return product(self, other, rule)
-
-    def transpose(self) -> "TensorExpr":
-        """Each factor transposed by its own class.
-
-        A surface factor goes through `transpose` as bound at the call, a
-        Q[G] factor through `involute`: g -> g^-1, as transposing Graph(g)
-        gives Graph(g^-1).
-        """
-
-        def t(factor: LinComb) -> LinComb:
-            return transpose(factor) if type(factor) is SurfCorr else factor.involute()
-
-        return linear_map(self, lambda atom: _transposed(t(atom[0]), t(atom[1]), atom[2]))
-
-    def is_zero(self) -> bool:
-        """Whether the atom sum is zero, decided on the factors without expanding.
-
-        Parts of different swaps have disjoint atoms, so each swap is decided
-        alone.  Per swap, the atom sum of T = sum_i c_i A_i (x) B_i drops only
-        V (x) V, whose coefficient in T is k = sum_i c_i a_i b_i (a_i, b_i the
-        V coefficients of A_i, B_i); so it is zero iff T - k V (x) V is, which
-        `tensor_vanishes` decides on the numerators c_i d.  A part with a zero
-        factor joins no basis and drops out.
-        """
-        tensors: dict = {}  # swap -> {id(A), or V for -k V (x) V: (A, [c B])}, A held so that its id stays its own
-        for (a, b, e), v in self.nums.items():
-            by_left = tensors.setdefault(e, {})
-            by_left.setdefault(id(a), (a, []))[1].append(b.scale(v))
-            va, vb = a.nums.get(VERT), b.nums.get(VERT)
-            if va and vb:  # the part's share -c_i a_i b_i V (x) V of -k V (x) V
-                vv = SurfCorr.over(self.level, a.d * b.d, {VERT: -va * vb * v})
-                by_left.setdefault(VERT, (SurfCorr.over(self.level, 1, {VERT: 1}), []))[1].append(vv)
-        return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
-
-    def expand(self, cls: type | None = None) -> LinComb:
-        """The atom sum, as a sum of type cls (default: TCorr), folded once over one denominator.
-
-        The part v/d (A (x) B).swap^e is v A.nums[a] B.nums[b] at each atom
-        (a, b, swap) over d A.d B.d, so every part is collected into one dict
-        over d q, q the lcm of the A.d B.d: B's numerators are multiplied
-        first by v q / (A.d B.d), then by A's, pair by pair.
-        """
-        level, nums = self.level, {}
-        q = lcm(*(a.d * b.d for a, b, _ in self.nums))
-        for (a, b, e), v in self.nums.items():
-            k = v * (q // (a.d * b.d))
-            collect(bilinear(a.nums.items(), [(y, k * c) for y, c in b.nums.items()], _tensor_rule(e), level), nums)
-        return (cls or TCorr).over(level, self.d * q, nums)
-
 
 def t_delta_expr(n: int) -> TensorExpr:
     return TensorExpr.pure(delta(n), delta(n))
@@ -321,15 +133,9 @@ def pair_projector_expr(n: int, i1: int, i2: int) -> TensorExpr:
     return TensorExpr.pure(bars[f"pi{i1}"], bars[f"pi{i2}"])
 
 
-def symmetrizer_exprs(n: int) -> tuple[TensorExpr, TensorExpr]:
-    a2 = t_delta_expr(n).scale(Fraction(1, 2)) + sigma_expr(n).scale(Fraction(1, 2))
-    s2 = t_delta_expr(n).scale(Fraction(1, 2)) - sigma_expr(n).scale(Fraction(1, 2))
-    return a2, s2
-
-
 def split_sym_alt_exprs(n: int, memo: dict | None = None) -> tuple[TensorExpr, TensorExpr]:
     """(alt, sym) parts of the middle pair projector; memo as in `TensorExpr.compose`."""
-    a2, s2 = symmetrizer_exprs(n)
+    a2, s2 = symmetrizers(delta(n))
     p11 = pair_projector_expr(n, 1, 1)
     return a2.compose(p11, memo), s2.compose(p11, memo)
 
@@ -561,34 +367,26 @@ def restriction_residual(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
     return OpenTCorr.over(level, a.d * b.d, collect(differences()))
 
 
-def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> OpenTCorr:
-    """inversion . g - sign g, for g the sum of open(a (x) b) over the pairs (a, b), decided on the factors.
+def parity_residual(pairs: list[tuple[SurfCorr, SurfCorr]], sign: int) -> TensorExpr:
+    """inversion . g - sign g, for g the sum of open(a (x) b) over the pairs (a, b), as pure tensors of open factors.
 
     `t_atom` drops V (x) V before restriction, so open(a (x) b) is
     open(a) (x) open(b) less v_a v_b open(V) (x) open(V), v_a and v_b the
     V coefficients of a and b.  inversion = Graph(-1) (x) Graph(-1) is one
-    pure tensor, so it acts factor by factor, and the residual is a sum of
-    pure tensors of open sums: `tensor_vanishes` decides it, and only a
-    nonzero one is expanded.  The row reads `restrict_atom` once per
-    distinct surface atom and the inversion `compose_open_atoms(inv, .)`
-    once per distinct open atom, into maps that end with the row.
+    pure tensor, so it acts factor by factor.  The row reads
+    `restrict_atom` once per distinct surface atom, into a map that ends
+    with the row.
     """
     level = _row_level(pairs)
     opened = _AtomMap(restrict_atom)
-    inverted = _AtomMap(partial(compose_open_atoms, open_graph(mu_inv(level))))
-    restrict, invert = partial(linear_map, f=opened.__getitem__, cls=OpenCorr), partial(linear_map, f=inverted.__getitem__)
-    groups = []  # (x, [y]) for the pure tensor x (x) y
-    for a, b in pairs:
-        oa, ob = restrict(a), restrict(b)
-        groups += [(invert(oa), [invert(ob)]), (oa, [ob.scale(-sign)])]
+    restrict = partial(linear_map, f=opened.__getitem__, cls=OpenCorr)
+    graded = TensorExpr(level, [(1, restrict(a), restrict(b), False) for a, b in pairs])
     vv = sum(Fraction(a.nums.get(VERT, 0), a.d) * Fraction(b.nums.get(VERT, 0), b.d) for a, b in pairs)
     if vv and opened[VERT] is not None:
         v = OpenCorr.over(level, 1, {opened[VERT]: 1})
-        groups += [(invert(v), [invert(v).scale(-vv)]), (v, [v.scale(sign * vv)])]
-    if tensor_vanishes(groups):
-        return OpenTCorr.over(level, 1, {})
-    tensor = _tensor_rule(False)
-    return reduce(add, (product(x, reduce(add, ys), tensor, OpenTCorr) for x, ys in groups))
+        graded -= TensorExpr.pure(v, v).scale(vv)
+    inv = OpenCorr.over(level, 1, {open_graph(mu_inv(level)): 1})
+    return TensorExpr.pure(inv, inv).compose(graded) - graded.scale(sign)
 
 
 # -- the structure identities -------------------------------------------------
@@ -797,7 +595,7 @@ def threefold_certificate(n: int) -> list[dict]:
     check("split:orthogonal", "alt(1,1) . sym(1,1) = 0", mul(exprs["alt(1,1)"], exprs["sym(1,1)"]), zero)
     check("split:orthogonal_rev", "sym(1,1) . alt(1,1) = 0", mul(exprs["sym(1,1)"], exprs["alt(1,1)"]), zero)
     check("split:sum", "alt(1,1) + sym(1,1) = pi(1,1)", exprs["alt(1,1)"] + exprs["sym(1,1)"], exprs["pi(1,1)"])
-    a2, _s2 = symmetrizer_exprs(n)
+    a2, _s2 = symmetrizers(delta(n))
     check("split:a2_commutes", "A2 . pi(1,1) = pi(1,1) . A2", mul(a2, exprs["pi(1,1)"]), mul(exprs["pi(1,1)"], a2))
     for na in ("alt(1,1)", "sym(1,1)"):
         for nb in pair_names:
@@ -853,7 +651,7 @@ def threefold_certificate(n: int) -> list[dict]:
         cert.check(
             f"restriction:b({j})",
             f"open(b({j})) = 0",
-            restrict_to_open_t(b_term_expr(n, j).expand()),
+            restrict_to_open_t(b_term_expr(n, j).expand(TCorr)),
             OpenTCorr(n),
         )
     # parity grading of the restricted projectors under both inversions
@@ -863,7 +661,8 @@ def threefold_certificate(n: int) -> list[dict]:
             f"restriction:parity:{i}",
             f"inversion . (sum of open pi with i1+i2={i}) = (-1)^{i} (same)",
             parity_residual(pairs, (-1) ** i),
-            OpenTCorr(n),
+            TensorExpr(n),
+            OpenTCorr,
         )
 
     # divisor action rows

@@ -36,7 +36,8 @@ from motive_calc.dsl import (
     _constructor,
 )
 from motive_calc.surface import SurfCorr, compose, transpose
-from motive_calc.threefold import TensorExpr
+from motive_calc.tensor import TensorExpr
+from motive_calc.threefold import TCorr
 
 # one token per match, after its ASCII whitespace: a punctuation mark, a name, an integer,
 # or any other character, which is an error; trailing whitespace matches nothing
@@ -206,4 +207,4 @@ def eval_by_running_sums(node: Node, n: int, mode: str = "surface"):
         raise TypeError(f"unknown node {x!r}")
 
     value = ev(node)
-    return value if surface else value.expand()
+    return value if surface else value.expand(TCorr)

@@ -10,11 +10,10 @@ the way the certificate did before its zero test: by expanding it.
 from motive_calc.dsl import Compose, NamedAtom, Scale, Sum, Transpose, eval_expr
 from motive_calc.sums import linear_map
 from motive_calc.surface import transpose_atom
+from motive_calc.tensor import TensorExpr, _transposed
 from motive_calc.threefold import (
     TAtom,
     TCorr,
-    TensorExpr,
-    _transposed,
     b_term_expr,
     pair_projector_expr,
     sigma_expr,
@@ -35,29 +34,29 @@ def t_transpose(x: TCorr) -> TCorr:
 
 def expands_to_zero(x: TensorExpr) -> bool:
     """The expand-and-compare oracle of `TensorExpr.is_zero`."""
-    return x.expand().is_zero()
+    return x.expand(TCorr).is_zero()
 
 
 def split_sym_alt(n: int) -> tuple[TCorr, TCorr]:
     alt, sym = split_sym_alt_exprs(n)
-    return alt.expand(), sym.expand()
+    return alt.expand(TCorr), sym.expand(TCorr)
 
 
 def flat_atom(atom: NamedAtom, n: int) -> TCorr:
     name, args = atom.name, atom.args
     if name == "Delta":
-        return t_delta_expr(n).expand()
+        return t_delta_expr(n).expand(TCorr)
     if name == "sigma":
-        return sigma_expr(n).expand()
+        return sigma_expr(n).expand(TCorr)
     if name == "ptilde":
-        return pair_projector_expr(n, *args).expand()
+        return pair_projector_expr(n, *args).expand(TCorr)
     if name in ("b1", "b2"):
-        return b_term_expr(n, int(name[1])).expand()
+        return b_term_expr(n, int(name[1])).expand(TCorr)
     if name in ("alt11", "sym11"):
         return split_sym_alt(n)[name == "sym11"]
     if name == "T":
         a, b = (eval_expr(arg, n, "surface") for arg in args)
-        return TensorExpr.pure(a, b).expand()
+        return TensorExpr.pure(a, b).expand(TCorr)
     raise ValueError(f"no flat value for {name!r}")
 
 

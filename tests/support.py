@@ -20,9 +20,10 @@ open form (`threefold.parity_residual`).
 Their oracles expand the pair projector whole, restrict it with
 `threefold.restrict_to_open_t`, and compare it with `tensor_open` of the
 surface restrictions, or invert it with `invert_open_t`; both read the
-atom maps through `threefold`, so a fault patched there reaches them as it
-reaches the program.  A parity row builds no restricted t-atom, so a
-patched `_restrict_t_atom` reaches only its oracle.
+restriction through `threefold` and the open-part composition through
+`surface`, so a fault patched there reaches them as it reaches the
+program.  A parity row builds no restricted t-atom, so a patched
+`_restrict_t_atom` reaches only its oracle.
 
 The program has one type of fiberwise map, `endos.SurfEnd`, with one law,
 `surf_compose`: one object per map of a level, equal only to itself, and
@@ -85,16 +86,17 @@ from typing import NamedTuple
 
 from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
-from motive_calc.endos import SurfEnd, surf_compose, surf_end
+from motive_calc.endos import SurfEnd, surf_compose, surf_end, surf_identity
 from motive_calc.exact import DegreeError, RatMatrix, RationalLike, exact_rational, fmt_rational
-from motive_calc.groups import GroupRingElement, enumerate_g, mu_inv
+from motive_calc.groups import GroupRingElement, PairSum, enumerate_g, mu_inv
 from motive_calc.levels import _check_level
 from motive_calc.motives import BettiTable
 from motive_calc.sums import LevelMismatchError, LinComb, linear_map, product
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, Atom, DivClass, OpenAtom, OpenCorr, SurfCorr, UnsupportedCompositionError,
     compose_open_atoms, open_graph, restrict_to_open)
-from motive_calc.threefold import OpenTAtom, OpenTCorr, TCorr, TensorExpr, _meet, _tensor_rule
+from motive_calc.tensor import TensorExpr, _meet, symmetrizers
+from motive_calc.threefold import OpenTAtom, OpenTCorr, TCorr, t_atom
 
 
 def mu_minus1(n: int) -> SurfEnd:
@@ -399,9 +401,14 @@ def factored(x: G2Sum) -> TensorExpr:
     return TensorExpr(x.level, parts)
 
 
+def group_symmetrizers(n: int) -> tuple[TensorExpr, TensorExpr]:
+    """(A2, S2) of Q[G^2 x| S_2] at level n: `tensor.symmetrizers` of the identity of G."""
+    return symmetrizers(GroupRingElement.of(n, surf_identity(n)))
+
+
 def g2_sum(x: TensorExpr) -> G2Sum:
     """The atoms of a factored element of Q[G^2 x| S_2], each (g, h, swap) as a `G2Elem`."""
-    return G2Sum(x.level, {G2Elem(g.level, GElem.of(g), GElem.of(h), e): c for (g, h, e), c in x.expand().terms.items()})
+    return G2Sum(x.level, {G2Elem(g.level, GElem.of(g), GElem.of(h), e): c for (g, h, e), c in x.expand(PairSum).terms.items()})
 
 
 def g2_epsilon2(n: int) -> G2Sum:
@@ -425,26 +432,36 @@ def compose_open_t(after: OpenTCorr, before: OpenTCorr) -> OpenTCorr:
     return product(after, before, _open_t_pair)
 
 
+def tensor_rule(swap: bool):
+    """Product rule of a pure tensor: one left and one right factor atom, V (x) V dropped by `t_atom`."""
+
+    def rule(left: tuple, right: tuple, _level: int) -> tuple | None:
+        atom = t_atom(left, right, swap)
+        return None if atom is None else ((atom, 1),)
+
+    return rule
+
+
 def tensor_open(a: OpenCorr, b: OpenCorr, swap: bool = False) -> OpenTCorr:
-    return product(a, b, _tensor_rule(swap), OpenTCorr)
+    return product(a, b, tensor_rule(swap), OpenTCorr)
 
 
 def invert_open_t(x: OpenTCorr) -> OpenTCorr:
     """inversion . x, with inversion = Graph(-1) (x) Graph(-1): one pure tensor, so it acts factor by factor."""
     inv = open_graph(mu_inv(x.level))
-    compose = threefold.compose_open_atoms
+    compose = surface.compose_open_atoms
     return linear_map(x, lambda atom: (compose(inv, atom[0]), compose(inv, atom[1]), atom[2]))
 
 
 def expanded_open(a: SurfCorr, b: SurfCorr) -> OpenTCorr:
     """open(a (x) b): the pure tensor expanded whole, then restricted atom by atom."""
-    return threefold.restrict_to_open_t(TensorExpr.pure(a, b).expand())
+    return threefold.restrict_to_open_t(TensorExpr.pure(a, b).expand(TCorr))
 
 
 def expand_by_running_sum(x: TensorExpr, cls: type | None = None) -> LinComb:
     """`TensorExpr.expand` as it once was: each pure tensor's `product`, scaled, added to the running sum."""
     cls = cls or TCorr
-    parts = (product(a, b, _tensor_rule(e), cls).scale(Fraction(v, x.d)) for (a, b, e), v in x.nums.items())
+    parts = (product(a, b, tensor_rule(e), cls).scale(Fraction(v, x.d)) for (a, b, e), v in x.nums.items())
     return reduce(add, parts, cls.over(x.level, 1, {}))
 
 

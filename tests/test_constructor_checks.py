@@ -21,7 +21,10 @@ or a field of another type) is no `SurfEnd`: the constructor refuses it,
 so a row whose atom would hold one (`Refused`) asserts that refusal where
 the map is built.  An element of Q[G] holds elements of G of its own
 level only, and elements of Q[G] or of Q[G^2 x| S_2] at levels 3 and 4
-combined by +, -, * or a tensor product raise LevelMismatchError.  An
+combined by +, -, * or a tensor product raise LevelMismatchError.  Two
+sums of different classes added or subtracted raise TypeError, even when
+both are empty: a surface correspondence and a divisor class, or an
+element of Q[G], and a factored and an expanded threefold sum.  An
 atom (g, h, swap) of an expanded element of Q[G^2 x| S_2], a `PairSum`,
 holds two elements of G of its level and a bool swap: an element of level
 4, a collapse, a swap of 2 or 1, and an atom that is no such triple are
@@ -275,6 +278,21 @@ def _cross_level_rows():
     }, LevelMismatchError)]
 
 
+def _mixed_class_rows():
+    """Two sums of different classes added or subtracted: each way raises TypeError."""
+    v, fiber, eps = SurfCorr.of(N, VERT), DivClass.of(N, GENERIC_FIBER), epsilon_projector(N)
+    factored = TensorExpr.pure(delta(N), delta(N))
+    return [("sums of two classes", {
+        "SurfCorr + DivClass": lambda: v + fiber,
+        "DivClass - SurfCorr": lambda: fiber - v,
+        "Q[G] - SurfCorr": lambda: eps - v,
+        "SurfCorr + Q[G]": lambda: v + eps,
+        "TensorExpr - TCorr": lambda: factored - factored.expand(TCorr),
+        "TCorr + OpenTCorr": lambda: TCorr(N) + OpenTCorr(N),
+        "two empty sums": lambda: SurfCorr(N) - DivClass(N),
+    }, TypeError)]
+
+
 def _bool_rows():
     """A bool equals 0 or 1, and a float can equal an int, but neither is an inversion part or a DSL argument.
 
@@ -326,6 +344,7 @@ ROWS = (
     + _group_rows()
     + _sum_rows(PairSum, (SurfEnd(N, 1, 2, -1, False), SurfEnd(N, 0, 0, 1, False), True), PAIR_ATOMS)
     + _cross_level_rows()
+    + _mixed_class_rows()
     + _bool_rows()
     + _float_rows()
 )

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from motive_calc.endos import SurfEnd, surf_compose
+from motive_calc.endos import SurfEnd, surf_compose, surf_identity
 from motive_calc.groups import (
     GroupRingElement,
     LevelMismatchError,
@@ -12,23 +12,21 @@ from motive_calc.groups import (
     epsilon,
     epsilon2_projector,
     epsilon_projector,
-    g_identity,
     group_certificate,
     lambda_theta,
     mu_inv,
-    symmetrizers,
     tau,
 )
-from motive_calc.threefold import TensorExpr
+from motive_calc.tensor import TensorExpr
 
-from support import G2Elem, G2Sum, GElem, g2_identity, g2_sum, oracle_g, sigma_swap
+from support import G2Elem, G2Sum, GElem, g2_identity, g2_sum, group_symmetrizers, oracle_g, sigma_swap
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_group_axioms_exhaustive(n):
     # the group law is surf_compose on the automorphisms, and the inverse SurfEnd.inv
     elems = enumerate_g(n)
-    e = g_identity(n)
+    e = surf_identity(n)
     for g in elems:
         assert surf_compose(g, g.inv()) == e
         assert surf_compose(g.inv(), g) == e
@@ -41,14 +39,14 @@ def test_group_axioms_exhaustive(n):
 def test_semidirect_examples():
     n = 5
     x = SurfEnd(n, 1, 0, -1, False)
-    assert surf_compose(x, x) == g_identity(n)
+    assert surf_compose(x, x) == surf_identity(n)
     assert surf_compose(tau(n, 1, 2), tau(n, 4, 4)) == tau(n, 0, 1)
-    assert surf_compose(g_identity(n), x) == x
+    assert surf_compose(surf_identity(n), x) == x
 
 
 def test_level_mismatch():
     with pytest.raises(LevelMismatchError):
-        surf_compose(g_identity(3), g_identity(4))
+        surf_compose(surf_identity(3), surf_identity(4))
 
 
 def test_epsilon_values():
@@ -68,7 +66,7 @@ def test_epsilon_projector_support():
 def test_epsilon_projector_idempotent_and_symmetric(n):
     p = epsilon_projector(n)
     assert p * p == p
-    assert p.involute() == p
+    assert p.transpose() == p
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -84,7 +82,7 @@ def test_lambda_theta(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_symmetrizers(n):
-    a2, s2 = map(g2_sum, symmetrizers(n))
+    a2, s2 = map(g2_sum, group_symmetrizers(n))
     one = G2Sum(n, {g2_identity(n): 1})
     assert a2 * a2 == a2
     assert s2 * s2 == s2
@@ -102,7 +100,7 @@ def test_epsilon2_projector_idempotent_small():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_the_named_g2_elements_transpose_to_themselves(n):
-    a2, s2 = symmetrizers(n)
+    a2, s2 = group_symmetrizers(n)
     for x in (epsilon2_projector(n), a2, s2):
         t = x.transpose()
         assert (t - x).is_zero()
@@ -113,7 +111,7 @@ def test_the_named_g2_elements_transpose_to_themselves(n):
 def test_a_g2_transpose_inverts_each_factor():
     # transposing Graph(g) gives Graph(g^-1): on Q[G] factors the transpose is the involution
     n = 3
-    t01, one = GroupRingElement.of(n, tau(n, 0, 1)), GroupRingElement.of(n, g_identity(n))
+    t01, one = GroupRingElement.of(n, tau(n, 0, 1)), GroupRingElement.of(n, surf_identity(n))
     got = TensorExpr.pure(t01, one).transpose()
     want = TensorExpr.pure(GroupRingElement.of(n, tau(n, 0, 1).inv()), one)
     assert got == want

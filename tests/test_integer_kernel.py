@@ -28,7 +28,6 @@ from motive_calc.groups import (
     enumerate_g,
     epsilon_projector,
     lambda_theta,
-    symmetrizers,
 )
 from motive_calc.dsl import evaluate
 from motive_calc.levels import cusp_count
@@ -58,7 +57,6 @@ from motive_calc.threefold import (
     TCorr,
     TensorExpr,
     ThreefoldDivClass,
-    _tensor_rule,
     act_on_threefold_divisor,
     b_term_expr,
     compose_t_atom_pair,
@@ -87,10 +85,12 @@ from support import (
     from_fractions,
     g2_sum,
     group_product,
+    group_symmetrizers,
     lifted,
     linear_class,
     oracle_g,
     tensor_open,
+    tensor_rule,
 )
 
 LEVELS = st.integers(3, 5)
@@ -107,7 +107,7 @@ def oracle_product(x, y, rule, cls=None):
 def oracle_expand(x: TensorExpr) -> TCorr:
     """`TensorExpr.expand` on Fraction coefficients: merged parts, then each part's atoms."""
     pairs = [
-        bilinear([(la, c * ca) for la, ca in a.terms.items()], b.terms.items(), _tensor_rule(e), x.level)
+        bilinear([(la, c * ca) for la, ca in a.terms.items()], b.terms.items(), tensor_rule(e), x.level)
         for (a, b, e), c in x.terms.items()
     ]
     return TCorr(x.level, collect(chain.from_iterable(pairs)))
@@ -191,8 +191,8 @@ def surface_sums(draw, n, cusps=True):
 @st.composite
 def tensor_sums(draw, n):
     atom = surface_atoms(n, cusps=False)
-    named = [p.expand() for p in (t_delta_expr(n), sigma_expr(n), b_term_expr(n, 1), b_term_expr(n, 2))]
-    named += [pair_projector_expr(n, i, j).expand() for i in (0, 2) for j in (0, 2)]
+    named = [p.expand(TCorr) for p in (t_delta_expr(n), sigma_expr(n), b_term_expr(n, 1), b_term_expr(n, 2))]
+    named += [pair_projector_expr(n, i, j).expand(TCorr) for i in (0, 2) for j in (0, 2)]
     pieces = draw(st.lists(
         st.one_of(
             st.builds(lambda a, b, e, c: TCorr(n, {t_atom(a, b, e): c} if t_atom(a, b, e) else {}),
@@ -213,7 +213,7 @@ def group_ring_elements(draw, n, pairs=False):
     if pairs:
         g = st.sampled_from(oracle_g(n))
         elem = st.builds(lambda a, b, e: G2Elem(n, a, b, e), g, g, st.booleans())
-        named = [g2_sum(s) for s in symmetrizers(n)]
+        named = [g2_sum(s) for s in group_symmetrizers(n)]
     else:
         elem = st.sampled_from(enumerate_g(n))
         named = [epsilon_projector(n), *lambda_theta(n)]
@@ -287,7 +287,7 @@ def test_compose_open_matches_the_fraction_loop(data, n):
 def test_open_tensor_products_match_the_fraction_loop(data, n, e1, e2):
     a, b, c, d = (restrict_to_open(data.draw(surface_sums(n, cusps=False))) for _ in range(4))
     x = tensor_open(a, b, e1)
-    assert_same(x, oracle_product(a, b, _tensor_rule(e1), type(x)))
+    assert_same(x, oracle_product(a, b, tensor_rule(e1), type(x)))
     y = tensor_open(c, d, e2)
     assert_same_outcome(lambda: compose_open_t(x, y), lambda: oracle_product(x, y, _open_t_pair))
 
@@ -302,7 +302,7 @@ def test_expand_matches_the_fraction_loop(data, n):
     parts += [(data.draw(st.sampled_from([-c, c])), a, b, e)
               for c, a, b, e in parts if data.draw(st.booleans())]
     x = TensorExpr(n, parts)
-    assert_same(x.expand(), oracle_expand(x))
+    assert_same(x.expand(TCorr), oracle_expand(x))
 
 
 # -- the canonical form after every operation that makes a sum ---------------------
@@ -348,8 +348,8 @@ def test_every_operation_that_makes_a_sum_leaves_it_in_canonical_form(data, n):
     f = TensorExpr(n, [(k, a, a, False), (1, b, a, True), (Fraction(1, 2), a, b, False)])
     made = [
         SurfCorr(n, dict(x.terms)), x + y, x - y, x - x, x.scale(k), x.scale(0), z + z.scale(k), z - z,
-        compose(x, y), t_compose(s, t), transpose(x), restrict_to_open(x), g * h, g.involute(),
-        e.expand(), act_on_divisor(x, z), act_on_threefold_divisor(e, w), act_on_threefold_divisor(lifted(s), w),
+        compose(x, y), t_compose(s, t), transpose(x), restrict_to_open(x), g * h, g.transpose(),
+        e.expand(TCorr), act_on_divisor(x, z), act_on_threefold_divisor(e, w), act_on_threefold_divisor(lifted(s), w),
         restriction_residual(a, b), parity_residual([(a, b), (b, a)], -1),
         e, f, e + f, e - f, e - e, f.scale(k), f.scale(0), e.compose(f), f.transpose(), lifted(s),
     ]
@@ -388,13 +388,13 @@ def tensor_exprs(draw, n):
 def test_tensor_expression_operations_expand_to_the_flat_results(data, n):
     x, y = data.draw(tensor_exprs(n)), data.draw(tensor_exprs(n))
     k = data.draw(coefficients(n))
-    fx, fy = x.expand(), y.expand()
+    fx, fy = x.expand(TCorr), y.expand(TCorr)
     assert fx == oracle_expand(x)
-    assert x.compose(y).expand() == t_compose(fx, fy)
-    assert x.transpose().expand() == t_transpose(fx)
-    assert (x + y).expand() == fx + fy
-    assert (x - y).expand() == fx - fy
-    assert x.scale(k).expand() == fx.scale(k)
+    assert x.compose(y).expand(TCorr) == t_compose(fx, fy)
+    assert x.transpose().expand(TCorr) == t_transpose(fx)
+    assert (x + y).expand(TCorr) == fx + fy
+    assert (x - y).expand(TCorr) == fx - fy
+    assert x.scale(k).expand(TCorr) == fx.scale(k)
     assert (x - x).nums == {} and x.scale(2) == x + x and x + y == y + x
 
 

@@ -26,22 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motive_calc import surface
-from motive_calc.endos import surf_compose
+from motive_calc.endos import surf_compose, surf_identity
 from motive_calc.groups import (
     GroupRingElement,
     LevelMismatchError,
     enumerate_g,
     epsilon2_projector,
     epsilon_projector,
-    g_identity,
     g_table,
     lambda_theta,
     mu_inv,
-    symmetrizers,
 )
 from motive_calc.levels import cusp_count
 from motive_calc.sums import product
-from motive_calc.threefold import TensorExpr
+from motive_calc.tensor import TensorExpr
 from motive_calc.surface import (
     VERT,
     SurfCorr,
@@ -68,6 +66,7 @@ from support import (
     g2_identity,
     g2_sum,
     g_table_by_compose,
+    group_symmetrizers,
     group_product,
     oracle_g,
     sigma_swap,
@@ -354,7 +353,7 @@ def group_operands(draw, n, pairs):
     if pairs:
         g = st.sampled_from(oracle_g(n))
         elem = st.builds(lambda a, b, e: G2Elem(n, a, b, e), g, g, st.booleans())
-        named = [g2_sum(s) for s in symmetrizers(n)]
+        named = [g2_sum(s) for s in group_symmetrizers(n)]
     else:
         elem = st.sampled_from(enumerate_g(n))
         named = [epsilon_projector(n), *lambda_theta(n)]
@@ -383,7 +382,7 @@ def test_group_ring_product_matches_the_pairwise_oracle(data, n, pairs):
 def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
     n = 3
     eps2 = g2_sum(epsilon2_projector(n))
-    for s in map(g2_sum, symmetrizers(n)):
+    for s in map(g2_sum, group_symmetrizers(n)):
         assert s * eps2 == product(s, eps2, group_product)
         assert eps2 * s == product(eps2, s, group_product)
 
@@ -392,9 +391,9 @@ def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
     "x, y",
     [
         (GroupRingElement.of(3, enumerate_g(3)[1]), GroupRingElement.of(4, enumerate_g(4)[1])),
-        (GroupRingElement.of(3, enumerate_g(3)[1]), g2_sum(symmetrizers(3)[0])),
-        (g2_sum(symmetrizers(3)[0]), GroupRingElement.of(3, enumerate_g(3)[1])),
-        (g2_sum(symmetrizers(3)[0]), g2_sum(symmetrizers(4)[0])),
+        (GroupRingElement.of(3, enumerate_g(3)[1]), g2_sum(group_symmetrizers(3)[0])),
+        (g2_sum(group_symmetrizers(3)[0]), GroupRingElement.of(3, enumerate_g(3)[1])),
+        (g2_sum(group_symmetrizers(3)[0]), g2_sum(group_symmetrizers(4)[0])),
     ],
 )
 def test_group_ring_product_rejects_other_levels_and_kinds(x, y):
@@ -417,7 +416,7 @@ def factored_operands(draw, n):
     cancel; the expansions stay small enough for the pairwise oracle."""
     coeff = st.sampled_from([Fraction(k, 4) for k in (-4, -1, 1, 2, 6)])
     terms = st.lists(st.tuples(st.sampled_from(enumerate_g(n)), coeff), min_size=1, max_size=4)
-    named = [lambda_theta(n)[0], GroupRingElement(n, {g_identity(n): 1, mu_inv(n): 1})]
+    named = [lambda_theta(n)[0], GroupRingElement(n, {surf_identity(n): 1, mu_inv(n): 1})]
     factor = st.one_of(st.builds(lambda ts: GroupRingElement(n, dict(ts)), terms), st.sampled_from(named))
     total = TensorExpr(n)
     for a, b, e, c in draw(st.lists(st.tuples(factor, factor, st.booleans(), coeff), min_size=1, max_size=3)):
@@ -456,7 +455,7 @@ def test_factored_swap_rule_on_every_element_at_n3():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_named_g2_elements_are_the_term_by_term_ones(n):
     half = Fraction(1, 2)
-    a2, s2 = map(g2_sum, symmetrizers(n))
+    a2, s2 = map(g2_sum, group_symmetrizers(n))
     assert a2 == G2Sum(n, {g2_identity(n): half, sigma_swap(n): half})
     assert s2 == G2Sum(n, {g2_identity(n): half, sigma_swap(n): -half})
     assert g2_sum(epsilon2_projector(n)) == g2_epsilon2(n)

@@ -5,6 +5,10 @@ by attribute, or by import), when a module lists it in `__all__`, or when
 `perfbench/tracer.py` binds it (read from the tracer's tables, never
 changed, as `test_tracer_bindings.py` does).  A helper that only tests
 call belongs under `tests/`, as the oracles in `support.py` do.
+
+Every module of src imports at its top: no import sits inside a function,
+but for the lazy loads of the package's `__getattr__`, and no
+`TYPE_CHECKING` block hides an import cycle.
 """
 
 import ast
@@ -79,3 +83,29 @@ def test_a_helper_that_only_tests_call_is_found(tmp_path, monkeypatch):
     (tmp_path / "helpers.py").write_text("def used():\n    return 1\n\n\ndef only_tests():\n    return used()\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert _unused() == ["helpers.only_tests"]
+
+
+def _hidden_imports() -> list:
+    """Each import inside a function, as module.function:line, and each use of TYPE_CHECKING, as module:line."""
+    found = set()
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (module, node.name) != ("__init__", "__getattr__"):
+                found.update(f"{module}.{node.name}:{sub.lineno}" for sub in ast.walk(node)
+                             if isinstance(sub, (ast.Import, ast.ImportFrom)))
+            elif (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"
+                  or isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"):
+                found.add(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_every_src_module_imports_at_its_top():
+    assert _hidden_imports() == []
+
+
+def test_an_import_in_a_function_and_a_type_checking_block_are_found(tmp_path, monkeypatch):
+    (tmp_path / "late.py").write_text(
+        "import typing\n\nif typing.TYPE_CHECKING:\n    from .x import y\n\n\n"
+        "def f():\n    def g():\n        import json\n    return g\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert _hidden_imports() == ["late.f:9", "late.g:9", "late:3"]

@@ -28,7 +28,8 @@ from motive_calc.endos import mu0
 from motive_calc.groups import GroupRingElement, PairSum, enumerate_g
 from motive_calc.levels import cusp_count
 from motive_calc.surface import VERT, SurfCorr, build_pi_bars
-from motive_calc.threefold import TensorExpr
+from motive_calc.tensor import TensorExpr
+from motive_calc.threefold import TCorr
 
 from dsl_oracle import eval_by_running_sums
 from support import enumerate_surf, expand_by_running_sum
@@ -160,7 +161,7 @@ def factored_sums(draw, n: int, group_ring: bool):
 @given(st.data(), st.integers(3, 5), st.booleans())
 def test_an_expansion_folds_to_the_running_sum(data, n, group_ring):
     x = data.draw(factored_sums(n, group_ring))
-    cls = PairSum if group_ring else None
+    cls = PairSum if group_ring else TCorr
     got, want = x.expand(cls), expand_by_running_sum(x, cls)
     assert type(got) is type(want)
     assert got == want
@@ -174,6 +175,6 @@ def test_an_expansion_drops_v_tensor_v_and_cancels_across_parts():
     # pi0 = tGraph(mu0) - V/2, so pi0 (x) V less tGraph(mu0) (x) V is -V/2 (x) V, which is zero
     x = TensorExpr(n, [(3, v, v, True), (1, pi0, v, False), (-1, SurfCorr.of(n, ("T", mu0(n))), v, False)])
     assert len(x.nums) == 3
-    assert x.expand().nums == {} and x.expand().d == 1
+    assert x.expand(TCorr).nums == {} and x.expand(TCorr).d == 1
     y = TensorExpr(n, [(1, pi0, v, False), (Fraction(-2, 3), pi0, pi0, True)])
-    assert y.expand() == expand_by_running_sum(y)
+    assert y.expand(TCorr) == expand_by_running_sum(y)

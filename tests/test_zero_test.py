@@ -302,7 +302,7 @@ def test_a_certificate_entry_of_two_factored_forms_is_decided_by_the_zero_test(n
     cert = Certificate()
     cert.check("split factor", "got = want", got, want, TCorr)
     cert.check("one more part", "got = want", got, want + TensorExpr.pure(b, a), TCorr)
-    residual = TensorExpr.pure(b, a).expand().scale(-1)
+    residual = TensorExpr.pure(b, a).expand(TCorr).scale(-1)
     assert cert.entries == [
         {"name": "split factor", "lhs": "got", "rhs": "want", "status": "pass"},
         {"name": "one more part", "lhs": "got", "rhs": "want", "status": "fail",
