@@ -47,14 +47,24 @@ def _check_output(args) -> None:
 
 
 def _write(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    else:
+    """text to stdout, or to -o FILE whole or not at all: to a temporary file beside it that then replaces it.
+
+    A write that fails removes the temporary file and raises OutputError.  A device or a pipe is written in place.
+    """
+    if not args.output:
         sys.stdout.write(text)
+        return
+    target = os.path.realpath(args.output)  # through a link, as open does
+    temp = target if os.path.exists(target) and not os.path.isfile(target) else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w") as fh:
+            fh.write(text)
+        if temp != target:
+            os.replace(temp, target)
+    except OSError as exc:
+        if temp != target and os.path.exists(temp):
+            os.remove(temp)
+        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def _emit(args, payload: dict, text_renderer) -> None:

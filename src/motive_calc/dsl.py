@@ -37,11 +37,10 @@ expression, and is expanded to its canonical `TCorr` once, at the end.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Union
+from typing import NamedTuple, Union
 
 from .endos import mu0 as mu0_end, surf_end
 from .exact import exact_rational
@@ -90,31 +89,38 @@ class EvalError(_PositionedError):
     """A name with the wrong arguments, or arguments out of range."""
 
 
-@dataclass(frozen=True)
-class NamedAtom:
+def _node(kind: type) -> type:
+    """The NamedTuple kind, equal only to a node of its own kind with equal fields: Transpose(x) != Sum(x)."""
+    kind.__eq__ = lambda self, other: type(other) is kind and tuple.__eq__(self, other)
+    kind.__ne__ = lambda self, other: not self == other
+    return kind
+
+
+@_node
+class NamedAtom(NamedTuple):
     name: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Scale:
+@_node
+class Scale(NamedTuple):
     coeff: Fraction
     node: "Node"
 
 
-@dataclass(frozen=True)
-class Compose:
+@_node
+class Compose(NamedTuple):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Transpose:
+@_node
+class Transpose(NamedTuple):
     node: "Node"
 
 
-@dataclass(frozen=True)
-class Sum:
+@_node
+class Sum(NamedTuple):
     parts: tuple  # of (sign, Node)
 
 

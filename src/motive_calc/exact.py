@@ -2,16 +2,19 @@
 
 `Rational` is the stdlib `fractions.Fraction`: arbitrary-precision, always
 in lowest terms with positive denominator, which is exactly the contract
-every other module relies on.  Matrices are small (bounded by the level,
-N <= 16 or so) and dense; elimination is fraction-free in the Bareiss
-style so intermediate entries stay controlled.  The symbol d_a of the
+every other module relies on.  Dense matrices are eliminated fraction-free
+(Bareiss) on ints, once scaled by the lcm of their denominators.  The symbol d_a of the
 divisor actions is no scalar here but a basis class (`surface.DA_FIBER`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
+
+from .levels import ensure
 
 Rational = Fraction
 
@@ -85,46 +88,58 @@ class RatMatrix:
         return [[fmt_rational(x) for x in row] for row in self.entries]
 
 
-def mat_rank(m: RatMatrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination; exact."""
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = Fraction(1)
-    r = 0
+def _scaled(m: RatMatrix) -> tuple[int, list[list[int]]]:
+    """(d, the integer rows of d*m), d the lcm of m's denominators."""
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+
+
+def _row_update(p: int, row: list[int], f: int, pivot: list[int]) -> list[int]:
+    """p*row - f*pivot: one fraction-free row update, before its division by the previous pivot."""
+    return [p * x - f * y for x, y in zip(row, pivot)]
+
+
+def _eliminate(a: list[list[int]], cols: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan (Bareiss) on the integer rows a, in place, over their first cols columns.
+
+    Returns (rank, last pivot); each pivot column ends zero but for the last pivot in its pivot row.  Each
+    update is checked to clear its column and divide exactly, so a wrong one raises InvariantError, also under -O.
+    """
+    rows, rank, prev = len(a), 0, 1
     for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
+        k = next((i for i in range(rank, rows) if a[i][c]), None)
+        if k is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * pivot - a[i][c] * a[r][j]) / prev
-            a[i][c] = Fraction(0)
-        prev = pivot
-        r += 1
+        a[rank], a[k] = a[k], a[rank]
+        pivot = a[rank]
+        p = pivot[c]
+        for i, row in enumerate(a):
+            if i != rank:
+                row = _row_update(p, row, row[c], pivot)
+                ensure(not row[c] and not any([x % prev for x in row]), f"row {i} not reduced in column {c}")
+                a[i] = [x // prev for x in row]
+        prev = p
         rank += 1
-    return rank
+    return rank, prev
+
+
+def mat_rank(m: RatMatrix) -> int:
+    """Rank by fraction-free elimination on the integer multiple of m; exact."""
+    return _eliminate(_scaled(m)[1], m.cols)[0]
 
 
 def mat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError."""
+    """Exact inverse by fraction-free Gauss-Jordan on the integer multiple of m; raises SingularMatrixError."""
     if m.rows != m.cols:
         raise SingularMatrixError("inverse of a non-square matrix")
     n = m.rows
-    a = [row[:] + ident_row for row, ident_row in zip(m.entries, RatMatrix.identity(n).entries)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        pivot = a[c][c]
-        a[c] = [x / pivot for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
-    return RatMatrix([row[n:] for row in a])
+    d, b = _scaled(m)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    rank, last = _eliminate(a, n)
+    if rank < n:
+        raise SingularMatrixError("matrix is singular")
+    # a is [last*I | last*(d*m)^-1]: m^-1 is d/last times its right half, checked against d*m whatever the elimination did
+    right, cols = [row[n:] for row in a], list(zip(*b))
+    ensure(all(sum(map(mul, r, c)) == last * (i == j) for i, r in enumerate(right) for j, c in enumerate(cols)),
+           "the inverse times the matrix is not the identity")
+    return RatMatrix([[Fraction(d * x, last) for x in row] for row in right])

@@ -10,10 +10,10 @@ that assumption is checked, not branched on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 
 class LevelTooSmallError(ValueError):
@@ -66,8 +66,7 @@ def cusp_count(n: int) -> int:
     return value.numerator
 
 
-@dataclass(frozen=True)
-class LevelInvariants:
+class LevelInvariants(NamedTuple):
     level: int
     cusp_count: int
     euler_index: int
@@ -76,14 +75,7 @@ class LevelInvariants:
     s4: int
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "cusp_count": self.cusp_count,
-            "euler_index": self.euler_index,
-            "genus": self.genus,
-            "s3": self.s3,
-            "s4": self.s4,
-        }
+        return self._asdict()  # the fields, in order
 
 
 def _cusp_form_dim(k: int, genus: int, cusps: int) -> int:

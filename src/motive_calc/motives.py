@@ -13,8 +13,7 @@ never silently preferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .levels import LevelInvariants, ensure, level_invariants
 
@@ -23,8 +22,7 @@ class SymbolicMultiplicityError(ValueError):
     """A numeric table was demanded while n is still symbolic."""
 
 
-@dataclass(frozen=True)
-class Count:
+class Count(NamedTuple):
     """Integer count plus an integer multiple of the free symbol n."""
 
     const: int = 0
@@ -228,8 +226,7 @@ def decompose_threefold(n: int) -> Motive:
     )
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     level: int
     which: str
     b: tuple  # Count per degree 0..2d
@@ -282,15 +279,13 @@ def chow_kunneth_table(n: int, which: str = "surface") -> list[Motive]:
     return [Motive(g) for g in graded]
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
+class FiltrationStep(NamedTuple):
     nu: int
     label: str
     graded_piece: str  # description of F^nu / F^{nu+1}
 
 
-@dataclass(frozen=True)
-class FiltrationTable:
+class FiltrationTable(NamedTuple):
     level: int
     which: str
     tables: tuple  # per codimension j: tuple of FiltrationStep
@@ -302,10 +297,7 @@ class FiltrationTable:
             "chow_groups": [
                 {
                     "codimension": j,
-                    "steps": [
-                        {"nu": s.nu, "label": s.label, "graded_piece": s.graded_piece}
-                        for s in steps
-                    ],
+                    "steps": [s._asdict() for s in steps],
                 }
                 for j, steps in enumerate(self.tables)
             ],

@@ -8,7 +8,7 @@ multiplicity) never influence the exit status.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from . import __version__
@@ -121,8 +121,34 @@ def report_passed(payload: dict) -> bool:
     return all(e["status"] == "pass" for e in non_experimental_certificates(payload))
 
 
+def _render(value, indent: str) -> str:
+    """value as `json.dumps(value, indent=2)` writes it at the depth of indent, each dict and list as one join.
+
+    A key that is no str, or a value that is no dict, list, str, int, bool or None, raises TypeError.
+    """
+    kind = type(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _render(v, inner)) for k, v in value.items()]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items = [_quote(v) if type(v) is str else _render(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"{kind.__name__} is not a JSON value of a report: {value!r}")
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return _render(payload, "") + "\n"
 
 
 def render_text(payload: dict) -> str:

@@ -48,10 +48,10 @@ image that would carry it twice raises `DegreeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from . import groups
 from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_identity
@@ -117,8 +117,7 @@ def an_entry(n: int, i: int, j: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class NeronLattice:
+class NeronLattice(NamedTuple):
     level: int
     full_matrix: RatMatrix
     rank: int

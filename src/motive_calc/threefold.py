@@ -30,11 +30,11 @@ computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from . import surface
 from .endos import SurfEnd, mu0, surf_identity
@@ -432,8 +432,7 @@ def verify_structure_identities(n: int) -> list[dict]:
 
 # -- cusp-fiber incidence model and Euler number -----------------------------------
 
-@dataclass(frozen=True)
-class IncidenceComplex:
+class IncidenceComplex(NamedTuple):
     """Stratified model of one cusp fiber of the threefold.
 
     Vertices are components: N^2 proper transforms (doubly ruled surfaces

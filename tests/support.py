@@ -64,7 +64,10 @@ can check that parsing its print gives the same tree.
 
 `mat_mul`, `mat_transpose` and `mat_zero` multiply, transpose and build
 `RatMatrix`es, and `poincare_symmetric` reads a Betti table's Poincare
-symmetry: the program needs none of them.
+symmetry: the program needs none of them.  The program eliminates on the
+integer multiple of a matrix (`exact.mat_rank`, `exact.mat_inverse`);
+`mat_rank_by_fractions` and `mat_inverse_by_fractions` are the elimination
+on its `Fraction` entries that it replaced, their oracles.
 
 The program holds d_a times the fiber as a basis class of its own,
 `surface.DA_FIBER`, with plain rational coefficients.  The oracle is the
@@ -87,7 +90,7 @@ from typing import NamedTuple
 from motive_calc import surface, threefold
 from motive_calc.dsl import Compose, NamedAtom, Node, Scale, Sum, Transpose
 from motive_calc.endos import SurfEnd, surf_compose, surf_end, surf_identity
-from motive_calc.exact import DegreeError, RatMatrix, RationalLike, exact_rational, fmt_rational
+from motive_calc.exact import DegreeError, RatMatrix, RationalLike, SingularMatrixError, exact_rational, fmt_rational
 from motive_calc.groups import GroupRingElement, PairSum, enumerate_g, mu_inv
 from motive_calc.levels import _check_level
 from motive_calc.motives import BettiTable
@@ -528,6 +531,51 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         raise ValueError("dimension mismatch")
     return RatMatrix([[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
                        for j in range(b.cols)] for i in range(a.rows)])
+
+
+def mat_rank_by_fractions(m: RatMatrix) -> int:
+    """Rank by fraction-free (Bareiss) elimination on the Fraction entries."""
+    a = [row[:] for row in m.entries]
+    rows, cols = m.rows, m.cols
+    rank = 0
+    prev = Fraction(1)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][c]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[i][j] * pivot - a[i][c] * a[r][j]) / prev
+            a[i][c] = Fraction(0)
+        prev = pivot
+        r += 1
+        rank += 1
+    return rank
+
+
+def mat_inverse_by_fractions(m: RatMatrix) -> RatMatrix:
+    """Inverse by Gauss-Jordan on the Fraction entries; raises SingularMatrixError."""
+    if m.rows != m.cols:
+        raise SingularMatrixError("inverse of a non-square matrix")
+    n = m.rows
+    a = [row[:] + ident_row for row, ident_row in zip(m.entries, RatMatrix.identity(n).entries)]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        a[c], a[pivot_row] = a[pivot_row], a[c]
+        pivot = a[c][c]
+        a[c] = [x / pivot for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                factor = a[i][c]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[c])]
+    return RatMatrix([row[n:] for row in a])
 
 
 def poincare_symmetric(table: BettiTable) -> bool:

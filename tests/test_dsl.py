@@ -175,9 +175,19 @@ def test_the_parser_matches_the_oracle_on_random_sources():
         for mode in parsed:
             got = _outcome(parse_expr, source, mode)
             assert got == _outcome(parse_by_tokens, source, mode), (source, mode)
-            parsed[mode] += not isinstance(got, tuple)
+            parsed[mode] += type(got) is not tuple  # a node is a NamedTuple; what was raised, a plain tuple
     # about a fifth of the sources hold a call token, and thousands parse in each mode (19,886; 7,011 and 6,490)
     assert calls > 15_000 and min(parsed.values()) > 5_000
+
+
+def test_nodes_of_different_kinds_with_equal_fields_differ():
+    a, b = NamedAtom("pi0"), NamedAtom("pi1")
+    for x, y in [(Transpose(a), Sum(a)), (Compose(a, b), Scale(a, b)), (NamedAtom("G", (a,)), Compose("G", (a,)))]:
+        assert tuple(x) == tuple(y)
+        assert x != y and y != x and not x == y
+        assert len({x, y}) == 2
+    assert Transpose(a) == Transpose(NamedAtom("pi0")) and not Transpose(a) != Transpose(NamedAtom("pi0"))
+    assert Transpose(a) != (a,) and (a,) != Transpose(a)
 
 
 def test_round_trip_corpus():

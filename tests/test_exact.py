@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motive_calc.exact import (
@@ -16,7 +20,7 @@ from motive_calc.exact import (
 from motive_calc.dsl import NamedAtom, Scale, parse_expr
 from motive_calc.surface import neron_lattice
 
-from support import LinearCoeff, mat_mul, mat_transpose, mat_zero
+from support import LinearCoeff, mat_inverse_by_fractions, mat_mul, mat_rank_by_fractions, mat_transpose, mat_zero
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
@@ -141,3 +145,77 @@ def test_linear_coeff_degree_error():
         _ = da * da
     # products with a pure constant stay fine
     assert (da * LinearCoeff.of(2)).da_part == 2
+
+
+# -- integer elimination against the Fraction oracle
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices up to 8x8 with small entries, square about half the time; as often the first row combines later ones."""
+    rows = draw(st.integers(1, 8))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 8))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))  # st.fractions costs about 8x as much
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        a, b, other = draw(entry), draw(entry), m[draw(st.integers(1, rows - 1))]
+        m[0] = [a * x + b * y for x, y in zip(m[-1], other)]
+    return RatMatrix(m)
+
+
+@given(rational_matrices())
+@example(RatMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+@example(RatMatrix([[Fraction(1, 2), 1], [1, 2], [3, 4]]))
+@settings(max_examples=400, deadline=None)
+def test_integer_elimination_matches_the_fraction_oracle(m):
+    assert mat_rank(m) == mat_rank_by_fractions(m)
+    if m.rows == m.cols:
+        try:
+            want = mat_inverse_by_fractions(m)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(m)
+        else:
+            assert mat_inverse(m) == want
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_neron_lattice_matches_the_fraction_oracle(n):
+    lat = neron_lattice(n)
+    assert lat.rank == mat_rank_by_fractions(lat.full_matrix) == n - 1
+    assert lat.reduced_inverse == mat_inverse_by_fractions(lat.reduced_block)
+
+
+def test_a_wrong_row_update_raises_under_python_O():
+    # each patched update leaves a column uncleared, breaks an exact division or fails the inverse's check against
+    # the matrix: the last alone sees an update that is one off on a matrix whose pivots are all 1, where every
+    # division is by 1
+    script = """
+import sys
+from motive_calc import exact, surface
+from motive_calc.levels import InvariantError
+full = exact.RatMatrix([[surface.an_entry(6, i, j) for j in range(6)] for i in range(6)])
+unimodular = exact.RatMatrix([[1, 2], [3, 7]])
+wrong = {
+    "sign": lambda p, row, f, pivot: [p * x + f * y for x, y in zip(row, pivot)],
+    "pivot first": lambda p, row, f, pivot: [f * x - p * y for x, y in zip(row, pivot)],
+    "one entry off": lambda p, row, f, pivot: [p * x - f * y for x, y in zip(row, pivot)][:-1] + [p * row[-1] - f * pivot[-1] + 1],
+    "no pivot row": lambda p, row, f, pivot: [p * x for x in row],
+}
+out = []
+for name, update in wrong.items():
+    exact._row_update = update
+    for run in (lambda: exact.mat_rank(full), lambda: exact.mat_inverse(full.submatrix(range(1, 6), range(1, 6))),
+                lambda: exact.mat_inverse(unimodular)):
+        try:
+            out.append(f"{name}: returned {run()!r}")
+        except InvariantError:
+            out.append(f"{name}: raised")
+print(sys.flags.optimize, out)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    raised = [f"{name}: raised" for name in ("sign", "pivot first", "one entry off", "no pivot row") for _ in range(3)]
+    assert out.stdout == f"1 {raised}\n"

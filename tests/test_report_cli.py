@@ -1,7 +1,12 @@
+import errno
 import json
+import os
+import stat
+import threading
 
 import pytest
 
+import motive_calc.cli as cli
 from motive_calc.cli import main
 from motive_calc.report import (
     certificate_summary,
@@ -328,3 +333,104 @@ def test_cli_an_output_path_that_fails_at_write_time_exits_two(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {tmp_path}: ")
     assert "Traceback" not in err
+
+
+class _FailsAfterFirstChunk:
+    """A file opened by `cli._write` whose write stores the first 1,000 characters and then fails, as a full disk does."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def write(self, text):
+        self.fh.write(text[:1000])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("existing", [None, b"the report of an earlier run\n"])
+def test_cli_a_write_that_fails_part_way_leaves_no_partial_file(existing, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "report.json"
+    if existing is not None:
+        target.write_bytes(existing)
+    monkeypatch.setattr(cli, "open", _FailsAfterFirstChunk, raising=False)
+    assert main(["report", "--level", "3", "--surface-only", "-o", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: No space left on device\n"
+    # no file under the name, or the one there unchanged, and no temporary file beside it
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["report.json"])
+    if existing is not None:
+        assert target.read_bytes() == existing
+
+
+def test_cli_output_replaces_a_file_and_writes_through_a_link(tmp_path):
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    assert main(["invariants", "--level", "5", "-o", str(link)]) == 0
+    assert link.is_symlink() and json.loads(target.read_text())["cusp_count"] == 12
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+
+def test_cli_output_to_a_pipe_is_written_in_place(tmp_path):
+    # a device or a pipe, such as /dev/null, is no file to replace
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text()))
+    reader.start()
+    try:
+        assert main(["invariants", "--level", "5", "-o", str(pipe)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert json.loads(read[0])["cusp_count"] == 12
+    assert stat.S_ISFIFO(pipe.stat().st_mode) and [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+# -- the JSON renderer against json.dumps, its oracle
+
+CLI_JSON = [["report"], ["report", "--surface-only"], ["lattice"], ["decompose"], ["decompose", "--threefold"],
+            ["filtration"], ["invariants"]]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_cli_json_output_is_what_json_dumps_writes(n, tmp_path, monkeypatch):
+    payloads = []
+
+    def kept(payload):
+        payloads.append(payload)
+        return render_json(payload)
+
+    monkeypatch.setattr(cli, "render_json", kept)
+    out = tmp_path / "out.json"
+    for argv in CLI_JSON:
+        assert main([*argv, "--level", str(n), "-o", str(out)]) == 0
+        assert out.read_bytes() == (json.dumps(payloads[-1], indent=2) + "\n").encode()
+    assert len(payloads) == len(CLI_JSON)
+
+
+SYNTHETIC = [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}], {"a": {"b": {"c": []}}, "d": [[[{}]]]},
+    {"quote": 'say "so"', "back\\slash": "a\\b", 'key "q"': "", "": ""},
+    ["\x00\x01\x1f", "\t\n\r\x08\x0c", "\x7f"],
+    {"non-ascii": ["\u00e9t\u00e9", "\u2013", "\U0001d53e", "\u2028", "\ud800"], "\u00fc": "\u00fc"},
+    [True, 1, False, 0, None], {"t": True, "one": 1, "none": None},
+    [-1, -(10 ** 99), 10 ** 100 - 1, 10 ** 100, 0],
+    {"nested": [1, [2, [3, {"x": [None, "s", True]}]]]},
+]
+
+
+@pytest.mark.parametrize("payload", SYNTHETIC)
+def test_render_json_is_what_json_dumps_writes(payload):
+    assert render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [1.5, {"a": [0.0]}, (1, 2), {"a": (1,)}, {1, 2}, [{1}], {1: "a"}, {"a": {2: "b"}}])
+def test_render_json_refuses_what_a_report_holds_no_literal_for(payload):
+    with pytest.raises(TypeError):
+        render_json(payload)

@@ -9,9 +9,15 @@ call belongs under `tests/`, as the oracles in `support.py` do.
 Every module of src imports at its top: no import sits inside a function,
 but for the lazy loads of the package's `__getattr__`, and no
 `TYPE_CHECKING` block hides an import cycle.
+
+No module of src imports `dataclasses`: a frozen dataclass costs about
+0.6 ms to define and `dataclasses` imports `inspect`, which every
+`motive-calc` process would pay at start-up; the records are NamedTuples.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,3 +115,32 @@ def test_an_import_in_a_function_and_a_type_checking_block_are_found(tmp_path, m
         "def f():\n    def g():\n        import json\n    return g\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert _hidden_imports() == ["late.f:9", "late.g:9", "late:3"]
+
+
+def _imports(name: str) -> list:
+    """module:line of each import, in src, of the top-level module name or of a name from it."""
+    return sorted(f"{module}:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == name for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == name)
+
+
+def test_no_src_module_imports_dataclasses():
+    assert _imports("dataclasses") == []
+
+
+def test_an_import_of_dataclasses_is_found(tmp_path, monkeypatch):
+    (tmp_path / "records.py").write_text(
+        "import json\nfrom dataclasses import dataclass\nfrom .dataclasses import x\n\n\n"
+        "def f():\n    import dataclasses as d, os\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert _imports("dataclasses") == ["records:2", "records:7"]
+
+
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    # motive_calc.cli imports report and dsl, and through them every module of src
+    script = ("import sys, motive_calc.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'motive_calc.report', 'motive_calc.dsl'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "['motive_calc.dsl', 'motive_calc.report']\n"
