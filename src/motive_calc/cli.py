@@ -22,14 +22,7 @@ import sys
 from .dsl import ParseError, UnknownAtomError, EvalError, evaluate
 from .exact import DegreeError
 from .levels import InvariantError, LevelTooSmallError, level_invariants
-from .motives import (
-    chow_kunneth_table,
-    decompose_surface,
-    decompose_threefold,
-    filtration_table,
-    realize_betti,
-    surface_multiplicity,
-)
+from .motives import chow_kunneth_table, filtration_table, realize_betti, surface_multiplicity, variety
 from .report import CERTIFICATE_SECTIONS, render_json, render_text, report_passed, run_report
 from .surface import UnsupportedCompositionError, neron_lattice
 
@@ -107,21 +100,21 @@ def _cmd_lattice(args) -> int:
 def _cmd_decompose(args) -> int:
     n = args.level
     which = "threefold" if args.threefold else "surface"
-    motive = decompose_threefold(n) if args.threefold else decompose_surface(n)
-    betti = realize_betti(motive, n, which)
+    motive = variety(which).decompose(n)
+    pieces = chow_kunneth_table(n, which)
     payload = {
         "level": n,
         "which": which,
         "motive": motive.to_json(),
-        "chow_kunneth": [m.to_json() for m in chow_kunneth_table(n, which)],
-        "betti": betti.to_json(),
+        "chow_kunneth": [m.to_json() for m in pieces],
+        "betti": realize_betti(motive, n, which).to_json(),
     }
     if not args.threefold:
         payload["multiplicity"] = surface_multiplicity(n)
 
     def text(p: dict) -> str:
         lines = [f"{p['which']} at level {p['level']}", f"h = {motive.render()}"]
-        for i, piece in enumerate(chow_kunneth_table(n, which)):
+        for i, piece in enumerate(pieces):
             lines.append(f"  h^{i} = {piece.render()}")
         lines.append("betti: " + " ".join(p["betti"]["betti"]))
         if "multiplicity" in p:

@@ -13,7 +13,7 @@ never silently preferred.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .levels import LevelInvariants, ensure, level_invariants
 
@@ -58,80 +58,44 @@ class Count(NamedTuple):
         return f"{n_text} {sign} {abs(self.const)}"
 
 
-CountLike = Union[Count, int]
-
-
-def as_count(x: CountLike) -> Count:
-    return x if isinstance(x, Count) else Count(x)
-
-
 SYMBOL_N = Count(0, 1)
 
-# basis keys: ("1",), ("L", k), ("h1M", k), ("W1", k), ("W2",)
-BASIS_ORDER = [
-    ("1",),
-    ("L", 1),
-    ("L", 2),
-    ("L", 3),
-    ("h1M", 0),
-    ("h1M", 1),
-    ("h1M", 2),
-    ("W1", 0),
-    ("W1", 1),
-    ("W2",),
-]
+
+class _Basis(NamedTuple):
+    label: str
+    weight: int  # the degree of its Betti realization
+    invariant: str  # the LevelInvariants field whose double is its Betti dimension; "" for dimension 1
+    chow: dict  # nonzero Chow degree -> named graded piece
+
+
+# The basis motives, in print order.
+_BASIS = {
+    ("1",): _Basis("1", 0, "", {0: "Q"}),
+    ("L", 1): _Basis("L", 2, "", {1: "Q"}),
+    ("L", 2): _Basis("L^2", 4, "", {2: "Q"}),
+    ("L", 3): _Basis("L^3", 6, "", {3: "Q"}),
+    ("h1M", 0): _Basis("h1(M)", 1, "genus", {1: "Jac(M) (x) Q"}),
+    ("h1M", 1): _Basis("h1(M) (x) L", 3, "genus", {2: "Jac(M) (x) Q"}),
+    ("h1M", 2): _Basis("h1(M) (x) L^2", 5, "genus", {3: "Jac(M) (x) Q"}),
+    ("W1", 0): _Basis("W1", 2, "s3", {2: "CH^2_alb(surface)"}),
+    ("W1", 1): _Basis("W1 (x) L", 4, "s3", {3: "CH^2_alb(surface)"}),
+    ("W2",): _Basis("W2", 3, "s4", {2: "CH^2(W2)", 3: "CH^3(W2)"}),
+}
 
 
 def basis_label(key: tuple) -> str:
-    kind = key[0]
-    if kind == "1":
-        return "1"
-    if kind == "L":
-        return "L" if key[1] == 1 else f"L^{key[1]}"
-    if kind == "h1M":
-        return "h1(M)" if key[1] == 0 else f"h1(M) (x) {basis_label(('L', key[1]))}"
-    if kind == "W1":
-        return "W1" if key[1] == 0 else f"W1 (x) {basis_label(('L', key[1]))}"
-    return "W2"
-
-
-def basis_weight(key: tuple) -> int:
-    kind = key[0]
-    if kind == "1":
-        return 0
-    if kind == "L":
-        return 2 * key[1]
-    if kind == "h1M":
-        return 1 + 2 * key[1]
-    if kind == "W1":
-        return 2 + 2 * key[1]
-    return 3
+    return _BASIS[key].label
 
 
 def basis_dim(key: tuple, inv: LevelInvariants) -> int:
     """Dimension of the Betti realization of one basis motive."""
-    kind = key[0]
-    if kind in ("1", "L"):
-        return 1
-    if kind == "h1M":
-        return 2 * inv.genus
-    if kind == "W1":
-        return 2 * inv.s3
-    return 2 * inv.s4
+    field = _BASIS[key].invariant
+    return 2 * getattr(inv, field) if field else 1
 
 
 def basis_chow_degrees(key: tuple) -> dict[int, str]:
     """Nonzero Chow degrees of one basis motive, with named graded pieces."""
-    kind = key[0]
-    if kind == "1":
-        return {0: "Q"}
-    if kind == "L":
-        return {key[1]: "Q"}
-    if kind == "h1M":
-        return {key[1] + 1: "Jac(M) (x) Q"}
-    if kind == "W1":
-        return {key[1] + 2: "CH^2_alb(surface)"}
-    return {2: "CH^2(W2)", 3: "CH^3(W2)"}
+    return _BASIS[key].chow
 
 
 class Motive:
@@ -139,13 +103,17 @@ class Motive:
 
     __slots__ = ("multiplicities",)
 
-    def __init__(self, multiplicities: dict[tuple, CountLike]):
+    def __init__(self, multiplicities: dict[tuple, Count | int]):
+        """Refuses, with ValueError, a key outside the basis and a multiplicity that is no int or Count of ints."""
         self.multiplicities: dict[tuple, Count] = {}
         for key, m in multiplicities.items():
-            m = as_count(m)
+            if key not in _BASIS or not all(type(part) is str or type(part) is int for part in key):
+                raise ValueError(f"unknown basis motive {key!r}")
+            if type(m) is int:
+                m = Count(m)
+            elif type(m) is not Count or type(m.const) is not int or type(m.n_part) is not int:
+                raise ValueError(f"multiplicity {m!r} of {basis_label(key)} is no int or Count of two ints")
             if m.const or m.n_part:
-                if key not in BASIS_ORDER:
-                    raise ValueError(f"unknown basis motive {key!r}")
                 self.multiplicities[key] = m
 
     def __getitem__(self, key: tuple) -> Count:
@@ -157,19 +125,16 @@ class Motive:
     def __hash__(self):  # pragma: no cover
         return hash(frozenset(self.multiplicities.items()))
 
+    def _present(self) -> list:
+        """(label, multiplicity) of each basis motive present, in print order."""
+        return [(b.label, self.multiplicities[key]) for key, b in _BASIS.items() if key in self.multiplicities]
+
     def render(self) -> str:
-        parts = []
-        for key in BASIS_ORDER:
-            m = self[key]
-            if not (m.const or m.n_part):
-                continue
-            label = basis_label(key)
-            text = str(m)
-            parts.append(label if text == "1" else f"{text}({label})")
+        parts = [label if str(m) == "1" else f"{m}({label})" for label, m in self._present()]
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        return {basis_label(key): str(self[key]) for key in BASIS_ORDER if self[key] != Count(0)}
+        return {label: str(m) for label, m in self._present()}
 
     def __repr__(self) -> str:
         return f"Motive<{self.render()}>"
@@ -252,12 +217,27 @@ class BettiTable(NamedTuple):
         }
 
 
+class Variety(NamedTuple):
+    dim: int
+    decompose: Callable[[int], Motive]  # level -> decomposition
+
+
+_VARIETIES = {"surface": Variety(2, decompose_surface), "threefold": Variety(3, decompose_threefold)}
+
+
+def variety(which: str) -> Variety:
+    """The variety named which; any other name raises ValueError."""
+    if which not in _VARIETIES:
+        raise ValueError(f"unknown variety {which!r}: expected 'surface' or 'threefold'")
+    return _VARIETIES[which]
+
+
 def realize_betti(motive: Motive, n: int, which: str = "surface") -> BettiTable:
     inv = level_invariants(n)
-    top = 4 if which == "surface" else 6
+    top = 2 * variety(which).dim
     b = [Count(0)] * (top + 1)
     for key, mult in motive.multiplicities.items():
-        w = basis_weight(key)
+        w = _BASIS[key].weight
         if w > top:
             raise ValueError(f"basis motive {basis_label(key)} exceeds dimension {top // 2}")
         b[w] = b[w] + mult * basis_dim(key, inv)
@@ -271,11 +251,10 @@ def realize_betti(motive: Motive, n: int, which: str = "surface") -> BettiTable:
 
 def chow_kunneth_table(n: int, which: str = "surface") -> list[Motive]:
     """Weight-graded pieces h^0 .. h^{2d} of the decomposition."""
-    motive = decompose_surface(n) if which == "surface" else decompose_threefold(n)
-    top = 4 if which == "surface" else 6
-    graded: list[dict] = [dict() for _ in range(top + 1)]
-    for key, mult in motive.multiplicities.items():
-        graded[basis_weight(key)][key] = mult
+    dim, decompose = variety(which)
+    graded: list[dict] = [dict() for _ in range(2 * dim + 1)]
+    for key, mult in decompose(n).multiplicities.items():
+        graded[_BASIS[key].weight][key] = mult
     return [Motive(g) for g in graded]
 
 
@@ -335,7 +314,7 @@ def _step_label(which: str, j: int, nu: int, dim: int) -> str:
 
 def filtration_table(n: int, which: str = "surface") -> FiltrationTable:
     ck = chow_kunneth_table(n, which)
-    dim = 2 if which == "surface" else 3
+    dim = len(ck) // 2
     # structural vanishing: every constituent of h^i has its nonzero Chow
     # degrees j within j <= i <= 2j
     for i, piece in enumerate(ck):

@@ -28,7 +28,9 @@ element of Q[G], and a factored and an expanded threefold sum.  An
 atom (g, h, swap) of an expanded element of Q[G^2 x| S_2], a `PairSum`,
 holds two elements of G of its level and a bool swap: an element of level
 4, a collapse, a swap of 2 or 1, and an atom that is no such triple are
-rows.  The DSL
+rows.  A motive takes only keys of the basis, whatever their
+multiplicity, and multiplicities that are ints or `Count`s of two ints,
+never a bool or a float.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
 `test_the_table_raises_under_python_O` runs both tables again in a child
 process under `python -O`.
@@ -46,6 +48,7 @@ from motive_calc.cli import main
 from motive_calc.dsl import EvalError, NamedAtom, eval_expr
 from motive_calc.endos import SurfEnd, surf_end
 from motive_calc.groups import GroupRingElement, PairSum, epsilon2_projector, epsilon_projector
+from motive_calc.motives import SYMBOL_N, Count, Motive
 from motive_calc.sums import LevelMismatchError
 from motive_calc.surface import (
     DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
@@ -333,6 +336,27 @@ def _float_rows():
     }, TypeError)]
 
 
+def _motive_rows():
+    return [("Motive key outside the basis", {
+        "('X',) with 0": lambda: Motive({("X",): 0}),
+        "('X',) with 1": lambda: Motive({("X",): 1}),
+        "L^4": lambda: Motive({("L", 4): 1}),
+        "h1(M) (x) L^3 beside a valid key": lambda: Motive({("1",): 1, ("h1M", 3): SYMBOL_N}),
+        "L with a bool index": lambda: Motive({("L", True): 1}),
+        "L with a float index": lambda: Motive({("L", 1.0): 1}),
+        "a plain str": lambda: Motive({"1": 1}),
+    }, ValueError), ("Motive multiplicity", {
+        "1.5": lambda: Motive({("L", 1): 1.5}),
+        "True": lambda: Motive({("1",): True}),
+        "False": lambda: Motive({("1",): False}),
+        "Fraction 1": lambda: Motive({("1",): Fraction(1)}),
+        "str": lambda: Motive({("1",): "1"}),
+        "Count of a float": lambda: Motive({("L", 1): Count(1.5)}),
+        "Count with a bool n part": lambda: Motive({("L", 1): Count(0, True)}),
+        "a pair of ints": lambda: Motive({("L", 1): (1, 0)}),
+    }, ValueError)]
+
+
 ROWS = (
     _sum_rows(SurfCorr, IDENT, SURFACE_ATOMS)
     + _sum_rows(DivClass, GENERIC_FIBER, DIVISOR_CLASSES)
@@ -347,6 +371,7 @@ ROWS = (
     + _mixed_class_rows()
     + _bool_rows()
     + _float_rows()
+    + _motive_rows()
 )
 
 # eval --level 3 arguments that must exit 2

@@ -12,6 +12,7 @@ from motive_calc.motives import (
     SymbolicMultiplicityError,
     basis_chow_degrees,
     chow_kunneth_table,
+    codim_one_checklist,
     decompose_surface,
     decompose_threefold,
     filtration_table,
@@ -142,6 +143,17 @@ def test_codim_one_checklist(which):
     assert len(entries) == 5
     assert all(e["status"] == "pass" for e in entries)
     assert entries[0]["name"] == "ch1:support"
+
+
+@pytest.mark.parametrize("table", [
+    lambda: realize_betti(decompose_surface(3), 3, "Surface"),
+    lambda: chow_kunneth_table(3, "x"),
+    lambda: filtration_table(3, "foo"),
+    lambda: codim_one_checklist(3, "x"),
+], ids=["realize_betti", "chow_kunneth_table", "filtration_table", "codim_one_checklist"])
+def test_an_unknown_variety_is_refused_naming_the_two(table):
+    with pytest.raises(ValueError, match="unknown variety .*: expected 'surface' or 'threefold'"):
+        table()
 
 
 def test_count_rendering():
