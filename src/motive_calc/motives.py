@@ -252,8 +252,13 @@ def realize_betti(motive: Motive, n: int, which: str = "surface") -> BettiTable:
 def chow_kunneth_table(n: int, which: str = "surface") -> list[Motive]:
     """Weight-graded pieces h^0 .. h^{2d} of the decomposition."""
     dim, decompose = variety(which)
+    return weight_pieces(decompose(n), dim)
+
+
+def weight_pieces(motive: Motive, dim: int) -> list[Motive]:
+    """The Chow-Kunneth table of a decomposition of a variety of dimension dim."""
     graded: list[dict] = [dict() for _ in range(2 * dim + 1)]
-    for key, mult in decompose(n).multiplicities.items():
+    for key, mult in motive.multiplicities.items():
         graded[_BASIS[key].weight][key] = mult
     return [Motive(g) for g in graded]
 
@@ -313,7 +318,11 @@ def _step_label(which: str, j: int, nu: int, dim: int) -> str:
 
 
 def filtration_table(n: int, which: str = "surface") -> FiltrationTable:
-    ck = chow_kunneth_table(n, which)
+    return filtration_of(n, which, chow_kunneth_table(n, which))
+
+
+def filtration_of(n: int, which: str, ck: list[Motive]) -> FiltrationTable:
+    """The filtration table of the variety which at level n, read from its Chow-Kunneth table ck."""
     dim = len(ck) // 2
     # structural vanishing: every constituent of h^i has its nonzero Chow
     # degrees j within j <= i <= 2j
@@ -334,8 +343,8 @@ def filtration_table(n: int, which: str = "surface") -> FiltrationTable:
     return FiltrationTable(n, which, tuple(tables))
 
 
-def codim_one_checklist(n: int, which: str = "surface") -> list[dict]:
-    """Divisor-group deduction rendered as a checklist over the weight table.
+def codim_one_checklist(ck: list[Motive], ft: FiltrationTable) -> list[dict]:
+    """Divisor-group deduction rendered as a checklist over the weight table ck and the filtration table ft.
 
     Once the weight-1 projector is the identity on homologically trivial
     divisors, every divisor class splits across the weight-1 and weight-2
@@ -343,7 +352,6 @@ def codim_one_checklist(n: int, which: str = "surface") -> list[dict]:
     trivial part; structurally that means CH^1 only meets h^1 and h^2,
     and the two graded pieces are the ones the table names.
     """
-    ck = chow_kunneth_table(n, which)
     entries = []
 
     def check(name: str, claim: str, ok: bool) -> None:
@@ -359,7 +367,6 @@ def codim_one_checklist(n: int, which: str = "surface") -> list[dict]:
         "CH^1 meets only the weight-1 and weight-2 pieces",
         supported == {1, 2},
     )
-    ft = filtration_table(n, which)
     steps = ft.tables[1]
     check("ch1:steps", "CH^1 has exactly one descent", len(steps) == 2)
     check(

@@ -14,7 +14,7 @@ from typing import Iterable
 from . import __version__
 from .groups import group_certificate
 from .levels import level_invariants, local_multiplicity
-from .motives import chow_kunneth_table, codim_one_checklist, filtration_table, realize_betti, surface_multiplicity, variety
+from .motives import codim_one_checklist, filtration_of, realize_betti, surface_multiplicity, variety, weight_pieces
 from .surface import neron_lattice, surface_certificate
 from .threefold import cusp_incidence, estimate_n, threefold_certificate, verify_structure_identities
 
@@ -63,16 +63,19 @@ def run_report(n: int, include_threefold: bool = True) -> dict:
     }
     tables: dict = {"decompositions": {}, "betti": {}, "filtration": {}, "divisor_checklist": {}}
     for which in ("surface", "threefold") if include_threefold else ("surface",):
-        motive = variety(which).decompose(n)
+        dim, decompose = variety(which)
+        motive = decompose(n)  # once: each table below is read from the one before it
         decomposition = {"motive": motive.to_json()}
         if which == "surface":
             decomposition["multiplicity"] = surface_multiplicity(n)
-        decomposition["chow_kunneth"] = [m.to_json() for m in chow_kunneth_table(n, which)]
+        ck = weight_pieces(motive, dim)
+        decomposition["chow_kunneth"] = [m.to_json() for m in ck]
         tables["decompositions"][which] = decomposition
         betti = realize_betti(motive, n, which)
         tables["betti"][which] = betti.to_json()
-        tables["filtration"][which] = filtration_table(n, which).to_json()
-        tables["divisor_checklist"][which] = codim_one_checklist(n, which)
+        filtration = filtration_of(n, which, ck)
+        tables["filtration"][which] = filtration.to_json()
+        tables["divisor_checklist"][which] = codim_one_checklist(ck, filtration)
     payload.update(tables)
     payload["recorded_facts"] = list(RECORDED_FACTS)
     if include_threefold:

@@ -23,7 +23,9 @@ table acts on blocks as matrices read from the rule and kept per level
 (`CuspRule`): R9 is the block product with the N-gon pairing, three
 nonzeros per row, and a graph, tGraph or V atom acts on a block through
 an index map on its rows or columns.  Component products on disjoint
-cusps compose to zero before any arithmetic.
+cusps compose to zero before any arithmetic.  Every cusp fiber is the same
+N-gon, so each cusp projector is piC(0) relabelled and holds piC(0)'s block:
+a product that reads only that block is made once and relabelled per cusp.
 
 The constructor of a correspondence or a divisor class takes only atoms of
 its level (`atom_ranges`); results are built by `LinComb.over`, unchecked.
@@ -502,21 +504,20 @@ class _Operand:
     `parts` is `_split`'s, made at the first product that needs it; `rows`
     holds per (`CuspRule`, after) the `_Rows` of its graph, tGraph and V
     atoms, None for zero, keyed by the table itself so that a patched rule
-    reads its own maps.
+    reads its own maps, and the products that `_block_products` keeps.
     """
 
     __slots__ = ("cusps", "parts", "rows")
 
-    def __init__(self, nums: dict) -> None:
-        self.cusps = frozenset(atom[1] for atom in nums) if all(atom[0] == "C" for atom in nums) else None
-        self.parts = None
-        self.rows: dict = {}
+    def __init__(self, cusps: frozenset | None, parts: tuple | None = None, rows: dict | None = None) -> None:
+        self.cusps, self.parts, self.rows = cusps, parts, {} if rows is None else rows
 
     @staticmethod
     def of(x: SurfCorr) -> "_Operand":
         op = getattr(x, "_derived", None)  # an unset slot: no exception raised and caught per fresh operand
         if op is None:
-            op = x._derived = _Operand(x.nums)
+            nums = x.nums
+            op = x._derived = _Operand(frozenset(a[1] for a in nums) if all(a[0] == "C" for a in nums) else None)
         return op
 
     def maps(self, table: CuspRule, after: bool) -> _Rows | None:
@@ -534,29 +535,45 @@ class _Operand:
         return rows
 
 
-def _block_products(x: _Operand, y: _Operand, table: CuspRule) -> list:
-    """The (atom, numerator) terms of every product of the after operand x and the before operand y that meets a block.
+class _Block(dict):
+    """The block of piC(0), which every piC(c) of its level holds (`build_pi_cusp`); it hashes by identity."""
+
+    __hash__ = object.__hash__
+
+
+def _block_products(x: _Operand, y: _Operand, table: CuspRule) -> dict:
+    """{atom: numerator} of every product of the after operand x and the before operand y that meets a block.
 
     Per cusp that is Y.C + Y.A.X + R.X, with C the summed maps of x's
     other atoms and R those of y's, each row read from the operand's
-    `_Rows`, made at its first read.
+    `_Rows`, made at its first read.  Where every block of a cusp is a
+    `_Block`, the product is the same at every cusp: it is made once, kept
+    by its blocks and table on the record of the operand whose maps it read
+    (Y.A.X on the record that every piC(c) of the level shares), and only
+    relabelled at each cusp.
     """
     x_blocks, y_blocks = x.parts[2], y.parts[2]
     after = x.maps(table, True) if y_blocks else None
     before = y.maps(table, False) if x_blocks else None
-    out = []
+    per_cusp = []
     for c in dict.fromkeys(chain(y_blocks, x_blocks)):
         yb = y_blocks.get(c)
         xb = x_blocks.get(c)
-        block: dict = {}
-        if yb and after is not None:
-            _mul(yb, after.__getitem__, block)
-        if yb and xb:
-            _mul(_mul(yb, table.pairing.get, {}), xb.get, block)
-        if xb and before is not None:
-            _mul_columns(before, xb, block)
-        out += [(("C", c, m, k), v) for m, row in block.items() for k, v in row.items() if v]
-    return out
+        shared = type(yb or xb) is _Block and type(xb or yb) is _Block
+        record, key = y.rows if yb is None else x.rows, (table, yb, xb)
+        block = record.get(key) if shared else None
+        if block is None:
+            block = {}
+            if yb and after is not None:
+                _mul(yb, after.__getitem__, block)
+            if yb and xb:
+                _mul(_mul(yb, table.pairing.get, {}), xb.get, block)
+            if xb and before is not None:
+                _mul_columns(before, xb, block)
+            if shared:
+                block = record[key] = _sparse(block.items())
+        per_cusp.append((c, block))
+    return {("C", c, m, k): v for c, block in per_cusp for m, row in block.items() for k, v in row.items() if v}
 
 
 def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
@@ -570,8 +587,8 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     Two automorphism graphs multiply on integer ids by the group law
     (`groups.id_product`) when `aut_table` finds the rule agrees with it,
     and otherwise run atom by atom, as the other graph, tGraph and V pairs
-    do.  What
-    this reads of an operand is derived once and kept on it (`_Operand`).
+    do.  What this reads of an operand is derived once and kept on it
+    (`_Operand`), and so is a block product that is the same at every cusp.
     """
     after.check_level(before)
     level = after.level
@@ -583,13 +600,12 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
         if op.parts is None:
             op.parts = _split(z.nums.items())
     (x_aut, x_other, x_blocks), (y_aut, y_other, y_blocks) = x.parts, y.parts
-    pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level)]
+    nums = _block_products(x, y, cusp_rule(level, rule)) if x_blocks or y_blocks else {}
+    pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level) if y_other else ()]
     if x_aut and y_aut:
         table = aut_table(level, rule)
         pairs.append(bilinear(x_aut, y_aut, rule, level) if table is None else _aut_product(x_aut, y_aut, table))
-    if x_blocks or y_blocks:
-        pairs.append(_block_products(x, y, cusp_rule(level, rule)))
-    return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs)))
+    return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs), nums))
 
 
 # -- named projectors -----------------------------------------------------------
@@ -627,16 +643,27 @@ def build_pi_bars(n: int) -> dict[str, SurfCorr]:
     return dict(zip(("pi0", "pi1", "pi2"), _pi_bars(n)))
 
 
-def build_pi_cusp(n: int, c: int) -> SurfCorr:
-    """Dual-basis combination of component products over one cusp fiber; c must lie below `cusp_count`."""
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is not the level 3
+def _cusp_template(n: int) -> SurfCorr:
+    """piC(0), built by the constructor once per level, with its record: its block as the level's `_Block`."""
     inv = neron_lattice(n).reduced_inverse
-    terms = {}
-    for m in range(1, n):
-        for k in range(1, n):
-            coeff = inv[m - 1, k - 1]
-            if coeff:
-                terms[cusp_prod(c, m, k)] = coeff
-    return SurfCorr(n, terms)
+    t = SurfCorr(n, {cusp_prod(0, m, k): inv[m - 1, k - 1] for m in range(1, n) for k in range(1, n) if inv[m - 1, k - 1]})
+    t._derived = _Operand(frozenset((0,)), ([], [], {0: _Block(_split(t.nums.items())[2][0])}))
+    return t
+
+
+def build_pi_cusp(n: int, c: int) -> SurfCorr:
+    """Dual-basis combination of component products over one cusp fiber; c must lie below `cusp_count`.
+
+    Every cusp fiber is the same N-gon, so piC(c) is piC(0) relabelled:
+    its record holds piC(0)'s `_Block` at c and shares piC(0)'s kept
+    products, so `compose` makes each product of the block once per level.
+    """
+    t = _cusp_template(n)
+    SurfCorr.check(n, (cusp_prod(c, 1, 1),))  # a c outside the level raises as the constructor does
+    pc = SurfCorr.over(n, t.d, {("C", c, m, k): v for (_, _, m, k), v in t.nums.items()})
+    pc._derived = _Operand(frozenset((c,)), ([], [], {c: t._derived.parts[2][0]}), t._derived.rows)
+    return pc
 
 
 def build_pi_f(n: int) -> SurfCorr:
@@ -850,6 +877,7 @@ def surface_certificate(n: int) -> list[dict]:
     named += [(f"piC({c})", pc) for c, pc in enumerate(cusps)]
     pi_f = build_pi_f(n)
     pi_inf = delta(n) - pi_f
+    zero = SurfCorr.zero(n)  # the want of every "= 0" entry
 
     cert = Certificate()
     check = cert.check
@@ -858,7 +886,7 @@ def surface_certificate(n: int) -> list[dict]:
     for (name_a, pa) in named:
         for (name_b, pb) in named:
             product = compose(pa, pb)
-            want = pa if name_a == name_b else SurfCorr.zero(n)
+            want = pa if name_a == name_b else zero
             law = f"{name_a} . {name_b} = {name_a if name_a == name_b else '0'}"
             check(f"kronecker:{name_a}.{name_b}", law, product, want)
 
@@ -876,13 +904,13 @@ def surface_certificate(n: int) -> list[dict]:
             f"residual:piInf.{name_a}",
             f"piInf . {name_a} = 0",
             compose(pi_inf, pa),
-            SurfCorr.zero(n),
+            zero,
         )
         check(
             f"residual:{name_a}.piInf",
             f"{name_a} . piInf = 0",
             compose(pa, pi_inf),
-            SurfCorr.zero(n),
+            zero,
         )
     for c, pc in enumerate(cusps):
         check(
@@ -910,7 +938,7 @@ def surface_certificate(n: int) -> list[dict]:
             f"witness:{tag}:nilpotent",
             "(p - p')^2 = 0",
             compose(diff, diff),
-            SurfCorr.zero(n),
+            zero,
         )
         check(
             f"witness:{tag}:p.p'.p",

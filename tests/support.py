@@ -12,6 +12,12 @@ atom-pair products are the oracles of the program's keyed products:
 `invert_open_t` and `threefold.parity_residual` apply the inversion
 factor by factor.
 
+The program builds each cusp projector piC(c) by relabelling piC(0), built
+once per level, so that every piC(c) holds piC(0)'s block;
+`build_pi_cusp_by_loop` builds it as the program once did at each call,
+entry by entry from the reduced inverse of the Neron lattice, through the
+constructor, for any c.
+
 The program decides the restriction rows of the threefold certificate
 pair by pair, adding only the pairs whose restricted atom differs from the
 one the tensor product of the surface restrictions expects
@@ -145,6 +151,18 @@ def compose_open(after: OpenCorr, before: OpenCorr) -> OpenCorr:
 def compose_by_atom_pairs(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     """after o before with every atom pair through `surface.compose_atom_pair`."""
     return product(after, before, surface.compose_atom_pair)
+
+
+def build_pi_cusp_by_loop(n: int, c) -> SurfCorr:
+    """piC(c) as `surface.build_pi_cusp` once built it: the dual-basis terms on cusp c, through the constructor."""
+    inv = surface.neron_lattice(n).reduced_inverse
+    terms = {}
+    for m in range(1, n):
+        for k in range(1, n):
+            coeff = inv[m - 1, k - 1]
+            if coeff:
+                terms[surface.cusp_prod(c, m, k)] = coeff
+    return SurfCorr(n, terms)
 
 
 class TupleEnd(NamedTuple):

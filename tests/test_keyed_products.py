@@ -157,7 +157,8 @@ def test_disjoint_cusp_operands_compose_to_zero_before_any_arithmetic(monkeypatc
 
 def test_the_surface_certificate_splits_each_distinct_operand_once(monkeypatch):
     # 794 products of 36 distinct operands, every one of which meets a product past the disjoint-cusp
-    # zero; the pi bars are cached per level, so they are made again here with nothing kept on them
+    # zero; the pi bars and piC(0) are cached per level, so they are made again here with nothing kept on
+    # them.  The 24 cusp projectors are split once in all: each holds the split of piC(0), made with it
     splits, products = [], []
     split, plain_compose = surface._split, surface.compose
 
@@ -166,6 +167,7 @@ def test_the_surface_certificate_splits_each_distinct_operand_once(monkeypatch):
         return plain_compose(a, b)
 
     surface._pi_bars.cache_clear()
+    surface._cusp_template.cache_clear()
     monkeypatch.setattr(surface, "_split", lambda *args: splits.append(args) or split(*args))
     monkeypatch.setattr(surface, "compose", counted)
     try:
@@ -173,10 +175,11 @@ def test_the_surface_certificate_splits_each_distinct_operand_once(monkeypatch):
     finally:
         monkeypatch.undo()
         surface._pi_bars.cache_clear()
+        surface._cusp_template.cache_clear()
     assert all(e["status"] == "pass" for e in entries)
     assert len(products) == 794
     assert len({id(x) for pair in products for x in pair}) == 36
-    assert len(splits) == 36
+    assert len(splits) == 36 - cusp_count(8) + 1
 
 
 def test_the_surface_certificate_sends_no_component_product_through_the_rule(monkeypatch):

@@ -139,7 +139,7 @@ def test_vanishing_pattern(n, which):
 def test_codim_one_checklist(which):
     from motive_calc.motives import codim_one_checklist
 
-    entries = codim_one_checklist(4, which)
+    entries = codim_one_checklist(chow_kunneth_table(4, which), filtration_table(4, which))
     assert len(entries) == 5
     assert all(e["status"] == "pass" for e in entries)
     assert entries[0]["name"] == "ch1:support"
@@ -149,11 +149,38 @@ def test_codim_one_checklist(which):
     lambda: realize_betti(decompose_surface(3), 3, "Surface"),
     lambda: chow_kunneth_table(3, "x"),
     lambda: filtration_table(3, "foo"),
-    lambda: codim_one_checklist(3, "x"),
+    lambda: codim_one_checklist(chow_kunneth_table(3, "x"), filtration_table(3, "x")),
 ], ids=["realize_betti", "chow_kunneth_table", "filtration_table", "codim_one_checklist"])
 def test_an_unknown_variety_is_refused_naming_the_two(table):
     with pytest.raises(ValueError, match="unknown variety .*: expected 'surface' or 'threefold'"):
         table()
+
+
+def test_a_report_builds_each_variety_s_tables_once(monkeypatch):
+    # each variety decomposed once, its Chow-Kunneth table (one Motive per weight) and its filtration table built
+    # once; the surface multiplicity runs in the decomposition and once more for its printed routes.  Nothing is
+    # kept: a second report counts as much again
+    from collections import Counter
+
+    from motive_calc import motives, report
+
+    counts = Counter()
+
+    def counted(name, f):
+        return lambda *args: counts.update([name]) or f(*args)
+
+    for which, (dim, decompose) in motives._VARIETIES.items():
+        monkeypatch.setitem(motives._VARIETIES, which, motives.Variety(dim, counted(which, decompose)))
+    multiplicity = counted("surface_multiplicity", motives.surface_multiplicity)
+    monkeypatch.setattr(motives, "surface_multiplicity", multiplicity)
+    monkeypatch.setattr(report, "surface_multiplicity", multiplicity)
+    monkeypatch.setattr(motives, "Motive", type("Motive", (motives.Motive,), {"__init__": counted("Motive", motives.Motive.__init__)}))
+    monkeypatch.setattr(motives, "FiltrationTable", counted("FiltrationTable", motives.FiltrationTable))
+    for runs in (1, 2):
+        report.run_report(4)
+        # a decomposition is one Motive, a Chow-Kunneth table 2d + 1 of them: 5 for the surface, 7 for the threefold
+        assert counts == {"surface": runs, "threefold": runs, "surface_multiplicity": 2 * runs,
+                          "FiltrationTable": 2 * runs, "Motive": (1 + 5 + 1 + 7) * runs}
 
 
 def test_count_rendering():

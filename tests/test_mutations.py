@@ -4,7 +4,11 @@ that still reads all-pass under such a fault would be checking nothing."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -478,6 +482,68 @@ CUSP_CROSS_FAILURES = [f"kronecker:piC({c}).piC({d})" for c in range(cusp_count(
 def test_cusp_projectors_with_terms_on_other_cusps_flip_every_product_of_two(monkeypatch):
     monkeypatch.setattr(surface, "build_pi_cusp", _pi_cusp_on_other_cusps)
     assert _failed(surface_certificate(4)) == CUSP_CROSS_FAILURES
+
+
+# -- the cusp faults at every kind of level: every piC(c) but a patched one holds piC(0)'s block, whose products are
+# kept by that block, so a fault on one cusp must show on that cusp's rows and on no other
+
+def _one_cusp_off_flips(n, c0):
+    """The failed entries of surface_certificate(n) with piC(c0)'s first coefficient raised by 1, every other piC(c)
+    as `build_pi_cusp` makes it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surface, "build_pi_cusp", lambda m, c: _bump_first(_build_pi_cusp(m, c)) if c == c0 else _build_pi_cusp(m, c))
+        return _failed(surface_certificate(n))
+
+
+def _one_cusp_rows(c0):
+    """The entries of piC(c0) that the fault flips: its idempotence, and the action rows, which read piC(0)."""
+    actions = ["action:piC(0):theta(0;1)", "action:piC(0):theta(0;2)"] + [f"residual_action:theta(0;{m})" for m in range(3)]
+    return [f"kronecker:piC({c0}).piC({c0})"] + (actions if c0 == 0 else [])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_one_cusp_projector_off_flips_exactly_its_rows(n):
+    for c0 in (0, 1, cusp_count(n) - 1):
+        assert _one_cusp_off_flips(n, c0) == _one_cusp_rows(c0)
+
+
+def test_one_cusp_projector_off_flips_exactly_its_rows_under_python_O():
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_mutations as t
+print(sys.flags.optimize, [t._one_cusp_off_flips(n, c) == t._one_cusp_rows(c) for n in (4, 6) for c in (0, 1, t.cusp_count(n) - 1)])
+"""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script, str(tests)], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"1 {[True] * 6}\n"
+
+
+CUSP_FAULTS = {
+    "each cusp projector made asymmetric": _pi_cusp_asymmetric,
+    "cusp projectors with terms on other cusps": _pi_cusp_on_other_cusps,
+}
+# the entries each fault flips at N = 3, 5 and 6, recorded from the certificate before cusp projectors shared a block
+CUSP_FAULT_FLIPS = json.loads((Path(__file__).resolve().parent / "cusp_fault_flips.json").read_text())
+
+
+def _cusp_fault_rows(fault, n):
+    """The entries the fault flips at N = 4, written for the cusps of level n."""
+    cusps = range(cusp_count(n))
+    if fault == "cusp projectors with terms on other cusps":
+        return [f"kronecker:piC({c}).piC({d})" for c in cusps for d in cusps]
+    fixed = [name for name in TRANSPOSE_WITNESS_FAILURES[fault] if not name.startswith(("kronecker:piC", "transpose:piC"))]
+    return [f"kronecker:piC({c}).piC({c})" for c in cusps] + [f"transpose:piC({c})" for c in cusps] + fixed
+
+
+@pytest.mark.parametrize("fault", sorted(CUSP_FAULTS))
+def test_each_cusp_fault_flips_the_same_per_cusp_rows_at_every_kind_of_level(fault, monkeypatch):
+    assert _cusp_fault_rows(fault, 4) == TRANSPOSE_WITNESS_FAILURES.get(fault, CUSP_CROSS_FAILURES)
+    monkeypatch.setattr(surface, "build_pi_cusp", CUSP_FAULTS[fault])
+    for n in (3, 5, 6):
+        assert _failed(surface_certificate(n)) == CUSP_FAULT_FLIPS[fault][str(n)] == _cusp_fault_rows(fault, n), n
 
 
 def test_each_surface_fault_flips_its_entries_after_a_clean_certificate(monkeypatch):
