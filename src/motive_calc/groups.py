@@ -15,19 +15,19 @@ g -> Graph(g) takes it to the surface atom ("G", g) as it is.  An element
 of Q[G] is a `LinComb` like every other sum: a level N and its elements
 of G at that level, each refused at the constructor otherwise, so sums
 and products of two levels raise `LevelMismatchError`.  Q[G]
-multiplies on indices: G is numbered 0..2N^2-1 in `enumerate_g` order,
-an element's index being its `SurfEnd.code`, with a product table that
-`g_table` builds once per level by index arithmetic on that numbering,
-not by `surf_compose`.  A product multiplies the operands' integer
-numerators on indices, over the product of their denominators, and turns
-only its nonzero atoms back into elements of G.  `id_product` reads it
-from the table `g_table` gives at the call, pair by pair; on the law's
-own table (`LawRows`) a dense product is instead `law_product`, four
+multiplies on ids: an element's id is its `SurfEnd.code`, ((s < 0) N +
+b1) N + b2, so G is numbered 0..2N^2-1 in `enumerate_g` order, and the
+law (b, s)(c, t) = (b + s c, s t) is arithmetic on ids.  `id_product`
+is the one product of G on ids: a dense product is `law_product`, four
 cyclic convolutions over (Z/N)^2, each one big-integer product by
-Kronecker substitution, which reads no table.  Automorphism graphs
-multiply on this table only when the rule of `surface.compose` agrees
-with the law on every pair (`surface.aut_table`); otherwise the rule is
-called pair by pair.
+Kronecker substitution, and any other is a pair loop that computes each
+product's id.  A product multiplies the operands' integer numerators on
+ids, over the product of their denominators, and turns only its nonzero
+atoms back into elements of G.  No product table is kept: `law_rows`
+yields the law's rows one at a time, for `surface.aut_table` to compare
+with the rule of `surface.compose`.  Automorphism graphs multiply by
+`id_product` only when that rule agrees with the law on every pair;
+otherwise the rule is called pair by pair.
 
 G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 (Q[G] (x) Q[G]) x| S_2: an element is a `tensor.TensorExpr` with Q[G]
@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .endos import SurfEnd, level_ends, surf_end, surf_identity
 from .levels import _check_level
@@ -68,62 +69,61 @@ def epsilon(x: SurfEnd) -> int:
     return x.s
 
 
-class LawRows(list):
-    """The rows of the product table that `g_table` builds from the group law: what `id_product` may read by the law."""
+@lru_cache(maxsize=64)
+def _shifts(n: int) -> tuple[list, list]:
+    """Left multiplication by G on the two parts of an id: (highs, lows), 6N^2 ids in all, kept per level.
 
-    __slots__ = ("level",)
-
-
-@lru_cache(maxsize=None)
-def g_table(n: int) -> tuple[list[SurfEnd], LawRows]:
-    """G numbered 0..2N^2-1 in `enumerate_g` order, each element by its code: (elements, product table).
-
-    Row i, column j of the table holds the index of the product of elements
-    i and j.  (b, s) is numbered ((s < 0) N + b1) N + b2, and (b, s) sends
-    (c, t) to (b + s c, s t), so the columns (c, t) with one (t, c1) make a
-    block of N indices: those of (b2 + s c2) mod N over the c2, each plus
-    N times ((st < 0) N + (b1 + s c1) mod N).  A row joins 2N such blocks,
-    built once per (s, b2); every entry is one of the ints of `ids`.  The
-    rows are a `LawRows`, the mark by which `id_product` knows the law.
+    The id ((t < 0) N + c1) N + c2 of (c, t) is h N + l with h = (t < 0) N + c1
+    and l = c2.  (b, s) of id i sends (c, t) to (b + s c, s t), whose id is
+    highs[i // N][h] + lows[k][l], k = (s < 0) N + b2: highs[i // N][h] is
+    ((st < 0) N + (b1 + s c1) mod N) N, and lows[k][l] is (b2 + s c2) mod N.
     """
-    elems = enumerate_g(n)
-    ids = list(range(len(elems)))
-    table = LawRows()
-    table.level = n
-    for s in (1, -1):
-        # blocks[b2][k]: the indices k N + (b2 + s c2) mod N over the c2, for k in 0..2N-1
-        blocks = [[[ids[k * n + (b2 + s * c2) % n] for c2 in range(n)] for k in range(2 * n)] for b2 in range(n)]
-        for b1 in range(n):
-            ks = [(0 if t == s else n) + (b1 + s * c1) % n for t in (1, -1) for c1 in range(n)]
-            table += [[i for k in ks for i in row[k]] for row in blocks]
-    return elems, table
+    highs = [[((s * t < 0) * n + (b1 + s * c1) % n) * n for t in (1, -1) for c1 in range(n)]
+             for s in (1, -1) for b1 in range(n)]
+    lows = [[(b2 + s * c2) % n for c2 in range(n)] for s in (1, -1) for b2 in range(n)]
+    return highs, lows
 
 
-# a product with more operand pairs than this many per id of G takes `law_product` on the law's rows
+def law_rows(n: int):
+    """The rows of G's product table in id order, each built as it is read: row i lists the id of i's product with each id.
+
+    Row i joins 2N blocks of N ids, one per high part h of highs[i // N]:
+    h + lows[k][l] over the l, for i's k (`_shifts`).  The blocks of each k
+    are built once.  No row is kept, and no Python call is made per entry.
+    """
+    m = n * n
+    highs, lows = _shifts(n)
+    blocks = [{h: list(map(h.__add__, low)) for h in range(0, 2 * m, n)} for low in lows]
+    for i in range(2 * m):
+        yield list(chain.from_iterable(map(blocks[i // m * n + i % n].__getitem__, highs[i // n])))
+
+
+# a product with more operand pairs than this many per id of G is `law_product`
 LAW_PAIRS_PER_ID = 16
 
 
-def id_product(xs: list, ys: list, rows: list) -> list:
-    """Summed integer products of terms (i, v) encoded by id: the (id, sum) pairs with a nonzero sum, by id.
+def id_product(xs: list, ys: list, n: int) -> list:
+    """The Q[G] product of terms (id, v) of G at level n: the (id, sum) pairs with a nonzero sum, by id.
 
-    rows[i][j] is the id of the product of ids i and j, and len(rows) is the
-    number of ids: 2N^2, on `g_table`'s rows or on a table patched in their
-    place.  On the rows of the group law (`LawRows`), a product of more than
-    `LAW_PAIRS_PER_ID` pairs per id is `law_product`, which reads no row.
-    Any other product is the pair loop: each pair read from its row and
-    added into a list of one slot per id when there are at least a quarter
+    A product of more than `LAW_PAIRS_PER_ID` pairs per id is `law_product`.
+    Any other is the pair loop: y's ids split once into their high and low
+    parts, and each x term adds its products at the ids of its two `_shifts`
+    rows, into a list of one slot per id when there are at least a quarter
     as many pairs as ids, and otherwise into a dict, which holds only the
     ids the pairs reach.  Adding into a dict costs about four times as much
     per pair as reading out one slot of the list.
     """
-    pairs, size = len(xs) * len(ys), len(rows)
-    if type(rows) is LawRows and pairs > LAW_PAIRS_PER_ID * size:
-        return law_product(xs, ys, rows.level)
-    out = [0] * size if 4 * pairs >= size else defaultdict(int)
+    m = n * n
+    pairs = len(xs) * len(ys)
+    if pairs > LAW_PAIRS_PER_ID * 2 * m:
+        return law_product(xs, ys, n)
+    out = [0] * (2 * m) if 2 * pairs >= m else defaultdict(int)
+    highs, lows = _shifts(n)
+    y_parts = [(j // n, j % n, b) for j, b in ys]
     for i, a in xs:
-        row = rows[i]
-        for j, b in ys:
-            out[row[j]] += a * b
+        high, low = highs[i // n], lows[i // m * n + i % n]
+        for h, l, b in y_parts:
+            out[high[h] + low[l]] += a * b
     if type(out) is list:
         return [(k, v) for k, v in enumerate(out) if v]
     return sorted((k, v) for k, v in out.items() if v)
@@ -245,19 +245,18 @@ class GroupRingElement(LinComb):
                 raise ValueError(f"{g!r} is not an element of G at level {level}")
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        """The product on integer numerators, with each element encoded by its index in G, its code.
+        """The product on integer numerators, each element encoded by its id, its code, by `id_product`.
 
-        The table is read from `g_table` at each call, so a patched table
-        reaches the product; `id_product` takes a dense product on the law's
-        own rows to `law_product`.  Only the atoms of the result are decoded
+        `id_product` is read from this module at each call, so a patched law
+        reaches every Q[G] product.  Only the atoms of the result are decoded
         back to group elements.
         """
         if type(other) is not GroupRingElement:
             raise LevelMismatchError("group elements of different kinds")
         self.check_level(other)
-        elems, table = g_table(self.level)
+        elems = level_ends(self.level)
         xs = [(g.code, v) for g, v in self.nums.items()]
-        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], table)
+        out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], self.level)
         return GroupRingElement.over(self.level, self.d * other.d, {elems[k]: v for k, v in out})
 
     def transpose(self) -> "GroupRingElement":

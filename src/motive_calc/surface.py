@@ -15,9 +15,9 @@ associativity and action-coherence test suites.
 `compose` does not send every atom pair through the table.  Two
 automorphism graphs meet by one rule: when the rule agrees with the group
 law on every pair, checked once per level and rule (`aut_table`), they
-multiply as elements of Q[G] on the rows of `groups.g_table`, a dense
-product by the group-law kernel `groups.law_product`; otherwise the rule
-is called pair by pair, as for every other atom pair.  The component
+multiply as elements of Q[G] by `groups.id_product`, whose dense products
+are the group-law kernel `groups.law_product`; otherwise the rule is
+called pair by pair, as for every other atom pair.  The component
 products of one cusp form a sparse integer block, and the rest of the
 table acts on blocks as matrices read from the rule and kept per level
 (`CuspRule`): R9 is the block product with the N-gon pairing, three
@@ -58,7 +58,7 @@ from typing import NamedTuple
 from . import groups
 from .endos import SurfEnd, SurfEnds, mu0, surf_compose, surf_identity
 from .exact import DegreeError, RatMatrix, mat_inverse, mat_rank
-from .groups import epsilon_projector, id_product, lambda_theta
+from .groups import epsilon_projector, lambda_theta
 from .levels import _check_level, cusp_count
 from .sums import Certificate, LinComb, bilinear, collect, linear_map, product
 
@@ -328,37 +328,33 @@ def _split(terms: list) -> tuple[list, list, dict]:
 
 
 @lru_cache(maxsize=None)
-def aut_table(level: int, rule) -> tuple[list[Atom], list[list[int]]] | None:
-    """The group law's table of automorphism graph products, (atoms, rows), if `rule` agrees with it on every pair.
+def aut_table(level: int, rule) -> list[Atom] | None:
+    """The automorphism graphs by id, if `rule` agrees with the group law on every pair of them, else None.
 
-    atoms[i] is the graph of the element of G with code i, and rows[i][j]
-    the id of the product of graphs i and j: the rows object of
-    `groups.g_table`, as bound at the build, so a `g_table` patched after
-    the build reaches no table built before it.  The rule is called once
-    per pair, one row of pairs per `map`, and each row is compared as a
-    whole with the law's row: R1's shared outputs for the products that
-    row lists.  At the first row that differs the check stops and the
-    table is None: `compose` then calls the rule pair by pair.
+    atoms[i] is the graph of the element of G with code i.  The rule is
+    called once per pair, one row of pairs per `map`, and each row is
+    compared as a whole with the law's row, as `groups.law_rows` builds it:
+    R1's shared outputs for the products that row lists.  No row is kept.
+    At the first row that differs the check stops and the result is None:
+    `compose` then calls the rule pair by pair.
     """
-    elems, law = groups.g_table(level)
     # the law's outputs by id: R1's shared output for each element, as R1 makes it
-    terms = [_GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),)) for h in elems]
+    terms = [_GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),)) for h in groups.enumerate_g(level)]
     atoms = [out[0][0] for out in terms]
     m = len(atoms)
-    for x, row in zip(atoms, law):
+    for x, row in zip(atoms, groups.law_rows(level)):
         if list(map(rule, repeat(x, m), atoms, repeat(level, m))) != list(map(terms.__getitem__, row)):
             return None
-    return atoms, law
+    return atoms
 
 
-def _aut_product(xs: list, ys: list, table: tuple) -> list:
-    """The summed products of automorphism graph terms (atom, v), read from `aut_table` by `groups.id_product`.
+def _aut_product(xs: list, ys: list, atoms: list, level: int) -> list:
+    """The summed products of automorphism graph terms (atom, v) by `groups.id_product`, as bound at the call.
 
     An atom's id is the code of its map; only the atoms of the result are
-    decoded.  A dense product is `groups.law_product`, which reads no row.
+    decoded.
     """
-    atoms, rows = table
-    out = id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], rows)
+    out = groups.id_product([(a[1].code, u) for a, u in xs], [(b[1].code, v) for b, v in ys], level)
     return [(atoms[k], v) for k, v in out]
 
 
@@ -584,10 +580,11 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     component products of each cusp are one integer block (`CuspRule`):
     R9 is the block product Y.A.X, and a graph, tGraph or V atom acts on
     a block through its index map, the atoms of one map summed first.
-    Two automorphism graphs multiply on integer ids by the group law
-    (`groups.id_product`) when `aut_table` finds the rule agrees with it,
-    and otherwise run atom by atom, as the other graph, tGraph and V pairs
-    do.  What this reads of an operand is derived once and kept on it
+    Two automorphism graphs multiply on integer ids by the group law when
+    `aut_table` finds the rule agrees with it, through `groups.id_product`
+    as bound in `groups` at the call, so a patched law reaches them; with
+    any other rule they run atom by atom, as the other graph, tGraph and V
+    pairs do.  What this reads of an operand is derived once and kept on it
     (`_Operand`), and so is a block product that is the same at every cusp.
     """
     after.check_level(before)
@@ -603,8 +600,8 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     nums = _block_products(x, y, cusp_rule(level, rule)) if x_blocks or y_blocks else {}
     pairs = [bilinear(x_other, y_aut + y_other, rule, level), bilinear(x_aut, y_other, rule, level) if y_other else ()]
     if x_aut and y_aut:
-        table = aut_table(level, rule)
-        pairs.append(bilinear(x_aut, y_aut, rule, level) if table is None else _aut_product(x_aut, y_aut, table))
+        atoms = aut_table(level, rule)
+        pairs.append(bilinear(x_aut, y_aut, rule, level) if atoms is None else _aut_product(x_aut, y_aut, atoms, level))
     return SurfCorr.over(level, after.d * before.d, collect(chain.from_iterable(pairs), nums))
 
 

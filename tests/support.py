@@ -7,7 +7,8 @@ atom-pair products are the oracles of the program's keyed products:
 `compose_by_atom_pairs` sends every atom pair through the rule table, where
 `surface.compose` multiplies the component products of a cusp as blocks,
 `group_product` multiplies group elements one pair at a time, where
-`GroupRingElement.__mul__` reads an integer product table, and
+`GroupRingElement.__mul__` computes each product's id from the ids of its
+factors, and
 `compose_open_t` multiplies open tensor sums atom pair by atom pair, where
 `invert_open_t` and `threefold.parity_residual` apply the inversion
 factor by factor.
@@ -37,15 +38,16 @@ composed and inverted by index arithmetic on the codes of the level's
 list.  `TupleEnd` is the form it once had, a `NamedTuple` compared and
 hashed by value and ordered as a tuple, with the law `tuple_compose` and
 the inverse `TupleEnd.inv` written out on its fields.
-`groups.g_table` builds the product table of G by
-index arithmetic; `g_table_by_compose` builds it as the program once did,
-one `surf_compose` call per entry.  `groups.id_product` adds the products
-read from such a table into a dict and returns the nonzero sums by id, or
-on the law's own table takes a dense product to `groups.law_product`,
-which reads no table; `id_product_by_dict` is the pair loop as the program
-once had it, zeros kept, the oracle of both.  The types the program once had are
+The program keeps no product table of G: `groups.law_rows` yields its rows
+one at a time by index arithmetic, and `groups.id_product` computes the id
+of each product, or takes a dense product to `groups.law_product`, which
+reads no table.  `g_table_by_compose` builds the whole table as the program
+once did, one `surf_compose` call per entry, and `id_product_by_dict` is the
+pair loop on such a table as the program once had it, zeros kept: the
+oracles of all three.  `product_on_table` is `id_product` read from any
+table, the form a patched law takes in the tests.  The types the program once had are
 the oracles of the law: `GElem` with its `mul` and `inv`, for the
-elements of G and `g_table`, and `AffEnd` with `aff_compose`, for the
+elements of G and their product ids, and `AffEnd` with `aff_compose`, for the
 open part, where `aff_of` reads a `SurfEnd` as x -> n x + b and
 `compose_affine_atoms`, `affine_label` and `affine_sort_key` compose,
 print and sort open atoms as the program once did.
@@ -255,14 +257,14 @@ def oracle_g(n: int) -> list[GElem]:
 
 
 def g_table_by_compose(n: int) -> list[list[int]]:
-    """The product table of G as `groups.g_table` once built it, one `surf_compose` call per entry."""
+    """The product table of G as the program once built it, one `surf_compose` call per entry: row i, column j holds the id of i j."""
     elems = enumerate_g(n)
     index = {g: i for i, g in enumerate(elems)}
     return [[index[surf_compose(g, h)] for h in elems] for g in elems]
 
 
 def id_product_by_dict(xs: list, ys: list, rows: list) -> dict:
-    """`groups.id_product` as it once was: the sums keyed by id in a dict, in the order first reached, zeros kept."""
+    """The pair loop on a product table as the program once had it: the sums keyed by id in a dict, in the order first reached, zeros kept."""
     out: dict = {}
     get = out.get
     for i, a in xs:
@@ -271,6 +273,15 @@ def id_product_by_dict(xs: list, ys: list, rows: list) -> dict:
             e = row[j]
             out[e] = get(e, 0) + a * b
     return out
+
+
+def product_on_table(table):
+    """`groups.id_product` read from table(n), a product table of ids at level n, by `id_product_by_dict`: the (id, sum) pairs with a nonzero sum, by id."""
+
+    def product_of(xs: list, ys: list, n: int) -> list:
+        return sorted((k, v) for k, v in id_product_by_dict(xs, ys, table(n)).items() if v)
+
+    return product_of
 
 
 def group_product(g, h, _level) -> tuple:

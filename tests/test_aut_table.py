@@ -1,26 +1,25 @@
-"""Automorphism graph products: the group law's table, or the rule pair by pair.
+"""Automorphism graph products: the group law by `groups.id_product`, or the rule pair by pair.
 
 `surface.compose` multiplies two automorphism graphs by one rule.
 `surface.aut_table` calls the rule that `compose` finds at its call on
-every pair, row by row, and returns the law's table, `groups.g_table`'s
-rows with the graphs they number, when every row agrees with the law; at
-the first row that differs it returns None, and `compose` calls the rule
-pair by pair.  These tests check the table entry by entry against the
-rule, that a patched rule gets no table and reaches `compose` pair by
-pair while the table of the unpatched rule stays as it was, and
-`groups.id_product`, which sums the products read from a table by id,
-against the dict loop it replaced, `support.id_product_by_dict`.
+every pair, row by row, and compares each row with the law's row as
+`groups.law_rows` builds it.  When every row agrees it returns the graphs
+by id, and graphs multiply by `groups.id_product`; at the first row that
+differs it returns None, and `compose` calls the rule pair by pair.  These
+tests check the law's rows entry by entry against the rule, that a
+patched rule gets no table and reaches `compose` pair by pair while the
+table of the unpatched rule stays as it was, and that `groups.id_product`
+drops the sums that cancel, which the dict loop it replaced,
+`support.id_product_by_dict`, keeps.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from motive_calc import surface
 from motive_calc.endos import surf_end
-from motive_calc.groups import g_table, id_product
+from motive_calc.groups import id_product, law_rows
 from motive_calc.surface import (
     VERT,
     SurfCorr,
@@ -34,15 +33,16 @@ from motive_calc.surface import (
     delta,
 )
 
-from support import compose_by_atom_pairs, enumerate_surf, id_product_by_dict
+from support import compose_by_atom_pairs, enumerate_surf, g_table_by_compose, id_product_by_dict
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_every_table_entry_is_the_rule_on_its_pair(n):
     auts = [("G", e) for e in enumerate_surf(n) if not e.collapse]
     assert any(e.s == -1 for _, e in auts)  # inversions included
-    atoms, rows = aut_table(n, compose_atom_pair)
+    atoms = aut_table(n, compose_atom_pair)
     assert atoms == auts and [a[1].code for a in atoms] == list(range(2 * n * n))
+    rows = list(law_rows(n))
     assert len(rows) == 2 * n * n
     for x, row in zip(atoms, rows):
         assert len(row) == 2 * n * n
@@ -90,47 +90,12 @@ def test_a_patched_rule_gets_no_table(fault):
     assert aut_table(3, compose_atom_pair) is not None
 
 
-def _id_tables():
-    """(name, rows, level): `g_table` at N = 3..6, and a plain table of another law, the cyclic group of order 2N^2."""
-    tables = [(f"g_table({n})", g_table(n)[1], n) for n in range(3, 7)]
-    size = 2 * 4 * 4
-    tables.append(("Z/32 at N = 4", [[(i + j) % size for j in range(size)] for i in range(size)], 4))
-    return tables
-
-
-ID_TABLES = _id_tables()
-
-
-@st.composite
-def _id_terms(draw, level: int) -> list:
-    """Terms (id, v) of ids in G, drawn from a few so that they repeat, some taken back so that sums cancel."""
-    pool = draw(st.lists(st.integers(0, 2 * level * level - 1), min_size=1, max_size=4))
-    value = (st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)).filter(bool)
-    terms = draw(st.lists(st.tuples(st.sampled_from(pool), value), max_size=10))
-    if terms:
-        terms += [(i, -v) for i, v in draw(st.lists(st.sampled_from(terms), max_size=4))]
-    return draw(st.permutations(terms))
-
-
-@pytest.mark.parametrize("table", ID_TABLES, ids=[t[0] for t in ID_TABLES])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_id_product_is_the_dict_loop_it_replaced(table, data):
-    _, rows, n = table
-    xs, ys = data.draw(_id_terms(n)), data.draw(_id_terms(n))
-    got = id_product(xs, ys, rows)
-    want = id_product_by_dict(xs, ys, rows)
-    assert got == sorted((k, v) for k, v in want.items() if v)
-    assert all(v for _, v in got)
-
-
 def test_sums_that_cancel_leave_nothing():
-    rows = g_table(3)[1]
     g11 = surf_end(3, 1, 1).code
-    assert id_product([(g11, 2), (0, 1)], [(0, 5)], rows) == sorted([(g11, 10), (0, 5)])
+    assert id_product([(g11, 2), (0, 1)], [(0, 5)], 3) == sorted([(g11, 10), (0, 5)])
     # the dict loop keeps the zeros of the sums that cancel; the product drops them
-    assert id_product([(g11, 2), (g11, -2)], [(0, 5)], rows) == []
-    assert set(id_product_by_dict([(g11, 2), (g11, -2)], [(0, 5)], rows).values()) == {0}
+    assert id_product([(g11, 2), (g11, -2)], [(0, 5)], 3) == []
+    assert set(id_product_by_dict([(g11, 2), (g11, -2)], [(0, 5)], g_table_by_compose(3)).values()) == {0}
 
 
 def _operands(n):

@@ -3,16 +3,17 @@
 `surface.compose` lets a graph, tGraph or V atom act on the component
 products of a cusp through an index map read from the rule
 (`CuspRule.map_id`), and sums the numerators of the atoms that share a
-map first.  `GroupRingElement.__mul__` reads the index of each product
-from a table of G.  Neither shortcut shows in the certificates when it is
-wrong in a way that cancels: pi1's +- coefficients cancel per b1, so a map
-that forgot the inversion part s would leave `surface_certificate` all
-pass.  These tests check both kernels atom by atom instead: exhaustively
-that atoms with one map act alike, and on random operands that the
-products equal the oracles in `support`.  The group ring of G^2 x| S_2,
-held factored as a `TensorExpr` with Q[G] factors, is checked the same
-way against sums of `G2Elem`s: its products and zero test on random
-factors, and its swap rule on every element at N = 3.
+map first.  `GroupRingElement.__mul__` computes the id of each product
+from the ids of its factors (`groups.id_product`).  Neither shortcut
+shows in the certificates when it is wrong in a way that cancels: pi1's
++- coefficients cancel per b1, so a map that forgot the inversion part s
+would leave `surface_certificate` all pass.  These tests check both
+kernels atom by atom instead: exhaustively that atoms with one map act
+alike, and on random operands that the products equal the oracles in
+`support`.  The group ring of G^2 x| S_2, held factored as a `TensorExpr`
+with Q[G] factors, is checked the same way against sums of `G2Elem`s:
+its products and zero test on random factors, and its swap rule on every
+element at N = 3.
 """
 
 import random
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motive_calc import surface
+from motive_calc import groups, surface
 from motive_calc.endos import surf_compose, surf_identity
 from motive_calc.groups import (
     GroupRingElement,
@@ -33,8 +34,8 @@ from motive_calc.groups import (
     enumerate_g,
     epsilon2_projector,
     epsilon_projector,
-    g_table,
     lambda_theta,
+    law_rows,
     mu_inv,
 )
 from motive_calc.levels import cusp_count
@@ -267,28 +268,27 @@ def test_compose_matches_the_atom_pair_oracle(data, n):
     assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
-# -- the group ring on its product table ---------------------------------------------
+# -- the group ring by the law's arithmetic -------------------------------------------
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_the_table_is_the_compose_built_table(n):
-    elems, table = g_table(n)
-    assert elems == enumerate_g(n)
-    assert [g.code for g in elems] == list(range(2 * n * n))
-    assert table == g_table_by_compose(n)
+    assert [g.code for g in enumerate_g(n)] == list(range(2 * n * n))
+    assert list(law_rows(n)) == g_table_by_compose(n)
 
 
 @pytest.mark.parametrize("n", [16, 20])
 def test_sampled_rows_of_a_large_table_are_the_compose_built_rows(n):
-    elems, table = g_table(n)
-    try:
-        assert len(table) == len(elems) == 2 * n * n
-        rng = random.Random(n)
-        # the first and last rows of both halves, and a sample
-        for i in sorted({0, n * n - 1, n * n, 2 * n * n - 1, *rng.sample(range(2 * n * n), 12)}):
-            g = elems[i]
-            assert table[i] == [surf_compose(g, h).code for h in elems]
-    finally:
-        g_table.cache_clear()  # the tables of these levels are large, and no other test reads them
+    elems = enumerate_g(n)
+    rng = random.Random(n)
+    # the first and last rows of both halves, and a sample; the rows are built as they are read, none kept
+    sample = {0, n * n - 1, n * n, 2 * n * n - 1, *rng.sample(range(2 * n * n), 12)}
+    read = 0
+    for i, row in enumerate(law_rows(n)):
+        assert len(row) == 2 * n * n
+        if i in sample:
+            assert row == [surf_compose(elems[i], h).code for h in elems]
+        read += 1
+    assert read == 2 * n * n
 
 
 def _calls(codes, build):
@@ -311,18 +311,19 @@ def _calls(codes, build):
 
 
 def test_the_table_cost_model_at_n8():
-    # g_table is index arithmetic alone; aut_table makes one rule call per pair of the 2N^2 graphs, each with one
-    # surf_compose call, and no per-pair helper: its other Python-level calls are fewer than 2 (2N^2)
+    # law_rows is index arithmetic alone, with fewer than two Python-level calls per row and none per entry;
+    # aut_table makes one rule call per pair of the 2N^2 graphs, each with one surf_compose call, and no per-pair
+    # helper: its other Python-level calls, law_rows' among them, are fewer than 2 (2N^2)
     codes = {surf_compose.__code__: "surf_compose", compose_atom_pair.__code__: "rule"}
     try:
-        g_table.cache_clear()
+        groups._shifts.cache_clear()
         surface.aut_table.cache_clear()
-        assert _calls(codes, lambda: g_table(8)).keys() <= {"other"}
+        counts = _calls(codes, lambda: list(law_rows(8)))
+        assert counts.keys() <= {"other"} and counts["other"] < 2 * (2 * 8 * 8) < (2 * 8 * 8) ** 2, counts
         counts = _calls(codes, lambda: surface.aut_table(8, compose_atom_pair))
         assert counts["rule"] == counts["surf_compose"] == (2 * 8 * 8) ** 2 == 16384
         assert counts["other"] < 2 * (2 * 8 * 8) == 256, counts
     finally:
-        g_table.cache_clear()
         surface.aut_table.cache_clear()
 
 
@@ -340,15 +341,14 @@ def test_r1_returns_one_shared_output_per_composite_map():
 
 
 def test_the_table_is_the_group_law():
-    # g_table is built by index arithmetic; GElem.mul, the law it replaced, is the oracle, and so are its labels
+    # law_rows is built by index arithmetic; GElem.mul, the law it replaced, is the oracle, and so are its labels
     for n in range(3, 7):
-        elems, table = g_table(n)
-        assert elems == enumerate_g(n)
-        for g in elems:
+        elems = enumerate_g(n)
+        for g, row in zip(elems, law_rows(n)):
             assert GroupRingElement.label(g) == GElem.of(g).label()
             assert GElem.of(g.inv()) == GElem.of(g).inv()
             for h in elems:
-                assert GElem.of(elems[table[g.code][h.code]]) == GElem.of(g).mul(GElem.of(h))
+                assert GElem.of(elems[row[h.code]]) == GElem.of(g).mul(GElem.of(h))
 
 
 @st.composite

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,8 @@ from motive_calc.threefold import OpenTCorr, TCorr, t_compose, threefold_certifi
 from flat_threefold import expands_to_zero
 from support import (
     G2Sum, act_on_divisor_linear, compose_by_atom_pairs, enumerate_surf, g2_epsilon2, g2_identity, g2_sum,
-    group_product, linear_class, parity_residual_by_expansion, restriction_residual_by_expansion, sigma_swap)
+    g_table_by_compose, group_product, linear_class, parity_residual_by_expansion, product_on_table,
+    restriction_residual_by_expansion, sigma_swap)
 
 
 def _failed(entries):
@@ -107,22 +109,29 @@ def test_group_certificate_fails_with_an_epsilon_coefficient_changed(monkeypatch
     assert "eps:idempotent" in failed
 
 
-_g_table = groups.g_table
+_id_product = groups.id_product
 
 
-def _one_table_entry_off(n):
-    elems, table = _g_table(n)
-    if n == 4:
-        table = [list(row) for row in table]
-        # tau(0,1) tau(0,1) should be tau(0,2); send it to tau(0,3)
-        t01, t02, t03 = (groups.tau(n, 0, b).code for b in (1, 2, 3))
-        assert table[t01][t01] == t02
-        table[t01][t01] = t03
-    return elems, table
+@lru_cache(maxsize=None)
+def _table_one_entry_off(n):
+    """The product table of G with tau(0,1) tau(0,1), which is tau(0,2), sent to tau(0,3 mod N)."""
+    table = g_table_by_compose(n)
+    t01, t02, t03 = (groups.tau(n, 0, b % n).code for b in (1, 2, 3))
+    assert table[t01][t01] == t02
+    table[t01][t01] = t03
+    return table
+
+
+# the law with that one entry off, at every level
+_one_table_entry_off = product_on_table(_table_one_entry_off)
 
 
 def test_group_certificate_fails_with_one_product_table_entry_changed(monkeypatch):
-    monkeypatch.setattr(groups, "g_table", _one_table_entry_off)
+    # the law patched at N = 4 only: the products of another level are the law's
+    def at_4(xs, ys, n):
+        return (_one_table_entry_off if n == 4 else _id_product)(xs, ys, n)
+
+    monkeypatch.setattr(groups, "id_product", at_4)
     failed = _failed(group_certificate(4))
     assert "eps:idempotent" in failed
     assert _failed(group_certificate(3)) == []
@@ -162,23 +171,22 @@ def test_a_failed_entry_shows_its_residual_capped(monkeypatch):
 
 
 def _sign_dropped_table(slot):
-    """A `g_table` whose product (b, s)(c, t) forgets s on one coordinate of b + s c: b1 (slot 1) or b2 (slot 2)."""
+    """An `id_product` whose law (b, s)(c, t) forgets s on one coordinate of b + s c: b1 (slot 1) or b2 (slot 2)."""
 
     def table(n):
-        elems, _ = _g_table(n)
-
         def mul(g, h):
             s1, s2 = (1, g.s) if slot == 1 else (g.s, 1)
             return SurfEnd(n, (g.b1 + s1 * h.b1) % n, (g.b2 + s2 * h.b2) % n, g.s * h.s, False)
 
-        return elems, [[mul(g, h).code for h in elems] for g in elems]
+        elems = groups.enumerate_g(n)
+        return [[mul(g, h).code for h in elems] for g in elems]
 
-    return table
+    return product_on_table(lru_cache(maxsize=None)(table))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_a_conjugated_inversion_sees_a_table_that_drops_a_sign(n, monkeypatch):
-    # tau(1,1) mu_inv tau(1,1)^-1 = tau(2,2) mu_inv; a table that forgets s on b1 or on b2 gives
+    # tau(1,1) mu_inv tau(1,1)^-1 = tau(2,2) mu_inv; a law that forgets s on b1 or on b2 gives
     # tau(0,2) mu_inv or tau(2,0) mu_inv, though no certificate entry sees either fault
     def holds():
         t, t_inv, m = (GroupRingElement.of(n, g) for g in (groups.tau(n, 1, 1), groups.tau(n, -1 % n, -1 % n), mu_inv(n)))
@@ -187,7 +195,7 @@ def test_a_conjugated_inversion_sees_a_table_that_drops_a_sign(n, monkeypatch):
     assert holds()
     for slot in (1, 2):
         with monkeypatch.context() as patch:
-            patch.setattr(groups, "g_table", _sign_dropped_table(slot))
+            patch.setattr(groups, "id_product", _sign_dropped_table(slot))
             assert not holds(), slot
     assert holds()
 
@@ -224,7 +232,7 @@ GROUP_FAULTS = {
     "lambda coefficient": (groups, "lambda_theta", _lambda_bumped),
     "theta coefficient": (groups, "lambda_theta", _theta_bumped),
     "A2 coefficient": (groups, "symmetrizers", _a2_bumped),
-    "product table entry": (groups, "g_table", _one_table_entry_off),
+    "product table entry": (groups, "id_product", _one_table_entry_off),
     "inverse of tau(0,1)": (SurfEnd, "inv", lambda g: g if g == groups.tau(g.level, 0, 1) else _inv(g)),
     "swap in _meet flipped": (tensor, "_meet", _flipped_meet),
     "eps2 asymmetric": (groups, "epsilon2_projector", _asymmetric_eps2),
@@ -253,6 +261,46 @@ def test_every_group_entry_fails_under_some_fault():
     names = [e["name"] for e in group_certificate(4)]
     assert len(names) == 14
     assert set(names) == set().union(*GROUP_FAILURES.values())
+
+
+# the entries of group_certificate that each fault of GROUP_FAULTS flips at N = 3, 5 and 6: at each level, the
+# same entries as at N = 4
+GROUP_FAULT_FLIPS = json.loads((Path(__file__).resolve().parent / "group_fault_flips.json").read_text())
+
+
+def _group_fault_flips(fault, levels):
+    """The failed entries of group_certificate(n) for each n of levels, with the fault patched."""
+    owner, name, patched = GROUP_FAULTS[fault]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, name, patched)
+        return [_failed(group_certificate(n)) for n in levels]
+
+
+@pytest.mark.parametrize("fault", sorted(GROUP_FAULTS))
+def test_each_group_fault_flips_its_recorded_entries_at_other_levels(fault):
+    assert _group_fault_flips(fault, (3, 5, 6)) == [GROUP_FAULT_FLIPS[fault][str(n)] for n in (3, 5, 6)]
+
+
+def test_every_group_entry_fails_under_some_fault_at_other_levels():
+    assert sorted(GROUP_FAULT_FLIPS) == sorted(GROUP_FAULTS)
+    for n in (3, 5, 6):
+        names = {("group_certificate", e["name"]) for e in group_certificate(n)}
+        flipped = {("group_certificate", name) for flips in GROUP_FAULT_FLIPS.values() for name in flips[str(n)]}
+        assert len(names) == 14 and names == flipped, n
+
+
+def test_one_product_table_entry_off_flips_its_entries_under_python_O():
+    # the law patched as `groups.id_product`, in a child process whose asserts are stripped: no routing decision
+    # or law invariant of the program rests on an assert
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_mutations as t
+print(sys.flags.optimize, t._group_fault_flips("product table entry", (3, 4, 5, 6)))
+"""
+    want = [GROUP_FAULT_FLIPS["product table entry"]["3"], GROUP_FAILURES["product table entry"]]
+    want += [GROUP_FAULT_FLIPS["product table entry"][n] for n in ("5", "6")]
+    assert _run_under_python_O(script) == f"1 {want}\n"
 
 
 # -- the surface rule on component products (R9-R14): each fault with the entries it flips at N = 4
@@ -514,11 +562,16 @@ sys.path.insert(0, sys.argv[1])
 import test_mutations as t
 print(sys.flags.optimize, [t._one_cusp_off_flips(n, c) == t._one_cusp_rows(c) for n in (4, 6) for c in (0, 1, t.cusp_count(n) - 1)])
 """
+    assert _run_under_python_O(script) == f"1 {[True] * 6}\n"
+
+
+def _run_under_python_O(script):
+    """The output of script, run by `python -O` with the tests' directory as its argument and src on its path."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", script, str(tests)], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == f"1 {[True] * 6}\n"
+    return out.stdout
 
 
 CUSP_FAULTS = {
