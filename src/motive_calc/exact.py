@@ -62,10 +62,6 @@ class RatMatrix:
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("ragged matrix")
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 

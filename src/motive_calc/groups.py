@@ -14,7 +14,9 @@ with identity `endos.surf_identity`; one prints as (b1,b2,+-) and sorts by (b1, 
 g -> Graph(g) takes it to the surface atom ("G", g) as it is.  An element
 of Q[G] is a `LinComb` like every other sum: a level N and its elements
 of G at that level, each refused at the constructor otherwise, so sums
-and products of two levels raise `LevelMismatchError`.  Q[G]
+and products of two levels raise `LevelMismatchError`, and a product
+with a sum of another class, such as a correspondence, raises TypeError
+(`LinComb.check_operand`).  Q[G]
 multiplies on ids: an element's id is its `SurfEnd.code`, ((s < 0) N +
 b1) N + b2, so G is numbered 0..2N^2-1 in `enumerate_g` order, and the
 law (b, s)(c, t) = (b + s c, s t) is arithmetic on ids.  `id_product`
@@ -34,7 +36,8 @@ G^2 x| S_2 is the wreath product of G by S_2, so its group ring is
 factors, whose transpose is the involution and whose tensor drops
 nothing; A2 and S2 are `tensor.symmetrizers` of the identity.  Its zero
 test enumerates no element of G^2 x| S_2; only a failed entry expands its
-residual, to atoms (g, h, swap) of a `PairSum`.
+residual, to atoms (g, h, swap) of a `PairSum`: the `tensor.TensorAtoms`
+of Q[G] factors, which keeps its own print [g,h].s.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from itertools import chain
 
 from .endos import SurfEnd, level_ends, surf_end, surf_identity
 from .levels import _check_level
-from .sums import Certificate, LevelMismatchError, LinComb, linear_map
-from .tensor import TensorExpr, symmetrizers
+from .sums import Certificate, LevelMismatchError, LinComb, linear_map  # LevelMismatchError is re-exported
+from .tensor import TensorAtoms, TensorExpr, symmetrizers
 
 
 def tau(n: int, b1: int, b2: int) -> SurfEnd:
@@ -251,9 +254,7 @@ class GroupRingElement(LinComb):
         reaches every Q[G] product.  Only the atoms of the result are decoded
         back to group elements.
         """
-        if type(other) is not GroupRingElement:
-            raise LevelMismatchError("group elements of different kinds")
-        self.check_level(other)
+        self.check_operand(other)
         elems = level_ends(self.level)
         xs = [(g.code, v) for g, v in self.nums.items()]
         out = id_product(xs, [(h.code, v) for h, v in other.nums.items()], self.level)
@@ -286,21 +287,13 @@ def lambda_theta(n: int) -> tuple[GroupRingElement, GroupRingElement]:
     return lam, GroupRingElement(n, theta_terms)
 
 
-class PairSum(LinComb):
+class PairSum(TensorAtoms):
     """An element of Q[G^2 x| S_2] expanded to atoms (g, h, swap), printed as [g,h].s, sorted by g, h, then swap."""
 
     __slots__ = ()
-    sort_key = staticmethod(
-        lambda atom: (GroupRingElement.sort_key(atom[0]), GroupRingElement.sort_key(atom[1]), atom[2]))
+    factor = GroupRingElement
+    sort_key = staticmethod(lambda atom: (*map(GroupRingElement.sort_key, atom[:2]), atom[2]))
     label = staticmethod(lambda atom: f"[{atom[0].element_label()},{atom[1].element_label()}]{'.s' if atom[2] else ''}")
-
-    @staticmethod
-    def check(level, atoms) -> None:
-        """Each atom (g, h, swap): g and h elements of G at the level (`GroupRingElement.check`), swap a bool."""
-        for atom in atoms:
-            if type(atom) is not tuple or len(atom) != 3 or type(atom[2]) is not bool:
-                raise ValueError(f"unknown atom {atom!r}")
-            GroupRingElement.check(level, atom[:2])
 
 
 def epsilon2_projector(n: int) -> TensorExpr:

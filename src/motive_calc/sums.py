@@ -21,9 +21,12 @@ enters (the constructor, `scale`) and where one leaves (`render`, and the
 `terms` view).  The symbol d_a of the divisor actions is no coefficient:
 d_a times the fiber is a basis class of its own (`surface.DA_FIBER`).
 
-Every sum has a level, and `+`, `-` and every product of two levels raise
-`LevelMismatchError`; `+` and `-` of two classes raise TypeError.  A copy
-or a pickle of a sum holds its level, d and nums only.  Every equality
+Every sum has a level.  `+`, `-` and the products of two sums of one class
+(`surface.compose`, the `*` of open-part and Q[G] sums, `TensorExpr`'s
+`compose`) take the other operand through the one `check_operand`: one of
+another class raises TypeError, one of another level `LevelMismatchError`.
+`product` checks the level only, as a divisor action multiplies two
+classes.  A copy or a pickle of a sum holds its level, d and nums only.  Every equality
 entry of every certificate is one `Certificate.check` of got against
 want, and a failed one shows the residual got - want, capped at
 `RESIDUAL_ATOMS` atoms.
@@ -160,11 +163,15 @@ class LinComb:
         if self.level != other.level:
             raise LevelMismatchError("operands of different levels")
 
-    def _plus(self, other: "LinComb", sign: int):
-        """self + sign * other, over the lcm of the two denominators; other of another class raises TypeError."""
+    def check_operand(self, other) -> None:
+        """The one check of the other operand of `+`, `-` or a product: TypeError for another class, else `check_level`."""
         if type(other) is not type(self):
-            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+            raise TypeError(f"cannot combine {type(other).__name__} with {type(self).__name__}")
         self.check_level(other)
+
+    def _plus(self, other: "LinComb", sign: int):
+        """self + sign * other, over the lcm of the two denominators, after `check_operand`."""
+        self.check_operand(other)
         d = lcm(self.d, other.d)
         kx, ky = d // self.d, sign * (d // other.d)
         nums = dict(self.nums) if kx == 1 else {atom: kx * v for atom, v in self.nums.items()}

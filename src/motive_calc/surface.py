@@ -587,7 +587,7 @@ def compose(after: SurfCorr, before: SurfCorr) -> SurfCorr:
     pairs do.  What this reads of an operand is derived once and kept on it
     (`_Operand`), and so is a block product that is the same at every cusp.
     """
-    after.check_level(before)
+    after.check_operand(before)
     level = after.level
     x, y = _Operand.of(after), _Operand.of(before)
     if x.cusps is not None and y.cusps is not None and x.cusps.isdisjoint(y.cusps):
@@ -826,6 +826,7 @@ class OpenCorr(LinComb):
 
     def __mul__(self, other: "OpenCorr") -> "OpenCorr":
         """self o other, atom pair by atom pair through this module's `compose_open_atoms` as bound at the call."""
+        self.check_operand(other)
         return product(self, other, lambda x, y, _level: ((compose_open_atoms(x, y), 1),))
 
 

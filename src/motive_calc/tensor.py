@@ -6,7 +6,10 @@ Its symmetry ring Q[G^2 x| S_2] = (Q[G] (x) Q[G]) x| S_2 is the same
 algebra with Q[G] factors, and the parity rows of the threefold
 certificate use it with open-part factors.  A `TensorExpr` is a `LinComb`
 whose atoms are the triples (A, B, swap), so pure tensors with equal
-factors merge as the atoms of any sum do.  This module knows no factor
+factors merge as the atoms of any sum do.  Its factors are of one class
+across all its parts, and its swaps are bools.  Expanded, it is a
+`TensorAtoms` of that factor class: the one class of atom sums (a, b,
+swap), a and b atoms of the factor class.  This module knows no factor
 class.
 
 The factor protocol.  A factor class is a `LinComb` subclass that gives
@@ -15,12 +18,17 @@ The factor protocol.  A factor class is a `LinComb` subclass that gives
 - `tensor_null`, the atom whose square the tensor atoms drop: V for the
   surface, as V (x) V vanishes on the threefold; None (the `LinComb`
   default) for Q[G] and the open part, which drop nothing;
-- `check_factor(level, atoms)`, which raises ValueError on the atoms the
-  class refuses as tensor factors: the surface's cusp products; the
-  `LinComb` default refuses none.
+- `check(level, atoms)` and `check_factor(level, atoms)`, which raise
+  ValueError on the atoms the class refuses, and on those it refuses as
+  tensor factors: the surface's cusp products; the `LinComb` default of
+  `check_factor` refuses none;
+- `sort_key` and `label`, from which a `TensorAtoms` of the class prints.
 
-A product is taken factor by factor, the swap of the left operand
-exchanging which factor of the right one each factor meets (`_meet`).
+`+`, `-`, `compose` and `expand` refuse, with TypeError, an operand or
+an atom class of another factor class; the zero sum has no factor class
+and meets every one.  A product is taken factor by factor, the swap of
+the left operand exchanging which factor of the right one each factor
+meets (`_meet`).
 `==` compares the factored forms: two sums can expand to the same atoms and
 still differ, so an equality is decided by `TensorExpr.is_zero` on the
 difference, without expanding, and `expand` gives the atoms (a, b, swap)
@@ -115,6 +123,35 @@ def _factor_product(a: LinComb, b: LinComb, memo: dict) -> LinComb:
     return got
 
 
+class TensorAtoms(LinComb):
+    """A sum of pure tensors expanded to its atoms (a, b, swap): a and b atoms of the factor class, swap a bool.
+
+    A subclass names its factor class as `factor`, and prints and sorts
+    through `_tensor_print` of the factor's print unless it sets its own
+    `label` (and `sort_key`).
+    """
+
+    __slots__ = ()
+    factor: type  # the factor class, named by each subclass
+
+    def __init_subclass__(cls) -> None:
+        if "label" not in vars(cls):
+            cls.sort_key, cls.label = _tensor_print(cls.factor.sort_key, cls.factor.label)
+
+    @classmethod
+    def check(cls, level, atoms) -> None:
+        """Each atom a triple (a, b, swap) of a bool swap and factor atoms a and b, not both the dropped `tensor_null`.
+
+        a and b are taken by the factor's `check` and `check_factor`.
+        """
+        null = cls.factor.tensor_null
+        for atom in atoms:
+            if type(atom) is not tuple or len(atom) != 3 or type(atom[2]) is not bool or atom[0] == atom[1] == null:
+                raise ValueError(f"unknown atom {atom!r}")
+            cls.factor.check(level, atom[:2])
+            cls.factor.check_factor(level, atom[:2])
+
+
 class TensorExpr(LinComb):
     """Sum of pure tensors (A (x) B).swap^e of factors A and B of one class: a `LinComb` of the triples.
 
@@ -134,9 +171,14 @@ class TensorExpr(LinComb):
 
     @staticmethod
     def check(level, atoms) -> None:
-        """Each atom (A, B, swap) has sums A, B of one class and of the level, each taken by its `check_factor`."""
+        """Each atom (A, B, swap) has a bool swap and sums A, B of the level, each taken by its `check_factor`.
+
+        The factors of all atoms are of one class.
+        """
+        factor = None
         for a, b, swap in atoms:
-            if not isinstance(a, LinComb) or type(b) is not type(a) or swap not in (False, True):
+            factor = factor or type(a)
+            if not isinstance(a, LinComb) or not type(a) is type(b) is factor or type(swap) is not bool:
                 raise ValueError(f"unknown atom {(a, b, swap)!r}")
             if a.level != level or b.level != level:
                 raise LevelMismatchError("tensor factors of another level")
@@ -154,6 +196,16 @@ class TensorExpr(LinComb):
         """(a (x) b).swap^e at the level of a."""
         return TensorExpr.of(a.level, (a, b, swap))
 
+    def factor_class(self) -> type | None:
+        """The class of the factors; None for the zero sum, which has none."""
+        return type(next(iter(self.nums))[0]) if self.nums else None
+
+    def check_operand(self, other) -> None:
+        """`LinComb.check_operand`, and then factors of another class raise TypeError."""
+        super().check_operand(other)
+        if self.nums and other.nums and other.factor_class() is not self.factor_class():
+            raise TypeError("cannot combine tensors of two factor classes")
+
     @property
     def parts(self) -> list[tuple[Fraction, LinComb, LinComb, bool]]:
         """[(coefficient, A, B, swap)], the coefficients as `Fraction`s: built at each read."""
@@ -161,6 +213,7 @@ class TensorExpr(LinComb):
 
     def compose(self, other: "TensorExpr", memo: dict | None = None) -> "TensorExpr":
         """self after other, factor by factor; memo, when given, keeps every factor product for later calls."""
+        self.check_operand(other)
         if memo is None:
             memo = {}
 
@@ -201,14 +254,16 @@ class TensorExpr(LinComb):
                 by_left.setdefault(null, (a.over(self.level, 1, {null: 1}), []))[1].append(nn)
         return all(tensor_vanishes(by_left.values()) for by_left in tensors.values())
 
-    def expand(self, cls: type) -> LinComb:
-        """The atom sum, as a sum of type cls, folded once over one denominator.
+    def expand(self, cls: type) -> TensorAtoms:
+        """The atom sum, as a sum of type cls, folded once over one denominator; a cls of other factors raises TypeError.
 
         The part v/d (A (x) B).swap^e is v A.nums[a] B.nums[b] at each atom
         (a, b, swap) over d A.d B.d, so every part is collected into one dict
         over d q, q the lcm of the A.d B.d: B's numerators are multiplied
         first by v q / (A.d B.d), then by A's, pair by pair.
         """
+        if self.nums and getattr(cls, "factor", None) is not self.factor_class():
+            raise TypeError(f"{cls.__name__} holds no tensors of {self.factor_class().__name__}")
         level, nums = self.level, {}
         q = lcm(*(a.d * b.d for a, b, _ in self.nums))
         for (a, b, e), v in self.nums.items():

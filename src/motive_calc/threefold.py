@@ -9,7 +9,10 @@ products only arise inside expressions that already vanish), so dropping
 them is an algebra quotient and factorized computation stays exact.
 
 The flat engine on these atoms, `TCorr` and `t_compose`, runs the
-structure identities and the `restriction:b(j)` rows.  Every other entry
+structure identities and the `restriction:b(j)` rows.  `TCorr` and the
+open-part `OpenTCorr` are the `tensor.TensorAtoms` of surface and of
+open-part factors: each atom takes a bool swap and factor atoms that the
+factor class takes.  Every other entry
 is computed on the factored form, a `tensor.TensorExpr` of surface
 correspondences, and decided by `Certificate.check` with the tensor zero
 test; only a failed entry expands its residual to atoms.  The restriction
@@ -46,20 +49,16 @@ from .surface import (
     Atom,
     OpenCorr,
     SurfCorr,
-    atom_label,
-    atom_sort_key,
     build_pi_bars,
     component_slot,
     compose_atom_pair,
     delta,
     graph,
     keeps_fiber,
-    open_atom_label,
-    open_atom_sort_key,
     open_graph,
     restrict_atom,
 )
-from .tensor import TensorExpr, _meet, _tensor_print, symmetrizers
+from .tensor import TensorAtoms, TensorExpr, _meet, symmetrizers
 
 TAtom = tuple  # (left_surface_atom, right_surface_atom, swap: bool)
 
@@ -71,20 +70,11 @@ def t_atom(left: Atom, right: Atom, swap: bool = False) -> TAtom | None:
     return (left, right, swap)
 
 
-class TCorr(LinComb):
-    """Formal exact-rational combination of tensor atoms."""
+class TCorr(TensorAtoms):
+    """Formal exact-rational combination of tensor atoms: surface atoms a and b, not both V and neither a cusp product."""
 
     __slots__ = ()
-    sort_key, label = _tensor_print(atom_sort_key, atom_label)
-
-    @staticmethod
-    def check(level, atoms) -> None:
-        """Each atom (a, b, swap) holds surface atoms a and b of the level, not both V and neither a cusp product."""
-        for a, b, swap in atoms:
-            SurfCorr.check(level, (a, b))
-            SurfCorr.check_factor(level, (a, b))
-            if swap not in (False, True) or a == b == VERT:
-                raise ValueError(f"unknown atom {(a, b, swap)!r}")
+    factor = SurfCorr
 
 
 def compose_t_atom_pair(x: TAtom, y: TAtom, level: int) -> tuple[tuple[TAtom, int]] | None:
@@ -273,19 +263,11 @@ def act_on_threefold_divisor(
 OpenTAtom = tuple  # (left_open_atom, right_open_atom, swap)
 
 
-class OpenTCorr(LinComb):
-    """Open-part tensor correspondence: pairs of affine graphs with a swap."""
+class OpenTCorr(TensorAtoms):
+    """Open-part tensor correspondence: pairs of affine graphs (`OpenCorr` atoms) with a swap."""
 
     __slots__ = ()
-    sort_key, label = _tensor_print(open_atom_sort_key, open_atom_label)
-
-    @staticmethod
-    def check(level, atoms) -> None:
-        """Each atom (a, b, swap) holds open atoms a and b of the level (`OpenCorr`) and a swap of False or True."""
-        for a, b, swap in atoms:
-            OpenCorr.check(level, (a, b))
-            if swap not in (False, True):
-                raise ValueError(f"unknown atom {(a, b, swap)!r}")
+    factor = OpenCorr
 
 
 class _AtomMap(dict):

@@ -4,14 +4,17 @@ It evaluates a threefold expression the way the program did before its
 values were kept factored: every named atom is expanded to a `TCorr` at
 once, products run atom pair by atom pair through `t_compose`, and
 transposes atom by atom.  `expands_to_zero` decides a factored sum is zero
-the way the certificate did before its zero test: by expanding it.
+the way the certificate did before its zero test: by expanding it, into
+the atom class of its factors.
 """
 
 from motive_calc.dsl import Compose, NamedAtom, Scale, Sum, Transpose, eval_expr
+from motive_calc.groups import GroupRingElement, PairSum
 from motive_calc.sums import linear_map
-from motive_calc.surface import transpose_atom
+from motive_calc.surface import OpenCorr, SurfCorr, transpose_atom
 from motive_calc.tensor import TensorExpr, _transposed
 from motive_calc.threefold import (
+    OpenTCorr,
     TAtom,
     TCorr,
     b_term_expr,
@@ -32,9 +35,12 @@ def t_transpose(x: TCorr) -> TCorr:
     return linear_map(x, t_transpose_atom)
 
 
+ATOM_CLASSES = {SurfCorr: TCorr, OpenCorr: OpenTCorr, GroupRingElement: PairSum}  # factor class -> its atom sums
+
+
 def expands_to_zero(x: TensorExpr) -> bool:
-    """The expand-and-compare oracle of `TensorExpr.is_zero`."""
-    return x.expand(TCorr).is_zero()
+    """The expand-and-compare oracle of `TensorExpr.is_zero`; the zero sum, of no factor class, expands to a `TCorr`."""
+    return x.expand(ATOM_CLASSES.get(x.factor_class(), TCorr)).is_zero()
 
 
 def split_sym_alt(n: int) -> tuple[TCorr, TCorr]:

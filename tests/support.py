@@ -70,9 +70,9 @@ term.
 `print_expr` prints a parsed query back to source text, so that the tests
 can check that parsing its print gives the same tree.
 
-`mat_mul`, `mat_transpose` and `mat_zero` multiply, transpose and build
-`RatMatrix`es, and `poincare_symmetric` reads a Betti table's Poincare
-symmetry: the program needs none of them.  The program eliminates on the
+`mat_mul`, `mat_transpose`, `mat_zero` and `mat_identity` multiply,
+transpose and build `RatMatrix`es, and `poincare_symmetric` reads a Betti
+table's Poincare symmetry: the program needs none of them.  The program eliminates on the
 integer multiple of a matrix (`exact.mat_rank`, `exact.mat_inverse`);
 `mat_rank_by_fractions` and `mat_inverse_by_fractions` are the elimination
 on its `Fraction` entries that it replaced, their oracles.
@@ -419,8 +419,7 @@ class G2Sum(GroupRingElement):
 
     def __mul__(self, other: "G2Sum") -> "G2Sum":
         # the program has no product of a G^2 x| S_2 element with a Q[G] one: they are two types there
-        if not isinstance(other, G2Sum):
-            raise LevelMismatchError("group elements of different kinds")
+        self.check_operand(other)
         return g2_sum(factored(self).compose(factored(other)))
 
 
@@ -550,6 +549,10 @@ def mat_zero(rows: int, cols: int) -> RatMatrix:
     return RatMatrix([[Fraction(0)] * cols for _ in range(rows)])
 
 
+def mat_identity(n: int) -> RatMatrix:
+    return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
 def mat_transpose(m: RatMatrix) -> RatMatrix:
     return RatMatrix([[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
 
@@ -592,7 +595,7 @@ def mat_inverse_by_fractions(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise SingularMatrixError("inverse of a non-square matrix")
     n = m.rows
-    a = [row[:] + ident_row for row, ident_row in zip(m.entries, RatMatrix.identity(n).entries)]
+    a = [row[:] + ident_row for row, ident_row in zip(m.entries, mat_identity(n).entries)]
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
         if pivot_row is None:

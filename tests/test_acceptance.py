@@ -29,10 +29,9 @@ from motive_calc.surface import (
 )
 from motive_calc.threefold import estimate_n, euler_fiber, threefold_certificate
 from motive_calc.dsl import evaluate
-from motive_calc.exact import RatMatrix
 
 from abstract_words import all_words, reduce_word
-from support import enumerate_surf, mat_mul
+from support import enumerate_surf, mat_identity, mat_mul
 
 
 def _report(index: int, label: str) -> None:
@@ -76,7 +75,7 @@ def test_criterion_03_neron_lattice():
     for n in range(3, 13):
         lat = neron_lattice(n)
         assert lat.rank == n - 1
-        ident = RatMatrix.identity(n - 1)
+        ident = mat_identity(n - 1)
         assert mat_mul(lat.reduced_inverse, lat.reduced_block) == ident
         assert mat_mul(lat.reduced_block, lat.reduced_inverse) == ident
     _report(3, "lattice rank N-1 and exact reduced inverse for N = 3..12")

@@ -24,11 +24,17 @@ level only, and elements of Q[G] or of Q[G^2 x| S_2] at levels 3 and 4
 combined by +, -, * or a tensor product raise LevelMismatchError.  Two
 sums of different classes added or subtracted raise TypeError, even when
 both are empty: a surface correspondence and a divisor class, or an
-element of Q[G], and a factored and an expanded threefold sum.  An
+element of Q[G], and a factored and an expanded threefold sum.  So do
+the products of two classes, refused before any arithmetic: a
+correspondence and an element of Q[G], a divisor class or an open-part
+sum, either way, and a factored sum composed with one of another factor
+class; and `+`, `-` and `expand` across factor classes.  A `TensorExpr`
+given parts of two factor classes raises ValueError.  An
 atom (g, h, swap) of an expanded element of Q[G^2 x| S_2], a `PairSum`,
 holds two elements of G of its level and a bool swap: an element of level
-4, a collapse, a swap of 2 or 1, and an atom that is no such triple are
-rows.  A motive takes only keys of the basis, whatever their
+4, a collapse, a swap of 2, 1, 1.0 or 0, and an atom that is no such
+triple are rows.  A swap of 1, 1.0 or 0, which equal a bool, is a row of
+every tensor sum, `TCorr`, `OpenTCorr` and `TensorExpr` too.  A motive takes only keys of the basis, whatever their
 multiplicity, and multiplicities that are ints or `Count`s of two ints,
 never a bool or a float.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
@@ -51,7 +57,8 @@ from motive_calc.groups import GroupRingElement, PairSum, epsilon2_projector, ep
 from motive_calc.motives import SYMBOL_N, Count, Motive
 from motive_calc.sums import LevelMismatchError
 from motive_calc.surface import (
-    DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, cusp_prod, delta, sec_key, theta_key)
+    DA_FIBER, GENERIC_FIBER, VERT, DivClass, OpenCorr, SurfCorr, build_pi_bars, compose, cusp_prod, delta, sec_key,
+    theta_key)
 from motive_calc.threefold import FIBER3, OpenTCorr, TCorr, TensorExpr, ThreefoldDivClass, theta_half, theta_int
 
 from support import aff_end
@@ -84,6 +91,7 @@ def _builds(builds: dict, atom) -> dict:
 
 IDENT = ("G", SurfEnd(N, 0, 0, 1, False))
 OPEN_IDENT = ("g", SurfEnd(N, 0, 0, 1, False))
+OPEN_COLLAPSE = ("t", SurfEnd(N, 2, 2, 1, True))
 CP = cusp_prod(0, 1, 1)
 
 
@@ -163,6 +171,9 @@ TENSOR_ATOMS = [
     ("factor out of range", (("G", Refused(N, 3, 0, 1, False)), VERT, False)),
     ("factor of unknown kind", (("X", 0), IDENT, False)),
     ("swap 2", (IDENT, VERT, 2)),
+    ("swap 1", (VERT, IDENT, 1)),
+    ("swap 1.0", (VERT, IDENT, 1.0)),
+    ("swap 0", (VERT, IDENT, 0)),
     ("two factors", (IDENT, IDENT)),
 ]
 
@@ -187,6 +198,9 @@ OPEN_TENSOR_ATOMS = [
     ("tGraph of an automorphism on the right", (OPEN_IDENT, ("t", SurfEnd(N, 0, 0, 1, False)), True)),
     ("factor of unknown kind", (("x",), OPEN_IDENT, False)),
     ("swap 2", (OPEN_IDENT, OPEN_IDENT, 2)),
+    ("swap 1", (OPEN_IDENT, OPEN_COLLAPSE, 1)),
+    ("swap 1.0", (OPEN_IDENT, OPEN_COLLAPSE, 1.0)),
+    ("swap 0", (OPEN_IDENT, OPEN_COLLAPSE, 0)),
     ("two factors", (OPEN_IDENT, OPEN_IDENT)),
 ]
 
@@ -204,6 +218,10 @@ def _pure_tensor_rows():
         ("factors of two classes", (delta(N), epsilon_projector(N), False)),
         ("factor that is no sum", (IDENT, delta(N), False)),
         ("swap 2", (delta(N), delta(N), 2)),
+        # not the factors of the valid part: a swap equal to True would take its key
+        ("swap 1", (pi["pi1"], delta(N), 1)),
+        ("swap 1.0", (pi["pi1"], delta(N), 1.0)),
+        ("swap 0", (pi["pi1"], delta(N), 0)),
     ]
     rows = []
     for name, (a, b, e) in factors:
@@ -258,6 +276,8 @@ PAIR_ATOMS = [
     ("junk", "junk"),
     ("swap 2", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), 2)),
     ("swap 1", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), 1)),
+    ("swap 1.0", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), 1.0)),
+    ("swap 0", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False), 0)),
     ("two elements", (SurfEnd(N, 0, 0, 1, False), SurfEnd(N, 0, 0, 1, False))),
 ]
 
@@ -294,6 +314,39 @@ def _mixed_class_rows():
         "TCorr + OpenTCorr": lambda: TCorr(N) + OpenTCorr(N),
         "two empty sums": lambda: SurfCorr(N) - DivClass(N),
     }, TypeError)]
+
+
+def _cross_class_rows():
+    """Products of two classes, and factored sums of two factor classes: each way raises TypeError.
+
+    A product is refused before any arithmetic, so also with a zero operand,
+    where no atom pair fails.  A `TensorExpr` built of parts of two factor
+    classes raises ValueError as every constructor refusal does, and an
+    expansion into the atom sums of another factor class raises TypeError.
+    """
+    pi, eps, e = build_pi_bars(N), epsilon_projector(N), GroupRingElement.of(N, SurfEnd(N, 0, 0, 1, False))
+    opened = OpenCorr.of(N, OPEN_IDENT)
+    surface, group = TensorExpr.pure(delta(N), delta(N)), TensorExpr.pure(e, e)
+    return [("products of two classes", {
+        "SurfCorr * Q[G]": lambda: pi["pi1"] * eps,
+        "SurfCorr * the zero of Q[G]": lambda: pi["pi1"] * GroupRingElement(N),
+        "Q[G] * SurfCorr": lambda: eps * pi["pi1"],
+        "compose(SurfCorr, DivClass)": lambda: compose(pi["pi1"], DivClass.of(N, GENERIC_FIBER)),
+        "SurfCorr * OpenCorr": lambda: pi["pi1"] * opened,
+        "OpenCorr * pi0": lambda: opened * pi["pi0"],
+        "OpenCorr * pi1": lambda: opened * pi["pi1"],
+        "TensorExpr compose of two factor classes": lambda: surface.compose(group),
+        "TensorExpr compose of zero Q[G] factors": lambda: surface.compose(TensorExpr.pure(*[GroupRingElement(N)] * 2)),
+        "TensorExpr compose the other way": lambda: group.compose(surface),
+    }, TypeError), ("TensorExpr sums of two factor classes", {
+        "+": lambda: surface + group,
+        "-": lambda: group - surface,
+        "expand of SurfCorr factors to PairSum": lambda: surface.expand(PairSum),
+        "expand of Q[G] factors to TCorr": lambda: group.expand(TCorr),
+    }, TypeError), ("TensorExpr parts of two factor classes", {
+        "constructor": lambda: TensorExpr(N, [(1, delta(N), delta(N), False), (1, e, e, False)]),
+        "zero coefficient": lambda: TensorExpr(N, [(1, e, e, True), (0, delta(N), delta(N), False)]),
+    }, ValueError)]
 
 
 def _bool_rows():
@@ -369,6 +422,7 @@ ROWS = (
     + _sum_rows(PairSum, (SurfEnd(N, 1, 2, -1, False), SurfEnd(N, 0, 0, 1, False), True), PAIR_ATOMS)
     + _cross_level_rows()
     + _mixed_class_rows()
+    + _cross_class_rows()
     + _bool_rows()
     + _float_rows()
     + _motive_rows()

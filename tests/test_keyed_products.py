@@ -131,11 +131,12 @@ def test_the_maps_and_the_pairing_are_the_rule_on_every_cusp(n):
 
 def test_disjoint_cusp_operands_compose_to_zero_before_any_arithmetic(monkeypatch):
     n = 4
+    # built before the patch: the first piC(0) of a level splits its template as it is made
+    x = build_pi_cusp(n, 0).scale(3) + SurfCorr.of(n, cusp_prod(1, 2, 3))
+    y = build_pi_cusp(n, 2) + SurfCorr.of(n, cusp_prod(3, 0, 1), Fraction(1, 2))
     calls = []
     split = surface._split
     monkeypatch.setattr(surface, "_split", lambda *args: calls.append(args) or split(*args))
-    x = build_pi_cusp(n, 0).scale(3) + SurfCorr.of(n, cusp_prod(1, 2, 3))
-    y = build_pi_cusp(n, 2) + SurfCorr.of(n, cusp_prod(3, 0, 1), Fraction(1, 2))
     assert compose(x, y).is_zero() and compose(y, x).is_zero()
     assert calls == []
     # a shared cusp, or any atom that is not a component product, takes the full path; it splits an
@@ -400,7 +401,8 @@ def test_swap_symmetrizers_against_eps2_match_the_pairwise_oracle():
     ],
 )
 def test_group_ring_product_rejects_other_levels_and_kinds(x, y):
-    with pytest.raises(LevelMismatchError):
+    # another level raises LevelMismatchError, and another kind TypeError, as + and - do
+    with pytest.raises(LevelMismatchError if type(x) is type(y) else TypeError):
         x * y
 
 

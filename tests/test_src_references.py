@@ -1,10 +1,12 @@
-"""Every top-level function and class of `src/motive_calc` has a user outside its own definition.
+"""Every top-level function and class of `src/motive_calc`, and every method of such a class, has a user outside its own definition.
 
 A name counts as used when code elsewhere in src refers to it (by name,
 by attribute, or by import), when a module lists it in `__all__`, or when
 `perfbench/tracer.py` binds it (read from the tracer's tables, never
-changed, as `test_tracer_bindings.py` does).  A helper that only tests
-call belongs under `tests/`, as the oracles in `support.py` do.
+changed, as `test_tracer_bindings.py` does).  A method is used when a
+statement outside it refers to its name, in its class or elsewhere; a
+dunder is called by the interpreter.  A helper that only tests call
+belongs under `tests/`, as the oracles in `support.py` do.
 
 Every module of src imports at its top: no import sits inside a function,
 but for the lazy loads of the package's `__getattr__`, and no
@@ -48,10 +50,10 @@ def _names_in(node) -> set:
 
 
 def _traced() -> set:
-    """(module, name) of every top-level name the tracer binds; a method binds its class."""
+    """(module, name) of every name the tracer binds; a method, written "Class.method", also binds its class."""
     bound = [(span.module, f) for span in tracer.SPANS.values() for f in span.functions]
     bound += [(module, f) for module, f, _ in tracer.COUNTERS.values()]
-    return {(module, f.split(".")[0]) for module, f in bound}
+    return {(module, name) for module, f in bound for name in (f, f.split(".")[0])}
 
 
 def _users(modules: dict) -> dict:
@@ -68,15 +70,33 @@ def _unused() -> list:
     modules = _modules()
     users = _users(modules)
     traced = _traced()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     # a dunder such as a module's __getattr__ is called by the interpreter
-    return [f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("__") and (module, node.name) not in traced
-            and not users.get(node.name, set()) - {id(node)}]
+    found = [f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+             if isinstance(node, (*functions, ast.ClassDef))
+             and not node.name.startswith("__") and (module, node.name) not in traced
+             and not users.get(node.name, set()) - {id(node)}]
+    for module, tree in modules.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            found += [f"{module}.{cls.name}.{node.name}" for node in cls.body
+                      if isinstance(node, functions) and not node.name.startswith("__")
+                      and (module, f"{cls.name}.{node.name}") not in traced
+                      and not users.get(node.name, set()) - {id(cls)}
+                      and not any(node.name in _names_in(other) for other in cls.body if other is not node)]
+    return found
 
 
 def test_every_src_function_and_class_has_a_user_outside_its_definition():
     assert _unused() == []
+
+
+def test_a_method_that_only_tests_call_is_found(tmp_path, monkeypatch):
+    (tmp_path / "boxes.py").write_text(
+        "class Box:\n    def get(self):\n        return self.peek()\n\n    def peek(self):\n        return 1\n\n"
+        "    def only_tests(self):\n        return self.only_tests\n\n    def __len__(self):\n        return 0\n\n\n"
+        "def make():\n    return Box().get()\n\n\nBOX = make()\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert _unused() == ["boxes.Box.only_tests"]
 
 
 def test_the_tracer_alone_holds_restrict_to_open():

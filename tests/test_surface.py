@@ -36,7 +36,7 @@ from motive_calc.surface import (
     transpose,
 )
 
-from support import compose_open, enumerate_surf, mat_mul, tgraph
+from support import compose_open, enumerate_surf, mat_identity, mat_mul, tgraph
 
 
 def all_atoms(n):
@@ -148,7 +148,7 @@ def test_neron_lattice_level_three():
 def test_neron_lattice_inverse_exact(n):
     lat = neron_lattice(n)
     assert lat.rank == n - 1
-    ident = RatMatrix.identity(n - 1)
+    ident = mat_identity(n - 1)
     assert mat_mul(lat.reduced_inverse, lat.reduced_block) == ident
     assert mat_mul(lat.reduced_block, lat.reduced_inverse) == ident
 
