@@ -27,7 +27,8 @@ product's id.  A product multiplies the operands' integer numerators on
 ids, over the product of their denominators, and turns only its nonzero
 atoms back into elements of G.  No product table is kept: `law_rows`
 yields the law's rows one at a time, for `surface.aut_table` to compare
-with the rule of `surface.compose`.  Automorphism graphs multiply by
+with the rule of `surface.compose`, called on every pair (the real
+rule's R1 is trusted through a test).  Automorphism graphs multiply by
 `id_product` only when that rule agrees with the law on every pair;
 otherwise the rule is called pair by pair.
 

@@ -14,13 +14,15 @@ associativity and action-coherence test suites.
 
 `compose` does not send every atom pair through the table.  Two
 automorphism graphs meet by one rule: when the rule agrees with the group
-law on every pair, checked once per level and rule (`aut_table`), they
-multiply as elements of Q[G] by `groups.id_product`, whose dense products
-are the group-law kernel `groups.law_product`; otherwise the rule is
-called pair by pair, as for every other atom pair.  The component
-products of one cusp form a sparse integer block, and the rest of the
-table acts on blocks as matrices read from the rule and kept per level
-(`CuspRule`): R9 is the block product with the N-gon pairing, three
+law on every pair (`aut_table`, once per level and rule), they multiply
+as elements of Q[G] by `groups.id_product`, whose dense products are the
+group-law kernel `groups.law_product`; otherwise the rule is called pair
+by pair, as for every other atom pair.  A patched rule or a wrapper is
+checked by calling it on every pair; the real rule's R1 is not read at
+run time but trusted through a test of every pair at N = 3..8.  The
+component products of one cusp form a sparse integer block, and the rest
+of the table acts on blocks as matrices read from the rule and kept per
+level (`CuspRule`): R9 is the block product with the N-gon pairing, three
 nonzeros per row, and a graph, tGraph or V atom acts on a block through
 an index map on its rows or columns.  Component products on disjoint
 cusps compose to zero before any arithmetic.  Every cusp fiber is the same
@@ -327,11 +329,18 @@ def _split(terms: list) -> tuple[list, list, dict]:
     return aut, other, blocks
 
 
+# the rule of this module as bound at import: a patched rule, or a wrapper even by functools.wraps, is another;
+# a tracer that rebinds every name bound to the rule (perfbench/tracer.py) rebinds this one with the rest
+_RULE = compose_atom_pair
+
+
 @lru_cache(maxsize=None)
 def aut_table(level: int, rule) -> list[Atom] | None:
     """The automorphism graphs by id, if `rule` agrees with the group law on every pair of them, else None.
 
-    atoms[i] is the graph of the element of G with code i.  The rule is
+    atoms[i] is the graph of the element of G with code i.  The rule of
+    `compose_atom_pair` is not read here: that its R1 is the law is checked
+    on every pair at N = 3..8 by tests/test_aut_table.py.  Any other rule is
     called once per pair, one row of pairs per `map`, and each row is
     compared as a whole with the law's row, as `groups.law_rows` builds it:
     R1's shared outputs for the products that row lists.  No row is kept.
@@ -341,6 +350,8 @@ def aut_table(level: int, rule) -> list[Atom] | None:
     # the law's outputs by id: R1's shared output for each element, as R1 makes it
     terms = [_GRAPH_TERMS.get(h) or _GRAPH_TERMS.setdefault(h, ((("G", h), 1),)) for h in groups.enumerate_g(level)]
     atoms = [out[0][0] for out in terms]
+    if rule is _RULE:
+        return atoms
     m = len(atoms)
     for x, row in zip(atoms, groups.law_rows(level)):
         if list(map(rule, repeat(x, m), atoms, repeat(level, m))) != list(map(terms.__getitem__, row)):

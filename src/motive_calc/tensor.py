@@ -166,6 +166,8 @@ class TensorExpr(LinComb):
         """The sum of c (A (x) B).swap^e over the parts (c, A, B, swap); a float c, even 0.0, raises TypeError."""
         terms: dict = {}
         for c, a, b, e in parts:
+            if type(e) is not bool:  # checked before merging: a swap of 1 beside one of True would share its key
+                raise ValueError(f"unknown atom {(a, b, e)!r}")
             terms[a, b, e] = terms.get((a, b, e), 0) + exact_rational(c)
         super().__init__(level, terms)
 

@@ -1,18 +1,23 @@
 """Automorphism graph products: the group law by `groups.id_product`, or the rule pair by pair.
 
 `surface.compose` multiplies two automorphism graphs by one rule.
-`surface.aut_table` calls the rule that `compose` finds at its call on
-every pair, row by row, and compares each row with the law's row as
-`groups.law_rows` builds it.  When every row agrees it returns the graphs
-by id, and graphs multiply by `groups.id_product`; at the first row that
-differs it returns None, and `compose` calls the rule pair by pair.  These
-tests check the law's rows entry by entry against the rule, that a
+`surface.aut_table` returns the graphs by id for the rule of
+`compose_atom_pair` without reading it: that its R1 is the law on every
+pair is checked here.  Any other rule, a patched fault or a wrapper that
+changes nothing, is called on every pair, row by row, and each row is
+compared with the law's row as `groups.law_rows` builds it.  When every
+row agrees `aut_table` returns the graphs by id, and graphs multiply by
+`groups.id_product`; at the first row that differs it returns None, and
+`compose` calls the rule pair by pair.  These tests check the law's rows
+entry by entry against the rule on every pair at N = 3..8, that a
 patched rule gets no table and reaches `compose` pair by pair while the
-table of the unpatched rule stays as it was, and that `groups.id_product`
-drops the sums that cancel, which the dict loop it replaced,
-`support.id_product_by_dict`, keeps.
+table of the unpatched rule stays as it was (also a fault that
+`functools.wraps` gives the rule's name and attributes), and that
+`groups.id_product` drops the sums that cancel, which the dict loop it
+replaced, `support.id_product_by_dict`, keeps.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -36,8 +41,9 @@ from motive_calc.surface import (
 from support import compose_by_atom_pairs, enumerate_surf, g_table_by_compose, id_product_by_dict
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_every_table_entry_is_the_rule_on_its_pair(n):
+    # aut_table trusts the real rule without reading it: this is its check, (2N^2)^2 pairs, 35,020 at N = 3..8
     auts = [("G", e) for e in enumerate_surf(n) if not e.collapse]
     assert any(e.s == -1 for _, e in auts)  # inversions included
     atoms = aut_table(n, compose_atom_pair)
@@ -80,7 +86,12 @@ def _one_pair_with_v(rule):
     return with_v
 
 
-FAULTS = [_inversions_doubled, _one_pair_dropped, _one_pair_with_v]
+def _inversions_doubled_under_wraps(rule):
+    # the rule's name, module and __dict__ copied onto the fault: still another rule, checked pair by pair
+    return functools.wraps(rule)(_inversions_doubled(rule))
+
+
+FAULTS = [_inversions_doubled, _one_pair_dropped, _one_pair_with_v, _inversions_doubled_under_wraps]
 
 
 @pytest.mark.parametrize("fault", FAULTS)

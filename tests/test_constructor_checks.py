@@ -34,7 +34,10 @@ atom (g, h, swap) of an expanded element of Q[G^2 x| S_2], a `PairSum`,
 holds two elements of G of its level and a bool swap: an element of level
 4, a collapse, a swap of 2, 1, 1.0 or 0, and an atom that is no such
 triple are rows.  A swap of 1, 1.0 or 0, which equal a bool, is a row of
-every tensor sum, `TCorr`, `OpenTCorr` and `TensorExpr` too.  A motive takes only keys of the basis, whatever their
+every tensor sum, `TCorr`, `OpenTCorr` and `TensorExpr` too; a
+`TensorExpr` refuses it also beside a part of the same factors with the
+equal bool swap, before the two would merge under one key, with the text
+of its `check`.  A motive takes only keys of the basis, whatever their
 multiplicity, and multiplicities that are ints or `Count`s of two ints,
 never a bool or a float.  The DSL
 rows go through `motive-calc eval --level 3`, which exits 2 for each.
@@ -234,6 +237,14 @@ def _pure_tensor_rows():
         if getattr(a, "level", None) == N:  # pure reads its level from the left factor
             builds["pure"] = lambda a=a, b=b, e=e: TensorExpr.pure(a, b, e)
         rows.append((f"TensorExpr {name}", builds, ValueError))
+    # the factors of the part before it: refused before the two parts would merge under the key of the bool
+    d = delta(N)
+    rows.append(("TensorExpr swap equal to the bool swap of a part of the same factors", {
+        "1 beside True": lambda: TensorExpr(N, [(1, d, d, True), (2, d, d, 1)]),
+        "1.0 beside True": lambda: TensorExpr(N, [(1, d, d, True), (2, d, d, 1.0)]),
+        "0 beside False": lambda: TensorExpr(N, [(1, d, d, False), (2, d, d, 0)]),
+        "zero coefficient": lambda: TensorExpr(N, [(1, d, d, True), (0, d, d, 1)]),
+    }, ValueError))
     return rows
 
 
@@ -474,6 +485,15 @@ def test_the_valid_edge_of_each_range_is_taken():
     OpenCorr(N, {("g", SurfEnd(N, 2, 2, -1, False)): 1, ("g", SurfEnd(N, 2, 0, 1, True)): 1,
                  ("t", SurfEnd(N, 2, 2, 1, True)): 1})
     OpenTCorr.of(N, (("t", SurfEnd(N, 2, 2, 1, True)), OPEN_IDENT, True))
+
+
+def test_a_swap_merged_away_raises_the_text_of_the_check():
+    d = delta(N)
+    with pytest.raises(ValueError) as checked:
+        TensorExpr.check(N, [(d, d, 1)])
+    with pytest.raises(ValueError) as built:
+        TensorExpr(N, [(1, d, d, True), (2, d, d, 1)])
+    assert str(built.value) == str(checked.value) == f"unknown atom {(d, d, 1)!r}"
 
 
 def test_tensor_expr_of_builds_the_one_part_sum():

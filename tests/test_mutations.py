@@ -5,6 +5,7 @@ that still reads all-pass under such a fault would be checking nothing."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -597,6 +598,64 @@ def test_each_cusp_fault_flips_the_same_per_cusp_rows_at_every_kind_of_level(fau
     monkeypatch.setattr(surface, "build_pi_cusp", CUSP_FAULTS[fault])
     for n in (3, 5, 6):
         assert _failed(surface_certificate(n)) == CUSP_FAULT_FLIPS[fault][str(n)] == _cusp_fault_rows(fault, n), n
+
+
+# -- the rule faults at every kind of level: `aut_table` trusts the real rule by identity and calls every other
+# rule pair by pair, so each fault must flip at N = 3, 5 and 6 what it flips at N = 4, written for the level's cusps
+
+RULE_FAULTS = {
+    **SURFACE_RULE_FAULTS,
+    "inversion rule doubled": _doubled_where(lambda x, y: x[0] == y[0] == "G" and not x[1].collapse and x[1].s == -1),
+}
+RULE_FAILURES = {
+    **SURFACE_RULE_FAILURES,
+    "inversion rule doubled": [
+        "kronecker:pi1.pi1", "kronecker:pi1.pi2", "residual:idempotent", "residual:piInf.pi1", "residual:pi1.piInf",
+        "residual:piInf.pi2"],
+}
+# the entries each fault flips at N = 3, 5 and 6, recorded from the certificate while aut_table read every rule
+RULE_FAULT_FLIPS = json.loads((Path(__file__).resolve().parent / "rule_fault_flips.json").read_text())
+
+
+def _rule_fault_rows(fault, n):
+    """The entries the fault flips at N = 4, each row of a cusp written for every cusp of level n."""
+    rows = dict.fromkeys(re.sub(r"piC\(\d+\)", "piC({0})", name) for name in RULE_FAILURES[fault])
+    return [row.format(c) for row in rows for c in range(cusp_count(n) if "{0}" in row else 1)]
+
+
+def _rule_fault_flips(fault, levels):
+    """The failed entries of surface_certificate(n) for each n of levels, with the rule fault patched."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surface, "compose_atom_pair", RULE_FAULTS[fault])
+        return [_failed(surface_certificate(n)) for n in levels]
+
+
+@pytest.mark.parametrize("fault", sorted(RULE_FAULTS))
+def test_each_rule_fault_flips_the_same_rows_at_every_kind_of_level(fault):
+    assert sorted(RULE_FAULT_FLIPS) == sorted(RULE_FAULTS)
+    assert _rule_fault_flips(fault, (4,)) == [RULE_FAILURES[fault]] == [_rule_fault_rows(fault, 4)]
+    want = [RULE_FAULT_FLIPS[fault][str(n)] for n in (3, 5, 6)]
+    assert _rule_fault_flips(fault, (3, 5, 6)) == want == [_rule_fault_rows(fault, n) for n in (3, 5, 6)]
+
+
+def test_the_inversion_rule_doubled_flips_its_entries_under_python_O():
+    # no step of the check rests on an assert: under python -O the real rule gets its table, the fault gets none, also
+    # with the real rule's name and attributes copied onto it, and the fault flips its entries, kronecker:pi1.pi1 first
+    script = """
+import functools
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_mutations as t
+levels = (3, 4, 5, 6)
+real = [t.surface.aut_table(n, t._rule) is not None for n in levels]
+fault = t.RULE_FAULTS["inversion rule doubled"]
+named = [t.surface.aut_table(n, functools.wraps(t._rule)(fault)) is None for n in levels]
+fault = [t.surface.aut_table(n, fault) is None for n in levels]
+print(sys.flags.optimize, real, named, fault, t._rule_fault_flips("inversion rule doubled", levels))
+"""
+    flips = [RULE_FAULT_FLIPS["inversion rule doubled"].get(str(n), RULE_FAILURES["inversion rule doubled"]) for n in range(3, 7)]
+    assert all(rows[0] == "kronecker:pi1.pi1" for rows in flips)
+    assert _run_under_python_O(script) == f"1 {[True] * 4} {[True] * 4} {[True] * 4} {flips}\n"
 
 
 def test_each_surface_fault_flips_its_entries_after_a_clean_certificate(monkeypatch):
