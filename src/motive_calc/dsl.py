@@ -15,15 +15,23 @@ rejects, with its position, a name that only the other mode knows: a
 threefold name in surface mode, a surface name outside T(...) in
 threefold mode.  It also rejects an unknown name and a wrong number of
 integer arguments, so a bad query stops before any product is computed.
-A call whose arguments are all integers, such as G(1,2,-1), is one token.
+A call whose arguments are all integers, such as G(1,2,-1), is one token,
+and so is a scalar prefix `p *` or `p/q *`, q not 0; a malformed prefix
+(`1/0 *`, `3/4 pi0`) is read token by token and raises what that reading
+finds.  A repeated parenthesized group is parsed once: a factor '(' whose
+text, through its matching ')', was parsed already as a group in the same
+mode ("surface" inside T(...), else the mode of the query) is that same
+node, and the parser skips it.  `eval_expr` evaluates each node object
+once per call, so a law that restates its operands, such as
+`(a + b) . c - (a . c + b . c)`, sums each operand once per query.
 Argument values are checked when evaluated, the first time their atom is
 built: the sign s of G(b1,b2,s) by `surf_end`, and a cusp index by the
 check of the sum's constructor.  The indices b1, b2 of G and m, n of
 CP(c,m,n) wrap mod N; the cusp c does not.  The value of a named atom
 that is a sum is built once per process, per mode, level and arguments
 with the wrapped indices reduced, and a build that raises is not kept.
-alt11 and sym11 are products, so they are built again at each query and
-a patched rule reaches them.  Products, sums and transposes of the named
+alt11 and sym11 are products, so they are built again at each query, once
+per node, and a patched rule reaches them.  Products, sums and transposes of the named
 values are built from checked operands and not checked again.  A sum is
 folded once: each part's numerators, times an integer multiplier (its
 sign, times the coefficient of a scaled part), are collected into one
@@ -131,12 +139,17 @@ Node = Union[NamedAtom, Scale, Compose, Transpose, Sum]
 
 # one token per match, after its ASCII whitespace: a name, with the parenthesized arguments after it
 # when they are all integers, each with an optional '-' against its digits and the name is not t; a
-# punctuation mark; an integer; or any other character, which is an error.  Trailing whitespace
-# matches nothing.
+# punctuation mark; an integer, with the rest of a scalar prefix '/ q *' or '*' after it when q is
+# not 0; or any other character, which is an error.  Trailing whitespace matches nothing.
 _TOKEN = re.compile(
-    r"\s*(?:([A-Za-z_]\w*)(?:(?<!\bt)\s*\(((?:\s*-?\d+\s*,)*\s*-?\d+\s*)\))?|([-+*/.(),])|(\d+)|(\S))",
+    r"\s*(?:([A-Za-z_]\w*)(?:(?<!\bt)\s*\(((?:\s*-?\d+\s*,)*\s*-?\d+\s*)\))?|([-+*/.(),])|(\d+)(?:\s*(?:/\s*(0*[1-9]\d*)\s*)?(\*))?|(\S))",
     re.ASCII,
 )
+
+
+@lru_cache(maxsize=256)  # bounded: distinct scalars do not pile up
+def _scalar(num: str, den: str | None) -> tuple[int, Fraction]:
+    return int(num), Fraction(int(num), int(den or 1))
 
 
 def _tokenize(source: str) -> list[tuple]:
@@ -144,100 +157,110 @@ def _tokenize(source: str) -> list[tuple]:
 
     A call on integer arguments is one token ("call", name, position,
     args), which parses as the name, its parenthesized arguments and the
-    integer tokens of those arguments would.
+    integer tokens of those arguments would.  A scalar prefix `p *` or
+    `p/q *` with q not 0 is one token ("scalar", p, position, p/q), at
+    the position of p; a malformed one is read token by token.  A '('
+    token that a ')' closes is ("(", "(", position, i), i the index of
+    that ')' token.
     """
     tokens = []
+    opened = []  # the indices of the '(' tokens not closed yet
     for match in _TOKEN.finditer(source):
         group = match.lastindex
-        text = match[group]
-        pos = match.start(group)
         if group == 3:
-            tokens.append((text, text, pos))
+            text = match[3]
+            if text == "(":
+                opened.append(len(tokens))
+            elif text == ")" and opened:
+                i = opened.pop()
+                tokens[i] = ("(", "(", tokens[i][2], len(tokens))
+            tokens.append((text, text, match.start(3)))
         elif group == 1:
-            tokens.append(("name", text, pos))
+            tokens.append(("name", match[1], match.start(1)))
+        elif group == 6:
+            num, coeff = _scalar(match[4], match[5])
+            tokens.append(("scalar", num, match.start(4), coeff))
         elif group == 2:
-            tokens.append(("call", match[1], match.start(1), tuple(map(int, text.split(",")))))
+            tokens.append(("call", match[1], match.start(1), tuple(map(int, match[2].split(",")))))
         elif group == 4:
-            tokens.append(("int", int(text), pos))
+            tokens.append(("int", int(match[4]), match.start(4)))
         else:
-            raise ParseError(f"unexpected character {text!r}", pos)
+            raise ParseError(f"unexpected character {match[7]!r}", match.start(7))
     tokens.append(("end", None, len(source)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens, reading each token's kind once."""
+
     def __init__(self, source: str, mode: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.mode = mode  # "surface" inside the arguments of T(...)
+        self.groups: dict = {}  # (mode, text) of each parenthesized group parsed -> its node
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple:
+    def expect(self, kind: str):
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept(self, kind: str) -> bool:
-        """Consume the next token if it is of this kind."""
-        if self.peek()[0] != kind:
-            return False
-        self.pos += 1
-        return True
-
-    def expect(self, kind: str) -> tuple:
-        tok = self.next()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+        self.pos += 1
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
     def expr(self) -> Node:
-        parts = [(-1 if self.accept("-") else 1, self.term())]
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            parts.append((1 if op == "+" else -1, self.term()))
-        if len(parts) == 1 and parts[0][0] == 1:
-            return parts[0][1]
-        return Sum(tuple(parts))
+        tokens = self.tokens
+        negated = tokens[self.pos][0] == "-"
+        self.pos += negated
+        parts = [(-1 if negated else 1, self.term())]
+        kind = tokens[self.pos][0]
+        while kind == "+" or kind == "-":
+            self.pos += 1
+            parts.append((1 if kind == "+" else -1, self.term()))
+            kind = tokens[self.pos][0]
+        return parts[0][1] if len(parts) == 1 and not negated else Sum(tuple(parts))
 
     def term(self) -> Node:
-        coeff = None
-        if self.peek()[0] == "int":
-            # rational scalar '*' prefix
-            num_tok = self.next()
-            den = 1
-            if self.accept("/"):
-                den_tok = self.expect("int")
-                den = den_tok[1]
-                if not den:
-                    raise ParseError("zero denominator", den_tok[2])
-            if not self.accept("*"):
-                raise ParseError("a scalar must be followed by '*'", num_tok[2])
-            coeff = Fraction(num_tok[1], den)
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok[0]
+        if kind == "scalar":
+            self.pos += 1
+        elif kind == "int":  # a scalar prefix that is not one token is malformed: what reading it token by token raises
+            if tokens[self.pos + 1][0] == "/":
+                den = tokens[self.pos + 2]  # an int, or the numerator of a scalar token
+                if den[0] != "int" and den[0] != "scalar":
+                    raise ParseError(f"expected 'int', found {den[1]!r}", den[2])
+                if not den[1]:
+                    raise ParseError("zero denominator", den[2])
+            raise ParseError("a scalar must be followed by '*'", tok[2])
         node = self.factor()
-        while self.accept("."):
+        while tokens[self.pos][0] == ".":
+            self.pos += 1
             node = Compose(node, self.factor())
-        if coeff is not None:
-            node = Scale(coeff, node)
-        return node
+        return Scale(tok[3], node) if kind == "scalar" else node
 
     def factor(self) -> Node:
-        if self.accept("("):
-            node = self.expr()
-            self.expect(")")
-            return node
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         kind = tok[0]
+        self.pos += 1
+        if kind == "(":
+            # a group whose text was parsed already in this mode is that node, and is skipped; a group that
+            # parses ends at the ')' its '(' names, and an unmatched '(' (key False) names none and fails
+            key = len(tok) > 3 and (self.mode, self.source[tok[2]:self.tokens[tok[3]][2]])
+            node = self.groups.get(key)
+            if node is None:
+                node = self.groups[key] = self.expr()
+                self.expect(")")
+            else:
+                self.pos = tok[3] + 1
+            return node
         if kind == "name" or kind == "call":
-            self.pos += 1
             name = tok[1]
             if name == "t":  # never a call: t(1) is no transpose, and fails as the expression 1
                 self.expect("(")
@@ -250,22 +273,25 @@ class _Parser:
             if entry is None and name != "T":
                 raise UnknownAtomError(f"unknown {self.mode} atom {name!r}", tok[2])
             args = ()
-            if kind == "call" or self.accept("("):
+            if kind == "call" or self.tokens[self.pos][0] == "(":
                 if entry is not None and not entry[0]:
                     # before its arguments, which need not parse: mu0(x)
                     raise _arity_error(name, 0, tok[2])
                 args = tok[3] if kind == "call" else self.args("surface" if name == "T" else self.mode)
             atom = NamedAtom(name, args)
-            if entry is not None:
+            # the arguments of a call token are integers: only their number is left to check
+            if entry is not None and (kind == "name" or len(args) != entry[0]):
                 _constructor(atom, self.mode, tok[2])
             return atom
         raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
 
     def args(self, mode: str) -> tuple:
-        """The arguments after a name's '(', through its ')', parsed in mode."""
+        """The arguments of a name, from the '(' after it through its ')', parsed in mode."""
         outer, self.mode = self.mode, mode
+        self.pos += 1
         args = [self.arg()]
-        while self.accept(","):
+        while self.tokens[self.pos][0] == ",":
+            self.pos += 1
             args.append(self.arg())
         self.expect(")")
         self.mode = outer
@@ -273,13 +299,13 @@ class _Parser:
 
     def arg(self):
         # an integer beside arguments that are not, as in G(1,2,x), is an integer; anything else is a sub-expression
-        tok = self.peek()
-        if tok[0] == "int" and self.tokens[self.pos + 1][0] in (",", ")"):
-            self.next()
-            return tok[1]
-        if tok[0] == "-" and self.tokens[self.pos + 1][0] == "int" and self.tokens[self.pos + 2][0] in (",", ")"):
-            self.next()
-            return -self.next()[1]
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos][0] == "int" and tokens[pos + 1][0] in (",", ")"):
+            self.pos = pos + 1
+            return tokens[pos][1]
+        if tokens[pos][0] == "-" and tokens[pos + 1][0] == "int" and tokens[pos + 2][0] in (",", ")"):
+            self.pos = pos + 2
+            return -tokens[pos + 1][1]
         return self.expr()
 
 
@@ -389,18 +415,21 @@ def eval_expr(node: Node, n: int, mode: str = "surface"):
     _check_level(n)
     surface = mode == "surface"
     memo: dict = {}  # the surface products of the factors of threefold values
+    values: dict = {}  # id of each node evaluated -> its value: a node the tree holds twice is evaluated once
 
     def ev(x: Node):
+        if id(x) in values:
+            return values[id(x)]
         if isinstance(x, NamedAtom):
-            return _eval_atom(x, n, mode)
-        if isinstance(x, Scale):
-            return ev(x.node).scale(x.coeff)
-        if isinstance(x, Transpose):
-            return ev(x.node).transpose()
-        if isinstance(x, Compose):
+            value = _eval_atom(x, n, mode)
+        elif isinstance(x, Scale):
+            value = ev(x.node).scale(x.coeff)
+        elif isinstance(x, Transpose):
+            value = ev(x.node).transpose()
+        elif isinstance(x, Compose):
             left, right = ev(x.left), ev(x.right)
-            return compose(left, right) if surface else left.compose(right, memo)
-        if isinstance(x, Sum):
+            value = compose(left, right) if surface else left.compose(right, memo)
+        elif isinstance(x, Sum):
             # each part is m/q times its value's numerators, m an integer: folded once, over the lcm of the q
             parts = []
             for sign, part in x.parts:
@@ -415,10 +444,14 @@ def eval_expr(node: Node, n: int, mode: str = "surface"):
                 m *= d // q
                 # m.__mul__ on the int numerators: the pairs are made in C, with no generator frame per atom
                 collect(terms.items() if m == 1 else zip(terms, map(m.__mul__, terms.values())), nums)
-            return (SurfCorr if surface else TensorExpr).over(n, d, nums)
-        raise TypeError(f"unknown node {x!r}")
+            value = (SurfCorr if surface else TensorExpr).over(n, d, nums)
+        else:
+            raise TypeError(f"unknown node {x!r}")
+        values[id(x)] = value
+        return value
 
     value = ev(node)
+    values.clear()  # ev refers to itself, so the values would wait for the cycle collector
     return value if surface else value.expand(TCorr)
 
 

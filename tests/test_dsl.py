@@ -1,6 +1,8 @@
+import gc
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +26,7 @@ from motive_calc.dsl import (
     evaluate,
     parse_expr,
 )
+from motive_calc.sums import collect
 from motive_calc.surface import SurfCorr, VERT, build_pi_bars, delta
 
 from dsl_oracle import parse_by_tokens
@@ -83,18 +86,27 @@ def test_tokenizer_accepts_ascii_only(source, char, position):
 
 
 def test_tokens_keep_their_kinds_and_positions():
-    # a call on integer arguments, G(0,0,-1), is one token at the position of its name
+    # a call on integer arguments, G(0,0,-1), is one token at the position of its name; so is a
+    # scalar prefix, 12/3*, at the position of its numerator, with its value; a '(' names its ')'
     assert _tokenize(" 12/3*\tpi_1 . t(G(0,0,-1)) \n") == [
-        ("int", 12, 1), ("/", "/", 3), ("int", 3, 4), ("*", "*", 5), ("name", "pi_1", 7),
-        (".", ".", 12), ("name", "t", 14), ("(", "(", 15), ("call", "G", 16, (0, 0, -1)),
-        (")", ")", 25), ("end", None, 28),
+        ("scalar", 12, 1, Fraction(4)), ("name", "pi_1", 7), (".", ".", 12), ("name", "t", 14),
+        ("(", "(", 15, 6), ("call", "G", 16, (0, 0, -1)), (")", ")", 25), ("end", None, 28),
     ]
     # a digit run ends where letters begin: "2pi0" is an integer and a name
     assert _tokenize("2pi0") == [("int", 2, 0), ("name", "pi0", 1), ("end", None, 4)]
     # whitespace may sit around each argument, but not between '-' and its digits; t is never a call
     assert _tokenize("piC ( 3 )+ G(- 1,2,1)")[:4] == [
-        ("call", "piC", 0, (3,)), ("+", "+", 9), ("name", "G", 11), ("(", "(", 12)]
-    assert _tokenize("t(1)")[:3] == [("name", "t", 0), ("(", "(", 1), ("int", 1, 2)]
+        ("call", "piC", 0, (3,)), ("+", "+", 9), ("name", "G", 11), ("(", "(", 12, 10)]
+    assert _tokenize("t(1)")[:3] == [("name", "t", 0), ("(", "(", 1, 3), ("int", 1, 2)]
+    # whitespace may sit inside a scalar prefix; a zero denominator or a missing '*' leaves it token by
+    # token, though "00*" after the '/' of 1/00* is a scalar prefix of its own
+    assert _tokenize("3 / 007 *x")[0] == ("scalar", 3, 0, Fraction(3, 7))
+    assert _tokenize("2 *")[0] == ("scalar", 2, 0, Fraction(2))
+    assert [tok[0] for tok in _tokenize("1/0 x")] == ["int", "/", "int", "name", "end"]
+    assert _tokenize("1/00*")[1:3] == [("/", "/", 1), ("scalar", 0, 2, Fraction(0))]
+    assert [tok[0] for tok in _tokenize("3/4 (")] == ["int", "/", "int", "(", "end"]
+    # an unmatched '(' names no ')', and a ')' closes the latest open '('
+    assert _tokenize("((x)")[:2] == [("(", "(", 0), ("(", "(", 1, 3)]
 
 
 # -- the parser against the one-token-per-integer oracle ---------------------------
@@ -178,6 +190,117 @@ def test_the_parser_matches_the_oracle_on_random_sources():
             parsed[mode] += type(got) is not tuple  # a node is a NamedTuple; what was raised, a plain tuple
     # about a fifth of the sources hold a call token, and thousands parse in each mode (19,886; 7,011 and 6,490)
     assert calls > 15_000 and min(parsed.values()) > 5_000
+
+
+# -- repeated groups, parsed once ------------------------------------------------
+
+# group texts of names both modes know, so that one text parses inside T(...) and outside it
+_COMMON_GROUPS = ("(Delta)", "(t(Delta))", "(2 * Delta)", "( Delta . Delta )", "(-Delta)", "(1/2*(Delta))", "((Delta))")
+
+
+def _close(text: str) -> int:
+    """The index of the ')' that closes the '(' at text[0]."""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return i
+    return -1
+
+
+def _core(group: str) -> str:
+    """The group inside the redundant parentheses around a parsed group: the text the parser keeps a node for."""
+    inner = group[1:-1].strip()
+    while inner.startswith("(") and _close(inner) == len(inner) - 1:
+        group, inner = inner, inner[1:-1].strip()
+    return group
+
+
+def _group(rng: random.Random, mode: str) -> str:
+    if rng.random() < 0.3:
+        return rng.choice(_COMMON_GROUPS)
+    return "(" + _expression(rng, mode) + ")"
+
+
+def _repeat(rng: random.Random, a: str, mode: str) -> str:
+    """a again, a with a space put in, or another group."""
+    r = rng.random()
+    if r < 0.5:
+        return a
+    if r < 0.75:
+        i = rng.randint(1, len(a) - 1)
+        return a[:i] + " " + a[i:]
+    return _group(rng, mode)
+
+
+def test_a_repeated_group_is_parsed_once_and_matches_the_oracle():
+    """Sources that repeat a group: the oracle's tree or error, and one node exactly when text and mode agree."""
+    rng = random.Random(35)
+    shared = {True: 0, False: 0}
+    cases = Counter()
+    for _ in range(10_000):
+        case = rng.randrange(5)
+        mode = "threefold" if case == 3 else rng.choice(("surface", "threefold"))
+        a = _group(rng, "surface" if case == 3 else mode)
+        b = _repeat(rng, a, mode)
+        same_mode = True
+        if case == 0:
+            source, pick = f"{a} . {b}", lambda t: (t.left, t.right)
+        elif case == 1:
+            source, pick = f"{a} - {b}", lambda t: (t.parts[0][1], t.parts[1][1])
+        elif case == 2:
+            source, pick = f"({a} + Delta) . {b}", lambda t: (t.left.parts[0][1], t.right)
+        elif case == 3:  # a inside T(...), in surface mode, and b outside it, in threefold mode
+            source, pick, same_mode = f"T({a}, Delta) . {b}", lambda t: (t.left.args[0], t.right), False
+        else:  # a repeat after a malformed part, which parses now and then
+            source, pick = f"{a} + ({_source(rng)}) - {b}", lambda t: (t.parts[0][1], t.parts[-1][1])
+        got = _outcome(parse_expr, source, mode)
+        assert got == _outcome(parse_by_tokens, source, mode), (source, mode)
+        if type(got) is not tuple:
+            x, y = pick(got)
+            one = same_mode and _core(a) == _core(b)
+            assert (x is y) == one, (source, mode)
+            shared[one] += 1
+            cases[case] += 1
+    # thousands of parsed sources share a node, and thousands do not; each case parses hundreds of times,
+    # and tens of sources with a malformed part between the two groups parse (1,470; 1,158; 43)
+    assert min(shared.values()) > 1_000 and min(cases[case] for case in range(4)) > 300 and cases[4] > 20
+
+
+@pytest.mark.parametrize(
+    "source, message, position",
+    [
+        ("1/0 * pi0", "zero denominator", 2),
+        ("1/0 pi0", "zero denominator", 2),
+        ("3/4 pi0", "a scalar must be followed by '*'", 0),
+        ("3/x * pi0", "expected 'int', found 'x'", 2),
+        ("3/ * pi0", "expected 'int', found '*'", 3),
+        ("2 * * pi0", "expected a factor, found '*'", 4),
+        ("G(1, 2 * pi0)", "G expects 3 integer arguments", 0),
+        ("pi0 . 2 * pi1", "expected a factor, found 2", 6),
+        ("1/0/3 * pi0", "zero denominator", 2),
+        ("1/2/3 * pi0", "a scalar must be followed by '*'", 0),
+    ],
+)
+def test_a_malformed_scalar_raises_its_message_at_its_position(source, message, position):
+    got = _outcome(parse_expr, source, "surface")
+    assert got == _outcome(parse_by_tokens, source, "surface")
+    assert got[1:] == (f"{message} (at position {position})", position)
+
+
+def test_distinct_scalars_do_not_pile_up():
+    sources = [f"{10**40 + i}/{10**39 + 2 * i + 1} * pi0" for i in range(5_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for source in sources:
+            parse_expr(source)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 500_000
 
 
 def test_nodes_of_different_kinds_with_equal_fields_differ():
@@ -336,6 +459,44 @@ def test_a_patched_rule_reaches_every_product_of_named_sums(monkeypatch):
     assert [p != c for p, c in zip(patched, clean)] == [True] * 3
     monkeypatch.undo()
     assert [evaluate(source, 3, mode) for mode, source in queries] == clean
+
+
+def test_a_node_the_tree_holds_twice_is_folded_once(monkeypatch):
+    calls = []
+
+    def counted(pairs, out):
+        calls.append(out)
+        return collect(pairs, out)
+
+    monkeypatch.setattr(dsl, "collect", counted)
+    part = Sum(((1, NamedAtom("G", (1, 0, 1))), (-1, Scale(Fraction(1, 2), NamedAtom("V")))))
+    shared = eval_expr(Compose(part, part), 3)
+    assert len(calls) == 2  # one fold of the two parts
+    copied = eval_expr(Compose(part, Sum(((1, NamedAtom("G", (1, 0, 1))), (-1, Scale(Fraction(1, 2), NamedAtom("V")))))), 3)
+    assert len(calls) == 6 and copied == shared
+    tree = parse_expr("(G(1,0,1) - 1/2 * V) . (G(1,0,1) - 1/2 * V)")
+    assert tree == Compose(part, part) and tree.left is tree.right
+    assert evaluate("(G(1,0,1) - 1/2 * V) . (G(1,0,1) - 1/2 * V)", 3) == shared and len(calls) == 8
+
+
+def test_a_shared_group_sees_a_patched_rule_and_alt11_is_built_at_each_query(monkeypatch):
+    product = "(G(1,0,1) . G(0,1,1))"
+    source = f"2 * {product} - {product}"  # one product, computed once
+    composed = []
+    monkeypatch.setattr(dsl, "compose", lambda x, y: composed.append(1) or surface.compose(x, y))
+    clean = evaluate(source, 3)
+    assert clean == evaluate(product, 3) and len(composed) == 2
+    built = []
+    count, alt11 = dsl._THREEFOLD_ATOMS["alt11"]
+    monkeypatch.setitem(dsl._THREEFOLD_ATOMS, "alt11", (count, lambda n: built.append(n) or alt11(n)))
+    clean_alt = evaluate("(alt11) + (alt11)", 3, "threefold")
+    assert len(built) == 1
+    monkeypatch.setattr(surface, "compose_atom_pair", _graph_pairs_doubled(surface.compose_atom_pair))
+    patched = evaluate(source, 3)
+    assert patched != clean and patched == evaluate(product, 3)
+    patched_alt = evaluate("(alt11) + (alt11)", 3, "threefold")
+    assert len(built) == 2 and patched_alt != clean_alt
+    assert patched_alt == evaluate("2 * alt11", 3, "threefold") and len(built) == 3
 
 
 def _named_keys(node, n: int, mode: str):
